@@ -290,6 +290,7 @@ fn tunnel(
 ) {
     let _ = client.set_nodelay(true);
     let _ = server.set_nodelay(true);
+    // Stop-flag polls only: records wake the reads as soon as they arrive.
     let _ = client.set_read_timeout(Some(Duration::from_millis(25)));
     let _ = server.set_read_timeout(Some(Duration::from_millis(25)));
     // The dialer speaks first; its hello must arrive unmodified.

@@ -30,7 +30,7 @@
 //! real sockets.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use newtop_core::Delivery;
 use newtop_runtime::{Cluster, ClusterConfig, Output, RunningCluster, TcpConfig, WireStats};
 use newtop_types::wire::put_varint;
@@ -234,13 +234,22 @@ impl RecordDecoder {
     }
 }
 
+/// Appends one length-prefixed record to `buf`.
+fn put_record(buf: &mut BytesMut, payload: &[u8]) {
+    put_varint(buf, payload.len() as u64);
+    buf.put_slice(payload);
+}
+
 /// Writes one length-prefixed record under the connection's write lock.
 fn write_record(writer: &Mutex<TcpStream>, payload: &[u8]) -> std::io::Result<()> {
     let mut buf = BytesMut::with_capacity(payload.len() + 5);
-    put_varint(&mut buf, payload.len() as u64);
-    buf.put_slice(payload);
-    let mut w = writer.lock().expect("ctrl write lock");
-    w.write_all(&buf)
+    put_record(&mut buf, payload);
+    write_batch(writer, &buf)
+}
+
+/// Writes a buffer of whole records under the connection's write lock.
+fn write_batch(writer: &Mutex<TcpStream>, batch: &[u8]) -> std::io::Result<()> {
+    writer.lock().expect("ctrl write lock").write_all(batch)
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -416,6 +425,7 @@ fn ctrl_conn_main(
     stop: &Arc<AtomicBool>,
 ) {
     let _ = conn.set_nodelay(true);
+    // Stop-flag poll only: ops wake the read as soon as they arrive.
     let _ = conn.set_read_timeout(Some(Duration::from_millis(50)));
     let writer = Arc::new(Mutex::new(match conn.try_clone() {
         Ok(w) => w,
@@ -426,6 +436,7 @@ fn ctrl_conn_main(
     let mut buf = [0u8; 64 * 1024];
     let mut forwarders: Vec<JoinHandle<()>> = Vec::new();
     let mut subscribed = false;
+    let mut verdicts = Verdicts::default();
     'conn: loop {
         if stop.load(Ordering::Relaxed) {
             break;
@@ -440,18 +451,29 @@ fn ctrl_conn_main(
                         Ok(None) => break,
                         Err(_) => break 'conn, // malformed client
                     };
-                    if !handle_op(
-                        running,
-                        hosted,
-                        group_cfg,
-                        &writer,
-                        stop,
-                        &mut forwarders,
-                        &mut subscribed,
-                        &record,
-                    ) {
+                    if record.first() == Some(&OP_MULTICAST) {
+                        verdicts.submit(running, &record);
+                        continue;
+                    }
+                    // Every other op answers after the multicasts
+                    // submitted before it (verdicts are FIFO).
+                    if verdicts.flush(&writer).is_err()
+                        || !handle_op(
+                            running,
+                            hosted,
+                            group_cfg,
+                            &writer,
+                            stop,
+                            &mut forwarders,
+                            &mut subscribed,
+                            &record,
+                        )
+                    {
                         break 'conn;
                     }
+                }
+                if verdicts.flush(&writer).is_err() {
+                    break;
                 }
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
@@ -464,7 +486,82 @@ fn ctrl_conn_main(
     }
 }
 
-/// Dispatches one control op; `false` ends the connection.
+/// One multicast verdict a control connection still owes its client.
+enum Owed {
+    /// A malformed op: the parse error.
+    Malformed(String),
+    /// A multicast to the group: its own reply slot at the node's
+    /// shard, or `None` when the op never reached one (node not hosted
+    /// here, or terminated), which reports as `NotMember`.
+    Verdict(GroupId, Option<Receiver<Result<(), SendError>>>),
+}
+
+/// The multicasts a control connection has submitted but not yet
+/// answered, in submission order. Every multicast of one read is
+/// submitted before any verdict is awaited, so the shard round trips
+/// overlap instead of queueing one behind another; the verdicts then go
+/// out in order, in one write.
+#[derive(Default)]
+struct Verdicts {
+    owed: VecDeque<Owed>,
+    /// The outgoing batch, reused across flushes.
+    out: BytesMut,
+}
+
+impl Verdicts {
+    /// Submits one `OP_MULTICAST` record to its node's shard.
+    fn submit(&mut self, running: &RunningCluster, record: &[u8]) {
+        let mut c = Cursor::new(&record[1..]);
+        let (node, group) = match (c.u32(), c.u32()) {
+            (Ok(node), Ok(group)) => (ProcessId(node), GroupId(group)),
+            (Err(e), _) | (_, Err(e)) => {
+                self.owed.push_back(Owed::Malformed(e));
+                return;
+            }
+        };
+        let slot = running.node(node).and_then(|n| {
+            let (tx, rx) = bounded(1);
+            n.multicast_pipelined(group, Bytes::from(c.rest().to_vec()), &tx)
+                .then_some(rx)
+        });
+        self.owed.push_back(Owed::Verdict(group, slot));
+    }
+
+    /// Awaits every owed verdict in submission order and writes them
+    /// all with one write.
+    fn flush(&mut self, writer: &Mutex<TcpStream>) -> std::io::Result<()> {
+        if self.owed.is_empty() {
+            return Ok(());
+        }
+        self.out.clear();
+        while let Some(owed) = self.owed.pop_front() {
+            let (code, text) = match owed {
+                Owed::Malformed(e) => (1, e),
+                Owed::Verdict(group, slot) => {
+                    match slot
+                        .and_then(|rx| rx.recv().ok())
+                        .unwrap_or(Err(SendError::NotMember { group }))
+                    {
+                        Ok(()) => (0, String::new()),
+                        // Shed at the host's admission boundary: a
+                        // distinct tag, so the client can count
+                        // backpressure separately from membership
+                        // refusals.
+                        Err(e @ SendError::Overloaded { .. }) => (2, e.to_string()),
+                        Err(e) => (1, e.to_string()),
+                    }
+                }
+            };
+            put_varint(&mut self.out, 2 + text.len() as u64);
+            self.out.put_slice(&[REC_VERDICT, code]);
+            self.out.put_slice(text.as_bytes());
+        }
+        write_batch(writer, &self.out)
+    }
+}
+
+/// Dispatches one control op other than a multicast (those go through
+/// [`Verdicts`]); `false` ends the connection.
 #[allow(clippy::too_many_arguments)]
 fn handle_op(
     running: &Arc<RunningCluster>,
@@ -477,38 +574,6 @@ fn handle_op(
     record: &[u8],
 ) -> bool {
     match record.first().copied() {
-        Some(OP_MULTICAST) => {
-            let verdict = (|| -> Result<Result<(), SendError>, String> {
-                let mut c = Cursor::new(&record[1..]);
-                let node = ProcessId(c.u32()?);
-                let group = GroupId(c.u32()?);
-                let payload = Bytes::from(c.rest().to_vec());
-                Ok(match running.node(node) {
-                    Some(n) => n.multicast(group, payload),
-                    None => Err(SendError::NotMember { group }),
-                })
-            })();
-            let mut rec = vec![REC_VERDICT];
-            match verdict {
-                Ok(Ok(())) => rec.push(0),
-                // Shed at the host's admission boundary: a distinct tag,
-                // so the client can count backpressure separately from
-                // membership refusals.
-                Ok(Err(e @ SendError::Overloaded { .. })) => {
-                    rec.push(2);
-                    rec.extend_from_slice(e.to_string().as_bytes());
-                }
-                Ok(Err(e)) => {
-                    rec.push(1);
-                    rec.extend_from_slice(e.to_string().as_bytes());
-                }
-                Err(e) => {
-                    rec.push(1);
-                    rec.extend_from_slice(e.as_bytes());
-                }
-            }
-            write_record(writer, &rec).is_ok()
-        }
         Some(OP_FORM) => {
             // §5.3 formation, driven over the control plane: the named
             // hosted node acts as initiator; invitees (on any peer,
@@ -572,60 +637,74 @@ fn handle_op(
     }
 }
 
-/// Streams one hosted node's engine outputs to the subscribed client.
+/// How many bytes of output records one forwarder wake may gather
+/// before writing them out.
+const FORWARD_BATCH: usize = 64 * 1024;
+
+/// Streams one hosted node's engine outputs to the subscribed client:
+/// each wake drains what is already queued (up to [`FORWARD_BATCH`]
+/// bytes) and writes it as one buffer.
 fn forward_outputs(
     node: ProcessId,
     rx: &Receiver<Output>,
     writer: &Mutex<TcpStream>,
     stop: &AtomicBool,
 ) {
+    let mut rec = Vec::new();
+    let mut batch = BytesMut::new();
     while !stop.load(Ordering::Relaxed) {
-        let out = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(out) => out,
+        let mut next = match rx.recv_timeout(Duration::from_millis(50)) {
+            Ok(out) => Some(out),
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
             Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
         };
-        let rec = match out {
-            Output::Delivery(d) => {
-                let mut rec = vec![REC_DELIVERY];
-                put_u32(&mut rec, node.0);
-                put_u32(&mut rec, d.group.0);
-                put_u32(&mut rec, d.origin.0);
-                put_u64(&mut rec, d.c.0);
-                put_u32(&mut rec, d.view_seq.0);
-                rec.extend_from_slice(&d.payload);
-                rec
+        batch.clear();
+        while let Some(out) = next {
+            if encode_output(node, &out, &mut rec) {
+                put_record(&mut batch, &rec);
             }
-            Output::ViewChange { group, view, .. } => {
-                let mut rec = vec![REC_VIEW];
-                put_u32(&mut rec, node.0);
-                put_u32(&mut rec, group.0);
-                #[allow(clippy::cast_possible_truncation)]
-                put_u32(&mut rec, view.len() as u32);
-                for m in view.iter() {
-                    put_u32(&mut rec, m.0);
-                }
-                rec
-            }
-            Output::GroupActive { group, view } => {
-                let mut rec = vec![REC_ACTIVE];
-                put_u32(&mut rec, node.0);
-                put_u32(&mut rec, group.0);
-                #[allow(clippy::cast_possible_truncation)]
-                put_u32(&mut rec, view.len() as u32);
-                for m in view.iter() {
-                    put_u32(&mut rec, m.0);
-                }
-                rec
-            }
-            // Failed formations and trace events stay local; the control
-            // plane forwards what the generator and supervisor consume.
-            _ => continue,
-        };
-        if write_record(writer, &rec).is_err() {
+            next = if batch.len() < FORWARD_BATCH {
+                rx.try_recv().ok()
+            } else {
+                None
+            };
+        }
+        if !batch.is_empty() && write_batch(writer, &batch).is_err() {
             return;
         }
     }
+}
+
+/// Encodes one engine output as a control record body into `rec`;
+/// `false` for outputs the control plane does not forward.
+fn encode_output(node: ProcessId, out: &Output, rec: &mut Vec<u8>) -> bool {
+    rec.clear();
+    let (tag, group, view) = match out {
+        Output::Delivery(d) => {
+            rec.push(REC_DELIVERY);
+            put_u32(rec, node.0);
+            put_u32(rec, d.group.0);
+            put_u32(rec, d.origin.0);
+            put_u64(rec, d.c.0);
+            put_u32(rec, d.view_seq.0);
+            rec.extend_from_slice(&d.payload);
+            return true;
+        }
+        Output::ViewChange { group, view, .. } => (REC_VIEW, group, view),
+        Output::GroupActive { group, view } => (REC_ACTIVE, group, view),
+        // Failed formations and trace events stay local; the control
+        // plane forwards what the generator and supervisor consume.
+        _ => return false,
+    };
+    rec.push(tag);
+    put_u32(rec, node.0);
+    put_u32(rec, group.0);
+    #[allow(clippy::cast_possible_truncation)]
+    put_u32(rec, view.len() as u32);
+    for m in view.iter() {
+        put_u32(rec, m.0);
+    }
+    true
 }
 
 // ---------------------------------------------------------------------
@@ -673,7 +752,9 @@ fn dial_ctrl(
                 if Instant::now() >= deadline {
                     return Err(e);
                 }
-                std::thread::sleep(Duration::from_millis(50));
+                // A freshly spawned serve binds within milliseconds; a
+                // coarse step would make every cold connect lose one.
+                std::thread::sleep(Duration::from_millis(2));
             }
         }
     };

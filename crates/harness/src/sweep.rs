@@ -126,7 +126,6 @@ where
 {
     let started = Instant::now();
     let next = AtomicU64::new(lo);
-    let completed = AtomicU64::new(0);
     let stopped = AtomicBool::new(false);
     let agg: Mutex<SweepReport> = Mutex::new(SweepReport::default());
 
@@ -144,11 +143,12 @@ where
             break;
         }
         let outcome = runner(seed);
-        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
         let mut agg = agg.lock().unwrap();
+        // Counted under the lock that serialises `progress`, so the
+        // count it sees is monotone in call order.
         agg.ran += 1;
         agg.deliveries += outcome.deliveries;
-        progress(&outcome, done);
+        progress(&outcome, agg.ran);
         if outcome.failed() {
             agg.failures.push(outcome);
         }

@@ -3,10 +3,11 @@
 //! [`RemoteCluster`] client over loopback control connections, and the
 //! chaos proxy interposed on the data plane.
 
+use crossbeam::channel::unbounded;
 use newtop_harness::proxy::{run_proxy, ProxyConfig};
 use newtop_harness::remote::{members_of, serve, RemoteCluster, ServeConfig};
-use newtop_runtime::Output;
-use newtop_types::{GroupId, ProcessId, Span};
+use newtop_runtime::{ClusterConfig, Output};
+use newtop_types::{GroupId, ProcessId, SendError, Span};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
@@ -195,4 +196,98 @@ fn chaos_proxy_drop_delay_roundtrip_stays_exact() {
         s.join().expect("serve thread").expect("serve exits clean");
     }
     proxy.stop();
+}
+
+/// The control plane pipelines multicasts — every op of a read is
+/// submitted to its shard before any verdict is awaited — yet each
+/// reply slot still gets its own op's verdict. One burst mixes accepted
+/// sends from nodes on different shards of both serves (whose verdicts
+/// can race back out of order) with `NotMember` refusals, and a group
+/// formation sits in the middle of it.
+#[test]
+fn pipelined_verdicts_keep_their_slots() {
+    let addrs = free_addrs(4);
+    let (peers, ctrl) = (addrs[..2].to_vec(), addrs[2..].to_vec());
+    let (nodes, groups) = (8u32, 2u32);
+    let mut servers = Vec::new();
+    for me in 0..2usize {
+        let mut cfg = fast(ServeConfig::new(
+            nodes,
+            groups,
+            peers.clone(),
+            ctrl.clone(),
+            me,
+        ));
+        // Serve 0 puts nodes 1 and 3 on shard 0, nodes 2 and 4 on shard 1.
+        cfg.cluster = ClusterConfig::new().shards(2);
+        servers.push(std::thread::spawn(move || serve(&cfg)));
+    }
+    let remote =
+        RemoteCluster::connect(&ctrl, nodes, Duration::from_secs(15)).expect("client connects");
+    let group_of = |node: u32| GroupId((node - 1) % groups + 1);
+    let other = |g: GroupId| GroupId(g.0 % groups + 1);
+    // (sender, group, accepted?): every node sends once to its own group
+    // and once to the group it is not in, alternating.
+    let ops: Vec<(ProcessId, GroupId, bool)> = (0..3)
+        .flat_map(|round| {
+            (1..=nodes).flat_map(move |n| {
+                let own = (ProcessId(n), group_of(n), true);
+                let foreign = (ProcessId(n), other(group_of(n)), false);
+                if (n + round) % 2 == 0 {
+                    [own, foreign]
+                } else {
+                    [foreign, own]
+                }
+            })
+        })
+        .collect();
+    let half = ops.len() / 2;
+    let submit = |ops: &[(ProcessId, GroupId, bool)]| {
+        ops.iter()
+            .enumerate()
+            .map(|(k, &(node, group, _))| {
+                let (tx, rx) = unbounded();
+                let payload = format!("{}:{k}", node.0).into_bytes();
+                assert!(remote.multicast_pipelined(node, group, &payload, &tx));
+                rx
+            })
+            .collect::<Vec<_>>()
+    };
+    let mut slots = submit(&ops[..half]);
+    let formed = remote.form_group(
+        ProcessId(1),
+        GroupId(groups + 1),
+        &[ProcessId(1), ProcessId(2), ProcessId(5), ProcessId(6)],
+    );
+    slots.extend(submit(&ops[half..]));
+    assert_eq!(formed, Ok(()), "the formation gets its own verdict");
+    for (k, (rx, &(node, group, accepted))) in slots.iter().zip(&ops).enumerate() {
+        let verdict = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("every slot answered");
+        if accepted {
+            assert_eq!(verdict, Ok(()), "op {k}: node {} to {}", node.0, group.0);
+        } else {
+            assert!(
+                matches!(verdict, Err(SendError::NotMember { .. })),
+                "op {k}: node {} to {} must be refused, got {verdict:?}",
+                node.0,
+                group.0
+            );
+        }
+        assert!(rx.try_recv().is_err(), "op {k}: exactly one verdict");
+    }
+    // The accepted sends really went out, and only those.
+    let group_list: Vec<(GroupId, Vec<ProcessId>)> = (0..groups)
+        .map(|g| (GroupId(g + 1), members_of(g, nodes, groups)))
+        .collect();
+    let per_group = ops.iter().filter(|op| op.2).count() / groups as usize;
+    let got = collect_deliveries(&remote, &group_list, per_group, Duration::from_secs(30));
+    for (node, seq) in &got {
+        assert_eq!(seq.len(), per_group, "node {} delivery count", node.0);
+    }
+    remote.shutdown_peers();
+    for s in servers {
+        s.join().expect("serve thread").expect("serve exits clean");
+    }
 }

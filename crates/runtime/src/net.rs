@@ -485,8 +485,6 @@ fn dial(
     for (_, rec) in unacked.iter() {
         (&stream).write_all(rec).ok()?;
     }
-    // Steady state: ack polls must not stall the writer.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(1)));
     Some(stream)
 }
 
@@ -506,22 +504,36 @@ fn write_frame(
     stream.write_all(&rec).is_ok()
 }
 
-/// Drains whatever acks have arrived, pruning the retransmission queue.
+/// Drains whatever acks have already arrived, pruning the
+/// retransmission queue, and returns at once when none are buffered.
 /// `false` = connection lost.
+///
+/// The read must not block, not even briefly: Linux rounds socket
+/// timeouts (`SO_RCVTIMEO`) up to whole kernel ticks, so even a "1 ms"
+/// read timeout holds the writer for ticks (~8 ms measured at
+/// `HZ=250`) while the peer's frames queue behind it. The socket is
+/// switched to non-blocking for the drain only; writes stay blocking
+/// under their send timeout.
 fn poll_acks(
     mut stream: &TcpStream,
     pend: &mut Vec<u8>,
     unacked: &mut VecDeque<(u64, Bytes)>,
     link: &PeerLink,
 ) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
     let mut buf = [0u8; 512];
-    loop {
+    let alive = loop {
         match stream.read(&mut buf) {
-            Ok(0) => return false, // acceptor severed (gap) or exited
+            Ok(0) => break false, // acceptor severed (gap) or exited
             Ok(n) => pend.extend_from_slice(&buf[..n]),
-            Err(e) if would_block(&e) => break,
-            Err(_) => return false,
+            Err(e) if would_block(&e) => break true,
+            Err(_) => break false,
         }
+    };
+    if !alive || stream.set_nonblocking(false).is_err() {
+        return false;
     }
     while pend.len() >= ACK_LEN {
         let mut raw = [0u8; ACK_LEN];
@@ -671,6 +683,9 @@ fn accept_conn(ctx: &Arc<Acceptor>, stream: TcpStream) {
     if (&stream).write_all(&reply).is_err() {
         return;
     }
+    // Not on the latency path: a read returns as soon as data arrives;
+    // the timeout only bounds how long a quiet link goes without
+    // polling the stop flag and flushing a trickle's ack.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     let ctx2 = Arc::clone(ctx);
     let handle = std::thread::Builder::new()
@@ -752,8 +767,86 @@ fn ingress_main(ctx: &Acceptor, mut stream: &TcpStream, state: &Mutex<u64>) {
 
 #[cfg(test)]
 mod tests {
-    use super::jittered;
-    use std::time::Duration;
+    use super::{jittered, poll_acks, PeerLink};
+    use bytes::Bytes;
+    use crossbeam::channel::unbounded;
+    use newtop_types::peer::encode_ack;
+    use std::collections::VecDeque;
+    use std::io::Write;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::time::{Duration, Instant};
+
+    /// A connected loopback pair: (dialer side, acceptor side).
+    fn loopback_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let dialer = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (acceptor, _) = listener.accept().expect("accept");
+        (dialer, acceptor)
+    }
+
+    /// The ack drain returns at once when nothing is buffered, even on
+    /// a socket that carries the handshake's long read timeout. A
+    /// timed read could never do this: socket timeouts round up to a
+    /// kernel tick (≥ 1 ms at any `HZ`).
+    #[test]
+    fn ack_drain_does_not_wait_when_no_ack_is_buffered() {
+        let (dialer, _acceptor) = loopback_pair();
+        dialer
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let (tx, _rx) = unbounded();
+        let link = PeerLink {
+            tx,
+            queued: AtomicU64::new(0),
+            cap: 8,
+        };
+        let mut pend = Vec::new();
+        let mut unacked = VecDeque::new();
+        let fastest = (0..20)
+            .map(|_| {
+                let t0 = Instant::now();
+                assert!(poll_acks(&dialer, &mut pend, &mut unacked, &link));
+                t0.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(fastest < Duration::from_millis(1), "drain took {fastest:?}");
+        assert!(pend.is_empty());
+    }
+
+    /// A buffered cumulative ack prunes exactly the records below it and
+    /// releases their backlog count; the socket stays usable afterwards.
+    #[test]
+    fn ack_drain_prunes_acknowledged_records() {
+        let (dialer, mut acceptor) = loopback_pair();
+        let (tx, _rx) = unbounded();
+        let link = PeerLink {
+            tx,
+            queued: AtomicU64::new(10),
+            cap: 64,
+        };
+        let mut pend = Vec::new();
+        let mut unacked: VecDeque<(u64, Bytes)> =
+            (1..=10).map(|s| (s, Bytes::from_static(b"r"))).collect();
+        acceptor.write_all(&encode_ack(5)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while unacked.len() == 10 && Instant::now() < deadline {
+            assert!(poll_acks(&dialer, &mut pend, &mut unacked, &link));
+            std::thread::yield_now();
+        }
+        assert_eq!(unacked.front().map(|&(s, _)| s), Some(5));
+        assert_eq!(link.queued.load(Ordering::Relaxed), 6);
+        // Back in blocking mode: a write goes through whole.
+        (&dialer).write_all(&[0u8; 4096]).unwrap();
+        drop(acceptor);
+        // The acceptor's close surfaces as a lost connection.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while poll_acks(&dialer, &mut pend, &mut unacked, &link) {
+            assert!(Instant::now() < deadline, "close never surfaced");
+            std::thread::yield_now();
+        }
+    }
 
     /// Every draw stays within the documented ±25% envelope, for bases
     /// spanning the whole 20ms → 1s backoff ladder.

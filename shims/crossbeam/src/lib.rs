@@ -253,9 +253,23 @@ pub mod channel {
     }
 
     impl<T> Drop for Receiver<T> {
+        /// The last receiver to go discards whatever is still queued, as
+        /// the real crate does: a reply sender parked in a dead channel
+        /// must not keep its caller waiting forever.
         fn drop(&mut self) {
             if let Kind::Chan(chan) = &self.kind {
-                chan.state.lock().unwrap().receivers -= 1;
+                let orphans = {
+                    let mut st = chan.state.lock().unwrap();
+                    st.receivers -= 1;
+                    if st.receivers == 0 {
+                        std::mem::take(&mut st.queue)
+                    } else {
+                        VecDeque::new()
+                    }
+                };
+                // Dropped outside the lock: a queued value may hold a
+                // sender of this very channel.
+                drop(orphans);
             }
         }
     }
@@ -492,6 +506,17 @@ mod tests {
         assert_eq!(rx.recv(), Ok(7));
         drop(tx);
         assert!(rx.recv().is_err());
+    }
+
+    #[test]
+    fn last_receiver_drop_discards_queued_values() {
+        let (tx, rx) = unbounded();
+        let (reply_tx, reply_rx) = unbounded::<u32>();
+        tx.send(reply_tx).unwrap();
+        drop(rx);
+        // The queued reply sender went with the channel's last receiver.
+        assert!(reply_rx.recv_timeout(Duration::from_secs(5)).is_err());
+        assert!(tx.send(unbounded().0).is_err());
     }
 
     #[test]
