@@ -13,7 +13,6 @@
 //! newtop-exp chaos --pin 42 --out f.chaos  # pin a seed as a replay script
 //!
 //! newtop-exp load --nodes 32 --groups 4 --secs 5          # runtime load test
-//! newtop-exp load --nodes 32 --host threads               # seed-host baseline
 //! newtop-exp load --host tcp --peers 127.0.0.1:7101,127.0.0.1:7102
 //!                                          # drive a real multi-process cluster
 //!
@@ -428,10 +427,8 @@ options:
   --mode sym|asym    ordering variant for every group (default sym)
   --payload B        application payload bytes, >= 8 (default 64)
   --window W         closed-loop in-flight messages per group (default 16)
-  --host sharded|threads|tcp
-                     host under test: the sharded event-loop host, the
-                     frozen thread-per-process baseline, or a real
-                     multi-process cluster of `newtop-exp serve`
+  --host sharded|tcp  host under test: the sharded event-loop host or a
+                     real multi-process cluster of `newtop-exp serve`
                      processes (default sharded)
   --peers A,B,...    tcp host: the serve processes' control addresses,
                      cluster order (required with --host tcp)
@@ -446,11 +443,6 @@ options:
                      asserts zero false exclusions under latency spikes
   --inbox-cap N      shard-inbox admission bound; excess client
                      multicasts are shed as explicit backpressure
-  --flush-window US  egress flush window in microseconds for the sharded
-                     host; bounds coalescing delay only under saturation
-                     (an idle shard flushes immediately). 0 disables wire
-                     batching entirely (default 200)
-  --batch-max N      max envelopes coalesced into one frame (default 128)
   --wan-profile KBPS sharded host: cap the host's whole egress at KBPS
                      kilobytes per second (a WAN uplink). Shards past
                      the budget stall, so latency rises like on a
@@ -590,20 +582,6 @@ fn parse_load_args(args: &[String]) -> Result<LoadArgs, String> {
                 port_base = val("--port-base")?
                     .parse::<u16>()
                     .map_err(|_| "bad --port-base".to_string())?;
-            }
-            "--flush-window" => {
-                cfg.flush_window_us = Some(
-                    val("--flush-window")?
-                        .parse::<u64>()
-                        .map_err(|_| "bad --flush-window".to_string())?,
-                );
-            }
-            "--batch-max" => {
-                cfg.batch_max = Some(
-                    val("--batch-max")?
-                        .parse::<u32>()
-                        .map_err(|_| "bad --batch-max".to_string())?,
-                );
             }
             "--wan-profile" => {
                 cfg.wan_profile_kbps = Some(
@@ -1229,7 +1207,9 @@ fn parse_proxy_args(args: &[String]) -> Result<ProxyArgs, String> {
             "--secs" => {
                 out.secs = val("--secs")?
                     .parse::<f64>()
-                    .map_err(|_| "bad --secs".to_string())?;
+                    .ok()
+                    .filter(|t| t.is_finite() && *t >= 0.0)
+                    .ok_or_else(|| "bad --secs (seconds >= 0)".to_string())?;
             }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown proxy option {other}")),

@@ -24,8 +24,8 @@
 //!   (worker-count-independent) aggregation;
 //! * [`loadgen`] — closed-loop wall-clock load generation against the
 //!   real-time runtime host (`newtop-exp load`): delivered msgs/sec and
-//!   end-to-end latency percentiles, for the sharded host, the
-//!   thread-per-process baseline, and a real multi-process TCP cluster;
+//!   end-to-end latency percentiles, for the sharded host and a real
+//!   multi-process TCP cluster;
 //! * [`remote`] — the control plane for real multi-process clusters:
 //!   the `newtop-exp serve` node process and the client handle the load
 //!   generator drives it with;

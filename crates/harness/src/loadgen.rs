@@ -14,16 +14,15 @@
 //! waiting for ω nulls). Each payload carries its send timestamp, so
 //! every member delivery yields one latency sample.
 //!
-//! Three hosts are drivable behind one surface — the sharded event-loop
-//! host, the frozen thread-per-process baseline
-//! ([`newtop_runtime::legacy`]), and a real multi-process TCP cluster
-//! reached through [`crate::remote::RemoteCluster`] — so a single
-//! binary A/Bs the schedulers and the wire: `newtop-exp load --host
-//! sharded` vs `--host threads` vs `--host tcp --peers …`.
+//! Two hosts are drivable behind one surface — the sharded event-loop
+//! host and a real multi-process TCP cluster reached through
+//! [`crate::remote::RemoteCluster`] — so a single binary A/Bs the
+//! in-process path against the wire: `newtop-exp load --host sharded`
+//! vs `--host tcp --peers …`.
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use newtop_runtime::{legacy, Cluster, ClusterConfig, Output, WireStats};
+use newtop_runtime::{Cluster, ClusterConfig, Output, WireStats};
 use newtop_types::{GroupConfig, GroupId, OrderMode, ProcessId, SendError, Span, SuspicionMode};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -35,8 +34,6 @@ use std::time::{Duration, Instant};
 pub enum HostKind {
     /// The sharded event-loop host (`newtop_runtime::Cluster`).
     Sharded,
-    /// The frozen thread-per-process baseline (`newtop_runtime::legacy`).
-    ThreadPerProcess,
     /// A real multi-process cluster of `newtop-exp serve` processes,
     /// reached over their control plane (`--peers` lists the control
     /// addresses, cluster order).
@@ -49,7 +46,6 @@ impl HostKind {
     pub fn as_str(self) -> &'static str {
         match self {
             HostKind::Sharded => "sharded",
-            HostKind::ThreadPerProcess => "threads",
             HostKind::Tcp => "tcp",
         }
     }
@@ -67,11 +63,8 @@ impl std::str::FromStr for HostKind {
     fn from_str(s: &str) -> Result<HostKind, String> {
         match s {
             "sharded" => Ok(HostKind::Sharded),
-            "threads" => Ok(HostKind::ThreadPerProcess),
             "tcp" => Ok(HostKind::Tcp),
-            other => Err(format!(
-                "unknown host '{other}' (expected sharded, threads or tcp)"
-            )),
+            other => Err(format!("unknown host '{other}' (expected sharded or tcp)")),
         }
     }
 }
@@ -110,12 +103,6 @@ pub struct LoadConfig {
     /// Stop as soon as this many member deliveries were observed (bench
     /// mode); `None` = run the full `secs`.
     pub target_deliveries: Option<u64>,
-    /// Egress flush window in microseconds for the sharded host:
-    /// `Some(0)` disables wire batching (the pre-PR 7 path), `None`
-    /// keeps the host default (200µs).
-    pub flush_window_us: Option<u64>,
-    /// Cap on envelopes coalesced per frame (`None` = host default).
-    pub batch_max: Option<u32>,
     /// Shard-inbox admission bound for the sharded host (`None` = host
     /// default; `Some(0)` sheds every client multicast).
     pub inbox_cap: Option<usize>,
@@ -147,8 +134,6 @@ impl Default for LoadConfig {
             suspicion: SuspicionMode::FixedOmega,
             churn: None,
             target_deliveries: None,
-            flush_window_us: None,
-            batch_max: None,
             inbox_cap: None,
             wan_profile_kbps: None,
             peers: Vec::new(),
@@ -179,10 +164,10 @@ pub struct LoadReport {
     pub shed: u64,
     /// Nodes killed mid-run by churn mode (0 outside `--churn`).
     pub killed: u64,
-    /// Exact wire accounting (sharded host only — the baseline never
-    /// serializes, which is part of what it gets wrong).
+    /// Exact wire accounting (`None` when a remote host did not report
+    /// it).
     pub wire: Option<WireStats>,
-    /// Shards actually used (1 for the baseline: irrelevant there).
+    /// Shards actually used.
     pub shards_used: usize,
 }
 
@@ -193,7 +178,7 @@ impl LoadReport {
         self.delivered as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
 
-    /// Wire frames shipped per second (sharded host only).
+    /// Wire frames shipped per second (when the host reports wire stats).
     #[must_use]
     pub fn frames_per_sec(&self) -> Option<f64> {
         #[allow(clippy::cast_precision_loss)]
@@ -201,9 +186,9 @@ impl LoadReport {
             .map(|w| w.frames as f64 / self.elapsed.as_secs_f64().max(1e-9))
     }
 
-    /// Envelopes shipped per second (sharded host only). The ratio of
-    /// this to [`LoadReport::frames_per_sec`] is the mean batch
-    /// occupancy the run achieved.
+    /// Envelopes shipped per second (when the host reports wire stats).
+    /// The ratio of this to [`LoadReport::frames_per_sec`] is the mean
+    /// batch occupancy the run achieved.
     #[must_use]
     pub fn envelopes_per_sec(&self) -> Option<f64> {
         #[allow(clippy::cast_precision_loss)]
@@ -212,35 +197,24 @@ impl LoadReport {
     }
 }
 
-/// Minimal host surface the driver needs; implemented by the in-process
-/// runtimes and by the remote-cluster client.
+/// Minimal host surface the driver needs; implemented by the sharded
+/// host and by the remote-cluster client.
 pub(crate) trait Host: Sync {
-    fn multicast(&self, node: ProcessId, group: GroupId, payload: Bytes) -> Result<(), SendError>;
-    /// Pipelined variant: enqueue the multicast and report the engine's
-    /// verdict on `reply` instead of blocking for it. The default (used
-    /// by the legacy host) degenerates to the blocking call, so the A/B
-    /// baseline keeps its original cost profile.
+    /// Enqueues the multicast and reports the engine's verdict on `reply`
+    /// instead of blocking for it; `false` if the node is unknown or gone.
     fn multicast_pipelined(
         &self,
         node: ProcessId,
         group: GroupId,
         payload: Bytes,
         reply: &Sender<Result<(), SendError>>,
-    ) -> bool {
-        let verdict = self.multicast(node, group, payload);
-        reply.send(verdict).is_ok()
-    }
+    ) -> bool;
     fn output_rx(&self, node: ProcessId) -> Receiver<Output>;
     fn wire_stats(&self) -> Option<WireStats>;
     fn shards_used(&self) -> usize;
 }
 
 impl Host for newtop_runtime::RunningCluster {
-    fn multicast(&self, node: ProcessId, group: GroupId, payload: Bytes) -> Result<(), SendError> {
-        self.node(node)
-            .ok_or(SendError::NotMember { group })?
-            .multicast(group, payload)
-    }
     fn multicast_pipelined(
         &self,
         node: ProcessId,
@@ -263,9 +237,6 @@ impl Host for newtop_runtime::RunningCluster {
 }
 
 impl Host for crate::remote::RemoteCluster {
-    fn multicast(&self, node: ProcessId, group: GroupId, payload: Bytes) -> Result<(), SendError> {
-        crate::remote::RemoteCluster::multicast(self, node, group, &payload)
-    }
     fn multicast_pipelined(
         &self,
         node: ProcessId,
@@ -283,23 +254,6 @@ impl Host for crate::remote::RemoteCluster {
     }
     fn shards_used(&self) -> usize {
         crate::remote::RemoteCluster::shards_used(self)
-    }
-}
-
-impl Host for legacy::RunningCluster {
-    fn multicast(&self, node: ProcessId, group: GroupId, payload: Bytes) -> Result<(), SendError> {
-        self.node(node)
-            .ok_or(SendError::NotMember { group })?
-            .multicast(group, payload)
-    }
-    fn output_rx(&self, node: ProcessId) -> Receiver<Output> {
-        self.node(node).expect("known node").outputs().clone()
-    }
-    fn wire_stats(&self) -> Option<WireStats> {
-        None
-    }
-    fn shards_used(&self) -> usize {
-        1
     }
 }
 
@@ -688,6 +642,12 @@ fn run_churn_on(
 ///
 /// A human-readable message if the configuration is unsatisfiable.
 pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, String> {
+    if !(cfg.secs.is_finite() && cfg.secs > 0.0) {
+        return Err(format!(
+            "secs must be a finite number above 0 (got {})",
+            cfg.secs
+        ));
+    }
     if cfg.nodes == 0 || cfg.groups == 0 {
         return Err("need at least one node and one group".into());
     }
@@ -723,12 +683,6 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, String> {
             if cfg.shards > 0 {
                 knobs = knobs.shards(cfg.shards);
             }
-            if let Some(us) = cfg.flush_window_us {
-                knobs = knobs.flush_window(Duration::from_micros(us));
-            }
-            if let Some(max) = cfg.batch_max {
-                knobs = knobs.batch_max(max);
-            }
             if let Some(cap) = cfg.inbox_cap {
                 knobs = knobs.inbox_cap(cap);
             }
@@ -749,21 +703,6 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, String> {
                 Some(seed) => run_churn_on(&running, cfg, seed),
                 None => run_on(&running, cfg),
             };
-            running.shutdown();
-            Ok(report)
-        }
-        HostKind::ThreadPerProcess => {
-            let mut cluster = legacy::Cluster::new();
-            for i in 1..=cfg.nodes {
-                cluster.add_process(ProcessId(i));
-            }
-            for g in 0..cfg.groups {
-                cluster
-                    .bootstrap_group(GroupId(g + 1), group_members(cfg, g), group_config(cfg))
-                    .map_err(|e| format!("bootstrap group {}: {e}", g + 1))?;
-            }
-            let running = cluster.start();
-            let report = run_on(&running, cfg);
             running.shutdown();
             Ok(report)
         }
@@ -813,22 +752,6 @@ mod tests {
         assert!(wire.frames > 0 && wire.bytes > wire.frames);
     }
 
-    /// The baseline host runs the same workload (slower, unaccounted).
-    #[test]
-    fn thread_per_process_baseline_runs() {
-        let cfg = LoadConfig {
-            nodes: 4,
-            groups: 2,
-            secs: 0.4,
-            window: 4,
-            host: HostKind::ThreadPerProcess,
-            ..LoadConfig::default()
-        };
-        let report = run_load(&cfg).expect("baseline runs");
-        assert!(report.delivered > 0);
-        assert!(report.wire.is_none(), "baseline never serializes");
-    }
-
     /// Asymmetric (sequencer) groups also sustain the closed loop.
     #[test]
     fn asymmetric_mode_runs() {
@@ -845,10 +768,9 @@ mod tests {
     }
 
     /// Under a saturating closed loop the egress coalesces (occupancy
-    /// above 1); with the window forced to 0 every frame carries exactly
-    /// one envelope.
+    /// above 1).
     #[test]
-    fn flush_window_controls_batching() {
+    fn saturating_load_coalesces_frames() {
         let cfg = LoadConfig {
             nodes: 8,
             groups: 1,
@@ -857,21 +779,13 @@ mod tests {
             window: 32,
             ..LoadConfig::default()
         };
-        let batched = run_load(&cfg).expect("batched run");
-        let wire = batched.wire.expect("sharded host accounts wire");
+        let report = run_load(&cfg).expect("batched run");
+        let wire = report.wire.expect("sharded host accounts wire");
         assert!(
             wire.mean_occupancy() > 1.0,
             "saturating load should coalesce (occupancy {:.2})",
             wire.mean_occupancy()
         );
-        let unbatched = run_load(&LoadConfig {
-            flush_window_us: Some(0),
-            ..cfg
-        })
-        .expect("unbatched run");
-        let wire0 = unbatched.wire.expect("wire stats");
-        assert_eq!(wire0.envelopes, wire0.frames);
-        assert_eq!(wire0.suppressed_nulls, 0);
     }
 
     /// With the admission valve closed every send is shed, reported as
@@ -955,7 +869,8 @@ mod tests {
     fn wan_profile_rejects_non_sharded_hosts() {
         assert!(run_load(&LoadConfig {
             wan_profile_kbps: Some(100),
-            host: HostKind::ThreadPerProcess,
+            host: HostKind::Tcp,
+            peers: vec!["127.0.0.1:1".parse().unwrap()],
             ..LoadConfig::default()
         })
         .is_err());
@@ -964,25 +879,26 @@ mod tests {
     /// Churn is a sharded-host feature; other hosts reject it up front.
     #[test]
     fn churn_rejects_non_sharded_hosts() {
-        for host in [HostKind::ThreadPerProcess, HostKind::Tcp] {
-            assert!(run_load(&LoadConfig {
-                churn: Some(1),
-                host,
-                peers: vec!["127.0.0.1:1".parse().unwrap()],
-                ..LoadConfig::default()
-            })
-            .is_err());
-        }
+        assert!(run_load(&LoadConfig {
+            churn: Some(1),
+            host: HostKind::Tcp,
+            peers: vec!["127.0.0.1:1".parse().unwrap()],
+            ..LoadConfig::default()
+        })
+        .is_err());
     }
 
     /// Every host kind round-trips through its CLI spelling.
     #[test]
     fn host_kind_round_trips_through_strings() {
-        for kind in [HostKind::Sharded, HostKind::ThreadPerProcess, HostKind::Tcp] {
+        for kind in [HostKind::Sharded, HostKind::Tcp] {
             let spelled = kind.to_string();
             assert_eq!(spelled.parse::<HostKind>(), Ok(kind), "{spelled}");
         }
         assert!("udp".parse::<HostKind>().is_err());
+        // A refused spelling gets a message naming the hosts that exist.
+        let err = "threads".parse::<HostKind>().unwrap_err();
+        assert!(err.contains("sharded") && err.contains("tcp"), "{err}");
     }
 
     #[test]
@@ -1003,5 +919,14 @@ mod tests {
             ..LoadConfig::default()
         })
         .is_err());
+        // A run length that is not a positive finite number of seconds
+        // is refused before any host starts.
+        for secs in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(run_load(&LoadConfig {
+                secs,
+                ..LoadConfig::default()
+            })
+            .is_err());
+        }
     }
 }

@@ -12,10 +12,10 @@
 //! live in a binary-heap deadline wheel; partition control is a versioned
 //! snapshot that costs one atomic load per batch.
 //!
-//! The application API — multicast, depart, dynamic group formation, and
-//! a stream of outputs (deliveries, view changes, protocol events) — is
-//! unchanged from the original thread-per-process host, which survives as
-//! [`legacy`] for A/B measurement (`newtop-exp load --host threads`).
+//! The application API is multicast, depart, dynamic group formation, and
+//! a stream of outputs (deliveries, view changes, protocol events). The
+//! same shards also back the multi-process TCP host
+//! ([`Cluster::start_tcp`]).
 //!
 //! A shared partition control lets demos sever connectivity at runtime —
 //! messages crossing a cut are dropped, which models the paper's
@@ -53,7 +53,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod legacy;
 mod net;
 mod partition;
 mod shard;
@@ -66,7 +65,6 @@ pub use transport::{Frame, Route, Transport, WireStats, OCCUPANCY_BUCKETS, OCCUP
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use newtop_core::{Delivery, FormationFailure, GroupError, Process, ProtocolEvent};
-use newtop_types::Span;
 use newtop_types::{
     GroupConfig, GroupId, Instant, ProcessConfig, ProcessId, SendError, SignedView, View,
 };
@@ -76,7 +74,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use transport::{Admission, BatchPolicy, Router, ShardMsg};
+use transport::{Admission, Router, ShardMsg};
 
 /// Everything a node reports to its application.
 #[derive(Debug, Clone)]
@@ -133,22 +131,15 @@ fn default_shards() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Host-construction knobs shared by every cluster flavour — the
-/// sharded in-process host ([`Cluster::start`]), the TCP multi-process
-/// host ([`Cluster::start_tcp`]) and the [`legacy`] thread-per-process
-/// baseline ([`legacy::Cluster::with_config`]) are all built from one
-/// `ClusterConfig`, so a harness can construct any of them through the
-/// same value.
+/// Host-construction knobs shared by both cluster flavours — the
+/// sharded in-process host ([`Cluster::start`]) and the TCP multi-process
+/// host ([`Cluster::start_tcp`]) are built from one `ClusterConfig`, so a
+/// harness can construct either through the same value.
 ///
 /// Every knob is optional; an unset knob takes the host's default.
-/// Knobs a host has no use for (the legacy baseline has neither shards
-/// nor an egress) are accepted and ignored, so configs stay portable
-/// across hosts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClusterConfig {
     shards: Option<usize>,
-    flush_window: Option<Duration>,
-    batch_max: Option<u32>,
     inbox_cap: Option<usize>,
     uplink_kbps: Option<u64>,
 }
@@ -168,27 +159,6 @@ impl ClusterConfig {
     #[must_use]
     pub fn shards(mut self, shards: usize) -> ClusterConfig {
         self.shards = Some(shards.max(1));
-        self
-    }
-
-    /// Sets the egress flush window: the longest an outbound envelope may
-    /// wait to be coalesced with others for the same destination while
-    /// the shard is *busy*. An idle shard always flushes immediately, so
-    /// this bounds added latency only at saturation. `Duration::ZERO`
-    /// disables batching entirely — every envelope ships as its own
-    /// frame, the pre-batching wire path. Default: 200µs.
-    #[must_use]
-    pub fn flush_window(mut self, window: Duration) -> ClusterConfig {
-        self.flush_window = Some(window);
-        self
-    }
-
-    /// Caps how many envelopes one destination's egress queue coalesces
-    /// into a single frame before flushing regardless of the window.
-    /// Default: 128.
-    #[must_use]
-    pub fn batch_max(mut self, max_envelopes: u32) -> ClusterConfig {
-        self.batch_max = Some(max_envelopes.max(1));
         self
     }
 
@@ -233,22 +203,6 @@ impl ClusterConfig {
             .unwrap_or_else(default_shards)
             .clamp(1, procs.max(1))
     }
-
-    /// Resolves the egress batching policy.
-    fn policy(&self) -> BatchPolicy {
-        #[allow(clippy::cast_possible_truncation)]
-        BatchPolicy {
-            window: self
-                .flush_window
-                .map_or(BatchPolicy::default().window, |w| {
-                    Span::from_micros(w.as_micros() as u64)
-                }),
-            max_envelopes: self
-                .batch_max
-                .unwrap_or(BatchPolicy::default().max_envelopes),
-            ..BatchPolicy::default()
-        }
-    }
 }
 
 /// A cluster under construction: processes and statically bootstrapped
@@ -280,36 +234,6 @@ impl Cluster {
         self.procs
             .entry(id)
             .or_insert_with(|| Process::new(id, ProcessConfig::new()));
-        self
-    }
-
-    /// Sets the number of worker shards.
-    ///
-    /// Deprecated: prefer [`ClusterConfig::shards`] with
-    /// [`Cluster::with_config`]; this shim mutates the builder's config
-    /// in place and survives for source compatibility.
-    pub fn shards(&mut self, shards: usize) -> &mut Cluster {
-        self.config = self.config.shards(shards);
-        self
-    }
-
-    /// Sets the egress flush window (see [`ClusterConfig::flush_window`]).
-    ///
-    /// Deprecated: prefer [`ClusterConfig::flush_window`] with
-    /// [`Cluster::with_config`]; this shim mutates the builder's config
-    /// in place and survives for source compatibility.
-    pub fn flush_window(&mut self, window: Duration) -> &mut Cluster {
-        self.config = self.config.flush_window(window);
-        self
-    }
-
-    /// Caps envelopes per coalesced frame (see [`ClusterConfig::batch_max`]).
-    ///
-    /// Deprecated: prefer [`ClusterConfig::batch_max`] with
-    /// [`Cluster::with_config`]; this shim mutates the builder's config
-    /// in place and survives for source compatibility.
-    pub fn batch_max(&mut self, max_envelopes: u32) -> &mut Cluster {
-        self.config = self.config.batch_max(max_envelopes);
         self
     }
 
@@ -399,7 +323,6 @@ impl Cluster {
     pub fn start(self) -> RunningCluster {
         let epoch = std::time::Instant::now();
         let partition = Arc::new(PartitionCtl::new());
-        let policy = self.config.policy();
         let shard_count = self.config.shard_count(self.procs.len());
         let admission = Arc::new(Admission::new(self.config.inbox_limit()));
         let layout = Layout::place(self.procs, shard_count, &admission);
@@ -415,7 +338,6 @@ impl Cluster {
             epoch,
             &transport,
             &partition,
-            policy,
             shard_count,
         );
         RunningCluster {
@@ -445,7 +367,6 @@ impl Cluster {
     pub fn start_tcp(self, tcp: TcpConfig) -> std::io::Result<RunningCluster> {
         let epoch = std::time::Instant::now();
         let partition = Arc::new(PartitionCtl::new());
-        let policy = self.config.policy();
         let shard_count = self.config.shard_count(self.procs.len());
         let admission = Arc::new(Admission::new(self.config.inbox_limit()));
         let layout = Layout::place(self.procs, shard_count, &admission);
@@ -463,7 +384,6 @@ impl Cluster {
             epoch,
             &transport,
             &partition,
-            policy,
             shard_count,
         );
         Ok(RunningCluster {
@@ -540,7 +460,6 @@ fn spawn_shards(
     epoch: std::time::Instant,
     transport: &Arc<dyn Transport>,
     partition: &Arc<PartitionCtl>,
-    policy: BatchPolicy,
     shard_count: usize,
 ) -> Vec<JoinHandle<()>> {
     let mut threads = Vec::with_capacity(shard_count);
@@ -559,7 +478,6 @@ fn spawn_shards(
                     &rx,
                     transport,
                     partition,
-                    policy,
                     shard_count,
                 );
             })
@@ -842,26 +760,13 @@ mod tests {
 
     #[test]
     fn cluster_config_resolves_knobs_and_defaults() {
-        let cfg = ClusterConfig::new();
-        assert_eq!(cfg, ClusterConfig::default());
-        assert_eq!(cfg.policy(), BatchPolicy::default());
+        assert_eq!(ClusterConfig::new(), ClusterConfig::default());
         // Explicit knobs override; shard counts clamp to the node count.
-        let cfg = ClusterConfig::new()
-            .shards(8)
-            .flush_window(Duration::from_micros(50))
-            .batch_max(16);
+        let cfg = ClusterConfig::new().shards(8);
         assert_eq!(cfg.shard_count(3), 3);
         assert_eq!(cfg.shard_count(100), 8);
-        let policy = cfg.policy();
-        assert_eq!(policy.window, Span::from_micros(50));
-        assert_eq!(policy.max_envelopes, 16);
         // Degenerate values are pinned to sane floors.
-        let cfg = ClusterConfig::new().shards(0).batch_max(0);
-        assert_eq!(cfg.shard_count(4), 1);
-        assert_eq!(cfg.policy().max_envelopes, 1);
-        // A zero window means "no batching", preserved verbatim.
-        let cfg = ClusterConfig::new().flush_window(Duration::ZERO);
-        assert_eq!(cfg.policy().window, Span::ZERO);
+        assert_eq!(ClusterConfig::new().shards(0).shard_count(4), 1);
         // The admission bound defaults and accepts an explicit zero
         // (closed valve).
         assert_eq!(ClusterConfig::new().inbox_limit(), DEFAULT_INBOX_CAP);
@@ -910,22 +815,6 @@ mod tests {
         assert!(stats.shed_multicasts >= 2);
         assert!(stats.frames > 0, "protocol frames still flow under shed");
         cluster.shutdown();
-    }
-
-    #[test]
-    fn deprecated_setters_match_config_builder() {
-        let mut via_setters = Cluster::new();
-        via_setters
-            .shards(4)
-            .flush_window(Duration::from_micros(75))
-            .batch_max(32);
-        let via_config = Cluster::with_config(
-            ClusterConfig::new()
-                .shards(4)
-                .flush_window(Duration::from_micros(75))
-                .batch_max(32),
-        );
-        assert_eq!(via_setters.config, via_config.config);
     }
 
     #[test]
@@ -997,11 +886,11 @@ mod tests {
 
     #[test]
     fn dynamic_formation_over_shards() {
-        let mut cluster = Cluster::new();
+        // Force a multi-shard topology.
+        let mut cluster = Cluster::with_config(ClusterConfig::new().shards(2));
         for i in 1..=3 {
             cluster.add_process(p(i));
         }
-        cluster.shards(2); // force a multi-shard topology
         let cluster = cluster.start();
         assert_eq!(cluster.shard_count(), 2);
         let g = GroupId(9);

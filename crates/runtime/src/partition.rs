@@ -1,10 +1,9 @@
 //! Versioned partition control.
 //!
-//! The seed host guarded a `Vec<BTreeSet<ProcessId>>` with an `RwLock` and
-//! linearly scanned it **per frame** to decide connectivity. Under load
-//! that lock acquisition (and the O(blocks × members) scan) sat on the
-//! hottest path in the host. Here partition state is an immutable
-//! [`Snapshot`] behind an atomic version counter: shards keep a cached
+//! Connectivity is decided for every frame, so it must not cost a lock
+//! acquisition or an O(blocks × members) scan on the hottest path in the
+//! host. Partition state is an immutable [`Snapshot`] behind an atomic
+//! version counter instead: shards keep a cached
 //! `Arc<Snapshot>` plus each local node's resolved block id and re-read
 //! the shared state only when the version moves — the per-frame fast path
 //! is one relaxed atomic load (version check, amortised over a batch) and

@@ -12,10 +12,8 @@
 //! destination node, one channel send per destination shard, and no
 //! channel at all for destinations this shard owns (those frames ride a
 //! local ring). Timers live in the shard's [`TimerWheel`]; partition
-//! state is re-read only when its version moves. Compare the seed: one
-//! thread per node, a polling `select!` over three channels, a fresh
-//! `after()` timer allocation per loop iteration and an `RwLock`-scan per
-//! frame.
+//! state is re-read only when its version moves, so the steady-state loop
+//! allocates no timer and takes no lock per frame.
 
 use crate::partition::{PartitionCtl, Snapshot};
 use crate::timer::TimerWheel;
@@ -23,7 +21,7 @@ use crate::transport::{unframe_each, BatchPolicy, Egress, Frame, FrameCache, Sha
 use crate::{Command, Output};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use newtop_core::{Action, Process};
-use newtop_types::{Envelope, Instant, MessageBody, ProcessId};
+use newtop_types::{Instant, ProcessId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -57,7 +55,6 @@ pub(crate) struct Shard {
     timers: TimerWheel,
     frames: FrameCache,
     egress: Egress,
-    batching: bool,
     /// Same-shard frames in flight: a mutex-free stand-in for the inbox.
     local: VecDeque<Frame>,
     /// Reused per-frame action buffer.
@@ -100,9 +97,9 @@ impl Shard {
         }
     }
 
-    /// Executes one engine's actions: sends into the egress (or straight
-    /// out when batching is off), outputs to the node's application
-    /// channel. Drains `actions` so the buffer can be reused.
+    /// Executes one engine's actions: sends into the egress, outputs to
+    /// the node's application channel. Drains `actions` so the buffer can
+    /// be reused.
     fn route(&mut self, slot_idx: usize, actions: &mut Vec<Action>, now: Instant) {
         let mut outs = std::mem::take(&mut self.outbuf);
         for action in actions.drain(..) {
@@ -111,22 +108,6 @@ impl Shard {
                     let slot = self.slots[slot_idx].as_ref().expect("routing live slot");
                     if !self.snapshot.connected(slot.block, to) {
                         continue; // loss across the cut
-                    }
-                    if !self.batching {
-                        // Pre-PR 7 wire path: one frame, one channel send
-                        // per envelope — the A/B baseline.
-                        let (bytes, _) = self.frames.frame_for(&envelope);
-                        let nulls = u32::from(matches!(
-                            &envelope,
-                            Envelope::Group(m) if matches!(m.body, MessageBody::Null)
-                        ));
-                        self.transport.ship(Frame {
-                            to,
-                            bytes,
-                            envelopes: 1,
-                            nulls,
-                        });
-                        continue;
                     }
                     let Some(route) = self.transport.route_of(to) else {
                         continue; // unknown destination: drop
@@ -294,7 +275,6 @@ impl Shard {
 }
 
 /// One shard's thread body: runs until every owned node has died.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn shard_main(
     me: u32,
     nodes: Vec<NodeSeed>,
@@ -302,7 +282,6 @@ pub(crate) fn shard_main(
     inbox: &Receiver<ShardMsg>,
     transport: Arc<dyn Transport>,
     partition: Arc<PartitionCtl>,
-    policy: BatchPolicy,
     shard_count: usize,
 ) {
     let mut index: Vec<(ProcessId, usize)> = nodes
@@ -330,8 +309,7 @@ pub(crate) fn shard_main(
         index,
         alive,
         frames: FrameCache::default(),
-        batching: policy.enabled(),
-        egress: Egress::new(policy, shard_count),
+        egress: Egress::new(BatchPolicy::default(), shard_count),
         local: VecDeque::new(),
         actions: Vec::new(),
         outbuf: Vec::new(),
@@ -402,11 +380,7 @@ pub(crate) fn shard_main(
         // flush window bounds the hold, and a genuinely idle shard
         // passes through on the second look — so the idle-flush
         // latency cost stays one yield, not a window.
-        if shard.batching
-            && holds < 2
-            && shard.egress.has_pending()
-            && !shard.egress.window_expired(shard.now())
-        {
+        if holds < 2 && shard.egress.has_pending() && !shard.egress.window_expired(shard.now()) {
             holds += 1;
             std::thread::yield_now();
             continue;

@@ -89,7 +89,8 @@ pub trait Transport: Send + Sync {
 
 /// Everything a shard's inbox can receive.
 pub(crate) enum ShardMsg {
-    /// A single wire frame (unbatched egress, or a budget-overflow flush).
+    /// A single wire frame (a budget-overflow flush, or one frame off a
+    /// TCP peer link).
     Frame(Frame),
     /// One egress flush worth of frames for nodes on this shard.
     Batch(Vec<Frame>),
@@ -156,7 +157,7 @@ pub struct WireStats {
 }
 
 impl WireStats {
-    /// Mean envelopes per frame (1.0 when batching is off or idle).
+    /// Mean envelopes per frame (1.0 when the host is idle).
     #[must_use]
     pub fn mean_occupancy(&self) -> f64 {
         if self.frames == 0 {
@@ -499,9 +500,8 @@ pub(crate) fn unframe_each(
     Ok(n)
 }
 
-/// Egress batching knobs. `window == 0` disables batching entirely: every
-/// envelope ships as its own frame through its own channel send, which is
-/// the pre-PR 7 wire path and the A/B baseline.
+/// Egress batching budgets. Hosts always run [`BatchPolicy::default`];
+/// unit tests build tighter budgets directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BatchPolicy {
     /// Maximum time an envelope may wait in the egress under sustained
@@ -521,12 +521,6 @@ impl Default for BatchPolicy {
             max_envelopes: 128,
             max_bytes: 64 * 1024,
         }
-    }
-}
-
-impl BatchPolicy {
-    pub(crate) fn enabled(&self) -> bool {
-        self.window.as_micros() > 0
     }
 }
 

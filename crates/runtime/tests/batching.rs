@@ -1,9 +1,9 @@
-//! Integration coverage for the batched wire path: protocol outcomes are
-//! identical with batching on and off, and the ω-null control traffic of
-//! co-located groups really does coalesce into shared frames.
+//! Integration coverage for the batched wire path: delivery order is the
+//! send order whatever the egress coalesces, and the ω-null control
+//! traffic of co-located groups really does coalesce into shared frames.
 
 use bytes::Bytes;
-use newtop_runtime::Cluster;
+use newtop_runtime::{Cluster, ClusterConfig};
 use newtop_types::{GroupConfig, GroupId, OrderMode, ProcessId, Span};
 use std::time::Duration;
 
@@ -17,56 +17,52 @@ fn cfg(omega_ms: u64) -> GroupConfig {
         .with_big_omega(Span::from_millis(500))
 }
 
-/// One sender, one group: the delivered sequence is the send sequence,
-/// whatever the transport does. Running the same workload with batching
-/// on (default) and off (`flush_window(0)`) must produce the identical
-/// sequence at every member — aggregation is a wire-level optimisation,
-/// not a semantic change.
+/// One sender, one group: the delivered sequence is the send sequence at
+/// every member, however the egress coalesced the traffic — aggregation
+/// is a wire-level optimisation, not a semantic change. The receivers
+/// never multicast, so delivery waits on their ω nulls: frames back to
+/// the sender carry nothing else and must be counted as null frames.
 #[test]
-fn batched_and_unbatched_deliver_identically() {
-    let run = |window: Option<Duration>| -> Vec<Vec<String>> {
-        let mut cluster = Cluster::new();
-        for i in 1..=4 {
-            cluster.add_process(p(i));
-        }
-        let g = GroupId(1);
+fn batched_delivery_matches_send_order() {
+    let mut cluster = Cluster::new();
+    for i in 1..=4 {
+        cluster.add_process(p(i));
+    }
+    let g = GroupId(1);
+    cluster
+        .bootstrap_group(g, [p(1), p(2), p(3), p(4)], cfg(5))
+        .unwrap();
+    let cluster = cluster.start();
+    for k in 0..20 {
         cluster
-            .bootstrap_group(g, [p(1), p(2), p(3), p(4)], cfg(5))
+            .node(p(1))
+            .unwrap()
+            .multicast(g, Bytes::from(format!("m{k}")))
             .unwrap();
-        if let Some(w) = window {
-            cluster.flush_window(w);
-        }
-        let cluster = cluster.start();
-        for k in 0..20 {
-            cluster
-                .node(p(1))
-                .unwrap()
-                .multicast(g, Bytes::from(format!("m{k}")))
-                .unwrap();
-        }
-        let out: Vec<Vec<String>> = (2..=4)
-            .map(|i| {
-                (0..20)
-                    .map(|_| {
-                        let d = cluster
-                            .node(p(i))
-                            .unwrap()
-                            .await_delivery(Duration::from_secs(20))
-                            .expect("delivery");
-                        String::from_utf8_lossy(&d.payload).into_owned()
-                    })
-                    .collect()
+    }
+    let expect: Vec<String> = (0..20).map(|k| format!("m{k}")).collect();
+    for i in 2..=4 {
+        let seq: Vec<String> = (0..20)
+            .map(|_| {
+                let d = cluster
+                    .node(p(i))
+                    .unwrap()
+                    .await_delivery(Duration::from_secs(20))
+                    .expect("delivery");
+                String::from_utf8_lossy(&d.payload).into_owned()
             })
             .collect();
-        cluster.shutdown();
-        out
-    };
-    let batched = run(None);
-    let unbatched = run(Some(Duration::ZERO));
-    let expect: Vec<String> = (0..20).map(|k| format!("m{k}")).collect();
-    for seq in batched.iter().chain(&unbatched) {
-        assert_eq!(*seq, expect);
+        assert_eq!(seq, expect);
     }
+    let stats = cluster.wire_stats();
+    cluster.shutdown();
+    assert!(stats.frames > 0);
+    assert!(stats.envelopes >= stats.frames);
+    assert_eq!(stats.occupancy.iter().sum::<u64>(), stats.frames);
+    assert!(
+        stats.null_frames > 0,
+        "null-only frames must be counted as such"
+    );
 }
 
 /// Two groups with the same two members and a fast ω: each tick of a
@@ -76,7 +72,7 @@ fn batched_and_unbatched_deliver_identically() {
 /// and counted null-only frames.
 #[test]
 fn co_located_group_nulls_coalesce() {
-    let mut cluster = Cluster::new();
+    let mut cluster = Cluster::with_config(ClusterConfig::new().shards(1));
     cluster.add_process(p(1));
     cluster.add_process(p(2));
     cluster
@@ -85,7 +81,6 @@ fn co_located_group_nulls_coalesce() {
     cluster
         .bootstrap_group(GroupId(2), [p(1), p(2)], cfg(1))
         .unwrap();
-    cluster.shards(1);
     let cluster = cluster.start();
     std::thread::sleep(Duration::from_millis(300));
     let stats = cluster.wire_stats();
@@ -104,29 +99,4 @@ fn co_located_group_nulls_coalesce() {
         stats.occupancy[1] > 0,
         "two-envelope frames expected in the occupancy histogram"
     );
-}
-
-/// With batching disabled every frame carries exactly one envelope — the
-/// histogram stays in the first bucket and occupancy is exactly 1.
-#[test]
-fn unbatched_frames_carry_one_envelope() {
-    let mut cluster = Cluster::new();
-    cluster.add_process(p(1));
-    cluster.add_process(p(2));
-    cluster
-        .bootstrap_group(GroupId(1), [p(1), p(2)], cfg(1))
-        .unwrap();
-    cluster.flush_window(Duration::ZERO);
-    let cluster = cluster.start();
-    std::thread::sleep(Duration::from_millis(150));
-    let stats = cluster.wire_stats();
-    cluster.shutdown();
-    assert!(stats.frames > 0);
-    assert_eq!(stats.envelopes, stats.frames);
-    assert_eq!(stats.occupancy[0], stats.frames);
-    assert!(
-        stats.null_frames > 0,
-        "standalone nulls count as null frames"
-    );
-    assert_eq!(stats.suppressed_nulls, 0);
 }

@@ -5,7 +5,7 @@
 
 use bytes::Bytes;
 use newtop_core::GroupError;
-use newtop_runtime::Cluster;
+use newtop_runtime::{Cluster, ClusterConfig};
 use newtop_types::{GroupConfig, GroupId, OrderMode, ProcessId, SendError, Span};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -103,7 +103,8 @@ fn bootstrap_twice_reports_already_exists() {
 #[test]
 fn shutdown_under_active_multicast_load() {
     const NODES: u32 = 8;
-    let mut cluster = Cluster::new();
+    // Cross-shard frames in flight during the teardown.
+    let mut cluster = Cluster::with_config(ClusterConfig::new().shards(4));
     for i in 1..=NODES {
         cluster.add_process(p(i));
     }
@@ -111,7 +112,6 @@ fn shutdown_under_active_multicast_load() {
     cluster
         .bootstrap_group(g, (1..=NODES).map(p), fast_cfg())
         .unwrap();
-    cluster.shards(4); // cross-shard frames in flight during the teardown
     let cluster = cluster.start();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -157,7 +157,7 @@ fn shutdown_under_active_multicast_load() {
 #[test]
 fn kill_all_under_load_then_shutdown() {
     const NODES: u32 = 6;
-    let mut cluster = Cluster::new();
+    let mut cluster = Cluster::with_config(ClusterConfig::new().shards(3));
     for i in 1..=NODES {
         cluster.add_process(p(i));
     }
@@ -165,7 +165,6 @@ fn kill_all_under_load_then_shutdown() {
     cluster
         .bootstrap_group(g, (1..=NODES).map(p), fast_cfg())
         .unwrap();
-    cluster.shards(3);
     let cluster = cluster.start();
     for i in 1..=NODES {
         let _ = cluster
@@ -204,7 +203,7 @@ fn kill_all_under_load_then_shutdown() {
 #[test]
 fn delivery_agrees_across_shard_counts() {
     let run = |shards: usize| -> Vec<String> {
-        let mut cluster = Cluster::new();
+        let mut cluster = Cluster::with_config(ClusterConfig::new().shards(shards));
         for i in 1..=4 {
             cluster.add_process(p(i));
         }
@@ -212,7 +211,6 @@ fn delivery_agrees_across_shard_counts() {
         cluster
             .bootstrap_group(g, [p(1), p(2), p(3), p(4)], fast_cfg())
             .unwrap();
-        cluster.shards(shards);
         let cluster = cluster.start();
         for k in 0..8 {
             let sender = p(1 + (k % 4));
