@@ -1,5 +1,6 @@
 //! `newtop-exp` — runs the reproduction's experiment suite and prints the
-//! tables recorded in EXPERIMENTS.md, and drives the chaos fleet.
+//! tables recorded in EXPERIMENTS.md, drives the chaos fleet and the model
+//! checker, and runs the processes of a real TCP cluster.
 //!
 //! ```text
 //! newtop-exp all            # run every experiment (full sweeps)
@@ -25,6 +26,13 @@
 //! newtop-exp mc --nodes 3 --strategy iddfs --budget-secs 600
 //! ```
 //!
+//! Every command line is read through one flag table per subcommand
+//! ([`Spec`]): each flag is spelled once, in its table entry, which also
+//! holds its help text and how it sets the config. The table rejects
+//! unknown flags, missing values and repeated flags (exit 2, `error: …`
+//! and the usage on stderr), and `--help` prints the usage generated from
+//! it on stdout (exit 0).
+//!
 //! A failing chaos seed is delta-debugged to a minimal fault schedule and
 //! written as a replay script under `--emit-dir` (default `target/chaos`);
 //! the process exits nonzero.
@@ -40,87 +48,100 @@ use newtop_harness::{experiments, history_hash};
 use newtop_types::{OrderMode, Span, SuspicionMode};
 use std::net::SocketAddr;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
+
+/// The subcommands: (name, one-line summary, entry point). Any other
+/// first argument goes to the experiment runner.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, &str, Main)] = &[
+    ("chaos", "seeded fault-schedule fleet: sweep seeds, replay or pin scripts", chaos_main),
+    ("load", "closed-loop load test of the sharded host or a TCP cluster", load_main),
+    ("mc", "exhaustive small-scope model check", mc_main),
+    ("serve", "one peer process of a real TCP cluster", serve_main),
+    ("proxy", "frame-level chaos proxy for the TCP data plane", proxy_main),
+];
+
+/// A subcommand's entry point: its arguments in, the exit code out.
+type Main = fn(&[String]) -> ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("chaos") {
-        return chaos_main(&args[1..]);
+    let command = args
+        .first()
+        .and_then(|a| COMMANDS.iter().find(|c| a == c.0));
+    match command {
+        Some((_, _, run)) => run(&args[1..]),
+        None => experiments_main(&args),
     }
-    if args.first().map(String::as_str) == Some("load") {
-        return load_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("mc") {
-        return mc_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        return serve_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("proxy") {
-        return proxy_main(&args[1..]);
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let list = args.iter().any(|a| a == "--list");
-    let selected: Vec<String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .cloned()
-        .collect();
+}
+
+#[derive(Default)]
+struct ExpArgs {
+    quick: bool,
+    list: bool,
+    ids: Vec<String>,
+}
+
+/// The experiment runner's command line; its prose (the commands and the
+/// experiments) is filled in at run time.
+#[rustfmt::skip]
+const EXP: Spec<ExpArgs> = Spec {
+    synopsis: "[options] (all | <id>...)\n       newtop-exp <command> [options]",
+    about: "",
+    init: ExpArgs::default,
+    operands: Some(|a, id| a.ids.push(id.to_string())),
+    flags: &[
+        switch("--quick", |a| a.quick = true, "reduced sweeps (what the tests run)"),
+        switch("--list", |a| a.list = true, "list the experiments and exit"),
+    ],
+};
+
+fn experiments_main(args: &[String]) -> ExitCode {
     let registry = experiments::all();
-    if list || (selected.is_empty()) {
-        eprintln!(
-            "usage: newtop-exp [--quick] (all | <id>...)\n       newtop-exp chaos --help\n       newtop-exp load --help\n       newtop-exp mc --help\n       newtop-exp serve --help\n       newtop-exp proxy --help\n\nexperiments:"
-        );
-        for (id, desc, _) in &registry {
-            eprintln!("  {id:<4} {desc}");
-        }
-        return if list {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
+    let list: String = registry
+        .iter()
+        .map(|(id, desc, _)| format!("  {id:<6} {desc}\n"))
+        .collect();
+    let commands: String = COMMANDS
+        .iter()
+        .map(|(name, summary, _)| format!("  {name:<6} {summary}\n"))
+        .collect();
+    let about = format!(
+        "Runs the paper's experiments and prints their tables (all runs every one).\n\n\
+         commands (newtop-exp <command> --help lists its options):\n{commands}\n\
+         experiments:\n{list}"
+    );
+    let spec = Spec {
+        about: &about,
+        ..EXP
+    };
+    let parsed = spec.parse(args);
+    if parsed.list {
+        print!("{list}");
+        return ExitCode::SUCCESS;
     }
-    let run_all = selected.iter().any(|s| s == "all");
+    if parsed.ids.is_empty() {
+        spec.fail("name the experiments to run, or all");
+    }
+    let run_all = parsed.ids.iter().any(|s| s == "all");
     let mut ran = 0;
     for (id, desc, runner) in &registry {
-        if run_all || selected.iter().any(|s| s == id) {
+        if run_all || parsed.ids.iter().any(|s| s == id) {
             eprintln!("running {id} — {desc} ...");
-            let table = runner(quick);
+            let table = runner(parsed.quick);
             println!("{table}");
             ran += 1;
         }
     }
     if ran == 0 {
-        eprintln!("no experiment matched {selected:?}; try --list");
+        eprintln!("no experiment matched {:?}; try --list", parsed.ids);
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }
 
-const CHAOS_USAGE: &str = "usage:
-  newtop-exp chaos --seeds A..B [options]   sweep seeds A (incl.) to B (excl.)
-  newtop-exp chaos --replay FILE            replay a script, verify hash+checker
-  newtop-exp chaos --pin SEED --out FILE    write SEED's plan as a replay script
-
-options:
-  --jobs N           sweep (and shrink-probe) worker threads; default: the
-                     machine's available parallelism. Results are
-                     bit-identical for every N — only wall-clock changes
-  --budget-secs S    stop sweeping after S wall-clock seconds (still exits 0
-                     if everything that did run was green)
-  --emit-dir DIR     where failing-seed replay scripts go (default target/chaos)
-  --no-shrink        skip delta-debugging failing schedules
-  --dump             with --replay: print the per-process event logs
-  --max-n N          generation limit: processes (default 7)
-  --max-faults K     generation limit: fault-schedule entries (default 4;
-                     8 under --churn)
-  --churn            generate the churn family: crash/depart-heavy fault
-                     schedules with the crash budget raised to n-2
-  --wan              generate the WAN/geo family: seeded multi-region
-                     topologies with capped uplinks, asymmetric trunks,
-                     duplication/reorder knobs and congestion windows
-                     (combines with --churn)";
-
+#[derive(Default)]
 struct ChaosArgs {
     seeds: Option<(u64, u64)>,
     replay: Option<String>,
@@ -137,105 +158,54 @@ struct ChaosArgs {
     wan: bool,
 }
 
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-fn parse_chaos_args(args: &[String]) -> Result<ChaosArgs, String> {
-    let mut out = ChaosArgs {
-        seeds: None,
-        replay: None,
-        pin: None,
-        out: None,
-        jobs: default_jobs(),
-        budget_secs: None,
+#[rustfmt::skip]
+const CHAOS: Spec<ChaosArgs> = Spec {
+    synopsis: "chaos [options]",
+    about: "Sweeps a range of seeded fault schedules, replays a committed script
+(verifying its hash and the checker), or pins one seed's plan as a replay
+script. A failing seed is delta-debugged and written as a replay script.",
+    init: || ChaosArgs {
+        jobs: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         emit_dir: "target/chaos".to_string(),
-        no_shrink: false,
-        dump: false,
         max_n: 7,
-        max_faults: None,
-        churn: false,
-        wan: false,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--seeds" => {
-                let v = val("--seeds")?;
-                let (lo, hi) = match v.split_once("..") {
-                    Some((lo, hi)) => (
-                        lo.parse::<u64>().map_err(|_| "bad --seeds".to_string())?,
-                        hi.parse::<u64>().map_err(|_| "bad --seeds".to_string())?,
-                    ),
-                    None => (0, v.parse::<u64>().map_err(|_| "bad --seeds".to_string())?),
-                };
-                if lo >= hi {
-                    return Err("--seeds range is empty".to_string());
-                }
-                out.seeds = Some((lo, hi));
-            }
-            "--replay" => out.replay = Some(val("--replay")?),
-            "--pin" => {
-                out.pin = Some(
-                    val("--pin")?
-                        .parse::<u64>()
-                        .map_err(|_| "bad --pin seed".to_string())?,
-                );
-            }
-            "--out" => out.out = Some(val("--out")?),
-            "--jobs" => {
-                out.jobs = val("--jobs")?
-                    .parse::<usize>()
-                    .map_err(|_| "bad --jobs".to_string())?
-                    .max(1);
-            }
-            "--budget-secs" => {
-                out.budget_secs = Some(
-                    val("--budget-secs")?
-                        .parse::<u64>()
-                        .map_err(|_| "bad --budget-secs".to_string())?,
-                );
-            }
-            "--emit-dir" => out.emit_dir = val("--emit-dir")?,
-            "--no-shrink" => out.no_shrink = true,
-            "--dump" => out.dump = true,
-            "--max-n" => {
-                out.max_n = val("--max-n")?
-                    .parse::<u32>()
-                    .map_err(|_| "bad --max-n".to_string())?;
-            }
-            "--max-faults" => {
-                out.max_faults = Some(
-                    val("--max-faults")?
-                        .parse::<u32>()
-                        .map_err(|_| "bad --max-faults".to_string())?,
-                );
-            }
-            "--churn" => out.churn = true,
-            "--wan" => out.wan = true,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown chaos option {other}")),
-        }
-    }
-    Ok(out)
-}
+        ..ChaosArgs::default()
+    },
+    operands: None,
+    flags: &[
+        value("--seeds", "A..B", |a, v| seed_range(v).map(|r| a.seeds = Some(r)),
+            "sweep seeds A (incl.) to B (excl.); a bare B means 0..B"),
+        value("--replay", "FILE", |a, v| { a.replay = Some(v.into()); Ok(()) },
+            "replay a script, verify hash+checker"),
+        value("--pin", "SEED", |a, v| num(v).map(|s| a.pin = Some(s)),
+            "write SEED's plan as a replay script (to --out, else stdout)"),
+        value("--out", "FILE", |a, v| { a.out = Some(v.into()); Ok(()) },
+            "with --pin: where the script goes"),
+        value("--jobs", "N", |a, v| num(v).map(|j: usize| a.jobs = j.max(1)),
+            "sweep (and shrink-probe) worker threads; default: the machine's available \
+             parallelism. Results are bit-identical for every N — only wall-clock changes"),
+        value("--budget-secs", "S", |a, v| num(v).map(|s| a.budget_secs = Some(s)),
+            "stop sweeping after S wall-clock seconds (still exits 0 if everything that \
+             did run was green)"),
+        value("--emit-dir", "DIR", |a, v| { a.emit_dir = v.into(); Ok(()) },
+            "where failing-seed replay scripts go (default target/chaos)"),
+        switch("--no-shrink", |a| a.no_shrink = true, "skip delta-debugging failing schedules"),
+        switch("--dump", |a| a.dump = true, "with --replay: print the per-process event logs"),
+        value("--max-n", "N", |a, v| num(v).map(|n| a.max_n = n),
+            "generation limit: processes (default 7)"),
+        value("--max-faults", "K", |a, v| num(v).map(|k| a.max_faults = Some(k)),
+            "generation limit: fault-schedule entries (default 4; 8 under --churn)"),
+        switch("--churn", |a| a.churn = true,
+            "generate the churn family: crash/depart-heavy fault schedules with the crash \
+             budget raised to n-2"),
+        switch("--wan", |a| a.wan = true,
+            "generate the WAN/geo family: seeded multi-region topologies with capped \
+             uplinks, asymmetric trunks, duplication/reorder knobs and congestion windows \
+             (combines with --churn)"),
+    ],
+};
 
 fn chaos_main(args: &[String]) -> ExitCode {
-    let parsed = match parse_chaos_args(args) {
-        Ok(p) => p,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
-            }
-            eprintln!("{CHAOS_USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let parsed = CHAOS.parse(args);
     if let Some(file) = &parsed.replay {
         return chaos_replay(file, parsed.dump);
     }
@@ -243,8 +213,7 @@ fn chaos_main(args: &[String]) -> ExitCode {
         return chaos_pin(&parsed, seed);
     }
     let Some((lo, hi)) = parsed.seeds else {
-        eprintln!("{CHAOS_USAGE}");
-        return ExitCode::from(2);
+        CHAOS.fail("nothing to do: give a seed range, a script to replay or a seed to pin");
     };
     chaos_sweep(&parsed, lo, hi)
 }
@@ -415,54 +384,7 @@ fn chaos_replay(file: &str, dump: bool) -> ExitCode {
     }
 }
 
-const LOAD_USAGE: &str = "usage:
-  newtop-exp load [options]        closed-loop runtime load test
-
-options:
-  --nodes N          protocol participants (default 8)
-  --groups G         groups; node i joins group (i-1) mod G (default 3)
-  --shards S         worker shards for the sharded host
-                     (default: available parallelism)
-  --secs T           sending duration in seconds, fractions ok (default 2)
-  --mode sym|asym    ordering variant for every group (default sym)
-  --payload B        application payload bytes, >= 8 (default 64)
-  --window W         closed-loop in-flight messages per group (default 16)
-  --host sharded|tcp  host under test: the sharded event-loop host or a
-                     real multi-process cluster of `newtop-exp serve`
-                     processes (default sharded)
-  --peers A,B,...    tcp host: the serve processes' control addresses,
-                     cluster order (required with --host tcp)
-  --stop-peers       tcp host: ask every serve process to shut down
-                     after the run
-  --omega-ms MS      time-silence interval omega (default 25)
-  --big-omega-ms MS  suspicion timeout Omega (default 10000;
-                     1500 under --supervise)
-  --accrual          run the adaptive accrual suspicion detector instead
-                     of the fixed Omega timeout
-  --expect-stable    fail (exit 1) if any view change occurs mid-run —
-                     asserts zero false exclusions under latency spikes
-  --inbox-cap N      shard-inbox admission bound; excess client
-                     multicasts are shed as explicit backpressure
-  --wan-profile KBPS sharded host: cap the host's whole egress at KBPS
-                     kilobytes per second (a WAN uplink). Shards past
-                     the budget stall, so latency rises like on a
-                     saturated real link; pair with --accrual
-                     --expect-stable to assert congestion never causes
-                     a false exclusion
-
-churn / crash-recovery:
-  --churn SEED       sharded host: seeded mid-run kills of non-driver
-                     nodes (exclusions are then expected, not warnings).
-                     With --host tcp this routes to --supervise
-  --supervise        spawn a real TCP cluster of serve processes and run
-                     seeded kill-9 / restart / rejoin cycles against it
-                     (ignores --host and --peers)
-  --cycles N         supervise: kill/restart cycles (default 3)
-  --procs P          supervise: serve processes (default 3; peer 0 is
-                     never killed)
-  --seed S           supervise: victim-schedule seed (default 1)
-  --port-base P      supervise: first listen port (default 7400)";
-
+#[derive(Default)]
 struct LoadArgs {
     cfg: LoadConfig,
     supervise: bool,
@@ -474,137 +396,74 @@ struct LoadArgs {
     expect_stable: bool,
 }
 
-fn parse_load_args(args: &[String]) -> Result<LoadArgs, String> {
-    let mut cfg = LoadConfig::default();
-    let mut supervise = false;
-    let mut cycles = 3u32;
-    let mut procs = 3usize;
-    let mut seed = 1u64;
-    let mut port_base = 7400u16;
-    let mut big_omega_set = false;
-    let mut expect_stable = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--nodes" => {
-                cfg.nodes = val("--nodes")?
-                    .parse::<u32>()
-                    .map_err(|_| "bad --nodes".to_string())?;
-            }
-            "--groups" => {
-                cfg.groups = val("--groups")?
-                    .parse::<u32>()
-                    .map_err(|_| "bad --groups".to_string())?;
-            }
-            "--shards" => {
-                cfg.shards = val("--shards")?
-                    .parse::<usize>()
-                    .map_err(|_| "bad --shards".to_string())?;
-            }
-            "--secs" => {
-                cfg.secs = val("--secs")?
-                    .parse::<f64>()
-                    .map_err(|_| "bad --secs".to_string())?;
-            }
-            "--mode" => {
-                cfg.mode = match val("--mode")?.as_str() {
-                    "sym" => OrderMode::Symmetric,
-                    "asym" => OrderMode::Asymmetric,
-                    other => return Err(format!("bad --mode {other} (sym|asym)")),
-                };
-            }
-            "--payload" => {
-                cfg.payload = val("--payload")?
-                    .parse::<usize>()
-                    .map_err(|_| "bad --payload".to_string())?;
-            }
-            "--window" => {
-                cfg.window = val("--window")?
-                    .parse::<u32>()
-                    .map_err(|_| "bad --window".to_string())?;
-            }
-            "--host" => cfg.host = val("--host")?.parse::<HostKind>()?,
-            "--peers" => cfg.peers = parse_addr_list("--peers", &val("--peers")?)?,
-            "--stop-peers" => cfg.stop_peers = true,
-            "--omega-ms" => {
-                cfg.omega = Span::from_millis(
-                    val("--omega-ms")?
-                        .parse::<u64>()
-                        .map_err(|_| "bad --omega-ms".to_string())?,
-                );
-            }
-            "--big-omega-ms" => {
-                cfg.big_omega = Span::from_millis(
-                    val("--big-omega-ms")?
-                        .parse::<u64>()
-                        .map_err(|_| "bad --big-omega-ms".to_string())?,
-                );
-                big_omega_set = true;
-            }
-            "--accrual" => cfg.suspicion = SuspicionMode::accrual(),
-            "--expect-stable" => expect_stable = true,
-            "--inbox-cap" => {
-                cfg.inbox_cap = Some(
-                    val("--inbox-cap")?
-                        .parse::<usize>()
-                        .map_err(|_| "bad --inbox-cap".to_string())?,
-                );
-            }
-            "--churn" => {
-                cfg.churn = Some(
-                    val("--churn")?
-                        .parse::<u64>()
-                        .map_err(|_| "bad --churn seed".to_string())?,
-                );
-            }
-            "--supervise" => supervise = true,
-            "--cycles" => {
-                cycles = val("--cycles")?
-                    .parse::<u32>()
-                    .map_err(|_| "bad --cycles".to_string())?;
-            }
-            "--procs" => {
-                procs = val("--procs")?
-                    .parse::<usize>()
-                    .map_err(|_| "bad --procs".to_string())?;
-            }
-            "--seed" => {
-                seed = val("--seed")?
-                    .parse::<u64>()
-                    .map_err(|_| "bad --seed".to_string())?;
-            }
-            "--port-base" => {
-                port_base = val("--port-base")?
-                    .parse::<u16>()
-                    .map_err(|_| "bad --port-base".to_string())?;
-            }
-            "--wan-profile" => {
-                cfg.wan_profile_kbps = Some(
-                    val("--wan-profile")?
-                        .parse::<u64>()
-                        .map_err(|_| "bad --wan-profile".to_string())?,
-                );
-            }
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown load option {other}")),
-        }
-    }
-    Ok(LoadArgs {
-        cfg,
-        supervise,
-        cycles,
-        procs,
-        seed,
-        port_base,
-        big_omega_set,
-        expect_stable,
-    })
-}
+#[rustfmt::skip]
+const LOAD: Spec<LoadArgs> = Spec {
+    synopsis: "load [options]",
+    about: "Closed-loop runtime load test: every group keeps a window of multicasts in
+flight and the run reports delivered throughput and latency. The options
+marked supervise run seeded kill -9 / restart / rejoin cycles against a
+spawned TCP cluster instead.",
+    init: || LoadArgs { cycles: 3, procs: 3, seed: 1, port_base: 7400, ..LoadArgs::default() },
+    operands: None,
+    flags: &[
+        value("--nodes", "N", |a, v| num(v).map(|n| a.cfg.nodes = n),
+            "protocol participants (default 8)"),
+        value("--groups", "G", |a, v| num(v).map(|g| a.cfg.groups = g),
+            "groups; node i joins group (i-1) mod G (default 3)"),
+        value("--shards", "S", |a, v| num(v).map(|s| a.cfg.shards = s),
+            "worker shards for the sharded host (default: available parallelism)"),
+        value("--secs", "T", |a, v| seconds(v).map(|t| a.cfg.secs = t),
+            "sending duration in seconds, fractions ok (default 2)"),
+        value("--mode", "sym|asym", |a, v| mode(v).map(|m| a.cfg.mode = m),
+            "ordering variant for every group (default sym)"),
+        value("--payload", "B", |a, v| num(v).map(|b| a.cfg.payload = b),
+            "application payload bytes, >= 8 (default 64)"),
+        value("--window", "W", |a, v| num(v).map(|w| a.cfg.window = w),
+            "closed-loop in-flight messages per group (default 16)"),
+        value("--host", "sharded|tcp", |a, v| v.parse().map(|h| a.cfg.host = h),
+            "host under test: the sharded event-loop host or a real multi-process cluster \
+             of `newtop-exp serve` processes (default sharded)"),
+        value("--peers", "A,B,...", |a, v| addrs(v).map(|p| a.cfg.peers = p),
+            "tcp host: the serve processes' control addresses, cluster order (required \
+             with --host tcp)"),
+        switch("--stop-peers", |a| a.cfg.stop_peers = true,
+            "tcp host: ask every serve process to shut down after the run"),
+        value("--omega-ms", "MS", |a, v| num(v).map(|ms| a.cfg.omega = Span::from_millis(ms)),
+            "time-silence interval omega (default 25)"),
+        value("--big-omega-ms", "MS", |a, v| num(v).map(|ms| {
+                a.cfg.big_omega = Span::from_millis(ms);
+                a.big_omega_set = true;
+            }),
+            "suspicion timeout Omega (default 10000; 1500 under --supervise)"),
+        switch("--accrual", |a| a.cfg.suspicion = SuspicionMode::accrual(),
+            "run the adaptive accrual suspicion detector instead of the fixed Omega timeout"),
+        switch("--expect-stable", |a| a.expect_stable = true,
+            "fail (exit 1) if any view change occurs mid-run — asserts zero false \
+             exclusions under latency spikes"),
+        value("--inbox-cap", "N", |a, v| num(v).map(|n| a.cfg.inbox_cap = Some(n)),
+            "shard-inbox admission bound; excess client multicasts are shed as explicit \
+             backpressure"),
+        value("--wan-profile", "KBPS", |a, v| num(v).map(|k| a.cfg.wan_profile_kbps = Some(k)),
+            "sharded host: cap the host's whole egress at KBPS kilobytes per second (a WAN \
+             uplink). Shards past the budget stall, so latency rises like on a saturated \
+             real link; pair with --accrual --expect-stable to assert congestion never \
+             causes a false exclusion"),
+        value("--churn", "SEED", |a, v| num(v).map(|s| a.cfg.churn = Some(s)),
+            "sharded host: seeded mid-run kills of non-driver nodes (exclusions are then \
+             expected, not warnings). With --host tcp this routes to --supervise"),
+        switch("--supervise", |a| a.supervise = true,
+            "spawn a real TCP cluster of serve processes and run seeded kill-9 / restart / \
+             rejoin cycles against it (ignores --host and --peers)"),
+        value("--cycles", "N", |a, v| num(v).map(|n| a.cycles = n),
+            "supervise: kill/restart cycles (default 3)"),
+        value("--procs", "P", |a, v| num(v).map(|p| a.procs = p),
+            "supervise: serve processes (default 3; peer 0 is never killed)"),
+        value("--seed", "S", |a, v| num(v).map(|s| a.seed = s),
+            "supervise: victim-schedule seed (default 1)"),
+        value("--port-base", "P", |a, v| num(v).map(|p| a.port_base = p),
+            "supervise: first listen port (default 7400)"),
+    ],
+};
 
 /// `load --supervise` (and `load --churn --host tcp`): the supervised
 /// crash-recovery scenario against a real spawned TCP cluster.
@@ -656,16 +515,7 @@ fn supervise_main(args: &LoadArgs) -> ExitCode {
 }
 
 fn load_main(args: &[String]) -> ExitCode {
-    let parsed = match parse_load_args(args) {
-        Ok(c) => c,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
-            }
-            eprintln!("{LOAD_USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let parsed = LOAD.parse(args);
     if parsed.supervise || (parsed.cfg.churn.is_some() && parsed.cfg.host == HostKind::Tcp) {
         return supervise_main(&parsed);
     }
@@ -753,128 +603,67 @@ fn load_main(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-const MC_USAGE: &str = "usage:
-  newtop-exp mc [options]          exhaustive small-scope model check
-
-Explores every interleaving of one group over N processes within the
-budgets, deduping on the canonical state digest and running the safety
-checker plus the engine invariant audit at every state. A violation is
-ddmin-shrunk and written as a chaos replay script (newtop-exp chaos
---replay re-executes it).
-
-options:
-  --nodes N          processes, all in one group (default 3)
-  --max-msgs K       application-multicast budget (default 2)
-  --max-crashes K    crash budget (default 1)
-  --max-wakes K      timer wake-up budget (default 2)
-  --depth D          schedule-length bound; 0 = auto (default 0)
-  --strategy bfs|iddfs
-                     exploration order (default bfs); both find a
-                     shallowest counterexample first
-  --budget-secs S    wall-clock budget; exceeding it exits 3 (inconclusive:
-                     the space was not exhausted; a violation exits 1)
-  --mode sym|asym    ordering variant of the group (default sym)
-  --omega-us US      time-silence interval omega (default 5000)
-  --big-omega-us US  suspicion timeout Omega, must exceed omega
-                     (default 10000); short timers make suspicion
-                     reachable within a small --max-wakes budget
-  --seed S           plan label (the fixed-latency net draws nothing)
-  --emit-dir DIR     where counterexample scripts go (default target/mc)";
-
 struct McArgs {
     cfg: McConfig,
     emit_dir: String,
 }
 
-fn parse_mc_args(args: &[String]) -> Result<McArgs, String> {
-    let mut out = McArgs {
-        cfg: McConfig::new(3),
-        emit_dir: "target/mc".to_string(),
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parse_u32 = |name: &str, v: String| v.parse::<u32>().map_err(|_| format!("bad {name}"));
-        match a.as_str() {
-            "--nodes" => {
-                let n = parse_u32("--nodes", val("--nodes")?)?;
-                if !(2..=4).contains(&n) {
-                    return Err("--nodes must be 2..=4 (small-scope checker)".to_string());
-                }
-                out.cfg.nodes = n;
-            }
-            "--max-msgs" => out.cfg.max_msgs = parse_u32("--max-msgs", val("--max-msgs")?)?,
-            "--max-crashes" => {
-                out.cfg.max_crashes = parse_u32("--max-crashes", val("--max-crashes")?)?;
-            }
-            "--max-wakes" => out.cfg.max_wakes = parse_u32("--max-wakes", val("--max-wakes")?)?,
-            "--depth" => {
-                out.cfg.depth = val("--depth")?
-                    .parse::<usize>()
-                    .map_err(|_| "bad --depth".to_string())?;
-            }
-            "--strategy" => {
-                out.cfg.strategy = match val("--strategy")?.as_str() {
+#[rustfmt::skip]
+const MC: Spec<McArgs> = Spec {
+    synopsis: "mc [options]",
+    about: "Exhaustive small-scope model check. Explores every interleaving of one
+group over N processes within the budgets, deduping on the canonical state
+digest and running the safety checker plus the engine invariant audit at
+every state. A violation is ddmin-shrunk and written as a chaos replay
+script (see newtop-exp chaos --help).",
+    init: || McArgs { cfg: McConfig::new(3), emit_dir: "target/mc".to_string() },
+    operands: None,
+    flags: &[
+        value("--nodes", "N", |a, v| match num(v)? {
+                n @ 2..=4 => { a.cfg.nodes = n; Ok(()) }
+                _ => Err("must be 2..=4 (small-scope checker)".into()),
+            },
+            "processes, all in one group (default 3)"),
+        value("--max-msgs", "K", |a, v| num(v).map(|k| a.cfg.max_msgs = k),
+            "application-multicast budget (default 2)"),
+        value("--max-crashes", "K", |a, v| num(v).map(|k| a.cfg.max_crashes = k),
+            "crash budget (default 1)"),
+        value("--max-wakes", "K", |a, v| num(v).map(|k| a.cfg.max_wakes = k),
+            "timer wake-up budget (default 2)"),
+        value("--depth", "D", |a, v| num(v).map(|d| a.cfg.depth = d),
+            "schedule-length bound; 0 = auto (default 0)"),
+        value("--strategy", "bfs|iddfs", |a, v| {
+                a.cfg.strategy = match v {
                     "bfs" => McStrategy::Bfs,
                     "dfs" | "iddfs" => McStrategy::Iddfs,
-                    other => return Err(format!("bad --strategy {other} (bfs|iddfs)")),
+                    _ => return Err("expected bfs or iddfs".into()),
                 };
-            }
-            "--budget-secs" => {
-                out.cfg.budget = Some(Duration::from_secs(
-                    val("--budget-secs")?
-                        .parse::<u64>()
-                        .map_err(|_| "bad --budget-secs".to_string())?,
-                ));
-            }
-            "--mode" => {
-                out.cfg.mode = match val("--mode")?.as_str() {
-                    "sym" => OrderMode::Symmetric,
-                    "asym" => OrderMode::Asymmetric,
-                    other => return Err(format!("bad --mode {other} (sym|asym)")),
-                };
-            }
-            "--omega-us" => {
-                out.cfg.omega_us = val("--omega-us")?
-                    .parse::<u64>()
-                    .map_err(|_| "bad --omega-us".to_string())?;
-            }
-            "--big-omega-us" => {
-                out.cfg.big_omega_us = val("--big-omega-us")?
-                    .parse::<u64>()
-                    .map_err(|_| "bad --big-omega-us".to_string())?;
-            }
-            "--seed" => {
-                out.cfg.seed = val("--seed")?
-                    .parse::<u64>()
-                    .map_err(|_| "bad --seed".to_string())?;
-            }
-            "--emit-dir" => out.emit_dir = val("--emit-dir")?,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown mc option {other}")),
-        }
-    }
-    if out.cfg.big_omega_us <= out.cfg.omega_us {
-        return Err("--big-omega-us must exceed --omega-us".to_string());
-    }
-    Ok(out)
-}
+                Ok(())
+            },
+            "exploration order (default bfs); both find a shallowest counterexample first"),
+        value("--budget-secs", "S",
+            |a, v| num(v).map(|s| a.cfg.budget = Some(Duration::from_secs(s))),
+            "wall-clock budget; exceeding it exits 3 (inconclusive: the space was not \
+             exhausted; a violation exits 1)"),
+        value("--mode", "sym|asym", |a, v| mode(v).map(|m| a.cfg.mode = m),
+            "ordering variant of the group (default sym)"),
+        value("--omega-us", "US", |a, v| num(v).map(|us| a.cfg.omega_us = us),
+            "time-silence interval omega (default 5000)"),
+        value("--big-omega-us", "US", |a, v| num(v).map(|us| a.cfg.big_omega_us = us),
+            "suspicion timeout Omega, must exceed omega (default 10000); short timers make \
+             suspicion reachable within a small --max-wakes budget"),
+        value("--seed", "S", |a, v| num(v).map(|s| a.cfg.seed = s),
+            "plan label (the fixed-latency net draws nothing)"),
+        value("--emit-dir", "DIR", |a, v| { a.emit_dir = v.into(); Ok(()) },
+            "where counterexample scripts go (default target/mc)"),
+    ],
+};
 
 fn mc_main(args: &[String]) -> ExitCode {
-    let parsed = match parse_mc_args(args) {
-        Ok(p) => p,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
-            }
-            eprintln!("{MC_USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let parsed = MC.parse(args);
+    if parsed.cfg.big_omega_us <= parsed.cfg.omega_us {
+        MC.fail("--big-omega-us must exceed --omega-us");
+    }
     let cfg = parsed.cfg;
     let strategy = match cfg.strategy {
         McStrategy::Bfs => "bfs",
@@ -950,135 +739,60 @@ fn mc_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// Parses a comma-separated socket-address list.
-fn parse_addr_list(name: &str, v: &str) -> Result<Vec<SocketAddr>, String> {
-    v.split(',')
-        .map(|a| {
-            a.trim()
-                .parse::<SocketAddr>()
-                .map_err(|_| format!("bad address '{a}' in {name}"))
-        })
-        .collect()
-}
-
-const SERVE_USAGE: &str = "usage:
-  newtop-exp serve --nodes N --peers A,B,... --ctrl X,Y,... --me I [options]
-
-Runs one peer process of a real TCP cluster: hosts its contiguous block
+#[rustfmt::skip]
+const SERVE: Spec<ServeConfig> = Spec {
+    synopsis: "serve [options]",
+    about: "Runs one peer process of a real TCP cluster: hosts its contiguous block
 of the N nodes on the sharded runtime, speaks the batched frame protocol
-to the other peers over --peers, and serves the load generator's control
-connections on --ctrl until a client sends shutdown (load --stop-peers).
-
-options:
-  --nodes N          protocol participants cluster-wide (required)
-  --groups G         groups; node i joins group (i-1) mod G (default 1)
-  --peers A,B,...    every peer's data-plane address, cluster order
-  --ctrl X,Y,...     every peer's control-plane address, same order
-  --me I             this process's index into both lists (0-based)
-  --shards S         worker shards for the local sharded host
-                     (default: available parallelism)
-  --mode sym|asym    ordering variant for every group (default sym)
-  --omega-ms MS      time-silence interval omega (default 25)
-  --big-omega-ms MS  suspicion timeout Omega (default 10000)
-  --accrual          adaptive accrual suspicion instead of fixed Omega
-  --inbox-cap N      shard-inbox admission bound (client multicasts
-                     beyond it are shed as explicit backpressure)
-  --rejoin           crash-recovery restart: skip the group bootstrap
-                     (the survivors excluded this peer's old nodes; a
-                     fresh group arrives via a client's form op) and
-                     retry the data-plane bind over TIME_WAIT residue";
-
-fn parse_serve_args(args: &[String]) -> Result<ServeConfig, String> {
-    let mut cfg = ServeConfig::new(0, 1, Vec::new(), Vec::new(), 0);
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--nodes" => {
-                cfg.nodes = val("--nodes")?
-                    .parse::<u32>()
-                    .map_err(|_| "bad --nodes".to_string())?;
-            }
-            "--groups" => {
-                cfg.groups = val("--groups")?
-                    .parse::<u32>()
-                    .map_err(|_| "bad --groups".to_string())?;
-            }
-            "--peers" => cfg.peers = parse_addr_list("--peers", &val("--peers")?)?,
-            "--ctrl" => cfg.ctrl = parse_addr_list("--ctrl", &val("--ctrl")?)?,
-            "--me" => {
-                cfg.me = val("--me")?
-                    .parse::<usize>()
-                    .map_err(|_| "bad --me".to_string())?;
-            }
-            "--shards" => {
-                let s = val("--shards")?
-                    .parse::<usize>()
-                    .map_err(|_| "bad --shards".to_string())?;
-                if s > 0 {
-                    cfg.cluster = cfg.cluster.shards(s);
-                }
-            }
-            "--mode" => {
-                cfg.mode = match val("--mode")?.as_str() {
-                    "sym" => OrderMode::Symmetric,
-                    "asym" => OrderMode::Asymmetric,
-                    other => return Err(format!("bad --mode {other} (sym|asym)")),
-                };
-            }
-            "--omega-ms" => {
-                cfg.omega = Span::from_millis(
-                    val("--omega-ms")?
-                        .parse::<u64>()
-                        .map_err(|_| "bad --omega-ms".to_string())?,
-                );
-            }
-            "--big-omega-ms" => {
-                cfg.big_omega = Span::from_millis(
-                    val("--big-omega-ms")?
-                        .parse::<u64>()
-                        .map_err(|_| "bad --big-omega-ms".to_string())?,
-                );
-            }
-            "--accrual" => cfg.suspicion = SuspicionMode::accrual(),
-            "--inbox-cap" => {
-                let cap = val("--inbox-cap")?
-                    .parse::<usize>()
-                    .map_err(|_| "bad --inbox-cap".to_string())?;
-                cfg.cluster = cfg.cluster.inbox_cap(cap);
-            }
-            "--rejoin" => cfg.bootstrap = false,
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown serve option {other}")),
-        }
-    }
-    if cfg.nodes == 0 {
-        return Err("--nodes is required".to_string());
-    }
-    Ok(cfg)
-}
+to the other peers, and serves the load generator's control connections
+until a client sends shutdown (see newtop-exp load --help).",
+    init: || ServeConfig::new(0, 1, Vec::new(), Vec::new(), 0),
+    operands: None,
+    flags: &[
+        value("--nodes", "N", |c, v| num(v).map(|n| c.nodes = n),
+            "protocol participants cluster-wide (required)"),
+        value("--groups", "G", |c, v| num(v).map(|g| c.groups = g),
+            "groups; node i joins group (i-1) mod G (default 1)"),
+        value("--peers", "A,B,...", |c, v| addrs(v).map(|p| c.peers = p),
+            "every peer's data-plane address, cluster order (required)"),
+        value("--ctrl", "X,Y,...", |c, v| addrs(v).map(|p| c.ctrl = p),
+            "every peer's control-plane address, same order (required)"),
+        value("--me", "I", |c, v| num(v).map(|i| c.me = i),
+            "this process's index into both lists (0-based, default 0)"),
+        value("--shards", "S", |c, v| num(v).map(|s| if s > 0 { c.cluster = c.cluster.shards(s) }),
+            "worker shards for the local sharded host (default, or 0: available parallelism)"),
+        value("--mode", "sym|asym", |c, v| mode(v).map(|m| c.mode = m),
+            "ordering variant for every group (default sym)"),
+        value("--omega-ms", "MS", |c, v| num(v).map(|ms| c.omega = Span::from_millis(ms)),
+            "time-silence interval omega (default 25)"),
+        value("--big-omega-ms", "MS", |c, v| num(v).map(|ms| c.big_omega = Span::from_millis(ms)),
+            "suspicion timeout Omega (default 10000)"),
+        switch("--accrual", |c| c.suspicion = SuspicionMode::accrual(),
+            "adaptive accrual suspicion instead of fixed Omega"),
+        value("--inbox-cap", "N", |c, v| num(v).map(|n| c.cluster = c.cluster.inbox_cap(n)),
+            "shard-inbox admission bound (client multicasts beyond it are shed as explicit \
+             backpressure)"),
+        switch("--rejoin", |c| c.bootstrap = false,
+            "crash-recovery restart: skip the group bootstrap (the survivors excluded this \
+             peer's old nodes; a fresh group arrives via a client's form op) and retry the \
+             data-plane bind over TIME_WAIT residue"),
+    ],
+};
 
 fn serve_main(args: &[String]) -> ExitCode {
-    let cfg = match parse_serve_args(args) {
-        Ok(c) => c,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
-            }
-            eprintln!("{SERVE_USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let cfg = SERVE.parse(args);
+    if cfg.nodes == 0 {
+        SERVE.fail("--nodes is required");
+    }
+    if let Err(msg) = cfg.validate() {
+        SERVE.fail(&msg);
+    }
     eprintln!(
         "serve: peer {}/{} data={} ctrl={} hosting its block of the {} node(s)",
         cfg.me,
         cfg.peers.len(),
-        cfg.peers[cfg.me.min(cfg.peers.len().saturating_sub(1))],
-        cfg.ctrl[cfg.me.min(cfg.ctrl.len().saturating_sub(1))],
+        cfg.peers[cfg.me],
+        cfg.ctrl[cfg.me],
         cfg.nodes,
     );
     match serve(&cfg) {
@@ -1093,145 +807,60 @@ fn serve_main(args: &[String]) -> ExitCode {
     }
 }
 
-const PROXY_USAGE: &str = "usage:
-  newtop-exp proxy --route LISTEN=UPSTREAM [--route ...] [options]
-
-Frame-level chaos proxy for the TCP data plane: point a peer's --peers
-entry at LISTEN and the proxy tunnels every connection to UPSTREAM,
-dropping / delaying / reordering whole addressed records in the data
-direction and pumping acks back verbatim. All interference resolves
-through the runtime's sever-and-resume path, so the cluster must stay
-correct under any schedule.
-
-options:
-  --route L=U        tunnel: accept on L, forward to U (repeatable)
-  --seed S           interference schedule seed (default 0)
-  --drop-pct P       percent of data records dropped (default 0)
-  --delay-ms MS      max random per-record hold, milliseconds (default 0)
-  --reorder-pct P    percent of records held past their successor (default 0)
-  --dup-pct P        percent of records emitted twice back-to-back; the
-                     receiver must dedup by sequence (default 0)
-  --partition-at-ms T    open a partition window T ms after start
-  --partition-for-ms D   window length, milliseconds (default 2000)
-  --rate-kbps R      token-bucket bandwidth shaping: cap each tunnel's
-                     data direction at R kilobytes per second; records
-                     past the budget stall like on a saturated WAN
-                     uplink (default: unshaped)
-  --secs T           run this long then exit; 0 = until killed (default 0)";
-
 struct ProxyArgs {
     cfg: ProxyConfig,
     secs: f64,
 }
 
-fn parse_proxy_args(args: &[String]) -> Result<ProxyArgs, String> {
-    let mut out = ProxyArgs {
-        cfg: ProxyConfig::new(Vec::new()),
-        secs: 0.0,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--route" => {
-                let v = val("--route")?;
-                let (listen, upstream) = v
-                    .split_once('=')
-                    .ok_or_else(|| format!("bad --route '{v}' (want LISTEN=UPSTREAM)"))?;
-                out.cfg.routes.push((
-                    listen
-                        .trim()
-                        .parse::<SocketAddr>()
-                        .map_err(|_| format!("bad listen address '{listen}'"))?,
-                    upstream
-                        .trim()
-                        .parse::<SocketAddr>()
-                        .map_err(|_| format!("bad upstream address '{upstream}'"))?,
-                ));
-            }
-            "--seed" => {
-                out.cfg.seed = val("--seed")?
-                    .parse::<u64>()
-                    .map_err(|_| "bad --seed".to_string())?;
-            }
-            "--drop-pct" => {
-                out.cfg.drop_pct = val("--drop-pct")?
-                    .parse::<u8>()
-                    .map_err(|_| "bad --drop-pct".to_string())?
-                    .min(100);
-            }
-            "--delay-ms" => {
-                out.cfg.delay_ms = val("--delay-ms")?
-                    .parse::<u64>()
-                    .map_err(|_| "bad --delay-ms".to_string())?;
-            }
-            "--reorder-pct" => {
-                out.cfg.reorder_pct = val("--reorder-pct")?
-                    .parse::<u8>()
-                    .map_err(|_| "bad --reorder-pct".to_string())?
-                    .min(100);
-            }
-            "--dup-pct" => {
-                out.cfg.dup_pct = val("--dup-pct")?
-                    .parse::<u8>()
-                    .map_err(|_| "bad --dup-pct".to_string())?
-                    .min(100);
-            }
-            "--partition-at-ms" => {
-                out.cfg.partition_at = Some(Duration::from_millis(
-                    val("--partition-at-ms")?
-                        .parse::<u64>()
-                        .map_err(|_| "bad --partition-at-ms".to_string())?,
-                ));
-            }
-            "--partition-for-ms" => {
-                out.cfg.partition_for = Duration::from_millis(
-                    val("--partition-for-ms")?
-                        .parse::<u64>()
-                        .map_err(|_| "bad --partition-for-ms".to_string())?,
-                );
-            }
-            "--rate-kbps" => {
-                let kbps = val("--rate-kbps")?
-                    .parse::<u64>()
-                    .map_err(|_| "bad --rate-kbps".to_string())?;
-                if kbps == 0 {
-                    return Err("--rate-kbps must be nonzero (omit it for unshaped)".to_string());
-                }
-                out.cfg.rate_kbps = Some(kbps);
-            }
-            "--secs" => {
-                out.secs = val("--secs")?
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|t| t.is_finite() && *t >= 0.0)
-                    .ok_or_else(|| "bad --secs (seconds >= 0)".to_string())?;
-            }
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown proxy option {other}")),
-        }
-    }
-    if out.cfg.routes.is_empty() {
-        return Err("at least one --route is required".to_string());
-    }
-    Ok(out)
-}
+#[rustfmt::skip]
+const PROXY: Spec<ProxyArgs> = Spec {
+    synopsis: "proxy [options]",
+    about: "Frame-level chaos proxy for the TCP data plane: point a peer's data
+address at LISTEN and the proxy tunnels every connection to UPSTREAM,
+dropping / delaying / reordering whole addressed records in the data
+direction and pumping acks back verbatim. All interference resolves
+through the runtime's sever-and-resume path, so the cluster must stay
+correct under any schedule.",
+    init: || ProxyArgs { cfg: ProxyConfig::new(Vec::new()), secs: 0.0 },
+    operands: None,
+    flags: &[
+        repeatable(value("--route", "LISTEN=UPSTREAM",
+            |a, v| route(v).map(|r| a.cfg.routes.push(r)),
+            "tunnel: accept on LISTEN, forward to UPSTREAM (required, repeatable)")),
+        value("--seed", "S", |a, v| num(v).map(|s| a.cfg.seed = s),
+            "interference schedule seed (default 0)"),
+        value("--drop-pct", "P", |a, v| num(v).map(|p: u8| a.cfg.drop_pct = p.min(100)),
+            "percent of data records dropped (default 0)"),
+        value("--delay-ms", "MS", |a, v| num(v).map(|ms| a.cfg.delay_ms = ms),
+            "max random per-record hold, milliseconds (default 0)"),
+        value("--reorder-pct", "P", |a, v| num(v).map(|p: u8| a.cfg.reorder_pct = p.min(100)),
+            "percent of records held past their successor (default 0)"),
+        value("--dup-pct", "P", |a, v| num(v).map(|p: u8| a.cfg.dup_pct = p.min(100)),
+            "percent of records emitted twice back-to-back; the receiver must dedup by \
+             sequence (default 0)"),
+        value("--partition-at-ms", "T",
+            |a, v| num(v).map(|ms| a.cfg.partition_at = Some(Duration::from_millis(ms))),
+            "open a partition window T ms after start"),
+        value("--partition-for-ms", "D",
+            |a, v| num(v).map(|ms| a.cfg.partition_for = Duration::from_millis(ms)),
+            "window length, milliseconds (default 2000)"),
+        value("--rate-kbps", "R", |a, v| match num(v)? {
+                0 => Err("must be nonzero (omit it for unshaped)".into()),
+                kbps => { a.cfg.rate_kbps = Some(kbps); Ok(()) }
+            },
+            "token-bucket bandwidth shaping: cap each tunnel's data direction at R kilobytes \
+             per second; records past the budget stall like on a saturated WAN uplink \
+             (default: unshaped)"),
+        value("--secs", "T", |a, v| seconds(v).map(|t| a.secs = t),
+            "run this long then exit; 0 = until killed (default 0)"),
+    ],
+};
 
 fn proxy_main(args: &[String]) -> ExitCode {
-    let parsed = match parse_proxy_args(args) {
-        Ok(p) => p,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
-            }
-            eprintln!("{PROXY_USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let parsed = PROXY.parse(args);
+    if parsed.cfg.routes.is_empty() {
+        PROXY.fail("at least one --route is required");
+    }
     let handle = match run_proxy(&parsed.cfg) {
         Ok(h) => h,
         Err(e) => {
@@ -1312,4 +941,426 @@ fn chaos_pin(parsed: &ChaosArgs, seed: u64) -> ExitCode {
         None => print!("{script}"),
     }
     ExitCode::SUCCESS
+}
+
+/// One flag of a command line: its spelling, what it takes, and its help
+/// text. Parsing and `--help` both read the table, so a flag is spelled in
+/// exactly one place.
+struct Flag<C> {
+    name: &'static str,
+    arg: Arg<C>,
+    help: &'static str,
+    /// May be given more than once (every other flag is rejected on repeat).
+    repeat: bool,
+}
+
+/// What a flag takes, and how it sets the command's config.
+enum Arg<C> {
+    /// Nothing: a switch.
+    Switch(fn(&mut C)),
+    /// One value, shown in the usage as the placeholder.
+    Value(&'static str, fn(&mut C, &str) -> Result<(), String>),
+}
+
+/// A flag that takes one value, parsed and stored by `set`.
+const fn value<C>(
+    name: &'static str,
+    placeholder: &'static str,
+    set: fn(&mut C, &str) -> Result<(), String>,
+    help: &'static str,
+) -> Flag<C> {
+    Flag {
+        name,
+        arg: Arg::Value(placeholder, set),
+        help,
+        repeat: false,
+    }
+}
+
+/// A flag that takes no value.
+const fn switch<C>(name: &'static str, set: fn(&mut C), help: &'static str) -> Flag<C> {
+    Flag {
+        name,
+        arg: Arg::Switch(set),
+        help,
+        repeat: false,
+    }
+}
+
+/// Lets `flag` be given more than once.
+const fn repeatable<C>(flag: Flag<C>) -> Flag<C> {
+    Flag {
+        repeat: true,
+        ..flag
+    }
+}
+
+/// One command line: the synopsis and prose of its usage, its config's
+/// defaults, where bare (non-flag) arguments go, and its flag table.
+struct Spec<'a, C: 'static> {
+    synopsis: &'a str,
+    about: &'a str,
+    init: fn() -> C,
+    /// `None` rejects bare arguments.
+    operands: Option<fn(&mut C, &str)>,
+    flags: &'static [Flag<C>],
+}
+
+impl<C> Spec<'_, C> {
+    /// Parses `args` into a config. `--help` prints the usage on stdout
+    /// and exits 0; a usage error exits through [`Spec::fail`].
+    fn parse(&self, args: &[String]) -> C {
+        let mut cfg = (self.init)();
+        match self.apply(&mut cfg, args) {
+            Ok(true) => cfg,
+            Ok(false) => {
+                print!("{}", self.usage());
+                std::process::exit(0)
+            }
+            Err(msg) => self.fail(&msg),
+        }
+    }
+
+    /// Applies `args` to `cfg` through the table; `Ok(false)` when help
+    /// was asked for.
+    fn apply(&self, cfg: &mut C, args: &[String]) -> Result<bool, String> {
+        let mut seen = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if arg == "--help" || arg == "-h" {
+                return Ok(false);
+            }
+            let Some(flag) = self.flags.iter().find(|f| f.name == arg) else {
+                match self.operands {
+                    Some(operand) if !arg.starts_with('-') => operand(cfg, arg),
+                    _ => return Err(format!("unknown argument '{arg}'")),
+                }
+                continue;
+            };
+            if seen.contains(&flag.name) && !flag.repeat {
+                return Err(format!("{} given twice", flag.name));
+            }
+            seen.push(flag.name);
+            match flag.arg {
+                Arg::Switch(set) => set(cfg),
+                Arg::Value(placeholder, set) => {
+                    let v = args
+                        .next()
+                        .ok_or_else(|| format!("{} needs a value ({placeholder})", flag.name))?;
+                    set(cfg, v).map_err(|e| format!("bad {} '{v}': {e}", flag.name))?;
+                }
+            }
+        }
+        Ok(true)
+    }
+
+    /// Reports a usage error: `error: msg` and the usage on stderr, exit 2.
+    fn fail(&self, msg: &str) -> ! {
+        eprint!("error: {msg}\n\n{}", self.usage());
+        std::process::exit(2)
+    }
+
+    /// The usage text, generated from the table: synopsis, prose, and one
+    /// row per flag with its help wrapped from column 21.
+    fn usage(&self) -> String {
+        let mut out = format!(
+            "usage: newtop-exp {}\n\n{}\n\noptions:\n",
+            self.synopsis,
+            self.about.trim_end()
+        );
+        let rows = self.flags.iter().map(|f| match f.arg {
+            Arg::Switch(_) => (f.name.to_string(), f.help),
+            Arg::Value(placeholder, _) => (format!("{} {placeholder}", f.name), f.help),
+        });
+        for (head, help) in rows.chain([("-h, --help".to_string(), "print this help")]) {
+            let mut line = format!("  {head:<17} ");
+            for (i, word) in help.split_whitespace().enumerate() {
+                // Wrap at 78 columns; a head too long for its column puts
+                // the help on the next line.
+                if line.len() > 20 && (i == 0 || line.len() + word.len() >= 78) {
+                    out += &line;
+                    out.push('\n');
+                    line = " ".repeat(20);
+                }
+                line.push(' ');
+                line += word;
+            }
+            out += &line;
+            out.push('\n');
+        }
+        out
+    }
+}
+
+/// Parses a number of the slot's type.
+fn num<T: FromStr>(v: &str) -> Result<T, String> {
+    v.parse()
+        .map_err(|_| format!("expected a number ({})", std::any::type_name::<T>()))
+}
+
+/// Parses seconds: finite, not negative, fractions allowed.
+fn seconds(v: &str) -> Result<f64, String> {
+    match num::<f64>(v)? {
+        t if t.is_finite() && t >= 0.0 => Ok(t),
+        _ => Err("expected a finite number >= 0".into()),
+    }
+}
+
+/// Parses an ordering variant.
+fn mode(v: &str) -> Result<OrderMode, String> {
+    match v {
+        "sym" => Ok(OrderMode::Symmetric),
+        "asym" => Ok(OrderMode::Asymmetric),
+        _ => Err("expected sym or asym".into()),
+    }
+}
+
+/// Parses a seed range `A..B` (a bare `B` means `0..B`); it must not be
+/// empty.
+fn seed_range(v: &str) -> Result<(u64, u64), String> {
+    let (lo, hi) = match v.split_once("..") {
+        Some((lo, hi)) => (num(lo)?, num(hi)?),
+        None => (0, num(v)?),
+    };
+    if lo >= hi {
+        return Err("range is empty".into());
+    }
+    Ok((lo, hi))
+}
+
+/// Parses one socket address.
+fn addr(v: &str) -> Result<SocketAddr, String> {
+    v.trim()
+        .parse()
+        .map_err(|_| format!("'{v}' is not a socket address"))
+}
+
+/// Parses a comma-separated address list.
+fn addrs(v: &str) -> Result<Vec<SocketAddr>, String> {
+    v.split(',').map(addr).collect()
+}
+
+/// Parses a proxy route `LISTEN=UPSTREAM`.
+fn route(v: &str) -> Result<(SocketAddr, SocketAddr), String> {
+    let (listen, upstream) = v.split_once('=').ok_or("expected LISTEN=UPSTREAM")?;
+    Ok((addr(listen)?, addr(upstream)?))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use newtop_runtime::ClusterConfig;
+
+    /// Runs `args` through `spec` without printing or exiting: the config,
+    /// `Err("help")` when help was asked for, or the usage error.
+    fn parse<C>(spec: &Spec<C>, args: &[&str]) -> Result<C, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let mut cfg = (spec.init)();
+        match spec.apply(&mut cfg, &args)? {
+            true => Ok(cfg),
+            false => Err("help".into()),
+        }
+    }
+
+    fn names<C>(spec: &Spec<C>) -> Vec<&'static str> {
+        spec.flags.iter().map(|f| f.name).collect()
+    }
+
+    /// The flag spellings of `command`'s table; anything that is not a
+    /// subcommand goes to the experiment runner.
+    fn table(command: &str) -> Vec<&'static str> {
+        match command {
+            "chaos" => names(&CHAOS),
+            "load" => names(&LOAD),
+            "mc" => names(&MC),
+            "serve" => names(&SERVE),
+            "proxy" => names(&PROXY),
+            _ => names(&EXP),
+        }
+    }
+
+    #[test]
+    fn unknown_flags_and_stray_arguments_are_rejected() {
+        assert_eq!(
+            parse(&LOAD, &["--bogus"]).err().as_deref(),
+            Some("unknown argument '--bogus'")
+        );
+        assert!(parse(&LOAD, &["--nodes", "4", "extra"]).is_err());
+        assert!(parse(&EXP, &["--quik", "e1"]).is_err());
+        let exp = parse(&EXP, &["e1", "--quick", "e3"]).expect("operands and a switch");
+        assert_eq!(exp.ids, ["e1", "e3"]);
+        assert!(exp.quick && !exp.list);
+    }
+
+    #[test]
+    fn repeated_flags_are_rejected_except_route() {
+        assert_eq!(
+            parse(&MC, &["--nodes", "3", "--nodes", "4"])
+                .err()
+                .as_deref(),
+            Some("--nodes given twice")
+        );
+        assert!(parse(&LOAD, &["--accrual", "--accrual"]).is_err());
+        let routes = [
+            "--route",
+            "127.0.0.1:1=127.0.0.1:2",
+            "--route",
+            "127.0.0.1:3=[::1]:4",
+        ];
+        let proxy = parse(&PROXY, &routes).expect("--route repeats");
+        assert_eq!(proxy.cfg.routes.len(), 2);
+        assert_eq!(proxy.cfg.routes[1].1, "[::1]:4".parse().unwrap());
+    }
+
+    #[test]
+    fn a_missing_value_is_rejected() {
+        assert_eq!(
+            parse(&LOAD, &["--nodes"]).err().as_deref(),
+            Some("--nodes needs a value (N)")
+        );
+        assert!(parse(&SERVE, &["--nodes", "3", "--peers"]).is_err());
+    }
+
+    #[test]
+    fn floats_must_be_finite_and_not_negative() {
+        for bad in ["inf", "-inf", "nan", "NaN", "-1", "1e400", "x"] {
+            assert!(parse(&LOAD, &["--secs", bad]).is_err(), "load --secs {bad}");
+            assert!(
+                parse(&PROXY, &["--secs", bad]).is_err(),
+                "proxy --secs {bad}"
+            );
+        }
+        assert_eq!(parse(&LOAD, &["--secs", "0.5"]).unwrap().cfg.secs, 0.5);
+        assert_eq!(parse(&PROXY, &["--secs", "0"]).unwrap().secs, 0.0);
+    }
+
+    #[test]
+    fn values_keep_their_syntax_defaults_and_clamps() {
+        let chaos = parse(&CHAOS, &["--jobs", "0", "--seeds", "500"]).unwrap();
+        assert_eq!((chaos.jobs, chaos.seeds), (1, Some((0, 500))));
+        assert_eq!((chaos.emit_dir.as_str(), chaos.max_n), ("target/chaos", 7));
+        assert_eq!(
+            parse(&CHAOS, &["--seeds", "3..9"]).unwrap().seeds,
+            Some((3, 9))
+        );
+        assert!(parse(&CHAOS, &["--seeds", "9..3"]).is_err());
+
+        let load = parse(&LOAD, &["--big-omega-ms", "700", "--mode", "asym"]).unwrap();
+        assert!(load.big_omega_set);
+        assert_eq!(load.cfg.big_omega, Span::from_millis(700));
+        assert_eq!(load.cfg.mode, OrderMode::Asymmetric);
+        assert_eq!(
+            (load.cycles, load.procs, load.seed, load.port_base),
+            (3, 3, 1, 7400)
+        );
+        assert!(!parse(&LOAD, &[]).unwrap().big_omega_set);
+        assert!(parse(&LOAD, &["--mode", "lamport"]).is_err());
+        assert!(parse(&LOAD, &["--host", "threads"]).is_err());
+
+        assert_eq!(
+            parse(&MC, &["--strategy", "dfs"]).unwrap().cfg.strategy,
+            McStrategy::Iddfs
+        );
+        assert!(parse(&MC, &["--nodes", "5"]).is_err());
+        assert_eq!(parse(&MC, &[]).unwrap().emit_dir, "target/mc");
+
+        let default_cluster = ServeConfig::new(0, 1, Vec::new(), Vec::new(), 0).cluster;
+        let serve = parse(&SERVE, &["--shards", "0"]).unwrap();
+        assert_eq!(serve.cluster, default_cluster);
+        assert_eq!(
+            parse(&SERVE, &["--shards", "2"]).unwrap().cluster,
+            ClusterConfig::new().shards(2)
+        );
+        assert!(!parse(&SERVE, &["--rejoin"]).unwrap().bootstrap);
+
+        let proxy = parse(&PROXY, &["--drop-pct", "250", "--dup-pct", "7"]).unwrap();
+        assert_eq!((proxy.cfg.drop_pct, proxy.cfg.dup_pct), (100, 7));
+        assert!(parse(&PROXY, &["--drop-pct", "300"]).is_err());
+        assert!(parse(&PROXY, &["--rate-kbps", "0"]).is_err());
+        assert!(parse(&PROXY, &["--route", "127.0.0.1:1"]).is_err());
+    }
+
+    /// `--help` and `-h` stop parsing wherever they stand; the generated
+    /// usage lists every flag of the table and names no flag outside it.
+    #[test]
+    fn help_is_generated_from_the_table() {
+        fn check<C>(command: &str, spec: &Spec<C>) {
+            assert_eq!(parse(spec, &["--help"]).err().as_deref(), Some("help"));
+            assert_eq!(
+                parse(spec, &["-h", "--bogus"]).err().as_deref(),
+                Some("help")
+            );
+            let usage = spec.usage();
+            for name in names(spec) {
+                assert!(
+                    usage.contains(&format!("\n  {name}")),
+                    "{command}: {name} not listed"
+                );
+            }
+            for word in usage.split(|c: char| !(c.is_alphanumeric() || c == '-')) {
+                if word.starts_with("--") && word != "--help" {
+                    assert!(names(spec).contains(&word), "{command} usage names {word}");
+                }
+            }
+        }
+        check("", &EXP);
+        check("chaos", &CHAOS);
+        check("load", &LOAD);
+        check("mc", &MC);
+        check("serve", &SERVE);
+        check("proxy", &PROXY);
+        assert_eq!(COMMANDS.len(), 5);
+    }
+
+    /// Every `newtop-exp <command> …` and `"$BIN" <command> …` invocation
+    /// in the README, the scripts and CI uses only flags of that command's
+    /// table, so the prose cannot drift from the parser.
+    #[test]
+    fn documented_invocations_use_only_table_flags() {
+        let docs = [
+            include_str!("../../../../README.md"),
+            include_str!("../../../../.github/workflows/ci.yml"),
+            include_str!("../../../../scripts/bench_check.sh"),
+            include_str!("../../../../scripts/bench_snapshot.sh"),
+            include_str!("../../../../scripts/crash_smoke.sh"),
+            include_str!("../../../../scripts/smoke_cluster.sh"),
+            include_str!("../../../../scripts/tcp_smoke.sh"),
+            include_str!("../../../../scripts/wan_smoke.sh"),
+        ];
+        let mut checked = 0;
+        let mut stale = Vec::new();
+        for text in docs {
+            for line in text.replace("\\\n", " ").lines() {
+                for marker in ["newtop-exp", "\"$BIN\""] {
+                    for (at, _) in line.match_indices(marker) {
+                        let mut words = line[at + marker.len()..].split_whitespace().peekable();
+                        // `cargo run … -- <args>`
+                        words.next_if_eq(&"--");
+                        let command = words.peek().map_or("", |w| w.trim_end_matches('`'));
+                        let flags = table(command);
+                        for word in words {
+                            if word.starts_with(['#', '|', '&', ';']) {
+                                break;
+                            }
+                            let flag = word.split('`').next().unwrap_or_default();
+                            if flag.starts_with("--") && flag != "--help" {
+                                checked += 1;
+                                if !flags.contains(&flag) {
+                                    stale.push(format!("{command} {flag} in: {line}"));
+                                }
+                            }
+                            if word.contains('`') {
+                                break;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            stale.is_empty(),
+            "flags missing from their tables: {stale:#?}"
+        );
+        assert!(checked > 60, "only {checked} documented flags found");
+    }
 }

@@ -33,7 +33,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use newtop_core::Delivery;
 use newtop_runtime::{Cluster, ClusterConfig, Output, RunningCluster, TcpConfig, WireStats};
-use newtop_types::wire::put_varint;
+use newtop_types::wire::{peek_varint, put_varint};
 use newtop_types::{
     GroupConfig, GroupId, Msn, OrderMode, ProcessId, SendError, SignedView, Span, SuspicionMode,
     View, ViewSeq,
@@ -150,7 +150,13 @@ impl ServeConfig {
             .collect()
     }
 
-    fn validate(&self) -> Result<(), String> {
+    /// Checks the address lists, the peer index and the node and group
+    /// counts. [`serve`] runs it before anything else.
+    ///
+    /// # Errors
+    ///
+    /// What is wrong with the configuration, in words.
+    pub fn validate(&self) -> Result<(), String> {
         if self.peers.is_empty() || self.peers.len() != self.ctrl.len() {
             return Err("need matching non-empty peer and ctrl address lists".into());
         }
@@ -203,23 +209,11 @@ impl RecordDecoder {
 
     /// The next complete record payload, if one is buffered.
     fn next_record(&mut self) -> Result<Option<Vec<u8>>, String> {
-        let mut len: u64 = 0;
-        let mut shift = 0u32;
-        let mut used = 0usize;
-        loop {
-            let Some(&b) = self.buf.get(used) else {
-                return Ok(None);
-            };
-            used += 1;
-            len |= u64::from(b & 0x7F) << shift;
-            if b & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-            if shift >= 63 {
-                return Err("control record length varint overflow".into());
-            }
-        }
+        let Some((len, used)) =
+            peek_varint(&self.buf, 0).map_err(|e| format!("control record length: {e}"))?
+        else {
+            return Ok(None);
+        };
         if len > MAX_RECORD {
             return Err(format!("control record of {len} bytes exceeds the cap"));
         }
@@ -511,17 +505,16 @@ struct Verdicts {
 impl Verdicts {
     /// Submits one `OP_MULTICAST` record to its node's shard.
     fn submit(&mut self, running: &RunningCluster, record: &[u8]) {
-        let mut c = Cursor::new(&record[1..]);
-        let (node, group) = match (c.u32(), c.u32()) {
-            (Ok(node), Ok(group)) => (ProcessId(node), GroupId(group)),
-            (Err(e), _) | (_, Err(e)) => {
+        let (node, group, payload) = match parse_multicast(&record[1..]) {
+            Ok(op) => op,
+            Err(e) => {
                 self.owed.push_back(Owed::Malformed(e));
                 return;
             }
         };
         let slot = running.node(node).and_then(|n| {
             let (tx, rx) = bounded(1);
-            n.multicast_pipelined(group, Bytes::from(c.rest().to_vec()), &tx)
+            n.multicast_pipelined(group, Bytes::from(payload.to_vec()), &tx)
                 .then_some(rx)
         });
         self.owed.push_back(Owed::Verdict(group, slot));
@@ -560,6 +553,27 @@ impl Verdicts {
     }
 }
 
+/// Reads an `OP_MULTICAST` body: sending node, group, payload.
+fn parse_multicast(body: &[u8]) -> Result<(ProcessId, GroupId, &[u8]), String> {
+    let mut c = Cursor::new(body);
+    let node = ProcessId(c.u32()?);
+    let group = GroupId(c.u32()?);
+    Ok((node, group, c.rest()))
+}
+
+/// Reads an `OP_FORM` body: initiator, new group id, member list.
+fn parse_form(body: &[u8]) -> Result<(ProcessId, GroupId, Vec<ProcessId>), String> {
+    let mut c = Cursor::new(body);
+    let initiator = ProcessId(c.u32()?);
+    let group = GroupId(c.u32()?);
+    let count = c.u32()?;
+    let mut members = Vec::new();
+    for _ in 0..count {
+        members.push(ProcessId(c.u32()?));
+    }
+    Ok((initiator, group, members))
+}
+
 /// Dispatches one control op other than a multicast (those go through
 /// [`Verdicts`]); `false` ends the connection.
 #[allow(clippy::too_many_arguments)]
@@ -581,26 +595,18 @@ fn handle_op(
             // plane. This is how crash recovery re-admits a restarted
             // process — a *new* group with fresh identifiers (§3), not
             // a same-id re-entry.
-            let verdict = (|| -> Result<Result<(), String>, String> {
-                let mut c = Cursor::new(&record[1..]);
-                let initiator = ProcessId(c.u32()?);
-                let group = GroupId(c.u32()?);
-                let count = c.u32()?;
-                let mut members = Vec::new();
-                for _ in 0..count {
-                    members.push(ProcessId(c.u32()?));
-                }
-                Ok(match running.node(initiator) {
+            let verdict = parse_form(&record[1..]).and_then(|(initiator, group, members)| {
+                match running.node(initiator) {
                     Some(n) => n
                         .initiate_group(group, members, group_cfg)
                         .map_err(|e| e.to_string()),
                     None => Err(format!("initiator {initiator} is not hosted here")),
-                })
-            })();
+                }
+            });
             let mut rec = vec![REC_VERDICT];
             match verdict {
-                Ok(Ok(())) => rec.push(0),
-                Ok(Err(e)) | Err(e) => {
+                Ok(()) => rec.push(0),
+                Err(e) => {
                     rec.push(1);
                     rec.extend_from_slice(e.as_bytes());
                 }
@@ -1256,5 +1262,89 @@ mod tests {
             }
         }
         assert_eq!(got, payloads);
+    }
+
+    /// Seeded random control streams, cut into random chunks, never panic
+    /// the record decoder, the client's record dispatch or the server's
+    /// op parsing: each record is handled or rejected.
+    #[test]
+    fn random_control_streams_never_panic() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const TAGS: [u8; 11] = [
+            OP_MULTICAST,
+            OP_SUBSCRIBE,
+            OP_STATS,
+            OP_SHUTDOWN,
+            OP_FORM,
+            REC_VERDICT,
+            REC_DELIVERY,
+            REC_VIEW,
+            REC_STATS,
+            REC_BYE,
+            REC_ACTIVE,
+        ];
+        let (tx, _rx) = unbounded();
+        let txs = vec![tx.clone(), tx];
+        let (mut handled, mut rejected, mut severed) = (0u32, 0u32, 0u32);
+        for seed in 0..2000u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pending = PendingReplies::default();
+            for _ in 0..4 {
+                pending.verdicts.lock().unwrap().push_back(bounded(1).0);
+                pending.stats.lock().unwrap().push_back(bounded(1).0);
+                pending.byes.lock().unwrap().push_back(bounded(1).0);
+            }
+            // Records with mostly honest length prefixes and known tags,
+            // so the parsers see both well-formed and truncated bodies;
+            // now and then a junk or overlong prefix.
+            let mut stream = BytesMut::new();
+            for _ in 0..rng.gen_range(1usize..12) {
+                let len = rng.gen_range(0usize..48);
+                let mut body: Vec<u8> = (0..len)
+                    .map(|_| match rng.gen_range(0u8..3) {
+                        0 => rng.gen_range(0u8..=255),
+                        _ => rng.gen_range(0u8..3),
+                    })
+                    .collect();
+                if let Some(tag) = body.first_mut() {
+                    *tag = TAGS[rng.gen_range(0usize..TAGS.len())];
+                }
+                match rng.gen_range(0u8..16) {
+                    0 => stream.put_slice(&[0xFF; 10]),
+                    1 => put_varint(&mut stream, rng.gen_range(0u64..=u64::MAX)),
+                    _ => put_varint(&mut stream, body.len() as u64),
+                }
+                stream.put_slice(&body);
+            }
+            let mut dec = RecordDecoder::new();
+            let mut rest: &[u8] = &stream;
+            'stream: while !rest.is_empty() {
+                let (chunk, tail) = rest.split_at(rng.gen_range(1..=rest.len()));
+                rest = tail;
+                dec.push(chunk);
+                loop {
+                    let record = match dec.next_record() {
+                        Ok(Some(r)) => r,
+                        Ok(None) => break,
+                        Err(_) => {
+                            severed += 1;
+                            break 'stream;
+                        }
+                    };
+                    let body = record.get(1..).unwrap_or_default();
+                    let _ = parse_multicast(body);
+                    let _ = parse_form(body);
+                    match dispatch_record(&record, &pending, &txs) {
+                        Some(()) => handled += 1,
+                        None => rejected += 1,
+                    }
+                }
+            }
+        }
+        assert!(
+            handled > 0 && rejected > 0 && severed > 0,
+            "{handled}/{rejected}/{severed}"
+        );
     }
 }

@@ -25,7 +25,7 @@
 //! restores the reliable-FIFO-per-pair transport the protocol engine
 //! assumes (§3 of the paper), even through a frame-dropping proxy.
 
-use crate::wire::{put_varint, varint_len, MAX_FRAME_LEN};
+use crate::wire::{peek_varint, put_varint, varint_len, MAX_FRAME_LEN};
 use crate::{DecodeError, ProcessId};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -143,28 +143,6 @@ pub struct PeerFrame {
     /// The complete length-prefixed wire frame, ready for the standard
     /// frame path (prefix included).
     pub frame: Bytes,
-}
-
-/// Peeks one LEB128 varint at `at` without consuming. Returns the value
-/// and its encoded width, or `None` if the buffer ends mid-varint.
-fn peek_varint(buf: &[u8], at: usize) -> Result<Option<(u64, usize)>, DecodeError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    let mut i = at;
-    loop {
-        let Some(&byte) = buf.get(i) else {
-            return Ok(None);
-        };
-        if shift >= 64 || (shift == 63 && byte > 1) {
-            return Err(DecodeError::VarintOverflow);
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        i += 1;
-        if byte & 0x80 == 0 {
-            return Ok(Some((v, i - at)));
-        }
-        shift += 7;
-    }
 }
 
 /// Incremental decoder for a stream of addressed frame records.

@@ -58,6 +58,34 @@ pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
     }
 }
 
+/// Peeks one LEB128 varint at `at` without consuming it: the value and
+/// its encoded width, or `None` if the buffer ends mid-varint. Stream
+/// decoders use it for length prefixes, so a prefix split across reads
+/// leaves the buffer untouched for the next push.
+///
+/// # Errors
+///
+/// [`DecodeError::VarintOverflow`] if more than 64 bits are encoded.
+pub fn peek_varint(buf: &[u8], at: usize) -> Result<Option<(u64, usize)>, DecodeError> {
+    let mut v: u64 = 0;
+    let mut shift = 0u32;
+    let mut i = at;
+    loop {
+        let Some(&byte) = buf.get(i) else {
+            return Ok(None);
+        };
+        if shift >= 64 || (shift == 63 && byte > 1) {
+            return Err(DecodeError::VarintOverflow);
+        }
+        v |= u64::from(byte & 0x7f) << shift;
+        i += 1;
+        if byte & 0x80 == 0 {
+            return Ok(Some((v, i - at)));
+        }
+        shift += 7;
+    }
+}
+
 /// Reads a LEB128 varint.
 ///
 /// # Errors
@@ -755,25 +783,9 @@ impl FrameDecoder {
         if self.body.has_remaining() {
             return decode(&mut self.body).map(Some);
         }
-        // Peek the length varint without consuming: a split prefix must
-        // leave the buffer untouched for the next push.
-        let mut len: u64 = 0;
-        let mut shift = 0u32;
-        let mut prefix = 0usize;
-        loop {
-            let Some(&byte) = self.buf.get(prefix) else {
-                return Ok(None); // mid-prefix: need more bytes
-            };
-            prefix += 1;
-            if shift >= 64 || (shift == 63 && byte > 1) {
-                return Err(DecodeError::VarintOverflow);
-            }
-            len |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-        }
+        let Some((len, prefix)) = peek_varint(&self.buf, 0)? else {
+            return Ok(None); // mid-prefix: need more bytes
+        };
         if len > MAX_FRAME_LEN {
             return Err(DecodeError::FrameTooLarge { len });
         }

@@ -30,16 +30,11 @@ if [[ ! -x "$BIN" ]]; then
     exit 2
 fi
 
+# shellcheck source=scripts/smoke_cluster.sh
+source scripts/smoke_cluster.sh
+
 # Fresh port block per run so parallel CI jobs don't collide.
 BASE=$((20000 + RANDOM % 20000))
-
-PIDS=()
-cleanup() {
-    for pid in "${PIDS[@]:-}"; do
-        kill "$pid" 2>/dev/null || true
-    done
-}
-trap cleanup EXIT
 
 # ---------------------------------------------------------------- act 1
 echo "crash_smoke: act 1 — supervised kill -9 / restart / rejoin"
@@ -49,45 +44,12 @@ echo "crash_smoke: act 1 OK — 3 kill/restart cycles, rejoins green"
 
 # ---------------------------------------------------------------- act 2
 echo "crash_smoke: act 2 — accrual stability under latency spikes"
-BASE2=$((BASE + 100))
-D0="127.0.0.1:$BASE2";         D1="127.0.0.1:$((BASE2 + 1))"; D2="127.0.0.1:$((BASE2 + 2))"
-C0="127.0.0.1:$((BASE2 + 3))"; C1="127.0.0.1:$((BASE2 + 4))"; C2="127.0.0.1:$((BASE2 + 5))"
-PX="127.0.0.1:$((BASE2 + 6))"
-
-# Delay-only proxy on the links into peer 2: spikes, never loss.
-"$BIN" proxy --route "$PX=$D2" --seed 11 --delay-ms 120 --secs 60 &
-PROXY_PID=$!
-PIDS+=("$PROXY_PID")
-
-SERVE_PIDS=()
-for me in 0 1 2; do
-    if [[ "$me" == 2 ]]; then
-        view="$D0,$D1,$D2"
-    else
-        view="$D0,$D1,$PX"
-    fi
-    "$BIN" serve --nodes 6 --groups 2 --peers "$view" --ctrl "$C0,$C1,$C2" \
-        --me "$me" --omega-ms 10 --big-omega-ms 1500 --accrual &
-    SERVE_PIDS+=("$!")
-    PIDS+=("$!")
-done
-
-# Any exclusion during the run is a false one: the only interference is
+# Delay-only proxy on the links into peer 2: spikes, never loss. Any
+# exclusion during the run is a false one: the only interference is
 # delay, and every process stays up.
-"$BIN" load --host tcp --peers "$C0,$C1,$C2" --nodes 6 --groups 2 \
-    --secs 8 --window 8 --expect-stable --stop-peers
+run_cluster crash_smoke "$((BASE + 100))" \
+    "--seed 11 --delay-ms 120 --secs 60" \
+    "--omega-ms 10 --big-omega-ms 1500 --accrual" \
+    "--secs 8 --window 8 --expect-stable"
 
-status=0
-for pid in "${SERVE_PIDS[@]}"; do
-    if ! wait "$pid"; then
-        echo "crash_smoke: serve process $pid exited nonzero" >&2
-        status=1
-    fi
-done
-kill "$PROXY_PID" 2>/dev/null || true
-PIDS=()
-
-if [[ "$status" == 0 ]]; then
-    echo "crash_smoke: OK — rejoins green, zero false exclusions under latency spikes"
-fi
-exit "$status"
+echo "crash_smoke: OK — rejoins green, zero false exclusions under latency spikes"

@@ -28,57 +28,17 @@ if [[ ! -x "$BIN" ]]; then
     exit 2
 fi
 
-# Fresh port block per run so parallel CI jobs don't collide.
-BASE=$((20000 + RANDOM % 20000))
-D0="127.0.0.1:$BASE";       D1="127.0.0.1:$((BASE + 1))"; D2="127.0.0.1:$((BASE + 2))"
-C0="127.0.0.1:$((BASE + 3))"; C1="127.0.0.1:$((BASE + 4))"; C2="127.0.0.1:$((BASE + 5))"
-PX="127.0.0.1:$((BASE + 6))"
+# shellcheck source=scripts/smoke_cluster.sh
+source scripts/smoke_cluster.sh
 
-PIDS=()
-cleanup() {
-    for pid in "${PIDS[@]:-}"; do
-        kill "$pid" 2>/dev/null || true
-    done
-}
-trap cleanup EXIT
+# Fresh port block per run so parallel CI jobs don't collide. The proxy
+# in front of peer 2 drops, jitters, and opens a partition window
+# mid-run that heals; the closed loop runs through the partition
+# (4.0s..5.5s) and keeps going after the heal; --stop-peers tears the
+# cluster down at the end.
+run_cluster tcp_smoke "$((20000 + RANDOM % 20000))" \
+    "--seed 7 --drop-pct 2 --delay-ms 1 --partition-at-ms 4000 --partition-for-ms 1500 --secs 60" \
+    "--omega-ms 10 --big-omega-ms 30000" \
+    "--secs 8 --window 8"
 
-# Chaos proxy in front of peer 2's data port: drops, jitter, and a
-# partition window that opens mid-run and heals.
-"$BIN" proxy --route "$PX=$D2" --seed 7 --drop-pct 2 --delay-ms 1 \
-    --partition-at-ms 4000 --partition-for-ms 1500 --secs 60 &
-PROXY_PID=$!
-PIDS+=("$PROXY_PID")
-
-# Peers 0 and 1 reach peer 2 only through the proxy; peer 2 dials direct.
-SERVE_PIDS=()
-for me in 0 1 2; do
-    if [[ "$me" == 2 ]]; then
-        view="$D0,$D1,$D2"
-    else
-        view="$D0,$D1,$PX"
-    fi
-    "$BIN" serve --nodes 6 --groups 2 --peers "$view" --ctrl "$C0,$C1,$C2" \
-        --me "$me" --omega-ms 10 --big-omega-ms 30000 &
-    SERVE_PIDS+=("$!")
-    PIDS+=("$!")
-done
-
-# The closed loop runs through the partition (4.0s..5.5s) and keeps
-# going after the heal; --stop-peers tears the cluster down at the end.
-"$BIN" load --host tcp --peers "$C0,$C1,$C2" --nodes 6 --groups 2 \
-    --secs 8 --window 8 --stop-peers
-
-status=0
-for pid in "${SERVE_PIDS[@]}"; do
-    if ! wait "$pid"; then
-        echo "tcp_smoke: serve process $pid exited nonzero" >&2
-        status=1
-    fi
-done
-kill "$PROXY_PID" 2>/dev/null || true
-PIDS=()
-
-if [[ "$status" == 0 ]]; then
-    echo "tcp_smoke: OK — cluster delivered through drop+partition chaos and shut down clean"
-fi
-exit "$status"
+echo "tcp_smoke: OK — cluster delivered through drop+partition chaos and shut down clean"
