@@ -193,14 +193,19 @@ script. A failing seed is delta-debugged and written as a replay script.",
         value("--max-n", "N", |a, v| num(v).map(|n| a.max_n = n),
             "generation limit: processes (default 7)"),
         value("--max-faults", "K", |a, v| num(v).map(|k| a.max_faults = Some(k)),
-            "generation limit: fault-schedule entries (default 4; 8 under --churn)"),
+            "generation limit: fault-schedule entries (default 4; 8 under --churn). A \
+             family is a fault mix crossed with a network profile. Classic mix: 0..=K \
+             entries, crash/partition/spike/depart equally likely, at most 2 crashes. \
+             Churn mix: K/2..=K entries, crash and depart 3x as likely, up to n-2 crashes. \
+             LAN profile: omega 5 ms, Omega 60 ms. WAN profile: omega 20 ms, Omega 250 ms, \
+             a drawn region topology and congestion windows"),
         switch("--churn", |a| a.churn = true,
-            "generate the churn family: crash/depart-heavy fault schedules with the crash \
+            "use the churn fault mix: crash/depart-heavy fault schedules with the crash \
              budget raised to n-2"),
         switch("--wan", |a| a.wan = true,
-            "generate the WAN/geo family: seeded multi-region topologies with capped \
-             uplinks, asymmetric trunks, duplication/reorder knobs and congestion windows \
-             (combines with --churn)"),
+            "use the WAN network profile: seeded multi-region topologies with capped \
+             uplinks, asymmetric trunks, a reorder knob and congestion windows (combines \
+             with --churn)"),
     ],
 };
 

@@ -13,7 +13,7 @@
 //!   properties (MD1, MD4/MD4', MD5/MD5', VC1, VC3, and quiescent
 //!   liveness/atomicity) over a recorded history; used by the property
 //!   tests and by every experiment as a built-in sanity gate;
-//! * [`workload`] — randomized and scripted traffic generators;
+//! * [`workload`] — scripted traffic helpers for hand-built scenarios;
 //! * [`chaos`] — the seeded fault-schedule explorer: seed → deterministic
 //!   topology + traffic + timed fault schedule, replay scripts, ddmin
 //!   shrinking (`newtop-exp chaos`);

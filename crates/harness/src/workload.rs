@@ -1,85 +1,13 @@
-//! Workload generators: scripted and randomized traffic plus fault
-//! schedules for the property-test fleet.
+//! Scripted traffic helpers for hand-built scenarios.
+//!
+//! Randomised topologies, traffic and fault schedules all come from one
+//! generator, [`crate::chaos::ChaosScenario`]: its network profile (LAN or
+//! WAN) and fault mix (classic or churn) are two tables, and the property
+//! and stress tests draw their scenarios from it too.
 
 use crate::cluster::SimCluster;
 use crate::history::MessageId;
-use newtop_sim::{LatencyModel, NetConfig};
-use newtop_types::{GroupConfig, GroupId, Instant, OrderMode, Span};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// A randomized scenario specification, fully determined by its seed.
-#[derive(Debug, Clone)]
-pub struct RandomScenario {
-    /// RNG seed (drives topology, traffic and faults).
-    pub seed: u64,
-    /// Number of processes (2..=8 recommended for the checker's closures).
-    pub n: u32,
-    /// Number of groups (overlapping memberships drawn randomly).
-    pub groups: u32,
-    /// Messages per run.
-    pub sends: u32,
-    /// Whether to inject a crash.
-    pub crash: bool,
-    /// Whether to use asymmetric ordering for odd-numbered groups.
-    pub mixed_modes: bool,
-}
-
-impl RandomScenario {
-    /// Builds and runs the scenario, returning the cluster for inspection.
-    #[must_use]
-    pub fn run(&self) -> SimCluster {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let net = NetConfig::new(self.seed ^ 0x9E37_79B9).with_latency(LatencyModel::Uniform {
-            lo: Span::from_micros(100),
-            hi: Span::from_millis(3),
-        });
-        let mut cluster = SimCluster::new(self.n, net);
-        // Random overlapping groups; every group keeps >= 2 members and
-        // process 1 is in every group so the merged order is exercised.
-        let mut group_members: Vec<(GroupId, Vec<u32>)> = Vec::new();
-        for gi in 0..self.groups {
-            let g = GroupId(gi + 1);
-            let mut members: Vec<u32> = vec![1];
-            for p in 2..=self.n {
-                if rng.gen_bool(0.6) {
-                    members.push(p);
-                }
-            }
-            if members.len() < 2 {
-                members.push(2.min(self.n));
-            }
-            members.dedup();
-            let mode = if self.mixed_modes && gi % 2 == 1 {
-                OrderMode::Asymmetric
-            } else {
-                OrderMode::Symmetric
-            };
-            let cfg = GroupConfig::new(mode)
-                .with_omega(Span::from_millis(5))
-                .with_big_omega(Span::from_millis(60));
-            cluster.bootstrap_group(g, &members, cfg);
-            group_members.push((g, members));
-        }
-        // Random tagged sends.
-        for k in 0..self.sends {
-            let (g, members) = &group_members[rng.gen_range(0..group_members.len())];
-            let from = members[rng.gen_range(0..members.len())];
-            let at = Instant::from_micros(rng.gen_range(1_000..80_000));
-            cluster.schedule_send(at, from, *g, MessageId(u64::from(k)));
-        }
-        // Optional crash of a non-P1 process mid-run.
-        if self.crash && self.n > 2 {
-            let victim = rng.gen_range(2..=self.n);
-            let at = Instant::from_micros(rng.gen_range(10_000..60_000));
-            cluster.schedule_crash(at, victim);
-        }
-        // Long enough for Ω-driven membership to settle and deliveries to
-        // quiesce.
-        cluster.run_for(Span::from_millis(1_000));
-        cluster
-    }
-}
+use newtop_types::{GroupId, Instant, Span};
 
 /// Schedules `count` tagged sends from rotating senders at a fixed
 /// inter-send gap, starting at `start`. Returns the ids used.
@@ -106,42 +34,8 @@ pub fn rotating_sends(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::{check_all, CheckOptions};
-
-    #[test]
-    fn random_scenario_is_deterministic() {
-        let spec = RandomScenario {
-            seed: 1,
-            n: 4,
-            groups: 2,
-            sends: 10,
-            crash: false,
-            mixed_modes: false,
-        };
-        let h1 = spec.run().history();
-        let h2 = spec.run().history();
-        let d1: Vec<_> = h1.delivered_mids_all(newtop_types::ProcessId(1));
-        let d2: Vec<_> = h2.delivered_mids_all(newtop_types::ProcessId(1));
-        assert_eq!(d1, d2, "same seed must replay the same history");
-        assert!(!d1.is_empty());
-    }
-
-    #[test]
-    fn random_scenario_passes_checker() {
-        for seed in 0..4 {
-            let spec = RandomScenario {
-                seed,
-                n: 5,
-                groups: 3,
-                sends: 20,
-                crash: seed % 2 == 0,
-                mixed_modes: true,
-            };
-            let h = spec.run().history();
-            let v = check_all(&h, &CheckOptions::default());
-            assert!(v.is_empty(), "seed {seed}: {v:?}");
-        }
-    }
+    use newtop_sim::NetConfig;
+    use newtop_types::{GroupConfig, OrderMode};
 
     #[test]
     fn rotating_sends_schedules_all() {

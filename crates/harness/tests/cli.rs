@@ -77,3 +77,72 @@ fn usage_errors_exit_two_without_panicking() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
+
+/// Every malformed replay script fails in the parser — exit 2, the
+/// offending line quoted on stderr — instead of panicking the engine,
+/// being silently ignored, or replaying to a misleading verdict.
+#[test]
+fn malformed_replay_scripts_exit_two_quoting_the_line() {
+    const HEAD: &str = "newtop-chaos v1\nseed 1\nn 3\nhorizon-us 100000\n\
+                        group 1 symmetric omega-us 5000 big-omega-us 60000 members 1,2,3\n";
+    const WAN: &str = "wan dup-pm 0 reorder-pm 0 hold-us 500\n";
+    // (extra lines after HEAD, the line that must be quoted, the reason)
+    let cases: [(&str, &str, &str); 25] = [
+        (
+            "",
+            "group 2 symmetric omega-us 5000 big-omega-us 60000 members 1,4",
+            "process 4 outside 1..=3",
+        ),
+        (
+            "",
+            "group 1 asymmetric omega-us 5000 big-omega-us 60000 members 1,2",
+            "group 1 declared twice",
+        ),
+        (
+            "",
+            "group 2 symmetric omega-us 5000 big-omega-us 4000 members 1,2",
+            "must exceed",
+        ),
+        ("", "send 5000 4 1 0", "process 4 outside 1..=3"),
+        ("", "send 5000 1 7 0", "undeclared group 7"),
+        ("", "fault 5000 crash 0", "process 0 outside 1..=3"),
+        ("", "fault 5000 depart 5 1", "process 5 outside 1..=3"),
+        ("", "fault 5000 depart 1 2", "undeclared group 2"),
+        (
+            "",
+            "fault 5000 partition loss 1,2|4",
+            "process 4 outside 1..=3",
+        ),
+        ("", "mc-step deliver 1 4", "process 4 outside 1..=3"),
+        ("", "mc-step wake 9", "process 9 outside 1..=3"),
+        ("", "mc-step crash 4", "process 4 outside 1..=3"),
+        ("", "mc-step send 1 3 0", "undeclared group 3"),
+        (WAN, "wan-node 4 0 64000", "process 4 outside 1..=3"),
+        ("", "n 2", "`n` given twice"),
+        ("", "fault 5000 wan-link 0 1 5000 9000 64000", "before wan"),
+        ("", "fault 5000 wan-uplink 1 64000", "before wan"),
+        ("send 5000 1 1 0\n", "mc-step wake 1", "cannot be mixed"),
+        ("fault 5000 heal\n", "mc-step wake 1", "cannot be mixed"),
+        ("mc-step wake 1\n", "send 5000 1 1 0", "cannot be mixed"),
+        ("mc-step wake 1\n", "fault 5000 heal", "cannot be mixed"),
+        (WAN, "mc-step wake 1", "cannot be mixed"),
+        ("mc-step wake 1\n", WAN.trim_end(), "cannot be mixed"),
+        ("send 5000 1 1 0\n", "send 6000 2 1 0", "mid 0 sent twice"),
+        (
+            "mc-step send 1 1 3\n",
+            "mc-step send 2 1 3",
+            "mid 3 sent twice",
+        ),
+    ];
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (k, (extra, line, reason)) in cases.iter().enumerate() {
+        let path = dir.join(format!("malformed-{k}.chaos"));
+        std::fs::write(&path, format!("{HEAD}{extra}{line}\n")).expect("write script");
+        let out = run(&["chaos", "--replay", path.to_str().expect("utf-8 path")]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{line}: {stderr}");
+        assert!(out.stdout.is_empty(), "{line} replayed: {stderr}");
+        assert!(stderr.contains(&format!("`{line}`")), "{line}: {stderr}");
+        assert!(stderr.contains(reason), "{line}: {stderr}");
+    }
+}

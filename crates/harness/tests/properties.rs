@@ -6,8 +6,8 @@
 //! Failures reproduce exactly from the printed seed — the simulator is
 //! fully deterministic.
 
+use newtop_harness::chaos::ChaosScenario;
 use newtop_harness::checker::{check_all, CheckOptions};
-use newtop_harness::workload::RandomScenario;
 use newtop_harness::{MessageId, SimCluster};
 use newtop_sim::{LatencyModel, NetConfig};
 use newtop_types::{GroupConfig, GroupId, Instant, OrderMode, ProcessId, Span};
@@ -26,49 +26,39 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Fault-free runs over random overlapping topologies satisfy every
-    /// property including liveness.
+    /// Fault-free runs over random overlapping topologies (the classic
+    /// family with no fault budget: overlapping groups, mixed ordering
+    /// modes, quiet windows past ω) satisfy every property including
+    /// liveness.
     #[test]
     fn random_fault_free_runs_hold_all_properties(
-        seed in 0u64..10_000,
-        n in 3u32..7,
-        groups in 1u32..4,
-        sends in 5u32..30,
-        mixed in any::<bool>(),
+        seed in 0u64..100_000,
+        max_n in 3u32..7,
+        max_groups in 1u32..4,
+        max_sends in 8u32..30,
     ) {
-        let spec = RandomScenario {
-            seed,
-            n,
-            groups,
-            sends,
-            crash: false,
-            mixed_modes: mixed,
-        };
-        let h = spec.run().history();
-        let v = check_all(&h, &CheckOptions::default());
+        let plan = ChaosScenario {
+            max_n,
+            max_groups,
+            max_sends,
+            max_faults: 0,
+            ..ChaosScenario::new(seed)
+        }
+        .plan();
+        prop_assert!(plan.faults.is_empty());
+        let v = plan.run_and_check(&plan.check_options());
+        prop_assert!(plan.check_options().liveness);
         prop_assert!(v.is_empty(), "seed {}: {:?}", seed, v);
     }
 
-    /// Runs with a random crash still satisfy every property (liveness is
-    /// judged against final views, which exclude the crashed process).
+    /// Churn-family runs — repeated crashes and departures, up to all but
+    /// two processes — still satisfy every property (liveness is judged
+    /// against final views, which exclude the crashed processes).
     #[test]
-    fn random_crash_runs_hold_all_properties(
-        seed in 0u64..10_000,
-        n in 3u32..7,
-        groups in 1u32..4,
-        sends in 5u32..25,
-    ) {
-        let spec = RandomScenario {
-            seed,
-            n,
-            groups,
-            sends,
-            crash: true,
-            mixed_modes: false,
-        };
-        let h = spec.run().history();
-        let v = check_all(&h, &CheckOptions::default());
-        prop_assert!(v.is_empty(), "seed {}: {:?}", seed, v);
+    fn random_crash_runs_hold_all_properties(seed in 0u64..100_000) {
+        let plan = ChaosScenario::churn(seed).plan();
+        let v = plan.run_and_check(&plan.check_options());
+        prop_assert!(v.is_empty(), "churn seed {}: {:?}", seed, v);
     }
 
     /// A permanent random half/half partition never breaks safety (order,

@@ -1,25 +1,18 @@
-//! Deterministic stress sweep: many seeded random scenarios (overlapping
-//! groups, mixed ordering modes, crashes) through the property checker.
-//! Complements the proptest fleet with a fixed, reviewable seed set that
-//! always runs in CI.
+//! Deterministic stress sweep: many seeded classic chaos scenarios
+//! (overlapping groups, mixed ordering modes, crashes, partitions,
+//! departures, latency spikes) through the property checker. Complements
+//! the proptest fleet with a fixed, reviewable seed set that always runs
+//! in CI.
 
-use newtop::harness::checker::{check_all, CheckOptions};
-use newtop::harness::workload::RandomScenario;
+use newtop::harness::chaos::{history_hash, ChaosScenario};
 
 #[test]
 fn thirty_seeded_scenarios_hold_all_properties() {
     let mut failures = Vec::new();
     for seed in 0..30u64 {
-        let spec = RandomScenario {
-            seed: seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(13),
-            n: 3 + (seed % 5) as u32,
-            groups: 1 + (seed % 3) as u32,
-            sends: 8 + (seed % 20) as u32,
-            crash: seed % 3 == 0,
-            mixed_modes: seed % 2 == 0,
-        };
-        let h = spec.run().history();
-        let v = check_all(&h, &CheckOptions::default());
+        let plan =
+            ChaosScenario::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(13)).plan();
+        let v = plan.run_and_check(&plan.check_options());
         if !v.is_empty() {
             failures.push((seed, format!("{v:?}")));
         }
@@ -29,16 +22,9 @@ fn thirty_seeded_scenarios_hold_all_properties() {
 
 #[test]
 fn deterministic_replay_across_full_scenarios() {
-    let spec = RandomScenario {
-        seed: 0xDEAD_BEEF,
-        n: 6,
-        groups: 3,
-        sends: 25,
-        crash: true,
-        mixed_modes: true,
-    };
-    let h1 = spec.run().history();
-    let h2 = spec.run().history();
+    let plan = ChaosScenario::new(0xDEAD_BEEF).plan();
+    let h1 = plan.run().history();
+    let h2 = plan.run().history();
     for p in h1.processes() {
         assert_eq!(
             h1.delivered_mids_all(p),
@@ -46,4 +32,5 @@ fn deterministic_replay_across_full_scenarios() {
             "replay diverged at {p}"
         );
     }
+    assert_eq!(history_hash(&h1), history_hash(&h2));
 }
