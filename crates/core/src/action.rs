@@ -171,6 +171,11 @@ pub struct ProcessStats {
     pub app_sends: u64,
     /// Null messages sent by the time-silence mechanism.
     pub nulls_sent: u64,
+    /// Null sends credited to covered groups: one per numbered multicast
+    /// per group its group covers. Each restarts that group's ω timer as a
+    /// null would, so the group sends no null of its own while the
+    /// covering group talks.
+    pub nulls_covered: u64,
     /// Application messages delivered.
     pub deliveries: u64,
     /// Suspect messages multicast.

@@ -426,6 +426,7 @@ mod tests {
                     suspect: p(9),
                     ln: Msn(0),
                 },
+                upto: Msn(3),
                 recovered: vec![inner],
             },
         });

@@ -18,16 +18,22 @@ use std::sync::Arc;
 /// this map many times per received message; a flat sorted `Vec` beats a
 /// `BTreeMap` on both lookup and iteration at this size while keeping the
 /// deterministic id-ordered iteration the protocol relies on.
+///
+/// The map also owns the covering relation between its groups (see
+/// [`GroupState::covers`]): it is derived from the views alone, so every
+/// insertion and removal recomputes it here, and a view installation calls
+/// [`GroupMap::recompute_covers`].
 #[derive(Debug, Default)]
 pub(crate) struct GroupMap {
     entries: Vec<(GroupId, GroupState)>,
+    /// Group ids with every covering group ahead of the groups it covers
+    /// (the order `tick` visits them in); id order when nothing is covered.
+    tick_order: Vec<GroupId>,
 }
 
 impl GroupMap {
     pub(crate) fn new() -> GroupMap {
-        GroupMap {
-            entries: Vec::new(),
-        }
+        GroupMap::default()
     }
 
     fn pos(&self, g: GroupId) -> Result<usize, usize> {
@@ -50,20 +56,60 @@ impl GroupMap {
     }
 
     pub(crate) fn insert(&mut self, g: GroupId, s: GroupState) -> Option<GroupState> {
-        match self.pos(g) {
+        let old = match self.pos(g) {
             Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, s)),
             Err(i) => {
                 self.entries.insert(i, (g, s));
                 None
             }
-        }
+        };
+        self.recompute_covers();
+        old
     }
 
     pub(crate) fn remove(&mut self, g: &GroupId) -> Option<GroupState> {
-        match self.pos(*g) {
-            Ok(i) => Some(self.entries.remove(i).1),
-            Err(_) => None,
+        let i = self.pos(*g).ok()?;
+        let old = self.entries.remove(i).1;
+        self.recompute_covers();
+        Some(old)
+    }
+
+    /// Recomputes every group's [`GroupState::covers`] list and the tick
+    /// order from the current views. Group `h` covers `g` when `h`'s view
+    /// contains `g`'s; a sole-survivor `g` sends no nulls and is left out.
+    pub(crate) fn recompute_covers(&mut self) {
+        let mut covered_by = vec![0usize; self.entries.len()];
+        for i in 0..self.entries.len() {
+            let h = self.entries[i].1.view.members();
+            let covers: Vec<GroupId> = self
+                .entries
+                .iter()
+                .enumerate()
+                .filter(|(j, (_, g))| *j != i && g.view.len() > 1 && g.view.members().is_subset(h))
+                .map(|(j, (id, _))| {
+                    covered_by[j] += 1;
+                    *id
+                })
+                .collect();
+            self.entries[i].1.covers = covers;
         }
+        // Every group covering `h` also covers whatever `h` strictly
+        // covers, so a strictly covered group has more coverers than its
+        // coverer (groups with equal views cover each other and tie): a
+        // stable sort on that count visits coverers first and keeps id
+        // order among the rest.
+        let mut order: Vec<(usize, GroupId)> = covered_by
+            .into_iter()
+            .zip(self.entries.iter().map(|(id, _)| *id))
+            .collect();
+        order.sort_by_key(|(n, _)| *n);
+        self.tick_order = order.into_iter().map(|(_, id)| id).collect();
+    }
+
+    /// Group ids in the order `tick` visits them: every covering group
+    /// before the groups it covers.
+    pub(crate) fn tick_order(&self) -> &[GroupId] {
+        &self.tick_order
     }
 
     pub(crate) fn keys(&self) -> impl Iterator<Item = &GroupId> {
@@ -226,6 +272,13 @@ pub(crate) struct GroupState {
     pub own_unstable: BTreeSet<Msn>,
     /// Set once the member has announced departure; no further sends.
     pub departing: bool,
+    /// The other groups this group *covers*: those whose view is contained
+    /// in this group's view (maintained by [`GroupMap`]). A numbered
+    /// multicast here is the ω null of each of them — at the sender it
+    /// counts as a send there, and a receiver that got it straight off the
+    /// sender's FIFO link applies a null's receive effects there. Derived
+    /// from the views, so not digested.
+    pub covers: Vec<GroupId>,
     /// The stability bound already applied by [`GroupState::on_stability_advance`];
     /// receives whose piggybacked `ldn` does not move `min SV` skip the
     /// garbage-collection pass entirely (the common case — most receives
@@ -280,6 +333,7 @@ impl GroupState {
             parked_requests: VecDeque::new(),
             own_unstable: BTreeSet::new(),
             departing: false,
+            covers: Vec::new(),
             last_stable: Msn::ZERO,
             timer_cache: Cell::new(None),
         }
@@ -444,6 +498,17 @@ impl GroupState {
         set
     }
 
+    /// Whether `p` is in an adopted-but-not-yet-installed detection — the
+    /// membership test of [`GroupState::failed_union`] without building
+    /// the set.
+    pub(crate) fn is_failed(&self, p: ProcessId) -> bool {
+        self.install_queue.iter().any(|i| i.failed.contains(&p))
+            || self
+                .asym_awaiting
+                .iter()
+                .any(|d| d.iter().any(|s| s.suspect == p))
+    }
+
     /// The §6 signed view `ϑ_i`.
     pub(crate) fn signed_view(&self) -> SignedView {
         SignedView::new(self.view.iter(), self.excluded_count)
@@ -513,9 +578,10 @@ impl StateDigest for PendingInstall {
 
 impl StateDigest for GroupState {
     fn digest_into(&self, h: &mut DigestHasher) {
-        // Every field in declaration order, except `timer_cache` (memoised
-        // derived state — two states must not hash apart just because one
-        // has read its deadline since the last mutation). `last_stable` IS
+        // Every field in declaration order, except `covers` (derived from
+        // the views of all groups) and `timer_cache` (memoised derived
+        // state — two states must not hash apart just because one has
+        // read its deadline since the last mutation). `last_stable` IS
         // digested: it gates the O(1) fast path of `on_stability_advance`,
         // so it influences future garbage collection.
         self.cfg.digest_into(h);
@@ -656,6 +722,7 @@ mod tests {
             ln: Msn(2),
         }]);
         assert_eq!(gs.failed_union(), [p(1), p(3)].into());
+        assert!(gs.is_failed(p(1)) && gs.is_failed(p(3)) && !gs.is_failed(p(2)));
     }
 
     #[test]

@@ -25,7 +25,7 @@ impl Process {
         if suspect == me
             || gs.suspicions.contains_key(&suspect)
             || !gs.view.contains(suspect)
-            || gs.failed_union().contains(&suspect)
+            || gs.is_failed(suspect)
         {
             return;
         }
@@ -58,7 +58,7 @@ impl Process {
         let Some(gs) = self.groups.get_mut(&group) else {
             return;
         };
-        if !gs.view.contains(pair.suspect) || gs.failed_union().contains(&pair.suspect) {
+        if !gs.view.contains(pair.suspect) || gs.is_failed(pair.suspect) {
             return;
         }
         gs.supporters
@@ -79,7 +79,8 @@ impl Process {
     }
 
     /// Emits `(i, refute, {P_k, ln})` with every retained message of `P_k`
-    /// piggybacked (steps (iii)/(iv)).
+    /// piggybacked (steps (iii)/(iv)) and our `RV[k]` as the refute's
+    /// `upto`.
     ///
     /// The piggyback is *all* of `P_k`'s retained (= unstable) messages,
     /// not just those above `ln`: the refute is a multicast, and a third
@@ -95,10 +96,12 @@ impl Process {
             return;
         };
         let recovered = gs.retention.above(pair.suspect, Msn::ZERO);
+        let upto = gs.rv.get(pair.suspect);
         self.send_numbered(
             group,
             |_| MessageBody::Refute {
                 suspicion: pair,
+                upto,
                 recovered,
             },
             out,
@@ -107,12 +110,13 @@ impl Process {
     }
 
     /// Step (iv): a refutation of `pair` arrived from `from`, carrying the
-    /// suspect's missing messages.
+    /// suspect's missing messages and the refuter's `RV[k]` as `upto`.
     pub(crate) fn on_refute(
         &mut self,
         group: GroupId,
         from: ProcessId,
         pair: Suspicion,
+        upto: Msn,
         recovered: Vec<Message>,
         out: &mut Vec<Action>,
     ) {
@@ -120,7 +124,7 @@ impl Process {
             let Some(gs) = self.groups.get(&group) else {
                 return;
             };
-            if !gs.view.contains(pair.suspect) || gs.failed_union().contains(&pair.suspect) {
+            if !gs.view.contains(pair.suspect) || gs.is_failed(pair.suspect) {
                 return;
             }
         }
@@ -141,6 +145,20 @@ impl Process {
         let Some(gs) = self.groups.get_mut(&group) else {
             return;
         };
+        // The refuter held every message of the suspect numbered up to
+        // `upto` and piggybacked each unstable one; the stable ones are
+        // everywhere already. With the piggyback integrated we hold them
+        // all too, so `upto` is ours to adopt. (Its last step may have been
+        // an implicit null that no retained message records — without the
+        // adoption the refute would not lift the suspicion, and the
+        // members would re-raise and withdraw it every Ω.) Adopting before
+        // the integration would drop the piggyback as duplicates.
+        if !upto.is_infinite() {
+            gs.rv.advance(pair.suspect, upto);
+            if gs.cfg.mode == OrderMode::Asymmetric && gs.sequencer() == Some(pair.suspect) {
+                gs.d_asym = gs.d_asym.max(upto);
+            }
+        }
         gs.supporters.remove(&(pair.suspect, pair.ln));
         // A refuted pair can never be confirmed (a confirm requires
         // unanimous support at that exact ln); drop stale pending confirms
@@ -580,6 +598,10 @@ impl Process {
         let old_sequencer = gs.sequencer();
         gs.view = gs.view.excluding(failed.clone());
         gs.touch_timers();
+        self.groups.recompute_covers();
+        let Some(gs) = self.groups.get_mut(&group) else {
+            return;
+        };
         gs.excluded_count += failed.len() as u32;
         for pk in &failed {
             gs.rv.remove(*pk);
@@ -716,10 +738,7 @@ impl Process {
         let Some(gs) = self.groups.get_mut(&group) else {
             return;
         };
-        if gs.suspicions.contains_key(&from)
-            || !gs.view.contains(from)
-            || gs.failed_union().contains(&from)
-        {
+        if gs.suspicions.contains_key(&from) || !gs.view.contains(from) || gs.is_failed(from) {
             return;
         }
         // The receive path has already advanced RV[from] to c.
@@ -752,7 +771,7 @@ impl Process {
         let pk = rm.sender;
         if rm.group != group
             || !gs.view.contains(pk)
-            || gs.failed_union().contains(&pk)
+            || gs.is_failed(pk)
             || matches!(rm.body, MessageBody::SeqRequest { .. })
         {
             return;

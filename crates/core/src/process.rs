@@ -337,9 +337,11 @@ impl Process {
     pub fn tick_into(&mut self, now: Instant, out: &mut Vec<Action>) {
         self.observe_time(now);
         self.formation_tick(out);
+        // Covering groups tick first: a null sent there restarts the ω
+        // timer of every group it covers, which then stays silent.
         let mut gids = std::mem::take(&mut self.scratch_gids);
         gids.clear();
-        gids.extend(self.groups.keys().copied());
+        gids.extend_from_slice(self.groups.tick_order());
         for gid in &gids {
             self.group_tick(*gid, out);
         }
@@ -596,13 +598,23 @@ impl Process {
         let c = self.lc.advance_for_send();
         let me = self.id;
         let now = self.now;
+        let Some(gs) = self.groups.get(&group) else {
+            return c;
+        };
+        // m.ldn = D_{x,i}, capped at the clock (the paper's D <= LC): an
+        // unconstrained D (sole survivor) reports the clock itself. The
+        // message is also the ω null of every covered group, where its
+        // ldn is a stability report too, so it is capped by their D.
+        let ldn = gs
+            .covers
+            .iter()
+            .filter_map(|g| self.groups.get(g))
+            .fold(gs.d_x().min(c), |ldn, cg| ldn.min(cg.d_x()));
+        self.credit_covered_groups(group, c, ldn);
         let Some(gs) = self.groups.get_mut(&group) else {
             return c;
         };
         let body = mk_body(c);
-        // m.ldn = D_{x,i}, capped at the clock (the paper's D <= LC): an
-        // unconstrained D (sole survivor) reports the clock itself.
-        let ldn = gs.d_x().min(c);
         let m = Arc::new(Message {
             group,
             sender: me,
@@ -641,6 +653,81 @@ impl Process {
             _ => {}
         }
         c
+    }
+
+    /// The sender side of the covering rule: multicast `c` (with `ldn`) in
+    /// `group` counts as a null send in every group `group` covers — the
+    /// own receive and seen entries advance, the ω timer restarts, and a
+    /// covered asymmetric group's sequencer advances its own stream
+    /// position, exactly as [`Process::send_numbered`] does for a null.
+    ///
+    /// Only an active `group` stands in: every member has then sent its
+    /// start-group message, so every member holds the group and applies
+    /// the implicit nulls. Before that a member may still be voting, and a
+    /// formation that fails there would leave the covered groups silent.
+    fn credit_covered_groups(&mut self, group: GroupId, c: Msn, ldn: Msn) {
+        if self
+            .groups
+            .get(&group)
+            .is_none_or(|gs| gs.phase != GroupPhase::Active)
+        {
+            return;
+        }
+        let me = self.id;
+        let now = self.now;
+        let mut i = 0;
+        while let Some(g) = self.groups.get(&group).and_then(|gs| gs.covers.get(i)) {
+            let g = *g;
+            i += 1;
+            let Some(cg) = self.groups.get_mut(&g) else {
+                continue;
+            };
+            cg.rv.advance(me, c);
+            cg.sv.advance(me, ldn);
+            cg.last_send = now;
+            cg.touch_timers();
+            if cg.cfg.mode == OrderMode::Asymmetric && cg.is_sequencer() {
+                cg.d_asym = cg.d_asym.max(c);
+            }
+            self.stats.nulls_covered += 1;
+        }
+    }
+
+    /// The receive side of the covering rule: multicast `c` (with `ldn`)
+    /// from `from` in `group`, taken straight off the FIFO link from
+    /// `from`, is the ω null of every group `group` covers in which `from`
+    /// is unsuspected and not failed. `from` numbers all its sends from
+    /// one clock and the link is FIFO across groups, so every message
+    /// `from` numbered below `c` in a covered group has already arrived
+    /// and none can still come: a null's receive effects apply.
+    fn apply_implicit_nulls(
+        &mut self,
+        group: GroupId,
+        from: ProcessId,
+        c: Msn,
+        ldn: Msn,
+        out: &mut Vec<Action>,
+    ) {
+        let now = self.now;
+        let mut i = 0;
+        while let Some(g) = self.groups.get(&group).and_then(|gs| gs.covers.get(i)) {
+            let g = *g;
+            i += 1;
+            let Some(cg) = self.groups.get_mut(&g) else {
+                continue;
+            };
+            if !cg.view.contains(from) || cg.suspicions.contains_key(&from) || cg.is_failed(from) {
+                continue;
+            }
+            cg.rv.advance(from, c);
+            cg.sv.advance(from, ldn);
+            cg.on_stability_advance();
+            if cg.cfg.mode == OrderMode::Asymmetric && cg.sequencer() == Some(from) {
+                cg.d_asym = cg.d_asym.max(c);
+            }
+            cg.note_heard(from, now);
+            self.refute_scan(g, from, out);
+        }
     }
 
     /// Routes a deliverable-class message into the ordered buffer (total
@@ -765,10 +852,11 @@ impl Process {
             }
             MessageBody::Refute {
                 suspicion,
+                upto,
                 recovered,
             } => {
-                let (suspicion, recovered) = (*suspicion, recovered.clone());
-                self.on_refute(group, from, suspicion, recovered, out);
+                let (suspicion, upto, recovered) = (*suspicion, *upto, recovered.clone());
+                self.on_refute(group, from, suspicion, upto, recovered, out);
             }
             MessageBody::Confirmed { detection } => {
                 let detection = detection.clone();
@@ -800,7 +888,7 @@ impl Process {
             }
             return;
         };
-        if !gs.view.contains(from) || gs.failed_union().contains(&from) {
+        if !gs.view.contains(from) || gs.is_failed(from) {
             // "Pi discards any messages received from Pk and GVk, if either
             // Pk ∈ failed or Pk ∉ Vi" (§5.2).
             return;
@@ -811,7 +899,16 @@ impl Process {
             gs.pending_from.entry(from).or_default().push(m);
             return;
         }
+        // Sequencer requests are unicasts that advance no receive vector,
+        // so they stand in for no null.
+        let implicit = !gs.covers.is_empty()
+            && from != self.id
+            && !matches!(m.body, MessageBody::SeqRequest { .. });
+        let (c, ldn) = (m.c, m.ldn);
         self.integrate_live_message(group, from, m, out);
+        if implicit {
+            self.apply_implicit_nulls(group, from, c, ldn, out);
+        }
     }
 
     /// Removes a now-sequenced request from the outstanding queue and marks
@@ -1217,15 +1314,19 @@ impl Process {
 /// A null's entire receive-side effect is monotone bookkeeping: the
 /// logical clock observes `c`, the receive vector advances to `c`, the
 /// seen vector advances to the null's `ldn`, and liveness (`note_heard`,
-/// refutation condition (iii)) is refreshed — a null is never delivered
-/// or retained for recovery. Any later numbered message from the same
-/// sender in the same group carries a strictly higher `c` and a `ldn` at
-/// least as high (both are non-decreasing per sender within a view, and
-/// views only shrink), so every one of those maxima lands at the same
-/// final value with or without the null. Sequencer unicast requests are
-/// the one exception: they deliberately do **not** advance the receive
-/// vector (only multicasts count toward suspicion `ln` comparability),
-/// so they cannot stand in for a null.
+/// refutation condition (iii)) is refreshed. A null is never delivered.
+/// It *is* retained for recovery, and a refute may piggyback it — but the
+/// superseding message is retained too and carries a higher `c`, so a
+/// piggyback that would have carried the null carries the later message,
+/// which moves a recovering receiver's vectors past the null just as well.
+/// Any later numbered message from the same sender in the same group
+/// carries a strictly higher `c` and a `ldn` at least as high (both are
+/// non-decreasing per sender within a view, and views only shrink), so
+/// every one of those maxima lands at the same final value with or
+/// without the null. Sequencer unicast requests are the one exception:
+/// they deliberately do **not** advance the receive vector (only
+/// multicasts count toward suspicion `ln` comparability), so they cannot
+/// stand in for a null.
 ///
 /// Transports use this to drop a queued standalone null when a data
 /// frame to the same destination is already coalescing in the same

@@ -617,7 +617,8 @@ struct McArgs {
 const MC: Spec<McArgs> = Spec {
     synopsis: "mc [options]",
     about: "Exhaustive small-scope model check. Explores every interleaving of one
-group over N processes within the budgets, deduping on the canonical state
+group over N processes (with --nested, of a second group nested inside it)
+within the budgets, deduping on the canonical state
 digest and running the safety checker plus the engine invariant audit at
 every state. A violation is ddmin-shrunk and written as a chaos replay
 script (see newtop-exp chaos --help).",
@@ -628,7 +629,10 @@ script (see newtop-exp chaos --help).",
                 n @ 2..=4 => { a.cfg.nodes = n; Ok(()) }
                 _ => Err("must be 2..=4 (small-scope checker)".into()),
             },
-            "processes, all in one group (default 3)"),
+            "processes, all in group 1 (default 3)"),
+        switch("--nested", |a| a.cfg.nested = true,
+            "add group 2 = {P1, P2} inside group 1, whose multicasts stand in for \
+             group 2's nulls; odd-numbered sends by P1 and P2 go to group 2"),
         value("--max-msgs", "K", |a, v| num(v).map(|k| a.cfg.max_msgs = k),
             "application-multicast budget (default 2)"),
         value("--max-crashes", "K", |a, v| num(v).map(|k| a.cfg.max_crashes = k),
@@ -675,8 +679,10 @@ fn mc_main(args: &[String]) -> ExitCode {
         McStrategy::Iddfs => "iddfs",
     };
     eprintln!(
-        "mc: nodes={} max-msgs={} max-crashes={} max-wakes={} depth={} strategy={strategy}",
+        "mc: nodes={} nested={} max-msgs={} max-crashes={} max-wakes={} depth={} \
+         strategy={strategy}",
         cfg.nodes,
+        cfg.nested,
         cfg.max_msgs,
         cfg.max_crashes,
         cfg.max_wakes,

@@ -15,9 +15,12 @@
 //! timestamp (`max` with the current clock), so out-of-order firing models
 //! arbitrary asynchrony — a "late" event simply executes late.
 //!
-//! The scope is one group over all `n` processes. Application sends are
-//! canonicalised: send `k` is issued by process `(k mod n) + 1` and only
-//! the next `k` is ever enabled, so the explorer spends its budget on
+//! The scope is one group over all `n` processes, plus — in the *nested*
+//! scope — group 2 = {P1, P2} inside it, so that group 1's multicasts
+//! stand in for group 2's ω nulls. Application sends are canonicalised:
+//! send `k` is issued by process `(k mod n) + 1` (in group 2 when `k` is
+//! odd and the sender is a member of the nested scope's inner group) and
+//! only the next `k` is ever enabled, so the explorer spends its budget on
 //! *interleavings* (which is where the protocol lives) rather than on the
 //! symmetric choice of who speaks.
 //!
@@ -82,8 +85,11 @@ pub enum McStrategy {
 /// The exploration scope: everything that bounds the state space.
 #[derive(Debug, Clone, Copy)]
 pub struct McConfig {
-    /// Processes `P1..=Pn`, all members of the single group.
+    /// Processes `P1..=Pn`, all members of group 1.
     pub nodes: u32,
+    /// Adds group 2 = {P1, P2}, covered by group 1, with the same ordering
+    /// variant and timers.
+    pub nested: bool,
     /// Application-multicast budget.
     pub max_msgs: u32,
     /// Crash budget.
@@ -114,6 +120,7 @@ impl McConfig {
     pub fn new(nodes: u32) -> McConfig {
         McConfig {
             nodes,
+            nested: false,
             max_msgs: 2,
             max_crashes: 1,
             max_wakes: 0,
@@ -139,19 +146,39 @@ impl McConfig {
         (self.nodes * self.max_msgs + self.max_crashes + 2 * self.max_wakes) as usize
     }
 
+    /// The groups of this scope: group 1 over every node, and in the
+    /// nested scope group 2 = {P1, P2}.
+    fn topology(&self) -> Vec<GroupSpec> {
+        let group = |id, members| GroupSpec {
+            group: GroupId(id),
+            mode: self.mode,
+            omega_us: self.omega_us,
+            big_omega_us: self.big_omega_us,
+            members,
+        };
+        let mut groups = vec![group(1, (1..=self.nodes).collect())];
+        if self.nested {
+            groups.push(group(2, vec![1, 2]));
+        }
+        groups
+    }
+
+    /// The group canonical send `k` from `from` goes to.
+    fn send_group(&self, k: u32, from: u32) -> GroupId {
+        if self.nested && k % 2 == 1 && from <= 2 {
+            GroupId(2)
+        } else {
+            GroupId(1)
+        }
+    }
+
     /// Wraps a schedule in a replayable plan over this scope.
     #[must_use]
     pub fn plan(&self, schedule: &[McStep]) -> ChaosPlan {
         ChaosPlan {
             seed: self.seed,
             n: self.nodes,
-            topology: vec![GroupSpec {
-                group: GroupId(1),
-                mode: self.mode,
-                omega_us: self.omega_us,
-                big_omega_us: self.big_omega_us,
-                members: (1..=self.nodes).collect(),
-            }],
+            topology: self.topology(),
             sends: Vec::new(),
             faults: Vec::new(),
             wan: None,
@@ -221,7 +248,7 @@ fn enabled_steps(cfg: &McConfig, cluster: &SimCluster, schedule: &[McStep]) -> V
         if !cluster.is_crashed(from) {
             steps.push(McStep::Send {
                 from,
-                group: GroupId(1),
+                group: cfg.send_group(msgs, from),
                 mid: u64::from(msgs),
             });
         }
@@ -522,6 +549,29 @@ mod tests {
             !check_all(&h, &opts).is_empty(),
             "shrunk schedule still violates"
         );
+    }
+
+    /// The nested scope: group 1's traffic and ω nulls stand in for
+    /// group 2's, under every interleaving with a crash, in both ordering
+    /// variants. (CI's mc job runs the two-wake version.)
+    #[test]
+    fn nested_scope_exhausts_green() {
+        for mode in [OrderMode::Symmetric, OrderMode::Asymmetric] {
+            let mut cfg = McConfig::new(3);
+            cfg.nested = true;
+            cfg.mode = mode;
+            cfg.max_msgs = 2;
+            cfg.max_crashes = 1;
+            cfg.max_wakes = 1;
+            let plan = cfg.plan(&[]);
+            assert_eq!(plan.topology.len(), 2);
+            assert_eq!(plan.topology[1].members, vec![1, 2]);
+            assert_eq!(cfg.send_group(1, 2), GroupId(2));
+            assert_eq!(cfg.send_group(2, 3), GroupId(1));
+            let r = explore(&cfg);
+            assert!(r.complete, "{mode:?}: {r:?}");
+            assert!(r.violation.is_none(), "{mode:?}: {:?}", r.violation);
+        }
     }
 
     #[test]

@@ -375,13 +375,13 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), String> {
     );
     let listener = TcpListener::bind(cfg.ctrl[cfg.me])
         .map_err(|e| format!("bind control plane {}: {e}", cfg.ctrl[cfg.me]))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("control listener: {e}"))?;
     let stop = Arc::new(AtomicBool::new(false));
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
+    loop {
+        // Blocking accept: the shutdown op raises `stop` and then dials
+        // this listener once to wake it.
         match listener.accept() {
+            Ok(_) if stop.load(Ordering::Relaxed) => break,
             Ok((conn, _)) => {
                 let running = Arc::clone(&running);
                 let hosted = hosted.clone();
@@ -393,9 +393,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), String> {
                         .expect("spawn ctrl handler"),
                 );
             }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // A transient failure (say, out of descriptors): back off.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -637,6 +635,15 @@ fn handle_op(
         Some(OP_SHUTDOWN) => {
             let _ = write_record(writer, &[REC_BYE]);
             stop.store(true, Ordering::Relaxed);
+            // Wake the blocking accept in `serve`: this connection's own
+            // local address is the control listener's.
+            let listener = writer
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .local_addr();
+            if let Ok(addr) = listener {
+                let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+            }
             false
         }
         _ => false, // unknown op: drop the connection

@@ -239,12 +239,22 @@ pub(crate) struct NetRuntime {
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
     acceptor: Arc<Acceptor>,
+    /// Where to dial to wake the accept loop's blocking `accept`.
+    listener: SocketAddr,
 }
 
 impl NetRuntime {
+    /// Raises the stop flag and, the first time, dials the listener once
+    /// so the accept loop returns from its blocking `accept` and sees it.
+    fn raise_stop(&self) {
+        if !self.stop.swap(true, Ordering::Relaxed) {
+            let _ = TcpStream::connect_timeout(&self.listener, Duration::from_secs(1));
+        }
+    }
+
     /// Signals every link thread to exit and joins them all.
     pub(crate) fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.raise_stop();
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -257,9 +267,10 @@ impl NetRuntime {
 
 impl Drop for NetRuntime {
     /// Dropping without [`NetRuntime::stop`] still signals the threads
-    /// to exit (detached: every loop polls the flag within ~50 ms).
+    /// to exit (detached: the accept loop is woken, every other loop
+    /// polls the flag within ~50 ms).
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.raise_stop();
     }
 }
 
@@ -307,7 +318,13 @@ pub(crate) fn start(
             }
         }
     };
-    listener.set_nonblocking(true)?;
+    let mut listener_addr = listener.local_addr()?;
+    if listener_addr.ip().is_unspecified() {
+        listener_addr.set_ip(match listener_addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
     let mut threads = Vec::new();
     let mut links: Vec<Option<Arc<PeerLink>>> = (0..cfg.peers.len()).map(|_| None).collect();
     for (k, &addr) in cfg.peers.iter().enumerate() {
@@ -381,6 +398,7 @@ pub(crate) fn start(
             stop,
             threads,
             acceptor,
+            listener: listener_addr,
         },
     ))
 }
@@ -616,11 +634,14 @@ fn writer_main(
 // Inbound: accept loop + per-connection ingress threads.
 // ---------------------------------------------------------------------
 
+/// Blocking accept loop; [`NetRuntime`] wakes it on stop by dialling
+/// the listener once.
 fn accept_main(ctx: &Arc<Acceptor>, listener: &TcpListener) {
-    while !ctx.stop.load(Ordering::Relaxed) {
+    loop {
         match listener.accept() {
+            Ok(_) if ctx.stop.load(Ordering::Relaxed) => return,
             Ok((stream, _)) => accept_conn(ctx, stream),
-            Err(e) if would_block(&e) => std::thread::sleep(Duration::from_millis(5)),
+            // A transient failure (say, out of descriptors): back off.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }

@@ -65,22 +65,25 @@ fn batched_delivery_matches_send_order() {
     );
 }
 
-/// Two groups with the same two members and a fast ω: each tick of a
-/// node emits one null per group, both bound for the same peer, and the
-/// egress must ship them as **one** two-envelope null-only frame. This
-/// pins the batching observables the PR claims: mean occupancy above 1
-/// and counted null-only frames.
+/// Four groups of three over four nodes, one node per shard: every pair
+/// of nodes shares exactly two groups, and no group's view contains
+/// another's, so no multicast stands in for another group's null. Each
+/// tick of a node emits one null per group, and for every peer two of
+/// them are bound for that peer: the egress must ship them as **one**
+/// two-envelope null-only frame. This pins the batching observables:
+/// mean occupancy above 1 and counted null-only frames.
 #[test]
 fn co_located_group_nulls_coalesce() {
-    let mut cluster = Cluster::with_config(ClusterConfig::new().shards(1));
-    cluster.add_process(p(1));
-    cluster.add_process(p(2));
-    cluster
-        .bootstrap_group(GroupId(1), [p(1), p(2)], cfg(1))
-        .unwrap();
-    cluster
-        .bootstrap_group(GroupId(2), [p(1), p(2)], cfg(1))
-        .unwrap();
+    let mut cluster = Cluster::with_config(ClusterConfig::new().shards(4));
+    for i in 1..=4 {
+        cluster.add_process(p(i));
+    }
+    let groups = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]];
+    for (g, members) in (1..).zip(groups) {
+        cluster
+            .bootstrap_group(GroupId(g), members.map(p), cfg(1))
+            .unwrap();
+    }
     let cluster = cluster.start();
     std::thread::sleep(Duration::from_millis(300));
     let stats = cluster.wire_stats();

@@ -339,10 +339,12 @@ impl StateDigest for MessageBody {
             }
             MessageBody::Refute {
                 suspicion,
+                upto,
                 recovered,
             } => {
                 h.write_u8(5);
                 suspicion.digest_into(h);
+                upto.digest_into(h);
                 recovered.digest_into(h);
             }
             MessageBody::Confirmed { detection } => {

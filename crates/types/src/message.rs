@@ -90,9 +90,12 @@ impl Message {
     #[must_use]
     pub fn for_retention(&self) -> Message {
         match &self.body {
-            MessageBody::Refute { suspicion, .. } => Message {
+            MessageBody::Refute {
+                suspicion, upto, ..
+            } => Message {
                 body: MessageBody::Refute {
                     suspicion: *suspicion,
+                    upto: *upto,
                     recovered: Vec::new(),
                 },
                 ..self.clone()
@@ -152,12 +155,18 @@ pub enum MessageBody {
     /// Membership step (i): the sender suspects `suspicion.suspect`.
     Suspect(Suspicion),
     /// Membership steps (iii)/(iv): the sender refutes `suspicion`, with the
-    /// suspect's retained unstable messages above `suspicion.ln` piggybacked
-    /// for recovery.
+    /// suspect's retained unstable messages piggybacked for recovery.
     Refute {
         /// The suspicion being refuted.
         suspicion: Suspicion,
-        /// Retained messages of the suspect with `c > suspicion.ln`.
+        /// The refuter's receive-vector entry for the suspect. The refuter
+        /// holds every message of the suspect in this group numbered up to
+        /// `upto` and piggybacks each one that is not yet stable, so a
+        /// receiver that has integrated `recovered` may adopt `upto` as its
+        /// own entry — even where the last step of that entry was an
+        /// implicit null that no retained message records.
+        upto: Msn,
+        /// Retained messages of the suspect.
         recovered: Vec<Message>,
     },
     /// Membership steps (v)/(vi): the sender has confirmed `detection` as an
@@ -203,8 +212,9 @@ impl fmt::Display for MessageBody {
             MessageBody::Suspect(s) => write!(f, "suspect{s}"),
             MessageBody::Refute {
                 suspicion,
+                upto,
                 recovered,
-            } => write!(f, "refute{suspicion}+{}", recovered.len()),
+            } => write!(f, "refute{suspicion}^{upto}+{}", recovered.len()),
             MessageBody::Confirmed { detection } => {
                 write!(f, "confirmed({} pairs)", detection.len())
             }
@@ -385,6 +395,7 @@ mod tests {
                 suspect: ProcessId(9),
                 ln: Msn(1),
             },
+            upto: Msn(4),
             recovered: vec![inner],
         });
         let kept = refute.for_retention();

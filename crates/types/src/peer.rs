@@ -32,8 +32,11 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 /// Protocol magic opening every [`Hello`].
 pub const PEER_MAGIC: [u8; 4] = *b"NTOP";
 
-/// Peer-session protocol version carried in every [`Hello`].
-pub const PEER_VERSION: u8 = 1;
+/// Peer-session protocol version carried in every [`Hello`]. It also
+/// covers the frames' message encoding, so peers built with different
+/// encodings refuse each other at the handshake (2: refutes carry
+/// `upto`).
+pub const PEER_VERSION: u8 = 2;
 
 /// Encoded size of a [`Hello`]: magic (4) + version (1) + peer (4)
 /// + nonce (8) + resume (8).

@@ -194,10 +194,12 @@ fn put_message(buf: &mut BytesMut, m: &Message) {
         }
         MessageBody::Refute {
             suspicion,
+            upto,
             recovered,
         } => {
             buf.put_u8(BODY_REFUTE);
             put_suspicion(buf, suspicion);
+            put_varint(buf, upto.0);
             put_varint(buf, recovered.len() as u64);
             for r in recovered {
                 put_message(buf, r);
@@ -240,6 +242,7 @@ fn get_message(buf: &mut Bytes) -> Result<Message, DecodeError> {
         BODY_SUSPECT => MessageBody::Suspect(get_suspicion(buf)?),
         BODY_REFUTE => {
             let suspicion = get_suspicion(buf)?;
+            let upto = Msn(get_varint(buf)?);
             let n = get_varint(buf)? as usize;
             let mut recovered = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
@@ -247,6 +250,7 @@ fn get_message(buf: &mut Bytes) -> Result<Message, DecodeError> {
             }
             MessageBody::Refute {
                 suspicion,
+                upto,
                 recovered,
             }
         }
@@ -546,9 +550,11 @@ fn message_len(m: &Message) -> usize {
             MessageBody::Suspect(s) => suspicion_len(s),
             MessageBody::Refute {
                 suspicion,
+                upto,
                 recovered,
             } => {
                 suspicion_len(suspicion)
+                    + varint_len(upto.0)
                     + varint_len(recovered.len() as u64)
                     + recovered.iter().map(message_len).sum::<usize>()
             }
@@ -868,6 +874,7 @@ mod tests {
             MessageBody::Suspect(s),
             MessageBody::Refute {
                 suspicion: s,
+                upto: Msn(43),
                 recovered: vec![app(42, b"lost")],
             },
             MessageBody::Confirmed { detection: vec![s] },

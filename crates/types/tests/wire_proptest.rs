@@ -66,8 +66,16 @@ fn arb_message(body: impl Strategy<Value = MessageBody>) -> impl Strategy<Value 
 fn arb_body() -> impl Strategy<Value = MessageBody> {
     prop_oneof![
         4 => arb_leaf_body(),
-        1 => (arb_suspicion(), proptest::collection::vec(arb_message(arb_leaf_body()), 0..4))
-            .prop_map(|(suspicion, recovered)| MessageBody::Refute { suspicion, recovered }),
+        1 => (
+            arb_suspicion(),
+            (0..u64::MAX / 2).prop_map(Msn),
+            proptest::collection::vec(arb_message(arb_leaf_body()), 0..4),
+        )
+            .prop_map(|(suspicion, upto, recovered)| MessageBody::Refute {
+                suspicion,
+                upto,
+                recovered,
+            }),
     ]
 }
 

@@ -51,6 +51,7 @@ fn all_variants() -> Vec<Envelope> {
         Envelope::from(msg(MessageBody::Suspect(s))),
         Envelope::from(msg(MessageBody::Refute {
             suspicion: s,
+            upto: Msn(12),
             recovered: vec![
                 msg(MessageBody::Null),
                 msg(MessageBody::App(Bytes::from_static(b"recovered"))),

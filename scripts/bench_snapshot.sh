@@ -4,11 +4,15 @@
 # the repo root. Committed snapshots (BENCH_PR2.json onwards) form the perf
 # trajectory every later optimisation PR is judged against.
 #
-# Usage: scripts/bench_snapshot.sh [output.json]   (default: BENCH_PR8.json)
+# Usage: scripts/bench_snapshot.sh OUTPUT.json   (relative to the repo root)
 set -euo pipefail
+if [ "$#" -ne 1 ]; then
+    echo "usage: $0 OUTPUT.json" >&2
+    exit 2
+fi
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR8.json}"
+out="$1"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
