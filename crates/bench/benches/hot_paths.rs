@@ -176,23 +176,30 @@ fn bench_engine_throughput(c: &mut Criterion) {
 }
 
 fn bench_membership_agreement(c: &mut Criterion) {
+    // `crash_exclusion_setup` runs the same script without the crash —
+    // bootstrap plus Ω of time-silence traffic — so the agreement's own
+    // cost is the difference between the two rows.
     let mut group = c.benchmark_group("membership_crash_to_view");
     group.sample_size(10);
-    for n in [4u32, 8, 16] {
-        group.bench_with_input(BenchmarkId::new("crash_exclusion", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut net = TestNet::new(1..=n);
-                net.bootstrap_group(
-                    GroupId(1),
-                    &(1..=n).collect::<Vec<_>>(),
-                    GroupConfig::new(OrderMode::Symmetric),
-                );
-                net.advance_past_omega(GroupId(1));
-                net.crash(n);
-                net.advance_past_big_omega(GroupId(1));
-                black_box(net.view_history(1, GroupId(1)).len())
+    for n in [4u32, 8, 16, 32] {
+        for (name, crash) in [("crash_exclusion", true), ("crash_exclusion_setup", false)] {
+            group.bench_with_input(BenchmarkId::new(name, n), &n, |b, &n| {
+                b.iter(|| {
+                    let mut net = TestNet::new(1..=n);
+                    net.bootstrap_group(
+                        GroupId(1),
+                        &(1..=n).collect::<Vec<_>>(),
+                        GroupConfig::new(OrderMode::Symmetric),
+                    );
+                    net.advance_past_omega(GroupId(1));
+                    if crash {
+                        net.crash(n);
+                    }
+                    net.advance_past_big_omega(GroupId(1));
+                    black_box(net.view_history(1, GroupId(1)).len())
+                });
             });
-        });
+        }
     }
     group.finish();
 }

@@ -3,7 +3,8 @@
 //! of the part the paper defers to its technical report).
 
 use newtop_core::testkit::TestNet;
-use newtop_types::{GroupConfig, GroupId, OrderMode, ProcessId};
+use newtop_core::ProtocolEvent;
+use newtop_types::{GroupConfig, GroupId, OrderMode, ProcessId, Span};
 
 const GA: GroupId = GroupId(1);
 const GS: GroupId = GroupId(2);
@@ -210,4 +211,111 @@ fn generic_version_mixes_modes_consistently() {
     assert_eq!(order(1).len(), 3);
     assert_eq!(order(1), order(2));
     assert_eq!(order(1), order(3));
+}
+
+/// The detections `p` adopted in `g`, each as its sorted suspect ids.
+fn adopted(net: &TestNet, p: u32, g: GroupId) -> Vec<Vec<u32>> {
+    net.events(p)
+        .into_iter()
+        .filter_map(|e| match e {
+            ProtocolEvent::DetectionAdopted { group, detection } if group == g => {
+                Some(detection.iter().map(|s| s.suspect.0).collect())
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+fn members(net: &TestNet, p: u32, g: GroupId) -> Vec<u32> {
+    net.proc(p)
+        .view(g)
+        .expect("member")
+        .iter()
+        .map(|q| q.0)
+        .collect()
+}
+
+/// Holds `held`'s installs in `GA` back: `GS = {held, 5}` is a symmetric
+/// group whose `D` stays frozen at `held` while `5 → held` is cut (its
+/// Ω is far beyond the test, so nobody is suspected there), and a relay
+/// the sequencer P1 multicasts next is then buffered at `held` above
+/// `D_i` — below any agreed bound on P1's stream, so the step-(viii)
+/// barrier of P1's exclusion cannot pass until the link comes back.
+fn net_with_held_member(held: u32) -> TestNet {
+    let mut net = TestNet::new([1, 2, 3, 4, 5]);
+    net.bootstrap_group(GA, &[1, 2, 3, 4], asym());
+    net.bootstrap_group(GS, &[held, 5], sym().with_big_omega(Span::from_secs(60)));
+    net.multicast(3, GA, b"warm");
+    net.advance_past_omega(GS);
+    net.advance_past_omega(GS);
+    assert_eq!(payloads(&net, held, GA), vec!["warm"]);
+    net.block_link(5, held);
+    net.multicast(1, GA, b"held");
+    net.advance_past_omega(GA);
+    assert_eq!(payloads(&net, held, GA), vec!["warm"], "the relay is held");
+    assert_eq!(payloads(&net, 4, GA), vec!["warm", "held"]);
+    net
+}
+
+/// A detection adopted while an earlier install is still queued waits for
+/// the sequencer's cut; if that install then promotes the very process
+/// the detection names, the cut can never come and the member falls back
+/// to the number barrier on the dead sequencer's agreed `ln` (the
+/// seed-1401 wedge, pinned at the engine level).
+#[test]
+fn install_promoting_a_detected_process_falls_back_to_the_barrier() {
+    let mut net = net_with_held_member(3);
+    net.crash(1);
+    net.advance_past_big_omega(GA);
+    // P2 and P4 installed P1's exclusion (P2 now sequences); P3 holds it.
+    assert_eq!(members(&net, 4, GA), vec![2, 3, 4]);
+    assert_eq!(members(&net, 3, GA), vec![1, 2, 3, 4]);
+    net.crash(2);
+    net.advance_past_big_omega(GA);
+    // P3 adopted {P2} under its still-queued install, whose sequencer P1
+    // is not in it: the detection awaits a cut.
+    assert_eq!(adopted(&net, 3, GA), vec![vec![1], vec![2]]);
+    assert_eq!(members(&net, 3, GA), vec![1, 2, 3, 4]);
+    net.unblock_link(5, 3);
+    net.advance_past_omega(GS);
+    net.advance_past_omega(GA);
+    for p in [3, 4] {
+        assert_eq!(members(&net, p, GA), vec![3, 4], "P{p}");
+        assert_eq!(payloads(&net, p, GA), vec!["warm", "held"], "P{p}");
+    }
+    // P3 went through P2's short reign too.
+    assert_eq!(net.view_history(3, GA).len(), 2);
+    net.multicast(4, GA, b"after");
+    net.advance_past_omega(GS);
+    net.advance_past_omega(GS);
+    assert_eq!(payloads(&net, 3, GA), vec!["warm", "held", "after"]);
+}
+
+/// The same queued-install race, but the install promotes the local
+/// process: the group now awaits *its* cut for the detection adopted in
+/// the meantime, so it emits it.
+#[test]
+fn install_promoting_the_local_process_emits_the_awaited_cut() {
+    let mut net = net_with_held_member(2);
+    net.crash(1);
+    net.advance_past_big_omega(GA);
+    assert_eq!(members(&net, 3, GA), vec![2, 3, 4]);
+    assert_eq!(members(&net, 2, GA), vec![1, 2, 3, 4]);
+    net.crash(4);
+    net.advance_past_big_omega(GA);
+    // Both survivors adopted {P4}; P3 awaits P2's cut, and P2 — not yet
+    // the sequencer in its own view — awaited P1's.
+    assert_eq!(adopted(&net, 2, GA), vec![vec![1], vec![4]]);
+    assert_eq!(members(&net, 3, GA), vec![2, 3, 4]);
+    net.unblock_link(5, 2);
+    net.advance_past_omega(GS);
+    net.advance_past_omega(GA);
+    for p in [2, 3] {
+        assert_eq!(members(&net, p, GA), vec![2, 3], "P{p}");
+        assert_eq!(payloads(&net, p, GA), vec!["warm", "held"], "P{p}");
+    }
+    net.multicast(3, GA, b"after");
+    net.advance_past_omega(GS);
+    net.advance_past_omega(GS);
+    assert_eq!(payloads(&net, 2, GA), vec!["warm", "held", "after"]);
 }
