@@ -159,15 +159,28 @@ pub(crate) enum GroupPhase {
     Active,
 }
 
-/// A confirmed detection awaiting its view installation barrier
-/// (step (viii)'s `update_view(F, N)`).
+/// An adopted detection whose view `V − F` is not installed yet: one
+/// entry of [`GroupState::install_queue`] (see `membership.rs` for the
+/// transitions over it).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PendingInstall {
-    /// Processes agreed failed (the detection's suspects).
+    /// `F`: the processes agreed failed. Their messages are discarded on
+    /// receipt from adoption on.
     pub failed: BTreeSet<ProcessId>,
-    /// The number bound: the view is installed once every buffered message
-    /// with `c <= bound` has been delivered and no more can arrive.
-    pub bound: Msn,
+    /// What the installation waits for.
+    pub gate: Gate,
+}
+
+/// What a [`PendingInstall`] waits for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Gate {
+    /// Step (viii)'s `update_view(F, N)`: install once every message with
+    /// `c <= N` has been delivered and none can still arrive.
+    Barrier(Msn),
+    /// Asymmetric groups whose sequencer is not in `F`: install where the
+    /// sequencer's in-stream `ViewCut` for this detection (the pairs kept
+    /// here) is delivered.
+    AwaitCut(Vec<Suspicion>),
 }
 
 /// Per-member inter-arrival sample window for the accrual suspector
@@ -251,11 +264,10 @@ pub(crate) struct GroupState {
     /// Confirmed messages whose detection is not yet a subset of our
     /// suspicions (step (vi) re-evaluated as suspicions grow).
     pub pending_confirms: Vec<(ProcessId, Vec<Suspicion>)>,
-    /// Adopted detections awaiting their installation barrier.
+    /// Adopted detections not yet installed, in adoption order. Every
+    /// `Barrier` entry precedes every `AwaitCut` entry: a barrier is only
+    /// ever queued after absorbing all cut-awaiting entries.
     pub install_queue: VecDeque<PendingInstall>,
-    /// Asymmetric groups, sequencer alive: adopted detections awaiting the
-    /// sequencer's in-stream `ViewCut`.
-    pub asym_awaiting: VecDeque<Vec<Suspicion>>,
     /// Asymmetric groups: own unicast requests not yet seen back as relays,
     /// in submission order (drives the send-blocking rule and sequencer
     /// fail-over resubmission).
@@ -328,7 +340,6 @@ impl GroupState {
             pending_from: BTreeMap::new(),
             pending_confirms: Vec::new(),
             install_queue: VecDeque::new(),
-            asym_awaiting: VecDeque::new(),
             outstanding: VecDeque::new(),
             parked_requests: VecDeque::new(),
             own_unstable: BTreeSet::new(),
@@ -341,7 +352,7 @@ impl GroupState {
 
     /// Invalidates the cached timer deadline. Call after mutating anything
     /// [`GroupState::timer_deadline`] reads: `last_send`, `view`,
-    /// `suspicions`, `install_queue`, `asym_awaiting`, or `last_heard`
+    /// `suspicions`, `install_queue` or `last_heard`
     /// (receives should prefer [`GroupState::note_heard`], which keeps the
     /// cache when the bump provably cannot move the minimum).
     pub(crate) fn touch_timers(&self) {
@@ -428,9 +439,8 @@ impl GroupState {
         if self.view.len() > 1 {
             fold(self.last_send + self.cfg.omega);
         }
-        let failed = self.failed_union();
         for (j, heard) in &self.last_heard {
-            if self.suspicions.contains_key(j) || failed.contains(j) {
+            if self.suspicions.contains_key(j) || self.is_failed(*j) {
                 continue;
             }
             fold(*heard + self.suspicion_span(*j));
@@ -464,13 +474,6 @@ impl GroupState {
         }
     }
 
-    /// The bound used by installation barriers to decide "no message with
-    /// `c <= N` can still arrive": arrivals only come from other members,
-    /// so the same own-entry exclusion applies.
-    pub(crate) fn barrier_d(&self) -> Msn {
-        self.d_x()
-    }
-
     /// Deterministic sequencer of the current view (§4.2).
     pub(crate) fn sequencer(&self) -> Option<ProcessId> {
         self.view.sequencer()
@@ -481,32 +484,20 @@ impl GroupState {
         self.sequencer() == Some(self.me)
     }
 
-    /// Union of all processes in adopted-but-not-yet-installed detections;
-    /// their messages are discarded on receipt ("Pi discards any messages
+    /// Whether `p` is in an adopted-but-not-yet-installed detection; its
+    /// messages are discarded on receipt ("Pi discards any messages
     /// received from Pk and GVk, if Pk ∈ failed").
-    pub(crate) fn failed_union(&self) -> BTreeSet<ProcessId> {
-        let mut set: BTreeSet<ProcessId> = self
-            .install_queue
-            .iter()
-            .flat_map(|i| i.failed.iter().copied())
-            .collect();
-        set.extend(
-            self.asym_awaiting
-                .iter()
-                .flat_map(|d| d.iter().map(|s| s.suspect)),
-        );
-        set
-    }
-
-    /// Whether `p` is in an adopted-but-not-yet-installed detection — the
-    /// membership test of [`GroupState::failed_union`] without building
-    /// the set.
     pub(crate) fn is_failed(&self, p: ProcessId) -> bool {
         self.install_queue.iter().any(|i| i.failed.contains(&p))
-            || self
-                .asym_awaiting
-                .iter()
-                .any(|d| d.iter().any(|s| s.suspect == p))
+    }
+
+    /// The bound `N` of the queue's head when the head waits on a number
+    /// barrier: no delivery with `c > N` may precede that installation.
+    pub(crate) fn head_barrier(&self) -> Option<Msn> {
+        match self.install_queue.front()?.gate {
+            Gate::Barrier(bound) => Some(bound),
+            Gate::AwaitCut(_) => None,
+        }
     }
 
     /// The §6 signed view `ϑ_i`.
@@ -572,7 +563,16 @@ impl StateDigest for PendingInstall {
         for p in &self.failed {
             p.digest_into(h);
         }
-        self.bound.digest_into(h);
+        match &self.gate {
+            Gate::Barrier(bound) => {
+                h.write_u8(0);
+                bound.digest_into(h);
+            }
+            Gate::AwaitCut(detection) => {
+                h.write_u8(1);
+                detection.digest_into(h);
+            }
+        }
     }
 }
 
@@ -632,10 +632,6 @@ impl StateDigest for GroupState {
         h.write_u64(self.install_queue.len() as u64);
         for pi in &self.install_queue {
             pi.digest_into(h);
-        }
-        h.write_u64(self.asym_awaiting.len() as u64);
-        for det in &self.asym_awaiting {
-            det.digest_into(h);
         }
         h.write_u64(self.outstanding.len() as u64);
         for (c, payload) in &self.outstanding {
@@ -711,18 +707,23 @@ mod tests {
     }
 
     #[test]
-    fn failed_union_merges_queues() {
-        let mut gs = state(OrderMode::Symmetric);
+    fn is_failed_covers_barrier_and_cut_entries() {
+        let mut gs = state(OrderMode::Asymmetric);
         gs.install_queue.push_back(PendingInstall {
             failed: [p(1)].into(),
-            bound: Msn(4),
+            gate: Gate::Barrier(Msn(4)),
         });
-        gs.asym_awaiting.push_back(vec![Suspicion {
-            suspect: p(3),
-            ln: Msn(2),
-        }]);
-        assert_eq!(gs.failed_union(), [p(1), p(3)].into());
+        gs.install_queue.push_back(PendingInstall {
+            failed: [p(3)].into(),
+            gate: Gate::AwaitCut(vec![Suspicion {
+                suspect: p(3),
+                ln: Msn(2),
+            }]),
+        });
         assert!(gs.is_failed(p(1)) && gs.is_failed(p(3)) && !gs.is_failed(p(2)));
+        assert_eq!(gs.head_barrier(), Some(Msn(4)));
+        gs.install_queue.pop_front();
+        assert_eq!(gs.head_barrier(), None, "a cut-awaiting head is no barrier");
     }
 
     #[test]

@@ -2,9 +2,24 @@
 //! suspect/refute/confirmed agreement (steps (i)–(vii)) and view
 //! installation (step (viii)), plus our documented completion for
 //! asymmetric groups (the sequencer's in-stream `ViewCut`).
+//!
+//! An adopted detection `F` waits in the group's install queue until
+//! `V − F` installs; its [`Gate`] is a number barrier `Barrier(N)` or
+//! `AwaitCut`, the sequencer's `ViewCut`. Barriers precede cut-awaiting
+//! entries. The transitions, each implemented once:
+//!
+//! | | on | when | then |
+//! |---|---|---|---|
+//! | T1 | adopt | symmetric | queue `Barrier(min ln)`; step-(viii) discards |
+//! | T2 | adopt | asymmetric, sequencer ∈ `F` | `Barrier(sequencer's ln)` absorbing every `AwaitCut` |
+//! | T3 | adopt | asymmetric, otherwise | queue `AwaitCut`; the sequencer emits the `ViewCut` |
+//! | T4 | `ViewCut` delivered | | install, dropping its `AwaitCut` entry |
+//! | T5 | head `Barrier(N)` met | | install |
+//! | T6 | install | an `AwaitCut` names the new sequencer | as T2, and `D_{x,i}` jumps to `N` |
+//! | T7 | install | otherwise, we are the sequencer | emit every awaited `ViewCut` |
 
 use crate::action::{Action, ProtocolEvent};
-use crate::group::{GroupPhase, PendingInstall};
+use crate::group::{Gate, GroupPhase, GroupState, PendingInstall};
 use crate::process::Process;
 use newtop_types::{GroupId, Message, MessageBody, Msn, OrderMode, ProcessId, Suspicion};
 use std::collections::BTreeSet;
@@ -273,12 +288,10 @@ impl Process {
         if gs.suspicions.is_empty() {
             return;
         }
-        let suspects: BTreeSet<ProcessId> = gs.suspicions.keys().copied().collect();
-        let failed = gs.failed_union();
         let required: Vec<ProcessId> = gs
             .view
             .iter()
-            .filter(|p| *p != me && !suspects.contains(p) && !failed.contains(p))
+            .filter(|p| *p != me && !gs.suspicions.contains_key(p) && !gs.is_failed(*p))
             .collect();
         let unanimous = gs.suspicions.iter().all(|(pk, ln)| {
             let sup = gs.supporters.get(&(*pk, *ln));
@@ -314,10 +327,9 @@ impl Process {
         let Some(gs) = self.groups.get_mut(&group) else {
             return;
         };
-        let failed = gs.failed_union();
         let filtered: Vec<Suspicion> = detection
             .into_iter()
-            .filter(|p| gs.view.contains(p.suspect) && !failed.contains(&p.suspect))
+            .filter(|p| gs.view.contains(p.suspect) && !gs.is_failed(p.suspect))
             .collect();
         if filtered.is_empty() {
             return;
@@ -348,7 +360,6 @@ impl Process {
             if gs.pending_confirms.is_empty() {
                 return;
             }
-            let failed = gs.failed_union();
             let mut adopt: Option<Vec<Suspicion>> = None;
             let mut keep: Vec<(ProcessId, Vec<Suspicion>)> = Vec::new();
             for (from, det) in std::mem::take(&mut gs.pending_confirms) {
@@ -358,7 +369,7 @@ impl Process {
                 }
                 let filtered: Vec<Suspicion> = det
                     .into_iter()
-                    .filter(|p| gs.view.contains(p.suspect) && !failed.contains(&p.suspect))
+                    .filter(|p| gs.view.contains(p.suspect) && !gs.is_failed(p.suspect))
                     .collect();
                 if filtered.is_empty() {
                     continue; // fully stale: drop
@@ -384,8 +395,8 @@ impl Process {
     }
 
     /// Common adoption path for steps (v) and (vi): broadcast the confirmed
-    /// detection, apply the step-(viii) discard rule, release the `D`
-    /// bound (`RV[k] := ∞; SV[k] := ∞`) and schedule the installation.
+    /// detection, release the `D` bound (`RV[k] := ∞; SV[k] := ∞`) and
+    /// queue the installation — T1, T2 or T3 of the module table.
     pub(crate) fn adopt_detection(
         &mut self,
         group: GroupId,
@@ -396,16 +407,7 @@ impl Process {
             return;
         };
         let failed: BTreeSet<ProcessId> = detection.iter().map(|s| s.suspect).collect();
-        for p in &detection {
-            gs.suspicions.remove(&p.suspect);
-        }
-        gs.touch_timers();
-        gs.supporters.retain(|(pk, _), _| !failed.contains(pk));
-        for pk in &failed {
-            gs.rv.set_infinite(*pk);
-            gs.sv.set_infinite(*pk);
-            gs.pending_from.remove(pk);
-        }
+        release(gs, &failed);
         gs.on_stability_advance();
         let det = detection.clone();
         self.send_numbered(
@@ -428,50 +430,83 @@ impl Process {
                     .map(|s| s.ln)
                     .min()
                     .expect("detections are nonempty");
-                gs.install_queue.push_back(PendingInstall {
-                    failed: failed.clone(),
-                    bound,
-                });
-                gs.touch_timers();
-                self.apply_discards(group, &failed, bound, out);
+                self.queue_barrier(group, failed, bound, out);
             }
             OrderMode::Asymmetric => {
-                let sequencer = gs.sequencer().expect("nonempty view");
-                if failed.contains(&sequencer) {
-                    // Fall back to a number-barrier install at the agreed
-                    // sequencer stream position; merge any detections that
-                    // were still awaiting the dead sequencer's cut.
-                    let bound = detection
-                        .iter()
-                        .find(|s| s.suspect == sequencer)
-                        .map(|s| s.ln)
-                        .expect("sequencer pair present");
-                    let mut all_failed = failed.clone();
-                    for d in gs.asym_awaiting.drain(..) {
-                        all_failed.extend(d.iter().map(|s| s.suspect));
-                    }
-                    gs.install_queue.push_back(PendingInstall {
-                        failed: all_failed.clone(),
-                        bound,
-                    });
-                    gs.touch_timers();
-                    self.apply_discards(group, &all_failed, bound, out);
-                } else {
-                    gs.asym_awaiting.push_back(detection.clone());
-                    gs.touch_timers();
-                    if gs.is_sequencer() {
-                        let det = detection.clone();
-                        self.send_numbered(
-                            group,
-                            move |_| MessageBody::ViewCut { detection: det },
-                            out,
-                        );
-                    }
+                gs.install_queue.push_back(PendingInstall {
+                    failed,
+                    gate: Gate::AwaitCut(detection.clone()),
+                });
+                gs.touch_timers();
+                if !self.fall_back_to_barrier(group, out)
+                    && self
+                        .groups
+                        .get(&group)
+                        .is_some_and(GroupState::is_sequencer)
+                {
+                    self.send_numbered(group, move |_| MessageBody::ViewCut { detection }, out);
                 }
             }
         }
         self.check_consensus(group, out);
         self.recheck_pending_confirms(group, out);
+    }
+
+    /// Queues `update_view(F, N)` behind a number barrier, applying the
+    /// step-(viii) discards for it.
+    fn queue_barrier(
+        &mut self,
+        group: GroupId,
+        failed: BTreeSet<ProcessId>,
+        bound: Msn,
+        out: &mut Vec<Action>,
+    ) {
+        self.apply_discards(group, &failed, bound, out);
+        if let Some(gs) = self.groups.get_mut(&group) {
+            gs.install_queue.push_back(PendingInstall {
+                failed,
+                gate: Gate::Barrier(bound),
+            });
+            gs.touch_timers();
+        }
+    }
+
+    /// T2/T6: if a cut-awaiting detection names the current sequencer,
+    /// that sequencer will never cut. Every cut-awaiting entry is merged
+    /// into one number barrier at the sequencer's agreed `ln`, the agreed
+    /// end of its stream: consensus required every member to have received
+    /// up to it, and nothing beyond it will ever be ordered. `D_{x,i}`
+    /// jumps there, since it only ever tracked the previous sequencer's
+    /// stream and adoption already released `RV` of this one to ∞; that
+    /// releases the buffered tail and lets the barrier pass. (Under T2 the
+    /// jump is a no-op: `D_{x,i}` already covers everything received from
+    /// the sequencer.) Without this fallback the group wedges with the dead
+    /// sequencer in its view, freezing the merged cross-group delivery
+    /// order of every member (churn seed 1401). Returns whether it applied.
+    fn fall_back_to_barrier(&mut self, group: GroupId, out: &mut Vec<Action>) -> bool {
+        let Some(gs) = self.groups.get_mut(&group) else {
+            return false;
+        };
+        let Some(sequencer) = gs.sequencer() else {
+            return false;
+        };
+        let Some(bound) = gs.install_queue.iter().find_map(|i| match &i.gate {
+            Gate::AwaitCut(det) => det.iter().find(|s| s.suspect == sequencer).map(|s| s.ln),
+            Gate::Barrier(_) => None,
+        }) else {
+            return false;
+        };
+        let mut failed = BTreeSet::new();
+        gs.install_queue.retain(|i| match i.gate {
+            Gate::AwaitCut(_) => {
+                failed.extend(i.failed.iter().copied());
+                false
+            }
+            Gate::Barrier(_) => true,
+        });
+        gs.d_asym = gs.d_asym.max(bound);
+        self.queue_barrier(group, failed, bound, out);
+        true
     }
 
     /// The step-(viii) safety measure: drop every undelivered or retained
@@ -504,36 +539,31 @@ impl Process {
         }
     }
 
-    /// Attempts the installation at the head of the queue: the barrier of
-    /// `update_view(F, N)` is met once every message with `c <= N` has been
-    /// delivered and none can still arrive.
+    /// T5: installs the head of the queue if it waits on a number barrier
+    /// `N` that is met — every message with `c <= N` delivered and none
+    /// still able to arrive.
     pub(crate) fn try_install_head(&mut self, group: GroupId, out: &mut Vec<Action>) -> bool {
-        let Some(gs) = self.groups.get(&group) else {
-            return false;
-        };
-        let Some(head) = gs.install_queue.front() else {
-            return false;
-        };
-        if gs.buffer.has_le(head.bound) {
-            return false; // messages <= N still awaiting delivery
-        }
-        if gs.barrier_d() < head.bound {
-            return false; // messages <= N could still arrive
-        }
         let Some(gs) = self.groups.get_mut(&group) else {
             return false;
         };
-        let head = gs.install_queue.pop_front().expect("checked nonempty");
+        let Some(bound) = gs.head_barrier() else {
+            return false;
+        };
+        if gs.buffer.has_le(bound) || gs.d_x() < bound {
+            return false;
+        }
+        let head = gs.install_queue.pop_front().expect("head checked");
         gs.touch_timers();
         self.execute_install(group, head.failed, out);
         true
     }
 
-    /// Our asymmetric-mode completion: the sequencer's in-stream `ViewCut`
-    /// reached its delivery position; install the view here. Every member
-    /// delivers the identical stream prefix before the cut, which restores
-    /// the VC3 atomicity that a wall-clock install point would break.
-    pub(crate) fn install_from_viewcut(
+    /// T4, our asymmetric-mode completion: the sequencer's in-stream
+    /// `ViewCut` reached its delivery position; install the view here.
+    /// Every member delivers the identical stream prefix before the cut,
+    /// which restores the VC3 atomicity that a wall-clock install point
+    /// would break.
+    pub(crate) fn install_at_cut(
         &mut self,
         group: GroupId,
         from: ProcessId,
@@ -552,40 +582,31 @@ impl Process {
         let Some(gs) = self.groups.get_mut(&group) else {
             return;
         };
-        let filtered: Vec<Suspicion> = detection
-            .into_iter()
-            .filter(|p| gs.view.contains(p.suspect))
+        let failed: BTreeSet<ProcessId> = detection
+            .iter()
+            .map(|s| s.suspect)
+            .filter(|p| gs.view.contains(*p))
             .collect();
-        if filtered.is_empty() {
+        if failed.is_empty() {
             return;
+        }
+        if let Some(pos) = gs
+            .install_queue
+            .iter()
+            .position(|i| matches!(i.gate, Gate::AwaitCut(_)) && i.failed == failed)
+        {
+            gs.install_queue.remove(pos);
         }
         // If we had not reached our own consensus yet, adopt the cut's
         // bookkeeping now (the sequencer only emits after unanimity, which
         // required our own suspect message).
-        let failed: BTreeSet<ProcessId> = filtered.iter().map(|s| s.suspect).collect();
-        for p in &filtered {
-            gs.suspicions.remove(&p.suspect);
-        }
-        gs.touch_timers();
-        gs.supporters.retain(|(pk, _), _| !failed.contains(pk));
-        for pk in &failed {
-            gs.rv.set_infinite(*pk);
-            gs.sv.set_infinite(*pk);
-            gs.pending_from.remove(pk);
-        }
-        if let Some(pos) = gs
-            .asym_awaiting
-            .iter()
-            .position(|d| d.iter().map(|s| s.suspect).collect::<BTreeSet<_>>() == failed)
-        {
-            gs.asym_awaiting.remove(pos);
-            gs.touch_timers();
-        }
+        release(gs, &failed);
         self.execute_install(group, failed, out);
     }
 
     /// `V := V − F` plus all bookkeeping: prune per-member state, emit the
-    /// view change, re-check formation completion, sequencer fail-over.
+    /// view change, re-check formation completion, sequencer fail-over,
+    /// then T6 or T7 for the detections still awaiting a cut.
     pub(crate) fn execute_install(
         &mut self,
         group: GroupId,
@@ -654,75 +675,33 @@ impl Process {
         // If this install made us the sequencer, serve the requests that
         // arrived (from faster-installing senders) before it did.
         self.relay_parked_requests(group, out);
-        // Detections adopted while this install was still queued wait in
-        // `asym_awaiting` for the sequencer's cut — but the install may
-        // have handed the sequencer role to the very process a pending
-        // detection names (which will never cut), or to us (whose cut the
-        // group now awaits).
-        self.reconcile_asym_awaiting(group, out);
+        if !self.fall_back_to_barrier(group, out) {
+            self.emit_awaited_cuts(group, out);
+        }
         // The shrunk view may make pending suspicions unanimous.
         self.check_consensus(group, out);
         self.recheck_pending_confirms(group, out);
     }
 
-    /// Post-install reconciliation of `asym_awaiting` against the (possibly
-    /// new) sequencer. A detection adopted under a queued earlier install
-    /// parks awaiting the sequencer's in-stream `ViewCut`; if the install
-    /// promoted a process that detection itself names, the cut can never
-    /// come — fall back to the number-barrier install at the dead
-    /// sequencer's agreed `ln`, exactly as `adopt_detection` does when the
-    /// sequencer is in the detection at adoption time. (Without this, the
-    /// group wedges with the dead sequencer in the view forever, freezing
-    /// the merged cross-group delivery order of every member — found by
-    /// the chaos fleet as churn seed 1401.) Symmetrically, if the install
-    /// promoted *us*, emit the cuts the group is now waiting on.
-    fn reconcile_asym_awaiting(&mut self, group: GroupId, out: &mut Vec<Action>) {
-        let Some(gs) = self.groups.get_mut(&group) else {
+    /// T7: as the sequencer after an install, emit the cut of every
+    /// detection awaiting one — the group may now be waiting on us.
+    fn emit_awaited_cuts(&mut self, group: GroupId, out: &mut Vec<Action>) {
+        let Some(gs) = self.groups.get(&group) else {
             return;
         };
-        if gs.cfg.mode != OrderMode::Asymmetric || gs.asym_awaiting.is_empty() {
+        if !gs.is_sequencer() {
             return;
         }
-        let Some(sequencer) = gs.sequencer() else {
-            return;
-        };
-        if let Some(pos) = gs
-            .asym_awaiting
+        let cuts: Vec<Vec<Suspicion>> = gs
+            .install_queue
             .iter()
-            .position(|d| d.iter().any(|s| s.suspect == sequencer))
-        {
-            let det = gs.asym_awaiting.remove(pos).expect("position exists");
-            let bound = det
-                .iter()
-                .find(|s| s.suspect == sequencer)
-                .map(|s| s.ln)
-                .expect("sequencer pair present");
-            let mut all_failed: BTreeSet<ProcessId> = det.iter().map(|s| s.suspect).collect();
-            for d in gs.asym_awaiting.drain(..) {
-                all_failed.extend(d.iter().map(|s| s.suspect));
-            }
-            // The handover catch-up in `execute_install` reads `RV[new_seq]`,
-            // but adoption already released that entry to ∞ — and `D_{x,i}`
-            // only ever tracked the *previous* sequencer's stream. The agreed
-            // pair `ln` is the agreed end of the dead sequencer's stream
-            // (consensus required every member to have received up to it);
-            // nothing beyond it will ever be ordered, so the deliverability
-            // bound jumps there, releasing the buffered tail for delivery
-            // and letting the number-barrier install pass.
-            gs.d_asym = gs.d_asym.max(bound);
-            gs.install_queue.push_back(PendingInstall {
-                failed: all_failed.clone(),
-                bound,
-            });
-            gs.touch_timers();
-            self.apply_discards(group, &all_failed, bound, out);
-            return;
-        }
-        if gs.is_sequencer() {
-            let pending: Vec<Vec<Suspicion>> = gs.asym_awaiting.iter().cloned().collect();
-            for det in pending {
-                self.send_numbered(group, move |_| MessageBody::ViewCut { detection: det }, out);
-            }
+            .filter_map(|i| match &i.gate {
+                Gate::AwaitCut(det) => Some(det.clone()),
+                Gate::Barrier(_) => None,
+            })
+            .collect();
+        for detection in cuts {
+            self.send_numbered(group, move |_| MessageBody::ViewCut { detection }, out);
         }
     }
 
@@ -821,4 +800,18 @@ impl Process {
             gs.own_unstable.insert(relay_c);
         }
     }
+}
+
+/// Releases the agreed-failed `F` from the agreement and the `D` bound:
+/// their suspicions and support are settled, `RV[k] := ∞; SV[k] := ∞`,
+/// and messages held pending the outcome are dropped.
+fn release(gs: &mut GroupState, failed: &BTreeSet<ProcessId>) {
+    for pk in failed {
+        gs.suspicions.remove(pk);
+        gs.rv.set_infinite(*pk);
+        gs.sv.set_infinite(*pk);
+        gs.pending_from.remove(pk);
+    }
+    gs.supporters.retain(|(pk, _), _| !failed.contains(pk));
+    gs.touch_timers();
 }

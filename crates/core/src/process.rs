@@ -762,7 +762,7 @@ impl Process {
                 }
                 MessageBody::ViewCut { detection } => {
                     let (from, detection) = (m.sender, detection.clone());
-                    self.install_from_viewcut(group, from, detection, out);
+                    self.install_at_cut(group, from, detection, out);
                 }
                 _ => {}
             },
@@ -1018,12 +1018,10 @@ impl Process {
                 if c > di {
                     continue;
                 }
-                if let Some(head) = gs.install_queue.front() {
-                    if c > head.bound {
-                        // Barrier: the view must install before this message
-                        // delivers; the install attempt above was not ready.
-                        continue;
-                    }
+                if gs.head_barrier().is_some_and(|bound| c > bound) {
+                    // Barrier: the view must install before this message
+                    // delivers; the install attempt above was not ready.
+                    continue;
                 }
                 let key = (c, *gid, s);
                 if best.is_none_or(|b| key < b) {
@@ -1077,7 +1075,7 @@ impl Process {
                 // position of the delivery stream (identical at every
                 // member).
                 let (from, detection) = (m.sender, detection.clone());
-                self.install_from_viewcut(group, from, detection, out);
+                self.install_at_cut(group, from, detection, out);
             }
             _ => {}
         }
@@ -1288,7 +1286,6 @@ impl Process {
         let Some(gs) = self.groups.get(&group) else {
             return;
         };
-        let failed = gs.failed_union();
         let silent: Vec<ProcessId> = gs
             .last_heard
             .iter()
@@ -1296,7 +1293,7 @@ impl Process {
                 **j != me
                     && gs.view.contains(**j)
                     && !gs.suspicions.contains_key(*j)
-                    && !failed.contains(*j)
+                    && !gs.is_failed(**j)
                     && now.saturating_since(**heard) >= gs.suspicion_span(**j)
             })
             .map(|(j, _)| *j)

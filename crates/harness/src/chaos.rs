@@ -1522,13 +1522,13 @@ mod tests {
     /// Regression pins for counterexamples the chaos fleet shrank.
     ///
     /// Churn seed 1401: a detection adopted while an earlier (depart)
-    /// install was still queued parked in `asym_awaiting`; executing that
-    /// install handed the sequencer role to the very process the parked
-    /// detection named — dead, so its `ViewCut` never came and the group
-    /// wedged with the failed member in the view forever, freezing the
-    /// merged cross-group delivery order of every overlapping member
-    /// (`reconcile_asym_awaiting` now falls back to the number-barrier
-    /// install and advances `D_{x,i}` to the agreed bound).
+    /// install was still queued awaited the sequencer's cut; executing
+    /// that install handed the sequencer role to the very process the
+    /// awaiting detection named — dead, so its `ViewCut` never came and
+    /// the group wedged with the failed member in the view forever,
+    /// freezing the merged cross-group delivery order of every
+    /// overlapping member (the install now falls back to the
+    /// number-barrier install and advances `D_{x,i}` to the agreed bound).
     ///
     /// WAN churn seed 1098: trunk latency delayed a member's first nulls
     /// past a loss cut, so one partition side confirmed an exclusion and
