@@ -249,14 +249,14 @@ impl Process {
     }
 
     /// Condition (iii) re-check on receipt: a fresh message from `from` may
-    /// refute gossip suspicions of `from` recorded earlier.
+    /// refute gossip suspicions of `from` recorded earlier — also when the
+    /// message itself made us suspect `from` (a `Depart`, or a `confirmed`
+    /// naming us) at its own number: a co-member's lower suspicion must
+    /// still be refuted, or it withholds its support for ours forever.
     pub(crate) fn refute_scan(&mut self, group: GroupId, from: ProcessId, out: &mut Vec<Action>) {
         let Some(gs) = self.groups.get(&group) else {
             return;
         };
-        if gs.suspicions.contains_key(&from) {
-            return; // our own suspicion is not self-refuted by pendings
-        }
         let rv = gs.rv.get(from);
         if rv.is_infinite() {
             return;
