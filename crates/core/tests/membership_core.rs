@@ -368,3 +368,44 @@ fn delivery_sets_identical_between_views() {
         assert_eq!(by_view(1), by_view(p), "VC3 violated at P{p}");
     }
 }
+
+/// A `Depart` that makes a member suspect its sender at the `Depart`'s own
+/// number must still refute a co-member's lower suspicion of that sender
+/// (condition (iii)): otherwise the two hold different `ln` for the same
+/// suspect, neither pair can become unanimous, and the departed member is
+/// never excluded (churn seed 44047).
+#[test]
+fn departure_refutes_a_lower_suspicion_of_the_departing_member() {
+    let mut net = TestNet::new([1, 2, 3]);
+    net.bootstrap_group(G1, &[1, 2, 3], sym());
+    net.multicast(1, G1, b"m");
+    net.advance_past_omega(G1);
+    // P1 falls silent towards both; only P3's suspector fires, while P2
+    // keeps P3 hearing from it.
+    net.block_link(1, 2);
+    net.block_link(1, 3);
+    net.set_elapsed(Span::from_millis(101));
+    net.multicast(2, G1, b"alive");
+    net.run_to_quiescence();
+    net.tick_one(3);
+    net.run_to_quiescence();
+    // P2 holds P1's stream up to exactly that ln: gossip, not a refute.
+    let events = net.events(3);
+    assert!(events.iter().any(|e| matches!(e,
+        ProtocolEvent::Suspected { pair, .. } if pair.suspect == ProcessId(1))));
+    assert!(!events
+        .iter()
+        .any(|e| matches!(e, ProtocolEvent::Refuted { .. })));
+    // P1 departs; only P2 hears the Depart, and suspects P1 at its number.
+    net.unblock_link(1, 2);
+    net.depart(1, G1);
+    net.run_to_quiescence();
+    net.advance_past_big_omega(G1);
+    for p in [2, 3] {
+        let views = net.view_history(p, G1);
+        assert_eq!(views.len(), 1, "P{p} installs once");
+        assert_eq!(views[0].members().len(), 2, "P{p} excluded P1");
+        assert!(!views[0].contains(ProcessId(1)));
+    }
+    assert_eq!(net.view_history(2, G1), net.view_history(3, G1));
+}
