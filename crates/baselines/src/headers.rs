@@ -8,21 +8,12 @@
 //! the Newtop codec in `newtop_types::wire`, so the comparison is
 //! apples-to-apples.
 
-use newtop_types::wire;
+use newtop_types::wire::{self, varint_len};
 use newtop_types::{GroupId, Message, MessageBody, Msn, ProcessId};
 
-/// Encoded size of a varint.
-fn varint_len(mut v: u64) -> usize {
-    let mut n = 1;
-    while v >= 0x80 {
-        v >>= 7;
-        n += 1;
-    }
-    n
-}
-
-/// Newtop's protocol header for an application multicast: group, sender,
-/// `c`, `ldn`, body tag — independent of group size and group count.
+/// Newtop's protocol header for an application multicast: the key (group
+/// and kind), sender, `c`, `ldn`'s lag behind `c` and the payload length —
+/// independent of group size and group count.
 ///
 /// `clock` is the magnitude of the logical clock (bigger numbers take more
 /// varint bytes; the paper's "bounded" claim is about group-size

@@ -1556,7 +1556,9 @@ mod tests {
     /// Every family's seeds keep replaying to these hashes byte-for-byte.
     /// The classic and churn hashes predate the bandwidth model; the WAN
     /// and WAN-churn ones pin the WAN branch's draw order, so a slip there
-    /// cannot pass as a run that merely agrees with itself.
+    /// cannot pass as a run that merely agrees with itself. They also move
+    /// with the wire encoding, since the WAN model times each transfer by
+    /// its `wire::encoded_len`; the other families never size a message.
     #[test]
     fn every_family_seed_hash_is_pinned() {
         let classic: [(u64, u64); 6] = [
@@ -1581,19 +1583,19 @@ mod tests {
             assert_eq!(got, want, "churn seed {seed} drifted");
         }
         let wan: [(u64, u64); 4] = [
-            (1, 0x1ca6_f286_e0b7_4f58),
-            (3, 0xa914_8826_ddc4_6653),
-            (6, 0x7528_2bcf_b121_c1fb),
-            (9, 0x4289_1ac5_064b_0607),
+            (1, 0x2e3b_d2e8_c11e_853e),
+            (3, 0x39e4_d012_57be_436c),
+            (6, 0xe486_001f_de5e_9ca7),
+            (9, 0x5d90_3e5e_75da_3f0d),
         ];
         for (seed, want) in wan {
             let got = history_hash(&ChaosScenario::wan(seed).plan().run().history());
             assert_eq!(got, want, "wan seed {seed} drifted");
         }
         let wan_churn: [(u64, u64); 3] = [
-            (0, 0xbd02_acb3_b721_feec),
-            (2, 0x09fb_efa3_0bdf_4843),
-            (1098, 0x2cb1_95e9_9888_4dc5),
+            (0, 0x5c8c_8765_55ed_1f5e),
+            (2, 0xaaf9_8818_ce07_7d01),
+            (1098, 0x97e3_4308_735a_c5c5),
         ];
         for (seed, want) in wan_churn {
             let scenario = ChaosScenario {

@@ -1,8 +1,8 @@
 //! Edge-case coverage for the `types::peer` session protocol as the TCP
-//! host drives it: handshake rejection of out-of-range peer indices and
-//! stale (retired) incarnation nonces, acceptor sever on a sequence gap
-//! (never a silent skip), and dialer sever on a resume point beyond its
-//! retained window.
+//! host drives it: handshake rejection of out-of-range peer indices, a
+//! previous session version and stale (retired) incarnation nonces,
+//! acceptor sever on a sequence gap (never a silent skip), and dialer
+//! sever on a resume point beyond its retained window.
 
 use bytes::BytesMut;
 use newtop_runtime::{Cluster, TcpConfig};
@@ -106,6 +106,27 @@ fn out_of_range_and_self_peer_hellos_are_rejected() {
         await_eof(&mut s, "bogus-peer hello");
     }
     wait_rejects(&cluster, 2);
+    cluster.shutdown();
+}
+
+/// A peer built at the previous session version (2: separate envelope
+/// and body tags, absolute `ldn`) is refused at the handshake and
+/// counted, before any of its frames is decoded.
+#[test]
+fn previous_version_hello_is_rejected() {
+    let (a0, a1) = (free_addr(), free_addr());
+    let cluster = one_peer_cluster(a0, a1);
+
+    let mut raw = encode_hello(&Hello {
+        peer: 1,
+        nonce: 1,
+        resume: 0,
+    });
+    raw[4] = 2;
+    let mut s = TcpStream::connect(a0).expect("connect");
+    s.write_all(&raw).expect("write hello");
+    await_eof(&mut s, "version-2 hello");
+    wait_rejects(&cluster, 1);
     cluster.shutdown();
 }
 

@@ -141,6 +141,15 @@ pub enum DecodeError {
         /// What was being decoded.
         context: &'static str,
     },
+    /// A decoded integer does not fit its field, such as an id above
+    /// `u32::MAX`. Truncating it would alias another id, so the frame is
+    /// refused as corrupt.
+    OutOfRange {
+        /// The decoded value.
+        value: u64,
+        /// The field it was decoded for.
+        field: &'static str,
+    },
     /// A length-prefixed frame announced more bytes than its envelope
     /// encoding consumed — the stream is desynchronised or corrupt.
     TrailingBytes {
@@ -168,6 +177,9 @@ impl fmt::Display for DecodeError {
             DecodeError::VarintOverflow => write!(f, "variable-length integer exceeds 64 bits"),
             DecodeError::UnknownTag { tag, context } => {
                 write!(f, "unknown tag {tag:#04x} while decoding {context}")
+            }
+            DecodeError::OutOfRange { value, field } => {
+                write!(f, "{field} {value} out of range")
             }
             DecodeError::TrailingBytes { extra } => {
                 write!(f, "frame carries {extra} bytes beyond its envelope")

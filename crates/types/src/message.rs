@@ -41,10 +41,10 @@ impl fmt::Display for Suspicion {
 /// * `ldn` — the sender's current largest-deliverable-number `D_{x,i}`,
 ///   piggybacked for message-stability tracking (§5.1).
 ///
-/// The fixed-size protocol header (group, sender, `c`, `ldn`, body tag) is
-/// the entirety of Newtop's per-message ordering overhead — the paper's
-/// central efficiency claim against vector-clock protocols (§6). The wire
-/// codec in [`crate::wire`] makes this measurable.
+/// The fixed-size protocol header (group and body kind in one key, sender,
+/// `c`, `ldn`) is the entirety of Newtop's per-message ordering overhead —
+/// the paper's central efficiency claim against vector-clock protocols
+/// (§6). The wire codec in [`crate::wire`] makes this measurable.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Message {
     /// The destination group (`m.g`).

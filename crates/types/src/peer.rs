@@ -25,7 +25,7 @@
 //! restores the reliable-FIFO-per-pair transport the protocol engine
 //! assumes (§3 of the paper), even through a frame-dropping proxy.
 
-use crate::wire::{peek_varint, put_varint, varint_len, MAX_FRAME_LEN};
+use crate::wire::{narrow, peek_varint, put_varint, varint_len, MAX_FRAME_LEN};
 use crate::{DecodeError, ProcessId};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -35,8 +35,9 @@ pub const PEER_MAGIC: [u8; 4] = *b"NTOP";
 /// Peer-session protocol version carried in every [`Hello`]. It also
 /// covers the frames' message encoding, so peers built with different
 /// encodings refuse each other at the handshake (2: refutes carry
-/// `upto`).
-pub const PEER_VERSION: u8 = 2;
+/// `upto`; 3: one key varint for group and kind, `ldn` sent as its lag
+/// behind `c`).
+pub const PEER_VERSION: u8 = 3;
 
 /// Encoded size of a [`Hello`]: magic (4) + version (1) + peer (4)
 /// + nonce (8) + resume (8).
@@ -185,6 +186,7 @@ impl PeerFrameDecoder {
     /// # Errors
     ///
     /// [`DecodeError::VarintOverflow`] on a malformed varint,
+    /// [`DecodeError::OutOfRange`] for a destination above `u32::MAX`,
     /// [`DecodeError::FrameTooLarge`] when the embedded frame announces
     /// a body beyond [`MAX_FRAME_LEN`], and [`DecodeError::EmptyFrame`]
     /// for a zero-length body — all grounds to drop the connection.
@@ -194,6 +196,7 @@ impl PeerFrameDecoder {
         let Some((dest, dlen)) = peek_varint(&self.buf, 0)? else {
             return Ok(None);
         };
+        let dest = ProcessId(narrow(dest, "peer frame dest")?);
         let Some((seq, slen)) = peek_varint(&self.buf, dlen)? else {
             return Ok(None);
         };
@@ -214,9 +217,8 @@ impl PeerFrameDecoder {
         }
         let mut record = self.buf.split_to(total).freeze();
         record.advance(dlen + slen);
-        #[allow(clippy::cast_possible_truncation)]
         Ok(Some(PeerFrame {
-            dest: ProcessId(dest as u32),
+            dest,
             seq,
             frame: record,
         }))
@@ -298,6 +300,25 @@ mod tests {
     }
 
     #[test]
+    fn hello_from_a_version_2_peer_is_refused() {
+        // Version 2 peers encode envelopes with separate envelope and body
+        // tags and an absolute `ldn`; they must not reach the frame path.
+        let mut raw = encode_hello(&Hello {
+            peer: 1,
+            nonce: 1,
+            resume: 0,
+        });
+        raw[4] = 2;
+        assert_eq!(
+            decode_hello(&raw),
+            Err(DecodeError::UnknownTag {
+                tag: 2,
+                context: "peer hello version",
+            })
+        );
+    }
+
+    #[test]
     fn ack_roundtrip() {
         assert_eq!(decode_ack(encode_ack(0)), 0);
         assert_eq!(decode_ack(encode_ack(u64::MAX)), u64::MAX);
@@ -363,6 +384,25 @@ mod tests {
         put_varint(&mut raw, 0);
         d.push(&raw);
         assert!(matches!(d.next_record(), Err(DecodeError::EmptyFrame)));
+    }
+
+    #[test]
+    fn decoder_rejects_dest_above_u32() {
+        // 2^32 + 1 would alias P1 if truncated.
+        let wide = (1u64 << 32) + 1;
+        let mut raw = BytesMut::new();
+        put_varint(&mut raw, wide);
+        put_varint(&mut raw, 1);
+        raw.put_slice(&wire::frame(&env(b"x")));
+        let mut d = PeerFrameDecoder::new();
+        d.push(&raw);
+        assert_eq!(
+            d.next_record(),
+            Err(DecodeError::OutOfRange {
+                value: wide,
+                field: "peer frame dest",
+            })
+        );
     }
 
     #[test]

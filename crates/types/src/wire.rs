@@ -11,6 +11,29 @@
 //! Integers use LEB128 variable-length encoding so that the measured sizes
 //! reflect what a careful 1995 implementation would have sent.
 //!
+//! # Layout
+//!
+//! Every envelope opens with one **key** varint, `group·16 + kind`. Its
+//! low four bits say what follows: kinds 0–9 are the ten
+//! [`MessageBody`] variants, 10 and 11 the two [`ControlMessage`]s, and
+//! 12–15 are rejected as [`DecodeError::UnknownTag`]. The rest of the key
+//! is the group id, so in groups below 8 group and kind share one byte.
+//!
+//! ```text
+//! group message   key  sender  c  c−ldn  body fields
+//! FormGroup       key  initiator  n  member×n  config
+//! FormVote        key  voter  decision
+//! ```
+//!
+//! A group message sends `ldn` as its lag behind `c`. The engine caps
+//! `ldn` at `c` and `ldn` usually trails `c` closely, so the lag takes
+//! one byte where `ldn` itself takes as many as `c`. The subtraction wraps, which keeps the codec total: every
+//! `(c, ldn)` pair round-trips, `ldn > c` included. The messages a
+//! `Refute` recovers are encoded the same way, key first.
+//!
+//! Decoding rejects an id that does not fit its 32-bit field with
+//! [`DecodeError::OutOfRange`] instead of truncating it into another id.
+//!
 //! # Examples
 //!
 //! ```
@@ -26,6 +49,8 @@
 //! }
 //! .into();
 //! let bytes = wire::encode(&env);
+//! // key 1·16 + 0, sender, c = 300 (two bytes), lag 50, then the payload.
+//! assert_eq!(&bytes[..], &[0x10, 2, 0xac, 0x02, 50, 2, b'h', b'i']);
 //! let back = wire::decode(&mut bytes.clone()).expect("round-trip");
 //! assert_eq!(env, back);
 //! ```
@@ -111,6 +136,20 @@ pub fn get_varint(buf: &mut Bytes) -> Result<u64, DecodeError> {
     }
 }
 
+/// Narrows a decoded varint to the width of its `field`.
+///
+/// # Errors
+///
+/// [`DecodeError::OutOfRange`] if `v` does not fit: a corrupt id is
+/// refused rather than truncated into another one.
+pub(crate) fn narrow<T: TryFrom<u64>>(v: u64, field: &'static str) -> Result<T, DecodeError> {
+    T::try_from(v).map_err(|_| DecodeError::OutOfRange { value: v, field })
+}
+
+fn get_narrow<T: TryFrom<u64>>(buf: &mut Bytes, field: &'static str) -> Result<T, DecodeError> {
+    narrow(get_varint(buf)?, field)
+}
+
 fn put_bytes(buf: &mut BytesMut, b: &Bytes) {
     put_varint(buf, b.len() as u64);
     buf.put_slice(b);
@@ -130,7 +169,7 @@ fn put_suspicion(buf: &mut BytesMut, s: &Suspicion) {
 }
 
 fn get_suspicion(buf: &mut Bytes) -> Result<Suspicion, DecodeError> {
-    let suspect = ProcessId(get_varint(buf)? as u32);
+    let suspect = ProcessId(get_narrow(buf, "suspect")?);
     let ln = Msn(get_varint(buf)?);
     Ok(Suspicion { suspect, ln })
 }
@@ -151,30 +190,73 @@ fn get_detection(buf: &mut Bytes) -> Result<Vec<Suspicion>, DecodeError> {
     Ok(d)
 }
 
-const BODY_APP: u8 = 0;
-const BODY_NULL: u8 = 1;
-const BODY_SEQ_REQUEST: u8 = 2;
-const BODY_RELAY: u8 = 3;
-const BODY_SUSPECT: u8 = 4;
-const BODY_REFUTE: u8 = 5;
-const BODY_CONFIRMED: u8 = 6;
-const BODY_START_GROUP: u8 = 7;
-const BODY_DEPART: u8 = 8;
-const BODY_VIEW_CUT: u8 = 9;
+/// Width of the kind in the low bits of an envelope's key.
+const KIND_BITS: u32 = 4;
+const KIND_APP: u8 = 0;
+const KIND_NULL: u8 = 1;
+const KIND_SEQ_REQUEST: u8 = 2;
+const KIND_RELAY: u8 = 3;
+const KIND_SUSPECT: u8 = 4;
+const KIND_REFUTE: u8 = 5;
+const KIND_CONFIRMED: u8 = 6;
+const KIND_START_GROUP: u8 = 7;
+const KIND_DEPART: u8 = 8;
+const KIND_VIEW_CUT: u8 = 9;
+const KIND_FORM_GROUP: u8 = 10;
+const KIND_FORM_VOTE: u8 = 11;
+
+fn body_kind(body: &MessageBody) -> u8 {
+    match body {
+        MessageBody::App(_) => KIND_APP,
+        MessageBody::Null => KIND_NULL,
+        MessageBody::SeqRequest { .. } => KIND_SEQ_REQUEST,
+        MessageBody::Relay { .. } => KIND_RELAY,
+        MessageBody::Suspect(_) => KIND_SUSPECT,
+        MessageBody::Refute { .. } => KIND_REFUTE,
+        MessageBody::Confirmed { .. } => KIND_CONFIRMED,
+        MessageBody::StartGroup => KIND_START_GROUP,
+        MessageBody::Depart => KIND_DEPART,
+        MessageBody::ViewCut { .. } => KIND_VIEW_CUT,
+    }
+}
+
+fn put_key(buf: &mut BytesMut, group: GroupId, kind: u8) {
+    put_varint(buf, u64::from(group.0) << KIND_BITS | u64::from(kind));
+}
+
+/// Reads an envelope key: the group and a kind in `0..=KIND_FORM_VOTE`.
+fn get_key(buf: &mut Bytes) -> Result<(GroupId, u8), DecodeError> {
+    let key = get_varint(buf)?;
+    let kind = (key & ((1 << KIND_BITS) - 1)) as u8;
+    if kind > KIND_FORM_VOTE {
+        return Err(DecodeError::UnknownTag {
+            tag: kind,
+            context: "envelope",
+        });
+    }
+    Ok((GroupId(narrow(key >> KIND_BITS, "group")?), kind))
+}
+
+/// Encoded size of a key in `group`. The kind only fills the four low
+/// bits, so it never changes the width.
+fn key_len(group: GroupId) -> usize {
+    varint_len(u64::from(group.0) << KIND_BITS)
+}
+
+/// What a group message sends in place of `ldn`: its lag behind `c`.
+fn ldn_lag(m: &Message) -> u64 {
+    m.c.0.wrapping_sub(m.ldn.0)
+}
 
 fn put_message(buf: &mut BytesMut, m: &Message) {
-    put_varint(buf, u64::from(m.group.0));
+    put_key(buf, m.group, body_kind(&m.body));
     put_varint(buf, u64::from(m.sender.0));
     put_varint(buf, m.c.0);
-    put_varint(buf, m.ldn.0);
+    put_varint(buf, ldn_lag(m));
     match &m.body {
-        MessageBody::App(p) => {
-            buf.put_u8(BODY_APP);
-            put_bytes(buf, p);
-        }
-        MessageBody::Null => buf.put_u8(BODY_NULL),
+        MessageBody::App(p) => put_bytes(buf, p),
+        MessageBody::Null | MessageBody::StartGroup | MessageBody::Depart => {}
         MessageBody::SeqRequest { origin_c, payload } => {
-            buf.put_u8(BODY_SEQ_REQUEST);
             put_varint(buf, origin_c.0);
             put_bytes(buf, payload);
         }
@@ -183,21 +265,16 @@ fn put_message(buf: &mut BytesMut, m: &Message) {
             origin_c,
             payload,
         } => {
-            buf.put_u8(BODY_RELAY);
             put_varint(buf, u64::from(origin.0));
             put_varint(buf, origin_c.0);
             put_bytes(buf, payload);
         }
-        MessageBody::Suspect(s) => {
-            buf.put_u8(BODY_SUSPECT);
-            put_suspicion(buf, s);
-        }
+        MessageBody::Suspect(s) => put_suspicion(buf, s),
         MessageBody::Refute {
             suspicion,
             upto,
             recovered,
         } => {
-            buf.put_u8(BODY_REFUTE);
             put_suspicion(buf, suspicion);
             put_varint(buf, upto.0);
             put_varint(buf, recovered.len() as u64);
@@ -205,48 +282,38 @@ fn put_message(buf: &mut BytesMut, m: &Message) {
                 put_message(buf, r);
             }
         }
-        MessageBody::Confirmed { detection } => {
-            buf.put_u8(BODY_CONFIRMED);
-            put_detection(buf, detection);
-        }
-        MessageBody::StartGroup => buf.put_u8(BODY_START_GROUP),
-        MessageBody::Depart => buf.put_u8(BODY_DEPART),
-        MessageBody::ViewCut { detection } => {
-            buf.put_u8(BODY_VIEW_CUT);
+        MessageBody::Confirmed { detection } | MessageBody::ViewCut { detection } => {
             put_detection(buf, detection);
         }
     }
 }
 
-fn get_message(buf: &mut Bytes) -> Result<Message, DecodeError> {
-    let group = GroupId(get_varint(buf)? as u32);
-    let sender = ProcessId(get_varint(buf)? as u32);
+/// Reads the rest of a group message whose key was `(group, kind)`.
+fn get_message(buf: &mut Bytes, group: GroupId, kind: u8) -> Result<Message, DecodeError> {
+    let sender = ProcessId(get_narrow(buf, "sender")?);
     let c = Msn(get_varint(buf)?);
-    let ldn = Msn(get_varint(buf)?);
-    if !buf.has_remaining() {
-        return Err(DecodeError::Truncated);
-    }
-    let tag = buf.get_u8();
-    let body = match tag {
-        BODY_APP => MessageBody::App(get_bytes(buf)?),
-        BODY_NULL => MessageBody::Null,
-        BODY_SEQ_REQUEST => MessageBody::SeqRequest {
+    let ldn = Msn(c.0.wrapping_sub(get_varint(buf)?));
+    let body = match kind {
+        KIND_APP => MessageBody::App(get_bytes(buf)?),
+        KIND_NULL => MessageBody::Null,
+        KIND_SEQ_REQUEST => MessageBody::SeqRequest {
             origin_c: Msn(get_varint(buf)?),
             payload: get_bytes(buf)?,
         },
-        BODY_RELAY => MessageBody::Relay {
-            origin: ProcessId(get_varint(buf)? as u32),
+        KIND_RELAY => MessageBody::Relay {
+            origin: ProcessId(get_narrow(buf, "origin")?),
             origin_c: Msn(get_varint(buf)?),
             payload: get_bytes(buf)?,
         },
-        BODY_SUSPECT => MessageBody::Suspect(get_suspicion(buf)?),
-        BODY_REFUTE => {
+        KIND_SUSPECT => MessageBody::Suspect(get_suspicion(buf)?),
+        KIND_REFUTE => {
             let suspicion = get_suspicion(buf)?;
             let upto = Msn(get_varint(buf)?);
             let n = get_varint(buf)? as usize;
             let mut recovered = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
-                recovered.push(get_message(buf)?);
+                let (group, kind) = get_key(buf)?;
+                recovered.push(get_message(buf, group, kind)?);
             }
             MessageBody::Refute {
                 suspicion,
@@ -254,17 +321,19 @@ fn get_message(buf: &mut Bytes) -> Result<Message, DecodeError> {
                 recovered,
             }
         }
-        BODY_CONFIRMED => MessageBody::Confirmed {
+        KIND_CONFIRMED => MessageBody::Confirmed {
             detection: get_detection(buf)?,
         },
-        BODY_START_GROUP => MessageBody::StartGroup,
-        BODY_DEPART => MessageBody::Depart,
-        BODY_VIEW_CUT => MessageBody::ViewCut {
+        KIND_START_GROUP => MessageBody::StartGroup,
+        KIND_DEPART => MessageBody::Depart,
+        KIND_VIEW_CUT => MessageBody::ViewCut {
             detection: get_detection(buf)?,
         },
-        tag => {
+        // Only a recovered message can get here: a control kind names
+        // no message body.
+        kind => {
             return Err(DecodeError::UnknownTag {
-                tag,
+                tag: kind,
                 context: "message body",
             })
         }
@@ -277,11 +346,6 @@ fn get_message(buf: &mut Bytes) -> Result<Message, DecodeError> {
         body,
     })
 }
-
-const ENV_GROUP: u8 = 0;
-const ENV_CONTROL: u8 = 1;
-const CTRL_FORM_GROUP: u8 = 0;
-const CTRL_FORM_VOTE: u8 = 1;
 
 fn put_config(buf: &mut BytesMut, cfg: &GroupConfig) {
     buf.put_u8(match cfg.mode {
@@ -347,7 +411,7 @@ fn get_config(buf: &mut Bytes) -> Result<GroupConfig, DecodeError> {
     }
     let flow_window = match buf.get_u8() {
         0 => None,
-        1 => Some(get_varint(buf)? as u32),
+        1 => Some(get_narrow(buf, "flow window")?),
         tag => {
             return Err(DecodeError::UnknownTag {
                 tag,
@@ -365,8 +429,8 @@ fn get_config(buf: &mut Bytes) -> Result<GroupConfig, DecodeError> {
                 return Err(DecodeError::Truncated);
             }
             let window = buf.get_u8();
-            let factor = get_varint(buf)? as u16;
-            let cap = get_varint(buf)? as u16;
+            let factor = get_narrow(buf, "accrual factor")?;
+            let cap = get_narrow(buf, "accrual cap")?;
             SuspicionMode::Accrual {
                 window,
                 factor,
@@ -409,42 +473,32 @@ pub fn encode(env: &Envelope) -> Bytes {
 /// [`encoded_len`], after which encoding performs no allocation at all.
 pub fn encode_into(env: &Envelope, buf: &mut BytesMut) {
     match env {
-        Envelope::Group(m) => {
-            buf.put_u8(ENV_GROUP);
-            put_message(buf, m);
-        }
-        Envelope::Control(c) => {
-            buf.put_u8(ENV_CONTROL);
-            match c {
-                ControlMessage::FormGroup {
-                    group,
-                    initiator,
-                    members,
-                    config,
-                } => {
-                    buf.put_u8(CTRL_FORM_GROUP);
-                    put_varint(buf, u64::from(group.0));
-                    put_varint(buf, u64::from(initiator.0));
-                    put_varint(buf, members.len() as u64);
-                    for m in members {
-                        put_varint(buf, u64::from(m.0));
-                    }
-                    put_config(buf, config);
-                }
-                ControlMessage::FormVote {
-                    group,
-                    voter,
-                    decision,
-                } => {
-                    buf.put_u8(CTRL_FORM_VOTE);
-                    put_varint(buf, u64::from(group.0));
-                    put_varint(buf, u64::from(voter.0));
-                    buf.put_u8(match decision {
-                        FormationDecision::Yes => 1,
-                        FormationDecision::No => 0,
-                    });
-                }
+        Envelope::Group(m) => put_message(buf, m),
+        Envelope::Control(ControlMessage::FormGroup {
+            group,
+            initiator,
+            members,
+            config,
+        }) => {
+            put_key(buf, *group, KIND_FORM_GROUP);
+            put_varint(buf, u64::from(initiator.0));
+            put_varint(buf, members.len() as u64);
+            for m in members {
+                put_varint(buf, u64::from(m.0));
             }
+            put_config(buf, config);
+        }
+        Envelope::Control(ControlMessage::FormVote {
+            group,
+            voter,
+            decision,
+        }) => {
+            put_key(buf, *group, KIND_FORM_VOTE);
+            put_varint(buf, u64::from(voter.0));
+            buf.put_u8(match decision {
+                FormationDecision::Yes => 1,
+                FormationDecision::No => 0,
+            });
         }
     }
 }
@@ -456,64 +510,45 @@ pub fn encode_into(env: &Envelope, buf: &mut BytesMut) {
 /// Any [`DecodeError`] on malformed input; on error the buffer is left in an
 /// unspecified partially consumed state.
 pub fn decode(buf: &mut Bytes) -> Result<Envelope, DecodeError> {
-    if !buf.has_remaining() {
-        return Err(DecodeError::Truncated);
-    }
-    match buf.get_u8() {
-        ENV_GROUP => Ok(Envelope::Group(Arc::new(get_message(buf)?))),
-        ENV_CONTROL => {
+    let (group, kind) = get_key(buf)?;
+    match kind {
+        KIND_FORM_GROUP => {
+            let initiator = ProcessId(get_narrow(buf, "initiator")?);
+            let n = get_varint(buf)? as usize;
+            let mut members = BTreeSet::new();
+            for _ in 0..n {
+                members.insert(ProcessId(get_narrow(buf, "member")?));
+            }
+            let config = get_config(buf)?;
+            Ok(Envelope::Control(ControlMessage::FormGroup {
+                group,
+                initiator,
+                members,
+                config,
+            }))
+        }
+        KIND_FORM_VOTE => {
+            let voter = ProcessId(get_narrow(buf, "voter")?);
             if !buf.has_remaining() {
                 return Err(DecodeError::Truncated);
             }
-            match buf.get_u8() {
-                CTRL_FORM_GROUP => {
-                    let group = GroupId(get_varint(buf)? as u32);
-                    let initiator = ProcessId(get_varint(buf)? as u32);
-                    let n = get_varint(buf)? as usize;
-                    let mut members = BTreeSet::new();
-                    for _ in 0..n {
-                        members.insert(ProcessId(get_varint(buf)? as u32));
-                    }
-                    let config = get_config(buf)?;
-                    Ok(Envelope::Control(ControlMessage::FormGroup {
-                        group,
-                        initiator,
-                        members,
-                        config,
-                    }))
+            let decision = match buf.get_u8() {
+                1 => FormationDecision::Yes,
+                0 => FormationDecision::No,
+                tag => {
+                    return Err(DecodeError::UnknownTag {
+                        tag,
+                        context: "formation decision",
+                    })
                 }
-                CTRL_FORM_VOTE => {
-                    let group = GroupId(get_varint(buf)? as u32);
-                    let voter = ProcessId(get_varint(buf)? as u32);
-                    if !buf.has_remaining() {
-                        return Err(DecodeError::Truncated);
-                    }
-                    let decision = match buf.get_u8() {
-                        1 => FormationDecision::Yes,
-                        0 => FormationDecision::No,
-                        tag => {
-                            return Err(DecodeError::UnknownTag {
-                                tag,
-                                context: "formation decision",
-                            })
-                        }
-                    };
-                    Ok(Envelope::Control(ControlMessage::FormVote {
-                        group,
-                        voter,
-                        decision,
-                    }))
-                }
-                tag => Err(DecodeError::UnknownTag {
-                    tag,
-                    context: "control message",
-                }),
-            }
+            };
+            Ok(Envelope::Control(ControlMessage::FormVote {
+                group,
+                voter,
+                decision,
+            }))
         }
-        tag => Err(DecodeError::UnknownTag {
-            tag,
-            context: "envelope",
-        }),
+        kind => Ok(Envelope::Group(Arc::new(get_message(buf, group, kind)?))),
     }
 }
 
@@ -530,11 +565,10 @@ fn detection_len(d: &[Suspicion]) -> usize {
 }
 
 fn message_len(m: &Message) -> usize {
-    let header = varint_len(u64::from(m.group.0))
+    let header = key_len(m.group)
         + varint_len(u64::from(m.sender.0))
         + varint_len(m.c.0)
-        + varint_len(m.ldn.0)
-        + 1; // body tag
+        + varint_len(ldn_lag(m));
     header
         + match &m.body {
             MessageBody::App(p) => bytes_len(p),
@@ -588,7 +622,7 @@ fn config_len(cfg: &GroupConfig) -> usize {
 /// `bytes_sent` accounting costs no allocation per message.
 #[must_use]
 pub fn encoded_len(env: &Envelope) -> usize {
-    1 + match env {
+    match env {
         Envelope::Group(m) => message_len(m),
         Envelope::Control(ControlMessage::FormGroup {
             group,
@@ -596,7 +630,7 @@ pub fn encoded_len(env: &Envelope) -> usize {
             members,
             config,
         }) => {
-            1 + varint_len(u64::from(group.0))
+            key_len(*group)
                 + varint_len(u64::from(initiator.0))
                 + varint_len(members.len() as u64)
                 + members
@@ -606,7 +640,7 @@ pub fn encoded_len(env: &Envelope) -> usize {
                 + config_len(config)
         }
         Envelope::Control(ControlMessage::FormVote { group, voter, .. }) => {
-            1 + varint_len(u64::from(group.0)) + varint_len(u64::from(voter.0)) + 1
+            key_len(*group) + varint_len(u64::from(voter.0)) + 1
         }
     }
 }
@@ -625,7 +659,7 @@ pub fn header_overhead(m: &Message) -> usize {
         | MessageBody::Relay { payload: p, .. } => p.len(),
         _ => 0,
     };
-    1 + message_len(m) - payload_len
+    message_len(m) - payload_len
 }
 
 /// Frames larger than this are rejected by [`FrameDecoder`] as corrupt
@@ -918,16 +952,138 @@ mod tests {
         assert!(large - small <= 2);
     }
 
+    /// Bytes of `varints`, each LEB128-encoded. Every tag byte the codec
+    /// writes is below 128, so it encodes as the same single byte.
+    fn raw(varints: &[u64]) -> Bytes {
+        let mut buf = BytesMut::new();
+        for &v in varints {
+            put_varint(&mut buf, v);
+        }
+        buf.freeze()
+    }
+
+    fn key(group: u64, kind: u8) -> u64 {
+        group << KIND_BITS | u64::from(kind)
+    }
+
     #[test]
     fn decode_rejects_unknown_envelope_tag() {
-        let mut b = Bytes::from_static(&[0x77]);
-        assert!(matches!(
-            decode(&mut b),
+        // Kinds 12–15 name nothing, whatever the group; the key alone is
+        // rejected before any further field is read.
+        for group in [0, 1, 7, 8, u64::from(u32::MAX)] {
+            for kind in 12..16 {
+                assert_eq!(
+                    decode(&mut raw(&[key(group, kind)])),
+                    Err(DecodeError::UnknownTag {
+                        tag: kind,
+                        context: "envelope",
+                    }),
+                    "group {group} kind {kind}"
+                );
+            }
+        }
+        // A refute's recovered message carries a key too: an unknown kind
+        // is refused there the same way, and a control kind names no
+        // message body.
+        let refute = |inner: u64| raw(&[key(1, KIND_REFUTE), 2, 9, 1, 4, 7, 8, 1, inner, 2, 3, 1]);
+        assert_eq!(
+            decode(&mut refute(key(1, 13))),
             Err(DecodeError::UnknownTag {
+                tag: 13,
                 context: "envelope",
-                ..
             })
-        ));
+        );
+        assert_eq!(
+            decode(&mut refute(key(1, KIND_FORM_GROUP))),
+            Err(DecodeError::UnknownTag {
+                tag: KIND_FORM_GROUP,
+                context: "message body",
+            })
+        );
+    }
+
+    /// 2³² + 1: read with `as u32` it would alias id 1.
+    const WIDE: u64 = (1 << 32) + 1;
+
+    fn out_of_range(field: &'static str) -> Result<Envelope, DecodeError> {
+        Err(DecodeError::OutOfRange { value: WIDE, field })
+    }
+
+    #[test]
+    fn group_above_u32_is_rejected_not_aliased() {
+        for kind in [KIND_NULL, KIND_APP, KIND_FORM_VOTE] {
+            let mut b = raw(&[key(WIDE, kind), 2, 3, 1, 0]);
+            assert_eq!(decode(&mut b), out_of_range("group"), "kind {kind}");
+        }
+        // The widest key that still names a valid kind.
+        let mut b = raw(&[u64::MAX - 4, 2, 3, 1]);
+        assert_eq!(
+            decode(&mut b),
+            Err(DecodeError::OutOfRange {
+                value: u64::MAX >> KIND_BITS,
+                field: "group",
+            })
+        );
+    }
+
+    #[test]
+    fn message_ids_above_u32_are_rejected() {
+        let sender = raw(&[key(1, KIND_NULL), WIDE, 3, 1]);
+        let origin = raw(&[key(1, KIND_RELAY), 2, 3, 1, WIDE, 5, 0]);
+        let suspect = raw(&[key(1, KIND_SUSPECT), 2, 3, 1, WIDE, 4]);
+        let detection = raw(&[key(1, KIND_CONFIRMED), 2, 3, 1, 2, 9, 4, WIDE, 4]);
+        let recovered = raw(&[key(1, KIND_REFUTE), 2, 9, 1, 4, 7, 8, 1, 1, WIDE, 3, 1]);
+        for (mut b, field) in [
+            (sender, "sender"),
+            (origin, "origin"),
+            (suspect, "suspect"),
+            (detection, "suspect"),
+            (recovered, "sender"),
+        ] {
+            assert_eq!(decode(&mut b), out_of_range(field), "{field}");
+        }
+    }
+
+    #[test]
+    fn control_ids_above_u32_are_rejected() {
+        let initiator = raw(&[key(1, KIND_FORM_GROUP), WIDE, 0]);
+        let member = raw(&[key(1, KIND_FORM_GROUP), 1, 2, 1, WIDE]);
+        let voter = raw(&[key(1, KIND_FORM_VOTE), WIDE, 1]);
+        for (mut b, field) in [
+            (initiator, "initiator"),
+            (member, "member"),
+            (voter, "voter"),
+        ] {
+            assert_eq!(decode(&mut b), out_of_range(field), "{field}");
+        }
+    }
+
+    #[test]
+    fn config_fields_are_range_checked() {
+        // FormGroup in g1 from P1 with no members, then the config:
+        // symmetric, total, ω, Ω, and the fields under test.
+        let form = |tail: &[u64]| {
+            let mut v = vec![key(1, KIND_FORM_GROUP), 1, 0, 0, 0, 5_000, 50_000];
+            v.extend_from_slice(tail);
+            raw(&v)
+        };
+        assert_eq!(decode(&mut form(&[1, WIDE])), out_of_range("flow window"));
+        let wide16 = u64::from(u16::MAX) + 1;
+        for (tail, field) in [
+            ([0, 1, 8, wide16, 4], "accrual factor"),
+            ([0, 1, 8, 4, wide16], "accrual cap"),
+        ] {
+            assert_eq!(
+                decode(&mut form(&tail)),
+                Err(DecodeError::OutOfRange {
+                    value: wide16,
+                    field,
+                }),
+                "{field}"
+            );
+        }
+        // The same bytes with in-range values decode.
+        assert!(decode(&mut form(&[1, 16, 1, 8, 4, 4])).is_ok());
     }
 
     #[test]

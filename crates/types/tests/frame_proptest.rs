@@ -285,7 +285,8 @@ fn junk_between_envelopes_inside_frame_reported() {
     // two junk bytes: since a frame body is a sequence of envelopes, the
     // junk is parsed as the start of a second envelope and must surface
     // as a clean decode error, not be silently skipped. (The pre-batching
-    // decoder reported this as `TrailingBytes`.)
+    // decoder reported this as `TrailingBytes`.) The first junk byte is a
+    // complete key, g1 with kind 15, which names no envelope.
     let env: Envelope = Message {
         group: GroupId(1),
         sender: ProcessId(2),
@@ -298,17 +299,17 @@ fn junk_between_envelopes_inside_frame_reported() {
     let mut buf = bytes::BytesMut::new();
     wire::put_varint(&mut buf, body.len() as u64 + 2);
     bytes::BufMut::put_slice(&mut buf, &body);
-    bytes::BufMut::put_slice(&mut buf, &[0xaa, 0xbb]);
+    bytes::BufMut::put_slice(&mut buf, &[0x1f, 0xbb]);
     let mut dec = FrameDecoder::new();
     dec.push(&buf);
     assert_eq!(dec.next_frame(), Ok(Some(env)));
-    assert!(matches!(
+    assert_eq!(
         dec.next_frame(),
         Err(newtop_types::DecodeError::UnknownTag {
+            tag: 15,
             context: "envelope",
-            ..
         })
-    ));
+    );
 }
 
 #[test]

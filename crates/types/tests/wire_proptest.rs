@@ -153,16 +153,24 @@ proptest! {
     }
 
     #[test]
-    fn app_header_overhead_is_bounded(c in 0..u64::MAX / 2, len in 0usize..4096) {
+    fn app_header_overhead_is_bounded(
+        g in any::<u32>(),
+        sender in any::<u32>(),
+        c in 0..u64::MAX / 2,
+        lag in any::<u64>(),
+        len in 0usize..4096,
+    ) {
         let m = Message {
-            group: GroupId(1),
-            sender: ProcessId(1),
+            group: GroupId(g),
+            sender: ProcessId(sender),
             c: Msn(c),
-            ldn: Msn(c),
+            // The engine never sends `ldn` above `c`.
+            ldn: Msn(c - lag % (c + 1)),
             body: MessageBody::App(Bytes::from(vec![0u8; len])),
         };
-        // Envelope tag + 4 varints (<= 10B each) + body tag + length varint.
-        prop_assert!(wire::header_overhead(&m) <= 2 + 4 * 10 + 3);
+        // Key (a 32-bit group and 4 kind bits: <= 6B) + sender (<= 5B)
+        // + c and its lag (each below 2^63: <= 9B) + length (<= 2B).
+        prop_assert!(wire::header_overhead(&m) <= 6 + 5 + 2 * 9 + 2);
     }
 
     #[test]
