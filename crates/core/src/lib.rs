@@ -75,5 +75,5 @@ mod vectors;
 pub use action::{Action, Delivery, FormationFailure, ProcessStats, ProtocolEvent};
 pub use buffer::{DeliveryBuffer, RetentionStore};
 pub use clock::LogicalClock;
-pub use process::{supersedes_omega_null, GroupError, Process};
+pub use process::{GroupError, Process};
 pub use vectors::MsnVector;

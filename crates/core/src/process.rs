@@ -233,7 +233,9 @@ impl Process {
     /// # Errors
     ///
     /// [`SendError::NotMember`] if this process is not a member (or the
-    /// group is unknown); [`SendError::Departed`] after [`Process::depart`].
+    /// group is unknown); [`SendError::Departed`] after [`Process::depart`];
+    /// [`SendError::PayloadTooLarge`] for a payload longer than
+    /// [`newtop_types::wire::MAX_PAYLOAD_LEN`].
     pub fn multicast(
         &mut self,
         now: Instant,
@@ -247,6 +249,9 @@ impl Process {
             }
         } else if !self.forming.contains_key(&group) {
             return Err(SendError::NotMember { group });
+        }
+        if payload.len() as u64 > newtop_types::wire::MAX_PAYLOAD_LEN {
+            return Err(SendError::PayloadTooLarge { group });
         }
         self.stats.app_sends += 1;
         self.deferred
@@ -1301,44 +1306,6 @@ impl Process {
         for j in silent {
             self.suspector_notify(group, j, out);
         }
-    }
-}
-
-/// Whether `later` makes a pending ω null-message from `sender` in
-/// `group` numbered `c` redundant on a link, **provided both would be
-/// handled by the receiver in the same batch at the same local time**.
-///
-/// A null's entire receive-side effect is monotone bookkeeping: the
-/// logical clock observes `c`, the receive vector advances to `c`, the
-/// seen vector advances to the null's `ldn`, and liveness (`note_heard`,
-/// refutation condition (iii)) is refreshed. A null is never delivered.
-/// It *is* retained for recovery, and a refute may piggyback it — but the
-/// superseding message is retained too and carries a higher `c`, so a
-/// piggyback that would have carried the null carries the later message,
-/// which moves a recovering receiver's vectors past the null just as well.
-/// Any later numbered message from the same sender in the same group
-/// carries a strictly higher `c` and a `ldn` at least as high (both are
-/// non-decreasing per sender within a view, and views only shrink), so
-/// every one of those maxima lands at the same final value with or
-/// without the null. Sequencer unicast requests are the one exception:
-/// they deliberately do **not** advance the receive vector (only
-/// multicasts count toward suspicion `ln` comparability), so they cannot
-/// stand in for a null.
-///
-/// Transports use this to drop a queued standalone null when a data
-/// frame to the same destination is already coalescing in the same
-/// flush — the §4.1 liveness signal rides piggyback on the data message
-/// instead of costing its own envelope.
-#[must_use]
-pub fn supersedes_omega_null(later: &Envelope, sender: ProcessId, group: GroupId, c: Msn) -> bool {
-    match later {
-        Envelope::Group(m) => {
-            m.sender == sender
-                && m.group == group
-                && m.c > c
-                && !matches!(m.body, MessageBody::SeqRequest { .. })
-        }
-        Envelope::Control(_) => false,
     }
 }
 

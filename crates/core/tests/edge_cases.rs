@@ -1,12 +1,15 @@
 //! Edge-case and interaction tests: mode/feature combinations the main
 //! suites do not cover — departures with outstanding unicasts, recovery of
 //! departure announcements, flow control in asymmetric groups, bootstrap
-//! validation, duplicate and stale traffic.
+//! validation, duplicate and stale traffic, payloads too large for one
+//! wire frame.
 
+use bytes::Bytes;
 use newtop_core::testkit::{pid, TestNet};
-use newtop_core::{GroupError, Process};
+use newtop_core::{Action, GroupError, Process};
 use newtop_types::{
-    DeliveryMode, GroupConfig, GroupId, Instant, OrderMode, ProcessConfig, ProcessId, Span,
+    wire, DeliveryMode, GroupConfig, GroupId, Instant, OrderMode, ProcessConfig, ProcessId,
+    SendError, Span,
 };
 use std::collections::BTreeSet;
 
@@ -247,4 +250,26 @@ fn overlapping_partitioned_groups_converge_independently() {
     net.run_to_quiescence();
     net.advance_past_omega(G2);
     assert_eq!(net.delivered_payloads(2, G2), vec!["still-works"]);
+}
+
+#[test]
+fn payload_too_large_for_one_frame_is_refused() {
+    // A payload past `wire::MAX_PAYLOAD_LEN` would make an envelope no
+    // peer link accepts; the engine refuses it at the call, sending
+    // nothing, so every host and the simulator agree.
+    let mut net = TestNet::new([1, 2]);
+    net.bootstrap_group(G1, &[1, 2], sym());
+    let now = net.now();
+    let max = usize::try_from(wire::MAX_PAYLOAD_LEN).unwrap();
+    assert_eq!(
+        net.proc_mut(1)
+            .multicast(now, G1, Bytes::from(vec![0u8; max + 1]))
+            .map(|actions| actions.len()),
+        Err(SendError::PayloadTooLarge { group: G1 })
+    );
+    let actions = net
+        .proc_mut(1)
+        .multicast(now, G1, Bytes::from(vec![0u8; max]))
+        .expect("the largest payload is accepted");
+    assert!(actions.iter().any(|a| matches!(a, Action::Send { .. })));
 }

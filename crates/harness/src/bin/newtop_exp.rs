@@ -578,10 +578,7 @@ fn load_main(args: &[String]) -> ExitCode {
             .map(|(label, n)| format!("{label}:{n}"))
             .collect();
         println!("load wire: occupancy histogram [{}]", hist.join(" "));
-        println!(
-            "load wire: {} null-only frames, {} omega nulls suppressed at egress",
-            wire.null_frames, wire.suppressed_nulls,
-        );
+        println!("load wire: {} null-only frames", wire.null_frames);
     }
     if cfg.churn.is_some() {
         println!(

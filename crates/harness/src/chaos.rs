@@ -157,7 +157,7 @@ pub struct ChaosScenario {
     /// capped per-node uplinks, asymmetric inter-region trunks, a
     /// reorder-hold knob, and congestion-window faults (link/uplink
     /// capacity slashes that later restore). The wire stays exactly-once
-    /// (see [`WanSpec::draw`]). Timeouts and the settle horizon are widened
+    /// (see `WanSpec::draw`). Timeouts and the settle horizon are widened
     /// so congestion manifests as suspicion, not false exclusion. `false`
     /// selects the LAN profile.
     pub wan: bool,
@@ -1291,7 +1291,7 @@ pub struct ShrinkResult {
 ///
 /// Independent removal probes run on up to `jobs` threads; the result —
 /// plan, violations and run count — is byte-identical to `jobs = 1`
-/// (see [`ddmin`]).
+/// (see `ddmin`).
 #[must_use]
 pub fn shrink(plan: &ChaosPlan, opts: &CheckOptions, max_runs: usize, jobs: usize) -> ShrinkResult {
     let mut runs = 0usize;

@@ -23,11 +23,11 @@
 //! those indices instead of re-scanning per check:
 //!
 //! * message identities are interned to dense `u32`s, so per-message state
-//!   lives in flat vectors and message *sets* are bitsets ([`BitSet`]);
-//! * installed views are interned globally ([`ViewTable`]), so the
+//!   lives in flat vectors and message *sets* are bitsets (`BitSet`);
+//! * installed views are interned globally (`ViewTable`), so the
 //!   view-matched order comparison (MD4 under partitionable membership) is
 //!   an integer compare;
-//! * each per-process log is walked once ([`digest`]), producing delivery /
+//! * each per-process log is walked once (`digest`), producing delivery /
 //!   send / view timelines — the log-order exclusion-barrier check runs
 //!   inline during that same walk;
 //! * the happened-before closure is a bitset fixpoint over interned ids

@@ -24,7 +24,7 @@
 //! to *delivery-exact* behavior by construction — the protocol checker
 //! must stay green under any proxy schedule.
 
-use newtop_types::peer::{addressed_frame_into, PeerFrameDecoder, HELLO_LEN};
+use newtop_types::peer::{addressed_frame_into, PeerRecordDecoder, HELLO_LEN};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{ErrorKind, Read, Write};
@@ -352,7 +352,7 @@ fn chaos_pump(
     tallies: &Tallies,
 ) {
     let mut rng = StdRng::seed_from_u64(conn_seed);
-    let mut dec = PeerFrameDecoder::new();
+    let mut dec = PeerRecordDecoder::new();
     let mut buf = [0u8; 16 * 1024];
     let mut out = BytesMut::new();
     let mut shaper = cfg.rate_kbps.map(Shaper::new);

@@ -193,7 +193,8 @@ const REC_ACTIVE: u8 = 0x86;
 const MAX_RECORD: u64 = 16 * 1024 * 1024;
 
 /// Incremental varint-length-prefixed record parser for the control
-/// stream (the ctrl-plane sibling of the wire `FrameDecoder`).
+/// stream (the control-plane sibling of the peer links'
+/// `PeerRecordDecoder`).
 struct RecordDecoder {
     buf: Vec<u8>,
 }
@@ -297,7 +298,6 @@ fn encode_stats(stats: &WireStats, shards: u64) -> Vec<u8> {
     put_u64(&mut rec, stats.envelopes);
     put_u64(&mut rec, stats.bytes);
     put_u64(&mut rec, stats.null_frames);
-    put_u64(&mut rec, stats.suppressed_nulls);
     for bucket in &stats.occupancy {
         put_u64(&mut rec, *bucket);
     }
@@ -316,7 +316,6 @@ fn decode_stats(body: &[u8]) -> Result<(WireStats, u64), String> {
         envelopes: c.u64()?,
         bytes: c.u64()?,
         null_frames: c.u64()?,
-        suppressed_nulls: c.u64()?,
         ..WireStats::default()
     };
     for bucket in &mut stats.occupancy {
@@ -534,12 +533,7 @@ impl Verdicts {
                         .unwrap_or(Err(SendError::NotMember { group }))
                     {
                         Ok(()) => (0, String::new()),
-                        // Shed at the host's admission boundary: a
-                        // distinct tag, so the client can count
-                        // backpressure separately from membership
-                        // refusals.
-                        Err(e @ SendError::Overloaded { .. }) => (2, e.to_string()),
-                        Err(e) => (1, e.to_string()),
+                        Err(e) => (verdict_code(&e), e.to_string()),
                     }
                 }
             };
@@ -548,6 +542,18 @@ impl Verdicts {
             self.out.put_slice(text.as_bytes());
         }
         write_batch(writer, &self.out)
+    }
+}
+
+/// The verdict record's code for a refused multicast, from which the
+/// client rebuilds the error kind ([`dispatch_record`]). A shed at the
+/// host's admission boundary has its own code, so the client counts
+/// backpressure separately from refusals.
+fn verdict_code(e: &SendError) -> u8 {
+    match e {
+        SendError::NotMember { .. } | SendError::Departed { .. } => 1,
+        SendError::Overloaded { .. } => 2,
+        SendError::PayloadTooLarge { .. } => 3,
     }
 }
 
@@ -1029,7 +1035,6 @@ impl RemoteCluster {
             sum.envelopes += stats.envelopes;
             sum.bytes += stats.bytes;
             sum.null_frames += stats.null_frames;
-            sum.suppressed_nulls += stats.suppressed_nulls;
             for (acc, bucket) in sum.occupancy.iter_mut().zip(stats.occupancy.iter()) {
                 *acc += bucket;
             }
@@ -1110,6 +1115,7 @@ fn dispatch_record(record: &[u8], pending: &PendingReplies, txs: &[Sender<Output
                 // Admission-boundary shed: preserved as Overloaded so
                 // the generator counts backpressure, not churn.
                 2 => Err(SendError::Overloaded { group: GroupId(0) }),
+                3 => Err(SendError::PayloadTooLarge { group: GroupId(0) }),
                 // The group id is not echoed in the error record; the
                 // generator only branches on the error kind.
                 _ => Err(SendError::NotMember { group: GroupId(0) }),
@@ -1234,7 +1240,6 @@ mod tests {
             envelopes: 21,
             bytes: 12345,
             null_frames: 2,
-            suppressed_nulls: 3,
             reconnects: 1,
             dropped_dead: 4,
             handshake_rejects: 5,
@@ -1269,6 +1274,25 @@ mod tests {
             }
         }
         assert_eq!(got, payloads);
+    }
+
+    /// Each refusal kind the client tells apart survives the verdict
+    /// record (the group id is not echoed).
+    #[test]
+    fn verdict_codes_keep_the_refusal_kind() {
+        let g = GroupId(0);
+        for e in [
+            SendError::NotMember { group: g },
+            SendError::Overloaded { group: g },
+            SendError::PayloadTooLarge { group: g },
+        ] {
+            let pending = PendingReplies::default();
+            let (tx, rx) = bounded(1);
+            pending.verdicts.lock().unwrap().push_back(tx);
+            let record = [REC_VERDICT, verdict_code(&e)];
+            assert!(dispatch_record(&record, &pending, &[]).is_some());
+            assert_eq!(rx.try_recv().unwrap(), Err(e));
+        }
     }
 
     /// Seeded random control streams, cut into random chunks, never panic

@@ -6,7 +6,8 @@
 //! available parallelism) each own many protocol participants and drain a
 //! single MPSC inbox in batches. Messages between nodes travel as
 //! length-prefix-framed wire bytes — encoded once per multicast via
-//! [`newtop_types::wire::encode_into`], decoded at the receiving shard —
+//! [`newtop_types::wire::frame`], batched per destination by
+//! [`newtop_types::wire::Batch`], decoded at the receiving shard —
 //! so the wire codec runs at full speed on the hot path and byte
 //! accounting ([`RunningCluster::wire_stats`]) is exact. Per-shard timers
 //! live in a binary-heap deadline wheel; partition control is a versioned

@@ -7,9 +7,8 @@
 //! path (the channel-backed router); frames for remote destinations are
 //! wrapped in addressed records ([`newtop_types::peer`]) and written to
 //! the owning peer's connection. The frame bytes themselves are
-//! bit-identical to the in-process wire path — batching, ω-null
-//! suppression and byte accounting all happen before the transport
-//! split, in the shard's egress.
+//! bit-identical to the in-process wire path — batching and byte
+//! accounting happen before the transport split, in the shard's egress.
 //!
 //! # Connection management
 //!
@@ -35,9 +34,11 @@
 //! are dropped by sequence, and a sequence *gap* — only possible if
 //! something in the middle discarded bytes, e.g. a chaos proxy — makes
 //! the receiver sever the connection so the dialer's retransmission
-//! closes the hole. Session nonces distinguish a restarted peer from a
-//! resumed link: the acceptor retires a peer's previous nonce when a
-//! new incarnation handshakes and rejects hellos bearing retired
+//! closes the hole. A record for a hosted node whose frame does not
+//! decode is malformed input and severs the same way, before its
+//! sequence is consumed. Session nonces distinguish a restarted peer
+//! from a resumed link: the acceptor retires a peer's previous nonce
+//! when a new incarnation handshakes and rejects hellos bearing retired
 //! nonces, and a dialer severs on a resume point beyond anything it
 //! ever sent (receive state from a colliding nonce) rather than
 //! letting the link blackhole.
@@ -47,9 +48,9 @@ use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use newtop_types::peer::{
     addressed_frame_into, decode_ack, decode_hello, encode_ack, encode_hello, Hello,
-    PeerFrameDecoder, ACK_LEN, HELLO_LEN,
+    PeerRecordDecoder, ACK_LEN, HELLO_LEN,
 };
-use newtop_types::ProcessId;
+use newtop_types::{wire, ProcessId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -184,10 +185,6 @@ impl Transport for TcpTransport {
 
     fn count_frame(&self, frame: &Frame) {
         self.router.count_frame(frame);
-    }
-
-    fn note_suppressed(&self, n: u64) {
-        self.router.note_suppressed(n);
     }
 
     fn stats(&self) -> WireStats {
@@ -717,7 +714,7 @@ fn accept_conn(ctx: &Arc<Acceptor>, stream: TcpStream) {
 }
 
 fn ingress_main(ctx: &Acceptor, mut stream: &TcpStream, state: &Mutex<u64>) {
-    let mut dec = PeerFrameDecoder::new();
+    let mut dec = PeerRecordDecoder::new();
     let mut buf = vec![0u8; 64 * 1024];
     let mut last_acked: u64 = 0;
     let ack_stream = stream;
@@ -752,6 +749,12 @@ fn ingress_main(ctx: &Acceptor, mut stream: &TcpStream, state: &Mutex<u64>) {
                                 break 'conn;
                             }
                             if let Some(shard) = ctx.router.shard_of(rec.dest) {
+                                // A frame that does not decode is
+                                // malformed input: sever before its
+                                // sequence is consumed, as on a gap.
+                                if wire::unframe_each(rec.frame.clone(), drop).is_err() {
+                                    break 'conn;
+                                }
                                 let _ = ctx.inboxes[shard as usize].send(ShardMsg::Frame(Frame {
                                     to: rec.dest,
                                     bytes: rec.frame,

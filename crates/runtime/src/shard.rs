@@ -17,11 +17,11 @@
 
 use crate::partition::{PartitionCtl, Snapshot};
 use crate::timer::TimerWheel;
-use crate::transport::{unframe_each, BatchPolicy, Egress, Frame, FrameCache, ShardMsg, Transport};
+use crate::transport::{BatchPolicy, Egress, Frame, FrameCache, ShardMsg, Transport};
 use crate::{Command, Output};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use newtop_core::{Action, Process};
-use newtop_types::{Instant, ProcessId};
+use newtop_types::{wire, Instant, ProcessId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -184,16 +184,17 @@ impl Shard {
         }
         let mut actions = std::mem::take(&mut self.actions);
         let slots = &mut self.slots;
-        let result = unframe_each(frame.bytes, |env| {
+        let result = wire::unframe_each(frame.bytes, |env| {
             if let Some(slot) = slots[slot_idx].as_mut() {
                 let from = env.source();
                 slot.process.handle_into(now, from, env, &mut actions);
             }
         });
         if let Err(e) = result {
-            // We framed these bytes ourselves; a decode error means
-            // transport corruption. Surface it loudly in debug builds,
-            // drop the rest of the frame in release.
+            // A frame comes from this host's own egress or from a peer
+            // link whose ingress decoded it before taking it in, so a
+            // decode error here is a bug. Surface it loudly in debug
+            // builds, drop the rest of the frame in release.
             debug_assert!(false, "malformed wire frame for {}: {e}", frame.to);
         }
         self.route(slot_idx, &mut actions, now);

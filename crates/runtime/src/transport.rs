@@ -1,25 +1,25 @@
 //! Framed wire transport between shards, with batched egress.
 //!
 //! Every protocol message crossing the host travels inside a
-//! length-prefixed wire frame; since PR 7 a frame carries one **or more**
-//! envelopes ([`newtop_types::wire::frame_batch_into`] format), so the
-//! frame — not the envelope — is the unit of transport. Each shard owns
-//! an [`Egress`] of per-destination queues: under load, envelopes bound
-//! for the same node coalesce into one frame (bounded by a byte/count
-//! budget and an adaptive flush window); the moment the shard would
-//! otherwise idle, everything pending flushes immediately, so batching
-//! never trades latency for throughput at low offered load. The
-//! [`FrameCache`] still turns multicast fan-out into refcount bumps of
-//! one encoding, and the router counts frames, envelopes and exact bytes
-//! — plus a batch-occupancy histogram and the ω-null traffic that
-//! batching suppressed or coalesced.
+//! length-prefixed wire frame carrying one **or more** envelopes, so the
+//! frame — not the envelope — is the unit of transport. The frame layout
+//! belongs to `newtop_types::wire`: [`wire::frame`] encodes one envelope,
+//! [`wire::Batch`] joins frames bound for one node, and
+//! [`wire::unframe_each`] decodes them at the receiving shard. Each shard
+//! owns an [`Egress`] of per-destination queues: under load, envelopes
+//! bound for the same node coalesce into one frame (bounded by a
+//! byte/count budget and an adaptive flush window); the moment the shard
+//! would otherwise idle, everything pending flushes immediately, so
+//! batching never trades latency for throughput at low offered load. The
+//! egress ships every envelope the engine emits, as the simulator does.
+//! The [`FrameCache`] turns multicast fan-out into refcount bumps of one
+//! encoding, and the router counts frames, envelopes and exact bytes —
+//! plus a batch-occupancy histogram and the null-only frames.
 
 use crate::Command;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use crossbeam::channel::Sender;
-use newtop_types::{
-    wire, DecodeError, Envelope, GroupId, Instant, Message, MessageBody, Msn, ProcessId, Span,
-};
+use newtop_types::{wire, Envelope, Instant, Message, MessageBody, ProcessId, Span};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,8 +31,7 @@ use std::sync::Arc;
 pub struct Frame {
     /// Destination process.
     pub to: ProcessId,
-    /// The complete length-prefixed wire bytes
-    /// ([`newtop_types::wire::frame_batch_into`] format).
+    /// The complete length-prefixed wire bytes ([`wire::Batch`] output).
     pub bytes: Bytes,
     /// How many envelopes the frame carries.
     pub envelopes: u32,
@@ -79,9 +78,6 @@ pub trait Transport: Send + Sync {
     /// Books one frame into the counters without moving it — for frames
     /// committed outside the transport (a shard's same-shard ring).
     fn count_frame(&self, frame: &Frame);
-
-    /// Books `n` ω nulls suppressed at an egress.
-    fn note_suppressed(&self, n: u64);
 
     /// Cumulative wire counters.
     fn stats(&self) -> WireStats;
@@ -131,9 +127,8 @@ pub struct WireStats {
     pub bytes: u64,
     /// Frames whose every envelope was an ω time-silence null.
     pub null_frames: u64,
-    /// ω nulls dropped at the egress because a later message from the
-    /// same sender and group shared the flush (their receive effects are
-    /// subsumed — see `newtop_core::supersedes_omega_null`).
+    /// Always 0: the egress ships every envelope the engine emits. Kept
+    /// only because the benchmark still reads it.
     pub suppressed_nulls: u64,
     /// Batch-occupancy histogram: frames by envelope count, bucketed as
     /// [`OCCUPANCY_LABELS`].
@@ -279,7 +274,6 @@ pub(crate) struct Router {
     envelopes: AtomicU64,
     bytes: AtomicU64,
     null_frames: AtomicU64,
-    suppressed_nulls: AtomicU64,
     occupancy: [AtomicU64; OCCUPANCY_BUCKETS],
     admission: Arc<Admission>,
     gate: Option<RateGate>,
@@ -300,7 +294,6 @@ impl Router {
             envelopes: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             null_frames: AtomicU64::new(0),
-            suppressed_nulls: AtomicU64::new(0),
             occupancy: std::array::from_fn(|_| AtomicU64::new(0)),
             admission,
             gate,
@@ -334,10 +327,6 @@ impl Router {
         self.occupancy[occupancy_bucket(frame.envelopes)].fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn note_suppressed(&self, n: u64) {
-        self.suppressed_nulls.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Ships one frame. Unknown destinations and exited shards drop the
     /// frame silently — crash semantics, and never a panicking sender.
     pub(crate) fn send_frame(&self, frame: Frame) {
@@ -364,7 +353,7 @@ impl Router {
             envelopes: self.envelopes.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
             null_frames: self.null_frames.load(Ordering::Relaxed),
-            suppressed_nulls: self.suppressed_nulls.load(Ordering::Relaxed),
+            suppressed_nulls: 0,
             occupancy: std::array::from_fn(|i| self.occupancy[i].load(Ordering::Relaxed)),
             reconnects: 0,
             dropped_dead: 0,
@@ -391,10 +380,6 @@ impl Transport for Router {
         Router::count_frame(self, frame);
     }
 
-    fn note_suppressed(&self, n: u64) {
-        Router::note_suppressed(self, n);
-    }
-
     fn stats(&self) -> WireStats {
         Router::stats(self)
     }
@@ -409,7 +394,6 @@ const CACHE_SLOTS: usize = 4;
 struct CacheSlot {
     msg: Arc<Message>,
     framed: Bytes,
-    body_len: u32,
 }
 
 /// Encode cache for multicast fan-out.
@@ -434,15 +418,12 @@ pub(crate) struct FrameCache {
 }
 
 impl FrameCache {
-    /// The length-prefixed wire frame for `env` plus its body length
-    /// (the frame minus its varint prefix), cached across recently seen
-    /// group envelopes.
-    pub(crate) fn frame_for(&mut self, env: &Envelope) -> (Bytes, u32) {
+    /// The length-prefixed wire frame for `env`, cached across recently
+    /// seen group envelopes.
+    pub(crate) fn frame_for(&mut self, env: &Envelope) -> Bytes {
         let Envelope::Group(m) = env else {
             // Control messages are rare; no caching.
-            let body = wire::encoded_len(env);
-            #[allow(clippy::cast_possible_truncation)]
-            return (wire::frame(env), body as u32);
+            return wire::frame(env);
         };
         for slot in &self.slots {
             if Arc::ptr_eq(&slot.msg, m)
@@ -450,16 +431,13 @@ impl FrameCache {
                 && slot.msg.sender == m.sender
                 && slot.msg.c == m.c
             {
-                return (slot.framed.clone(), slot.body_len);
+                return slot.framed.clone();
             }
         }
-        let body = wire::encoded_len(env);
         let framed = wire::frame(env);
-        #[allow(clippy::cast_possible_truncation)]
         let slot = CacheSlot {
             msg: Arc::clone(m),
             framed: framed.clone(),
-            body_len: body as u32,
         };
         if self.slots.len() < CACHE_SLOTS {
             self.slots.push(slot);
@@ -467,37 +445,8 @@ impl FrameCache {
             self.slots[self.cursor] = slot;
             self.cursor = (self.cursor + 1) % CACHE_SLOTS;
         }
-        #[allow(clippy::cast_possible_truncation)]
-        (framed, body as u32)
+        framed
     }
-}
-
-/// Decodes every envelope in one complete wire frame, verifying the
-/// length prefix spans the bytes exactly. Returns the envelope count.
-pub(crate) fn unframe_each(
-    bytes: Bytes,
-    mut sink: impl FnMut(Envelope),
-) -> Result<u32, DecodeError> {
-    use bytes::Buf;
-    let mut buf = bytes;
-    let len = wire::get_varint(&mut buf)? as usize;
-    if len == 0 {
-        return Err(DecodeError::EmptyFrame);
-    }
-    if buf.remaining() < len {
-        return Err(DecodeError::Truncated);
-    }
-    if buf.remaining() > len {
-        return Err(DecodeError::TrailingBytes {
-            extra: buf.remaining() - len,
-        });
-    }
-    let mut n = 0u32;
-    while buf.has_remaining() {
-        sink(wire::decode(&mut buf)?);
-        n += 1;
-    }
-    Ok(n)
 }
 
 /// Egress batching budgets. Hosts always run [`BatchPolicy::default`];
@@ -509,7 +458,7 @@ pub(crate) struct BatchPolicy {
     /// regardless, so this bounds added latency only at saturation.)
     pub(crate) window: Span,
     /// Flush a destination's queue once it holds this many envelopes.
-    pub(crate) max_envelopes: u32,
+    pub(crate) max_envelopes: usize,
     /// Flush a destination's queue once its body bytes reach this.
     pub(crate) max_bytes: usize,
 }
@@ -524,62 +473,35 @@ impl Default for BatchPolicy {
     }
 }
 
-/// One envelope waiting in a destination queue. `framed` is the complete
-/// single-envelope frame from the [`FrameCache`]; the flush either ships
-/// it untouched (sole survivor: zero copy) or splices its body — the
-/// trailing `body_len` bytes — into a multi-envelope frame.
-struct PendingPart {
-    framed: Bytes,
-    body_len: u32,
-    /// `Some((sender, group, c))` iff this is an ω null — the key a later
-    /// message must match to supersede it.
-    null_key: Option<(ProcessId, GroupId, Msn)>,
-    dead: bool,
-}
-
 /// The pending batch for one destination node.
 struct DestBatch {
     to: ProcessId,
     route: Route,
-    parts: Vec<PendingPart>,
-    live: u32,
-    live_nulls: u32,
-    body_bytes: usize,
+    batch: wire::Batch,
+    /// How many of the batched envelopes are ω nulls.
+    nulls: u32,
+    /// A frame closed early because the next envelope would have taken
+    /// it past [`wire::MAX_FRAME_LEN`]; it ships ahead of `batch`.
+    sealed: Option<Frame>,
 }
 
 impl DestBatch {
     /// Drains this destination's queue into one wire frame.
     fn take_frame(&mut self) -> Option<Frame> {
-        if self.live == 0 {
-            self.parts.clear();
-            return None;
-        }
-        let envelopes = self.live;
-        let nulls = self.live_nulls;
-        let bytes = if self.parts.len() == 1 {
-            // The common idle-path case: one envelope, already a complete
-            // frame — ship the cached encoding without copying.
-            self.parts[0].framed.clone()
-        } else {
-            let body = self.body_bytes;
-            let mut buf = BytesMut::with_capacity(wire::varint_len(body as u64) + body);
-            wire::put_varint(&mut buf, body as u64);
-            for part in self.parts.iter().filter(|p| !p.dead) {
-                let start = part.framed.len() - part.body_len as usize;
-                buf.put_slice(&part.framed[start..]);
-            }
-            buf.freeze()
-        };
-        self.parts.clear();
-        self.live = 0;
-        self.live_nulls = 0;
-        self.body_bytes = 0;
+        #[allow(clippy::cast_possible_truncation)]
+        let envelopes = self.batch.len() as u32;
+        let bytes = self.batch.take()?;
         Some(Frame {
             to: self.to,
             bytes,
             envelopes,
-            nulls,
+            nulls: std::mem::take(&mut self.nulls),
         })
+    }
+
+    /// Drains the sealed frame, then the queue, in that order.
+    fn take_frames(&mut self) -> [Option<Frame>; 2] {
+        [self.sealed.take(), self.take_frame()]
     }
 }
 
@@ -589,22 +511,16 @@ impl DestBatch {
 /// `flush_all` turns every non-empty queue into one frame and ships the
 /// frames — one inbox message per destination *shard*, or straight onto
 /// the caller's local ring for same-shard destinations (no channel at
-/// all). Enqueuing a message that supersedes a queued ω null (same
-/// sender and group, higher number, not a sequencer request) kills the
-/// null in place: its receive effects are monotone maxima the newer
-/// message re-establishes in the same frame, so the receiver's protocol
-/// state is unchanged — `crates/core/tests/null_suppression.rs` pins
-/// that argument against the state digest.
+/// all).
 pub(crate) struct Egress {
     policy: BatchPolicy,
     dests: HashMap<u32, DestBatch>,
-    /// Destinations with live parts, in first-enqueue order.
+    /// Destinations with queued envelopes, in first-enqueue order.
     dirty: Vec<u32>,
     /// When the oldest pending envelope was enqueued.
     opened: Option<Instant>,
     /// Flush scratch: frames grouped by destination shard.
     by_shard: Vec<Vec<Frame>>,
-    suppressed: u64,
 }
 
 impl Egress {
@@ -615,7 +531,6 @@ impl Egress {
             dirty: Vec::new(),
             opened: None,
             by_shard: (0..shard_count).map(|_| Vec::new()).collect(),
-            suppressed: 0,
         }
     }
 
@@ -632,8 +547,8 @@ impl Egress {
     }
 
     /// Parks `env` for `to` (which the transport resolved to `route`).
-    /// Returns `true` when this destination hit its batch budget and
-    /// should be flushed immediately.
+    /// Returns `true` when this destination should be flushed now: it hit
+    /// its batch budget, or `env` did not fit the open frame.
     pub(crate) fn enqueue(
         &mut self,
         now: Instant,
@@ -642,58 +557,29 @@ impl Egress {
         env: &Envelope,
         cache: &mut FrameCache,
     ) -> bool {
-        let (framed, body_len) = cache.frame_for(env);
+        let framed = cache.frame_for(env);
         if self.dirty.is_empty() {
             self.opened = Some(now);
         }
         let entry = self.dests.entry(to.0).or_insert_with(|| DestBatch {
             to,
             route,
-            parts: Vec::new(),
-            live: 0,
-            live_nulls: 0,
-            body_bytes: 0,
+            batch: wire::Batch::default(),
+            nulls: 0,
+            sealed: None,
         });
-        if entry.live == 0 {
+        if entry.batch.is_empty() {
             self.dirty.push(to.0);
+        } else if !entry.batch.fits(&framed) {
+            entry.sealed = entry.take_frame();
         }
-        if entry.live_nulls > 0 {
-            // Kill queued nulls this message supersedes (the predicate —
-            // and its soundness proof — live in the protocol crate).
-            for part in &mut entry.parts {
-                if part.dead {
-                    continue;
-                }
-                let Some((s, g, c)) = part.null_key else {
-                    continue;
-                };
-                if newtop_core::supersedes_omega_null(env, s, g, c) {
-                    part.dead = true;
-                    entry.live -= 1;
-                    entry.live_nulls -= 1;
-                    entry.body_bytes -= part.body_len as usize;
-                    self.suppressed += 1;
-                }
-            }
+        if matches!(env, Envelope::Group(m) if matches!(m.body, MessageBody::Null)) {
+            entry.nulls += 1;
         }
-        let null_key = match env {
-            Envelope::Group(m) if matches!(m.body, MessageBody::Null) => {
-                Some((m.sender, m.group, m.c))
-            }
-            _ => None,
-        };
-        if null_key.is_some() {
-            entry.live_nulls += 1;
-        }
-        entry.live += 1;
-        entry.body_bytes += body_len as usize;
-        entry.parts.push(PendingPart {
-            framed,
-            body_len,
-            null_key,
-            dead: false,
-        });
-        entry.live >= self.policy.max_envelopes || entry.body_bytes >= self.policy.max_bytes
+        entry.batch.push(framed);
+        entry.sealed.is_some()
+            || entry.batch.len() >= self.policy.max_envelopes
+            || entry.batch.body_len() >= self.policy.max_bytes
     }
 
     /// Flushes one destination (budget overflow). Same-shard frames go on
@@ -709,7 +595,7 @@ impl Egress {
             return;
         };
         let route = entry.route;
-        if let Some(frame) = entry.take_frame() {
+        for frame in entry.take_frames().into_iter().flatten() {
             if route == Route::Local(me) {
                 transport.count_frame(&frame);
                 local.push_back(frame);
@@ -721,7 +607,6 @@ impl Egress {
         if self.dirty.is_empty() {
             self.opened = None;
         }
-        self.drain_suppressed(transport);
     }
 
     /// Flushes every pending destination: same-shard frames onto `local`,
@@ -740,7 +625,7 @@ impl Egress {
         for key in self.dirty.drain(..) {
             let entry = self.dests.get_mut(&key).expect("dirty dest exists");
             let route = entry.route;
-            if let Some(frame) = entry.take_frame() {
+            for frame in entry.take_frames().into_iter().flatten() {
                 match route {
                     Route::Local(shard) if shard == me => {
                         transport.count_frame(&frame);
@@ -757,14 +642,6 @@ impl Egress {
                 transport.ship_local_batch(s as u32, std::mem::take(&mut self.by_shard[s]));
             }
         }
-        self.drain_suppressed(transport);
-    }
-
-    fn drain_suppressed(&mut self, transport: &dyn Transport) {
-        if self.suppressed > 0 {
-            transport.note_suppressed(self.suppressed);
-            self.suppressed = 0;
-        }
     }
 }
 
@@ -772,7 +649,7 @@ impl Egress {
 mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
-    use newtop_types::{GroupId, Message, MessageBody, Msn};
+    use newtop_types::{GroupId, Msn};
 
     fn env_from(sender: u32, c: u64, payload: &'static [u8]) -> Envelope {
         Message {
@@ -829,27 +706,14 @@ mod tests {
     }
 
     #[test]
-    fn frame_unframe_roundtrip() {
-        let e = env(b"hello");
-        let mut cache = FrameCache::default();
-        let (bytes, body_len) = cache.frame_for(&e);
-        assert_eq!(bytes.len(), wire::framed_len(&e));
-        assert_eq!(body_len as usize, wire::encoded_len(&e));
-        let mut got = Vec::new();
-        let n = unframe_each(bytes, |d| got.push(d)).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(got, vec![e]);
-    }
-
-    #[test]
     fn fanout_reuses_encoded_frame() {
         let e = env(b"shared");
         let mut cache = FrameCache::default();
-        let (a, _) = cache.frame_for(&e);
-        let (b, _) = cache.frame_for(&e.clone()); // same Arc<Message> inside
+        let a = cache.frame_for(&e);
+        let b = cache.frame_for(&e.clone()); // same Arc<Message> inside
         assert_eq!(a, b);
         let other = env(b"different");
-        assert_ne!(cache.frame_for(&other).0, a);
+        assert_ne!(cache.frame_for(&other), a);
     }
 
     /// Regression (PR 7): a *different* message with the same backing
@@ -867,31 +731,16 @@ mod tests {
                 round + 1,
                 payloads[(round % 4) as usize],
             );
-            let (framed, _) = cache.frame_for(&e);
+            let framed = cache.frame_for(&e);
             assert_eq!(
                 framed,
                 wire::frame(&e),
                 "stale cache alias at round {round}"
             );
             // Fan-out repeat is a hit and still correct.
-            let (again, _) = cache.frame_for(&e);
+            let again = cache.frame_for(&e);
             assert_eq!(again, wire::frame(&e));
         }
-    }
-
-    #[test]
-    fn unframe_rejects_length_mismatch() {
-        let e = env(b"x");
-        let full = wire::frame(&e);
-        let short = full.slice(0..full.len() - 1);
-        assert_eq!(unframe_each(short, |_| {}), Err(DecodeError::Truncated));
-        let mut long = BytesMut::new();
-        long.put_slice(&full);
-        long.put_u8(0xee);
-        assert_eq!(
-            unframe_each(long.freeze(), |_| {}),
-            Err(DecodeError::TrailingBytes { extra: 1 })
-        );
     }
 
     /// Coalesced egress arithmetic pinned against the codec's own
@@ -927,7 +776,7 @@ mod tests {
         assert_eq!(stats.occupancy, [0, 0, 1, 0, 0, 0]);
         // The frame decodes back to exactly the enqueued envelopes.
         let mut got = Vec::new();
-        let n = unframe_each(frames[0].bytes.clone(), |e| got.push(e)).unwrap();
+        let n = wire::unframe_each(frames[0].bytes.clone(), |e| got.push(e)).unwrap();
         assert_eq!(n, 3);
         assert_eq!(got, envs);
     }
@@ -956,52 +805,6 @@ mod tests {
         assert_eq!(stats.frames, 1);
         assert_eq!(stats.envelopes, 1);
         assert_eq!(stats.occupancy[0], 1);
-    }
-
-    /// A queued ω null dies when a later message from the same sender and
-    /// group joins the same flush; unrelated nulls survive.
-    #[test]
-    fn superseded_null_is_suppressed_in_flush() {
-        let (router, rx0) = test_router();
-        let mut cache = FrameCache::default();
-        let mut egress = Egress::new(BatchPolicy::default(), 2);
-        let mut local = VecDeque::new();
-        let now = Instant::ZERO;
-        egress.enqueue(
-            now,
-            ProcessId(1),
-            Route::Local(0),
-            &null_from(2, 1),
-            &mut cache,
-        );
-        egress.enqueue(
-            now,
-            ProcessId(1),
-            Route::Local(0),
-            &null_from(3, 1),
-            &mut cache,
-        ); // other sender
-        egress.enqueue(
-            now,
-            ProcessId(1),
-            Route::Local(0),
-            &env_from(2, 2, b"data"),
-            &mut cache,
-        );
-        egress.flush_all(1, router.as_ref(), &mut local);
-        let ShardMsg::Batch(frames) = rx0.try_recv().expect("batch") else {
-            panic!("expected a batch");
-        };
-        assert_eq!(frames[0].envelopes, 2, "null from 2 suppressed");
-        assert_eq!(frames[0].nulls, 1, "null from 3 coalesced, not suppressed");
-        let expect = [null_from(3, 1), env_from(2, 2, b"data")];
-        assert_eq!(frames[0].bytes.len(), wire::batched_len(&expect));
-        let mut got = Vec::new();
-        unframe_each(frames[0].bytes.clone(), |e| got.push(e)).unwrap();
-        assert_eq!(got, expect);
-        let stats = router.stats();
-        assert_eq!(stats.suppressed_nulls, 1);
-        assert_eq!(stats.null_frames, 0);
     }
 
     /// A flush whose every envelope is a null books a null-only frame.
@@ -1063,6 +866,54 @@ mod tests {
             panic!("expected a single frame");
         };
         assert_eq!(frame.envelopes, 2);
+    }
+
+    /// An envelope that would take a queued frame past
+    /// `wire::MAX_FRAME_LEN` closes it instead: both frames ship, in
+    /// order, and neither outgrows the limit.
+    #[test]
+    fn a_frame_never_outgrows_max_frame_len() {
+        let mut cache = FrameCache::default();
+        let mut egress = Egress::new(BatchPolicy::default(), 2);
+        #[allow(clippy::cast_possible_truncation)]
+        let big: Envelope = Message {
+            group: GroupId(1),
+            sender: ProcessId(2),
+            c: Msn(2),
+            ldn: Msn(0),
+            body: MessageBody::App(Bytes::from(vec![0u8; wire::MAX_PAYLOAD_LEN as usize])),
+        }
+        .into();
+        let small = env_from(2, 1, &[b'a'; 100]);
+        assert!(!egress.enqueue(
+            Instant::ZERO,
+            ProcessId(1),
+            Route::Local(0),
+            &small,
+            &mut cache
+        ));
+        assert!(egress.enqueue(
+            Instant::ZERO,
+            ProcessId(1),
+            Route::Local(0),
+            &big,
+            &mut cache
+        ));
+        let (router, rx0) = test_router();
+        let mut local = VecDeque::new();
+        egress.flush_dest(1, 1, router.as_ref(), &mut local);
+        let mut got = Vec::new();
+        for want in [&small, &big] {
+            let ShardMsg::Frame(frame) = rx0.try_recv().expect("frame") else {
+                panic!("expected a single frame");
+            };
+            assert_eq!(frame.bytes.len(), wire::framed_len(want));
+            assert_eq!(frame.envelopes, 1);
+            wire::unframe_each(frame.bytes, |e| got.push(e)).unwrap();
+        }
+        assert_eq!(got, [small, big]);
+        assert!(rx0.try_recv().is_err());
+        assert!(!egress.has_pending());
     }
 
     #[test]

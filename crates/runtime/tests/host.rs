@@ -128,7 +128,11 @@ fn shutdown_under_active_multicast_load() {
                     Ok(()) => sent += 1,
                     // Backpressure is transient: back off and retry.
                     Err(SendError::Overloaded { .. }) => std::thread::yield_now(),
-                    Err(SendError::NotMember { .. } | SendError::Departed { .. }) => break,
+                    Err(
+                        SendError::NotMember { .. }
+                        | SendError::Departed { .. }
+                        | SendError::PayloadTooLarge { .. },
+                    ) => break,
                 }
             }
             sent

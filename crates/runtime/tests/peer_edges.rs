@@ -1,13 +1,14 @@
 //! Edge-case coverage for the `types::peer` session protocol as the TCP
 //! host drives it: handshake rejection of out-of-range peer indices, a
 //! previous session version and stale (retired) incarnation nonces,
-//! acceptor sever on a sequence gap (never a silent skip), and dialer
-//! sever on a resume point beyond its retained window.
+//! acceptor sever on a sequence gap (never a silent skip) or on a frame
+//! that does not decode, and dialer sever on a resume point beyond its
+//! retained window.
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use newtop_runtime::{Cluster, TcpConfig};
 use newtop_types::peer::{
-    addressed_frame_into, decode_hello, encode_hello, Hello, PeerFrameDecoder, HELLO_LEN,
+    addressed_frame_into, decode_hello, encode_hello, Hello, PeerRecordDecoder, HELLO_LEN,
 };
 use newtop_types::{GroupConfig, GroupId, OrderMode, ProcessId, Span};
 use std::io::{Read, Write};
@@ -193,6 +194,34 @@ fn sequence_gap_severs_and_is_not_silently_skipped() {
     cluster.shutdown();
 }
 
+/// A record for a hosted node whose frame does not decode severs the
+/// link before its sequence is consumed, and the node survives it.
+#[test]
+fn malformed_frame_severs_and_the_node_survives() {
+    let (a0, a1) = (free_addr(), free_addr());
+    let cluster = one_peer_cluster(a0, a1);
+
+    let (mut s, reply) = fake_dial(a0, 1, 55);
+    assert_eq!(reply.resume, 1);
+    // A 3-byte body holding one unterminated varint, for hosted P1.
+    let mut buf = BytesMut::new();
+    addressed_frame_into(p(1), 1, &[3, 0xff, 0xff, 0xff], &mut buf);
+    s.write_all(&buf).expect("write record");
+    await_eof(&mut s, "malformed frame");
+
+    let (_s2, r2) = fake_dial(a0, 1, 55);
+    assert_eq!(r2.resume, 1, "a malformed frame must not be consumed");
+
+    let node = cluster.node(p(1)).expect("hosted");
+    node.multicast(GroupId(1), Bytes::from_static(b"still here"))
+        .expect("the node still accepts multicasts");
+    let d = node
+        .await_delivery(Duration::from_secs(10))
+        .expect("the node still delivers");
+    assert_eq!(&d.payload[..], b"still here");
+    cluster.shutdown();
+}
+
 /// Plays the *acceptor* against a real dialing peer: a reply whose
 /// resume point lies beyond anything the dialer ever sent makes the
 /// dialer sever and redial instead of pruning its queue and
@@ -243,7 +272,7 @@ fn resume_beyond_retained_window_severs_dialer() {
     }))
     .expect("write honest reply");
 
-    let mut dec = PeerFrameDecoder::new();
+    let mut dec = PeerRecordDecoder::new();
     let mut chunk = [0u8; 4096];
     let deadline = Instant::now() + Duration::from_secs(10);
     let first = loop {

@@ -106,7 +106,7 @@ pub struct WanRoute {
     pub spec: WanLinkSpec,
 }
 
-/// Configuration of the WAN model (see the [module docs](self)).
+/// Configuration of the WAN model (described in the `wan` module docs).
 ///
 /// # Examples
 ///

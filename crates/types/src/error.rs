@@ -101,6 +101,12 @@ pub enum SendError {
         /// The group addressed by the send.
         group: GroupId,
     },
+    /// The payload is longer than [`crate::wire::MAX_PAYLOAD_LEN`], so its
+    /// envelope would not fit one wire frame.
+    PayloadTooLarge {
+        /// The group addressed by the send.
+        group: GroupId,
+    },
 }
 
 impl fmt::Display for SendError {
@@ -121,6 +127,11 @@ impl fmt::Display for SendError {
                     "host inbox at capacity; multicast in {group} shed (retry later)"
                 )
             }
+            SendError::PayloadTooLarge { group } => write!(
+                f,
+                "payload for {group} exceeds {} bytes, the most one wire frame carries",
+                crate::wire::MAX_PAYLOAD_LEN
+            ),
         }
     }
 }

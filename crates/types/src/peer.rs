@@ -1,9 +1,9 @@
 //! Peer-session wire format for the real-network TCP host.
 //!
 //! A peer connection carries the **same batched frames** as the
-//! in-process wire path ([`crate::wire::frame_batch_into`] bytes,
-//! decodable by [`crate::wire::FrameDecoder`]) — this module only adds
-//! the session layer a socket needs and an in-process channel does not:
+//! in-process wire path ([`crate::wire::Batch`] output, decoded by
+//! [`crate::wire::unframe_each`]) — this module only adds the session
+//! layer a socket needs and an in-process channel does not:
 //!
 //! * a fixed-size [`Hello`] handshake exchanged once per connection
 //!   (protocol magic + version, the dialing peer's index, a session
@@ -128,8 +128,8 @@ pub fn addressed_len(dest: ProcessId, seq: u64, frame_len: usize) -> usize {
 
 /// Appends one addressed frame record: `varint(dest) varint(seq)` then
 /// `frame` verbatim. `frame` must be a complete length-prefixed wire
-/// frame ([`crate::wire::frame_into`] / [`crate::wire::frame_batch_into`]
-/// output) — the record borrows its length prefix as the body delimiter.
+/// frame ([`crate::wire::frame`] or [`crate::wire::Batch`] output) — the
+/// record borrows its length prefix as the body delimiter.
 pub fn addressed_frame_into(dest: ProcessId, seq: u64, frame: &[u8], buf: &mut BytesMut) {
     buf.reserve(addressed_len(dest, seq, frame.len()));
     put_varint(buf, u64::from(dest.0));
@@ -151,22 +151,22 @@ pub struct PeerFrame {
 
 /// Incremental decoder for a stream of addressed frame records.
 ///
-/// Feed raw socket chunks with [`push`](PeerFrameDecoder::push) in
+/// Feed raw socket chunks with [`push`](PeerRecordDecoder::push) in
 /// arrival order — chunk boundaries need not align with record
 /// boundaries — and drain complete records with
-/// [`next_record`](PeerFrameDecoder::next_record). The returned
-/// [`PeerFrame::frame`] bytes are handed on to the standard
-/// [`crate::wire::FrameDecoder`] path unchanged.
+/// [`next_record`](PeerRecordDecoder::next_record). The returned
+/// [`PeerFrame::frame`] bytes are a complete frame for
+/// [`crate::wire::unframe_each`].
 #[derive(Debug, Default)]
-pub struct PeerFrameDecoder {
+pub struct PeerRecordDecoder {
     buf: BytesMut,
 }
 
-impl PeerFrameDecoder {
+impl PeerRecordDecoder {
     /// An empty decoder.
     #[must_use]
-    pub fn new() -> PeerFrameDecoder {
-        PeerFrameDecoder::default()
+    pub fn new() -> PeerRecordDecoder {
+        PeerRecordDecoder::default()
     }
 
     /// Appends a raw chunk of stream bytes.
@@ -227,7 +227,7 @@ impl PeerFrameDecoder {
 
 /// Reads the destination and sequence off a complete addressed record,
 /// returning the embedded frame as well — the one-shot counterpart of
-/// [`PeerFrameDecoder`] for tests and tools.
+/// [`PeerRecordDecoder`] for tests and tools.
 ///
 /// # Errors
 ///
@@ -235,7 +235,7 @@ impl PeerFrameDecoder {
 /// [`DecodeError::TrailingBytes`] if `record` holds more than one record
 /// and [`DecodeError::Truncated`] if it ends mid-record.
 pub fn decode_addressed(record: &[u8]) -> Result<PeerFrame, DecodeError> {
-    let mut d = PeerFrameDecoder::new();
+    let mut d = PeerRecordDecoder::new();
     d.push(record);
     let Some(frame) = d.next_record()? else {
         return Err(DecodeError::Truncated);
@@ -348,7 +348,7 @@ mod tests {
             addressed_frame_into(ProcessId(10 + i as u32), i as u64 + 1, f, &mut stream);
         }
         // Feed one byte at a time: every boundary is exercised.
-        let mut d = PeerFrameDecoder::new();
+        let mut d = PeerRecordDecoder::new();
         let mut got = Vec::new();
         for b in stream.iter() {
             d.push(std::slice::from_ref(b));
@@ -367,7 +367,7 @@ mod tests {
 
     #[test]
     fn decoder_rejects_oversized_and_empty_bodies() {
-        let mut d = PeerFrameDecoder::new();
+        let mut d = PeerRecordDecoder::new();
         let mut raw = BytesMut::new();
         put_varint(&mut raw, 1); // dest
         put_varint(&mut raw, 1); // seq
@@ -377,7 +377,7 @@ mod tests {
             d.next_record(),
             Err(DecodeError::FrameTooLarge { .. })
         ));
-        let mut d = PeerFrameDecoder::new();
+        let mut d = PeerRecordDecoder::new();
         let mut raw = BytesMut::new();
         put_varint(&mut raw, 1);
         put_varint(&mut raw, 1);
@@ -394,7 +394,7 @@ mod tests {
         put_varint(&mut raw, wide);
         put_varint(&mut raw, 1);
         raw.put_slice(&wire::frame(&env(b"x")));
-        let mut d = PeerFrameDecoder::new();
+        let mut d = PeerRecordDecoder::new();
         d.push(&raw);
         assert_eq!(
             d.next_record(),
@@ -411,7 +411,7 @@ mod tests {
         let mut buf = BytesMut::new();
         // Large dest/seq so the varints are multi-byte.
         addressed_frame_into(ProcessId(1 << 20), 1 << 30, &frame, &mut buf);
-        let mut d = PeerFrameDecoder::new();
+        let mut d = PeerRecordDecoder::new();
         d.push(&buf[..2]); // mid-varint
         assert_eq!(d.next_record().unwrap(), None);
         assert_eq!(d.pending(), 2, "peek must not consume");

@@ -662,77 +662,46 @@ pub fn header_overhead(m: &Message) -> usize {
     message_len(m) - payload_len
 }
 
-/// Frames larger than this are rejected by [`FrameDecoder`] as corrupt
-/// rather than buffered: no legitimate envelope in this workspace comes
-/// within orders of magnitude of it, and honouring an adversarial length
-/// prefix would let one peer pin arbitrary memory.
+/// Frame bodies larger than this are refused by the peer-link decoder
+/// ([`crate::peer::PeerRecordDecoder`]) as corrupt rather than buffered:
+/// honouring an adversarial length prefix would let one peer pin
+/// arbitrary memory. [`Batch`] never joins frames past it, and
+/// [`MAX_PAYLOAD_LEN`] keeps every application envelope under it.
 pub const MAX_FRAME_LEN: u64 = 64 * 1024 * 1024;
 
-/// Appends `env` to `buf` as one length-prefixed wire frame: a LEB128
-/// varint of the envelope's encoded length, then the [`encode_into`]
-/// bytes. This is the unit the runtime's transport path ships between
-/// shards (and what a byte-stream transport would write to a socket);
-/// [`FrameDecoder`] performs the inverse, including reassembly of frames
-/// that arrive split across reads.
-///
-/// A frame body may carry **one or more** envelopes back to back — this
-/// helper emits the single-envelope case, [`frame_batch_into`] the
-/// general one. The two produce byte-identical output for a one-element
-/// batch.
-pub fn frame_into(env: &Envelope, buf: &mut BytesMut) {
-    let len = encoded_len(env);
-    buf.reserve(varint_len(len as u64) + len);
-    put_varint(buf, len as u64);
-    encode_into(env, buf);
-}
+/// The widest envelope header around an application payload: a `Relay`
+/// whose key (6), sender (5), `c` (10), `ldn` lag (10), origin (5),
+/// `origin_c` (10) and payload length (10) all take their widest varint.
+const MAX_PAYLOAD_HEADER: u64 = 6 + 5 + 10 + 10 + 5 + 10 + 10;
 
-/// Appends `envs` to `buf` as **one** length-prefixed wire frame whose
-/// body is the concatenated [`encode_into`] bytes of every envelope: N
-/// envelopes to one destination cost one length prefix, one channel send
-/// and one buffer — the core of the batched wire path. The receiving
-/// [`FrameDecoder`] yields the envelopes back in order; a one-element
-/// batch is byte-identical to [`frame_into`].
-///
-/// # Errors
-///
-/// [`DecodeError::EmptyFrame`] for an empty batch (the wire format has no
-/// legitimate zero-envelope frame) and [`DecodeError::FrameTooLarge`] when
-/// the combined body would exceed [`MAX_FRAME_LEN`] and be rejected by
-/// every conforming decoder. On error `buf` is untouched.
-pub fn frame_batch_into(envs: &[Envelope], buf: &mut BytesMut) -> Result<(), DecodeError> {
-    if envs.is_empty() {
-        return Err(DecodeError::EmptyFrame);
-    }
-    let body: usize = envs.iter().map(encoded_len).sum();
-    if body as u64 > MAX_FRAME_LEN {
-        return Err(DecodeError::FrameTooLarge { len: body as u64 });
-    }
-    buf.reserve(varint_len(body as u64) + body);
-    put_varint(buf, body as u64);
-    for env in envs {
-        encode_into(env, buf);
-    }
-    Ok(())
+/// The largest application payload one envelope may carry: whatever
+/// route it takes (`App`, `SeqRequest` or `Relay`), its envelope still
+/// fits one frame of [`MAX_FRAME_LEN`]. The engine refuses larger
+/// payloads at the multicast call.
+pub const MAX_PAYLOAD_LEN: u64 = MAX_FRAME_LEN - MAX_PAYLOAD_HEADER;
+
+/// Encodes `env` as one length-prefixed wire frame: a LEB128 varint of
+/// the envelope's [`encoded_len`], then the [`encode_into`] bytes, in a
+/// fresh, exactly sized buffer. [`Batch`] joins such frames for one
+/// destination; [`unframe_each`] decodes them.
+#[must_use]
+pub fn frame(env: &Envelope) -> Bytes {
+    let len = encoded_len(env);
+    let mut buf = BytesMut::with_capacity(varint_len(len as u64) + len);
+    put_varint(&mut buf, len as u64);
+    encode_into(env, &mut buf);
+    buf.freeze()
 }
 
 /// Total on-wire size of `envs` as one batched frame: the shared length
 /// varint plus every envelope's [`encoded_len`]. Arithmetic only, so
 /// transports can account batched bytes exactly before (or without)
-/// encoding; equals the bytes [`frame_batch_into`] appends, and
-/// [`framed_len`] for a one-element batch.
+/// encoding; equals what a [`Batch`] of their frames takes out, and
+/// [`framed_len`] for a single envelope.
 #[must_use]
 pub fn batched_len(envs: &[Envelope]) -> usize {
     let body: usize = envs.iter().map(encoded_len).sum();
     varint_len(body as u64) + body
-}
-
-/// Encodes `env` as one length-prefixed frame in a fresh, exactly sized
-/// buffer. Thin wrapper over [`frame_into`].
-#[must_use]
-pub fn frame(env: &Envelope) -> Bytes {
-    let mut buf = BytesMut::with_capacity(framed_len(env));
-    frame_into(env, &mut buf);
-    buf.freeze()
 }
 
 /// Total on-wire size of `env` as a length-prefixed frame: the length
@@ -745,101 +714,154 @@ pub fn framed_len(env: &Envelope) -> usize {
     varint_len(len as u64) + len
 }
 
-/// Incremental decoder for a stream of length-prefixed frames.
+/// One destination's batched frame under construction: single-envelope
+/// frames ([`frame`] output) joined under one length prefix.
 ///
-/// Feed raw chunks with [`push`](FrameDecoder::push) in arrival order —
-/// chunk boundaries need not align with frame boundaries — and drain
-/// complete envelopes with [`next_frame`](FrameDecoder::next_frame). A
-/// frame body holds one or more envelopes ([`frame_batch_into`]); the
-/// decoder yields them individually, in order, before peeling the next
-/// length prefix. A frame split across any number of reads reassembles
-/// exactly; a frame that decodes overlong ([`DecodeError::Truncated`]),
-/// announces no body ([`DecodeError::EmptyFrame`]) or carries a corrupt
-/// length prefix ([`DecodeError::FrameTooLarge`]) is reported without
-/// panicking.
+/// A multicast is framed once and the same bytes are pushed into every
+/// destination's batch; [`take`](Batch::take) splices their bodies
+/// behind one shared prefix, so N envelopes to one node cost one prefix
+/// and one buffer. A batch of one frame hands that frame back uncopied.
+/// The result is [`batched_len`] bytes and [`unframe_each`] yields the
+/// envelopes back in order.
 ///
 /// # Examples
 ///
 /// ```
-/// use newtop_types::wire::{frame, FrameDecoder};
+/// use newtop_types::wire::{self, Batch};
 /// use newtop_types::{Envelope, GroupId, Message, MessageBody, Msn, ProcessId};
 ///
-/// let env: Envelope = Message {
-///     group: GroupId(1),
-///     sender: ProcessId(2),
-///     c: Msn(3),
-///     ldn: Msn(2),
-///     body: MessageBody::App(bytes::Bytes::from_static(b"hi")),
+/// let envs: Vec<Envelope> = (1..=3)
+///     .map(|c| {
+///         Message {
+///             group: GroupId(1),
+///             sender: ProcessId(2),
+///             c: Msn(c),
+///             ldn: Msn(0),
+///             body: MessageBody::Null,
+///         }
+///         .into()
+///     })
+///     .collect();
+/// let mut batch = Batch::default();
+/// for env in &envs {
+///     batch.push(wire::frame(env));
 /// }
-/// .into();
-/// let wire = frame(&env);
-/// let mut dec = FrameDecoder::new();
-/// dec.push(&wire[..1]); // partial read
-/// assert_eq!(dec.next_frame(), Ok(None));
-/// dec.push(&wire[1..]);
-/// assert_eq!(dec.next_frame(), Ok(Some(env)));
-/// assert_eq!(dec.next_frame(), Ok(None));
+/// let joined = batch.take().expect("three frames queued");
+/// assert_eq!(joined.len(), wire::batched_len(&envs));
+/// let mut back = Vec::new();
+/// assert_eq!(wire::unframe_each(joined, |e| back.push(e)), Ok(3));
+/// assert_eq!(back, envs);
 /// ```
 #[derive(Debug, Default)]
-pub struct FrameDecoder {
-    buf: BytesMut,
-    /// Unconsumed remainder of the current frame's body: a batched frame
-    /// drains envelope by envelope from here before the next length
-    /// prefix is peeled off `buf`.
-    body: Bytes,
+pub struct Batch {
+    /// Queued frames, each with the width of its own length prefix.
+    parts: Vec<(Bytes, usize)>,
+    /// Sum of the queued frames' bodies.
+    body: usize,
 }
 
-impl FrameDecoder {
-    /// An empty decoder.
+/// The body length and prefix width of a [`frame`].
+fn frame_body(framed: &[u8]) -> (usize, usize) {
+    match peek_varint(framed, 0) {
+        #[allow(clippy::cast_possible_truncation)]
+        Ok(Some((len, width))) if width + len as usize == framed.len() => (len as usize, width),
+        _ => panic!("not a single length-prefixed frame"),
+    }
+}
+
+impl Batch {
+    /// How many envelopes are queued.
     #[must_use]
-    pub fn new() -> FrameDecoder {
-        FrameDecoder::default()
+    pub fn len(&self) -> usize {
+        self.parts.len()
     }
 
-    /// Appends a raw chunk of stream bytes.
-    pub fn push(&mut self, chunk: &[u8]) {
-        self.buf.put_slice(chunk);
-    }
-
-    /// Bytes buffered but not yet consumed as a complete frame, including
-    /// undrained envelopes of the frame currently being decoded.
+    /// Whether nothing is queued.
     #[must_use]
-    pub fn pending(&self) -> usize {
-        self.buf.len() + self.body.len()
+    pub fn is_empty(&self) -> bool {
+        self.parts.is_empty()
     }
 
-    /// Pops the next complete envelope, or `Ok(None)` if the buffered
-    /// bytes end mid-frame (push more and retry). Envelopes of a batched
-    /// frame come out one call at a time, in encoding order.
+    /// The joined frame's body bytes so far (its size minus the prefix).
+    #[must_use]
+    pub fn body_len(&self) -> usize {
+        self.body
+    }
+
+    /// Whether `framed` can join without taking the body past
+    /// [`MAX_FRAME_LEN`]. An empty batch takes any frame.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Any [`DecodeError`] on a malformed frame — including
-    /// [`DecodeError::EmptyFrame`] for a zero-length body and whatever
-    /// error the codec reports for junk between envelopes. After any
-    /// error the stream has lost framing and the decoder should be
-    /// discarded.
-    pub fn next_frame(&mut self) -> Result<Option<Envelope>, DecodeError> {
-        if self.body.has_remaining() {
-            return decode(&mut self.body).map(Some);
-        }
-        let Some((len, prefix)) = peek_varint(&self.buf, 0)? else {
-            return Ok(None); // mid-prefix: need more bytes
+    /// If `framed` is not one complete [`frame`].
+    #[must_use]
+    pub fn fits(&self, framed: &[u8]) -> bool {
+        self.is_empty() || (self.body + frame_body(framed).0) as u64 <= MAX_FRAME_LEN
+    }
+
+    /// Queues one single-envelope frame.
+    ///
+    /// # Panics
+    ///
+    /// If `framed` is not one complete [`frame`].
+    pub fn push(&mut self, framed: Bytes) {
+        let (body, width) = frame_body(&framed);
+        self.body += body;
+        self.parts.push((framed, width));
+    }
+
+    /// Takes the joined frame out, leaving the batch empty; `None` if
+    /// nothing is queued.
+    pub fn take(&mut self) -> Option<Bytes> {
+        let joined = match self.parts.as_slice() {
+            [] => return None,
+            [(framed, _)] => framed.clone(),
+            parts => {
+                let mut buf = BytesMut::with_capacity(varint_len(self.body as u64) + self.body);
+                put_varint(&mut buf, self.body as u64);
+                for (framed, width) in parts {
+                    buf.put_slice(&framed[*width..]);
+                }
+                buf.freeze()
+            }
         };
-        if len > MAX_FRAME_LEN {
-            return Err(DecodeError::FrameTooLarge { len });
-        }
-        if len == 0 {
-            return Err(DecodeError::EmptyFrame);
-        }
-        let len = len as usize;
-        if self.buf.len() < prefix + len {
-            return Ok(None); // mid-body: need more bytes
-        }
-        let _ = self.buf.split_to(prefix);
-        self.body = self.buf.split_to(len).freeze();
-        decode(&mut self.body).map(Some)
+        self.parts.clear();
+        self.body = 0;
+        Some(joined)
     }
+}
+
+/// Decodes every envelope of one complete frame into `sink`, in order,
+/// and returns how many there were.
+///
+/// # Errors
+///
+/// [`DecodeError::Truncated`] or [`DecodeError::TrailingBytes`] when the
+/// length prefix does not span the rest of `bytes` exactly,
+/// [`DecodeError::EmptyFrame`] for a zero-length body, and any error of
+/// [`decode`] on a malformed envelope — the envelopes before it have
+/// already reached `sink`.
+pub fn unframe_each(mut bytes: Bytes, mut sink: impl FnMut(Envelope)) -> Result<u32, DecodeError> {
+    let len = get_varint(&mut bytes)?;
+    if len == 0 {
+        return Err(DecodeError::EmptyFrame);
+    }
+    let rest = bytes.remaining() as u64;
+    if rest < len {
+        return Err(DecodeError::Truncated);
+    }
+    if rest > len {
+        #[allow(clippy::cast_possible_truncation)]
+        return Err(DecodeError::TrailingBytes {
+            extra: (rest - len) as usize,
+        });
+    }
+    let mut n = 0u32;
+    while bytes.has_remaining() {
+        sink(decode(&mut bytes)?);
+        n += 1;
+    }
+    Ok(n)
 }
 
 #[cfg(test)]
@@ -1093,65 +1115,112 @@ mod tests {
     }
 
     #[test]
+    fn frame_unframe_roundtrip() {
+        let env: Envelope = app(7, b"hello").into();
+        let framed = frame(&env);
+        assert_eq!(framed.len(), framed_len(&env));
+        let mut got = Vec::new();
+        assert_eq!(unframe_each(framed, |e| got.push(e)), Ok(1));
+        assert_eq!(got, vec![env]);
+    }
+
+    #[test]
+    fn unframe_rejects_length_mismatch() {
+        let full = frame(&app(7, b"x").into());
+        let short = full.slice(0..full.len() - 1);
+        assert_eq!(unframe_each(short, drop), Err(DecodeError::Truncated));
+        let mut long = BytesMut::new();
+        long.put_slice(&full);
+        long.put_u8(0xee);
+        assert_eq!(
+            unframe_each(long.freeze(), drop),
+            Err(DecodeError::TrailingBytes { extra: 1 })
+        );
+    }
+
+    #[test]
     fn single_envelope_batch_matches_frame_into() {
+        // A batch of one frame is that frame, uncopied.
         let env: Envelope = app(7, b"one").into();
-        let mut single = BytesMut::new();
-        frame_into(&env, &mut single);
-        let mut batch = BytesMut::new();
-        frame_batch_into(std::slice::from_ref(&env), &mut batch).unwrap();
-        assert_eq!(&single[..], &batch[..]);
-        assert_eq!(batch.len(), batched_len(std::slice::from_ref(&env)));
-        assert_eq!(batch.len(), framed_len(&env));
+        let single = frame(&env);
+        let mut batch = Batch::default();
+        batch.push(single.clone());
+        let joined = batch.take().expect("one frame queued");
+        assert_eq!(joined.as_ptr(), single.as_ptr());
+        assert_eq!(joined.len(), batched_len(std::slice::from_ref(&env)));
+        assert_eq!(joined.len(), framed_len(&env));
+        assert!(batch.is_empty());
     }
 
     #[test]
     fn batched_frame_roundtrips_in_order() {
         let envs: Vec<Envelope> = (0..5).map(|i| app(10 + i, b"payload").into()).collect();
-        let mut buf = BytesMut::new();
-        frame_batch_into(&envs, &mut buf).unwrap();
-        assert_eq!(buf.len(), batched_len(&envs));
-        let mut dec = FrameDecoder::new();
-        dec.push(&buf);
+        let mut batch = Batch::default();
         for env in &envs {
-            assert_eq!(dec.next_frame(), Ok(Some(env.clone())));
+            batch.push(frame(env));
         }
-        assert_eq!(dec.next_frame(), Ok(None));
-        assert_eq!(dec.pending(), 0);
+        assert_eq!(batch.len(), 5);
+        let joined = batch.take().expect("five frames queued");
+        assert_eq!(joined.len(), batched_len(&envs));
+        let mut got = Vec::new();
+        assert_eq!(unframe_each(joined, |e| got.push(e)), Ok(5));
+        assert_eq!(got, envs);
+        assert_eq!((batch.len(), batch.body_len()), (0, 0));
     }
 
     #[test]
     fn empty_batch_rejected_on_encode_and_decode() {
-        let mut buf = BytesMut::new();
+        assert_eq!(Batch::default().take(), None);
+        // A zero-length prefix on the wire is equally illegitimate.
         assert_eq!(
-            frame_batch_into(&[], &mut buf),
+            unframe_each(Bytes::from_static(&[0]), drop),
             Err(DecodeError::EmptyFrame)
         );
-        assert!(buf.is_empty(), "failed encode must not touch the buffer");
-        // A zero-length prefix on the wire is equally illegitimate.
-        put_varint(&mut buf, 0);
-        let mut dec = FrameDecoder::new();
-        dec.push(&buf);
-        assert_eq!(dec.next_frame(), Err(DecodeError::EmptyFrame));
+    }
+
+    /// A payload-free `Relay` with every id and number at its widest.
+    fn widest_relay(payload: Bytes) -> Envelope {
+        Message {
+            group: GroupId(u32::MAX),
+            sender: ProcessId(u32::MAX),
+            c: Msn(u64::MAX),
+            ldn: Msn(1),
+            body: MessageBody::Relay {
+                origin: ProcessId(u32::MAX),
+                origin_c: Msn(u64::MAX),
+                payload,
+            },
+        }
+        .into()
     }
 
     #[test]
     fn oversized_batch_rejected_on_encode() {
-        // One envelope whose payload alone exceeds MAX_FRAME_LEN: the
-        // batch encoder must refuse before buffering anything.
+        // A frame whose body is MAX_FRAME_LEN fits only an empty batch:
+        // a joined frame is never one the peer must reject.
         #[allow(clippy::cast_possible_truncation)]
-        let huge = Message {
-            group: GroupId(1),
-            sender: ProcessId(2),
-            c: Msn(3),
-            ldn: Msn(2),
-            body: MessageBody::App(Bytes::from(vec![0u8; MAX_FRAME_LEN as usize + 1])),
-        };
-        let envs = [Envelope::from(huge)];
-        let mut buf = BytesMut::new();
-        assert!(matches!(
-            frame_batch_into(&envs, &mut buf),
-            Err(DecodeError::FrameTooLarge { .. })
-        ));
-        assert!(buf.is_empty());
+        let payload = Bytes::from(vec![0u8; MAX_FRAME_LEN as usize - 8]);
+        let big = frame(
+            &Message {
+                body: MessageBody::App(payload),
+                ..app(3, b"")
+            }
+            .into(),
+        );
+        assert_eq!(big.len() as u64, 4 + MAX_FRAME_LEN);
+        let mut batch = Batch::default();
+        assert!(batch.fits(&big));
+        batch.push(frame(&app(2, b"").into()));
+        assert!(!batch.fits(&big));
+        assert!(batch.fits(&frame(&app(4, b"next").into())));
+    }
+
+    #[test]
+    fn widest_envelope_with_the_largest_payload_fits_one_frame() {
+        #[allow(clippy::cast_possible_truncation)]
+        let payload = Bytes::from(vec![0u8; MAX_PAYLOAD_LEN as usize]);
+        let len = encoded_len(&widest_relay(payload)) as u64;
+        assert!(len <= MAX_FRAME_LEN, "{len} > {MAX_FRAME_LEN}");
+        assert!(MAX_FRAME_LEN - len < 8, "the header bound is loose");
     }
 }

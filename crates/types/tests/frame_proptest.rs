@@ -1,14 +1,17 @@
-//! Property tests of the length-prefixed frame layer the runtime's
-//! transport ships: every envelope round-trips through
-//! `frame`/`FrameDecoder`, split and partial reads reassemble exactly,
-//! back-to-back frames in one chunk all come out in order, and `framed_len`
-//! matches the bytes actually produced.
+//! Property tests of the frame path the hosts ship: `wire::frame`
+//! encodes one envelope, `wire::Batch` joins frames for one destination,
+//! `wire::unframe_each` decodes a frame, and on a TCP link
+//! `peer::PeerRecordDecoder` cuts the byte stream back into addressed
+//! records. Every envelope round-trips, sizes match `framed_len` and
+//! `batched_len`, records reassemble however the stream is cut, and
+//! neither decoder panics on noise.
 
-use bytes::Bytes;
-use newtop_types::wire::{self, FrameDecoder};
+use bytes::{BufMut, Bytes, BytesMut};
+use newtop_types::peer::{addressed_frame_into, PeerRecordDecoder};
+use newtop_types::wire;
 use newtop_types::{
-    ControlMessage, DeliveryMode, Envelope, FormationDecision, GroupConfig, GroupId, Message,
-    MessageBody, Msn, OrderMode, ProcessId, Span, Suspicion, SuspicionMode,
+    ControlMessage, DecodeError, DeliveryMode, Envelope, FormationDecision, GroupConfig, GroupId,
+    Message, MessageBody, Msn, OrderMode, ProcessId, Span, Suspicion, SuspicionMode,
 };
 use proptest::prelude::*;
 
@@ -109,173 +112,187 @@ fn arb_envelope() -> impl Strategy<Value = Envelope> {
     ]
 }
 
+/// The one batched frame of `envs`, as a destination's egress queue
+/// joins it.
+fn batch_of(envs: &[Envelope]) -> Bytes {
+    let mut batch = wire::Batch::default();
+    for env in envs {
+        batch.push(wire::frame(env));
+    }
+    batch.take().expect("at least one envelope")
+}
+
+/// `frames` as a peer link writes them: addressed records for P7,
+/// sequenced from 1.
+fn records(frames: &[Bytes]) -> BytesMut {
+    let mut stream = BytesMut::new();
+    for (seq, frame) in (1u64..).zip(frames) {
+        addressed_frame_into(ProcessId(7), seq, frame, &mut stream);
+    }
+    stream
+}
+
+/// Decodes every complete record buffered in `dec` into `out`.
+fn drain(dec: &mut PeerRecordDecoder, out: &mut Vec<Envelope>) {
+    while let Some(rec) = dec.next_record().expect("well-formed records") {
+        assert_eq!(rec.dest, ProcessId(7));
+        wire::unframe_each(rec.frame, |e| out.push(e)).expect("well-formed frame");
+    }
+}
+
 proptest! {
     #[test]
     fn frame_roundtrip_is_identity(env in arb_envelope()) {
-        let wire_bytes = wire::frame(&env);
-        prop_assert_eq!(wire_bytes.len(), wire::framed_len(&env));
-        let mut dec = FrameDecoder::new();
-        dec.push(&wire_bytes);
-        prop_assert_eq!(dec.next_frame(), Ok(Some(env)));
-        prop_assert_eq!(dec.next_frame(), Ok(None));
+        let framed = wire::frame(&env);
+        prop_assert_eq!(framed.len(), wire::framed_len(&env));
+        let mut got = Vec::new();
+        prop_assert_eq!(wire::unframe_each(framed, |e| got.push(e)), Ok(1));
+        prop_assert_eq!(got, vec![env]);
+    }
+
+    /// A record delivered in two chunks reassembles exactly, wherever the
+    /// cut lands (inside a varint prefix or inside the frame).
+    #[test]
+    fn split_read_reassembles(env in arb_envelope(), cut_raw in 0usize..4096) {
+        let stream = records(&[wire::frame(&env)]);
+        let cut = cut_raw % (stream.len() + 1);
+        let mut dec = PeerRecordDecoder::new();
+        dec.push(&stream[..cut]);
+        if cut < stream.len() {
+            // Mid-record: the decoder must hold its fire.
+            prop_assert_eq!(dec.next_record(), Ok(None));
+        }
+        dec.push(&stream[cut..]);
+        let mut got = Vec::new();
+        drain(&mut dec, &mut got);
+        prop_assert_eq!(got, vec![env]);
         prop_assert_eq!(dec.pending(), 0);
     }
 
-    /// A frame delivered in two chunks reassembles exactly, wherever the
-    /// cut lands (inside the length prefix or inside the body).
-    #[test]
-    fn split_read_reassembles(env in arb_envelope(), cut_raw in 0usize..4096) {
-        let wire_bytes = wire::frame(&env);
-        let cut = cut_raw % (wire_bytes.len() + 1);
-        let mut dec = FrameDecoder::new();
-        dec.push(&wire_bytes[..cut]);
-        if cut < wire_bytes.len() {
-            // Mid-frame: the decoder must hold its fire.
-            prop_assert_eq!(dec.next_frame(), Ok(None));
-        }
-        dec.push(&wire_bytes[cut..]);
-        prop_assert_eq!(dec.next_frame(), Ok(Some(env)));
-        prop_assert_eq!(dec.next_frame(), Ok(None));
-    }
-
     /// Byte-at-a-time delivery — the worst fragmentation a stream
-    /// transport can produce — still yields exactly the one envelope.
+    /// transport can produce — yields the record on its last byte only.
     #[test]
     fn byte_at_a_time_reassembles(env in arb_envelope()) {
-        let wire_bytes = wire::frame(&env);
-        let mut dec = FrameDecoder::new();
-        for (i, b) in wire_bytes.iter().enumerate() {
+        let stream = records(&[wire::frame(&env)]);
+        let mut dec = PeerRecordDecoder::new();
+        for (i, b) in stream.iter().enumerate() {
             dec.push(std::slice::from_ref(b));
-            if i + 1 < wire_bytes.len() {
-                prop_assert_eq!(dec.next_frame(), Ok(None));
+            if i + 1 < stream.len() {
+                prop_assert_eq!(dec.next_record(), Ok(None));
             }
         }
-        prop_assert_eq!(dec.next_frame(), Ok(Some(env)));
+        let mut got = Vec::new();
+        drain(&mut dec, &mut got);
+        prop_assert_eq!(got, vec![env]);
     }
 
-    /// Several frames concatenated into one chunk (as a batching transport
-    /// would write them) decode back in order.
+    /// Several records coalesced into one chunk (as a link writer bursts
+    /// them) come out in order, with their sequence numbers.
     #[test]
     fn coalesced_frames_decode_in_order(
         envs in proptest::collection::vec(arb_envelope(), 1..6),
     ) {
-        let mut chunk = bytes::BytesMut::new();
-        for env in &envs {
-            wire::frame_into(env, &mut chunk);
+        let frames: Vec<Bytes> = envs.iter().map(wire::frame).collect();
+        let mut dec = PeerRecordDecoder::new();
+        dec.push(&records(&frames));
+        for (seq, frame) in (1u64..).zip(&frames) {
+            let rec = dec.next_record().expect("well-formed").expect("complete");
+            prop_assert_eq!(rec.seq, seq);
+            prop_assert_eq!(&rec.frame, frame);
         }
-        let mut dec = FrameDecoder::new();
-        dec.push(&chunk);
-        for env in &envs {
-            prop_assert_eq!(dec.next_frame(), Ok(Some(env.clone())));
-        }
-        prop_assert_eq!(dec.next_frame(), Ok(None));
+        prop_assert_eq!(dec.next_record(), Ok(None));
     }
 
-    /// Arbitrary noise never panics the decoder; it either waits for more
-    /// bytes or reports a clean error.
+    /// Arbitrary noise never panics either decoder; each either waits for
+    /// more bytes or reports a clean error.
     #[test]
     fn decoder_never_panics_on_noise(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let mut dec = FrameDecoder::new();
+        let _ = wire::unframe_each(Bytes::from(bytes.clone()), drop);
+        let mut dec = PeerRecordDecoder::new();
         dec.push(&bytes);
         for _ in 0..8 {
-            match dec.next_frame() {
-                Ok(Some(_)) => {}
+            match dec.next_record() {
+                Ok(Some(rec)) => {
+                    let _ = wire::unframe_each(rec.frame, drop);
+                }
                 Ok(None) | Err(_) => break,
             }
         }
     }
 
     /// A batched frame yields its envelopes back in order, its byte size
-    /// matches `batched_len` exactly, and a one-element batch is
-    /// byte-identical to the single-envelope framing.
+    /// matches `batched_len` exactly, and a one-element batch is the
+    /// single-envelope frame itself.
     #[test]
     fn batched_frame_roundtrip_is_identity(
         envs in proptest::collection::vec(arb_envelope(), 1..8),
     ) {
-        let mut buf = bytes::BytesMut::new();
-        wire::frame_batch_into(&envs, &mut buf).unwrap();
-        prop_assert_eq!(buf.len(), wire::batched_len(&envs));
+        let joined = batch_of(&envs);
+        prop_assert_eq!(joined.len(), wire::batched_len(&envs));
         if envs.len() == 1 {
-            let mut single = bytes::BytesMut::new();
-            wire::frame_into(&envs[0], &mut single);
-            prop_assert_eq!(&single[..], &buf[..]);
+            prop_assert_eq!(&joined, &wire::frame(&envs[0]));
         }
-        let mut dec = FrameDecoder::new();
-        dec.push(&buf);
-        for env in &envs {
-            prop_assert_eq!(dec.next_frame(), Ok(Some(env.clone())));
-        }
-        prop_assert_eq!(dec.next_frame(), Ok(None));
-        prop_assert_eq!(dec.pending(), 0);
+        let mut got = Vec::new();
+        prop_assert_eq!(wire::unframe_each(joined, |e| got.push(e)), Ok(envs.len() as u32));
+        prop_assert_eq!(got, envs);
     }
 
-    /// A stream of several batched frames cut at an arbitrary point —
-    /// including inside a length prefix or across a batch boundary —
-    /// reassembles into exactly the original envelope sequence.
+    /// A stream of several batched records cut at an arbitrary point —
+    /// including inside a prefix or across a batch boundary — reassembles
+    /// into exactly the original envelope sequence.
     #[test]
     fn split_read_reassembles_across_batch_boundaries(
         batches in proptest::collection::vec(
             proptest::collection::vec(arb_envelope(), 1..4), 1..4),
         cut_raw in 0usize..65536,
     ) {
-        let mut stream = bytes::BytesMut::new();
-        let mut expect = Vec::new();
-        for batch in &batches {
-            wire::frame_batch_into(batch, &mut stream).unwrap();
-            expect.extend(batch.iter().cloned());
-        }
+        let frames: Vec<Bytes> = batches.iter().map(|b| batch_of(b)).collect();
+        let expect: Vec<Envelope> = batches.concat();
+        let stream = records(&frames);
         let cut = cut_raw % (stream.len() + 1);
-        let mut dec = FrameDecoder::new();
+        let mut dec = PeerRecordDecoder::new();
         let mut got = Vec::new();
         dec.push(&stream[..cut]);
-        while let Some(env) = dec.next_frame().unwrap() {
-            got.push(env);
-        }
+        drain(&mut dec, &mut got);
         dec.push(&stream[cut..]);
-        while let Some(env) = dec.next_frame().unwrap() {
-            got.push(env);
-        }
+        drain(&mut dec, &mut got);
         prop_assert_eq!(got, expect);
         prop_assert_eq!(dec.pending(), 0);
     }
 
-    /// Byte-at-a-time delivery of a batched frame still yields every
-    /// envelope, each becoming available no earlier than its final byte.
+    /// Byte-at-a-time delivery of a batched record still yields every
+    /// envelope, none before the record's final byte.
     #[test]
     fn byte_at_a_time_reassembles_batched(
         envs in proptest::collection::vec(arb_envelope(), 2..5),
     ) {
-        let mut buf = bytes::BytesMut::new();
-        wire::frame_batch_into(&envs, &mut buf).unwrap();
-        let mut dec = FrameDecoder::new();
+        let stream = records(&[batch_of(&envs)]);
+        let mut dec = PeerRecordDecoder::new();
         let mut got = Vec::new();
-        for b in buf.iter() {
+        for (i, b) in stream.iter().enumerate() {
             dec.push(std::slice::from_ref(b));
-            while let Some(env) = dec.next_frame().unwrap() {
-                got.push(env);
-            }
+            drain(&mut dec, &mut got);
+            prop_assert_eq!(got.is_empty(), i + 1 < stream.len());
         }
         prop_assert_eq!(got, envs);
     }
 
-    /// The empty batch is rejected symmetrically: the encoder refuses to
-    /// emit it and the decoder refuses a zero-length prefix.
+    /// The empty batch is rejected symmetrically: the encoder emits no
+    /// frame for it, and both decoders refuse a zero-length prefix.
     #[test]
     fn empty_batch_rejected(junk in proptest::collection::vec(any::<u8>(), 0..16)) {
-        let mut buf = bytes::BytesMut::new();
+        prop_assert_eq!(wire::Batch::default().take(), None);
+        let mut frame = BytesMut::new();
+        frame.put_u8(0);
+        frame.put_slice(&junk);
         prop_assert_eq!(
-            wire::frame_batch_into(&[], &mut buf),
-            Err(newtop_types::DecodeError::EmptyFrame)
+            wire::unframe_each(frame.clone().freeze(), drop),
+            Err(DecodeError::EmptyFrame)
         );
-        prop_assert_eq!(buf.len(), 0);
-        wire::put_varint(&mut buf, 0);
-        bytes::BufMut::put_slice(&mut buf, &junk);
-        let mut dec = FrameDecoder::new();
-        dec.push(&buf);
-        prop_assert_eq!(
-            dec.next_frame(),
-            Err(newtop_types::DecodeError::EmptyFrame)
-        );
+        let mut dec = PeerRecordDecoder::new();
+        dec.push(&[7, 1]);
+        dec.push(&frame);
+        prop_assert_eq!(dec.next_record(), Err(DecodeError::EmptyFrame));
     }
 }
 
@@ -284,9 +301,8 @@ fn junk_between_envelopes_inside_frame_reported() {
     // A frame whose announced length overshoots its envelope encoding by
     // two junk bytes: since a frame body is a sequence of envelopes, the
     // junk is parsed as the start of a second envelope and must surface
-    // as a clean decode error, not be silently skipped. (The pre-batching
-    // decoder reported this as `TrailingBytes`.) The first junk byte is a
-    // complete key, g1 with kind 15, which names no envelope.
+    // as a clean decode error, not be silently skipped. The first junk
+    // byte is a complete key, g1 with kind 15, which names no envelope.
     let env: Envelope = Message {
         group: GroupId(1),
         sender: ProcessId(2),
@@ -296,41 +312,40 @@ fn junk_between_envelopes_inside_frame_reported() {
     }
     .into();
     let body = wire::encode(&env);
-    let mut buf = bytes::BytesMut::new();
+    let mut buf = BytesMut::new();
     wire::put_varint(&mut buf, body.len() as u64 + 2);
-    bytes::BufMut::put_slice(&mut buf, &body);
-    bytes::BufMut::put_slice(&mut buf, &[0x1f, 0xbb]);
-    let mut dec = FrameDecoder::new();
-    dec.push(&buf);
-    assert_eq!(dec.next_frame(), Ok(Some(env)));
+    buf.put_slice(&body);
+    buf.put_slice(&[0x1f, 0xbb]);
+    let mut got = Vec::new();
     assert_eq!(
-        dec.next_frame(),
-        Err(newtop_types::DecodeError::UnknownTag {
+        wire::unframe_each(buf.freeze(), |e| got.push(e)),
+        Err(DecodeError::UnknownTag {
             tag: 15,
             context: "envelope",
         })
     );
+    assert_eq!(got, vec![env]);
 }
 
 #[test]
 fn oversized_length_prefix_rejected() {
-    let mut buf = bytes::BytesMut::new();
+    let mut buf = BytesMut::new();
+    wire::put_varint(&mut buf, 1); // dest
+    wire::put_varint(&mut buf, 1); // seq
     wire::put_varint(&mut buf, wire::MAX_FRAME_LEN + 1);
-    let mut dec = FrameDecoder::new();
+    let mut dec = PeerRecordDecoder::new();
     dec.push(&buf);
     assert!(matches!(
-        dec.next_frame(),
-        Err(newtop_types::DecodeError::FrameTooLarge { .. })
+        dec.next_record(),
+        Err(DecodeError::FrameTooLarge { .. })
     ));
 }
 
 #[test]
 fn oversized_batch_rejected_on_encode() {
-    // `FrameTooLarge` symmetry on the encode side: a batch whose combined
-    // body exceeds the decoder limit is refused before any byte is
-    // buffered, so no conforming sender can emit a frame its peer must
-    // reject.
-    let env: Envelope = Message {
+    // A frame at the decoder limit fits only an empty batch, so no
+    // conforming sender joins a frame its peer must reject.
+    let big: Envelope = Message {
         group: GroupId(1),
         sender: ProcessId(2),
         c: Msn(3),
@@ -339,15 +354,21 @@ fn oversized_batch_rejected_on_encode() {
             0u8;
             usize::try_from(wire::MAX_FRAME_LEN)
                 .unwrap()
-                + 1
+                - 8
         ])),
     }
     .into();
-    let batch = [env];
-    let mut buf = bytes::BytesMut::new();
-    assert!(matches!(
-        wire::frame_batch_into(&batch, &mut buf),
-        Err(newtop_types::DecodeError::FrameTooLarge { .. })
-    ));
-    assert!(buf.is_empty());
+    assert_eq!(wire::encoded_len(&big) as u64, wire::MAX_FRAME_LEN);
+    let big = wire::frame(&big);
+    let mut batch = wire::Batch::default();
+    assert!(batch.fits(&big));
+    batch.push(batch_of(&[Message {
+        group: GroupId(1),
+        sender: ProcessId(2),
+        c: Msn(2),
+        ldn: Msn(1),
+        body: MessageBody::Null,
+    }
+    .into()]));
+    assert!(!batch.fits(&big));
 }
