@@ -1,15 +1,15 @@
 //! Microbenchmarks of Newtop's per-message work: the costs §6 claims are
 //! "low and bounded" — header encode/decode, clock and vector updates, the
 //! symmetric receive path, and end-to-end engine throughput on the
-//! zero-latency test network.
+//! zero-latency `TestNet` facade over the simulator.
 
 use bytes::{Bytes, BytesMut};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use newtop_bench::sample_app_message;
-use newtop_core::testkit::TestNet;
 use newtop_core::{LogicalClock, MsnVector, Process};
 use newtop_harness::chaos::ChaosScenario;
 use newtop_harness::sweep::run_chaos_seed;
+use newtop_harness::testnet::TestNet;
 use newtop_harness::{check_all, History};
 use newtop_sim::{LatencyModel, NetConfig, Outbox, Sim, SimNode};
 use newtop_types::{
@@ -181,7 +181,7 @@ fn bench_membership_agreement(c: &mut Criterion) {
     // cost is the difference between the two rows.
     let mut group = c.benchmark_group("membership_crash_to_view");
     group.sample_size(10);
-    for n in [4u32, 8, 16, 32] {
+    for n in [4u32, 8, 16, 32, 64] {
         for (name, crash) in [("crash_exclusion", true), ("crash_exclusion_setup", false)] {
             group.bench_with_input(BenchmarkId::new(name, n), &n, |b, &n| {
                 b.iter(|| {

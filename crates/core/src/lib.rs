@@ -38,8 +38,11 @@
 //!
 //! # Examples
 //!
+//! `core` ships no network: its tests and examples move envelopes with
+//! `newtop_harness::testnet::TestNet`, a synchronous simulator facade.
+//!
 //! ```
-//! use newtop_core::testkit::TestNet;
+//! use newtop_harness::testnet::TestNet;
 //! use newtop_types::{GroupConfig, GroupId, OrderMode};
 //!
 //! // Three processes, one symmetric total-order group.
@@ -69,7 +72,6 @@ mod formation;
 mod group;
 mod membership;
 mod process;
-pub mod testkit;
 mod vectors;
 
 pub use action::{Action, Delivery, FormationFailure, ProcessStats, ProtocolEvent};

@@ -101,11 +101,12 @@ pub(crate) enum DeferredSend {
 ///
 /// # Examples
 ///
-/// Three processes bootstrap a static group and exchange one multicast; see
-/// `newtop_core::testkit` for the harness that moves the envelopes:
+/// Three processes bootstrap a static group and exchange one multicast;
+/// `newtop_harness::testnet::TestNet` moves the envelopes over the
+/// simulator:
 ///
 /// ```
-/// use newtop_core::testkit::TestNet;
+/// use newtop_harness::testnet::TestNet;
 /// use newtop_types::{GroupConfig, GroupId, OrderMode, ProcessId};
 ///
 /// let mut net = TestNet::new([1, 2, 3]);

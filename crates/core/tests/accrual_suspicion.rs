@@ -4,8 +4,8 @@
 //! exclusion), while a genuinely crashed member is still excluded within
 //! the Ω×cap ceiling.
 
-use newtop_core::testkit::TestNet;
 use newtop_core::ProtocolEvent;
+use newtop_harness::testnet::TestNet;
 use newtop_types::{GroupConfig, GroupId, OrderMode, ProcessId, Span, SuspicionMode};
 
 const G1: GroupId = GroupId(1);

@@ -2,8 +2,8 @@
 //! mixed-mode blocking rule (§4.3) and sequencer fail-over (our completion
 //! of the part the paper defers to its technical report).
 
-use newtop_core::testkit::TestNet;
 use newtop_core::ProtocolEvent;
+use newtop_harness::testnet::TestNet;
 use newtop_types::{GroupConfig, GroupId, OrderMode, ProcessId, Span};
 
 const GA: GroupId = GroupId(1);

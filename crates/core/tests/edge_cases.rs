@@ -5,8 +5,8 @@
 //! wire frame.
 
 use bytes::Bytes;
-use newtop_core::testkit::{pid, TestNet};
 use newtop_core::{Action, GroupError, Process};
+use newtop_harness::testnet::{pid, TestNet};
 use newtop_types::{
     wire, DeliveryMode, GroupConfig, GroupId, Instant, OrderMode, ProcessConfig, ProcessId,
     SendError, Span,

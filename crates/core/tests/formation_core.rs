@@ -3,8 +3,8 @@
 //! that vanish mid-formation.
 
 use bytes::Bytes;
-use newtop_core::testkit::{pid, TestNet};
 use newtop_core::{Action, FormationFailure, Process};
+use newtop_harness::testnet::{pid, TestNet};
 use newtop_types::{
     Envelope, FormationDecision, GroupConfig, GroupId, Instant, OrderMode, ProcessConfig,
     ProcessId, Span,

@@ -11,8 +11,8 @@
 //! asymmetric group's sequencer.
 
 use bytes::Bytes;
-use newtop_core::testkit::TestNet;
 use newtop_core::{Action, Process};
+use newtop_harness::testnet::TestNet;
 use newtop_types::{
     Envelope, GroupConfig, GroupId, Instant, Message, MessageBody, Msn, OrderMode, ProcessConfig,
     ProcessId, Span, Suspicion,

@@ -3,8 +3,8 @@
 //! discard rule, departures, partitions — including the paper's worked
 //! Examples 1, 2 and 3.
 
-use newtop_core::testkit::{TestNet, TimelineEntry};
 use newtop_core::ProtocolEvent;
+use newtop_harness::testnet::{TestNet, TimelineEntry};
 use newtop_types::{GroupConfig, GroupId, OrderMode, ProcessId, Span};
 
 const G1: GroupId = GroupId(1);

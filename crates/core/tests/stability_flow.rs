@@ -1,7 +1,7 @@
 //! Integration tests of message stability (§5.1), the flow-control window
 //! (§7 / thesis [11]) and the atomic-only delivery mode (§2).
 
-use newtop_core::testkit::TestNet;
+use newtop_harness::testnet::TestNet;
 use newtop_types::{DeliveryMode, GroupConfig, GroupId, OrderMode, Span};
 
 const G1: GroupId = GroupId(1);

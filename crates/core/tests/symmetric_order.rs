@@ -1,7 +1,7 @@
 //! Integration tests of the symmetric total-order protocol (§4.1):
 //! conditions safe1/safe1'/safe2, causality, ties, multi-group MD4'.
 
-use newtop_core::testkit::TestNet;
+use newtop_harness::testnet::TestNet;
 use newtop_types::{GroupConfig, GroupId, OrderMode, Span};
 
 const G1: GroupId = GroupId(1);

@@ -885,10 +885,12 @@ impl ChaosPlan {
     /// The network is the zero-latency, zero-overhead fixed model (no
     /// random draws), exactly as `newtop-exp mc` explores, so a shrunk
     /// counterexample replays the violating interleaving bit-identically.
-    /// With zero latency a delivery never advances the virtual clock (time
-    /// moves only when a timer wake fires), so interleavings that differ
-    /// only in the order of independent deliveries converge to the same
-    /// state digest — this is what makes visited-state dedup effective.
+    /// Zero latency does not freeze the clock: the FIFO clamp spaces
+    /// messages sent on one link at the same instant 1 µs apart, so three
+    /// multicasts from one process arrive on each link at 1, 2 and 3 µs,
+    /// and firing the third moves the clock to 3 µs. Interleavings of
+    /// independent deliveries therefore converge to one state digest only
+    /// when they also leave the clock and the clamp matrix equal.
     pub(crate) fn run_mc_schedule(&self) -> SimCluster {
         let net = NetConfig::new(self.seed)
             .with_latency(LatencyModel::Fixed(Span::ZERO))

@@ -3,8 +3,7 @@
 //! recording.
 
 use crate::history::{History, HistoryEvent, MessageId};
-use bytes::Bytes;
-use newtop_core::{Action, Process};
+use newtop_core::{Action, FormationFailure, Process};
 use newtop_sim::{NetConfig, Outbox, PartitionMode, PartitionSpec, PendingEvent, Sim, SimNode};
 use newtop_types::digest::{DigestHasher, StateDigest};
 use newtop_types::{wire, Envelope, GroupConfig, GroupId, Instant, ProcessConfig, ProcessId, Span};
@@ -13,15 +12,18 @@ use std::collections::BTreeSet;
 /// One simulated protocol participant: the engine plus its observable log.
 #[derive(Debug)]
 pub struct NewtopNode {
-    process: Process,
+    pub(crate) process: Process,
     log: Vec<HistoryEvent>,
+    /// Formation failures, kept out of the log so histories do not change.
+    pub(crate) failures: Vec<(GroupId, FormationFailure)>,
 }
 
 impl NewtopNode {
-    fn new(id: ProcessId) -> NewtopNode {
+    pub(crate) fn new(id: ProcessId) -> NewtopNode {
         NewtopNode {
             process: Process::new(id, ProcessConfig::new()),
             log: Vec::new(),
+            failures: Vec::new(),
         }
     }
 
@@ -37,7 +39,27 @@ impl NewtopNode {
         &self.log
     }
 
-    fn absorb(&mut self, now: Instant, actions: Vec<Action>, out: &mut Outbox<Envelope>) {
+    /// Statically installs `group` (the §4 bootstrap) and logs `V0`.
+    pub(crate) fn bootstrap(
+        &mut self,
+        now: Instant,
+        group: GroupId,
+        members: &BTreeSet<ProcessId>,
+        cfg: GroupConfig,
+    ) {
+        self.process
+            .bootstrap_group(now, group, members, cfg)
+            .expect("bootstrap succeeds");
+        let view = self.process.view(group).expect("just installed").clone();
+        self.log.push(HistoryEvent::InitialView { group, view });
+    }
+
+    pub(crate) fn absorb(
+        &mut self,
+        now: Instant,
+        actions: Vec<Action>,
+        out: &mut Outbox<Envelope>,
+    ) {
         for a in actions {
             match a {
                 Action::Send { to, envelope } => out.send(to, envelope),
@@ -63,7 +85,7 @@ impl NewtopNode {
                     self.log.push(HistoryEvent::InitialView { group, view });
                     self.log.push(HistoryEvent::GroupActive { at: now, group });
                 }
-                Action::FormationFailed { .. } => {}
+                Action::FormationFailed { group, reason } => self.failures.push((group, reason)),
                 Action::Event(event) => {
                     self.log.push(HistoryEvent::Protocol { at: now, event });
                 }
@@ -89,19 +111,6 @@ impl NewtopNode {
                 self.absorb(now, actions, out);
             }
             Err(_) => { /* departed or unknown group: the script raced a fault */ }
-        }
-    }
-
-    /// Issues an untagged multicast (payload outside the workload scheme).
-    pub fn do_multicast_raw(
-        &mut self,
-        now: Instant,
-        group: GroupId,
-        payload: Bytes,
-        out: &mut Outbox<Envelope>,
-    ) {
-        if let Ok(actions) = self.process.multicast(now, group, payload) {
-            self.absorb(now, actions, out);
         }
     }
 
@@ -187,7 +196,6 @@ impl StateDigest for NewtopNode {
 /// ```
 pub struct SimCluster {
     sim: Sim<NewtopNode>,
-    ids: Vec<ProcessId>,
 }
 
 impl SimCluster {
@@ -195,22 +203,15 @@ impl SimCluster {
     #[must_use]
     pub fn new(n: u32, net: NetConfig) -> SimCluster {
         let mut sim = Sim::new(net);
-        let ids: Vec<ProcessId> = (1..=n).map(ProcessId).collect();
-        for id in &ids {
-            sim.add_node(*id, NewtopNode::new(*id));
+        for id in (1..=n).map(ProcessId) {
+            sim.add_node(id, NewtopNode::new(id));
         }
-        SimCluster { sim, ids }
+        SimCluster { sim }
     }
 
     /// Installs the wire codec as the byte sizer, enabling `bytes_sent`.
     pub fn measure_wire_bytes(&mut self) {
         self.sim.set_sizer(wire::encoded_len);
-    }
-
-    /// The member ids.
-    #[must_use]
-    pub fn ids(&self) -> &[ProcessId] {
-        &self.ids
     }
 
     /// Statically bootstraps `group` at every listed member.
@@ -222,11 +223,7 @@ impl SimCluster {
         let set: BTreeSet<ProcessId> = members.iter().map(|i| ProcessId(*i)).collect();
         for m in &set {
             let node = self.sim.node_mut(*m).expect("member exists");
-            node.process
-                .bootstrap_group(Instant::ZERO, group, &set, cfg)
-                .expect("bootstrap succeeds");
-            let view = node.process.view(group).expect("just installed").clone();
-            node.log.push(HistoryEvent::InitialView { group, view });
+            node.bootstrap(Instant::ZERO, group, &set, cfg);
             self.sim.poke(*m);
         }
     }
@@ -444,7 +441,7 @@ impl SimCluster {
 impl std::fmt::Debug for SimCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimCluster")
-            .field("nodes", &self.ids.len())
+            .field("nodes", &self.sim.nodes().count())
             .field("now", &self.now())
             .finish()
     }

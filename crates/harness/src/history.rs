@@ -165,22 +165,6 @@ impl History {
         map
     }
 
-    /// All message ids `p` reported as sent, with their groups.
-    #[must_use]
-    pub fn sent_mids(&self, p: ProcessId) -> Vec<(GroupId, MessageId)> {
-        self.events
-            .get(&p)
-            .map(|evs| {
-                evs.iter()
-                    .filter_map(|e| match e {
-                        HistoryEvent::Sent { group, mid, .. } => Some((*group, *mid)),
-                        _ => None,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     /// Whether `p` crashed during the run.
     #[must_use]
     pub fn is_crashed(&self, p: ProcessId) -> bool {

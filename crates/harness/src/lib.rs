@@ -13,6 +13,9 @@
 //!   properties (MD1, MD4/MD4', MD5/MD5', VC1, VC3, and quiescent
 //!   liveness/atomicity) over a recorded history; used by the property
 //!   tests and by every experiment as a built-in sanity gate;
+//! * [`testnet`] — `TestNet`, the synchronous facade over the same
+//!   simulator that the engine's own tests, doc examples and benches
+//!   drive: zero latency, test-driven timers, immediate faults;
 //! * [`workload`] — scripted traffic helpers for hand-built scenarios;
 //! * [`chaos`] — the seeded fault-schedule explorer: seed → deterministic
 //!   topology + traffic + timed fault schedule, replay scripts, ddmin
@@ -53,6 +56,7 @@ pub mod remote;
 pub mod supervisor;
 pub mod sweep;
 pub mod table;
+pub mod testnet;
 pub mod workload;
 
 pub use chaos::{history_hash, ChaosPlan, ChaosScenario, McStep};

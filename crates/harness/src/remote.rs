@@ -194,24 +194,32 @@ const MAX_RECORD: u64 = 16 * 1024 * 1024;
 
 /// Incremental varint-length-prefixed record parser for the control
 /// stream (the control-plane sibling of the peer links'
-/// `PeerRecordDecoder`).
+/// `PeerRecordDecoder`). Records are read in place behind the offset `at`
+/// and the consumed prefix is dropped once per push, so a read holding k
+/// records costs O(read size), not O(k × read size).
 struct RecordDecoder {
     buf: Vec<u8>,
+    at: usize,
 }
 
 impl RecordDecoder {
     fn new() -> RecordDecoder {
-        RecordDecoder { buf: Vec::new() }
+        RecordDecoder {
+            buf: Vec::new(),
+            at: 0,
+        }
     }
 
     fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.at);
+        self.at = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// The next complete record payload, if one is buffered.
-    fn next_record(&mut self) -> Result<Option<Vec<u8>>, String> {
+    fn next_record(&mut self) -> Result<Option<&[u8]>, String> {
         let Some((len, used)) =
-            peek_varint(&self.buf, 0).map_err(|e| format!("control record length: {e}"))?
+            peek_varint(&self.buf, self.at).map_err(|e| format!("control record length: {e}"))?
         else {
             return Ok(None);
         };
@@ -220,12 +228,12 @@ impl RecordDecoder {
         }
         #[allow(clippy::cast_possible_truncation)]
         let body_len = len as usize;
-        if self.buf.len() < used + body_len {
+        let start = self.at + used;
+        if self.buf.len() < start + body_len {
             return Ok(None);
         }
-        let record = self.buf[used..used + body_len].to_vec();
-        self.buf.drain(..used + body_len);
-        Ok(Some(record))
+        self.at = start + body_len;
+        Ok(Some(&self.buf[start..self.at]))
     }
 }
 
@@ -443,7 +451,7 @@ fn ctrl_conn_main(
                         Err(_) => break 'conn, // malformed client
                     };
                     if record.first() == Some(&OP_MULTICAST) {
-                        verdicts.submit(running, &record);
+                        verdicts.submit(running, record);
                         continue;
                     }
                     // Every other op answers after the multicasts
@@ -457,7 +465,7 @@ fn ctrl_conn_main(
                             stop,
                             &mut forwarders,
                             &mut subscribed,
-                            &record,
+                            record,
                         )
                     {
                         break 'conn;
@@ -1098,7 +1106,7 @@ fn ctrl_reader_main(mut conn: TcpStream, pending: &PendingReplies, txs: &[Sender
                         Ok(None) => break,
                         Err(_) => return,
                     };
-                    if dispatch_record(&record, pending, txs).is_none() {
+                    if dispatch_record(record, pending, txs).is_none() {
                         return;
                     }
                 }
@@ -1259,21 +1267,29 @@ mod tests {
     /// The record decoder reassembles records across arbitrary splits.
     #[test]
     fn record_decoder_handles_partial_pushes() {
+        // Three odd sizes, then a thousand small records that one push
+        // carries whole.
+        let small = (0..1000u32).map(|i| i.to_le_bytes().to_vec());
+        let payloads: Vec<Vec<u8>> = [vec![1], vec![2; 300], vec![3; 5]]
+            .into_iter()
+            .chain(small)
+            .collect();
         let mut encoded = BytesMut::new();
-        let payloads: Vec<Vec<u8>> = vec![vec![1], vec![2; 300], vec![3; 5]];
         for p in &payloads {
             put_varint(&mut encoded, p.len() as u64);
             encoded.put_slice(p);
         }
-        let mut dec = RecordDecoder::new();
-        let mut got = Vec::new();
-        for chunk in encoded.chunks(7) {
-            dec.push(chunk);
-            while let Some(r) = dec.next_record().expect("well-formed") {
-                got.push(r);
+        for chunk_len in [7, 4096, encoded.len()] {
+            let mut dec = RecordDecoder::new();
+            let mut got = Vec::new();
+            for chunk in encoded.chunks(chunk_len) {
+                dec.push(chunk);
+                while let Some(r) = dec.next_record().expect("well-formed") {
+                    got.push(r.to_vec());
+                }
             }
+            assert_eq!(got, payloads, "chunks of {chunk_len}");
         }
-        assert_eq!(got, payloads);
     }
 
     /// Each refusal kind the client tells apart survives the verdict
@@ -1366,7 +1382,7 @@ mod tests {
                     let body = record.get(1..).unwrap_or_default();
                     let _ = parse_multicast(body);
                     let _ = parse_form(body);
-                    match dispatch_record(&record, &pending, &txs) {
+                    match dispatch_record(record, &pending, &txs) {
                         Some(()) => handled += 1,
                         None => rejected += 1,
                     }

@@ -16,7 +16,9 @@
 //!   as in the paper's Example 1), network partitions with either
 //!   *loss* semantics (messages crossing the cut are dropped — a permanent
 //!   or UDP-style partition) or *delay* semantics (messages are parked and
-//!   released on heal — a TCP-style transient partition), and healing.
+//!   released on heal — a TCP-style transient partition), healing, and
+//!   directed link cuts, scheduled or applied at once (the synchronous
+//!   `newtop-harness` `TestNet` drives the engine tests with the latter).
 //! * **Determinism** — all randomness comes from a seeded
 //!   [`rand::rngs::StdRng`]; the same seed and script replay the same
 //!   history, so failing property tests reproduce exactly.

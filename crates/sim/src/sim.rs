@@ -4,7 +4,7 @@
 //! at [`Sim::add_node`] time): hot-path events (`Deliver`, `Wake`) carry the
 //! index, node state lives in an index-parallel `Vec`, and per-link FIFO
 //! clamping state is a dense `n × n` matrix — no map lookups or allocation
-//! on the per-event path. Scratch [`Outbox`]es are pooled and reused across
+//! on the per-event path. One scratch [`Outbox`] is reused across
 //! dispatches. The public API stays [`ProcessId`]-keyed.
 
 use crate::model::{LatencyModel, NetConfig, NetStats, PartitionMode, PartitionSpec};
@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 
 /// Behaviour of one simulated node.
 ///
@@ -230,14 +230,16 @@ pub struct Sim<N: SimNode> {
     partition: PartitionSpec,
     partition_mode: PartitionMode,
     parked: ParkedLinks<N::Msg>,
+    /// Directed links cut by [`Sim::cut_link`], by `(src, dst)` id.
+    cut: BTreeSet<(ProcessId, ProcessId)>,
     /// Dense per-link FIFO clamp state: `last_arrival[src * n + dst]` is the
     /// latest arrival scheduled on that link. Bounded at `n²` by
     /// construction (the `HashMap` it replaces grew an entry per ever-used
     /// link and was never pruned across heal/partition cycles).
     last_arrival: Vec<Instant>,
-    /// Recycled scratch buffers: one dispatch borrows one, flush drains it
-    /// and returns it — the hot path allocates nothing after warm-up.
-    outbox_pool: Vec<Outbox<N::Msg>>,
+    /// The scratch outbox every callback writes into; flush drains it and
+    /// keeps its capacity, so the hot path allocates nothing after warm-up.
+    outbox: Outbox<N::Msg>,
     stats: NetStats,
     sizer: Option<MsgSizer<N::Msg>>,
     /// The WAN model, when enabled via [`Sim::set_wan`]; `None` keeps the
@@ -269,8 +271,9 @@ impl<N: SimNode> Sim<N> {
             partition: PartitionSpec::connected_all(),
             partition_mode: PartitionMode::Loss,
             parked: BTreeMap::new(),
+            cut: BTreeSet::new(),
             last_arrival: Vec::new(),
-            outbox_pool: Vec::new(),
+            outbox: Outbox::new(),
             stats: NetStats::default(),
             sizer: None,
             wan: None,
@@ -487,12 +490,6 @@ impl<N: SimNode> Sim<N> {
         );
     }
 
-    /// Whether the WAN model is enabled.
-    #[must_use]
-    pub fn wan_enabled(&self) -> bool {
-        self.wan.is_some()
-    }
-
     /// Schedules an arbitrary call into node `p` at `at` — the hook through
     /// which experiment scripts trigger application sends.
     pub fn schedule_call(
@@ -540,13 +537,15 @@ impl<N: SimNode> Sim<N> {
         }
     }
 
-    fn take_outbox(&mut self) -> Outbox<N::Msg> {
-        self.outbox_pool.pop().unwrap_or_default()
-    }
-
-    fn recycle_outbox(&mut self, out: Outbox<N::Msg>) {
-        debug_assert!(out.sends.is_empty(), "recycled outbox must be drained");
-        self.outbox_pool.push(out);
+    /// Runs one callback on node `idx`, puts the sends it queued on the
+    /// wire and re-reads the node's timer. Callbacks never nest, so one
+    /// scratch outbox serves every dispatch.
+    fn run_node(&mut self, idx: NodeIdx, f: impl FnOnce(&mut N, &mut Outbox<N::Msg>)) {
+        f(&mut self.nodes[idx as usize].node, &mut self.outbox);
+        if !self.outbox.is_empty() {
+            self.flush_outbox(idx);
+        }
+        self.refresh_wake(idx);
     }
 
     fn dispatch(&mut self, ev: Event<N>) {
@@ -559,13 +558,7 @@ impl<N: SimNode> Sim<N> {
                 self.stats.delivered += 1;
                 let from = self.nodes[src as usize].id;
                 let now = self.now;
-                let mut out = self.take_outbox();
-                self.nodes[dst as usize]
-                    .node
-                    .on_message(now, from, msg, &mut out);
-                self.flush_outbox(dst, &mut out);
-                self.recycle_outbox(out);
-                self.refresh_wake(dst);
+                self.run_node(dst, |n, out| n.on_message(now, from, msg, out));
             }
             EventKind::Wake { node, epoch } => {
                 {
@@ -576,117 +569,16 @@ impl<N: SimNode> Sim<N> {
                     entry.wake_at = None;
                 }
                 let now = self.now;
-                let mut out = self.take_outbox();
-                self.nodes[node as usize].node.on_tick(now, &mut out);
-                self.flush_outbox(node, &mut out);
-                self.recycle_outbox(out);
-                self.refresh_wake(node);
+                self.run_node(node, |n, out| n.on_tick(now, out));
             }
             EventKind::Crash(p) => self.crash_node(p),
-            EventKind::SetPartition(spec, mode) => {
-                self.partition = spec;
-                self.partition_mode = mode;
-                for entry in &mut self.nodes {
-                    entry.block = partition_block(&self.partition, entry.id);
-                }
-                if self.partition.is_trivial() {
-                    return;
-                }
-                // In-flight messages crossing the new cut are lost (Loss)
-                // or parked until heal (Delay).
-                let mut kept: Vec<Event<N>> = Vec::with_capacity(self.queue.len());
-                let mut crossing: Vec<(Instant, u64, NodeIdx, NodeIdx, Instant, N::Msg)> =
-                    Vec::new();
-                for ev in self.queue.drain() {
-                    match ev.kind {
-                        EventKind::Deliver {
-                            src,
-                            dst,
-                            departed,
-                            msg,
-                        } if self.nodes[src as usize].block != self.nodes[dst as usize].block => {
-                            crossing.push((ev.at, ev.seq, src, dst, departed, msg));
-                        }
-                        kind => kept.push(Event { kind, ..ev }),
-                    }
-                }
-                self.queue = kept.into_iter().collect();
-                crossing.sort_by_key(|(at, seq, ..)| (*at, *seq));
-                for (_, _, src, dst, departed, msg) in crossing {
-                    match self.partition_mode {
-                        PartitionMode::Loss => self.stats.dropped_partition += 1,
-                        PartitionMode::Delay => {
-                            self.stats.parked += 1;
-                            let key = (self.nodes[src as usize].id, self.nodes[dst as usize].id);
-                            self.parked
-                                .entry(key)
-                                .or_default()
-                                .push_back((departed, msg));
-                        }
-                    }
-                }
-                if self.wan.is_some() {
-                    self.wan_partition_crossing();
-                }
-            }
+            EventKind::SetPartition(spec, mode) => self.partition_now(spec, mode),
             EventKind::SetLatency(latency) => {
                 self.config.latency = latency;
             }
-            EventKind::Heal => {
-                self.partition = PartitionSpec::connected_all();
-                for entry in &mut self.nodes {
-                    entry.block = BLOCK_RESIDUAL;
-                }
-                let parked = std::mem::take(&mut self.parked);
-                if self.wan.is_some() {
-                    // Released messages re-enter the WAN as fresh transfers:
-                    // crossing a healed cut costs a full re-transmission
-                    // through the uplink (and trunk), not just one latency
-                    // draw — a heal-time burst congests real capacity.
-                    for ((src_id, dst_id), queue) in parked {
-                        let (Some(src), Some(dst)) = (self.idx_of(src_id), self.idx_of(dst_id))
-                        else {
-                            continue;
-                        };
-                        for (departed, msg) in queue {
-                            self.wan_admit(src, dst, departed, msg);
-                        }
-                    }
-                    return;
-                }
-                for ((src_id, dst_id), queue) in parked {
-                    let link = match (self.idx_of(src_id), self.idx_of(dst_id)) {
-                        (Some(s), Some(d)) => Some((s, d)),
-                        _ => None, // destination never existed; keep RNG parity
-                    };
-                    for (departed, msg) in queue {
-                        let arrival = self.now + self.config.latency.sample(&mut self.rng);
-                        let Some((src, dst)) = link else { continue };
-                        let arrival = self.clamp_fifo(src, dst, arrival);
-                        self.push(
-                            arrival,
-                            EventKind::Deliver {
-                                src,
-                                dst,
-                                departed,
-                                msg,
-                            },
-                        );
-                    }
-                }
-            }
+            EventKind::Heal => self.heal_now(),
             EventKind::Call(p, f) => {
-                let Some(idx) = self.idx_of(p) else {
-                    return;
-                };
-                if self.nodes[idx as usize].crashed {
-                    return;
-                }
-                let mut out = self.take_outbox();
-                f(&mut self.nodes[idx as usize].node, &mut out);
-                self.flush_outbox(idx, &mut out);
-                self.recycle_outbox(out);
-                self.refresh_wake(idx);
+                self.invoke(p, f);
             }
             EventKind::TransferDone { id, epoch } => self.wan_transfer_done(id, epoch),
             EventKind::SetWanLink { from, to, spec } => {
@@ -709,6 +601,108 @@ impl<N: SimNode> Sim<N> {
         }
     }
 
+    /// Installs a partition immediately (the synchronous counterpart of
+    /// [`Sim::schedule_partition`]): in-flight messages crossing the new cut
+    /// are lost (Loss) or parked until heal (Delay).
+    pub fn partition_now(&mut self, spec: PartitionSpec, mode: PartitionMode) {
+        self.partition = spec;
+        self.partition_mode = mode;
+        for entry in &mut self.nodes {
+            entry.block = partition_block(&self.partition, entry.id);
+        }
+        if self.partition.is_trivial() {
+            return;
+        }
+        let blocks: Vec<u32> = self.nodes.iter().map(|e| e.block).collect();
+        let crossing = self.take_inflight(|s, d| blocks[s as usize] != blocks[d as usize]);
+        for (key, departed, msg) in crossing {
+            match self.partition_mode {
+                PartitionMode::Loss => self.stats.dropped_partition += 1,
+                PartitionMode::Delay => {
+                    self.stats.parked += 1;
+                    self.parked
+                        .entry(key)
+                        .or_default()
+                        .push_back((departed, msg));
+                }
+            }
+        }
+    }
+
+    /// Removes the in-flight messages of every link `severed` selects:
+    /// queued deliveries in (arrival, send) order, then WAN transfers in
+    /// per-flow send order, flows by id.
+    fn take_inflight(
+        &mut self,
+        severed: impl Fn(NodeIdx, NodeIdx) -> bool,
+    ) -> Vec<((ProcessId, ProcessId), Instant, N::Msg)> {
+        let mut kept: Vec<Event<N>> = Vec::with_capacity(self.queue.len());
+        let mut crossing: Vec<(Instant, u64, NodeIdx, NodeIdx, Instant, N::Msg)> = Vec::new();
+        for ev in self.queue.drain() {
+            match ev.kind {
+                EventKind::Deliver {
+                    src,
+                    dst,
+                    departed,
+                    msg,
+                } if severed(src, dst) => {
+                    crossing.push((ev.at, ev.seq, src, dst, departed, msg));
+                }
+                kind => kept.push(Event { kind, ..ev }),
+            }
+        }
+        self.queue = kept.into_iter().collect();
+        crossing.sort_by_key(|(at, seq, ..)| (*at, *seq));
+        let ids = |s: NodeIdx, d: NodeIdx| (self.nodes[s as usize].id, self.nodes[d as usize].id);
+        let mut taken: Vec<_> = crossing
+            .into_iter()
+            .map(|(_, _, s, d, departed, msg)| (ids(s, d), departed, msg))
+            .collect();
+        let Some(mut wan) = self.wan.take() else {
+            return taken;
+        };
+        let mut sched = std::mem::take(&mut self.wan_sched);
+        let mut flows: Vec<_> = wan
+            .take_crossing(self.now, &mut sched, &severed)
+            .into_iter()
+            .map(|(s, d, departed, msg, size)| (ids(s, d), departed, msg, size))
+            .collect();
+        self.wan = Some(wan);
+        self.push_transfer_events(sched);
+        // Canonical order: per-flow send order, flows by id — the same
+        // discipline the queue scan imposes via (at, seq).
+        flows.sort_by_key(|t| (t.0, t.1));
+        for (key, departed, msg, size) in flows {
+            self.stats.wan_inflight = self.stats.wan_inflight.saturating_sub(1);
+            self.stats.wan_backlog_bytes = self.stats.wan_backlog_bytes.saturating_sub(size);
+            taken.push((key, departed, msg));
+        }
+        taken
+    }
+
+    /// Heals the network immediately (the synchronous counterpart of
+    /// [`Sim::schedule_heal`]): everyone reconnects and parked messages are
+    /// released in link order. Cut links stay cut.
+    pub fn heal_now(&mut self) {
+        self.partition = PartitionSpec::connected_all();
+        for entry in &mut self.nodes {
+            entry.block = BLOCK_RESIDUAL;
+        }
+        // Released messages take a fresh latency draw from now; under the
+        // WAN model they re-enter as fresh transfers, so crossing a healed
+        // cut costs a full re-transmission through the uplink (and trunk)
+        // — a heal-time burst congests real capacity.
+        for ((src_id, dst_id), queue) in std::mem::take(&mut self.parked) {
+            let Some(src) = self.idx_of(src_id) else {
+                continue;
+            };
+            let dst = self.idx_of(dst_id);
+            for (departed, msg) in queue {
+                self.transmit(src, dst, self.now, departed, msg);
+            }
+        }
+    }
+
     fn clamp_fifo(&mut self, src: NodeIdx, dst: NodeIdx, arrival: Instant) -> Instant {
         let n = self.nodes.len();
         let cell = &mut self.last_arrival[src as usize * n + dst as usize];
@@ -721,8 +715,8 @@ impl<N: SimNode> Sim<N> {
         clamped
     }
 
-    fn flush_outbox(&mut self, src: NodeIdx, out: &mut Outbox<N::Msg>) {
-        let mut sends = std::mem::take(&mut out.sends);
+    fn flush_outbox(&mut self, src: NodeIdx) {
+        let mut sends = std::mem::take(&mut self.outbox.sends);
         let src_block = self.nodes[src as usize].block;
         for (i, (dst_id, msg)) in sends.drain(..).enumerate() {
             let departed = self.now + self.config.send_overhead.saturating_mul(i as u64 + 1);
@@ -755,30 +749,47 @@ impl<N: SimNode> Sim<N> {
                     }
                 }
             }
-            if self.wan.is_some() {
-                // Topology-aware path: transmission time comes from the
-                // fair-shared pipes; latency, reorder and duplication are
-                // applied when the transfer clears its last pipe. The
-                // WAN-off path below is untouched, so classic seeds keep
-                // their exact RNG draw sequence.
-                let Some(dst) = dst else { continue };
-                self.wan_admit(src, dst, departed, msg);
-                continue;
-            }
-            let arrival = departed + self.config.latency.sample(&mut self.rng);
-            let Some(dst) = dst else { continue };
-            let arrival = self.clamp_fifo(src, dst, arrival);
-            self.push(
-                arrival,
-                EventKind::Deliver {
-                    src,
-                    dst,
-                    departed,
-                    msg,
-                },
-            );
+            self.transmit(src, dst, departed, departed, msg);
         }
-        out.sends = sends;
+        self.outbox.sends = sends;
+    }
+
+    /// Puts one message on the link `src → dst` (`None`: a node never
+    /// added): into the WAN pipes, or one latency draw after `from`. The
+    /// draw is taken even when an unknown destination or a cut link then
+    /// loses the message, so neither perturbs the other links' RNG stream.
+    fn transmit(
+        &mut self,
+        src: NodeIdx,
+        dst: Option<NodeIdx>,
+        from: Instant,
+        departed: Instant,
+        msg: N::Msg,
+    ) {
+        let arrival = self
+            .wan
+            .is_none()
+            .then(|| from + self.config.latency.sample(&mut self.rng));
+        let Some(dst) = dst else { return };
+        let ids = (self.nodes[src as usize].id, self.nodes[dst as usize].id);
+        if !self.cut.is_empty() && self.cut.contains(&ids) {
+            self.stats.dropped_partition += 1;
+            return;
+        }
+        let Some(arrival) = arrival else {
+            self.wan_admit(src, dst, departed, msg);
+            return;
+        };
+        let arrival = self.clamp_fifo(src, dst, arrival);
+        self.push(
+            arrival,
+            EventKind::Deliver {
+                src,
+                dst,
+                departed,
+                msg,
+            },
+        );
     }
 
     /// Pushes a WAN completion schedule as `TransferDone` events, returning
@@ -913,48 +924,6 @@ impl<N: SimNode> Sim<N> {
         }
     }
 
-    /// Severs WAN transfers crossing the just-installed cut: Loss drops
-    /// them, Delay parks them for re-transmission at heal.
-    fn wan_partition_crossing(&mut self) {
-        let blocks: Vec<u32> = self.nodes.iter().map(|e| e.block).collect();
-        let mut wan = self.wan.take().expect("caller checked");
-        let mut sched = std::mem::take(&mut self.wan_sched);
-        let taken = wan.take_crossing(self.now, &mut sched, |s, d| {
-            blocks[s as usize] != blocks[d as usize]
-        });
-        self.wan = Some(wan);
-        self.push_transfer_events(sched);
-        let mut taken: Vec<(ProcessId, ProcessId, Instant, N::Msg, u64)> = taken
-            .into_iter()
-            .map(|(s, d, departed, msg, size)| {
-                (
-                    self.nodes[s as usize].id,
-                    self.nodes[d as usize].id,
-                    departed,
-                    msg,
-                    size,
-                )
-            })
-            .collect();
-        // Canonical park order: per-flow send order, flows by id — the same
-        // discipline the queue-scan path imposes via (at, seq).
-        taken.sort_by_key(|t| (t.0, t.1, t.2));
-        for (src_id, dst_id, departed, msg, size) in taken {
-            self.stats.wan_inflight = self.stats.wan_inflight.saturating_sub(1);
-            self.stats.wan_backlog_bytes = self.stats.wan_backlog_bytes.saturating_sub(size);
-            match self.partition_mode {
-                PartitionMode::Loss => self.stats.dropped_partition += 1,
-                PartitionMode::Delay => {
-                    self.stats.parked += 1;
-                    self.parked
-                        .entry((src_id, dst_id))
-                        .or_default()
-                        .push_back((departed, msg));
-                }
-            }
-        }
-    }
-
     fn refresh_wake(&mut self, idx: NodeIdx) {
         let entry = &mut self.nodes[idx as usize];
         if entry.crashed {
@@ -995,6 +964,29 @@ impl<N: SimNode> Sim<N> {
         }
         self.crash_node(p);
         true
+    }
+
+    /// Cuts the directed link `src → dst`: its in-flight and parked
+    /// messages are dropped, and so is every send on it until
+    /// [`Sim::restore_link`]. The reverse direction is unaffected. Returns
+    /// `false` if the link was already cut.
+    pub fn cut_link(&mut self, src: ProcessId, dst: ProcessId) -> bool {
+        if !self.cut.insert((src, dst)) {
+            return false;
+        }
+        let lost = match (self.idx_of(src), self.idx_of(dst)) {
+            (Some(si), Some(di)) => self.take_inflight(|s, d| (s, d) == (si, di)).len(),
+            _ => 0,
+        };
+        let parked = self.parked.remove(&(src, dst)).map_or(0, |q| q.len());
+        self.stats.dropped_partition += (lost + parked) as u64;
+        true
+    }
+
+    /// Restores a link cut by [`Sim::cut_link`]; messages dropped while it
+    /// was cut stay lost. Returns `false` if the link was not cut.
+    pub fn restore_link(&mut self, src: ProcessId, dst: ProcessId) -> bool {
+        self.cut.remove(&(src, dst))
     }
 
     fn crash_node(&mut self, p: ProcessId) {
@@ -1041,11 +1033,7 @@ impl<N: SimNode> Sim<N> {
         if self.nodes[idx as usize].crashed {
             return false;
         }
-        let mut out = self.take_outbox();
-        f(&mut self.nodes[idx as usize].node, &mut out);
-        self.flush_outbox(idx, &mut out);
-        self.recycle_outbox(out);
-        self.refresh_wake(idx);
+        self.run_node(idx, f);
         true
     }
 
@@ -1187,10 +1175,10 @@ where
     /// checker's visited-state dedup: virtual time, every node's protocol
     /// state (via the node's own [`StateDigest`]), crash flags, pending
     /// wake-ups, in-flight messages in canonical link-then-arrival order,
-    /// parked (partitioned-away) messages, partition blocks, and the
-    /// per-link FIFO clamp matrix.
+    /// parked (partitioned-away) messages, partition blocks, the per-link
+    /// FIFO clamp matrix, and the cut links while any is cut.
     ///
-    /// Excluded by design: event sequence numbers, the outbox pool, network
+    /// Excluded by design: event sequence numbers, the scratch outbox, network
     /// statistics, and the RNG — the digest is therefore sound for dedup
     /// only under a latency model that draws no randomness
     /// ([`LatencyModel::Fixed`]) and a fixed [`NetConfig`], which is what
@@ -1266,6 +1254,15 @@ where
         }
         for cell in &self.last_arrival {
             cell.digest_into(&mut h);
+        }
+        // Only a live cut is digested, so runs without one keep the digest
+        // they had before links could be cut.
+        if !self.cut.is_empty() {
+            h.write_u64(self.cut.len() as u64);
+            for (src, dst) in &self.cut {
+                src.digest_into(&mut h);
+                dst.digest_into(&mut h);
+            }
         }
         h.finish()
     }
@@ -1780,14 +1777,105 @@ mod tests {
             "different arrival orders leave different arrival timestamps"
         );
 
-        // A no-op invoke churns the outbox pool (allocation shape) but must
-        // not move the digest.
+        // A no-op invoke must not move the digest.
         let mut sim = controlled_sim();
         let before = sim.state_digest();
         for _ in 0..4 {
             assert!(sim.invoke(p(2), |_, _| {}));
         }
         assert_eq!(sim.state_digest(), before);
+    }
+
+    /// The model-checker network (zero latency and send overhead), 3 nodes.
+    fn zero_time_sim() -> Sim<Recorder> {
+        let net = NetConfig::new(0).with_latency(LatencyModel::Fixed(Span::ZERO));
+        let mut sim = Sim::new(net.with_send_overhead(Span::ZERO));
+        for i in 1..=3 {
+            sim.add_node(p(i), Recorder::new());
+        }
+        sim
+    }
+
+    /// `(arrival µs, payload)` of everything `id` received.
+    fn got(sim: &Sim<Recorder>, id: u32) -> Vec<(u64, u64)> {
+        let seen = &sim.node(p(id)).unwrap().seen;
+        seen.iter().map(|s| (s.0.as_micros(), s.2)).collect()
+    }
+
+    #[test]
+    fn zero_latency_deliveries_still_advance_the_clock() {
+        // The FIFO clamp spaces same-instant sends on one link 1 µs apart.
+        let mut sim = zero_time_sim();
+        sim.invoke(p(1), |_, out| (1..=3).for_each(|m| out.send(p(2), m)));
+        let (src, dst, at) = (p(1), p(2), Instant::ZERO);
+        for _ in 0..3 {
+            assert!(sim.fire(PendingEvent::Deliver { src, dst, at }));
+        }
+        assert_eq!(got(&sim, 2), vec![(1, 1), (2, 2), (3, 3)]);
+        assert_eq!(sim.now(), Instant::from_micros(3));
+    }
+
+    #[test]
+    fn cut_link_drops_inflight_and_later_sends_in_one_direction() {
+        let mut sim = zero_time_sim();
+        let uncut = sim.state_digest();
+        sim.invoke(p(1), |_, out| out.send(p(2), 1));
+        assert!(sim.cut_link(p(1), p(2)));
+        assert!(!sim.cut_link(p(1), p(2)), "already cut");
+        sim.invoke(p(1), |_, out| out.send(p(2), 2));
+        sim.invoke(p(2), |_, out| out.send(p(1), 3));
+        let cut = sim.state_digest();
+        sim.cut_link(p(2), p(3));
+        assert_ne!(sim.state_digest(), cut, "the digest names the cut links");
+        assert!(sim.restore_link(p(1), p(2)) && sim.restore_link(p(2), p(3)));
+        assert!(!sim.restore_link(p(1), p(2)), "already restored");
+        sim.invoke(p(1), |_, out| out.send(p(2), 4));
+        while sim.step() {}
+        // 1 (in flight at the cut) and 2 (sent on the cut link) are lost; the
+        // reverse direction is unaffected.
+        assert_eq!((got(&sim, 2), got(&sim, 1)), (vec![(2, 4)], vec![(1, 3)]));
+        assert_eq!(sim.stats().dropped_partition, 2);
+        // With no cut live, the digest is computed as it was before cuts.
+        let mut twin = zero_time_sim();
+        twin.cut_link(p(1), p(2));
+        assert_ne!(twin.state_digest(), uncut);
+        twin.restore_link(p(1), p(2));
+        assert_eq!(twin.state_digest(), uncut);
+    }
+
+    #[test]
+    fn cut_link_keeps_the_latency_draws_of_other_links() {
+        let run = |cut: u32| {
+            let (lo, hi) = (Span::from_micros(100), Span::from_micros(900));
+            let mut sim = two_node_sim(9, LatencyModel::Uniform { lo, hi });
+            sim.add_node(p(3), Recorder::new());
+            sim.cut_link(p(1), p(cut));
+            for m in 0..20 {
+                sim.invoke(p(1), move |_, out| {
+                    [2, 3].into_iter().for_each(|d| out.send(p(d), m))
+                });
+            }
+            while sim.step() {}
+            got(&sim, 3)
+        };
+        // Cutting 1 → 2 and cutting a link nobody uses draw alike on 1 → 3.
+        assert_eq!(run(2), run(9));
+    }
+
+    #[test]
+    fn partition_now_and_heal_now_act_immediately() {
+        let mut sim = zero_time_sim();
+        sim.invoke(p(1), |_, out| out.send(p(3), 1));
+        sim.partition_now(PartitionSpec::split([p(1)]), PartitionMode::Loss);
+        sim.invoke(p(1), |_, out| out.send(p(3), 2));
+        sim.invoke(p(2), |_, out| out.send(p(3), 3));
+        while sim.step() {}
+        sim.heal_now();
+        sim.invoke(p(1), |_, out| out.send(p(3), 4));
+        while sim.step() {}
+        // The crossing message in flight (1) and the crossing send (2) are lost.
+        assert_eq!(got(&sim, 3), vec![(1, 3), (2, 4)]);
+        assert_eq!(sim.stats().dropped_partition, 2);
     }
 
     // ------------------------------------------------------------------

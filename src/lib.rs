@@ -32,7 +32,7 @@
 //! # Examples
 //!
 //! ```
-//! use newtop::core::testkit::TestNet;
+//! use newtop::harness::testnet::TestNet;
 //! use newtop::types::{GroupConfig, GroupId, OrderMode};
 //!
 //! let mut net = TestNet::new([1, 2, 3]);

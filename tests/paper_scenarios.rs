@@ -2,8 +2,9 @@
 //! examples end-to-end through the public facade (`newtop`), on the
 //! deterministic simulator.
 //!
-//! (The `newtop-core` test suite drives the same scenarios on the
-//! zero-latency testkit; these run them under modelled network latency and
+//! (The `newtop-core` test suite drives the same scenarios through
+//! `harness::testnet::TestNet`, the same simulator at zero latency with
+//! test-driven timers; these run them under modelled network latency and
 //! validate the full histories with the property checker.)
 
 use newtop::harness::{check_all, CheckOptions, HistoryEvent, MessageId, SimCluster};
