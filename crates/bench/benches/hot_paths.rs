@@ -13,10 +13,12 @@ use newtop_harness::testnet::TestNet;
 use newtop_harness::{check_all, History};
 use newtop_sim::{LatencyModel, NetConfig, Outbox, Sim, SimNode};
 use newtop_types::{
-    wire, GroupConfig, GroupId, Instant, Msn, OrderMode, ProcessConfig, ProcessId, Span,
+    wire, Envelope, GroupConfig, GroupId, Instant, Message, MessageBody, Msn, OrderMode,
+    ProcessConfig, ProcessId, Span,
 };
 use std::collections::BTreeSet;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_codec(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire_codec");
@@ -175,6 +177,60 @@ fn bench_engine_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `sim_churn` receive shape, engine only: one process in a 16-member
+/// symmetric group that covers three 6-member groups (one symmetric, two
+/// asymmetric), each co-member in exactly one of them. One iteration is
+/// one ω round: the process's own time-silence null, then one null from
+/// each of the 15 co-members, each also the implicit null of its covered
+/// group. Every round's nulls report the previous round as received, so
+/// stability advances and retention is collected every round.
+fn bench_null_receipt(c: &mut Criterion) {
+    c.bench_function("engine_null_receipt", |b| {
+        let omega = Span::from_millis(5);
+        let mut p = Process::new(ProcessId(1), ProcessConfig::new());
+        let groups: [(u32, OrderMode, Vec<u32>); 4] = [
+            (1, OrderMode::Symmetric, (1..=16).collect()),
+            (2, OrderMode::Symmetric, vec![1, 2, 3, 4, 5, 6]),
+            (3, OrderMode::Asymmetric, vec![1, 7, 8, 9, 10, 11]),
+            (4, OrderMode::Asymmetric, vec![1, 12, 13, 14, 15, 16]),
+        ];
+        for (g, mode, members) in groups {
+            let members: BTreeSet<ProcessId> = members.into_iter().map(ProcessId).collect();
+            let cfg = GroupConfig::new(mode)
+                .with_omega(omega)
+                .with_big_omega(Span::from_millis(60));
+            p.bootstrap_group(Instant::ZERO, GroupId(g), &members, cfg)
+                .expect("bootstrap");
+        }
+        let mut now = Instant::ZERO;
+        let mut out = Vec::new();
+        let mut reported = Msn::ZERO;
+        b.iter(|| {
+            now += omega;
+            out.clear();
+            p.tick_into(now, &mut out);
+            let c = Msn(p.lc().0 + 1);
+            for from in 2..=16 {
+                let null = Message {
+                    group: GroupId(1),
+                    sender: ProcessId(from),
+                    c,
+                    ldn: reported,
+                    body: MessageBody::Null,
+                };
+                p.handle_into(
+                    now,
+                    ProcessId(from),
+                    Envelope::Group(Arc::new(null)),
+                    &mut out,
+                );
+            }
+            reported = c;
+            black_box(out.len())
+        });
+    });
+}
+
 fn bench_membership_agreement(c: &mut Criterion) {
     // `crash_exclusion_setup` runs the same script without the crash —
     // bootstrap plus Ω of time-silence traffic — so the agreement's own
@@ -330,6 +386,7 @@ criterion_group!(
     bench_mixed_advance_min,
     bench_fanout,
     bench_engine_throughput,
+    bench_null_receipt,
     bench_membership_agreement,
     bench_payload_paths,
     bench_sim_engine,

@@ -7,7 +7,7 @@
 
 use newtop_types::digest::{DigestHasher, StateDigest};
 use newtop_types::{Message, MessageBody, Msn, ProcessId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// Received-but-undelivered messages of one group, ordered by the fixed
@@ -117,9 +117,17 @@ impl StateDigest for DeliveryBuffer {
 /// recovery path of §5.2: a `refute` of suspicion `{P_k, ln}` piggybacks
 /// every retained message of `P_k` with number above `ln` ("by definition
 /// any missing m is unstable, so would not have been discarded").
+///
+/// Each sender's messages arrive in number order over its FIFO link, so
+/// they are kept as one run per sender (senders sorted by id, each run
+/// strictly increasing in `c`): retaining a message is a `push_back`,
+/// stability garbage collection pops only the stable fronts, and the
+/// step-(viii) discard pops from the back. None of these allocates once a
+/// run has grown to its working size. A run can be empty; the digest and
+/// the size queries treat an empty run as an absent sender.
 #[derive(Debug, Clone, Default)]
 pub struct RetentionStore {
-    map: BTreeMap<ProcessId, BTreeMap<Msn, Arc<Message>>>,
+    runs: Vec<(ProcessId, VecDeque<Arc<Message>>)>,
 }
 
 impl RetentionStore {
@@ -129,11 +137,21 @@ impl RetentionStore {
         RetentionStore::default()
     }
 
+    /// Position of `sender`'s run (`Err`: where it would be inserted).
+    fn find(&self, sender: ProcessId) -> Result<usize, usize> {
+        self.runs.binary_search_by_key(&sender, |(s, _)| *s)
+    }
+
     /// Retains `m` under its transport sender. The common case shares the
     /// caller's reference; only a refute carrying a recovery piggyback is
     /// copied, with the piggyback stripped (the inner messages are retained
     /// individually by every receiver, so re-carrying them nested inside
     /// retained refutes would only compound memory).
+    ///
+    /// Amortised O(1): a message numbered above the sender's newest
+    /// retained one is appended. A copy that a refutation piggyback
+    /// overtook is numbered at or below it and replaces (or, if it was
+    /// collected meanwhile, re-enters) its place in the run.
     pub fn store(&mut self, m: &Arc<Message>) {
         let keep = match &m.body {
             MessageBody::Refute { recovered, .. } if !recovered.is_empty() => {
@@ -141,101 +159,112 @@ impl RetentionStore {
             }
             _ => Arc::clone(m),
         };
-        self.map.entry(m.sender).or_default().insert(m.c, keep);
+        let i = match self.find(m.sender) {
+            Ok(i) => i,
+            Err(i) => {
+                self.runs.insert(i, (m.sender, VecDeque::new()));
+                i
+            }
+        };
+        let run = &mut self.runs[i].1;
+        if run.back().is_none_or(|b| b.c < m.c) {
+            run.push_back(keep);
+            return;
+        }
+        match run.binary_search_by_key(&m.c, |r| r.c) {
+            Ok(j) => run[j] = keep,
+            Err(j) => run.insert(j, keep),
+        }
     }
 
     /// All retained messages of `sender` with number above `ln`, in number
     /// order — the refute piggyback.
     #[must_use]
     pub fn above(&self, sender: ProcessId, ln: Msn) -> Vec<Message> {
-        self.map
-            .get(&sender)
-            .map(|msgs| {
-                msgs.range((std::ops::Bound::Excluded(ln), std::ops::Bound::Unbounded))
-                    .map(|(_, m)| (**m).clone())
-                    .collect()
-            })
-            .unwrap_or_default()
+        let Ok(i) = self.find(sender) else {
+            return Vec::new();
+        };
+        let run = &self.runs[i].1;
+        let from = run.partition_point(|m| m.c <= ln);
+        run.range(from..).map(|m| (**m).clone()).collect()
     }
 
     /// Drops messages that have become stable (number at or below
     /// `stable_min`): every member has received them, nobody can need a
     /// recovery copy (§5.1: "A process can safely discard stable messages").
+    /// Pops only the stable front of each run; allocates nothing.
     pub fn gc_stable(&mut self, stable_min: Msn) {
-        if stable_min.is_infinite() {
-            // An all-∞ stability vector (sole survivor) stabilises everything.
-            self.map.clear();
-            return;
-        }
-        for msgs in self.map.values_mut() {
-            if msgs.keys().next().is_none_or(|c| *c > stable_min) {
-                continue; // nothing stable to drop for this sender
+        for (_, run) in &mut self.runs {
+            // An all-∞ stability vector (sole survivor) stabilises
+            // everything: `Msn::INFINITY` is above every number.
+            while run.front().is_some_and(|m| m.c <= stable_min) {
+                run.pop_front();
             }
-            *msgs = msgs.split_off(&stable_min.next());
         }
-        self.map.retain(|_, msgs| !msgs.is_empty());
     }
 
     /// Discards retained messages of `sender` above `n` (they were agreed
     /// out of existence by step (viii) and must not be re-supplied).
     pub fn discard_from_above(&mut self, sender: ProcessId, n: Msn) {
-        if let Some(msgs) = self.map.get_mut(&sender) {
-            msgs.retain(|c, _| *c <= n);
-            if msgs.is_empty() {
-                self.map.remove(&sender);
+        if let Ok(i) = self.find(sender) {
+            let run = &mut self.runs[i].1;
+            while run.back().is_some_and(|m| m.c > n) {
+                run.pop_back();
             }
         }
     }
 
     /// Drops everything retained for `sender`.
     pub fn remove_sender(&mut self, sender: ProcessId) {
-        self.map.remove(&sender);
+        if let Ok(i) = self.find(sender) {
+            self.runs.remove(i);
+        }
     }
 
     /// Total number of retained messages (buffer-occupancy metric for the
     /// flow-control experiment E9).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.values().map(BTreeMap::len).sum()
+        self.runs.iter().map(|(_, run)| run.len()).sum()
     }
 
     /// Whether nothing is retained.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.runs.iter().all(|(_, run)| run.is_empty())
     }
 
     /// Number of retained *application* messages (multicasts and relays).
     #[must_use]
     pub fn app_len(&self) -> usize {
-        self.map
-            .values()
-            .flat_map(|m| m.values())
+        self.runs
+            .iter()
+            .flat_map(|(_, run)| run.iter())
             .filter(|m| m.is_app())
             .count()
     }
 
-    /// Number of retained messages from `sender` above `n` (flow-control
-    /// accounting: a member's own unstable messages).
+    /// Whether every sender's run is strictly increasing in `c` and
+    /// nothing at or below `stable` is retained — the order `store` keeps
+    /// and the prefix `gc_stable(stable)` last dropped. Audit hook; O(n).
     #[must_use]
-    pub fn count_above(&self, sender: ProcessId, n: Msn) -> usize {
-        if n.is_infinite() {
-            return 0;
-        }
-        self.map
-            .get(&sender)
-            .map(|msgs| msgs.range(n.next()..).count())
-            .unwrap_or(0)
+    pub fn runs_coherent(&self, stable: Msn) -> bool {
+        self.runs.iter().all(|(sender, run)| {
+            run.iter().all(|m| m.sender == *sender && m.c > stable)
+                && run.iter().zip(run.iter().skip(1)).all(|(a, b)| a.c < b.c)
+        })
     }
 }
 
 impl StateDigest for RetentionStore {
     fn digest_into(&self, h: &mut DigestHasher) {
-        h.write_u64(self.map.len() as u64);
-        for (sender, msgs) in &self.map {
+        // Empty runs are absent senders: they hash as if never created.
+        let live = || self.runs.iter().filter(|(_, run)| !run.is_empty());
+        h.write_u64(live().count() as u64);
+        for (sender, run) in live() {
             sender.digest_into(h);
-            h.write_u64(msgs.len() as u64);
-            for m in msgs.values() {
+            h.write_u64(run.len() as u64);
+            for m in run {
                 m.digest_into(h);
             }
         }
@@ -378,14 +407,33 @@ mod tests {
     }
 
     #[test]
-    fn retention_count_above() {
+    fn retention_overtaken_copy_keeps_number_order() {
         let mut r = RetentionStore::new();
-        for c in 1..=4 {
-            r.store(&msg(7, c));
-        }
-        assert_eq!(r.count_above(p(7), Msn(1)), 3);
-        assert_eq!(r.count_above(p(7), Msn::INFINITY), 0);
-        assert_eq!(r.count_above(p(8), Msn(0)), 0);
+        r.store(&msg(1, 1));
+        r.store(&msg(1, 3));
+        r.store(&msg(1, 2)); // fills the gap
+        r.store(&msg(1, 3)); // duplicate: replaces in place
+        let nums: Vec<u64> = r.above(p(1), Msn(0)).iter().map(|m| m.c.0).collect();
+        assert_eq!(nums, vec![1, 2, 3]);
+        assert!(r.runs_coherent(Msn(0)));
+        assert!(
+            !r.runs_coherent(Msn(1)),
+            "the audit sees a retained stable message"
+        );
+    }
+
+    #[test]
+    fn retention_digest_treats_an_emptied_run_as_absent() {
+        use newtop_types::digest::digest_of;
+        let mut r = RetentionStore::new();
+        r.store(&msg(2, 1));
+        let only_p2 = digest_of(&r);
+        r.store(&msg(1, 4));
+        r.discard_from_above(p(1), Msn(0));
+        assert_eq!(digest_of(&r), only_p2);
+        r.gc_stable(Msn(1));
+        assert!(r.is_empty());
+        assert_eq!(digest_of(&r), digest_of(&RetentionStore::new()));
     }
 
     #[test]

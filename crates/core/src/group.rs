@@ -296,6 +296,11 @@ pub(crate) struct GroupState {
     /// garbage-collection pass entirely (the common case — most receives
     /// leave the minimum where it was).
     last_stable: Msn,
+    /// The local member's slot in `rv`/`sv` (see [`MsnVector::slot`]), so
+    /// [`GroupState::d_x`] excludes it without a member-table search.
+    /// Derived from the member tables, so not digested; refreshed by
+    /// [`GroupState::remove_members`].
+    me_slot: Option<usize>,
     /// Lazily cached result of [`GroupState::timer_deadline`] (`None` =
     /// dirty). The engine re-reads the deadline after *every* event, so the
     /// ω/Ω scan must not rerun when nothing it reads changed; mutations go
@@ -315,6 +320,7 @@ impl GroupState {
         let view = View::initial(members.iter().copied());
         let rv = MsnVector::new(members.iter().copied());
         let sv = MsnVector::new(members.iter().copied());
+        let me_slot = rv.slot(me);
         let last_heard = members
             .iter()
             .copied()
@@ -346,8 +352,49 @@ impl GroupState {
             departing: false,
             covers: Vec::new(),
             last_stable: Msn::ZERO,
+            me_slot,
             timer_cache: Cell::new(None),
         }
+    }
+
+    /// Drops `failed` from the member tables of `rv` and `sv` — which
+    /// stay equal to the view's member set, the invariant the receive
+    /// path's one slot lookup per message relies on — and refreshes the
+    /// local member's cached slot.
+    pub(crate) fn remove_members(&mut self, failed: &BTreeSet<ProcessId>) {
+        for pk in failed {
+            self.rv.remove(*pk);
+            self.sv.remove(*pk);
+        }
+        self.me_slot = self.rv.slot(self.me);
+    }
+
+    /// Whether `rv` and `sv` track exactly the view's members and the
+    /// cached local slot is current. Audit hook; O(n).
+    pub(crate) fn member_tables_coherent(&self) -> bool {
+        let view = self.view.members();
+        self.rv.members().iter().eq(view.iter())
+            && self.sv.members().iter().eq(view.iter())
+            && self.me_slot == self.rv.slot(self.me)
+    }
+
+    /// Retains `m` for the §5.2 recovery path unless it is already stable
+    /// (numbered at or below the applied stability bound): every member
+    /// holds a stable message, so no refute ever needs to carry it (§5.1).
+    /// Only a late original of a copy a refutation piggyback overtook can
+    /// be stable on arrival; retaining it would re-add a message the last
+    /// collection dropped.
+    pub(crate) fn retain_unstable(&mut self, m: &Arc<Message>) {
+        if m.is_retained() && m.c > self.last_stable {
+            self.retention.store(m);
+        }
+    }
+
+    /// Whether the retention store keeps each sender's run in strict
+    /// number order with nothing at or below the applied stability bound.
+    /// Audit hook; O(n).
+    pub(crate) fn retention_coherent(&self) -> bool {
+        self.retention.runs_coherent(self.last_stable)
     }
 
     /// Invalidates the cached timer deadline. Call after mutating anything
@@ -469,7 +516,10 @@ impl GroupState {
             return Msn::INFINITY;
         }
         match self.cfg.mode {
-            OrderMode::Symmetric => self.rv.min_live_excluding(self.me),
+            OrderMode::Symmetric => match self.me_slot {
+                Some(i) => self.rv.min_live_excluding_at(i),
+                None => self.rv.min_live(),
+            },
             OrderMode::Asymmetric => self.d_asym,
         }
     }
@@ -488,7 +538,13 @@ impl GroupState {
     /// messages are discarded on receipt ("Pi discards any messages
     /// received from Pk and GVk, if Pk ∈ failed").
     pub(crate) fn is_failed(&self, p: ProcessId) -> bool {
-        self.install_queue.iter().any(|i| i.failed.contains(&p))
+        !self.install_queue.is_empty() && self.install_queue.iter().any(|i| i.failed.contains(&p))
+    }
+
+    /// Whether `p` has a live suspicion here (O(1) when there is none, the
+    /// common case on the receive path).
+    pub(crate) fn is_suspected(&self, p: ProcessId) -> bool {
+        !self.suspicions.is_empty() && self.suspicions.contains_key(&p)
     }
 
     /// The bound `N` of the queue's head when the head waits on a number
@@ -530,10 +586,8 @@ impl GroupState {
         }
         self.last_stable = stable;
         self.retention.gc_stable(stable);
-        if stable.is_infinite() {
-            self.own_unstable.clear();
-        } else {
-            self.own_unstable = self.own_unstable.split_off(&stable.next());
+        while self.own_unstable.first().is_some_and(|c| *c <= stable) {
+            self.own_unstable.pop_first();
         }
     }
 }
@@ -579,7 +633,8 @@ impl StateDigest for PendingInstall {
 impl StateDigest for GroupState {
     fn digest_into(&self, h: &mut DigestHasher) {
         // Every field in declaration order, except `covers` (derived from
-        // the views of all groups) and `timer_cache` (memoised derived
+        // the views of all groups), `me_slot` (derived from the member
+        // tables) and `timer_cache` (memoised derived
         // state — two states must not hash apart just because one has
         // read its deadline since the last mutation). `last_stable` IS
         // digested: it gates the O(1) fast path of `on_stability_advance`,
@@ -656,7 +711,7 @@ impl StateDigest for GroupState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use newtop_types::DeliveryMode;
+    use newtop_types::{DeliveryMode, MessageBody};
 
     fn p(i: u32) -> ProcessId {
         ProcessId(i)
@@ -746,6 +801,48 @@ mod tests {
         gs.on_stability_advance();
         assert_eq!(gs.own_unstable.len(), 1);
         assert!(gs.own_unstable.contains(&Msn(5)));
+    }
+
+    #[test]
+    fn a_late_stable_original_is_not_retained_again() {
+        let mut gs = state(OrderMode::Symmetric);
+        let null = |c| {
+            Arc::new(Message {
+                group: GroupId(1),
+                sender: p(1),
+                c: Msn(c),
+                ldn: Msn(0),
+                body: MessageBody::Null,
+            })
+        };
+        gs.retain_unstable(&null(1));
+        gs.retain_unstable(&null(2));
+        for q in 1..=3 {
+            gs.sv.advance(p(q), Msn(1));
+        }
+        gs.on_stability_advance();
+        assert_eq!(gs.retention.len(), 1);
+        gs.retain_unstable(&null(1)); // the original of a collected copy
+        assert_eq!(gs.retention.len(), 1);
+        assert!(gs.retention_coherent());
+    }
+
+    #[test]
+    fn member_removal_keeps_the_tables_equal_to_the_view() {
+        let mut gs = state(OrderMode::Symmetric); // we are P2
+        assert!(gs.member_tables_coherent());
+        gs.rv.advance(p(1), Msn(9));
+        gs.rv.advance(p(2), Msn(1));
+        gs.rv.advance(p(3), Msn(4));
+        let failed: BTreeSet<ProcessId> = [p(1)].into();
+        gs.view = gs.view.excluding(failed.clone());
+        gs.remove_members(&failed);
+        assert!(gs.member_tables_coherent());
+        // Our slot moved from 1 to 0; D still excludes our own entry.
+        assert_eq!(gs.d_x(), Msn(4));
+        // A view change without the table update is what the audit catches.
+        gs.view = gs.view.excluding([p(3)].into());
+        assert!(!gs.member_tables_coherent());
     }
 
     #[test]

@@ -212,8 +212,16 @@ impl Process {
             // "The pending messages will be assumed to have been just
             // received, and will be handled appropriately." (Copies that a
             // refutation piggyback already integrated are deduplicated by
-            // the receive path's RV watermark check.)
-            self.integrate_live_message(group, pair.suspect, m, out);
+            // the receive path's RV watermark check.) The slot is looked up
+            // per message: an integration may install a view.
+            let Some(slot) = self
+                .groups
+                .get(&group)
+                .and_then(|gs| gs.rv.slot(pair.suspect))
+            else {
+                break; // the suspect left the view: discard, as on receipt
+            };
+            self.integrate_live_message(group, pair.suspect, slot, m, out);
         }
         self.send_refute(group, pair, out);
         out.push(Action::Event(ProtocolEvent::Refuted {
@@ -257,6 +265,9 @@ impl Process {
         let Some(gs) = self.groups.get(&group) else {
             return;
         };
+        if gs.supporters.is_empty() {
+            return; // no gossip recorded: nothing to refute
+        }
         let rv = gs.rv.get(from);
         if rv.is_infinite() {
             return;
@@ -624,9 +635,8 @@ impl Process {
             return;
         };
         gs.excluded_count += failed.len() as u32;
+        gs.remove_members(&failed);
         for pk in &failed {
-            gs.rv.remove(*pk);
-            gs.sv.remove(*pk);
             gs.last_heard.remove(pk);
             gs.arrivals.remove(pk);
             gs.pending_from.remove(pk);
@@ -767,9 +777,7 @@ impl Process {
         if gs.cfg.mode == OrderMode::Asymmetric && gs.sequencer() == Some(pk) {
             gs.d_asym = gs.d_asym.max(rm.c);
         }
-        if rm.is_retained() {
-            gs.retention.store(&rm);
-        }
+        gs.retain_unstable(&rm);
         self.stats_mut().recovered += 1;
         match &rm.body {
             MessageBody::App(_) | MessageBody::ViewCut { .. } => {

@@ -501,8 +501,11 @@ impl Process {
     }
 
     /// Checks the engine's internal coherence invariants — every derived
-    /// cache against a from-scratch recomputation, plus the CA1 bound that
-    /// the local receive-vector entry never exceeds the logical clock.
+    /// cache against a from-scratch recomputation, the `RV`/`SV` member
+    /// tables against the view (the receive path's slot lookup relies on
+    /// it), each retention run's number order and its stable prefix being
+    /// gone, plus the CA1 bound that the local receive-vector entry never
+    /// exceeds the logical clock.
     ///
     /// # Errors
     ///
@@ -527,6 +530,20 @@ impl Process {
             if !gs.buffer.head_cache_coherent() {
                 return Err(format!(
                     "{}: group {g}: delivery-buffer head cache incoherent",
+                    self.id
+                ));
+            }
+            if !gs.member_tables_coherent() {
+                return Err(format!(
+                    "{}: group {g}: RV/SV member tables differ from the view's members \
+                     (or the cached own slot is stale)",
+                    self.id
+                ));
+            }
+            if !gs.retention_coherent() {
+                return Err(format!(
+                    "{}: group {g}: a retention run is out of number order or holds a \
+                     message at or below the applied stability bound",
                     self.id
                 ));
             }
@@ -632,9 +649,7 @@ impl Process {
         gs.sv.advance(me, ldn);
         gs.last_send = now;
         gs.touch_timers();
-        if m.is_retained() {
-            gs.retention.store(&m);
-        }
+        gs.retain_unstable(&m);
         if gs.cfg.mode == OrderMode::Asymmetric && gs.is_sequencer() {
             // The sequencer's own stream position advances with *every* of
             // its numbered multicasts. Receivers count any message from the
@@ -722,11 +737,16 @@ impl Process {
             let Some(cg) = self.groups.get_mut(&g) else {
                 continue;
             };
-            if !cg.view.contains(from) || cg.suspicions.contains_key(&from) || cg.is_failed(from) {
+            // `rv` tracks exactly the view's members: the slot lookup is
+            // also the membership test.
+            let Some(slot) = cg.rv.slot(from) else {
+                continue;
+            };
+            if cg.is_suspected(from) || cg.is_failed(from) {
                 continue;
             }
-            cg.rv.advance(from, c);
-            cg.sv.advance(from, ldn);
+            cg.rv.advance_at(slot, c);
+            cg.sv.advance_at(slot, ldn);
             cg.on_stability_advance();
             if cg.cfg.mode == OrderMode::Asymmetric && cg.sequencer() == Some(from) {
                 cg.d_asym = cg.d_asym.max(c);
@@ -777,10 +797,13 @@ impl Process {
 
     /// The shared receipt path for a message from an unsuspected, in-view
     /// sender (also used when draining pending messages after a refutation).
+    /// `slot` is the sender's slot in the group's `rv`/`sv` member tables
+    /// (see [`crate::MsnVector::slot`]), looked up once by the caller.
     pub(crate) fn integrate_live_message(
         &mut self,
         group: GroupId,
         from: ProcessId,
+        slot: usize,
         m: Arc<Message>,
         out: &mut Vec<Action>,
     ) {
@@ -804,7 +827,7 @@ impl Process {
         // are still processed below.
         #[cfg(not(feature = "break-rv-dedup"))]
         let already_integrated = !is_request && {
-            let have = gs.rv.get(from);
+            let have = gs.rv.get_at(slot);
             !have.is_infinite() && m.c <= have
         };
         // Test-only fault injection for the model checker's self-check: with
@@ -817,16 +840,14 @@ impl Process {
             // Sequencer unicast requests are point-to-point: they advance the
             // logical clock but not the receive vector, so suspicion `ln`
             // values stay comparable across members (only multicasts count).
-            gs.rv.advance(from, m.c);
-            gs.sv.advance(from, m.ldn);
+            gs.rv.advance_at(slot, m.c);
+            gs.sv.advance_at(slot, m.ldn);
             gs.on_stability_advance();
             if gs.cfg.mode == OrderMode::Asymmetric && gs.sequencer() == Some(from) {
                 gs.d_asym = gs.d_asym.max(m.c);
             }
         }
-        if m.is_retained() {
-            gs.retention.store(&m);
-        }
+        gs.retain_unstable(&m);
         // Dispatch by reference: the hot arms (App, Null) move the shared
         // handle on without touching the body; only the cold membership
         // arms copy the small structured fields they consume.
@@ -894,12 +915,16 @@ impl Process {
             }
             return;
         };
-        if !gs.view.contains(from) || gs.is_failed(from) {
-            // "Pi discards any messages received from Pk and GVk, if either
-            // Pk ∈ failed or Pk ∉ Vi" (§5.2).
+        // "Pi discards any messages received from Pk and GVk, if either
+        // Pk ∈ failed or Pk ∉ Vi" (§5.2). `rv` tracks exactly the view's
+        // members, so the sender's slot lookup is also the membership test.
+        let Some(slot) = gs.rv.slot(from) else {
+            return;
+        };
+        if gs.is_failed(from) {
             return;
         }
-        if gs.suspicions.contains_key(&from) {
+        if gs.is_suspected(from) {
             // Held pending the agreement outcome (§5.2): integrated if the
             // suspicion is refuted, discarded if it is confirmed.
             gs.pending_from.entry(from).or_default().push(m);
@@ -911,7 +936,7 @@ impl Process {
             && from != self.id
             && !matches!(m.body, MessageBody::SeqRequest { .. });
         let (c, ldn) = (m.c, m.ldn);
-        self.integrate_live_message(group, from, m, out);
+        self.integrate_live_message(group, from, slot, m, out);
         if implicit {
             self.apply_implicit_nulls(group, from, c, ldn, out);
         }
@@ -1005,11 +1030,16 @@ impl Process {
         let mut gids = std::mem::take(&mut self.scratch_gids);
         loop {
             let mut progress = false;
-            gids.clear();
-            gids.extend(self.groups.keys().copied());
-            for gid in &gids {
-                while self.try_install_head(*gid, out) {
-                    progress = true;
+            // `try_install_head` acts only on a queued install, and an
+            // install only touches its own group's queue: with every queue
+            // empty the pass below would do nothing.
+            if self.groups.values().any(|gs| !gs.install_queue.is_empty()) {
+                gids.clear();
+                gids.extend(self.groups.keys().copied());
+                for gid in &gids {
+                    while self.try_install_head(*gid, out) {
+                        progress = true;
+                    }
                 }
             }
             let di = self.di();
@@ -1296,11 +1326,13 @@ impl Process {
             .last_heard
             .iter()
             .filter(|(j, heard)| {
-                **j != me
+                // Elapsed silence first: it is the cheap test and almost
+                // always false.
+                now.saturating_since(**heard) >= gs.suspicion_span(**j)
+                    && **j != me
                     && gs.view.contains(**j)
-                    && !gs.suspicions.contains_key(*j)
+                    && !gs.is_suspected(**j)
                     && !gs.is_failed(**j)
-                    && now.saturating_since(**heard) >= gs.suspicion_span(**j)
             })
             .map(|(j, _)| *j)
             .collect();

@@ -29,8 +29,10 @@
 //! Resulting costs: [`MsnVector::min_live`] is O(1) (root read). Ops keyed
 //! by member ([`MsnVector::advance`], [`MsnVector::min_live_excluding`],
 //! [`MsnVector::get`]) pay an O(log n) binary search on the member-index
-//! table (≈8 well-predicted probes of a contiguous array at n = 256); on
-//! top of that lookup, `advance`'s cache maintenance is O(1) amortized
+//! table (≈8 well-predicted probes of a contiguous array at n = 256); the
+//! engine's receive path looks a sender's slot up once and uses the
+//! slot-based `*_at` forms for the rest. On top of the lookup,
+//! `advance`'s cache maintenance is O(1) amortized
 //! (the propagation loop breaks at the first unchanged cache node,
 //! O(log n) worst-case) and `min_live_excluding` is O(1) unless the
 //! excluded member holds the minimum (rare — the engine excludes the
@@ -122,41 +124,73 @@ impl MsnVector {
         }
     }
 
-    /// Position of `p` in the member-index table.
+    /// `p`'s slot: its position in the member-index table, valid for the
+    /// slot-based [`MsnVector::get_at`] / [`MsnVector::advance_at`] until
+    /// the next [`MsnVector::remove`]. Two vectors built over the same
+    /// members (and losing the same ones) share their slots.
     #[inline]
-    fn index_of(&self, p: ProcessId) -> Option<usize> {
+    #[must_use]
+    pub(crate) fn slot(&self, p: ProcessId) -> Option<usize> {
         self.ids.binary_search(&p).ok()
+    }
+
+    /// The tracked members in ascending order; `members()[slot]` is the
+    /// member at `slot`.
+    #[must_use]
+    pub(crate) fn members(&self) -> &[ProcessId] {
+        &self.ids
     }
 
     /// The recorded number for `p` (zero if absent).
     #[must_use]
     pub fn get(&self, p: ProcessId) -> Msn {
-        self.index_of(p).map_or(Msn::ZERO, |i| self.entries[i])
+        self.slot(p).map_or(Msn::ZERO, |i| self.get_at(i))
+    }
+
+    /// The recorded number at `slot` (see [`MsnVector::slot`]).
+    ///
+    /// # Panics
+    ///
+    /// If `slot` is out of range.
+    #[inline]
+    #[must_use]
+    pub(crate) fn get_at(&self, slot: usize) -> Msn {
+        self.entries[slot]
     }
 
     /// Whether the vector tracks `p`.
     #[must_use]
     pub fn contains(&self, p: ProcessId) -> bool {
-        self.index_of(p).is_some()
+        self.slot(p).is_some()
     }
 
     /// Raises `p`'s entry to `c` if larger (receipts arrive in FIFO order,
     /// so entries are monotone). Entries already set to ∞ stay ∞.
     pub fn advance(&mut self, p: ProcessId, c: Msn) {
-        let Some(i) = self.index_of(p) else {
-            return;
-        };
-        let e = self.entries[i];
+        if let Some(i) = self.slot(p) {
+            self.advance_at(i, c);
+        }
+    }
+
+    /// [`MsnVector::advance`] for the member at `slot` (see
+    /// [`MsnVector::slot`]): no member-table search.
+    ///
+    /// # Panics
+    ///
+    /// If `slot` is out of range.
+    #[inline]
+    pub(crate) fn advance_at(&mut self, slot: usize, c: Msn) {
+        let e = self.entries[slot];
         if e.is_infinite() || c <= e {
             return;
         }
-        self.entries[i] = c;
-        self.raise_leaf(i, c);
+        self.entries[slot] = c;
+        self.raise_leaf(slot, c);
     }
 
     /// Sets `p`'s entry to the ∞ sentinel (step (viii)).
     pub fn set_infinite(&mut self, p: ProcessId) {
-        let Some(i) = self.index_of(p) else {
+        let Some(i) = self.slot(p) else {
             return;
         };
         if self.entries[i].is_infinite() {
@@ -168,7 +202,7 @@ impl MsnVector {
 
     /// Removes `p` entirely (view installation removes failed members).
     pub fn remove(&mut self, p: ProcessId) {
-        let Some(i) = self.index_of(p) else {
+        let Some(i) = self.slot(p) else {
             return;
         };
         self.ids.remove(i);
@@ -200,20 +234,32 @@ impl MsnVector {
     /// minima along `me`'s tree path.
     #[must_use]
     pub fn min_live_excluding(&self, me: ProcessId) -> Msn {
+        match self.slot(me) {
+            Some(i) => self.min_live_excluding_at(i),
+            None => self.min_live(),
+        }
+    }
+
+    /// [`MsnVector::min_live_excluding`] for the member at `slot` (see
+    /// [`MsnVector::slot`]): no member-table search.
+    ///
+    /// # Panics
+    ///
+    /// If `slot` is out of range.
+    #[must_use]
+    pub(crate) fn min_live_excluding_at(&self, slot: usize) -> Msn {
         let all = self.min_live();
-        let Some(i) = self.index_of(me) else {
-            return all;
-        };
-        if self.entries[i] > all {
-            // `me` does not hold the minimum: excluding it changes nothing.
+        if self.entries[slot] > all {
+            // The excluded member does not hold the minimum: excluding it
+            // changes nothing.
             // (Covers the ∞ case too, unless everything is ∞ — then `all`
             // is ∞ and so is the answer.)
             return all;
         }
-        // `me` is an argmin (or tied): combine the cached minima of the
-        // siblings along its leaf-to-root path, which is exactly the
+        // The excluded member is an argmin (or tied): combine the cached
+        // minima of the siblings along its leaf-to-root path, which is the
         // minimum over every other entry.
-        let mut node = self.leaf_base + i;
+        let mut node = self.leaf_base + slot;
         let mut min = Msn::INFINITY;
         while node > 1 {
             min = min.min(self.tree[node ^ 1]);
@@ -427,6 +473,29 @@ mod tests {
         let mut bad = MsnVector::new([p(1), p(2)]);
         bad.tree[1] = Msn(99);
         assert!(!bad.tree_coherent());
+    }
+
+    #[test]
+    fn slot_ops_match_member_ops_and_survive_removal_in_step() {
+        let mut rv = MsnVector::new([p(1), p(2), p(3), p(4)]);
+        let mut sv = MsnVector::new([p(1), p(2), p(3), p(4)]);
+        let mut by_id = MsnVector::new([p(1), p(2), p(3), p(4)]);
+        rv.remove(p(2));
+        sv.remove(p(2));
+        by_id.remove(p(2));
+        assert_eq!(rv.members(), &[p(1), p(3), p(4)]);
+        for (c, q) in [(5, p(3)), (2, p(1)), (9, p(4)), (4, p(3))] {
+            let slot = rv.slot(q).expect("member");
+            assert_eq!(sv.slot(q), Some(slot), "equal member tables share slots");
+            rv.advance_at(slot, Msn(c));
+            by_id.advance(q, Msn(c));
+            assert_eq!(rv.get_at(slot), by_id.get(q));
+        }
+        assert_eq!(rv, by_id);
+        assert!(rv.tree_coherent());
+        let me = rv.slot(p(1)).expect("member");
+        assert_eq!(rv.min_live_excluding_at(me), by_id.min_live_excluding(p(1)));
+        assert_eq!(rv.slot(p(2)), None);
     }
 
     #[test]
