@@ -40,9 +40,9 @@ use newtop_types::{
 };
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -243,16 +243,200 @@ fn put_record(buf: &mut BytesMut, payload: &[u8]) {
     buf.put_slice(payload);
 }
 
-/// Writes one length-prefixed record under the connection's write lock.
-fn write_record(writer: &Mutex<TcpStream>, payload: &[u8]) -> std::io::Result<()> {
-    let mut buf = BytesMut::with_capacity(payload.len() + 5);
-    put_record(&mut buf, payload);
-    write_batch(writer, &buf)
+/// The most bytes a control connection queues for its writer thread: a
+/// producer whose records would overfill the queue waits for room
+/// (unless the queue is empty, so an oversized record still goes alone).
+/// A forwarder wake gathers at most about this much output, too.
+const FORWARD_BATCH: usize = 64 * 1024;
+
+/// Reply slots a control connection is still owed, in submission order.
+/// Only the client registers any; a serve's connection leaves them empty.
+#[derive(Default)]
+struct PendingReplies {
+    verdicts: VecDeque<Sender<Result<(), SendError>>>,
+    stats: VecDeque<Sender<(WireStats, u64)>>,
+    byes: VecDeque<Sender<()>>,
 }
 
-/// Writes a buffer of whole records under the connection's write lock.
-fn write_batch(writer: &Mutex<TcpStream>, batch: &[u8]) -> std::io::Result<()> {
-    writer.lock().expect("ctrl write lock").write_all(batch)
+impl PendingReplies {
+    /// Answers every owed verdict with `NotMember`; dropping the stats
+    /// and bye slots disconnects their waiters.
+    fn fail(self) {
+        for slot in self.verdicts {
+            let _ = slot.send(Err(SendError::NotMember { group: GroupId(0) }));
+        }
+    }
+}
+
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum LinkState {
+    #[default]
+    Open,
+    /// Takes no more records; the writer thread sends what is queued,
+    /// then exits.
+    Closing,
+    /// The socket failed or was shut: nothing more is sent.
+    Dead,
+}
+
+/// What a [`CtrlWriter`] guards with its lock.
+#[derive(Default)]
+struct Outbox {
+    /// Whole framed records not yet handed to the kernel.
+    buf: BytesMut,
+    /// Registered in the same critical section that queues the record
+    /// asking for them, so slot order is wire order.
+    owed: PendingReplies,
+    /// Producers waiting for room in `buf`.
+    waiting: usize,
+    /// The writer thread waits for records (so `buf` is empty).
+    idle: bool,
+    state: LinkState,
+}
+
+/// The write half of one control connection, on either end — every
+/// record the connection sends goes through it. Producers (any thread)
+/// append framed records to one buffer under a lock; one writer thread
+/// swaps the buffer out and hands it to the kernel with one `write_all`,
+/// so every record queued while the previous write was in the kernel
+/// goes out in the next one. A batch is whatever queued meanwhile: there
+/// is no timer, and the only bound is the [`FORWARD_BATCH`] backpressure
+/// cap.
+struct CtrlWriter {
+    stream: TcpStream,
+    outbox: Mutex<Outbox>,
+    /// Wakes the writer thread when records arrive, producers when room
+    /// frees, and both when the connection closes.
+    wake: Condvar,
+}
+
+impl CtrlWriter {
+    fn new(stream: TcpStream) -> CtrlWriter {
+        CtrlWriter {
+            stream,
+            outbox: Mutex::default(),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Takes over `stream` for writing and starts its writer thread.
+    fn spawn(stream: TcpStream) -> (Arc<CtrlWriter>, JoinHandle<()>) {
+        let writer = Arc::new(CtrlWriter::new(stream));
+        let thread = {
+            let writer = Arc::clone(&writer);
+            std::thread::Builder::new()
+                .name("newtop-ctrl-tx".into())
+                .spawn(move || writer.run())
+                .expect("spawn ctrl writer")
+        };
+        (writer, thread)
+    }
+
+    /// Every update leaves the outbox whole, and `kill` runs from `Drop`,
+    /// so a panicked holder's lock is taken over rather than propagated.
+    fn lock(&self) -> MutexGuard<'_, Outbox> {
+        self.outbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues one record and, in the same critical section, registers
+    /// with `owe` the replies it asks for. `false` once the connection
+    /// is closing or dead.
+    fn send_record(&self, body: &[u8], owe: impl FnOnce(&mut PendingReplies)) -> bool {
+        // A varint length prefix takes at most 10 bytes.
+        self.append(body.len() + 10, |out| {
+            put_record(&mut out.buf, body);
+            owe(&mut out.owed);
+        })
+    }
+
+    /// Queues a buffer of whole framed records that owe no replies.
+    fn send_records(&self, records: &[u8]) -> bool {
+        self.append(records.len(), |out| out.buf.put_slice(records))
+    }
+
+    /// Waits until `len` more bytes fit under the cap, then runs `fill`.
+    fn append(&self, len: usize, fill: impl FnOnce(&mut Outbox)) -> bool {
+        let mut out = self.lock();
+        while out.state == LinkState::Open
+            && !out.buf.is_empty()
+            && out.buf.len() + len > FORWARD_BATCH
+        {
+            out.waiting += 1;
+            out = self.wake.wait(out).unwrap_or_else(PoisonError::into_inner);
+            out.waiting -= 1;
+        }
+        if out.state != LinkState::Open {
+            return false;
+        }
+        if out.idle {
+            self.wake.notify_all();
+        }
+        fill(&mut out);
+        true
+    }
+
+    /// The writer thread: one `write_all` per burst of queued records.
+    fn run(&self) {
+        let mut batch = BytesMut::new();
+        loop {
+            {
+                let mut out = self.lock();
+                while out.buf.is_empty() && out.state == LinkState::Open {
+                    out.idle = true;
+                    out = self.wake.wait(out).unwrap_or_else(PoisonError::into_inner);
+                    out.idle = false;
+                }
+                if out.state == LinkState::Dead || out.buf.is_empty() {
+                    return;
+                }
+                std::mem::swap(&mut out.buf, &mut batch);
+                if out.waiting > 0 {
+                    self.wake.notify_all();
+                }
+            }
+            if (&self.stream).write_all(&batch).is_err() {
+                self.kill();
+                return;
+            }
+            batch.clear();
+        }
+    }
+
+    /// Whether the connection still takes records.
+    fn is_open(&self) -> bool {
+        self.lock().state == LinkState::Open
+    }
+
+    /// Takes no more records; the writer thread sends what is queued,
+    /// then exits.
+    fn close(&self) {
+        let mut out = self.lock();
+        if out.state == LinkState::Open {
+            out.state = LinkState::Closing;
+        }
+        drop(out);
+        self.wake.notify_all();
+    }
+
+    /// Ends the connection now: queued records are dropped, every reply
+    /// still owed fails at once, later sends return `false`, and the
+    /// socket shuts both ways, so the peer and this end's reader see EOF.
+    fn kill(&self) {
+        let owed = {
+            let mut out = self.lock();
+            out.state = LinkState::Dead;
+            out.buf.clear();
+            std::mem::take(&mut out.owed)
+        };
+        self.wake.notify_all();
+        let _ = self.stream.shutdown(Shutdown::Both);
+        owed.fail();
+    }
+
+    /// Pops one owed reply slot, for the connection's reader.
+    fn take_owed<T>(&self, pop: impl FnOnce(&mut PendingReplies) -> Option<T>) -> Option<T> {
+        pop(&mut self.lock().owed)
+    }
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -426,10 +610,10 @@ fn ctrl_conn_main(
     let _ = conn.set_nodelay(true);
     // Stop-flag poll only: ops wake the read as soon as they arrive.
     let _ = conn.set_read_timeout(Some(Duration::from_millis(50)));
-    let writer = Arc::new(Mutex::new(match conn.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    }));
+    let Ok(write_half) = conn.try_clone() else {
+        return;
+    };
+    let (writer, writer_thread) = CtrlWriter::spawn(write_half);
     let mut reader = conn;
     let mut dec = RecordDecoder::new();
     let mut buf = [0u8; 64 * 1024];
@@ -456,7 +640,7 @@ fn ctrl_conn_main(
                     }
                     // Every other op answers after the multicasts
                     // submitted before it (verdicts are FIFO).
-                    if verdicts.flush(&writer).is_err()
+                    if !verdicts.flush(&writer)
                         || !handle_op(
                             running,
                             hosted,
@@ -471,7 +655,7 @@ fn ctrl_conn_main(
                         break 'conn;
                     }
                 }
-                if verdicts.flush(&writer).is_err() {
+                if !verdicts.flush(&writer) {
                     break;
                 }
             }
@@ -479,10 +663,13 @@ fn ctrl_conn_main(
             Err(_) => break,
         }
     }
-    // Unblock the forwarders (they poll both flags) and reap them.
+    // The forwarders poll the writer and the stop flag. Once they are
+    // reaped, the writer sends what is still queued (a shutdown's bye).
+    writer.close();
     for f in forwarders {
         let _ = f.join();
     }
+    let _ = writer_thread.join();
 }
 
 /// One multicast verdict a control connection still owes its client.
@@ -499,7 +686,7 @@ enum Owed {
 /// answered, in submission order. Every multicast of one read is
 /// submitted before any verdict is awaited, so the shard round trips
 /// overlap instead of queueing one behind another; the verdicts then go
-/// out in order, in one write.
+/// to the writer in order, in one append.
 #[derive(Default)]
 struct Verdicts {
     owed: VecDeque<Owed>,
@@ -525,11 +712,11 @@ impl Verdicts {
         self.owed.push_back(Owed::Verdict(group, slot));
     }
 
-    /// Awaits every owed verdict in submission order and writes them
-    /// all with one write.
-    fn flush(&mut self, writer: &Mutex<TcpStream>) -> std::io::Result<()> {
+    /// Awaits every owed verdict in submission order and queues them all
+    /// with one append; `false` once the connection is closing or dead.
+    fn flush(&mut self, writer: &CtrlWriter) -> bool {
         if self.owed.is_empty() {
-            return Ok(());
+            return true;
         }
         self.out.clear();
         while let Some(owed) = self.owed.pop_front() {
@@ -549,7 +736,7 @@ impl Verdicts {
             self.out.put_slice(&[REC_VERDICT, code]);
             self.out.put_slice(text.as_bytes());
         }
-        write_batch(writer, &self.out)
+        writer.send_records(&self.out)
     }
 }
 
@@ -593,7 +780,7 @@ fn handle_op(
     running: &Arc<RunningCluster>,
     hosted: &[ProcessId],
     group_cfg: GroupConfig,
-    writer: &Arc<Mutex<TcpStream>>,
+    writer: &Arc<CtrlWriter>,
     stop: &Arc<AtomicBool>,
     forwarders: &mut Vec<JoinHandle<()>>,
     subscribed: &mut bool,
@@ -623,7 +810,7 @@ fn handle_op(
                     rec.extend_from_slice(e.as_bytes());
                 }
             }
-            write_record(writer, &rec).is_ok()
+            writer.send_record(&rec, |_| {})
         }
         Some(OP_SUBSCRIBE) => {
             if !*subscribed {
@@ -644,18 +831,15 @@ fn handle_op(
         }
         Some(OP_STATS) => {
             let rec = encode_stats(&running.wire_stats(), running.shard_count() as u64);
-            write_record(writer, &rec).is_ok()
+            writer.send_record(&rec, |_| {})
         }
         Some(OP_SHUTDOWN) => {
-            let _ = write_record(writer, &[REC_BYE]);
+            // The writer sends the bye before it exits (`ctrl_conn_main`).
+            let _ = writer.send_record(&[REC_BYE], |_| {});
             stop.store(true, Ordering::Relaxed);
             // Wake the blocking accept in `serve`: this connection's own
             // local address is the control listener's.
-            let listener = writer
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .local_addr();
-            if let Ok(addr) = listener {
+            if let Ok(addr) = writer.stream.local_addr() {
                 let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
             }
             false
@@ -664,22 +848,13 @@ fn handle_op(
     }
 }
 
-/// How many bytes of output records one forwarder wake may gather
-/// before writing them out.
-const FORWARD_BATCH: usize = 64 * 1024;
-
 /// Streams one hosted node's engine outputs to the subscribed client:
 /// each wake drains what is already queued (up to [`FORWARD_BATCH`]
-/// bytes) and writes it as one buffer.
-fn forward_outputs(
-    node: ProcessId,
-    rx: &Receiver<Output>,
-    writer: &Mutex<TcpStream>,
-    stop: &AtomicBool,
-) {
+/// bytes) and hands it to the writer as one append.
+fn forward_outputs(node: ProcessId, rx: &Receiver<Output>, writer: &CtrlWriter, stop: &AtomicBool) {
     let mut rec = Vec::new();
     let mut batch = BytesMut::new();
-    while !stop.load(Ordering::Relaxed) {
+    while !stop.load(Ordering::Relaxed) && writer.is_open() {
         let mut next = match rx.recv_timeout(Duration::from_millis(50)) {
             Ok(out) => Some(out),
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
@@ -696,7 +871,7 @@ fn forward_outputs(
                 None
             };
         }
-        if !batch.is_empty() && write_batch(writer, &batch).is_err() {
+        if !batch.is_empty() && !writer.send_records(&batch) {
             return;
         }
     }
@@ -738,23 +913,28 @@ fn encode_output(node: ProcessId, out: &Output, rec: &mut Vec<u8>) -> bool {
 // Client side: RemoteCluster.
 // ---------------------------------------------------------------------
 
-/// Reply slots a control connection is still owed, in submission order.
-#[derive(Default)]
-struct PendingReplies {
-    verdicts: Mutex<VecDeque<Sender<Result<(), SendError>>>>,
-    stats: Mutex<VecDeque<Sender<(WireStats, u64)>>>,
-    byes: Mutex<VecDeque<Sender<()>>>,
+/// One control connection of a [`RemoteCluster`]: the writer every op
+/// goes through, and its reader and writer threads.
+struct CtrlPeer {
+    writer: Arc<CtrlWriter>,
+    threads: Vec<JoinHandle<()>>,
 }
 
-struct CtrlPeer {
-    writer: Mutex<TcpStream>,
-    pending: Arc<PendingReplies>,
-    reader: Option<JoinHandle<()>>,
+impl Drop for CtrlPeer {
+    /// Closes the connection (the replies it still owes fail at once)
+    /// and joins its threads.
+    fn drop(&mut self) {
+        self.writer.kill();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+    }
 }
 
 /// Client handle to a running multi-process cluster: one control
 /// connection per `serve` process, presenting the same surface the load
-/// generator uses against an in-process host.
+/// generator uses against an in-process host. Dropping it closes every
+/// control connection and joins their threads.
 pub struct RemoteCluster {
     peers: Vec<CtrlPeer>,
     /// Node `i` (1-based) lives on `peers[home[i-1]]`.
@@ -766,7 +946,7 @@ pub struct RemoteCluster {
 }
 
 /// Dials one peer's control address (retrying until `deadline`),
-/// subscribes, and spawns its record reader.
+/// subscribes, and spawns its writer and record reader.
 fn dial_ctrl(
     addr: SocketAddr,
     deadline: Instant,
@@ -786,22 +966,21 @@ fn dial_ctrl(
         }
     };
     let _ = conn.set_nodelay(true);
-    let writer = Mutex::new(conn.try_clone()?);
-    write_record(&writer, &[OP_SUBSCRIBE])
-        .map_err(|e| std::io::Error::new(e.kind(), format!("subscribe {addr}: {e}")))?;
-    let pending = Arc::new(PendingReplies::default());
+    let (writer, writer_thread) = CtrlWriter::spawn(conn.try_clone()?);
+    // A fresh writer is open; a peer that died meanwhile shows at the
+    // reader's EOF.
+    writer.send_record(&[OP_SUBSCRIBE], |_| {});
     let reader = {
-        let pending = Arc::clone(&pending);
+        let writer = Arc::clone(&writer);
         let txs = txs.to_vec();
         std::thread::Builder::new()
             .name("newtop-ctrl-rx".into())
-            .spawn(move || ctrl_reader_main(conn, &pending, &txs))
+            .spawn(move || ctrl_reader_main(conn, &writer, &txs))
             .expect("spawn ctrl reader")
     };
     Ok(CtrlPeer {
         writer,
-        pending,
-        reader: Some(reader),
+        threads: vec![reader, writer_thread],
     })
 }
 
@@ -812,8 +991,7 @@ impl RemoteCluster {
     ///
     /// # Errors
     ///
-    /// The last connection error of a peer that never became reachable,
-    /// or a handshake write failure.
+    /// The last connection error of a peer that never became reachable.
     pub fn connect(
         ctrl: &[SocketAddr],
         nodes: u32,
@@ -853,8 +1031,8 @@ impl RemoteCluster {
 
     /// Re-establishes the control connection to peer `peer` at `addr`
     /// after its process restarted, re-subscribing to its hosted nodes'
-    /// outputs. The old connection's reader is reaped; verdicts it
-    /// still owed are abandoned.
+    /// outputs. The old connection is closed first: the replies it still
+    /// owed fail at once, and its threads are reaped.
     ///
     /// # Errors
     ///
@@ -875,17 +1053,7 @@ impl RemoteCluster {
                 ),
             ));
         }
-        {
-            let old = &mut self.peers[peer];
-            let _ = old
-                .writer
-                .lock()
-                .expect("ctrl writer")
-                .shutdown(std::net::Shutdown::Both);
-            if let Some(reader) = old.reader.take() {
-                let _ = reader.join();
-            }
-        }
+        self.peers[peer].writer.kill();
         self.peers[peer] = dial_ctrl(addr, Instant::now() + timeout, &self.txs)?;
         Ok(())
     }
@@ -918,18 +1086,10 @@ impl RemoteCluster {
             put_u32(&mut rec, m.0);
         }
         let (tx, rx) = unbounded();
-        peer.pending
-            .verdicts
-            .lock()
-            .expect("verdict queue")
-            .push_back(tx);
-        if write_record(&peer.writer, &rec).is_err() {
-            let _ = peer
-                .pending
-                .verdicts
-                .lock()
-                .expect("verdict queue")
-                .pop_back();
+        if !peer
+            .writer
+            .send_record(&rec, |owed| owed.verdicts.push_back(tx))
+        {
             return Err(SendError::NotMember { group });
         }
         rx.recv_timeout(Duration::from_secs(30))
@@ -978,23 +1138,10 @@ impl RemoteCluster {
         put_u32(&mut rec, node.0);
         put_u32(&mut rec, group.0);
         rec.extend_from_slice(payload);
-        // Queue the reply slot before writing: the verdict may race back
-        // before this thread would otherwise get around to it.
-        peer.pending
-            .verdicts
-            .lock()
-            .expect("verdict queue")
-            .push_back(reply.clone());
-        if write_record(&peer.writer, &rec).is_ok() {
-            return true;
-        }
-        let _ = peer
-            .pending
-            .verdicts
-            .lock()
-            .expect("verdict queue")
-            .pop_back();
-        false
+        // The slot is queued with its record, in one critical section:
+        // concurrent submitters cannot swap their verdicts.
+        peer.writer
+            .send_record(&rec, |owed| owed.verdicts.push_back(reply.clone()))
     }
 
     /// Blocking multicast: submits and waits for the verdict.
@@ -1032,12 +1179,12 @@ impl RemoteCluster {
         let mut shards_total = 0u64;
         for peer in &self.peers {
             let (tx, rx) = unbounded();
-            peer.pending
-                .stats
-                .lock()
-                .expect("stats queue")
-                .push_back(tx);
-            write_record(&peer.writer, &[OP_STATS]).ok()?;
+            if !peer
+                .writer
+                .send_record(&[OP_STATS], |owed| owed.stats.push_back(tx))
+            {
+                return None;
+            }
             let (stats, shards) = rx.recv_timeout(Duration::from_secs(10)).ok()?;
             sum.frames += stats.frames;
             sum.envelopes += stats.envelopes;
@@ -1064,58 +1211,52 @@ impl RemoteCluster {
     }
 
     /// Asks every peer process to shut down its cluster and exit, and
-    /// waits for each acknowledgement.
-    pub fn shutdown_peers(mut self) {
+    /// waits for each acknowledgement; then closes the connections.
+    pub fn shutdown_peers(self) {
         let mut acks = Vec::new();
         for peer in &self.peers {
             let (tx, rx) = unbounded();
-            peer.pending.byes.lock().expect("bye queue").push_back(tx);
-            if write_record(&peer.writer, &[OP_SHUTDOWN]).is_ok() {
+            if peer
+                .writer
+                .send_record(&[OP_SHUTDOWN], |owed| owed.byes.push_back(tx))
+            {
                 acks.push(rx);
             }
         }
         for rx in acks {
             let _ = rx.recv_timeout(Duration::from_secs(10));
         }
-        for peer in &mut self.peers {
-            // Closing the write half unblocks the reader at EOF.
-            let _ = peer
-                .writer
-                .lock()
-                .expect("ctrl writer")
-                .shutdown(std::net::Shutdown::Both);
-            if let Some(reader) = peer.reader.take() {
-                let _ = reader.join();
-            }
-        }
     }
 }
 
-/// Demultiplexes one control connection's inbound records.
-fn ctrl_reader_main(mut conn: TcpStream, pending: &PendingReplies, txs: &[Sender<Output>]) {
+/// Demultiplexes one control connection's inbound records. When the
+/// stream ends, fails or turns malformed, the connection is killed, so
+/// every reply it still owes fails at once.
+fn ctrl_reader_main(mut conn: TcpStream, writer: &CtrlWriter, txs: &[Sender<Output>]) {
     let mut dec = RecordDecoder::new();
     let mut buf = [0u8; 64 * 1024];
-    loop {
+    'conn: loop {
         match conn.read(&mut buf) {
-            Ok(0) | Err(_) => return,
+            Ok(0) | Err(_) => break,
             Ok(n) => {
                 dec.push(&buf[..n]);
                 loop {
                     let record = match dec.next_record() {
                         Ok(Some(r)) => r,
                         Ok(None) => break,
-                        Err(_) => return,
+                        Err(_) => break 'conn,
                     };
-                    if dispatch_record(record, pending, txs).is_none() {
-                        return;
+                    if dispatch_record(record, writer, txs).is_none() {
+                        break 'conn;
                     }
                 }
             }
         }
     }
+    writer.kill();
 }
 
-fn dispatch_record(record: &[u8], pending: &PendingReplies, txs: &[Sender<Output>]) -> Option<()> {
+fn dispatch_record(record: &[u8], writer: &CtrlWriter, txs: &[Sender<Output>]) -> Option<()> {
     match record.first().copied()? {
         REC_VERDICT => {
             let verdict = match record.get(1).copied()? {
@@ -1128,11 +1269,7 @@ fn dispatch_record(record: &[u8], pending: &PendingReplies, txs: &[Sender<Output
                 // generator only branches on the error kind.
                 _ => Err(SendError::NotMember { group: GroupId(0) }),
             };
-            let slot = pending
-                .verdicts
-                .lock()
-                .expect("verdict queue")
-                .pop_front()?;
+            let slot = writer.take_owed(|owed| owed.verdicts.pop_front())?;
             let _ = slot.send(verdict);
         }
         REC_DELIVERY => {
@@ -1187,11 +1324,11 @@ fn dispatch_record(record: &[u8], pending: &PendingReplies, txs: &[Sender<Output
         }
         REC_STATS => {
             let (stats, shards) = decode_stats(&record[1..]).ok()?;
-            let slot = pending.stats.lock().expect("stats queue").pop_front()?;
+            let slot = writer.take_owed(|owed| owed.stats.pop_front())?;
             let _ = slot.send((stats, shards));
         }
         REC_BYE => {
-            let slot = pending.byes.lock().expect("bye queue").pop_front()?;
+            let slot = writer.take_owed(|owed| owed.byes.pop_front())?;
             let _ = slot.send(());
         }
         _ => return None, // unknown record: sever
@@ -1202,6 +1339,15 @@ fn dispatch_record(record: &[u8], pending: &PendingReplies, txs: &[Sender<Output
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    /// Both ends of one loopback connection.
+    fn loopback_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+        let near = TcpStream::connect(listener.local_addr().expect("local addr")).expect("dial");
+        let (far, _) = listener.accept().expect("accept");
+        (near, far)
+    }
 
     /// Block assignment: contiguous, exhaustive, balanced within one.
     #[test]
@@ -1302,12 +1448,101 @@ mod tests {
             SendError::Overloaded { group: g },
             SendError::PayloadTooLarge { group: g },
         ] {
-            let pending = PendingReplies::default();
+            let writer = CtrlWriter::new(loopback_pair().0);
             let (tx, rx) = bounded(1);
-            pending.verdicts.lock().unwrap().push_back(tx);
+            writer.lock().owed.verdicts.push_back(tx);
             let record = [REC_VERDICT, verdict_code(&e)];
-            assert!(dispatch_record(&record, &pending, &[]).is_some());
+            assert!(dispatch_record(&record, &writer, &[]).is_some());
             assert_eq!(rx.try_recv().unwrap(), Err(e));
+        }
+    }
+
+    /// Against a peer that never reads, a producer blocks once the
+    /// kernel's buffers and the outbox are full, the outbox never holds
+    /// more than `FORWARD_BATCH` bytes, and a failed write releases the
+    /// producer with `false`.
+    #[test]
+    fn a_full_outbox_blocks_its_producer() {
+        const RECORD: usize = 4096;
+        // Far beyond what loopback socket buffers absorb.
+        const TOTAL: usize = 64 << 20;
+        let (near, silent_peer) = loopback_pair();
+        let (writer, writer_thread) = CtrlWriter::spawn(near);
+        let queued = AtomicUsize::new(0);
+        let finished = std::thread::scope(|scope| {
+            let producer = scope.spawn(|| {
+                let body = vec![0u8; RECORD];
+                for _ in 0..TOTAL / RECORD {
+                    if !writer.send_record(&body, |_| {}) {
+                        return false;
+                    }
+                    queued.fetch_add(1, Ordering::Relaxed);
+                }
+                true
+            });
+            // Blocked: waiting for room, with no progress for 200 ms.
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let (mut last, mut still) = (usize::MAX, 0);
+            while still < 20 {
+                assert!(Instant::now() < deadline, "the producer never blocked");
+                std::thread::sleep(Duration::from_millis(10));
+                let out = writer.lock();
+                assert!(
+                    out.buf.len() <= FORWARD_BATCH,
+                    "{} bytes queued",
+                    out.buf.len()
+                );
+                let now = queued.load(Ordering::Relaxed);
+                still = if out.waiting == 1 && now == last {
+                    still + 1
+                } else {
+                    0
+                };
+                last = now;
+            }
+            drop(silent_peer);
+            producer.join().expect("producer")
+        });
+        assert!(!finished, "the producer is released with `false`");
+        assert!(queued.load(Ordering::Relaxed) * RECORD < TOTAL);
+        assert!(!writer.send_records(&[0]), "a dead writer takes nothing");
+        writer_thread.join().expect("writer thread");
+    }
+
+    /// Dropping a `RemoteCluster` closes its control connections, so the
+    /// serve's handler for one (subscribed, so with a forwarder running)
+    /// sees EOF and exits while the serve itself keeps running.
+    #[test]
+    fn dropping_the_client_ends_the_serve_handler() {
+        let mut cluster = Cluster::new();
+        cluster.add_process(ProcessId(1));
+        let running = Arc::new(cluster.start());
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+        let addr = listener.local_addr().expect("local addr");
+        let stop = Arc::new(AtomicBool::new(false));
+        let (done_tx, done_rx) = bounded(1);
+        let handler = {
+            let (running, stop) = (Arc::clone(&running), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let (conn, _) = listener.accept().expect("accept");
+                let cfg = GroupConfig::new(OrderMode::Symmetric);
+                ctrl_conn_main(&running, &[ProcessId(1)], cfg, conn, &stop);
+                let _ = done_tx.send(());
+            })
+        };
+        let remote = RemoteCluster::connect(&[addr], 1, Duration::from_secs(5)).expect("connect");
+        // Answered after the subscription before it (replies are FIFO).
+        assert!(remote.wire_stats().is_some());
+        drop(remote);
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "the control handler must see EOF and exit"
+        );
+        handler.join().expect("handler thread");
+        assert!(!stop.load(Ordering::Relaxed));
+        match Arc::try_unwrap(running) {
+            Ok(cluster) => cluster.shutdown(),
+            Err(_) => panic!("the handler leaked the cluster handle"),
         }
     }
 
@@ -1333,14 +1568,18 @@ mod tests {
         ];
         let (tx, _rx) = unbounded();
         let txs = vec![tx.clone(), tx];
+        let writer = CtrlWriter::new(loopback_pair().0);
         let (mut handled, mut rejected, mut severed) = (0u32, 0u32, 0u32);
         for seed in 0..2000u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let pending = PendingReplies::default();
-            for _ in 0..4 {
-                pending.verdicts.lock().unwrap().push_back(bounded(1).0);
-                pending.stats.lock().unwrap().push_back(bounded(1).0);
-                pending.byes.lock().unwrap().push_back(bounded(1).0);
+            {
+                let owed = &mut writer.lock().owed;
+                *owed = PendingReplies::default();
+                for _ in 0..4 {
+                    owed.verdicts.push_back(bounded(1).0);
+                    owed.stats.push_back(bounded(1).0);
+                    owed.byes.push_back(bounded(1).0);
+                }
             }
             // Records with mostly honest length prefixes and known tags,
             // so the parsers see both well-formed and truncated bodies;
@@ -1382,7 +1621,7 @@ mod tests {
                     let body = record.get(1..).unwrap_or_default();
                     let _ = parse_multicast(body);
                     let _ = parse_form(body);
-                    match dispatch_record(record, &pending, &txs) {
+                    match dispatch_record(record, &writer, &txs) {
                         Some(()) => handled += 1,
                         None => rejected += 1,
                     }

@@ -9,7 +9,9 @@ use newtop_harness::remote::{members_of, serve, RemoteCluster, ServeConfig};
 use newtop_runtime::{ClusterConfig, Output};
 use newtop_types::{GroupId, ProcessId, SendError, Span};
 use std::collections::BTreeMap;
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 fn free_addrs(n: usize) -> Vec<SocketAddr> {
@@ -290,4 +292,106 @@ fn pipelined_verdicts_keep_their_slots() {
     for s in servers {
         s.join().expect("serve thread").expect("serve exits clean");
     }
+}
+
+/// Four threads submit to one peer at once, interleaving accepted sends
+/// with `NotMember` refusals: each reply slot still gets its own op's
+/// verdict, because a slot is registered in the same critical section
+/// that queues its record.
+#[test]
+fn concurrent_submitters_keep_their_slots() {
+    let addrs = free_addrs(2);
+    let (nodes, groups) = (4u32, 2u32);
+    let cfg = fast(ServeConfig::new(
+        nodes,
+        groups,
+        vec![addrs[0]],
+        vec![addrs[1]],
+        0,
+    ));
+    let server = std::thread::spawn(move || serve(&cfg));
+    let remote = RemoteCluster::connect(&[addrs[1]], nodes, Duration::from_secs(15))
+        .expect("client connects");
+    let start = Barrier::new(nodes as usize);
+    std::thread::scope(|scope| {
+        for n in 1..=nodes {
+            let (remote, start) = (&remote, &start);
+            scope.spawn(move || {
+                let own = GroupId((n - 1) % groups + 1);
+                let foreign = GroupId(own.0 % groups + 1);
+                let ops: Vec<(GroupId, bool)> = (0..400)
+                    .map(|k| {
+                        if k % 2 == 0 {
+                            (own, true)
+                        } else {
+                            (foreign, false)
+                        }
+                    })
+                    .collect();
+                start.wait();
+                let slots: Vec<_> = ops
+                    .iter()
+                    .map(|&(group, _)| {
+                        let (tx, rx) = unbounded();
+                        assert!(remote.multicast_pipelined(ProcessId(n), group, b"x", &tx));
+                        rx
+                    })
+                    .collect();
+                for (k, (rx, &(group, accepted))) in slots.iter().zip(&ops).enumerate() {
+                    let verdict = rx
+                        .recv_timeout(Duration::from_secs(30))
+                        .expect("every slot answered");
+                    assert_eq!(
+                        verdict.is_ok(),
+                        accepted,
+                        "node {n} op {k} to {}: {verdict:?}",
+                        group.0
+                    );
+                }
+            });
+        }
+    });
+    remote.shutdown_peers();
+    server
+        .join()
+        .expect("serve thread")
+        .expect("serve exits clean");
+}
+
+/// A serve that dies with an op in flight: the blocking multicast gets
+/// `NotMember` at once instead of waiting out its timeout, and every op
+/// after it is refused without being sent.
+#[test]
+fn a_dead_control_connection_fails_what_it_owes() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+    let addr = listener.local_addr().expect("local addr");
+    let peer = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        // Reads records until the first multicast op (tag 0x01), then
+        // closes. These records are short, so each length prefix is a
+        // one-byte varint.
+        loop {
+            let mut len = [0u8; 1];
+            conn.read_exact(&mut len).expect("record length");
+            let mut body = vec![0u8; usize::from(len[0])];
+            conn.read_exact(&mut body).expect("record body");
+            if body.first() == Some(&0x01) {
+                return;
+            }
+        }
+    });
+    let remote =
+        RemoteCluster::connect(&[addr], 1, Duration::from_secs(5)).expect("client connects");
+    let t0 = Instant::now();
+    let verdict = remote.multicast(ProcessId(1), GroupId(1), b"x");
+    assert!(
+        matches!(verdict, Err(SendError::NotMember { .. })),
+        "{verdict:?}"
+    );
+    assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+    peer.join().expect("peer thread");
+    let (tx, _rx) = unbounded();
+    assert!(!remote.multicast_pipelined(ProcessId(1), GroupId(1), b"y", &tx));
+    assert!(remote.wire_stats().is_none());
+    assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
 }
