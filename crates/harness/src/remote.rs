@@ -682,6 +682,23 @@ enum Owed {
     Verdict(GroupId, Option<Receiver<Result<(), SendError>>>),
 }
 
+impl Owed {
+    /// Waits for the verdict if the shard has not answered yet; returns
+    /// the verdict record's code and text.
+    fn settle(self) -> (u8, String) {
+        match self {
+            Owed::Malformed(e) => (1, e),
+            Owed::Verdict(group, slot) => match slot
+                .and_then(|rx| rx.recv().ok())
+                .unwrap_or(Err(SendError::NotMember { group }))
+            {
+                Ok(()) => (0, String::new()),
+                Err(e) => (verdict_code(&e), e.to_string()),
+            },
+        }
+    }
+}
+
 /// The multicasts a control connection has submitted but not yet
 /// answered, in submission order. Every multicast of one read is
 /// submitted before any verdict is awaited, so the shard round trips
@@ -689,7 +706,7 @@ enum Owed {
 /// to the writer in order, in one append.
 #[derive(Default)]
 struct Verdicts {
-    owed: VecDeque<Owed>,
+    owed: Vec<Owed>,
     /// The outgoing batch, reused across flushes.
     out: BytesMut,
 }
@@ -700,7 +717,7 @@ impl Verdicts {
         let (node, group, payload) = match parse_multicast(&record[1..]) {
             Ok(op) => op,
             Err(e) => {
-                self.owed.push_back(Owed::Malformed(e));
+                self.owed.push(Owed::Malformed(e));
                 return;
             }
         };
@@ -709,31 +726,26 @@ impl Verdicts {
             n.multicast_pipelined(group, Bytes::from(payload.to_vec()), &tx)
                 .then_some(rx)
         });
-        self.owed.push_back(Owed::Verdict(group, slot));
+        self.owed.push(Owed::Verdict(group, slot));
     }
 
-    /// Awaits every owed verdict in submission order and queues them all
-    /// with one append; `false` once the connection is closing or dead.
+    /// Awaits every owed verdict and queues them all, in submission
+    /// order, with one append; `false` once the connection is closing or
+    /// dead.
+    ///
+    /// The verdicts are awaited newest first. A shard answers its
+    /// commands in order, so once the newest verdict owed by a shard is
+    /// in, every older one there is too: the control thread parks at
+    /// most once per shard, not once per op.
     fn flush(&mut self, writer: &CtrlWriter) -> bool {
         if self.owed.is_empty() {
             return true;
         }
+        let settled: Vec<(u8, String)> = self.owed.drain(..).rev().map(Owed::settle).collect();
         self.out.clear();
-        while let Some(owed) = self.owed.pop_front() {
-            let (code, text) = match owed {
-                Owed::Malformed(e) => (1, e),
-                Owed::Verdict(group, slot) => {
-                    match slot
-                        .and_then(|rx| rx.recv().ok())
-                        .unwrap_or(Err(SendError::NotMember { group }))
-                    {
-                        Ok(()) => (0, String::new()),
-                        Err(e) => (verdict_code(&e), e.to_string()),
-                    }
-                }
-            };
+        for (code, text) in settled.iter().rev() {
             put_varint(&mut self.out, 2 + text.len() as u64);
-            self.out.put_slice(&[REC_VERDICT, code]);
+            self.out.put_slice(&[REC_VERDICT, *code]);
             self.out.put_slice(text.as_bytes());
         }
         writer.send_records(&self.out)
@@ -1455,6 +1467,67 @@ mod tests {
             assert!(dispatch_record(&record, &writer, &[]).is_some());
             assert_eq!(rx.try_recv().unwrap(), Err(e));
         }
+    }
+
+    /// One read's burst of multicasts is answered in submission order,
+    /// though its verdicts are awaited newest first: accepted and refused
+    /// ops for nodes on both shards, a malformed op (code 1 with its parse
+    /// error) and an op for a node this serve does not host (`NotMember`).
+    #[test]
+    fn a_burst_of_verdicts_keeps_submission_order() {
+        let mut cluster = Cluster::with_config(ClusterConfig::new().shards(2));
+        for n in 1..=4 {
+            cluster.add_process(ProcessId(n));
+        }
+        let (g1, g2) = (GroupId(1), GroupId(2));
+        let cfg = GroupConfig::new(OrderMode::Symmetric);
+        cluster
+            .bootstrap_group(g1, (1..=4).map(ProcessId), cfg)
+            .expect("bootstrap g1");
+        cluster
+            .bootstrap_group(g2, [ProcessId(1), ProcessId(2)], cfg)
+            .expect("bootstrap g2");
+        // Nodes 1 and 3 land on shard 0, nodes 2 and 4 on shard 1.
+        let running = cluster.start();
+        assert_eq!(running.shard_count(), 2);
+        let op = |node: u32, group: GroupId| {
+            let mut rec = vec![OP_MULTICAST];
+            put_u32(&mut rec, node);
+            put_u32(&mut rec, group.0);
+            rec.extend_from_slice(b"payload");
+            rec
+        };
+        let accepted = (0, String::new());
+        let refused = |group| (1, SendError::NotMember { group }.to_string());
+        let malformed = vec![OP_MULTICAST, 7, 0];
+        let parse_error = parse_multicast(&malformed[1..]).expect_err("truncated");
+        let burst = [
+            (op(1, g1), accepted.clone()),
+            (op(2, g1), accepted.clone()),
+            (malformed, (1, parse_error)),
+            (op(3, g2), refused(g2)),
+            (op(9, g1), refused(g1)),
+            (op(4, g1), accepted.clone()),
+            (op(2, g2), accepted.clone()),
+            (op(4, g2), refused(g2)),
+            (op(1, g2), accepted),
+        ];
+        let writer = CtrlWriter::new(loopback_pair().0);
+        let mut verdicts = Verdicts::default();
+        for (record, _) in &burst {
+            verdicts.submit(&running, record);
+        }
+        assert!(verdicts.flush(&writer));
+        let mut dec = RecordDecoder::new();
+        dec.push(&writer.lock().buf);
+        let mut got = Vec::new();
+        while let Some(r) = dec.next_record().expect("well-formed") {
+            assert_eq!(r[0], REC_VERDICT);
+            got.push((r[1], String::from_utf8(r[2..].to_vec()).expect("utf-8")));
+        }
+        let want: Vec<(u8, String)> = burst.into_iter().map(|(_, v)| v).collect();
+        assert_eq!(got, want);
+        running.shutdown();
     }
 
     /// Against a peer that never reads, a producer blocks once the

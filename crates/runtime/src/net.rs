@@ -503,20 +503,43 @@ fn dial(
     Some(stream)
 }
 
-/// Sequences `frame` into an addressed record, retains it for
-/// retransmission, and writes it. `false` = connection lost.
-fn write_frame(
+/// The most frames one burst takes off a link's queue.
+const MAX_BURST: usize = 512;
+
+/// Sequences `first` and the frames already queued behind it (at most
+/// [`MAX_BURST`] in all) into addressed records, retains each record for
+/// retransmission, and hands the whole burst to the kernel with one
+/// write. `false` = connection lost; the records stay retained for the
+/// redial.
+fn write_burst(
     mut stream: &TcpStream,
-    frame: &Frame,
+    first: Frame,
+    rx: &Receiver<Frame>,
     next_seq: &mut u64,
     unacked: &mut VecDeque<(u64, Bytes)>,
     scratch: &mut BytesMut,
 ) -> bool {
-    addressed_frame_into(frame.to, *next_seq, &frame.bytes, scratch);
-    let rec = scratch.split_to(scratch.len()).freeze();
-    unacked.push_back((*next_seq, rec.clone()));
-    *next_seq += 1;
-    stream.write_all(&rec).is_ok()
+    scratch.clear();
+    let mut ends = Vec::new();
+    let mut next = Some(first);
+    while let Some(frame) = next {
+        let seq = *next_seq + ends.len() as u64;
+        addressed_frame_into(frame.to, seq, &frame.bytes, scratch);
+        ends.push(scratch.len());
+        next = if ends.len() < MAX_BURST {
+            rx.try_recv().ok()
+        } else {
+            None
+        };
+    }
+    let burst = Bytes::copy_from_slice(scratch);
+    let mut start = 0;
+    for end in ends {
+        unacked.push_back((*next_seq, burst.slice(start..end)));
+        *next_seq += 1;
+        start = end;
+    }
+    stream.write_all(&burst).is_ok()
 }
 
 /// Drains whatever acks have already arrived, pruning the
@@ -602,18 +625,7 @@ fn writer_main(
         let mut io_ok = true;
         match rx.recv_timeout(Duration::from_millis(20)) {
             Ok(frame) => {
-                io_ok = write_frame(stream, &frame, &mut next_seq, &mut unacked, &mut scratch);
-                let mut burst = 0;
-                while io_ok && burst < 512 {
-                    match rx.try_recv() {
-                        Ok(f) => {
-                            io_ok =
-                                write_frame(stream, &f, &mut next_seq, &mut unacked, &mut scratch);
-                            burst += 1;
-                        }
-                        Err(_) => break,
-                    }
-                }
+                io_ok = write_burst(stream, frame, rx, &mut next_seq, &mut unacked, &mut scratch);
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return, // transport gone

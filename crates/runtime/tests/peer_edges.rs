@@ -2,8 +2,9 @@
 //! host drives it: handshake rejection of out-of-range peer indices, a
 //! previous session version and stale (retired) incarnation nonces,
 //! acceptor sever on a sequence gap (never a silent skip) or on a frame
-//! that does not decode, and dialer sever on a resume point beyond its
-//! retained window.
+//! that does not decode, dialer sever on a resume point beyond its
+//! retained window, and the dialer's burst sequencing and resume-point
+//! retransmission.
 
 use bytes::{Bytes, BytesMut};
 use newtop_runtime::{Cluster, TcpConfig};
@@ -290,5 +291,111 @@ fn resume_beyond_retained_window_severs_dialer() {
     };
     assert_eq!(first.seq, 1, "retained window survived the bad handshake");
     assert_eq!(first.dest, p(2));
+    cluster.shutdown();
+}
+
+/// Plays the acceptor: reads records until `n` have arrived and the link
+/// has then been quiet for 300 ms; returns `(dest, seq)` of each, in
+/// arrival order (so any record beyond the `n`th shows up too).
+fn read_records(conn: &mut TcpStream, n: usize) -> Vec<(ProcessId, u64)> {
+    conn.set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    let mut dec = PeerRecordDecoder::new();
+    let mut chunk = [0u8; 4096];
+    let mut got = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match conn.read(&mut chunk) {
+            Ok(0) => panic!("dialer severed an honest link"),
+            Ok(k) => {
+                dec.push(&chunk[..k]);
+                while let Some(rec) = dec.next_record().expect("well-formed records") {
+                    got.push((rec.dest, rec.seq));
+                }
+            }
+            Err(_) if got.len() >= n => return got,
+            Err(_) => {}
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{} records after 10 s, expected {n} and then quiet",
+            got.len()
+        );
+    }
+}
+
+/// Accepts the dialer's next connection and answers its hello with
+/// `resume`.
+fn accept_with_resume(listener: &TcpListener, resume: u64) -> TcpStream {
+    let (mut conn, _) = listener.accept().expect("dialer connects");
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut raw = [0u8; HELLO_LEN];
+    conn.read_exact(&mut raw).expect("dialer hello");
+    assert_eq!(decode_hello(&raw).expect("decode dialer hello").peer, 0);
+    conn.write_all(&encode_hello(&Hello {
+        peer: 1,
+        nonce: 4242,
+        resume,
+    }))
+    .expect("write reply hello");
+    conn
+}
+
+/// Frames queued while the link is still handshaking go out as one burst
+/// of records sequenced 1..=N, in order. The fake acceptor never acks,
+/// so after it severs and re-accepts with resume point k, the dialer
+/// retransmits exactly k..=N — nothing below k, nothing twice.
+#[test]
+fn queued_burst_is_sequenced_and_retransmitted_from_the_resume_point() {
+    let (a0, a1) = (free_addr(), free_addr());
+    let listener = TcpListener::bind(a1).expect("bind fake acceptor");
+
+    // Peer 0 hosts p(1); the group spans p(2), owned by peer 1 (us). A
+    // long ω keeps null traffic off the link: only multicasts send.
+    let quiet = GroupConfig::new(OrderMode::Symmetric)
+        .with_omega(Span::from_secs(30))
+        .with_big_omega(Span::from_secs(60));
+    let mut c = Cluster::new();
+    c.add_process(p(1));
+    c.bootstrap_group_local(GroupId(1), [p(1), p(2)], quiet)
+        .unwrap();
+    let cluster = c
+        .start_tcp(TcpConfig::new(vec![a0, a1], 0, vec![(p(1), 0), (p(2), 1)]))
+        .expect("peer 0 binds");
+
+    // The dialer's connection waits in the listen backlog, its hello
+    // unanswered, while the multicasts' frames queue on the link.
+    // Spaced past the egress flush window, so each multicast ships in
+    // its own frame rather than coalescing with the next.
+    let node = cluster.node(p(1)).expect("hosted");
+    for k in 0..30u32 {
+        node.multicast(GroupId(1), Bytes::from(k.to_le_bytes().to_vec()))
+            .expect("multicast accepted");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // The last verdict can overtake its frame: wait for the count to settle.
+    let mut queued = cluster.wire_stats().frames;
+    loop {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = cluster.wire_stats().frames;
+        if now == queued {
+            break;
+        }
+        queued = now;
+    }
+    assert!(queued >= 3, "only {queued} frames queued");
+
+    let mut conn = accept_with_resume(&listener, 1);
+    let want: Vec<(ProcessId, u64)> = (1..=queued).map(|s| (p(2), s)).collect();
+    let got = read_records(&mut conn, want.len());
+    assert_eq!(got, want, "every queued frame, sequenced 1..=N in order");
+
+    // Sever. The redial resumes at k: the dialer resends k..=N only.
+    drop(conn);
+    let k = queued / 2 + 1;
+    let mut conn = accept_with_resume(&listener, k);
+    let want: Vec<(ProcessId, u64)> = (k..=queued).map(|s| (p(2), s)).collect();
+    let got = read_records(&mut conn, want.len());
+    assert_eq!(got, want, "retransmission from the resume point");
     cluster.shutdown();
 }

@@ -2,23 +2,68 @@
 //! the `channel` module surface this workspace uses — cloneable MPMC
 //! channels (`unbounded`/`bounded`) with blocking, timed and non-blocking
 //! receives.
+//!
+//! # Wake rule
+//!
+//! A channel is one queue under one mutex plus one condition variable.
+//! A receiver that finds the queue empty counts itself as parked, under
+//! the lock, before it waits, and uncounts itself when it wakes. A
+//! sender reads that count in the same critical section that queues its
+//! value (or, for the last sender, that disconnects the channel) and
+//! signals the condition variable only when the count is non-zero: with
+//! std's futex-based condition variable every signal is a system call,
+//! even with nobody waiting, and on a busy channel the receiver is
+//! usually running, not parked. Because the count and the queue change
+//! under the same lock, a receiver either sees the value before it
+//! parks or is counted before the sender looks — no wake-up is lost.
 
 #![forbid(unsafe_code)]
 
 pub mod channel {
     use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     struct State<T> {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers blocked in `recv` or `recv_timeout` right now.
+        parked: usize,
     }
 
     struct Chan<T> {
         state: Mutex<State<T>>,
         cond: Condvar,
+    }
+
+    impl<T> Chan<T> {
+        /// The channel's one wake-up: signals at most `ready` of the
+        /// `parked` receivers (both read under the lock by the caller)
+        /// and makes no system call when none is parked.
+        fn wake(&self, parked: usize, ready: usize) {
+            match parked.min(ready) {
+                0 => {}
+                1 => self.cond.notify_one(),
+                _ => self.cond.notify_all(),
+            }
+        }
+
+        /// Waits on the condition variable (at most `timeout`, if set),
+        /// counted as parked meanwhile.
+        fn park<'a>(
+            &self,
+            mut st: MutexGuard<'a, State<T>>,
+            timeout: Option<Duration>,
+        ) -> MutexGuard<'a, State<T>> {
+            st.parked += 1;
+            st = match timeout {
+                None => self.cond.wait(st).unwrap(),
+                Some(left) => self.cond.wait_timeout(st, left).unwrap().0,
+            };
+            st.parked -= 1;
+            st
+        }
     }
 
     /// Error returned by [`Sender::send`] when all receivers are gone;
@@ -102,6 +147,7 @@ pub mod channel {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                parked: 0,
             }),
             cond: Condvar::new(),
         });
@@ -135,7 +181,10 @@ pub mod channel {
             let mut st = self.chan.state.lock().unwrap();
             st.senders -= 1;
             if st.senders == 0 {
-                self.chan.cond.notify_all();
+                // Every parked receiver must see the disconnection.
+                let parked = st.parked;
+                drop(st);
+                self.chan.wake(parked, parked);
             }
         }
     }
@@ -166,14 +215,16 @@ pub mod channel {
                 return Err(SendError(value));
             }
             st.queue.push_back(value);
-            self.chan.cond.notify_one();
+            let parked = st.parked;
+            drop(st);
+            self.chan.wake(parked, 1);
             Ok(())
         }
 
-        /// Enqueues every item of `values` under a single lock with a
-        /// single wakeup, and returns how many were queued. Not part of
-        /// the real crossbeam API — a batching extension for hot paths
-        /// where per-item `send` would pay one lock + one `notify_one`
+        /// Enqueues every item of `values` under a single lock with at
+        /// most one wake-up, and returns how many were queued. Not part
+        /// of the real crossbeam API — a batching extension for hot paths
+        /// where per-item `send` would pay one lock and one wake-up
         /// each. Fails (returning the unsent items) only if every
         /// receiver is gone.
         pub fn send_many<I: IntoIterator<Item = T>>(
@@ -187,15 +238,9 @@ pub mod channel {
             let before = st.queue.len();
             st.queue.extend(values);
             let n = st.queue.len() - before;
+            let parked = st.parked;
             drop(st);
-            match n {
-                0 => {}
-                // With cloned receivers each blocked in `recv`, one
-                // notification per queued item would be needed;
-                // `notify_all` covers that in a single call.
-                1 => self.chan.cond.notify_one(),
-                _ => self.chan.cond.notify_all(),
-            }
+            self.chan.wake(parked, n);
             Ok(n)
         }
     }
@@ -246,8 +291,14 @@ pub mod channel {
                 if st.senders == 0 {
                     return Err(RecvError);
                 }
-                st = self.chan.cond.wait(st).unwrap();
+                st = self.chan.park(st, None);
             }
+        }
+
+        /// How many receivers of this channel are blocked right now.
+        #[cfg(test)]
+        pub(crate) fn parked(&self) -> usize {
+            self.chan.state.lock().unwrap().parked
         }
 
         /// Non-blocking receive.
@@ -275,8 +326,7 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                let (guard, _) = self.chan.cond.wait_timeout(st, deadline - now).unwrap();
-                st = guard;
+                st = self.chan.park(st, Some(deadline - now));
             }
         }
     }
@@ -284,8 +334,47 @@ pub mod channel {
 
 #[cfg(test)]
 mod tests {
-    use crate::channel::unbounded;
-    use std::time::Duration;
+    use crate::channel::{unbounded, Receiver, RecvError, Sender};
+    use std::thread::JoinHandle;
+    use std::time::{Duration, Instant};
+
+    /// Waits until `n` receivers of `rx`'s channel are blocked.
+    fn await_parked<T>(rx: &Receiver<T>, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while rx.parked() != n {
+            assert!(Instant::now() < deadline, "{n} receivers never parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Joins `thread` once it has finished, failing if it has not by
+    /// `deadline`.
+    fn join_by<T>(thread: JoinHandle<T>, deadline: Instant, why: &str) -> T {
+        while !thread.is_finished() {
+            assert!(Instant::now() < deadline, "{why}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        thread.join().expect("test thread")
+    }
+
+    /// A thread blocked in `recv`, returning what that `recv` returns.
+    type Parked = JoinHandle<Result<u32, RecvError>>;
+
+    /// A channel with one receiver thread already blocked in `recv`.
+    fn parked_recv() -> (Sender<u32>, Receiver<u32>, Parked) {
+        let (tx, rx) = unbounded::<u32>();
+        let parked_rx = rx.clone();
+        let parked = std::thread::spawn(move || parked_rx.recv());
+        await_parked(&rx, 1);
+        (tx, rx, parked)
+    }
+
+    /// What the parked `recv` returned; fails if it is not woken within
+    /// 5 s.
+    fn woken(parked: Parked) -> Result<u32, RecvError> {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        join_by(parked, deadline, "the parked receiver was never woken")
+    }
 
     #[test]
     fn channel_roundtrip_and_disconnect() {
@@ -305,5 +394,89 @@ mod tests {
         // The queued reply sender went with the channel's last receiver.
         assert!(reply_rx.recv_timeout(Duration::from_secs(5)).is_err());
         assert!(tx.send(unbounded().0).is_err());
+    }
+
+    #[test]
+    fn send_wakes_a_parked_receiver() {
+        let (tx, _rx, parked) = parked_recv();
+        tx.send(3).unwrap();
+        assert_eq!(woken(parked), Ok(3));
+    }
+
+    #[test]
+    fn send_many_wakes_a_parked_receiver() {
+        let (tx, rx, parked) = parked_recv();
+        assert_eq!(tx.send_many([4, 5]), Ok(2));
+        assert_eq!(woken(parked), Ok(4));
+        assert_eq!(rx.try_recv(), Ok(5));
+    }
+
+    #[test]
+    fn last_sender_drop_wakes_a_parked_receiver() {
+        let (tx, rx, parked) = parked_recv();
+        drop(tx.clone());
+        // A sender remains, so the receiver is still parked.
+        assert_eq!(rx.parked(), 1);
+        drop(tx);
+        assert_eq!(woken(parked), Err(RecvError));
+    }
+
+    #[test]
+    fn recv_timeout_returns_a_value_sent_before_its_deadline() {
+        let (tx, rx) = unbounded::<u32>();
+        let timed_rx = rx.clone();
+        let start = Instant::now();
+        let timed = std::thread::spawn(move || timed_rx.recv_timeout(Duration::from_secs(30)));
+        await_parked(&rx, 1);
+        tx.send(9).unwrap();
+        let deadline = start + Duration::from_secs(10);
+        let got = join_by(timed, deadline, "recv_timeout slept through the send");
+        assert_eq!(got, Ok(9));
+    }
+
+    /// Four producers and two cloned receivers, both blocked in `recv`
+    /// when the sends begin: every value arrives exactly once.
+    #[test]
+    fn every_value_reaches_one_parked_receiver() {
+        const PRODUCERS: u32 = 4;
+        const SENDS: u32 = 20_000;
+        let (tx, rx) = unbounded::<u32>();
+        let receivers: Vec<_> = (0..2)
+            .map(|_| {
+                let rx = rx.clone();
+                std::thread::spawn(move || {
+                    let mut got = Vec::new();
+                    while let Ok(v) = rx.recv() {
+                        got.push(v);
+                    }
+                    got
+                })
+            })
+            .collect();
+        await_parked(&rx, 2);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    for k in 0..SENDS {
+                        tx.send(p * SENDS + k).unwrap();
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        for producer in producers {
+            join_by(producer, deadline, "a producer stalled");
+        }
+        let mut all: Vec<u32> = receivers
+            .into_iter()
+            .flat_map(|r| join_by(r, deadline, "a receiver stalled"))
+            .collect();
+        all.sort_unstable();
+        assert!(
+            all.iter().copied().eq(0..PRODUCERS * SENDS),
+            "lost or duplicated values"
+        );
     }
 }
