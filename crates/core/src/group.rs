@@ -23,7 +23,7 @@ use std::sync::Arc;
 /// [`GroupState::covers`]): it is derived from the views alone, so every
 /// insertion and removal recomputes it here, and a view installation calls
 /// [`GroupMap::recompute_covers`].
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct GroupMap {
     entries: Vec<(GroupId, GroupState)>,
     /// Group ids with every covering group ahead of the groups it covers
@@ -227,7 +227,7 @@ impl StateDigest for ArrivalWindow {
 }
 
 /// Everything one member keeps about one group.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct GroupState {
     pub cfg: GroupConfig,
     pub me: ProcessId,

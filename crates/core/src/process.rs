@@ -117,7 +117,7 @@ pub(crate) enum DeferredSend {
 /// net.advance_past_omega(GroupId(1));
 /// assert_eq!(net.deliveries(2).len(), 1);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Process {
     id: ProcessId,
     cfg: ProcessConfig,

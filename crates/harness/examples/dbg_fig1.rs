@@ -1,4 +1,4 @@
-use newtop_harness::{MessageId, SimCluster};
+use newtop_harness::{Command, MessageId, SimCluster, SimInput};
 use newtop_sim::{LatencyModel, NetConfig};
 use newtop_types::{GroupConfig, GroupId, Instant, OrderMode, ProcessId, Span};
 fn cfg() -> GroupConfig {
@@ -16,12 +16,19 @@ fn main() {
     let mut cluster = SimCluster::new(3, net);
     cluster.bootstrap_group(g1, &[1, 2], cfg());
     cluster.schedule_send(Instant::from_micros(5_000), 1, g1, MessageId(1));
-    cluster.schedule_initiate(Instant::from_micros(10_000), 3, g2, &[1, 2, 3], cfg());
+    let initiate = Command::Initiate(g2, [1, 2, 3].map(ProcessId).into(), cfg());
+    cluster.schedule(Instant::from_micros(10_000), SimInput::Command(3, initiate));
     cluster.schedule_send(Instant::from_micros(40_000), 1, g2, MessageId(2));
     cluster.schedule_send(Instant::from_micros(45_000), 1, g2, MessageId(3));
     cluster.schedule_send(Instant::from_micros(50_000), 2, g1, MessageId(4));
-    cluster.schedule_depart(Instant::from_micros(80_000), 2, g1);
-    cluster.schedule_depart(Instant::from_micros(85_000), 2, g2);
+    cluster.schedule(
+        Instant::from_micros(80_000),
+        SimInput::Command(2, Command::Depart(g1)),
+    );
+    cluster.schedule(
+        Instant::from_micros(85_000),
+        SimInput::Command(2, Command::Depart(g2)),
+    );
     cluster.schedule_send(Instant::from_micros(200_000), 1, g2, MessageId(5));
     cluster.run_for(Span::from_millis(1_000));
     let h = cluster.history();

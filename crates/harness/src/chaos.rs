@@ -23,9 +23,11 @@
 //! the engine or being silently ignored.
 
 use crate::checker::{check_all, CheckOptions, Violation};
-use crate::cluster::SimCluster;
+use crate::cluster::{partition_spec, Command, SimCluster, SimInput};
 use crate::history::{History, HistoryEvent, MessageId};
-use newtop_sim::{LatencyModel, NetConfig, PartitionMode, PendingEvent, WanConfig, WanLinkSpec};
+use newtop_sim::{
+    LatencyModel, NetConfig, NetOp, PartitionMode, PendingEvent, WanConfig, WanLinkSpec,
+};
 use newtop_types::{GroupConfig, GroupId, Instant, OrderMode, ProcessId, Span};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -660,6 +662,24 @@ impl fmt::Display for FaultOp {
     }
 }
 
+impl FaultOp {
+    /// The simulator input this fault lowers to — scheduled by
+    /// [`ChaosPlan::run`], applied at once by a model-checker crash step.
+    fn input(&self) -> SimInput {
+        match self {
+            FaultOp::Crash { victim } => NetOp::Crash(ProcessId(*victim)).into(),
+            FaultOp::Partition { blocks, mode } => {
+                NetOp::Partition(partition_spec(blocks), *mode).into()
+            }
+            FaultOp::Heal => NetOp::Heal.into(),
+            FaultOp::Depart { p, group } => SimInput::Command(*p, Command::Depart(*group)),
+            FaultOp::Latency { model } => NetOp::Latency(*model).into(),
+            FaultOp::WanLink(r) => NetOp::WanLink(r.from, r.to, r.link()).into(),
+            FaultOp::WanUplink { p, bps } => NetOp::WanUplink(ProcessId(*p), *bps).into(),
+        }
+    }
+}
+
 /// A fault operation bound to a virtual-time instant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
@@ -856,6 +876,14 @@ impl ChaosPlan {
         if !self.mc_steps.is_empty() {
             return self.run_mc_schedule();
         }
+        let mut cluster = self.scheduled();
+        cluster.run_for(Span::from_micros(self.horizon_us));
+        cluster
+    }
+
+    /// The timed plan's cluster at time zero, with every send and fault
+    /// scheduled: sends first, so a fault at a send's instant acts after it.
+    pub(crate) fn scheduled(&self) -> SimCluster {
         let net = NetConfig::new(self.seed ^ 0x9E37_79B9).with_latency(BASE_LATENCY);
         let mut cluster = self.bootstrap(net, self.wan.as_ref());
         for s in &self.sends {
@@ -863,21 +891,8 @@ impl ChaosPlan {
             cluster.schedule_send(at, s.from, s.group, MessageId(s.mid));
         }
         for f in &self.faults {
-            let at = Instant::from_micros(f.at_us);
-            match &f.op {
-                FaultOp::Crash { victim } => cluster.schedule_crash(at, *victim),
-                FaultOp::Partition { blocks, mode } => {
-                    let views: Vec<&[u32]> = blocks.iter().map(Vec::as_slice).collect();
-                    cluster.schedule_partition_mode(at, &views, *mode);
-                }
-                FaultOp::Heal => cluster.schedule_heal(at),
-                FaultOp::Depart { p, group } => cluster.schedule_depart(at, *p, *group),
-                FaultOp::Latency { model } => cluster.schedule_set_latency(at, *model),
-                FaultOp::WanLink(r) => cluster.schedule_set_wan_link(at, r.from, r.to, r.link()),
-                FaultOp::WanUplink { p, bps } => cluster.schedule_set_wan_uplink(at, *p, *bps),
-            }
+            cluster.schedule(Instant::from_micros(f.at_us), f.op.input());
         }
-        cluster.run_for(Span::from_micros(self.horizon_us));
         cluster
     }
 
@@ -900,21 +915,22 @@ impl ChaosPlan {
             // A step that names nothing currently fireable is skipped: ddmin
             // shrink candidates routinely remove the step that would have
             // armed a later one.
-            let _fired = match *step {
-                McStep::Deliver { src, dst } => cluster.fire(PendingEvent::Deliver {
-                    src: ProcessId(src),
-                    dst: ProcessId(dst),
-                    at: Instant::ZERO,
-                }),
-                McStep::Wake { p } => cluster.fire(PendingEvent::Wake {
-                    node: ProcessId(p),
-                    at: Instant::ZERO,
-                }),
-                McStep::Send { from, group, mid } => {
-                    cluster.invoke_multicast(from, group, MessageId(mid))
+            let at = Instant::ZERO;
+            match *step {
+                McStep::Deliver { src, dst } => {
+                    let (src, dst) = (ProcessId(src), ProcessId(dst));
+                    cluster.fire(PendingEvent::Deliver { src, dst, at });
                 }
-                McStep::Crash { victim } => cluster.crash_now(victim),
-            };
+                McStep::Wake { p } => {
+                    let node = ProcessId(p);
+                    cluster.fire(PendingEvent::Wake { node, at });
+                }
+                McStep::Send { from, group, mid } => {
+                    let send = Command::Multicast(group, MessageId(mid));
+                    cluster.apply(SimInput::Command(from, send));
+                }
+                McStep::Crash { victim } => cluster.apply(FaultOp::Crash { victim }.input()),
+            }
         }
         cluster
     }
@@ -1668,6 +1684,31 @@ mod tests {
         let h1 = history_hash(&plan.run().history());
         let h2 = history_hash(&plan.run().history());
         assert_eq!(h1, h2, "same WAN plan must replay bit-identically");
+    }
+
+    #[test]
+    fn a_cluster_forked_mid_run_finishes_like_an_unforked_run() {
+        let fingerprint = |c: &SimCluster| {
+            let h = history_hash(&c.history());
+            (c.state_digest(), h, c.net_stats())
+        };
+        for plan in [
+            ChaosScenario::new(3).plan(),
+            ChaosScenario::churn(3).plan(),
+            ChaosScenario::wan(6).plan(),
+        ] {
+            // Fork just after the middle send: messages are in flight, and
+            // later sends and faults are still queued.
+            let end = Instant::from_micros(plan.horizon_us);
+            let mut original = plan.scheduled();
+            original.run_until(Instant::from_micros(plan.sends[plan.sends.len() / 2].at_us));
+            assert!(!original.pending_events().is_empty(), "forked mid-run");
+            let mut fork = original.clone();
+            fork.run_until(end);
+            original.run_until(end);
+            assert_eq!(fingerprint(&fork), fingerprint(&original));
+            assert_eq!(fingerprint(&fork), fingerprint(&plan.run()));
+        }
     }
 
     #[test]

@@ -4,13 +4,15 @@
 
 use crate::history::{History, HistoryEvent, MessageId};
 use newtop_core::{Action, FormationFailure, Process};
-use newtop_sim::{NetConfig, Outbox, PartitionMode, PartitionSpec, PendingEvent, Sim, SimNode};
+use newtop_sim::{
+    NetConfig, NetOp, NodeInput, Outbox, PartitionMode, PartitionSpec, PendingEvent, Sim, SimNode,
+};
 use newtop_types::digest::{DigestHasher, StateDigest};
 use newtop_types::{wire, Envelope, GroupConfig, GroupId, Instant, ProcessConfig, ProcessId, Span};
 use std::collections::BTreeSet;
 
 /// One simulated protocol participant: the engine plus its observable log.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NewtopNode {
     pub(crate) process: Process,
     log: Vec<HistoryEvent>,
@@ -92,47 +94,45 @@ impl NewtopNode {
             }
         }
     }
+}
 
-    /// Issues an application multicast tagged with `mid`.
-    pub fn do_multicast(
-        &mut self,
-        now: Instant,
-        group: GroupId,
-        mid: MessageId,
-        out: &mut Outbox<Envelope>,
-    ) {
-        match self.process.multicast(now, group, mid.to_payload()) {
-            Ok(actions) => {
-                self.log.push(HistoryEvent::Sent {
+/// An application input to one [`NewtopNode`], as data.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Command {
+    /// Issue an application multicast tagged with the id.
+    Multicast(GroupId, MessageId),
+    /// Announce departure from the group.
+    Depart(GroupId),
+    /// Initiate dynamic formation (§5.3) of the group with these members.
+    Initiate(GroupId, BTreeSet<ProcessId>, GroupConfig),
+}
+
+impl NodeInput<NewtopNode> for Command {
+    /// Runs the command on the engine and logs it. A command the engine
+    /// refuses (a departed or unknown group: the script raced a fault) is
+    /// dropped.
+    fn apply_to(self, now: Instant, node: &mut NewtopNode, out: &mut Outbox<Envelope>) {
+        let process = &mut node.process;
+        let (actions, logged) = match self {
+            Command::Multicast(group, mid) => (
+                process.multicast(now, group, mid.to_payload()).ok(),
+                Some(HistoryEvent::Sent {
                     at: now,
                     group,
                     mid,
-                });
-                self.absorb(now, actions, out);
+                }),
+            ),
+            Command::Depart(group) => (
+                process.depart(now, group).ok(),
+                Some(HistoryEvent::Departed { at: now, group }),
+            ),
+            Command::Initiate(group, members, cfg) => {
+                (process.initiate_group(now, group, &members, cfg).ok(), None)
             }
-            Err(_) => { /* departed or unknown group: the script raced a fault */ }
-        }
-    }
-
-    /// Announces departure from `group`.
-    pub fn do_depart(&mut self, now: Instant, group: GroupId, out: &mut Outbox<Envelope>) {
-        if let Ok(actions) = self.process.depart(now, group) {
-            self.log.push(HistoryEvent::Departed { at: now, group });
-            self.absorb(now, actions, out);
-        }
-    }
-
-    /// Initiates dynamic formation (§5.3).
-    pub fn do_initiate(
-        &mut self,
-        now: Instant,
-        group: GroupId,
-        members: &BTreeSet<ProcessId>,
-        config: GroupConfig,
-        out: &mut Outbox<Envelope>,
-    ) {
-        if let Ok(actions) = self.process.initiate_group(now, group, members, config) {
-            self.absorb(now, actions, out);
+        };
+        if let Some(actions) = actions {
+            node.log.extend(logged);
+            node.absorb(now, actions, out);
         }
     }
 }
@@ -176,8 +176,31 @@ impl StateDigest for NewtopNode {
     }
 }
 
+/// One input to a simulated cluster, as data: a network change, or a
+/// command to one process (by number).
+#[derive(Debug, Clone, PartialEq)]
+pub enum SimInput {
+    /// A network change.
+    Net(NetOp),
+    /// A command to process `P<n>`.
+    Command(u32, Command),
+}
+
+impl From<NetOp> for SimInput {
+    fn from(op: NetOp) -> SimInput {
+        SimInput::Net(op)
+    }
+}
+
+/// The partition whose blocks list these process numbers.
+pub(crate) fn partition_spec<B: AsRef<[u32]>>(blocks: &[B]) -> PartitionSpec {
+    let block = |b: &B| b.as_ref().iter().map(|i| ProcessId(*i)).collect();
+    PartitionSpec::blocks(blocks.iter().map(block).collect())
+}
+
 /// A simulated Newtop cluster: the binding between `newtop_core` and
-/// `newtop_sim` used by every experiment and property test.
+/// `newtop_sim` used by every experiment and property test. Every input it
+/// queues is data, so a cluster can be cloned mid-run and each copy run on.
 ///
 /// # Examples
 ///
@@ -194,8 +217,9 @@ impl StateDigest for NewtopNode {
 /// use newtop_types::ProcessId;
 /// assert_eq!(h.delivered_mids(ProcessId(2), GroupId(1)), vec![MessageId(7)]);
 /// ```
+#[derive(Clone, Debug)]
 pub struct SimCluster {
-    sim: Sim<NewtopNode>,
+    sim: Sim<NewtopNode, Command>,
 }
 
 impl SimCluster {
@@ -228,71 +252,50 @@ impl SimCluster {
         }
     }
 
+    /// Schedules one input at `at`. Inputs scheduled for one instant take
+    /// effect in the order they were scheduled.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid network change (see [`Sim::schedule`]).
+    pub fn schedule(&mut self, at: Instant, input: impl Into<SimInput>) {
+        match input.into() {
+            SimInput::Net(op) => self.sim.schedule(at, op),
+            SimInput::Command(p, cmd) => self.sim.schedule_input(at, ProcessId(p), cmd),
+        }
+    }
+
+    /// Applies one input at the current virtual time (a command to an
+    /// unknown or crashed process is dropped).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid network change (see [`Sim::apply`]).
+    pub fn apply(&mut self, input: impl Into<SimInput>) {
+        match input.into() {
+            SimInput::Net(op) => self.sim.apply(op),
+            SimInput::Command(p, cmd) => {
+                self.sim.apply_input(ProcessId(p), cmd);
+            }
+        }
+    }
+
     /// Schedules a tagged application multicast.
     pub fn schedule_send(&mut self, at: Instant, from: u32, group: GroupId, mid: MessageId) {
-        self.sim
-            .schedule_call(at, ProcessId(from), move |n: &mut NewtopNode, out| {
-                n.do_multicast(at, group, mid, out);
-            });
-    }
-
-    /// Schedules a voluntary departure.
-    pub fn schedule_depart(&mut self, at: Instant, from: u32, group: GroupId) {
-        self.sim
-            .schedule_call(at, ProcessId(from), move |n: &mut NewtopNode, out| {
-                n.do_depart(at, group, out);
-            });
-    }
-
-    /// Schedules a dynamic formation initiation.
-    pub fn schedule_initiate(
-        &mut self,
-        at: Instant,
-        initiator: u32,
-        group: GroupId,
-        members: &[u32],
-        cfg: GroupConfig,
-    ) {
-        let set: BTreeSet<ProcessId> = members.iter().map(|i| ProcessId(*i)).collect();
-        self.sim
-            .schedule_call(at, ProcessId(initiator), move |n: &mut NewtopNode, out| {
-                n.do_initiate(at, group, &set, cfg, out);
-            });
+        self.schedule(at, SimInput::Command(from, Command::Multicast(group, mid)));
     }
 
     /// Schedules a crash.
     pub fn schedule_crash(&mut self, at: Instant, p: u32) {
-        self.sim.schedule_crash(at, ProcessId(p));
-    }
-
-    /// Schedules a read-only probe of `p`'s engine state (experiments use
-    /// this to sample queue depths over time).
-    pub fn schedule_probe(&mut self, at: Instant, p: u32, f: impl FnOnce(&Process) + 'static) {
-        self.sim
-            .schedule_call(at, ProcessId(p), move |n: &mut NewtopNode, _out| {
-                f(n.process());
-            });
+        self.schedule(at, NetOp::Crash(ProcessId(p)));
     }
 
     /// Schedules a loss-mode partition.
     pub fn schedule_partition(&mut self, at: Instant, blocks: &[&[u32]]) {
-        self.schedule_partition_mode(at, blocks, PartitionMode::Loss);
-    }
-
-    /// Schedules a partition in an explicit mode (loss or delay).
-    pub fn schedule_partition_mode(&mut self, at: Instant, blocks: &[&[u32]], mode: PartitionMode) {
-        let spec = PartitionSpec::blocks(
-            blocks
-                .iter()
-                .map(|b| b.iter().map(|i| ProcessId(*i)).collect())
-                .collect(),
+        self.schedule(
+            at,
+            NetOp::Partition(partition_spec(blocks), PartitionMode::Loss),
         );
-        self.sim.schedule_partition(at, spec, mode);
-    }
-
-    /// Schedules a link-latency change (congestion phases in fault scripts).
-    pub fn schedule_set_latency(&mut self, at: Instant, latency: newtop_sim::LatencyModel) {
-        self.sim.schedule_set_latency(at, latency);
     }
 
     /// Swaps the constant-latency transport for the topology-aware WAN
@@ -306,28 +309,6 @@ impl SimCluster {
     pub fn set_wan(&mut self, cfg: newtop_sim::WanConfig) -> Result<(), newtop_types::ConfigError> {
         self.measure_wire_bytes();
         self.sim.set_wan(cfg)
-    }
-
-    /// Schedules an inter-region link change (WAN congestion windows,
-    /// latency spikes, asymmetric degradation).
-    pub fn schedule_set_wan_link(
-        &mut self,
-        at: Instant,
-        from: u32,
-        to: u32,
-        spec: newtop_sim::WanLinkSpec,
-    ) {
-        self.sim.schedule_set_wan_link(at, from, to, spec);
-    }
-
-    /// Schedules an uplink capacity change for one node.
-    pub fn schedule_set_wan_uplink(&mut self, at: Instant, p: u32, bps: u64) {
-        self.sim.schedule_set_wan_uplink(at, ProcessId(p), bps);
-    }
-
-    /// Schedules the network to heal.
-    pub fn schedule_heal(&mut self, at: Instant) {
-        self.sim.schedule_heal(at);
     }
 
     /// Runs the simulation until `t`.
@@ -380,22 +361,6 @@ impl SimCluster {
         self.sim.fire(ev)
     }
 
-    /// Synchronously issues a tagged multicast at the current virtual time.
-    /// Returns `false` for an unknown or crashed sender.
-    pub fn invoke_multicast(&mut self, from: u32, group: GroupId, mid: MessageId) -> bool {
-        let at = self.sim.now();
-        self.sim
-            .invoke(ProcessId(from), move |n: &mut NewtopNode, out| {
-                n.do_multicast(at, group, mid, out);
-            })
-    }
-
-    /// Synchronously crashes `p` at the current virtual time. Returns
-    /// `false` for an unknown process.
-    pub fn crash_now(&mut self, p: u32) -> bool {
-        self.sim.crash_now(ProcessId(p))
-    }
-
     /// Whether `p` has crashed.
     #[must_use]
     pub fn is_crashed(&self, p: u32) -> bool {
@@ -435,14 +400,5 @@ impl SimCluster {
             }
         }
         h
-    }
-}
-
-impl std::fmt::Debug for SimCluster {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimCluster")
-            .field("nodes", &self.sim.nodes().count())
-            .field("now", &self.now())
-            .finish()
     }
 }

@@ -13,8 +13,6 @@ use crate::history::MessageId;
 use crate::table::Table;
 use newtop_sim::{LatencyModel, NetConfig};
 use newtop_types::{GroupConfig, GroupId, Instant, OrderMode, ProcessId, Span};
-use std::cell::Cell;
-use std::rc::Rc;
 
 const G: GroupId = GroupId(1);
 
@@ -38,19 +36,13 @@ fn one_run(window: Option<u32>, quick: bool) -> (usize, f64) {
             MessageId(u64::from(k)),
         );
     }
-    // Probe the sender's retained-application backlog every 5 ms.
-    let peak = Rc::new(Cell::new(0usize));
+    // Sample the sender's retained-application backlog every 5 ms.
+    let mut peak = 0;
     for probe in 0..400u64 {
-        let peak = Rc::clone(&peak);
-        cluster.schedule_probe(
-            Instant::from_micros(10_000 + probe * 5_000),
-            1,
-            move |proc| {
-                peak.set(peak.get().max(proc.retained_app(G)));
-            },
-        );
+        cluster.run_until(Instant::from_micros(10_000 + probe * 5_000));
+        peak = cluster.proc(1).retained_app(G).max(peak);
     }
-    cluster.run_for(Span::from_millis(4_000));
+    cluster.run_until(Instant::from_micros(4_000_000));
     let h = cluster.history();
     assert_correct(&h, &CheckOptions::default());
     // Completion: everything delivered at the slowest member.
@@ -67,7 +59,7 @@ fn one_run(window: Option<u32>, quick: bool) -> (usize, f64) {
         .max()
         .expect("deliveries exist");
     (
-        peak.get(),
+        peak,
         done.saturating_since(Instant::from_micros(10_000))
             .as_millis_f64(),
     )

@@ -8,7 +8,7 @@
 //! network rounds, independent of traffic.
 
 use crate::checker::CheckOptions;
-use crate::cluster::SimCluster;
+use crate::cluster::{Command, SimCluster, SimInput};
 use crate::experiments::assert_correct;
 use crate::history::{HistoryEvent, MessageId};
 use crate::table::Table;
@@ -23,9 +23,9 @@ fn one_run(n: u32) -> (f64, f64) {
     let cfg = GroupConfig::new(OrderMode::Symmetric)
         .with_omega(Span::from_millis(5))
         .with_big_omega(Span::from_millis(400));
-    let members: Vec<u32> = (1..=n).collect();
+    let initiate = Command::Initiate(GN, (1..=n).map(ProcessId).collect(), cfg);
     let start = Instant::from_micros(10_000);
-    cluster.schedule_initiate(start, 1, GN, &members, cfg);
+    cluster.schedule(start, SimInput::Command(1, initiate));
     // Prove usability after formation with one tagged multicast.
     cluster.schedule_send(start + Span::from_millis(200), 2, GN, MessageId(1));
     cluster.run_for(Span::from_millis(800));

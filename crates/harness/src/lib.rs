@@ -61,7 +61,7 @@ pub mod workload;
 
 pub use chaos::{history_hash, ChaosPlan, ChaosScenario, McStep};
 pub use checker::{check_all, CheckOptions, Violation};
-pub use cluster::SimCluster;
+pub use cluster::{Command, SimCluster, SimInput};
 pub use history::{History, HistoryEvent, MessageId};
 pub use loadgen::{run_load, HostKind, LoadConfig, LoadReport};
 pub use mc::{explore, McConfig, McReport, McStrategy, McViolation};

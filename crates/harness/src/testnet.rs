@@ -6,11 +6,11 @@
 //! at the current virtual time; messages move only when the test quiesces,
 //! and timers fire only when it ticks or advances the clock.
 
-use crate::cluster::NewtopNode;
+use crate::cluster::{partition_spec, NewtopNode};
 use crate::history::HistoryEvent;
 use bytes::Bytes;
 use newtop_core::{Action, Delivery, FormationFailure, Process, ProtocolEvent};
-use newtop_sim::{LatencyModel, NetConfig, Outbox, PartitionMode, PartitionSpec, Sim, SimNode};
+use newtop_sim::{LatencyModel, NetConfig, NetOp, Outbox, PartitionMode, Sim, SimNode};
 use newtop_types::{
     Envelope, GroupConfig, GroupId, Instant, ProcessId, SendError, SignedView, Span, View,
 };
@@ -152,7 +152,7 @@ impl TestNet {
     /// Crashes a process: it stops processing and everything addressed to
     /// it is dropped. Messages it already sent remain in flight.
     pub fn crash(&mut self, p: u32) {
-        self.sim.crash_now(pid(p));
+        self.sim.apply(NetOp::Crash(pid(p)));
     }
 
     /// Drops what is in flight on the link `from → to` (Example 1's severed
@@ -166,14 +166,13 @@ impl TestNet {
     /// Partitions the network into blocks (the unnamed form one more); what
     /// crosses the cut, in flight or sent while it holds, is dropped.
     pub fn partition(&mut self, blocks: &[&[u32]]) {
-        let blocks = blocks.iter().map(|b| b.iter().map(|i| pid(*i)).collect());
-        self.sim
-            .partition_now(PartitionSpec::blocks(blocks.collect()), PartitionMode::Loss);
+        let spec = partition_spec(blocks);
+        self.sim.apply(NetOp::Partition(spec, PartitionMode::Loss));
     }
 
     /// Removes any partition (cut links stay cut).
     pub fn heal(&mut self) {
-        self.sim.heal_now();
+        self.sim.apply(NetOp::Heal);
     }
 
     /// Cuts the directed link `from → to`: what is in flight on it and

@@ -6,7 +6,7 @@
 
 use newtop_harness::checker::{check_all, CheckOptions};
 use newtop_harness::{MessageId, SimCluster};
-use newtop_sim::{LatencyModel, NetConfig, PartitionMode};
+use newtop_sim::{LatencyModel, NetConfig, NetOp, PartitionMode, PartitionSpec};
 use newtop_types::{GroupConfig, GroupId, Instant, OrderMode, ProcessId, Span};
 
 fn run_delay_heal(mode: OrderMode, seed: u64) {
@@ -32,12 +32,11 @@ fn run_delay_heal(mode: OrderMode, seed: u64) {
     }
     // Cut {1,2} | {3,4,5} in delay mode at 10ms, heal at 30ms (< Ω: no
     // member may be excluded; the transport "retransmits" across the cut).
-    cluster.schedule_partition_mode(
-        Instant::from_micros(10_000),
-        &[&[1, 2], &[3, 4, 5]],
-        PartitionMode::Delay,
-    );
-    cluster.schedule_heal(Instant::from_micros(30_000));
+    let block = |ids: &[u32]| ids.iter().map(|i| ProcessId(*i)).collect();
+    let cut = PartitionSpec::blocks(vec![block(&[1, 2]), block(&[3, 4, 5])]);
+    let cut = NetOp::Partition(cut, PartitionMode::Delay);
+    cluster.schedule(Instant::from_micros(10_000), cut);
+    cluster.schedule(Instant::from_micros(30_000), NetOp::Heal);
     cluster.run_for(Span::from_millis(1_000));
 
     // The cut actually parked traffic, and the heal released it: every

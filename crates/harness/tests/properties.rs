@@ -8,7 +8,7 @@
 
 use newtop_harness::chaos::ChaosScenario;
 use newtop_harness::checker::{check_all, CheckOptions};
-use newtop_harness::{MessageId, SimCluster};
+use newtop_harness::{Command, MessageId, SimCluster, SimInput};
 use newtop_sim::{LatencyModel, NetConfig};
 use newtop_types::{GroupConfig, GroupId, Instant, OrderMode, ProcessId, Span};
 use proptest::prelude::*;
@@ -126,7 +126,8 @@ proptest! {
                 MessageId(k),
             );
         }
-        cluster.schedule_depart(Instant::from_micros(depart_ms * 1_000), n, GroupId(1));
+        let depart = SimInput::Command(n, Command::Depart(GroupId(1)));
+        cluster.schedule(Instant::from_micros(depart_ms * 1_000), depart);
         cluster.run_for(Span::from_millis(1_200));
         let h = cluster.history();
         let v = check_all(&h, &CheckOptions::default());

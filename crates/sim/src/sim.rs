@@ -49,7 +49,7 @@ pub trait SimNode {
 }
 
 /// Collects the sends a node produces while handling one event.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Outbox<M> {
     sends: Vec<(ProcessId, M)>,
 }
@@ -96,7 +96,70 @@ impl<M> Outbox<M> {
     }
 }
 
-type CallFn<N> = Box<dyn FnOnce(&mut N, &mut Outbox<<N as SimNode>::Msg>)>;
+/// An input to one node, queued by [`Sim::schedule_input`] and applied to
+/// the node when its instant comes. A type whose values are plain data
+/// (and `Clone`) keeps the whole [`Sim`] cloneable.
+pub trait NodeInput<N: SimNode> {
+    /// Applies the input to `node` at `now`, writing its sends to `out`.
+    fn apply_to(self, now: Instant, node: &mut N, out: &mut Outbox<N::Msg>);
+}
+
+/// The default node input: an arbitrary call into the node. A closure
+/// cannot be cloned, so a `Sim` that queues calls cannot be forked.
+pub type Call<N> = Box<dyn FnOnce(&mut N, &mut Outbox<<N as SimNode>::Msg>)>;
+
+impl<N: SimNode> NodeInput<N> for Call<N> {
+    fn apply_to(self, _now: Instant, node: &mut N, out: &mut Outbox<N::Msg>) {
+        self(node, out);
+    }
+}
+
+/// A change to the network, as data: scheduled with [`Sim::schedule`] or
+/// applied at the current instant with [`Sim::apply`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum NetOp {
+    /// Crash a node: messages that have not yet departed its send pipeline
+    /// are lost, and so is everything later addressed to it.
+    Crash(ProcessId),
+    /// Install a partition: in-flight messages crossing the new cut are
+    /// lost (Loss) or parked until heal (Delay).
+    Partition(PartitionSpec, PartitionMode),
+    /// Reconnect everyone; parked messages are released in link order.
+    /// Links cut by [`Sim::cut_link`] stay cut.
+    Heal,
+    /// Change the link latency model — fault scripts use this for
+    /// congestion phases (a latency spike past ω stresses the time-silence
+    /// machinery without severing any link). Messages already in flight
+    /// keep their sampled arrival times. Under the WAN model this governs
+    /// intra-region propagation (routes carry their own latency).
+    Latency(LatencyModel),
+    /// `WanLink(from, to, spec)`: change the directed inter-region route
+    /// `from → to` (capacity and propagation latency); transfers in flight
+    /// on the trunk are re-shared at the new capacity. A no-op while the
+    /// WAN model is off.
+    WanLink(u32, u32, WanLinkSpec),
+    /// `WanUplink(p, bps)`: change `p`'s uplink capacity (bytes per
+    /// second), re-sharing its in-flight transfers. A no-op while the WAN
+    /// model is off.
+    WanUplink(ProcessId, u64),
+}
+
+impl NetOp {
+    /// Panics on an operation that could only fail mid-run: inverted
+    /// uniform latency bounds or a zero capacity.
+    fn validate(&self) {
+        let (latency, capacity) = match self {
+            NetOp::Latency(latency) => (Some(latency), 1),
+            NetOp::WanLink(_, _, spec) => (Some(&spec.latency), spec.capacity_bps),
+            NetOp::WanUplink(_, bps) => (None, *bps),
+            NetOp::Crash(_) | NetOp::Partition(..) | NetOp::Heal => (None, 1),
+        };
+        assert!(capacity > 0, "WAN capacity must be positive");
+        if let Some(Err(e)) = latency.map(LatencyModel::validate) {
+            panic!("invalid latency model: {e}");
+        }
+    }
+}
 
 /// One schedulable event on the current frontier, as exposed by
 /// [`Sim::pending_events`] for externally controlled scheduling (the model
@@ -127,65 +190,56 @@ pub enum PendingEvent {
 /// Compact per-`Sim` node index (position in the dense node table).
 type NodeIdx = u32;
 
-enum EventKind<N: SimNode> {
+/// A queued event carrying messages of type `M` and node inputs of type
+/// `I`.
+#[derive(Clone)]
+enum EventKind<M, I> {
     Deliver {
         src: NodeIdx,
         dst: NodeIdx,
         departed: Instant,
-        msg: N::Msg,
+        msg: M,
     },
     Wake {
         node: NodeIdx,
         epoch: u64,
     },
-    Crash(ProcessId),
-    SetPartition(PartitionSpec, PartitionMode),
-    SetLatency(LatencyModel),
-    Heal,
-    Call(ProcessId, CallFn<N>),
     /// A WAN transfer's scheduled completion. Stale when the transfer was
     /// re-shared or dropped since (epoch mismatch / freed slot).
     TransferDone {
         id: u32,
         epoch: u64,
     },
-    /// Changes a directed inter-region route (WAN model only).
-    SetWanLink {
-        from: u32,
-        to: u32,
-        spec: WanLinkSpec,
-    },
-    /// Changes a node's uplink capacity (WAN model only).
-    SetWanUplink {
-        p: ProcessId,
-        bps: u64,
-    },
+    Net(NetOp),
+    Input(ProcessId, I),
 }
 
-struct Event<N: SimNode> {
+#[derive(Clone)]
+struct Event<M, I> {
     at: Instant,
     seq: u64,
-    kind: EventKind<N>,
+    kind: EventKind<M, I>,
 }
 
-impl<N: SimNode> PartialEq for Event<N> {
+impl<M, I> PartialEq for Event<M, I> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<N: SimNode> Eq for Event<N> {}
-impl<N: SimNode> PartialOrd for Event<N> {
+impl<M, I> Eq for Event<M, I> {}
+impl<M, I> PartialOrd for Event<M, I> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<N: SimNode> Ord for Event<N> {
+impl<M, I> Ord for Event<M, I> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest event.
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
 }
 
+#[derive(Clone)]
 struct NodeEntry<N> {
     id: ProcessId,
     node: N,
@@ -207,20 +261,25 @@ const BLOCK_RESIDUAL: u32 = u32::MAX;
 type ParkedLinks<M> = BTreeMap<(ProcessId, ProcessId), VecDeque<(Instant, M)>>;
 
 /// Reports the wire size of a message for the `bytes_sent` counter.
-type MsgSizer<M> = Box<dyn Fn(&M) -> usize>;
+type MsgSizer<M> = fn(&M) -> usize;
 
 /// Clones a message for the WAN duplication knob (installed by
 /// [`Sim::set_wan`], which is where the `Clone` bound lives — the engine
 /// itself never requires `M: Clone`).
-type MsgCloner<M> = Box<dyn Fn(&M) -> M>;
+type MsgCloner<M> = fn(&M) -> M;
 
-/// The deterministic discrete-event simulator.
+/// The deterministic discrete-event simulator, generic over the node
+/// behaviour `N` and the [`NodeInput`] type `I` its scheduled node inputs
+/// take (by default a [`Call`]). Every other queued event is data, so a
+/// `Sim` is `Clone` — forkable mid-run — whenever `N`, its messages and
+/// `I` are.
 ///
 /// See the [crate documentation](crate) for an overview and an example.
-pub struct Sim<N: SimNode> {
+#[derive(Clone)]
+pub struct Sim<N: SimNode, I = Call<N>> {
     now: Instant,
     seq: u64,
-    queue: BinaryHeap<Event<N>>,
+    queue: BinaryHeap<Event<N::Msg, I>>,
     /// Dense node table, indexed by [`NodeIdx`] in insertion order.
     nodes: Vec<NodeEntry<N>>,
     /// `(id, idx)` sorted by id — the public-API translation table.
@@ -250,7 +309,7 @@ pub struct Sim<N: SimNode> {
     wan_sched: Sched,
 }
 
-impl<N: SimNode> Sim<N> {
+impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
     /// Creates an empty simulation, validating the network configuration.
     ///
     /// # Errors
@@ -258,7 +317,7 @@ impl<N: SimNode> Sim<N> {
     /// Any [`ConfigError`] from [`NetConfig::validate`] (e.g. inverted
     /// uniform latency bounds) — caught here, once, instead of panicking
     /// per sample mid-run.
-    pub fn try_new(config: NetConfig) -> Result<Sim<N>, ConfigError> {
+    pub fn try_new(config: NetConfig) -> Result<Sim<N, I>, ConfigError> {
         config.validate()?;
         Ok(Sim {
             now: Instant::ZERO,
@@ -289,7 +348,7 @@ impl<N: SimNode> Sim<N> {
     /// Panics on an invalid configuration; [`Sim::try_new`] returns the
     /// error instead.
     #[must_use]
-    pub fn new(config: NetConfig) -> Sim<N> {
+    pub fn new(config: NetConfig) -> Sim<N, I> {
         match Sim::try_new(config) {
             Ok(sim) => sim,
             Err(e) => panic!("invalid network configuration: {e}"),
@@ -298,8 +357,8 @@ impl<N: SimNode> Sim<N> {
 
     /// Installs a function that reports the wire size of a message, enabling
     /// the `bytes_sent` counter.
-    pub fn set_sizer(&mut self, sizer: impl Fn(&N::Msg) -> usize + 'static) {
-        self.sizer = Some(Box::new(sizer));
+    pub fn set_sizer(&mut self, sizer: fn(&N::Msg) -> usize) {
+        self.sizer = Some(sizer);
     }
 
     fn idx_of(&self, id: ProcessId) -> Option<NodeIdx> {
@@ -401,12 +460,6 @@ impl<N: SimNode> Sim<N> {
         self.stats
     }
 
-    /// The current partition.
-    #[must_use]
-    pub fn partition(&self) -> &PartitionSpec {
-        &self.partition
-    }
-
     /// Size of the per-link FIFO clamp state, in entries — a memory proxy
     /// for tests: it must stay exactly `n²` no matter how many partition,
     /// heal or latency episodes a long run goes through.
@@ -415,94 +468,45 @@ impl<N: SimNode> Sim<N> {
         self.last_arrival.len()
     }
 
-    fn push(&mut self, at: Instant, kind: EventKind<N>) {
+    fn push(&mut self, at: Instant, kind: EventKind<N::Msg, I>) {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Event { at, seq, kind });
     }
 
-    /// Schedules a crash of `p` at time `at`. Messages that have not yet
-    /// departed `p`'s send pipeline by then are lost.
+    /// Queues an outside input at `at` — the one path every scheduled
+    /// input takes. An instant already passed means now: the clock never
+    /// runs backwards.
+    fn schedule_event(&mut self, at: Instant, kind: EventKind<N::Msg, I>) {
+        self.push(at.max(self.now), kind);
+    }
+
+    /// Schedules a network change at `at` (see [`NetOp`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics at schedule time on an invalid operation (inverted uniform
+    /// latency bounds, a zero capacity) — never mid-run.
+    pub fn schedule(&mut self, at: Instant, op: NetOp) {
+        op.validate();
+        self.schedule_event(at, EventKind::Net(op));
+    }
+
+    /// Schedules a crash of `p` at `at`: [`NetOp::Crash`].
     pub fn schedule_crash(&mut self, at: Instant, p: ProcessId) {
-        self.push(at, EventKind::Crash(p));
+        self.schedule(at, NetOp::Crash(p));
     }
 
-    /// Schedules a partition to take effect at `at`.
-    pub fn schedule_partition(&mut self, at: Instant, spec: PartitionSpec, mode: PartitionMode) {
-        self.push(at, EventKind::SetPartition(spec, mode));
-    }
-
-    /// Schedules the network to heal (all nodes reconnected) at `at`.
-    pub fn schedule_heal(&mut self, at: Instant) {
-        self.push(at, EventKind::Heal);
-    }
-
-    /// Schedules the link latency model to change at `at` — fault scripts
-    /// use this for congestion phases (a latency spike past ω stresses the
-    /// time-silence machinery without severing any link). Messages already
-    /// in flight keep their sampled arrival times. Under the WAN model this
-    /// governs intra-region propagation (routes carry their own latency).
-    ///
-    /// # Panics
-    ///
-    /// Panics at schedule time on an invalid model (inverted uniform
-    /// bounds) — never mid-run at a sample.
-    pub fn schedule_set_latency(&mut self, at: Instant, latency: LatencyModel) {
-        if let Err(e) = latency.validate() {
-            panic!("invalid latency model scheduled: {e}");
-        }
-        self.push(at, EventKind::SetLatency(latency));
-    }
-
-    /// Schedules a change of the directed inter-region route `from → to`
-    /// (capacity and propagation latency) — the geo chaos family uses this
-    /// for congestion windows and asymmetric degradation. Transfers in
-    /// flight on the trunk are re-shared at the new capacity. A no-op while
-    /// the WAN model is off.
-    ///
-    /// # Panics
-    ///
-    /// Panics at schedule time on an invalid spec (zero capacity or
-    /// inverted latency bounds).
-    pub fn schedule_set_wan_link(&mut self, at: Instant, from: u32, to: u32, spec: WanLinkSpec) {
-        assert!(spec.capacity_bps > 0, "WAN link capacity must be positive");
-        if let Err(e) = spec.latency.validate() {
-            panic!("invalid WAN link latency scheduled: {e}");
-        }
-        self.push(at, EventKind::SetWanLink { from, to, spec });
-    }
-
-    /// Schedules a change of `p`'s uplink capacity (bytes per second),
-    /// re-sharing its in-flight transfers. A no-op while the WAN model is
-    /// off.
-    ///
-    /// # Panics
-    ///
-    /// Panics at schedule time on a zero capacity.
-    pub fn schedule_set_wan_uplink(&mut self, at: Instant, p: ProcessId, bytes_per_sec: u64) {
-        assert!(bytes_per_sec > 0, "uplink capacity must be positive");
-        self.push(
-            at,
-            EventKind::SetWanUplink {
-                p,
-                bps: bytes_per_sec,
-            },
-        );
-    }
-
-    /// Schedules an arbitrary call into node `p` at `at` — the hook through
-    /// which experiment scripts trigger application sends.
-    pub fn schedule_call(
-        &mut self,
-        at: Instant,
-        p: ProcessId,
-        f: impl FnOnce(&mut N, &mut Outbox<N::Msg>) + 'static,
-    ) {
-        self.push(at, EventKind::Call(p, Box::new(f)));
+    /// Schedules an input to node `p` at `at` — the hook through which
+    /// experiment scripts trigger application sends. It is ignored if `p`
+    /// is unknown or crashed by then.
+    pub fn schedule_input(&mut self, at: Instant, p: ProcessId, input: I) {
+        self.schedule_event(at, EventKind::Input(p, input));
     }
 
     /// Runs the simulation up to and including events at `until`, then
-    /// advances the clock to `until`.
+    /// advances the clock to `until` (an `until` already passed leaves the
+    /// clock where it is).
     pub fn run_until(&mut self, until: Instant) {
         loop {
             let Some(top) = self.queue.peek_mut() else {
@@ -516,7 +520,7 @@ impl<N: SimNode> Sim<N> {
             self.now = ev.at;
             self.dispatch(ev);
         }
-        self.now = until;
+        self.now = self.now.max(until);
     }
 
     /// Runs for `span` beyond the current clock.
@@ -548,7 +552,7 @@ impl<N: SimNode> Sim<N> {
         self.refresh_wake(idx);
     }
 
-    fn dispatch(&mut self, ev: Event<N>) {
+    fn dispatch(&mut self, ev: Event<N::Msg, I>) {
         match ev.kind {
             EventKind::Deliver { src, dst, msg, .. } => {
                 if self.nodes[dst as usize].crashed {
@@ -571,40 +575,63 @@ impl<N: SimNode> Sim<N> {
                 let now = self.now;
                 self.run_node(node, |n, out| n.on_tick(now, out));
             }
-            EventKind::Crash(p) => self.crash_node(p),
-            EventKind::SetPartition(spec, mode) => self.partition_now(spec, mode),
-            EventKind::SetLatency(latency) => {
-                self.config.latency = latency;
-            }
-            EventKind::Heal => self.heal_now(),
-            EventKind::Call(p, f) => {
-                self.invoke(p, f);
-            }
             EventKind::TransferDone { id, epoch } => self.wan_transfer_done(id, epoch),
-            EventKind::SetWanLink { from, to, spec } => {
-                if let Some(mut wan) = self.wan.take() {
-                    let mut sched = std::mem::take(&mut self.wan_sched);
-                    wan.set_route(from, to, spec, self.now, &mut sched);
-                    self.wan = Some(wan);
-                    self.push_transfer_events(sched);
-                }
+            EventKind::Net(op) => self.apply(op),
+            EventKind::Input(p, input) => {
+                self.apply_input(p, input);
             }
-            EventKind::SetWanUplink { p, bps } => {
-                let Some(idx) = self.idx_of(p) else { return };
-                if let Some(mut wan) = self.wan.take() {
-                    let mut sched = std::mem::take(&mut self.wan_sched);
-                    wan.set_uplink(idx, bps, self.now, &mut sched);
-                    self.wan = Some(wan);
-                    self.push_transfer_events(sched);
+        }
+    }
+
+    /// Applies an input to node `p` at the current instant (the
+    /// synchronous counterpart of [`Sim::schedule_input`]). Returns `false`
+    /// (dropping the input) for an unknown or crashed node.
+    pub fn apply_input(&mut self, p: ProcessId, input: I) -> bool {
+        let now = self.now;
+        self.invoke(p, |n, out| input.apply_to(now, n, out))
+    }
+
+    /// Applies a network change at the current instant (see [`NetOp`]);
+    /// one naming an unknown node does nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid operation, as [`Sim::schedule`] does.
+    pub fn apply(&mut self, op: NetOp) {
+        op.validate();
+        match op {
+            NetOp::Crash(p) => self.crash_node(p),
+            NetOp::Partition(spec, mode) => self.install_partition(spec, mode),
+            NetOp::Heal => self.heal(),
+            NetOp::Latency(latency) => self.config.latency = latency,
+            NetOp::WanLink(from, to, spec) => {
+                self.with_wan(|wan, now, sched| wan.set_route(from, to, spec, now, sched));
+            }
+            NetOp::WanUplink(p, bps) => {
+                if let Some(idx) = self.idx_of(p) {
+                    self.with_wan(|wan, now, sched| wan.set_uplink(idx, bps, now, sched));
                 }
             }
         }
     }
 
-    /// Installs a partition immediately (the synchronous counterpart of
-    /// [`Sim::schedule_partition`]): in-flight messages crossing the new cut
-    /// are lost (Loss) or parked until heal (Delay).
-    pub fn partition_now(&mut self, spec: PartitionSpec, mode: PartitionMode) {
+    /// Runs `f` on the WAN model, if it is on, and queues the transfer
+    /// completions it schedules.
+    fn with_wan<R>(
+        &mut self,
+        f: impl FnOnce(&mut WanState<N::Msg>, Instant, &mut Sched) -> R,
+    ) -> Option<R> {
+        let mut wan = self.wan.take()?;
+        let mut sched = std::mem::take(&mut self.wan_sched);
+        let r = f(&mut wan, self.now, &mut sched);
+        self.wan = Some(wan);
+        self.push_transfer_events(sched);
+        Some(r)
+    }
+
+    /// Installs a partition: in-flight messages crossing the new cut are
+    /// lost (Loss) or parked until heal (Delay).
+    fn install_partition(&mut self, spec: PartitionSpec, mode: PartitionMode) {
         self.partition = spec;
         self.partition_mode = mode;
         for entry in &mut self.nodes {
@@ -636,7 +663,7 @@ impl<N: SimNode> Sim<N> {
         &mut self,
         severed: impl Fn(NodeIdx, NodeIdx) -> bool,
     ) -> Vec<((ProcessId, ProcessId), Instant, N::Msg)> {
-        let mut kept: Vec<Event<N>> = Vec::with_capacity(self.queue.len());
+        let mut kept: Vec<Event<N::Msg, I>> = Vec::with_capacity(self.queue.len());
         let mut crossing: Vec<(Instant, u64, NodeIdx, NodeIdx, Instant, N::Msg)> = Vec::new();
         for ev in self.queue.drain() {
             match ev.kind {
@@ -653,22 +680,19 @@ impl<N: SimNode> Sim<N> {
         }
         self.queue = kept.into_iter().collect();
         crossing.sort_by_key(|(at, seq, ..)| (*at, *seq));
+        let flows = self.with_wan(|wan, now, sched| wan.take_crossing(now, sched, &severed));
         let ids = |s: NodeIdx, d: NodeIdx| (self.nodes[s as usize].id, self.nodes[d as usize].id);
         let mut taken: Vec<_> = crossing
             .into_iter()
             .map(|(_, _, s, d, departed, msg)| (ids(s, d), departed, msg))
             .collect();
-        let Some(mut wan) = self.wan.take() else {
+        let Some(flows) = flows else {
             return taken;
         };
-        let mut sched = std::mem::take(&mut self.wan_sched);
-        let mut flows: Vec<_> = wan
-            .take_crossing(self.now, &mut sched, &severed)
+        let mut flows: Vec<_> = flows
             .into_iter()
             .map(|(s, d, departed, msg, size)| (ids(s, d), departed, msg, size))
             .collect();
-        self.wan = Some(wan);
-        self.push_transfer_events(sched);
         // Canonical order: per-flow send order, flows by id — the same
         // discipline the queue scan imposes via (at, seq).
         flows.sort_by_key(|t| (t.0, t.1));
@@ -680,10 +704,9 @@ impl<N: SimNode> Sim<N> {
         taken
     }
 
-    /// Heals the network immediately (the synchronous counterpart of
-    /// [`Sim::schedule_heal`]): everyone reconnects and parked messages are
+    /// Heals the network: everyone reconnects and parked messages are
     /// released in link order. Cut links stay cut.
-    pub fn heal_now(&mut self) {
+    fn heal(&mut self) {
         self.partition = PartitionSpec::connected_all();
         for entry in &mut self.nodes {
             entry.block = BLOCK_RESIDUAL;
@@ -822,21 +845,16 @@ impl<N: SimNode> Sim<N> {
             .stats
             .wan_backlog_peak_bytes
             .max(self.stats.wan_backlog_bytes);
-        let mut wan = self.wan.take().expect("WAN model present");
-        let mut sched = std::mem::take(&mut self.wan_sched);
-        wan.start(src, dst, departed, msg, size, self.now, &mut sched);
-        self.wan = Some(wan);
-        self.push_transfer_events(sched);
+        self.with_wan(|wan, now, sched| wan.start(src, dst, departed, msg, size, now, sched))
+            .expect("WAN model present");
     }
 
     /// Resolves a fired `TransferDone` event: advance the transfer to its
     /// trunk stage, or apply latency/reorder/duplication and deliver.
     fn wan_transfer_done(&mut self, id: u32, epoch: u64) {
-        let mut wan = self.wan.take().expect("transfer event without WAN model");
-        let mut sched = std::mem::take(&mut self.wan_sched);
-        let outcome = wan.on_done(id, epoch, self.now, &mut sched);
-        self.wan = Some(wan);
-        self.push_transfer_events(sched);
+        let outcome = self
+            .with_wan(|wan, now, sched| wan.on_done(id, epoch, now, sched))
+            .expect("transfer event without WAN model");
         match outcome {
             DoneOutcome::Stale => {}
             DoneOutcome::Trunked { size_bytes } => self.stats.wan_uplink_bytes += size_bytes,
@@ -954,18 +972,6 @@ impl<N: SimNode> Sim<N> {
         }
     }
 
-    /// Crashes `p` by executing the crash semantics immediately (the
-    /// controllable-scheduler counterpart of [`Sim::schedule_crash`]):
-    /// messages still in `p`'s send pipeline never make it onto the wire.
-    /// Returns `false` for an unknown node.
-    pub fn crash_now(&mut self, p: ProcessId) -> bool {
-        if self.idx_of(p).is_none() {
-            return false;
-        }
-        self.crash_node(p);
-        true
-    }
-
     /// Cuts the directed link `src → dst`: its in-flight and parked
     /// messages are dropped, and so is every send on it until
     /// [`Sim::restore_link`]. The reverse direction is unaffected. Returns
@@ -998,7 +1004,7 @@ impl<N: SimNode> Sim<N> {
         // instant) never make it onto the wire.
         let now = self.now;
         let before = self.queue.len();
-        let kept: Vec<Event<N>> = self
+        let kept: Vec<Event<N::Msg, I>> = self
             .queue
             .drain()
             .filter(|ev| match &ev.kind {
@@ -1008,21 +1014,18 @@ impl<N: SimNode> Sim<N> {
             .collect();
         self.stats.dropped_crash_src += (before - kept.len()) as u64;
         self.queue = kept.into_iter().collect();
-        if let Some(mut wan) = self.wan.take() {
-            // Uplink-stage transfers of the crashed sender were still
-            // transmitting out of the host — they never fully departed,
-            // whatever their nominal departure instant. Trunk-stage
-            // transfers have already left the host and keep flowing.
-            let (count, bytes) = wan.drop_crashed_src(idx, now);
-            self.wan = Some(wan);
+        // Uplink-stage transfers of the crashed sender were still
+        // transmitting out of the host — they never fully departed,
+        // whatever their nominal departure instant. Trunk-stage transfers
+        // have already left the host and keep flowing.
+        if let Some((count, bytes)) = self.with_wan(|wan, now, _| wan.drop_crashed_src(idx, now)) {
             self.stats.dropped_crash_src += count;
             self.stats.wan_inflight = self.stats.wan_inflight.saturating_sub(count);
             self.stats.wan_backlog_bytes = self.stats.wan_backlog_bytes.saturating_sub(bytes);
         }
     }
 
-    /// Calls into node `p` synchronously (the controllable-scheduler
-    /// counterpart of [`Sim::schedule_call`]): sends the callback produces
+    /// Calls into node `p` synchronously: sends the callback produces
     /// are flushed onto the wire at the current virtual time, and the node's
     /// timer is re-read. Returns `false` (without invoking `f`) for an
     /// unknown or crashed node.
@@ -1085,27 +1088,13 @@ impl<N: SimNode> Sim<N> {
     /// unchanged) if no matching event is pending — e.g. a stale choice
     /// replayed against a shrunk schedule.
     pub fn fire(&mut self, ev: PendingEvent) -> bool {
-        let target_seq = match ev {
-            PendingEvent::Deliver { src, dst, .. } => {
-                let (Some(s), Some(d)) = (self.idx_of(src), self.idx_of(dst)) else {
-                    return false;
-                };
-                let mut best: Option<(Instant, u64)> = None;
-                for e in self.queue.iter() {
-                    if let EventKind::Deliver {
-                        src: es, dst: ed, ..
-                    } = &e.kind
-                    {
-                        if *es == s && *ed == d {
-                            let cand = (e.at, e.seq);
-                            if best.is_none_or(|b| cand < b) {
-                                best = Some(cand);
-                            }
-                        }
-                    }
-                }
-                best.map(|(_, seq)| seq)
-            }
+        // A delivery on `src → dst` is keyed `(src, dst, None)`, the live
+        // wake of `node` `(node, node, Some(epoch))`.
+        let key = match ev {
+            PendingEvent::Deliver { src, dst, .. } => match (self.idx_of(src), self.idx_of(dst)) {
+                (Some(s), Some(d)) => (s, d, None),
+                _ => return false,
+            },
             PendingEvent::Wake { node, .. } => {
                 let Some(idx) = self.idx_of(node) else {
                     return false;
@@ -1114,16 +1103,15 @@ impl<N: SimNode> Sim<N> {
                 if entry.crashed || entry.wake_at.is_none() {
                     return false;
                 }
-                let epoch = entry.wake_epoch;
-                self.queue.iter().find_map(|e| match &e.kind {
-                    EventKind::Wake { node: n, epoch: ep } if *n == idx && *ep == epoch => {
-                        Some(e.seq)
-                    }
-                    _ => None,
-                })
+                (idx, idx, Some(entry.wake_epoch))
             }
         };
-        let Some(seq) = target_seq else {
+        let head = self.queue.iter().filter(|e| match e.kind {
+            EventKind::Deliver { src, dst, .. } => key == (src, dst, None),
+            EventKind::Wake { node, epoch } => key == (node, node, Some(epoch)),
+            _ => false,
+        });
+        let Some((_, seq)) = head.map(|e| (e.at, e.seq)).min() else {
             return false;
         };
         let mut events = std::mem::take(&mut self.queue).into_vec();
@@ -1141,10 +1129,23 @@ impl<N: SimNode> Sim<N> {
     }
 }
 
-impl<N> Sim<N>
+impl<N: SimNode> Sim<N> {
+    /// Schedules an arbitrary call into node `p` at `at` (a [`Call`] input,
+    /// see [`Sim::schedule_input`]).
+    pub fn schedule_call(
+        &mut self,
+        at: Instant,
+        p: ProcessId,
+        f: impl FnOnce(&mut N, &mut Outbox<N::Msg>) + 'static,
+    ) {
+        self.schedule_input(at, p, Box::new(f));
+    }
+}
+
+impl<N, I> Sim<N, I>
 where
     N: SimNode,
-    N::Msg: Clone + 'static,
+    N::Msg: Clone,
 {
     /// Enables the topology-aware WAN model (see [`WanConfig`]): every send
     /// issued after this call transmits through fair-shared uplink and
@@ -1161,12 +1162,12 @@ where
         cfg.validate()?;
         let ids: Vec<ProcessId> = self.nodes.iter().map(|e| e.id).collect();
         self.wan = Some(WanState::new(cfg, &ids));
-        self.cloner = Some(Box::new(N::Msg::clone));
+        self.cloner = Some(N::Msg::clone);
         Ok(())
     }
 }
 
-impl<N> Sim<N>
+impl<N, I> Sim<N, I>
 where
     N: SimNode + StateDigest,
     N::Msg: StateDigest,
@@ -1182,9 +1183,9 @@ where
     /// statistics, and the RNG — the digest is therefore sound for dedup
     /// only under a latency model that draws no randomness
     /// ([`LatencyModel::Fixed`]) and a fixed [`NetConfig`], which is what
-    /// the model checker runs. Scheduled script events (crash/partition/
-    /// latency/call) are folded in only as a count; externally controlled
-    /// exploration injects those through [`Sim::crash_now`] and
+    /// the model checker runs. Scheduled inputs ([`NetOp`]s and node
+    /// inputs) are folded in only as a count; externally controlled
+    /// exploration injects those through [`Sim::apply`] and
     /// [`Sim::invoke`] instead of the queue. The WAN model is excluded for
     /// the same reason (its deliveries draw randomness): the model checker
     /// never enables it, so delay semantics under exploration are
@@ -1276,7 +1277,7 @@ fn partition_block(spec: &PartitionSpec, p: ProcessId) -> u32 {
     }
 }
 
-impl<N: SimNode> std::fmt::Debug for Sim<N> {
+impl<N: SimNode, I> std::fmt::Debug for Sim<N, I> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sim")
             .field("now", &self.now)
@@ -1397,16 +1398,15 @@ mod tests {
         let mut sim = two_node_sim(4, LatencyModel::Fixed(Span::from_millis(10)));
         // In-flight message at partition time is lost.
         sim.schedule_call(Instant::ZERO, p(1), |_, out| out.send(p(2), 1));
-        sim.schedule_partition(
+        sim.schedule(
             Instant::from_micros(1_000),
-            PartitionSpec::split([p(1)]),
-            PartitionMode::Loss,
+            NetOp::Partition(PartitionSpec::split([p(1)]), PartitionMode::Loss),
         );
         // Message sent during the partition is lost too.
         sim.schedule_call(Instant::from_micros(2_000), p(1), |_, out| {
             out.send(p(2), 2)
         });
-        sim.schedule_heal(Instant::from_micros(50_000));
+        sim.schedule(Instant::from_micros(50_000), NetOp::Heal);
         // After healing, traffic flows again.
         sim.schedule_call(Instant::from_micros(60_000), p(1), |_, out| {
             out.send(p(2), 3)
@@ -1420,10 +1420,9 @@ mod tests {
     #[test]
     fn delay_partition_parks_and_releases_in_order() {
         let mut sim = two_node_sim(5, LatencyModel::Fixed(Span::from_millis(1)));
-        sim.schedule_partition(
+        sim.schedule(
             Instant::ZERO,
-            PartitionSpec::split([p(1)]),
-            PartitionMode::Delay,
+            NetOp::Partition(PartitionSpec::split([p(1)]), PartitionMode::Delay),
         );
         sim.schedule_call(Instant::from_micros(10), p(1), |_, out| {
             out.send(p(2), 1);
@@ -1432,7 +1431,7 @@ mod tests {
         sim.schedule_call(Instant::from_micros(20), p(1), |_, out| {
             out.send(p(2), 3);
         });
-        sim.schedule_heal(Instant::from_micros(5_000));
+        sim.schedule(Instant::from_micros(5_000), NetOp::Heal);
         sim.run_until(Instant::from_micros(100_000));
         let seen: Vec<u64> = sim.node(p(2)).unwrap().seen.iter().map(|s| s.2).collect();
         assert_eq!(seen, vec![1, 2, 3]);
@@ -1444,9 +1443,9 @@ mod tests {
     fn scheduled_latency_change_applies_to_later_sends() {
         let mut sim = two_node_sim(11, LatencyModel::Fixed(Span::from_micros(100)));
         sim.schedule_call(Instant::ZERO, p(1), |_, out| out.send(p(2), 1));
-        sim.schedule_set_latency(
+        sim.schedule(
             Instant::from_micros(1_000),
-            LatencyModel::Fixed(Span::from_millis(50)),
+            NetOp::Latency(LatencyModel::Fixed(Span::from_millis(50))),
         );
         sim.schedule_call(Instant::from_micros(2_000), p(1), |_, out| {
             out.send(p(2), 2)
@@ -1520,6 +1519,31 @@ mod tests {
     }
 
     #[test]
+    fn the_clock_never_runs_backwards() {
+        let mut sim = two_node_sim(14, LatencyModel::Fixed(Span::from_micros(100)));
+        sim.run_until(Instant::from_micros(1_000));
+        sim.run_until(Instant::from_micros(500));
+        assert_eq!(sim.now(), Instant::from_micros(1_000), "run_until rewound");
+        // An input scheduled in the past fires now, not at its stale instant.
+        sim.schedule_call(Instant::from_micros(200), p(1), |_, out| out.send(p(2), 1));
+        sim.run_until(Instant::from_micros(2_000));
+        // Sent at 1 ms: + the default 5 µs send overhead + 100 µs latency.
+        let seen = &sim.node(p(2)).unwrap().seen;
+        assert_eq!(seen[0].0, Instant::from_micros(1_105));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid latency model")]
+    fn scheduling_an_inverted_latency_model_panics_at_once() {
+        let mut sim = two_node_sim(15, LatencyModel::default());
+        let (lo, hi) = (Span::from_millis(5), Span::from_millis(1));
+        sim.schedule(
+            Instant::ZERO,
+            NetOp::Latency(LatencyModel::Uniform { lo, hi }),
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "duplicate node id")]
     fn duplicate_node_panics() {
         let mut sim: Sim<Recorder> = Sim::new(NetConfig::new(9));
@@ -1567,10 +1591,9 @@ mod tests {
         assert_eq!(n2, 4);
         let mut t = 1_000u64;
         for cycle in 0..200u64 {
-            sim.schedule_partition(
+            sim.schedule(
                 Instant::from_micros(t),
-                PartitionSpec::split([p(1)]),
-                PartitionMode::Delay,
+                NetOp::Partition(PartitionSpec::split([p(1)]), PartitionMode::Delay),
             );
             sim.schedule_call(Instant::from_micros(t + 100), p(1), move |_, out| {
                 out.send(p(2), cycle);
@@ -1578,7 +1601,7 @@ mod tests {
             sim.schedule_call(Instant::from_micros(t + 100), p(2), move |_, out| {
                 out.send(p(1), cycle);
             });
-            sim.schedule_heal(Instant::from_micros(t + 500));
+            sim.schedule(Instant::from_micros(t + 500), NetOp::Heal);
             t += 1_000;
         }
         sim.run_until(Instant::from_micros(t + 100_000));
@@ -1718,17 +1741,18 @@ mod tests {
     }
 
     #[test]
-    fn invoke_and_crash_now_drive_nodes_directly() {
+    fn invoke_and_apply_drive_nodes_directly() {
         let mut sim = controlled_sim();
         assert!(sim.invoke(p(1), |_, out| out.send(p(2), 7)));
         assert_eq!(sim.pending_events().len(), 1);
         // The send departs 10µs after the invoke; crashing p(1) at the
         // current instant severs it while still in the send pipeline.
-        assert!(sim.crash_now(p(1)));
+        sim.apply(NetOp::Crash(p(1)));
         assert!(sim.pending_events().is_empty(), "undeparted send dropped");
         assert_eq!(sim.stats().dropped_crash_src, 1);
         assert!(!sim.invoke(p(1), |_, out| out.send(p(2), 8)), "crashed");
-        assert!(!sim.crash_now(p(9)), "unknown node");
+        sim.apply(NetOp::Crash(p(9)));
+        assert!(!sim.crashed(p(9)), "unknown node");
         // A message that has left its (live) sender is deliverable as usual.
         assert!(sim.invoke(p(2), |_, out| out.send(p(3), 9)));
         assert!(sim.fire(sim.pending_events()[0]));
@@ -1742,7 +1766,7 @@ mod tests {
             out.send(p(2), 1);
             out.send(p(3), 2);
         }));
-        assert!(sim.crash_now(p(2)));
+        sim.apply(NetOp::Crash(p(2)));
         let frontier = sim.pending_events();
         assert_eq!(frontier.len(), 1);
         assert!(matches!(
@@ -1863,14 +1887,17 @@ mod tests {
     }
 
     #[test]
-    fn partition_now_and_heal_now_act_immediately() {
+    fn applied_partition_and_heal_act_immediately() {
         let mut sim = zero_time_sim();
         sim.invoke(p(1), |_, out| out.send(p(3), 1));
-        sim.partition_now(PartitionSpec::split([p(1)]), PartitionMode::Loss);
+        sim.apply(NetOp::Partition(
+            PartitionSpec::split([p(1)]),
+            PartitionMode::Loss,
+        ));
         sim.invoke(p(1), |_, out| out.send(p(3), 2));
         sim.invoke(p(2), |_, out| out.send(p(3), 3));
         while sim.step() {}
-        sim.heal_now();
+        sim.apply(NetOp::Heal);
         sim.invoke(p(1), |_, out| out.send(p(3), 4));
         while sim.step() {}
         // The crossing message in flight (1) and the crossing send (2) are lost.
@@ -1972,12 +1999,11 @@ mod tests {
         sim.set_wan(WanConfig::new().with_default_uplink(1_000))
             .unwrap();
         sim.schedule_call(Instant::ZERO, p(1), |_, out| out.send(p(2), 9));
-        sim.schedule_partition(
+        sim.schedule(
             Instant::from_micros(100_000),
-            PartitionSpec::split([p(1)]),
-            PartitionMode::Delay,
+            NetOp::Partition(PartitionSpec::split([p(1)]), PartitionMode::Delay),
         );
-        sim.schedule_heal(Instant::from_micros(200_000));
+        sim.schedule(Instant::from_micros(200_000), NetOp::Heal);
         sim.run_until(Instant::from_micros(2_000_000));
         let seen = &sim.node(p(2)).unwrap().seen;
         assert_eq!(seen.len(), 1);
@@ -1995,10 +2021,9 @@ mod tests {
         sim.set_wan(WanConfig::new().with_default_uplink(1_000))
             .unwrap();
         sim.schedule_call(Instant::ZERO, p(1), |_, out| out.send(p(2), 9));
-        sim.schedule_partition(
+        sim.schedule(
             Instant::from_micros(100_000),
-            PartitionSpec::split([p(1)]),
-            PartitionMode::Loss,
+            NetOp::Partition(PartitionSpec::split([p(1)]), PartitionMode::Loss),
         );
         sim.run_until(Instant::from_micros(2_000_000));
         assert!(sim.node(p(2)).unwrap().seen.is_empty());
@@ -2056,7 +2081,7 @@ mod tests {
         sim.schedule_call(Instant::ZERO, p(1), |_, out| out.send(p(2), 1));
         // Halfway through the 1 ms transmission, throttle to 1000 B/s:
         // 500 B remain → 500 ms more, + 1 ms propagation.
-        sim.schedule_set_wan_uplink(Instant::from_micros(500), p(1), 1_000);
+        sim.schedule(Instant::from_micros(500), NetOp::WanUplink(p(1), 1_000));
         sim.run_until(Instant::from_micros(2_000_000));
         let seen = &sim.node(p(2)).unwrap().seen;
         assert_eq!(seen.len(), 1);
@@ -2077,12 +2102,8 @@ mod tests {
         )
         .unwrap();
         // Degrade the trunk before the transfer reaches it.
-        sim.schedule_set_wan_link(
-            Instant::from_micros(10),
-            0,
-            1,
-            WanLinkSpec::new(LatencyModel::Fixed(Span::from_millis(10)), 1_000),
-        );
+        let slow = WanLinkSpec::new(LatencyModel::Fixed(Span::from_millis(10)), 1_000);
+        sim.schedule(Instant::from_micros(10), NetOp::WanLink(0, 1, slow));
         sim.schedule_call(Instant::from_micros(100), p(1), |_, out| out.send(p(2), 5));
         sim.run_until(Instant::from_micros(5_000_000));
         let seen = &sim.node(p(2)).unwrap().seen;

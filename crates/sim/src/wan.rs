@@ -288,7 +288,7 @@ enum Stage {
     Trunk(u32, u32),
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Transfer<M> {
     /// Sender, as a dense engine node index.
     src: u32,
@@ -304,7 +304,7 @@ struct Transfer<M> {
 }
 
 /// One fair-shared pipe (an uplink or a trunk).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Pipe {
     capacity_bps: u64,
     /// Accounting horizon: progress has been drained up to here.
@@ -361,6 +361,7 @@ pub(crate) enum DoneOutcome<M> {
 }
 
 /// Runtime state of the WAN model (engine-internal).
+#[derive(Clone)]
 pub(crate) struct WanState<M> {
     cfg: WanConfig,
     route_map: BTreeMap<(u32, u32), WanLinkSpec>,

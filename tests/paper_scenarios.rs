@@ -7,7 +7,9 @@
 //! test-driven timers; these run them under modelled network latency and
 //! validate the full histories with the property checker.)
 
-use newtop::harness::{check_all, CheckOptions, HistoryEvent, MessageId, SimCluster};
+use newtop::harness::{
+    check_all, CheckOptions, Command, HistoryEvent, MessageId, SimCluster, SimInput,
+};
 use newtop::sim::{LatencyModel, NetConfig};
 use newtop::types::{GroupConfig, GroupId, Instant, OrderMode, ProcessId, Span};
 
@@ -35,13 +37,20 @@ fn fig1_server_migration_over_simulated_network() {
     // Service traffic in g1 throughout.
     cluster.schedule_send(Instant::from_micros(5_000), 1, g1, MessageId(1));
     // P3 forms g2 = {1,2,3}; state transfer happens inside it.
-    cluster.schedule_initiate(Instant::from_micros(10_000), 3, g2, &[1, 2, 3], cfg());
+    let initiate = Command::Initiate(g2, [1, 2, 3].map(ProcessId).into(), cfg());
+    cluster.schedule(Instant::from_micros(10_000), SimInput::Command(3, initiate));
     cluster.schedule_send(Instant::from_micros(40_000), 1, g2, MessageId(2));
     cluster.schedule_send(Instant::from_micros(45_000), 1, g2, MessageId(3));
     cluster.schedule_send(Instant::from_micros(50_000), 2, g1, MessageId(4));
     // P2 departs both groups.
-    cluster.schedule_depart(Instant::from_micros(80_000), 2, g1);
-    cluster.schedule_depart(Instant::from_micros(85_000), 2, g2);
+    cluster.schedule(
+        Instant::from_micros(80_000),
+        SimInput::Command(2, Command::Depart(g1)),
+    );
+    cluster.schedule(
+        Instant::from_micros(85_000),
+        SimInput::Command(2, Command::Depart(g2)),
+    );
     // Post-migration service in g2.
     cluster.schedule_send(Instant::from_micros(200_000), 1, g2, MessageId(5));
     cluster.run_for(Span::from_millis(1_000));
@@ -234,7 +243,10 @@ fn departure_under_load() {
             MessageId(k),
         );
     }
-    cluster.schedule_depart(Instant::from_micros(33_000), 4, g);
+    cluster.schedule(
+        Instant::from_micros(33_000),
+        SimInput::Command(4, Command::Depart(g)),
+    );
     cluster.run_for(Span::from_millis(1_200));
     let h = cluster.history();
     let v = check_all(&h, &CheckOptions::default());

@@ -4,7 +4,7 @@
 //! the suspicion timeout is pure delay and nobody gets excluded.
 
 use newtop::harness::{check_all, CheckOptions, MessageId, SimCluster};
-use newtop::sim::{LatencyModel, NetConfig, PartitionMode, PartitionSpec, Sim, SimNode};
+use newtop::sim::{LatencyModel, NetConfig, NetOp, PartitionMode, PartitionSpec, Sim, SimNode};
 use newtop::types::{GroupConfig, GroupId, Instant, OrderMode, ProcessId, Span};
 
 const G: GroupId = GroupId(1);
@@ -25,7 +25,7 @@ fn short_delay_partition_is_invisible_to_membership() {
     // Loss-mode would drop this mid-partition send; with a partition
     // shorter than Ω and no sends while cut, nothing is lost either way.
     cluster.schedule_partition(Instant::from_micros(20_000), &[&[1], &[2, 3]]);
-    cluster.schedule_heal(Instant::from_micros(60_000));
+    cluster.schedule(Instant::from_micros(60_000), NetOp::Heal);
     cluster.schedule_send(Instant::from_micros(80_000), 3, G, MessageId(2));
     cluster.run_for(Span::from_millis(800));
     let h = cluster.history();
@@ -66,10 +66,9 @@ fn delay_partition_preserves_fifo_without_loss() {
     let mut sim: Sim<Collector> = Sim::new(NetConfig::new(9));
     sim.add_node(ProcessId(1), Collector { got: vec![] });
     sim.add_node(ProcessId(2), Collector { got: vec![] });
-    sim.schedule_partition(
+    sim.schedule(
         Instant::from_micros(5),
-        PartitionSpec::split([ProcessId(1)]),
-        PartitionMode::Delay,
+        NetOp::Partition(PartitionSpec::split([ProcessId(1)]), PartitionMode::Delay),
     );
     for k in 0..10u64 {
         sim.schedule_call(
@@ -78,7 +77,7 @@ fn delay_partition_preserves_fifo_without_loss() {
             move |_n: &mut Collector, out| out.send(ProcessId(2), k),
         );
     }
-    sim.schedule_heal(Instant::from_micros(50_000));
+    sim.schedule(Instant::from_micros(50_000), NetOp::Heal);
     sim.run_until(Instant::from_micros(200_000));
     assert_eq!(
         sim.node(ProcessId(2)).unwrap().got,
