@@ -30,7 +30,7 @@
 //! real sockets.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender, TryRecvError};
 use newtop_core::Delivery;
 use newtop_runtime::{Cluster, ClusterConfig, Output, RunningCluster, TcpConfig, WireStats};
 use newtop_types::wire::{peek_varint, put_varint};
@@ -243,10 +243,10 @@ fn put_record(buf: &mut BytesMut, payload: &[u8]) {
     buf.put_slice(payload);
 }
 
-/// The most bytes a control connection queues for its writer thread: a
-/// producer whose records would overfill the queue waits for room
-/// (unless the queue is empty, so an oversized record still goes alone).
-/// A forwarder wake gathers at most about this much output, too.
+/// The most bytes a control connection queues unwritten: a producer
+/// whose records would overfill the queue waits for room (unless the
+/// queue is empty, so an oversized record still goes alone). A forwarder
+/// wake gathers at most about this much output, too.
 const FORWARD_BATCH: usize = 64 * 1024;
 
 /// Reply slots a control connection is still owed, in submission order.
@@ -272,8 +272,7 @@ impl PendingReplies {
 enum LinkState {
     #[default]
     Open,
-    /// Takes no more records; the writer thread sends what is queued,
-    /// then exits.
+    /// Takes no more records; what is queued still goes out.
     Closing,
     /// The socket failed or was shut: nothing more is sent.
     Dead,
@@ -287,41 +286,66 @@ struct Outbox {
     /// Registered in the same critical section that queues the record
     /// asking for them, so slot order is wire order.
     owed: PendingReplies,
+    /// The buffer `buf` was last swapped with, kept for its capacity.
+    spare: BytesMut,
     /// Producers waiting for room in `buf`.
     waiting: usize,
     /// The writer thread waits for records (so `buf` is empty).
     idle: bool,
+    /// A thread is writing a batch swapped out of `buf`, and clears this
+    /// only once `buf` is empty: records appended meanwhile go out in its
+    /// next write. On a combining writer `buf` is never left non-empty
+    /// without it.
+    writing: bool,
     state: LinkState,
 }
 
 /// The write half of one control connection, on either end — every
 /// record the connection sends goes through it. Producers (any thread)
-/// append framed records to one buffer under a lock; one writer thread
+/// append framed records to one buffer under a lock, and [`drain`]
 /// swaps the buffer out and hands it to the kernel with one `write_all`,
 /// so every record queued while the previous write was in the kernel
 /// goes out in the next one. A batch is whatever queued meanwhile: there
 /// is no timer, and the only bound is the [`FORWARD_BATCH`] backpressure
 /// cap.
+///
+/// Who drains depends on the end. A serve's writer combines (flat
+/// combining): the producer that appends while no write is in flight
+/// drains, and one that finds a write in flight only appends. A client's
+/// writer has a writer thread, which producers wake when it is idle: the
+/// client's one producer, the generator, has no point at which to flush,
+/// so combining would write once per multicast.
+///
+/// [`drain`]: CtrlWriter::drain
 struct CtrlWriter {
     stream: TcpStream,
     outbox: Mutex<Outbox>,
     /// Wakes the writer thread when records arrive, producers when room
-    /// frees, and both when the connection closes.
+    /// frees, and all of them (and a closer waiting for a write in
+    /// flight) when the connection closes.
     wake: Condvar,
+    /// Producers drain after they append, instead of waking a writer
+    /// thread.
+    combining: bool,
 }
 
 impl CtrlWriter {
+    /// A combining writer over `stream`: no thread of its own.
     fn new(stream: TcpStream) -> CtrlWriter {
         CtrlWriter {
             stream,
             outbox: Mutex::default(),
             wake: Condvar::new(),
+            combining: true,
         }
     }
 
     /// Takes over `stream` for writing and starts its writer thread.
     fn spawn(stream: TcpStream) -> (Arc<CtrlWriter>, JoinHandle<()>) {
-        let writer = Arc::new(CtrlWriter::new(stream));
+        let writer = Arc::new(CtrlWriter {
+            combining: false,
+            ..CtrlWriter::new(stream)
+        });
         let thread = {
             let writer = Arc::clone(&writer);
             std::thread::Builder::new()
@@ -354,7 +378,8 @@ impl CtrlWriter {
         self.append(records.len(), |out| out.buf.put_slice(records))
     }
 
-    /// Waits until `len` more bytes fit under the cap, then runs `fill`.
+    /// Waits until `len` more bytes fit under the cap, then runs `fill`
+    /// and drains (combining) or wakes an idle writer thread.
     fn append(&self, len: usize, fill: impl FnOnce(&mut Outbox)) -> bool {
         let mut out = self.lock();
         while out.state == LinkState::Open
@@ -362,43 +387,72 @@ impl CtrlWriter {
             && out.buf.len() + len > FORWARD_BATCH
         {
             out.waiting += 1;
-            out = self.wake.wait(out).unwrap_or_else(PoisonError::into_inner);
+            out = self.wait(out);
             out.waiting -= 1;
         }
         if out.state != LinkState::Open {
             return false;
         }
-        if out.idle {
+        fill(&mut out);
+        if self.combining {
+            drop(self.drain(out));
+        } else if out.idle {
             self.wake.notify_all();
         }
-        fill(&mut out);
         true
     }
 
-    /// The writer thread: one `write_all` per burst of queued records.
-    fn run(&self) {
-        let mut batch = BytesMut::new();
-        loop {
-            {
-                let mut out = self.lock();
-                while out.buf.is_empty() && out.state == LinkState::Open {
-                    out.idle = true;
-                    out = self.wake.wait(out).unwrap_or_else(PoisonError::into_inner);
-                    out.idle = false;
-                }
-                if out.state == LinkState::Dead || out.buf.is_empty() {
-                    return;
-                }
-                std::mem::swap(&mut out.buf, &mut batch);
-                if out.waiting > 0 {
-                    self.wake.notify_all();
-                }
+    fn wait<'a>(&self, out: MutexGuard<'a, Outbox>) -> MutexGuard<'a, Outbox> {
+        self.wake.wait(out).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Writes the outbox out, one `write_all` per swapped-out batch,
+    /// until it is empty — unless a write is already in flight: the
+    /// thread making it sends these records too, since it clears
+    /// `writing` only under the lock that finds the outbox empty. Takes
+    /// and returns the lock; the write itself runs outside it.
+    fn drain<'a>(&'a self, mut out: MutexGuard<'a, Outbox>) -> MutexGuard<'a, Outbox> {
+        if out.writing {
+            return out;
+        }
+        out.writing = true;
+        let mut batch = std::mem::take(&mut out.spare);
+        while !out.buf.is_empty() {
+            std::mem::swap(&mut out.buf, &mut batch);
+            if out.waiting > 0 {
+                self.wake.notify_all();
             }
-            if (&self.stream).write_all(&batch).is_err() {
+            drop(out);
+            let sent = (&self.stream).write_all(&batch).is_ok();
+            batch.clear();
+            if !sent {
                 self.kill();
+            }
+            out = self.lock();
+        }
+        out.spare = batch;
+        out.writing = false;
+        if out.state != LinkState::Open {
+            // A closer may be waiting for this write.
+            self.wake.notify_all();
+        }
+        out
+    }
+
+    /// The writer thread: drains each burst of queued records.
+    fn run(&self) {
+        let mut out = self.lock();
+        loop {
+            // A closer may be draining; its write ends with a wake.
+            while out.writing || (out.buf.is_empty() && out.state == LinkState::Open) {
+                out.idle = true;
+                out = self.wait(out);
+                out.idle = false;
+            }
+            if out.state == LinkState::Dead || out.buf.is_empty() {
                 return;
             }
-            batch.clear();
+            out = self.drain(out);
         }
     }
 
@@ -407,15 +461,20 @@ impl CtrlWriter {
         self.lock().state == LinkState::Open
     }
 
-    /// Takes no more records; the writer thread sends what is queued,
-    /// then exits.
+    /// Takes no more records and returns once what is queued has been
+    /// sent (or the connection died), including by a write already in
+    /// flight on another thread.
     fn close(&self) {
         let mut out = self.lock();
         if out.state == LinkState::Open {
             out.state = LinkState::Closing;
         }
-        drop(out);
+        // Producers waiting for room give up; an idle writer thread exits.
         self.wake.notify_all();
+        out = self.drain(out);
+        while out.writing {
+            out = self.wait(out);
+        }
     }
 
     /// Ends the connection now: queued records are dropped, every reply
@@ -574,6 +633,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), String> {
         match listener.accept() {
             Ok(_) if stop.load(Ordering::Relaxed) => break,
             Ok((conn, _)) => {
+                reap_finished(&mut handlers);
                 let running = Arc::clone(&running);
                 let hosted = hosted.clone();
                 let stop = Arc::clone(&stop);
@@ -598,8 +658,29 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), String> {
     Ok(())
 }
 
+/// Joins the handlers that have exited, so a long-lived serve does not
+/// keep a dead thread's stack for every connection it ever accepted.
+fn reap_finished(handlers: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < handlers.len() {
+        if handlers[i].is_finished() {
+            let _ = handlers.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+}
+
 /// Serves one control connection: ops in, verdicts + subscribed
 /// outputs out. A shutdown op flips the server-wide stop flag.
+///
+/// The connection has two threads: this one, which reads ops, and after
+/// a subscribe one forwarder. Both write what they produce themselves
+/// through the connection's combining [`CtrlWriter`]. That cannot
+/// deadlock against a client that is itself blocked writing ops: the
+/// client's reader ([`ctrl_reader_main`]) never writes, so it keeps
+/// reading, every write here completes, and this thread then resumes
+/// reading ops.
 fn ctrl_conn_main(
     running: &Arc<RunningCluster>,
     hosted: &[ProcessId],
@@ -613,12 +694,11 @@ fn ctrl_conn_main(
     let Ok(write_half) = conn.try_clone() else {
         return;
     };
-    let (writer, writer_thread) = CtrlWriter::spawn(write_half);
+    let writer = Arc::new(CtrlWriter::new(write_half));
     let mut reader = conn;
     let mut dec = RecordDecoder::new();
     let mut buf = [0u8; 64 * 1024];
-    let mut forwarders: Vec<JoinHandle<()>> = Vec::new();
-    let mut subscribed = false;
+    let mut forwarder: Option<JoinHandle<()>> = None;
     let mut verdicts = Verdicts::default();
     'conn: loop {
         if stop.load(Ordering::Relaxed) {
@@ -647,8 +727,7 @@ fn ctrl_conn_main(
                             group_cfg,
                             &writer,
                             stop,
-                            &mut forwarders,
-                            &mut subscribed,
+                            &mut forwarder,
                             record,
                         )
                     {
@@ -663,13 +742,12 @@ fn ctrl_conn_main(
             Err(_) => break,
         }
     }
-    // The forwarders poll the writer and the stop flag. Once they are
-    // reaped, the writer sends what is still queued (a shutdown's bye).
+    // Sends what is still queued (a shutdown's bye), after any write the
+    // forwarder has in flight; the forwarder's next append then fails.
     writer.close();
-    for f in forwarders {
+    if let Some(f) = forwarder {
         let _ = f.join();
     }
-    let _ = writer_thread.join();
 }
 
 /// One multicast verdict a control connection still owes its client.
@@ -794,8 +872,7 @@ fn handle_op(
     group_cfg: GroupConfig,
     writer: &Arc<CtrlWriter>,
     stop: &Arc<AtomicBool>,
-    forwarders: &mut Vec<JoinHandle<()>>,
-    subscribed: &mut bool,
+    forwarder: &mut Option<JoinHandle<()>>,
     record: &[u8],
 ) -> bool {
     match record.first().copied() {
@@ -825,19 +902,22 @@ fn handle_op(
             writer.send_record(&rec, |_| {})
         }
         Some(OP_SUBSCRIBE) => {
-            if !*subscribed {
-                *subscribed = true;
-                for &node in hosted {
-                    let rx = running.node(node).expect("hosted node").outputs().clone();
-                    let writer = Arc::clone(writer);
-                    let stop = Arc::clone(stop);
-                    forwarders.push(
-                        std::thread::Builder::new()
-                            .name(format!("newtop-fwd-{}", node.0))
-                            .spawn(move || forward_outputs(node, &rx, &writer, &stop))
-                            .expect("spawn output forwarder"),
-                    );
-                }
+            if forwarder.is_none() {
+                let outputs: Vec<(ProcessId, Receiver<Output>)> = hosted
+                    .iter()
+                    .map(|&node| {
+                        let rx = running.node(node).expect("hosted node").outputs();
+                        (node, rx.clone())
+                    })
+                    .collect();
+                let writer = Arc::clone(writer);
+                let stop = Arc::clone(stop);
+                *forwarder = Some(
+                    std::thread::Builder::new()
+                        .name("newtop-fwd".into())
+                        .spawn(move || forward_outputs(outputs, &writer, &stop))
+                        .expect("spawn output forwarder"),
+                );
             }
             true
         }
@@ -846,7 +926,7 @@ fn handle_op(
             writer.send_record(&rec, |_| {})
         }
         Some(OP_SHUTDOWN) => {
-            // The writer sends the bye before it exits (`ctrl_conn_main`).
+            // Sent by this append's drain, or by the write in flight.
             let _ = writer.send_record(&[REC_BYE], |_| {});
             stop.store(true, Ordering::Relaxed);
             // Wake the blocking accept in `serve`: this connection's own
@@ -860,32 +940,68 @@ fn handle_op(
     }
 }
 
-/// Streams one hosted node's engine outputs to the subscribed client:
-/// each wake drains what is already queued (up to [`FORWARD_BATCH`]
-/// bytes) and hands it to the writer as one append.
-fn forward_outputs(node: ProcessId, rx: &Receiver<Output>, writer: &CtrlWriter, stop: &AtomicBool) {
+/// Streams every hosted node's engine outputs to the subscribed client
+/// from one thread that waits on all their output channels at once.
+/// Each wake drains what is already queued on every channel without
+/// blocking (up to [`FORWARD_BATCH`] bytes, starting one node further on
+/// each time so that none is starved) and hands it to the writer as one
+/// append. Returns once the connection closes, the serve stops, or every
+/// channel has disconnected.
+fn forward_outputs(
+    mut outputs: Vec<(ProcessId, Receiver<Output>)>,
+    writer: &CtrlWriter,
+    stop: &AtomicBool,
+) {
     let mut rec = Vec::new();
     let mut batch = BytesMut::new();
-    while !stop.load(Ordering::Relaxed) && writer.is_open() {
-        let mut next = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(out) => Some(out),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-        };
-        batch.clear();
-        while let Some(out) = next {
-            if encode_output(node, &out, &mut rec) {
-                put_record(&mut batch, &rec);
+    let mut first = 0;
+    while !outputs.is_empty() {
+        let mut sel = Select::new();
+        for (_, rx) in &outputs {
+            sel.recv(rx);
+        }
+        let gone = loop {
+            if stop.load(Ordering::Relaxed) {
+                return;
             }
-            next = if batch.len() < FORWARD_BATCH {
-                rx.try_recv().ok()
-            } else {
-                None
-            };
-        }
-        if !batch.is_empty() && !writer.send_records(&batch) {
-            return;
-        }
+            // The timeout only polls the stop flag and the connection.
+            if sel.ready_timeout(Duration::from_millis(50)).is_err() {
+                if !writer.is_open() {
+                    return;
+                }
+                continue;
+            }
+            batch.clear();
+            let mut gone = None;
+            for k in 0..outputs.len() {
+                let i = (first + k) % outputs.len();
+                let (node, rx) = &outputs[i];
+                while batch.len() < FORWARD_BATCH {
+                    match rx.try_recv() {
+                        Ok(out) => {
+                            if encode_output(*node, &out, &mut rec) {
+                                put_record(&mut batch, &rec);
+                            }
+                        }
+                        Err(TryRecvError::Empty) => break,
+                        Err(TryRecvError::Disconnected) => {
+                            gone = Some(i);
+                            break;
+                        }
+                    }
+                }
+            }
+            first = (first + 1) % outputs.len();
+            if !batch.is_empty() && !writer.send_records(&batch) {
+                return;
+            }
+            if let Some(i) = gone {
+                break i;
+            }
+        };
+        // A disconnected channel is always ready: select without it.
+        drop(sel);
+        outputs.remove(gone);
     }
 }
 
@@ -1146,14 +1262,19 @@ impl RemoteCluster {
         let Some(peer) = self.peer_for(node) else {
             return false;
         };
-        let mut rec = vec![OP_MULTICAST];
-        put_u32(&mut rec, node.0);
-        put_u32(&mut rec, group.0);
-        rec.extend_from_slice(payload);
-        // The slot is queued with its record, in one critical section:
-        // concurrent submitters cannot swap their verdicts.
-        peer.writer
-            .send_record(&rec, |owed| owed.verdicts.push_back(reply.clone()))
+        let len = 9 + payload.len();
+        // The record is framed straight into the outbox, and its slot is
+        // queued with it in one critical section: concurrent submitters
+        // cannot swap their verdicts. A varint length prefix takes at most
+        // 10 bytes.
+        peer.writer.append(len + 10, |out| {
+            put_varint(&mut out.buf, len as u64);
+            out.buf.put_u8(OP_MULTICAST);
+            out.buf.put_slice(&node.0.to_le_bytes());
+            out.buf.put_slice(&group.0.to_le_bytes());
+            out.buf.put_slice(payload);
+            out.owed.verdicts.push_back(reply.clone());
+        })
     }
 
     /// Blocking multicast: submits and waits for the verdict.
@@ -1512,14 +1633,20 @@ mod tests {
             (op(4, g2), refused(g2)),
             (op(1, g2), accepted),
         ];
-        let writer = CtrlWriter::new(loopback_pair().0);
+        let (near, mut far) = loopback_pair();
+        let writer = CtrlWriter::new(near);
         let mut verdicts = Verdicts::default();
         for (record, _) in &burst {
             verdicts.submit(&running, record);
         }
         assert!(verdicts.flush(&writer));
+        // The flush drained itself; the peer reads every verdict.
+        writer.close();
+        drop(writer);
+        let mut wire = Vec::new();
+        far.read_to_end(&mut wire).expect("read verdicts");
         let mut dec = RecordDecoder::new();
-        dec.push(&writer.lock().buf);
+        dec.push(&wire);
         let mut got = Vec::new();
         while let Some(r) = dec.next_record().expect("well-formed") {
             assert_eq!(r[0], REC_VERDICT);
@@ -1530,34 +1657,39 @@ mod tests {
         running.shutdown();
     }
 
-    /// Against a peer that never reads, a producer blocks once the
-    /// kernel's buffers and the outbox are full, the outbox never holds
-    /// more than `FORWARD_BATCH` bytes, and a failed write releases the
-    /// producer with `false`.
-    #[test]
-    fn a_full_outbox_blocks_its_producer() {
+    /// Runs `producers` threads that send 4 KiB records through `writer`
+    /// to `silent_peer`, which never reads, until none has made progress
+    /// for 200 ms while one waits for room; checks meanwhile that the
+    /// outbox never holds more than `FORWARD_BATCH` bytes. Then closes
+    /// the peer and returns what each producer's last send returned.
+    fn send_to_a_silent_peer(
+        writer: &CtrlWriter,
+        silent_peer: TcpStream,
+        producers: usize,
+    ) -> Vec<bool> {
         const RECORD: usize = 4096;
         // Far beyond what loopback socket buffers absorb.
         const TOTAL: usize = 64 << 20;
-        let (near, silent_peer) = loopback_pair();
-        let (writer, writer_thread) = CtrlWriter::spawn(near);
         let queued = AtomicUsize::new(0);
-        let finished = std::thread::scope(|scope| {
-            let producer = scope.spawn(|| {
-                let body = vec![0u8; RECORD];
-                for _ in 0..TOTAL / RECORD {
-                    if !writer.send_record(&body, |_| {}) {
-                        return false;
-                    }
-                    queued.fetch_add(1, Ordering::Relaxed);
-                }
-                true
-            });
-            // Blocked: waiting for room, with no progress for 200 ms.
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..producers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let body = vec![0u8; RECORD];
+                        for _ in 0..TOTAL / RECORD {
+                            if !writer.send_record(&body, |_| {}) {
+                                return false;
+                            }
+                            queued.fetch_add(1, Ordering::Relaxed);
+                        }
+                        true
+                    })
+                })
+                .collect();
             let deadline = Instant::now() + Duration::from_secs(30);
             let (mut last, mut still) = (usize::MAX, 0);
             while still < 20 {
-                assert!(Instant::now() < deadline, "the producer never blocked");
+                assert!(Instant::now() < deadline, "the producers never blocked");
                 std::thread::sleep(Duration::from_millis(10));
                 let out = writer.lock();
                 assert!(
@@ -1573,22 +1705,114 @@ mod tests {
                 };
                 last = now;
             }
+            assert!(queued.load(Ordering::Relaxed) * RECORD < producers * TOTAL);
             drop(silent_peer);
-            producer.join().expect("producer")
-        });
-        assert!(!finished, "the producer is released with `false`");
-        assert!(queued.load(Ordering::Relaxed) * RECORD < TOTAL);
+            threads
+                .into_iter()
+                .map(|t| t.join().expect("producer"))
+                .collect()
+        })
+    }
+
+    /// Against a peer that never reads, a producer blocks once the
+    /// kernel's buffers and the outbox are full, the outbox never holds
+    /// more than `FORWARD_BATCH` bytes, and a failed write releases the
+    /// producer with `false`.
+    #[test]
+    fn a_full_outbox_blocks_its_producer() {
+        let (near, silent_peer) = loopback_pair();
+        let (writer, writer_thread) = CtrlWriter::spawn(near);
+        let finished = send_to_a_silent_peer(&writer, silent_peer, 1);
+        assert_eq!(finished, [false], "the producer is released with `false`");
         assert!(!writer.send_records(&[0]), "a dead writer takes nothing");
         writer_thread.join().expect("writer thread");
     }
 
+    /// The same with two producers and no writer thread: one blocks in
+    /// the write it makes for both, the other waits for room at the cap,
+    /// and both are released with `false` once the peer closes.
+    #[test]
+    fn a_full_combining_outbox_blocks_both_producers() {
+        let (near, silent_peer) = loopback_pair();
+        let writer = CtrlWriter::new(near);
+        let finished = send_to_a_silent_peer(&writer, silent_peer, 2);
+        assert_eq!(finished, [false, false], "both are released with `false`");
+        assert!(!writer.lock().writing, "no write is left in flight");
+        assert!(!writer.send_records(&[0]), "a dead writer takes nothing");
+    }
+
+    /// Handlers that have exited are joined and dropped; running ones
+    /// stay.
+    #[test]
+    fn reaping_joins_only_finished_handlers() {
+        let (release_tx, release_rx) = bounded::<()>(1);
+        let mut handlers = vec![
+            std::thread::spawn(|| {}),
+            std::thread::spawn(move || {
+                let _ = release_rx.recv();
+            }),
+            std::thread::spawn(|| {}),
+        ];
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !(handlers[0].is_finished() && handlers[2].is_finished()) {
+            assert!(Instant::now() < deadline, "the short handlers never exited");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        reap_finished(&mut handlers);
+        assert_eq!(handlers.len(), 1);
+        drop(release_tx);
+        while !handlers[0].is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "the released handler never exited"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        reap_finished(&mut handlers);
+        assert!(handlers.is_empty());
+    }
+
+    /// Threads of this process named `name`; `None` where the platform
+    /// does not list them under `/proc`.
+    fn threads_named(name: &str) -> Option<usize> {
+        let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+        Some(
+            tasks
+                .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+                .filter(|comm| comm.trim_end() == name)
+                .count(),
+        )
+    }
+
+    /// Waits up to 5 s until exactly `n` threads are named `name`,
+    /// failing at once if more are. A new thread names itself once it
+    /// runs, and an exited one leaves the list shortly after its join.
+    fn await_threads_named(name: &str, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while let Some(now) = threads_named(name) {
+            assert!(now <= n.max(1), "{now} threads named {name}");
+            if now == n {
+                return;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{now} threads named {name}, not {n}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     /// Dropping a `RemoteCluster` closes its control connections, so the
-    /// serve's handler for one (subscribed, so with a forwarder running)
-    /// sees EOF and exits while the serve itself keeps running.
+    /// serve's handler for one (subscribed, so with its one forwarder
+    /// running for all three hosted nodes) sees EOF, joins the forwarder
+    /// and exits while the serve itself keeps running.
     #[test]
     fn dropping_the_client_ends_the_serve_handler() {
+        let hosted = [ProcessId(1), ProcessId(2), ProcessId(3)];
         let mut cluster = Cluster::new();
-        cluster.add_process(ProcessId(1));
+        for node in hosted {
+            cluster.add_process(node);
+        }
         let running = Arc::new(cluster.start());
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
         let addr = listener.local_addr().expect("local addr");
@@ -1599,18 +1823,23 @@ mod tests {
             std::thread::spawn(move || {
                 let (conn, _) = listener.accept().expect("accept");
                 let cfg = GroupConfig::new(OrderMode::Symmetric);
-                ctrl_conn_main(&running, &[ProcessId(1)], cfg, conn, &stop);
+                ctrl_conn_main(&running, &hosted, cfg, conn, &stop);
                 let _ = done_tx.send(());
             })
         };
-        let remote = RemoteCluster::connect(&[addr], 1, Duration::from_secs(5)).expect("connect");
+        let remote = RemoteCluster::connect(&[addr], 3, Duration::from_secs(5)).expect("connect");
         // Answered after the subscription before it (replies are FIFO).
         assert!(remote.wire_stats().is_some());
+        // One forwarder for all hosted nodes. No other test in this
+        // binary starts a serve handler.
+        await_threads_named("newtop-fwd", 1);
         drop(remote);
         assert!(
             done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
-            "the control handler must see EOF and exit"
+            "the control handler must see EOF, join its forwarder and exit"
         );
+        // The forwarder was joined.
+        await_threads_named("newtop-fwd", 0);
         handler.join().expect("handler thread");
         assert!(!stop.load(Ordering::Relaxed));
         match Arc::try_unwrap(running) {

@@ -1,7 +1,7 @@
 //! Minimal offline shim of [`crossbeam`](https://crates.io/crates/crossbeam):
 //! the `channel` module surface this workspace uses — cloneable MPMC
 //! channels (`unbounded`/`bounded`) with blocking, timed and non-blocking
-//! receives.
+//! receives, and a `Select` that waits on several receivers at once.
 //!
 //! # Wake rule
 //!
@@ -16,12 +16,20 @@
 //! usually running, not parked. Because the count and the queue change
 //! under the same lock, a receiver either sees the value before it
 //! parks or is counted before the sender looks — no wake-up is lost.
+//!
+//! A thread in [`channel::Select`] follows the same rule: it registers
+//! its thread handle with each channel, under that channel's lock, only
+//! after finding the channel empty, and removes it before the select
+//! returns. A sender unparks the registered threads from that critical
+//! section, so only while a select is pending on the channel; unparking
+//! a thread that is not parked is an atomic store, not a system call.
 
 #![forbid(unsafe_code)]
 
 pub mod channel {
     use std::collections::VecDeque;
     use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+    use std::thread::{Thread, ThreadId};
     use std::time::{Duration, Instant};
 
     struct State<T> {
@@ -30,6 +38,9 @@ pub mod channel {
         receivers: usize,
         /// Receivers blocked in `recv` or `recv_timeout` right now.
         parked: usize,
+        /// Threads in a [`Select`] that found this channel empty and
+        /// have not returned yet.
+        selecting: Vec<Thread>,
     }
 
     struct Chan<T> {
@@ -38,10 +49,20 @@ pub mod channel {
     }
 
     impl<T> Chan<T> {
-        /// The channel's one wake-up: signals at most `ready` of the
-        /// `parked` receivers (both read under the lock by the caller)
-        /// and makes no system call when none is parked.
-        fn wake(&self, parked: usize, ready: usize) {
+        /// The channel's one wake-up, called with the lock under which
+        /// `ready` values were queued (`usize::MAX` when the last sender
+        /// left): unparks every selecting thread and signals at most
+        /// `ready` of the parked receivers, making no system call when
+        /// none is parked.
+        fn wake(&self, st: MutexGuard<'_, State<T>>, ready: usize) {
+            if ready == 0 {
+                return;
+            }
+            for thread in &st.selecting {
+                thread.unpark();
+            }
+            let parked = st.parked;
+            drop(st);
             match parked.min(ready) {
                 0 => {}
                 1 => self.cond.notify_one(),
@@ -148,6 +169,7 @@ pub mod channel {
                 senders: 1,
                 receivers: 1,
                 parked: 0,
+                selecting: Vec::new(),
             }),
             cond: Condvar::new(),
         });
@@ -182,9 +204,7 @@ pub mod channel {
             st.senders -= 1;
             if st.senders == 0 {
                 // Every parked receiver must see the disconnection.
-                let parked = st.parked;
-                drop(st);
-                self.chan.wake(parked, parked);
+                self.chan.wake(st, usize::MAX);
             }
         }
     }
@@ -215,9 +235,7 @@ pub mod channel {
                 return Err(SendError(value));
             }
             st.queue.push_back(value);
-            let parked = st.parked;
-            drop(st);
-            self.chan.wake(parked, 1);
+            self.chan.wake(st, 1);
             Ok(())
         }
 
@@ -238,9 +256,7 @@ pub mod channel {
             let before = st.queue.len();
             st.queue.extend(values);
             let n = st.queue.len() - before;
-            let parked = st.parked;
-            drop(st);
-            self.chan.wake(parked, n);
+            self.chan.wake(st, n);
             Ok(n)
         }
     }
@@ -301,6 +317,12 @@ pub mod channel {
             self.chan.state.lock().unwrap().parked
         }
 
+        /// How many threads are selecting on this channel right now.
+        #[cfg(test)]
+        pub(crate) fn selecting(&self) -> usize {
+            self.chan.state.lock().unwrap().selecting.len()
+        }
+
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut st = self.chan.state.lock().unwrap();
@@ -330,11 +352,121 @@ pub mod channel {
             }
         }
     }
+
+    /// Error returned by [`Select::ready_timeout`] when no operation
+    /// became ready in time.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct ReadyTimeoutError;
+
+    impl std::fmt::Display for ReadyTimeoutError {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.write_str("timed out waiting on ready operation")
+        }
+    }
+
+    impl std::error::Error for ReadyTimeoutError {}
+
+    /// A receiver as [`Select`] sees it, whatever its value type.
+    trait Selectable {
+        /// Whether a receive would not block (a value is queued or the
+        /// channel is disconnected); if it would, registers `thread` to
+        /// be unparked by the next send or disconnection.
+        fn ready_or_register(&self, thread: &Thread) -> bool;
+
+        /// Removes `thread`'s registration and says whether a receive
+        /// would now not block.
+        fn unregister(&self, thread: ThreadId) -> bool;
+    }
+
+    impl<T> Selectable for Receiver<T> {
+        fn ready_or_register(&self, thread: &Thread) -> bool {
+            let mut st = self.chan.state.lock().unwrap();
+            let ready = !st.queue.is_empty() || st.senders == 0;
+            if !ready {
+                st.selecting.push(thread.clone());
+            }
+            ready
+        }
+
+        fn unregister(&self, thread: ThreadId) -> bool {
+            let mut st = self.chan.state.lock().unwrap();
+            if let Some(at) = st.selecting.iter().position(|t| t.id() == thread) {
+                st.selecting.swap_remove(at);
+            }
+            !st.queue.is_empty() || st.senders == 0
+        }
+    }
+
+    /// Waits until one of several receivers is ready: the subset of the
+    /// real crate's `Select` that registers receive operations and waits
+    /// for readiness. It receives nothing itself; the caller receives
+    /// from the ready channel (a `try_recv` may still find it empty when
+    /// another receiver took the value first).
+    #[derive(Default)]
+    pub struct Select<'a> {
+        handles: Vec<&'a dyn Selectable>,
+    }
+
+    impl<'a> Select<'a> {
+        /// A select over no operations yet.
+        #[must_use]
+        pub fn new() -> Select<'a> {
+            Select::default()
+        }
+
+        /// Adds a receive operation on `r` and returns its index.
+        pub fn recv<T>(&mut self, r: &'a Receiver<T>) -> usize {
+            self.handles.push(r);
+            self.handles.len() - 1
+        }
+
+        /// Blocks up to `timeout` until a receive on one of the
+        /// registered receivers would not block, and returns the index of
+        /// the first such operation.
+        ///
+        /// # Errors
+        ///
+        /// [`ReadyTimeoutError`] when none became ready in time.
+        pub fn ready_timeout(&mut self, timeout: Duration) -> Result<usize, ReadyTimeoutError> {
+            let deadline = Instant::now() + timeout;
+            let me = std::thread::current();
+            loop {
+                // Register with each channel in turn until one is ready.
+                let mut ready = None;
+                let mut registered = 0;
+                for (i, handle) in self.handles.iter().enumerate() {
+                    if handle.ready_or_register(&me) {
+                        ready = Some(i);
+                        break;
+                    }
+                    registered += 1;
+                }
+                if ready.is_none() {
+                    if let Some(left) = deadline.checked_duration_since(Instant::now()) {
+                        std::thread::park_timeout(left);
+                    }
+                }
+                for (i, handle) in self.handles[..registered].iter().enumerate() {
+                    if handle.unregister(me.id()) && ready.is_none() {
+                        ready = Some(i);
+                    }
+                }
+                if let Some(i) = ready {
+                    return Ok(i);
+                }
+                if Instant::now() >= deadline {
+                    return Err(ReadyTimeoutError);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::channel::{unbounded, Receiver, RecvError, Sender};
+    use crate::channel::{
+        unbounded, ReadyTimeoutError, Receiver, RecvError, Select, Sender, TryRecvError,
+    };
     use std::thread::JoinHandle;
     use std::time::{Duration, Instant};
 
@@ -473,6 +605,141 @@ mod tests {
             .into_iter()
             .flat_map(|r| join_by(r, deadline, "a receiver stalled"))
             .collect();
+        all.sort_unstable();
+        assert!(
+            all.iter().copied().eq(0..PRODUCERS * SENDS),
+            "lost or duplicated values"
+        );
+    }
+
+    /// A thread selecting on three channels, returning what its
+    /// `ready_timeout` returns.
+    type Selecting = JoinHandle<Result<usize, ReadyTimeoutError>>;
+
+    /// Three channels with one thread already registered on all of them
+    /// in a select that waits up to 30 s.
+    fn selecting_on_three() -> (Vec<Sender<u32>>, Vec<Receiver<u32>>, Selecting) {
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..3).map(|_| unbounded::<u32>()).unzip();
+        let selected = rxs.clone();
+        let selecting = std::thread::spawn(move || {
+            let mut sel = Select::new();
+            for rx in &selected {
+                sel.recv(rx);
+            }
+            sel.ready_timeout(Duration::from_secs(30))
+        });
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while rxs.iter().any(|rx| rx.selecting() != 1) {
+            assert!(Instant::now() < deadline, "the select never registered");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        (txs, rxs, selecting)
+    }
+
+    /// What the pending select returned; fails if it is not woken within
+    /// 5 s. Its registrations are gone by then.
+    fn selected(selecting: Selecting, rxs: &[Receiver<u32>]) -> Result<usize, ReadyTimeoutError> {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let got = join_by(selecting, deadline, "the selecting thread was never woken");
+        assert!(rxs.iter().all(|rx| rx.selecting() == 0));
+        got
+    }
+
+    #[test]
+    fn send_to_any_selected_channel_wakes_the_select() {
+        for k in 0..3 {
+            let (txs, rxs, selecting) = selecting_on_three();
+            txs[k].send(3).unwrap();
+            assert_eq!(selected(selecting, &rxs), Ok(k));
+            assert_eq!(rxs[k].try_recv(), Ok(3));
+        }
+    }
+
+    #[test]
+    fn send_many_to_any_selected_channel_wakes_the_select() {
+        for k in 0..3 {
+            let (txs, rxs, selecting) = selecting_on_three();
+            assert_eq!(txs[k].send_many([4, 5]), Ok(2));
+            assert_eq!(selected(selecting, &rxs), Ok(k));
+        }
+    }
+
+    #[test]
+    fn last_sender_drop_on_any_selected_channel_wakes_the_select() {
+        for k in 0..3 {
+            let (mut txs, rxs, selecting) = selecting_on_three();
+            drop(txs[k].clone());
+            // A sender remains, so the select is still pending.
+            assert_eq!(rxs[k].selecting(), 1);
+            drop(txs.remove(k));
+            assert_eq!(selected(selecting, &rxs), Ok(k));
+            assert_eq!(rxs[k].try_recv(), Err(TryRecvError::Disconnected));
+        }
+    }
+
+    #[test]
+    fn ready_timeout_times_out_when_nothing_arrives() {
+        let (_txs, rxs): (Vec<_>, Vec<_>) = (0..3).map(|_| unbounded::<u32>()).unzip();
+        let mut sel = Select::new();
+        for rx in &rxs {
+            sel.recv(rx);
+        }
+        let start = Instant::now();
+        assert_eq!(
+            sel.ready_timeout(Duration::from_millis(50)),
+            Err(ReadyTimeoutError)
+        );
+        assert!(start.elapsed() >= Duration::from_millis(50));
+        assert!(rxs.iter().all(|rx| rx.selecting() == 0));
+    }
+
+    /// Four producers spread their values over three channels; one
+    /// consumer selects on all three and drains whichever is ready:
+    /// every value arrives exactly once.
+    #[test]
+    fn every_value_reaches_one_selecting_consumer() {
+        const PRODUCERS: u32 = 4;
+        const SENDS: u32 = 20_000;
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..3).map(|_| unbounded::<u32>()).unzip();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let consumer = std::thread::spawn(move || {
+            let mut live = rxs;
+            let mut got = Vec::new();
+            while !live.is_empty() {
+                let mut sel = Select::new();
+                for rx in &live {
+                    sel.recv(rx);
+                }
+                let i = sel.ready_timeout(Duration::from_secs(10)).expect("ready");
+                loop {
+                    match live[i].try_recv() {
+                        Ok(v) => got.push(v),
+                        Err(TryRecvError::Empty) => break,
+                        Err(TryRecvError::Disconnected) => {
+                            drop(sel);
+                            live.remove(i);
+                            break;
+                        }
+                    }
+                }
+            }
+            got
+        });
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let txs = txs.clone();
+                std::thread::spawn(move || {
+                    for k in 0..SENDS {
+                        txs[k as usize % 3].send(p * SENDS + k).unwrap();
+                    }
+                })
+            })
+            .collect();
+        drop(txs);
+        for producer in producers {
+            join_by(producer, deadline, "a producer stalled");
+        }
+        let mut all = join_by(consumer, deadline, "the consumer stalled");
         all.sort_unstable();
         assert!(
             all.iter().copied().eq(0..PRODUCERS * SENDS),
