@@ -448,11 +448,6 @@ spawned TCP cluster instead.",
         value("--inbox-cap", "N", |a, v| num(v).map(|n| a.cfg.inbox_cap = Some(n)),
             "shard-inbox admission bound; excess client multicasts are shed as explicit \
              backpressure"),
-        value("--wan-profile", "KBPS", |a, v| num(v).map(|k| a.cfg.wan_profile_kbps = Some(k)),
-            "sharded host: cap the host's whole egress at KBPS kilobytes per second (a WAN \
-             uplink). Shards past the budget stall, so latency rises like on a saturated \
-             real link; pair with --accrual --expect-stable to assert congestion never \
-             causes a false exclusion"),
         value("--churn", "SEED", |a, v| num(v).map(|s| a.cfg.churn = Some(s)),
             "sharded host: seeded mid-run kills of non-driver nodes (exclusions are then \
              expected, not warnings). With --host tcp this routes to --supervise"),

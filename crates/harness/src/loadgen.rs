@@ -106,10 +106,6 @@ pub struct LoadConfig {
     /// Shard-inbox admission bound for the sharded host (`None` = host
     /// default; `Some(0)` sheds every client multicast).
     pub inbox_cap: Option<usize>,
-    /// WAN uplink profile for the sharded host: cap the host's whole
-    /// egress at this many KB/s, so the closed loop congests a finite
-    /// uplink instead of a memory channel (`None` = unlimited).
-    pub wan_profile_kbps: Option<u64>,
     /// Control-plane addresses of the `serve` processes, cluster order
     /// ([`HostKind::Tcp`] only).
     pub peers: Vec<SocketAddr>,
@@ -135,7 +131,6 @@ impl Default for LoadConfig {
             churn: None,
             target_deliveries: None,
             inbox_cap: None,
-            wan_profile_kbps: None,
             peers: Vec::new(),
             stop_peers: false,
         }
@@ -663,13 +658,6 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, String> {
     if cfg.window == 0 {
         return Err("window must be at least 1".into());
     }
-    if cfg.wan_profile_kbps.is_some() && cfg.host != HostKind::Sharded {
-        return Err(
-            "--wan-profile caps the sharded host's egress; for TCP bandwidth shaping use the \
-             chaos proxy's --rate-kbps"
-                .into(),
-        );
-    }
     if cfg.churn.is_some() && cfg.host != HostKind::Sharded {
         return Err(
             "--churn drives the sharded host; for TCP churn use load --supervise (the \
@@ -685,9 +673,6 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, String> {
             }
             if let Some(cap) = cfg.inbox_cap {
                 knobs = knobs.inbox_cap(cap);
-            }
-            if let Some(kbps) = cfg.wan_profile_kbps {
-                knobs = knobs.uplink_kbps(kbps);
             }
             let mut cluster = Cluster::with_config(knobs);
             for i in 1..=cfg.nodes {
@@ -830,50 +815,6 @@ mod tests {
             report.killed
         );
         assert!(report.delivered > 0, "survivors stopped delivering");
-    }
-
-    /// A WAN uplink profile caps the wire: the run's egress byte rate
-    /// plateaus at (never meaningfully above) the configured capacity,
-    /// and the suspicion layer absorbs the added latency — zero view
-    /// changes in a congested-but-healthy run.
-    #[test]
-    fn wan_profile_caps_egress_at_capacity() {
-        let cfg = LoadConfig {
-            nodes: 4,
-            groups: 1,
-            shards: 2,
-            secs: 1.0,
-            window: 32,
-            wan_profile_kbps: Some(200),
-            big_omega: Span::from_secs(10),
-            ..LoadConfig::default()
-        };
-        let report = run_load(&cfg).expect("capped run completes");
-        let wire = report.wire.expect("sharded host accounts wire");
-        let rate = wire.bytes as f64 / report.elapsed.as_secs_f64();
-        // The gate admits one burst (max(rate/20, 8 KiB)) for free, so a
-        // short run can exceed the cap by that once; bound with slack.
-        assert!(
-            rate < 200_000.0 * 1.10 + 16_384.0,
-            "egress {rate:.0} B/s blew through the 200 KB/s uplink"
-        );
-        assert!(report.delivered > 0, "congestion must not stall delivery");
-        assert_eq!(
-            report.view_changes, 0,
-            "congestion must raise latency, not exclusions"
-        );
-    }
-
-    /// The WAN profile is a sharded-host knob; other hosts reject it.
-    #[test]
-    fn wan_profile_rejects_non_sharded_hosts() {
-        assert!(run_load(&LoadConfig {
-            wan_profile_kbps: Some(100),
-            host: HostKind::Tcp,
-            peers: vec!["127.0.0.1:1".parse().unwrap()],
-            ..LoadConfig::default()
-        })
-        .is_err());
     }
 
     /// Churn is a sharded-host feature; other hosts reject it up front.

@@ -4,14 +4,17 @@
 //! chaos proxy interposed on the data plane.
 
 use crossbeam::channel::unbounded;
-use newtop_harness::proxy::{run_proxy, ProxyConfig};
+use newtop_harness::proxy::{run_proxy, ProxyConfig, ProxyHandle};
 use newtop_harness::remote::{members_of, serve, RemoteCluster, ServeConfig};
+use newtop_harness::{run_load, HostKind, LoadConfig};
 use newtop_runtime::{ClusterConfig, Output};
-use newtop_types::{GroupId, ProcessId, SendError, Span};
+use newtop_types::{GroupId, ProcessId, SendError, Span, SuspicionMode};
 use std::collections::BTreeMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::Ordering;
 use std::sync::Barrier;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 fn free_addrs(n: usize) -> Vec<SocketAddr> {
@@ -198,6 +201,143 @@ fn chaos_proxy_drop_delay_roundtrip_stays_exact() {
         s.join().expect("serve thread").expect("serve exits clean");
     }
     proxy.stop();
+}
+
+/// A two-peer cluster of four nodes in one group (nodes 1 and 2 on serve
+/// 0, nodes 3 and 4 on serve 1) whose data links both run through one
+/// proxy: each serve reaches the other only through it, so the proxy's
+/// interference acts on the link in both directions.
+struct ProxiedPair {
+    ctrl: Vec<SocketAddr>,
+    servers: Vec<JoinHandle<Result<(), String>>>,
+    proxy: ProxyHandle,
+}
+
+impl ProxiedPair {
+    /// Joins both serves, which must exit clean once told to shut down,
+    /// then stops the proxy.
+    fn join(self) {
+        for s in self.servers {
+            s.join().expect("serve thread").expect("serve exits clean");
+        }
+        self.proxy.stop();
+    }
+}
+
+/// Starts a [`ProxiedPair`]; `proxy` and `tune` adjust the proxy's and
+/// each serve's config.
+fn proxied_pair(
+    proxy: impl FnOnce(&mut ProxyConfig),
+    tune: impl Fn(&mut ServeConfig),
+) -> ProxiedPair {
+    let addrs = free_addrs(6);
+    let (data, ctrl, via) = (&addrs[..2], addrs[2..4].to_vec(), &addrs[4..]);
+    let mut proxy_cfg = ProxyConfig::new(vec![(via[0], data[1]), (via[1], data[0])]);
+    proxy(&mut proxy_cfg);
+    let proxy = run_proxy(&proxy_cfg).expect("proxy binds");
+    let views = [vec![data[0], via[0]], vec![via[1], data[1]]];
+    let servers = views
+        .into_iter()
+        .enumerate()
+        .map(|(me, view)| {
+            let mut cfg = ServeConfig::new(4, 1, view, ctrl.clone(), me);
+            tune(&mut cfg);
+            std::thread::spawn(move || serve(&cfg))
+        })
+        .collect();
+    ProxiedPair {
+        ctrl,
+        servers,
+        proxy,
+    }
+}
+
+/// Waits until `node` installs a view of `group` with exactly `size`
+/// members and returns its member ids.
+fn await_view_of_size(
+    remote: &RemoteCluster,
+    node: ProcessId,
+    group: GroupId,
+    size: usize,
+    deadline: Instant,
+) -> Vec<u32> {
+    let rx = remote.outputs(node).expect("known node");
+    loop {
+        let left = deadline
+            .checked_duration_since(Instant::now())
+            .unwrap_or_else(|| panic!("node {} never installed a {size}-member view", node.0));
+        match rx.recv_timeout(left) {
+            Ok(Output::ViewChange { group: g, view, .. })
+                if g == group && view.members().len() == size =>
+            {
+                return view.iter().map(|q| q.0).collect();
+            }
+            Ok(_) => {}
+            Err(e) => panic!("node {}: output stream ended: {e:?}", node.0),
+        }
+    }
+}
+
+/// A proxy partition window longer than Ω cuts both data links of a
+/// two-peer cluster, and each side excludes the other: the nodes of
+/// serve 0 install the view {1, 2}, those of serve 1 the view {3, 4}.
+#[test]
+fn proxy_partition_splits_views_both_ways() {
+    let pair = proxied_pair(
+        |p| {
+            p.partition_at = Some(Duration::from_secs(1));
+            p.partition_for = Duration::from_secs(3);
+        },
+        |s| {
+            s.omega = Span::from_millis(5);
+            s.big_omega = Span::from_millis(500);
+        },
+    );
+    let remote =
+        RemoteCluster::connect(&pair.ctrl, 4, Duration::from_secs(15)).expect("client connects");
+    let g = GroupId(1);
+    let deadline = Instant::now() + Duration::from_secs(15);
+    assert_eq!(
+        await_view_of_size(&remote, ProcessId(1), g, 2, deadline),
+        [1, 2]
+    );
+    assert_eq!(
+        await_view_of_size(&remote, ProcessId(3), g, 2, deadline),
+        [3, 4]
+    );
+    // The window cut working links: records crossed the proxy before it
+    // opened (ω nulls flow from the start).
+    assert!(pair.proxy.forwarded.load(Ordering::Relaxed) > 0);
+    remote.shutdown_peers();
+    pair.join();
+}
+
+/// A congested but healthy link is latency, not a crash: behind a
+/// 200 KB/s proxy cap on both data links, a closed-loop run with the
+/// accrual detector on delivers and installs no new view.
+#[test]
+fn capped_links_deliver_without_view_changes() {
+    let pair = proxied_pair(
+        |p| p.rate_kbps = Some(200),
+        |s| s.suspicion = SuspicionMode::accrual(),
+    );
+    let report = run_load(&LoadConfig {
+        nodes: 4,
+        groups: 1,
+        secs: 1.0,
+        window: 32,
+        host: HostKind::Tcp,
+        peers: pair.ctrl.clone(),
+        stop_peers: true,
+        ..LoadConfig::default()
+    })
+    .expect("capped run completes");
+    assert!(report.delivered > 0, "congestion must not stall delivery");
+    assert_eq!(
+        report.view_changes, 0,
+        "congestion must raise latency, not exclusions"
+    );
+    pair.join();
 }
 
 /// The control plane pipelines multicasts — every op of a read is

@@ -10,17 +10,17 @@
 //! [`newtop_types::wire::Batch`], decoded at the receiving shard —
 //! so the wire codec runs at full speed on the hot path and byte
 //! accounting ([`RunningCluster::wire_stats`]) is exact. Per-shard timers
-//! live in a binary-heap deadline wheel; partition control is a versioned
-//! snapshot that costs one atomic load per batch.
+//! live in a binary-heap deadline wheel.
 //!
 //! The application API is multicast, depart, dynamic group formation, and
 //! a stream of outputs (deliveries, view changes, protocol events). The
 //! same shards also back the multi-process TCP host
 //! ([`Cluster::start_tcp`]).
 //!
-//! A shared partition control lets demos sever connectivity at runtime —
-//! messages crossing a cut are dropped, which models the paper's
-//! partitioned-network scenarios.
+//! The host injects no network faults — those belong to the network
+//! underneath it (the simulator's models, or the chaos proxy on real
+//! sockets). It only kills nodes ([`RunningCluster::kill`]) and sheds
+//! client load at its admission bound.
 //!
 //! # Examples
 //!
@@ -55,7 +55,6 @@
 #![warn(missing_docs)]
 
 mod net;
-mod partition;
 mod shard;
 mod timer;
 mod transport;
@@ -69,7 +68,6 @@ use newtop_core::{Delivery, FormationFailure, GroupError, Process, ProtocolEvent
 use newtop_types::{
     GroupConfig, GroupId, Instant, ProcessConfig, ProcessId, SendError, SignedView, View,
 };
-use partition::PartitionCtl;
 use shard::NodeSeed;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -142,7 +140,6 @@ fn default_shards() -> usize {
 pub struct ClusterConfig {
     shards: Option<usize>,
     inbox_cap: Option<usize>,
-    uplink_kbps: Option<u64>,
 }
 
 /// Default shard-inbox depth at which new client multicasts are shed.
@@ -175,27 +172,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Caps the host's whole egress at `kbps` kilobytes per second — a
-    /// WAN uplink profile. Every committed frame (cross-shard, local
-    /// ring, or TCP peer link) pays its transfer time at this rate, so a
-    /// shard past the budget stalls and downstream latency rises exactly
-    /// as on a saturated real uplink. `0` is treated as 1 KB/s (a gate
-    /// must have capacity). Default: unlimited.
-    #[must_use]
-    pub fn uplink_kbps(mut self, kbps: u64) -> ClusterConfig {
-        self.uplink_kbps = Some(kbps.max(1));
-        self
-    }
-
     /// Resolves the admission bound.
     fn inbox_limit(&self) -> usize {
         self.inbox_cap.unwrap_or(DEFAULT_INBOX_CAP)
-    }
-
-    /// Resolves the egress rate gate from the WAN uplink profile.
-    fn rate_gate(&self) -> Option<transport::RateGate> {
-        self.uplink_kbps
-            .map(|kbps| transport::RateGate::new(kbps * 1000))
     }
 
     /// Resolves the shard count for `procs` hosted nodes.
@@ -239,15 +218,17 @@ impl Cluster {
     }
 
     /// Statically installs a group at every listed member (paper §4
-    /// bootstrap). All members must have been added.
+    /// bootstrap). All members must have been added: this is
+    /// [`Cluster::bootstrap_group_local`] behind a check that every member
+    /// is hosted here.
     ///
     /// The full member set is validated **before** any process is touched:
     /// either every member installs the group, or none does.
     ///
     /// # Errors
     ///
-    /// Propagates the engine's [`GroupError`]; unknown members are reported
-    /// as [`GroupError::NotInMemberList`].
+    /// [`GroupError::NotInMemberList`] if any member was not added (checked
+    /// first); otherwise as [`Cluster::bootstrap_group_local`].
     pub fn bootstrap_group<I: IntoIterator<Item = ProcessId>>(
         &mut self,
         group: GroupId,
@@ -255,37 +236,18 @@ impl Cluster {
         config: GroupConfig,
     ) -> Result<(), GroupError> {
         let set: BTreeSet<ProcessId> = members.into_iter().collect();
-        // Validate everything the per-process install will check, across
-        // the whole set, before mutating anyone: a mid-iteration error
-        // must not leave earlier members bootstrapped (the seed host's
-        // partial-install bug).
-        config.validate().map_err(GroupError::Config)?;
-        if set.is_empty() {
-            return Err(GroupError::EmptyMembership);
+        if !set.iter().all(|m| self.procs.contains_key(m)) {
+            return Err(GroupError::NotInMemberList { group });
         }
-        for m in &set {
-            match self.procs.get(m) {
-                None => return Err(GroupError::NotInMemberList { group }),
-                Some(p) if p.is_member(group) => {
-                    return Err(GroupError::AlreadyExists { group });
-                }
-                Some(_) => {}
-            }
-        }
-        for m in &set {
-            let p = self.procs.get_mut(m).expect("validated above");
-            p.bootstrap_group(Instant::ZERO, group, &set, config)?;
-        }
-        Ok(())
+        self.bootstrap_group_local(group, set, config)
     }
 
     /// Statically installs `group` at the **locally hosted** subset of
-    /// `members` — the multi-process counterpart of
-    /// [`Cluster::bootstrap_group`]. Every peer process of a TCP cluster
-    /// calls this with the *same full member set* (the engine must know
-    /// all members to order against them); each installs only the members
-    /// it hosts, and the rest are installed by their own host process.
-    /// Hosting no member of `group` is a no-op, not an error.
+    /// `members`. Every peer process of a TCP cluster calls this with the
+    /// *same full member set* (the engine must know all members to order
+    /// against them); each installs only the members it hosts, and the
+    /// rest are installed by their own host process. Hosting no member of
+    /// `group` is a no-op, not an error.
     ///
     /// # Errors
     ///
@@ -323,7 +285,6 @@ impl Cluster {
     #[must_use]
     pub fn start(self) -> RunningCluster {
         let epoch = std::time::Instant::now();
-        let partition = Arc::new(PartitionCtl::new());
         let shard_count = self.config.shard_count(self.procs.len());
         let admission = Arc::new(Admission::new(self.config.inbox_limit()));
         let layout = Layout::place(self.procs, shard_count, &admission);
@@ -331,20 +292,17 @@ impl Cluster {
             layout.addrs.clone(),
             layout.inbox_txs.clone(),
             admission,
-            self.config.rate_gate(),
         ));
         let threads = spawn_shards(
             layout.per_shard,
             layout.inbox_rxs,
             epoch,
             &transport,
-            &partition,
             shard_count,
         );
         RunningCluster {
             nodes: layout.nodes,
             threads,
-            partition,
             transport,
             shard_count,
             net: None,
@@ -367,16 +325,10 @@ impl Cluster {
     /// cluster is consumed either way (rebuild to retry).
     pub fn start_tcp(self, tcp: TcpConfig) -> std::io::Result<RunningCluster> {
         let epoch = std::time::Instant::now();
-        let partition = Arc::new(PartitionCtl::new());
         let shard_count = self.config.shard_count(self.procs.len());
         let admission = Arc::new(Admission::new(self.config.inbox_limit()));
         let layout = Layout::place(self.procs, shard_count, &admission);
-        let router = Router::new(
-            layout.addrs.clone(),
-            layout.inbox_txs.clone(),
-            admission,
-            self.config.rate_gate(),
-        );
+        let router = Router::new(layout.addrs.clone(), layout.inbox_txs.clone(), admission);
         let (tcp_transport, net) = net::start(tcp, router, layout.inbox_txs.clone())?;
         let transport: Arc<dyn Transport> = tcp_transport;
         let threads = spawn_shards(
@@ -384,13 +336,11 @@ impl Cluster {
             layout.inbox_rxs,
             epoch,
             &transport,
-            &partition,
             shard_count,
         );
         Ok(RunningCluster {
             nodes: layout.nodes,
             threads,
-            partition,
             transport,
             shard_count,
             net: Some(net),
@@ -460,27 +410,17 @@ fn spawn_shards(
     mut inbox_rxs: Vec<Receiver<ShardMsg>>,
     epoch: std::time::Instant,
     transport: &Arc<dyn Transport>,
-    partition: &Arc<PartitionCtl>,
     shard_count: usize,
 ) -> Vec<JoinHandle<()>> {
     let mut threads = Vec::with_capacity(shard_count);
     for (s, seeds) in per_shard.into_iter().enumerate() {
         let rx = inbox_rxs.remove(0);
         let transport = Arc::clone(transport);
-        let partition = Arc::clone(partition);
         #[allow(clippy::cast_possible_truncation)]
         let thread = std::thread::Builder::new()
             .name(format!("newtop-shard-{s}"))
             .spawn(move || {
-                shard::shard_main(
-                    s as u32,
-                    seeds,
-                    epoch,
-                    &rx,
-                    transport,
-                    partition,
-                    shard_count,
-                );
+                shard::shard_main(s as u32, seeds, epoch, &rx, transport, shard_count);
             })
             .expect("spawn shard thread");
         threads.push(thread);
@@ -655,11 +595,10 @@ impl NodeHandle {
     }
 }
 
-/// A running cluster: handles to every node plus fault-injection controls.
+/// A running cluster: handles to every node.
 pub struct RunningCluster {
     nodes: BTreeMap<ProcessId, NodeHandle>,
     threads: Vec<JoinHandle<()>>,
-    partition: Arc<PartitionCtl>,
     transport: Arc<dyn Transport>,
     shard_count: usize,
     /// Peer-link threads of a TCP host (`None` in-process).
@@ -690,16 +629,6 @@ impl RunningCluster {
     #[must_use]
     pub fn wire_stats(&self) -> WireStats {
         self.transport.stats()
-    }
-
-    /// Splits the network into blocks; traffic across the cut is dropped.
-    pub fn partition(&self, blocks: Vec<BTreeSet<ProcessId>>) {
-        self.partition.set(&blocks);
-    }
-
-    /// Removes any partition.
-    pub fn heal(&self) {
-        self.partition.set(&[]);
     }
 
     /// Kills a node (crash failure): its engine is dropped without
@@ -919,46 +848,6 @@ mod tests {
             .await_delivery(Duration::from_secs(10))
             .expect("delivery in formed group");
         assert_eq!(&d.payload[..], b"formed");
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn partition_splits_views_both_ways() {
-        let mut cluster = Cluster::new();
-        for i in 1..=4 {
-            cluster.add_process(p(i));
-        }
-        let g = GroupId(1);
-        cluster
-            .bootstrap_group(g, [p(1), p(2), p(3), p(4)], fast_cfg())
-            .unwrap();
-        let cluster = cluster.start();
-        cluster.partition(vec![[p(1), p(2)].into(), [p(3), p(4)].into()]);
-        let deadline = Duration::from_secs(30);
-        let v1 = loop {
-            let v = cluster
-                .node(p(1))
-                .unwrap()
-                .await_view_change(g, deadline)
-                .expect("P1 view change");
-            if v.members().len() == 2 {
-                break v;
-            }
-        };
-        let v3 = loop {
-            let v = cluster
-                .node(p(3))
-                .unwrap()
-                .await_view_change(g, deadline)
-                .expect("P3 view change");
-            if v.members().len() == 2 {
-                break v;
-            }
-        };
-        let m1: Vec<u32> = v1.iter().map(|q| q.0).collect();
-        let m3: Vec<u32> = v3.iter().map(|q| q.0).collect();
-        assert_eq!(m1, vec![1, 2]);
-        assert_eq!(m3, vec![3, 4]);
         cluster.shutdown();
     }
 }

@@ -15,8 +15,8 @@
 //! Every peer dials every other peer once (one outbound link per
 //! remote peer, frames out / acks in) and accepts inbound connections
 //! on its listen address (frames in / acks out). A lost connection is
-//! redialed with exponential backoff ([`TcpConfig::dial_backoff`] up to
-//! [`TcpConfig::dial_backoff_max`]); while a peer is unreachable, up to
+//! redialed with exponential backoff (`DIAL_BACKOFF` doubling up to
+//! `DIAL_BACKOFF_MAX`); while a peer is unreachable, up to
 //! [`TcpConfig::dead_cap`] frames buffer on the link and the overflow
 //! is dropped **before sequencing** (counted as
 //! [`WireStats::dropped_dead`]), so a recovered link never faces a
@@ -73,11 +73,6 @@ pub struct TcpConfig {
     /// cluster. Processes hosted locally may be listed or omitted —
     /// local routing always wins.
     pub owners: Vec<(ProcessId, u32)>,
-    /// First reconnect delay after a connection loss (doubles per
-    /// failure). Default 20 ms.
-    pub dial_backoff: Duration,
-    /// Reconnect delay ceiling. Default 1 s.
-    pub dial_backoff_max: Duration,
     /// How many frames may buffer for an unreachable peer before new
     /// ones are dropped ([`WireStats::dropped_dead`]). Default 8192.
     pub dead_cap: u64,
@@ -96,8 +91,6 @@ impl TcpConfig {
             peers,
             me,
             owners,
-            dial_backoff: Duration::from_millis(20),
-            dial_backoff_max: Duration::from_secs(1),
             dead_cap: 8192,
             bind_retry: Duration::ZERO,
         }
@@ -341,8 +334,6 @@ pub(crate) fn start(
             addr,
             me,
             nonce,
-            backoff0: cfg.dial_backoff,
-            backoff_max: cfg.dial_backoff_max,
         };
         let counters = Arc::clone(&counters);
         let stop = Arc::clone(&stop);
@@ -409,8 +400,6 @@ struct WriterCfg {
     addr: SocketAddr,
     me: u32,
     nonce: u64,
-    backoff0: Duration,
-    backoff_max: Duration,
 }
 
 fn would_block(e: &std::io::Error) -> bool {
@@ -506,6 +495,12 @@ fn dial(
 /// The most frames one burst takes off a link's queue.
 const MAX_BURST: usize = 512;
 
+/// First reconnect delay after a connection loss (doubles per failure).
+const DIAL_BACKOFF: Duration = Duration::from_millis(20);
+
+/// Reconnect delay ceiling.
+const DIAL_BACKOFF_MAX: Duration = Duration::from_secs(1);
+
 /// Sequences `first` and the frames already queued behind it (at most
 /// [`MAX_BURST`] in all) into addressed records, retains each record for
 /// retransmission, and hands the whole burst to the kernel with one
@@ -597,7 +592,7 @@ fn writer_main(
     let mut next_seq: u64 = 1;
     let mut peer_nonce: Option<u64> = None;
     let mut conn: Option<TcpStream> = None;
-    let mut backoff = cfg.backoff0;
+    let mut backoff = DIAL_BACKOFF;
     let mut rng = cfg.nonce ^ (u64::from(cfg.peer) << 17) ^ u64::from(cfg.me) | 1;
     let mut connected_before = false;
     let mut ackpend: Vec<u8> = Vec::new();
@@ -610,13 +605,13 @@ fn writer_main(
                         counters.reconnects.fetch_add(1, Ordering::Relaxed);
                     }
                     connected_before = true;
-                    backoff = cfg.backoff0;
+                    backoff = DIAL_BACKOFF;
                     ackpend.clear();
                     conn = Some(stream);
                 }
                 None => {
                     backoff_sleep(jittered(backoff, &mut rng), stop);
-                    backoff = (backoff * 2).min(cfg.backoff_max);
+                    backoff = (backoff * 2).min(DIAL_BACKOFF_MAX);
                     continue;
                 }
             }

@@ -11,11 +11,9 @@
 //! the flush window or a byte/count budget fires — one frame per
 //! destination node, one channel send per destination shard, and no
 //! channel at all for destinations this shard owns (those frames ride a
-//! local ring). Timers live in the shard's [`TimerWheel`]; partition
-//! state is re-read only when its version moves, so the steady-state loop
-//! allocates no timer and takes no lock per frame.
+//! local ring). Timers live in the shard's [`TimerWheel`], so the
+//! steady-state loop allocates no timer and takes no lock per frame.
 
-use crate::partition::{PartitionCtl, Snapshot};
 use crate::timer::TimerWheel;
 use crate::transport::{BatchPolicy, Egress, Frame, FrameCache, ShardMsg, Transport};
 use crate::{Command, Output};
@@ -26,7 +24,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Upper bound on messages handled per inbox drain: keeps timer checks
-/// and partition refreshes regular under sustained load.
+/// regular under sustained load.
 const BATCH: usize = 256;
 
 /// A node as handed to its shard at start.
@@ -37,11 +35,8 @@ pub(crate) struct NodeSeed {
 }
 
 struct Slot {
-    id: ProcessId,
     process: Process,
     outputs: Sender<Output>,
-    /// Cached partition block id, refreshed on version change.
-    block: u32,
 }
 
 pub(crate) struct Shard {
@@ -63,9 +58,6 @@ pub(crate) struct Shard {
     /// to the node's application channel as one `send_many` (one lock,
     /// one wakeup) instead of one `send` per delivery.
     outbuf: Vec<Output>,
-    partition: Arc<PartitionCtl>,
-    partition_version: u64,
-    snapshot: Arc<Snapshot>,
     transport: Arc<dyn Transport>,
     epoch: std::time::Instant,
 }
@@ -83,20 +75,6 @@ impl Shard {
             .map(|i| self.index[i].1)
     }
 
-    /// Re-resolves partition state iff the shared version moved since this
-    /// shard last looked — the per-batch fast path is one atomic load.
-    fn refresh_partition(&mut self) {
-        let v = self.partition.version();
-        if v == self.partition_version {
-            return;
-        }
-        self.partition_version = v;
-        self.snapshot = self.partition.snapshot();
-        for slot in self.slots.iter_mut().flatten() {
-            slot.block = self.snapshot.block_of(slot.id);
-        }
-    }
-
     /// Executes one engine's actions: sends into the egress, outputs to
     /// the node's application channel. Drains `actions` so the buffer can
     /// be reused.
@@ -105,10 +83,6 @@ impl Shard {
         for action in actions.drain(..) {
             match action {
                 Action::Send { to, envelope } => {
-                    let slot = self.slots[slot_idx].as_ref().expect("routing live slot");
-                    if !self.snapshot.connected(slot.block, to) {
-                        continue; // loss across the cut
-                    }
                     let Some(route) = self.transport.route_of(to) else {
                         continue; // unknown destination: drop
                     };
@@ -282,7 +256,6 @@ pub(crate) fn shard_main(
     epoch: std::time::Instant,
     inbox: &Receiver<ShardMsg>,
     transport: Arc<dyn Transport>,
-    partition: Arc<PartitionCtl>,
     shard_count: usize,
 ) {
     let mut index: Vec<(ProcessId, usize)> = nodes
@@ -296,10 +269,8 @@ pub(crate) fn shard_main(
         .into_iter()
         .map(|n| {
             Some(Slot {
-                id: n.id,
                 process: n.process,
                 outputs: n.outputs,
-                block: 0,
             })
         })
         .collect();
@@ -314,13 +285,9 @@ pub(crate) fn shard_main(
         local: VecDeque::new(),
         actions: Vec::new(),
         outbuf: Vec::new(),
-        partition_version: u64::MAX, // force the initial resolve
-        snapshot: Arc::new(Snapshot::default()),
-        partition,
         transport,
         epoch,
     };
-    shard.refresh_partition();
     for slot_idx in 0..shard.slots.len() {
         shard.sync_timer(slot_idx);
     }
@@ -328,7 +295,6 @@ pub(crate) fn shard_main(
     // (reset whenever input arrives or the egress flushes).
     let mut holds = 0u32;
     while shard.alive > 0 {
-        shard.refresh_partition();
         // 1. Fire every due timer (each tick re-arms its own slot).
         let now = shard.now();
         while let Some(slot_idx) = shard.timers.pop_due(now) {

@@ -119,7 +119,7 @@ fn occupancy_bucket(envelopes: u32) -> usize {
 /// Cumulative wire-level counters for a running cluster.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireStats {
-    /// Frames handed to the transport (after partition filtering).
+    /// Frames handed to the transport.
     pub frames: u64,
     /// Envelopes carried inside those frames.
     pub envelopes: u64,
@@ -206,64 +206,6 @@ impl Admission {
     }
 }
 
-/// A wall-clock token bucket pacing the host's whole egress to a
-/// configured uplink capacity ([`crate::ClusterConfig::uplink_kbps`] —
-/// the WAN profile). The gate sits at the frame-counting commit point,
-/// so every path that books a frame (cross-shard channel, same-shard
-/// ring, TCP peer link) pays the transfer time of its bytes. A shard
-/// over its budget *stalls*: egress latency rises exactly as it would on
-/// a saturated real uplink, and the suspicion layer must absorb that as
-/// latency rather than as silence.
-pub(crate) struct RateGate {
-    bytes_per_sec: f64,
-    /// Token burst ceiling: ~50 ms of capacity, floored at 8 KiB so tiny
-    /// rates still admit one whole frame without an initial stall.
-    burst: f64,
-    state: parking_lot::Mutex<GateState>,
-}
-
-struct GateState {
-    tokens: f64,
-    last: std::time::Instant,
-}
-
-impl RateGate {
-    pub(crate) fn new(bytes_per_sec: u64) -> RateGate {
-        #[allow(clippy::cast_precision_loss)]
-        let rate = (bytes_per_sec.max(1)) as f64;
-        RateGate {
-            bytes_per_sec: rate,
-            burst: (rate / 20.0).max(8_192.0),
-            state: parking_lot::Mutex::new(GateState {
-                tokens: (rate / 20.0).max(8_192.0),
-                last: std::time::Instant::now(),
-            }),
-        }
-    }
-
-    /// Charges `len` bytes against the bucket, sleeping off any deficit.
-    /// The sleep happens outside the lock, so concurrent shards serialise
-    /// only on the accounting, not on each other's stalls.
-    pub(crate) fn pace(&self, len: usize) {
-        #[allow(clippy::cast_precision_loss)]
-        let cost = len as f64;
-        let deficit = {
-            let mut st = self.state.lock();
-            let now = std::time::Instant::now();
-            let refill = now.duration_since(st.last).as_secs_f64() * self.bytes_per_sec;
-            st.tokens = (st.tokens + refill).min(self.burst);
-            st.last = now;
-            st.tokens -= cost;
-            -st.tokens
-        };
-        if deficit > 0.0 {
-            std::thread::sleep(std::time::Duration::from_secs_f64(
-                deficit / self.bytes_per_sec,
-            ));
-        }
-    }
-}
-
 /// Routes frames and commands to the shard owning each destination node.
 pub(crate) struct Router {
     /// Sorted `(process, shard)` pairs — node placement is fixed at
@@ -276,7 +218,6 @@ pub(crate) struct Router {
     null_frames: AtomicU64,
     occupancy: [AtomicU64; OCCUPANCY_BUCKETS],
     admission: Arc<Admission>,
-    gate: Option<RateGate>,
 }
 
 impl Router {
@@ -284,7 +225,6 @@ impl Router {
         mut addrs: Vec<(ProcessId, u32)>,
         inboxes: Vec<Sender<ShardMsg>>,
         admission: Arc<Admission>,
-        gate: Option<RateGate>,
     ) -> Router {
         addrs.sort_unstable();
         Router {
@@ -296,7 +236,6 @@ impl Router {
             null_frames: AtomicU64::new(0),
             occupancy: std::array::from_fn(|_| AtomicU64::new(0)),
             admission,
-            gate,
         }
     }
 
@@ -309,13 +248,8 @@ impl Router {
 
     /// Books one frame into the counters. Every frame is counted exactly
     /// once, at the site that commits it to a queue — the channel for
-    /// cross-shard frames, the local ring for same-shard ones — which
-    /// makes this the one point where a WAN-profile [`RateGate`] can pace
-    /// the host's whole egress without missing a path.
+    /// cross-shard frames, the local ring for same-shard ones.
     pub(crate) fn count_frame(&self, frame: &Frame) {
-        if let Some(gate) = &self.gate {
-            gate.pace(frame.bytes.len());
-        }
         self.frames.fetch_add(1, Ordering::Relaxed);
         self.envelopes
             .fetch_add(u64::from(frame.envelopes), Ordering::Relaxed);
@@ -685,7 +619,6 @@ mod tests {
             vec![(ProcessId(1), 0), (ProcessId(2), 1)],
             vec![tx0, tx1],
             Arc::new(Admission::new(1024)),
-            None,
         );
         (Arc::new(router), rx0)
     }
@@ -930,30 +863,5 @@ mod tests {
         );
         assert!(!egress.window_expired(Instant::from_micros(250)));
         assert!(egress.window_expired(Instant::from_micros(300)));
-    }
-
-    /// A gate over its budget stalls the caller for at least the transfer
-    /// time of the excess bytes.
-    #[test]
-    fn rate_gate_paces_to_capacity() {
-        let gate = RateGate::new(100_000); // 100 KB/s, burst 8 KiB
-        let start = std::time::Instant::now();
-        // 28 KiB through an 8 KiB burst: ≥ 20 KiB must be paid for at
-        // 100 KB/s — at least ~200 ms of stall across the calls.
-        for _ in 0..7 {
-            gate.pace(4 * 1024);
-        }
-        assert!(start.elapsed() >= std::time::Duration::from_millis(180));
-    }
-
-    /// A huge rate never sleeps: the burst covers every frame.
-    #[test]
-    fn rate_gate_is_free_below_capacity() {
-        let gate = RateGate::new(1_000_000_000); // 1 GB/s
-        let start = std::time::Instant::now();
-        for _ in 0..100 {
-            gate.pace(1024);
-        }
-        assert!(start.elapsed() < std::time::Duration::from_millis(50));
     }
 }

@@ -33,13 +33,10 @@ fi
 # shellcheck source=scripts/smoke_cluster.sh
 source scripts/smoke_cluster.sh
 
-# Fresh port block per run so parallel CI jobs don't collide.
-BASE=$((20000 + RANDOM % 20000))
-
 # ---------------------------------------------------------------- act 1
 echo "crash_smoke: act 1 — supervised kill -9 / restart / rejoin"
 "$BIN" load --supervise --nodes 6 --groups 2 --procs 3 --cycles 3 \
-    --seed 1 --port-base "$BASE"
+    --seed 1 --port-base "$(port_block)"
 echo "crash_smoke: act 1 OK — 3 kill/restart cycles, rejoins green"
 
 # ---------------------------------------------------------------- act 2
@@ -47,7 +44,7 @@ echo "crash_smoke: act 2 — accrual stability under latency spikes"
 # Delay-only proxy on the links into peer 2: spikes, never loss. Any
 # exclusion during the run is a false one: the only interference is
 # delay, and every process stays up.
-run_cluster crash_smoke "$((BASE + 100))" \
+run_cluster crash_smoke "$(port_block)" \
     "--seed 11 --delay-ms 120 --secs 60" \
     "--omega-ms 10 --big-omega-ms 1500 --accrual" \
     "--secs 8 --window 8 --expect-stable"

@@ -1,6 +1,7 @@
-# Shared by tcp_smoke.sh and crash_smoke.sh (sourced, not run): the
-# three-process TCP cluster behind a chaos proxy that both smoke tests
-# drive. Expects BIN (the newtop-exp binary) to be set.
+# Shared by tcp_smoke.sh, crash_smoke.sh and wan_smoke.sh (sourced, not
+# run): the three-process TCP cluster behind a chaos proxy that the smoke
+# tests drive, and the port blocks they run it on. Expects BIN (the
+# newtop-exp binary) to be set.
 
 # Every background process, killed on exit however the script ends.
 PIDS=()
@@ -10,6 +11,20 @@ cleanup() {
     done
 }
 trap cleanup EXIT
+
+# Ports one block spans: run_cluster takes 7, `load --supervise` takes
+# 2·procs (6 for the three serve processes crash_smoke.sh runs).
+PORT_BLOCK=16
+
+# port_block
+#
+# Prints the first port of a fresh block of PORT_BLOCK loopback ports, so
+# parallel CI jobs rarely collide. Every block lies below 32768, under
+# the kernel's usual ephemeral range (32768–60999), where an outgoing
+# connection may already hold a port the cluster wants to bind.
+port_block() {
+    echo $((10000 + RANDOM % ((32768 - 10000) / PORT_BLOCK) * PORT_BLOCK))
+}
 
 # run_cluster NAME BASE PROXY_ARGS SERVE_ARGS LOAD_ARGS
 #

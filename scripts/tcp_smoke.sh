@@ -36,7 +36,7 @@ source scripts/smoke_cluster.sh
 # mid-run that heals; the closed loop runs through the partition
 # (4.0s..5.5s) and keeps going after the heal; --stop-peers tears the
 # cluster down at the end.
-run_cluster tcp_smoke "$((20000 + RANDOM % 20000))" \
+run_cluster tcp_smoke "$(port_block)" \
     "--seed 7 --drop-pct 2 --delay-ms 1 --partition-at-ms 4000 --partition-for-ms 1500 --secs 60" \
     "--omega-ms 10 --big-omega-ms 30000" \
     "--secs 8 --window 8"

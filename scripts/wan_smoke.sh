@@ -12,12 +12,12 @@
 # --churn (crash-heavy schedules over the same topologies).
 #
 # Act 2 — congestion is latency, never exclusion, on the real host. A
-# closed-loop load run with the host's whole egress capped at a WAN
-# uplink budget (`--wan-profile`, a token bucket at the frame commit
-# point) and the accrual detector enabled must complete with ZERO view
-# changes (`--expect-stable` exits nonzero otherwise): shards stalling
-# on the capped uplink raise latency and suspicion level, and that must
-# never be mistaken for a crash.
+# three-process TCP cluster with the accrual detector enabled runs a
+# closed loop behind the chaos proxy, whose token bucket caps each link
+# into peer 2 at 200 KB/s (`proxy --rate-kbps`). The run must complete
+# with ZERO view changes (`--expect-stable` exits nonzero otherwise):
+# records stalling on the capped links raise latency and suspicion
+# level, and that must never be mistaken for a crash.
 #
 # Usage: scripts/wan_smoke.sh [path-to-newtop-exp]
 set -euo pipefail
@@ -29,6 +29,9 @@ if [[ ! -x "$BIN" ]]; then
     exit 2
 fi
 
+# shellcheck source=scripts/smoke_cluster.sh
+source scripts/smoke_cluster.sh
+
 # ---------------------------------------------------------------- act 1
 echo "wan_smoke: act 1 — WAN/geo chaos family sweep"
 "$BIN" chaos --wan --seeds 0..300 --budget-secs 600
@@ -36,8 +39,10 @@ echo "wan_smoke: act 1 — WAN/geo chaos family sweep"
 echo "wan_smoke: act 1 OK — congested multi-region plans checker-green"
 
 # ---------------------------------------------------------------- act 2
-echo "wan_smoke: act 2 — capped-uplink load run, accrual, zero exclusions"
-"$BIN" load --nodes 4 --groups 1 --shards 2 --secs 3 --window 32 \
-    --wan-profile 200 --accrual --expect-stable
+echo "wan_smoke: act 2 — capped-link TCP load run, accrual, zero exclusions"
+run_cluster wan_smoke "$(port_block)" \
+    "--rate-kbps 200 --secs 60" \
+    "--accrual" \
+    "--secs 3 --window 32 --expect-stable"
 
 echo "wan_smoke: OK — WAN family green, congestion caused zero false exclusions"

@@ -1,41 +1,10 @@
 //! Minimal offline shim of [`parking_lot`](https://crates.io/crates/parking_lot):
-//! `RwLock` and `Mutex` delegating to `std::sync` with parking_lot's
-//! non-poisoning, `Result`-free guard API.
+//! `Mutex` delegating to `std::sync` with parking_lot's non-poisoning,
+//! `Result`-free guard API.
 
 #![forbid(unsafe_code)]
 
-use std::sync::{
-    Mutex as StdMutex, MutexGuard, RwLock as StdRwLock, RwLockReadGuard, RwLockWriteGuard,
-};
-
-/// A reader-writer lock whose guards are returned directly (poisoning is
-/// swallowed, as in the real parking_lot).
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(StdRwLock<T>);
-
-impl<T> RwLock<T> {
-    /// Wraps `value` in a new lock.
-    pub fn new(value: T) -> RwLock<T> {
-        RwLock(StdRwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access, blocking until available.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires exclusive write access, blocking until available.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-}
+use std::sync::{Mutex as StdMutex, MutexGuard};
 
 /// A mutual-exclusion lock whose guard is returned directly.
 #[derive(Debug, Default)]
