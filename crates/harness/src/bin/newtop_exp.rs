@@ -494,13 +494,15 @@ fn supervise_main(args: &LoadArgs) -> ExitCode {
         Ok(r) => {
             println!(
                 "supervise [tcp] {} nodes / {} groups / {} procs: {} cycle(s), victims {:?}, \
-                 {} rejoin(s), {} deliveries, {} view change(s), {} order violation(s) — green",
+                 {} rejoin(s), {} formation retry(s), {} deliveries, {} view change(s), \
+                 {} order violation(s) — green",
                 cfg.nodes,
                 cfg.groups,
                 cfg.procs,
                 r.cycles,
                 r.victims,
                 r.rejoins,
+                r.formation_retries,
                 r.deliveries,
                 r.view_changes,
                 r.order_violations,

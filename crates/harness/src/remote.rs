@@ -31,7 +31,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender, TryRecvError};
-use newtop_core::Delivery;
+use newtop_core::{Delivery, FormationFailure};
 use newtop_runtime::{Cluster, ClusterConfig, Output, RunningCluster, TcpConfig, WireStats};
 use newtop_types::wire::{peek_varint, put_varint};
 use newtop_types::{
@@ -187,6 +187,7 @@ const REC_VIEW: u8 = 0x83;
 const REC_STATS: u8 = 0x84;
 const REC_BYE: u8 = 0x85;
 const REC_ACTIVE: u8 = 0x86;
+const REC_FAILED: u8 = 0x87;
 
 /// Control records may carry an application payload but never a frame
 /// batch; 16 MiB is far above any legitimate record.
@@ -1022,9 +1023,19 @@ fn encode_output(node: ProcessId, out: &Output, rec: &mut Vec<u8>) -> bool {
         }
         Output::ViewChange { group, view, .. } => (REC_VIEW, group, view),
         Output::GroupActive { group, view } => (REC_ACTIVE, group, view),
-        // Failed formations and trace events stay local; the control
-        // plane forwards what the generator and supervisor consume.
-        _ => return false,
+        Output::FormationFailed { group, reason } => {
+            rec.push(REC_FAILED);
+            put_u32(rec, node.0);
+            put_u32(rec, group.0);
+            // The vetoing process; nothing for a timed-out collection.
+            if let FormationFailure::Vetoed { by } = reason {
+                put_u32(rec, by.0);
+            }
+            return true;
+        }
+        // Trace events stay local; the control plane forwards what the
+        // generator and supervisor consume.
+        Output::Event(_) => return false,
     };
     rec.push(tag);
     put_u32(rec, node.0);
@@ -1455,6 +1466,19 @@ fn dispatch_record(record: &[u8], writer: &CtrlWriter, txs: &[Sender<Output>]) -
                 view: View::initial(members),
             });
         }
+        REC_FAILED => {
+            let mut c = Cursor::new(&record[1..]);
+            let node = c.u32().ok()?;
+            let group = GroupId(c.u32().ok()?);
+            let reason = match c.rest() {
+                [] => FormationFailure::TimedOut,
+                by => FormationFailure::Vetoed {
+                    by: ProcessId(u32::from_le_bytes(by.try_into().ok()?)),
+                },
+            };
+            let tx = txs.get(node.checked_sub(1)? as usize)?;
+            let _ = tx.send(Output::FormationFailed { group, reason });
+        }
         REC_STATS => {
             let (stats, shards) = decode_stats(&record[1..]).ok()?;
             let slot = writer.take_owed(|owed| owed.stats.pop_front())?;
@@ -1541,6 +1565,35 @@ mod tests {
         let (back, shards) = decode_stats(&rec[1..]).expect("decodes");
         assert_eq!(back, stats);
         assert_eq!(shards, 6);
+    }
+
+    /// A failed formation survives the control plane with its node,
+    /// group and reason, for both reasons.
+    #[test]
+    fn formation_failures_roundtrip() {
+        let (tx, rx) = unbounded();
+        let txs = vec![unbounded().0, tx];
+        let writer = CtrlWriter::new(loopback_pair().0);
+        for reason in [
+            FormationFailure::TimedOut,
+            FormationFailure::Vetoed { by: ProcessId(3) },
+        ] {
+            let out = Output::FormationFailed {
+                group: GroupId(7),
+                reason,
+            };
+            let mut rec = Vec::new();
+            assert!(encode_output(ProcessId(2), &out, &mut rec));
+            assert_eq!(rec[0], REC_FAILED);
+            assert!(dispatch_record(&rec, &writer, &txs).is_some());
+            match rx.try_recv().expect("dispatched to node 2") {
+                Output::FormationFailed { group, reason: got } => {
+                    assert_eq!(group, GroupId(7));
+                    assert_eq!(got, reason);
+                }
+                other => panic!("unexpected output {other:?}"),
+            }
+        }
     }
 
     /// The record decoder reassembles records across arbitrary splits.
@@ -1855,7 +1908,7 @@ mod tests {
     fn random_control_streams_never_panic() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        const TAGS: [u8; 11] = [
+        const TAGS: [u8; 12] = [
             OP_MULTICAST,
             OP_SUBSCRIBE,
             OP_STATS,
@@ -1867,6 +1920,7 @@ mod tests {
             REC_STATS,
             REC_BYE,
             REC_ACTIVE,
+            REC_FAILED,
         ];
         let (tx, _rx) = unbounded();
         let txs = vec![tx.clone(), tx];

@@ -23,6 +23,7 @@
 use crate::remote::{members_of, peer_of, RemoteCluster};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
+use newtop_core::FormationFailure;
 use newtop_runtime::Output;
 use newtop_types::{GroupId, OrderMode, ProcessId, SendError, Span};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -102,6 +103,9 @@ pub struct SupervisorReport {
     /// Rejoins observed (a restarted node reporting its lineage's new
     /// group active). One per cycle on success.
     pub rejoins: u32,
+    /// Formation attempts that failed and were retried under a fresh
+    /// group id.
+    pub formation_retries: u32,
     /// Peer index killed in each cycle.
     pub victims: Vec<usize>,
     /// Member deliveries recorded across all phases.
@@ -129,12 +133,15 @@ impl Drop for Fleet {
 }
 
 /// Everything drained from the cluster's output streams: per-(group,
-/// node) delivery tags, latest views, activation marks.
+/// node) delivery tags, latest views, activation marks and failed
+/// formations.
+#[derive(Default)]
 struct Tracking {
     rxs: Vec<Receiver<Output>>,
     history: BTreeMap<(u32, u32), Vec<u64>>,
     views: HashMap<(u32, u32), BTreeSet<ProcessId>>,
     active: BTreeSet<(u32, u32)>,
+    failed: HashMap<(u32, u32), FormationFailure>,
     deliveries: u64,
     view_changes: u64,
 }
@@ -161,7 +168,10 @@ impl Tracking {
                 self.views.insert((group.0, node), view.members().clone());
                 self.active.insert((group.0, node));
             }
-            _ => {}
+            Output::FormationFailed { group, reason } => {
+                self.failed.insert((group.0, node), reason);
+            }
+            Output::Event(_) => {}
         }
     }
 
@@ -410,11 +420,7 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
                     .ok_or_else(|| format!("no output stream for node {i}"))
             })
             .collect::<Result<_, _>>()?,
-        history: BTreeMap::new(),
-        views: HashMap::new(),
-        active: BTreeSet::new(),
-        deliveries: 0,
-        view_changes: 0,
+        ..Tracking::default()
     };
     // Lineage g starts life as the bootstrapped GroupId(g+1); each
     // rejoin advances it to a fresh id.
@@ -424,6 +430,7 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
     let mut rng = cfg.seed | 1;
     let mut victims = Vec::new();
     let mut rejoins = 0u32;
+    let mut formation_retries = 0u32;
 
     traffic_phase(cfg, &cluster, &mut tracking, &current_gid, &mut next_tag)
         .map_err(|e| format!("warmup: {e}"))?;
@@ -478,26 +485,6 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
         for g in 0..cfg.groups {
             let anchor = anchor_of(cfg, g)?;
             let members = members_of(g, cfg.nodes, cfg.groups);
-            let gid = GroupId(next_gid);
-            next_gid += 1;
-            // The restarted peer's data links may still be dialing;
-            // give the formation a few attempts.
-            let deadline = Instant::now() + Duration::from_secs(20);
-            loop {
-                match cluster.form_group(anchor, gid, &members) {
-                    Ok(()) => break,
-                    Err(e) if Instant::now() < deadline => {
-                        tracking.sweep();
-                        std::thread::sleep(Duration::from_millis(200));
-                        let _ = e;
-                    }
-                    Err(e) => {
-                        return Err(format!(
-                            "cycle {cycle}: form group {gid:?} at {anchor}: {e}"
-                        ))
-                    }
-                }
-            }
             // Rejoin is proven when a *restarted* member reports the
             // new group active (the anchor's activation alone would
             // not show the victim came back).
@@ -510,14 +497,42 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
                 .chain(std::iter::once(&anchor))
                 .map(|p| p.0)
                 .collect();
-            let activated = tracking.wait_until(Duration::from_secs(30), |t| {
-                wanted.iter().all(|n| t.active.contains(&(gid.0, *n)))
-            });
-            if !activated {
-                return Err(format!(
-                    "cycle {cycle}: group {gid:?} never activated at nodes {wanted:?}"
-                ));
-            }
+            // The restarted peer's data links may still be dialing, so
+            // an attempt can fail: at once, or later when the anchor
+            // (the initiator) reports the formation failed. Give the
+            // formation a few attempts, each under a fresh group id.
+            let deadline = Instant::now() + Duration::from_secs(20);
+            let gid = loop {
+                let gid = GroupId(next_gid);
+                next_gid += 1;
+                let failure = match cluster.form_group(anchor, gid, &members) {
+                    Err(e) => e.to_string(),
+                    Ok(()) => {
+                        let settled = tracking.wait_until(Duration::from_secs(30), |t| {
+                            t.failed.contains_key(&(gid.0, anchor.0))
+                                || wanted.iter().all(|n| t.active.contains(&(gid.0, *n)))
+                        });
+                        match tracking.failed.get(&(gid.0, anchor.0)) {
+                            Some(reason) => reason.to_string(),
+                            None if settled => break gid,
+                            None => {
+                                return Err(format!(
+                                    "cycle {cycle}: group {gid:?} never activated at nodes \
+                                     {wanted:?}"
+                                ))
+                            }
+                        }
+                    }
+                };
+                if Instant::now() >= deadline {
+                    return Err(format!(
+                        "cycle {cycle}: form group {gid:?} at {anchor}: {failure}"
+                    ));
+                }
+                formation_retries += 1;
+                tracking.sweep();
+                std::thread::sleep(Duration::from_millis(200));
+            };
             if rejoined.is_some() {
                 rejoins += 1;
             }
@@ -554,6 +569,7 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
     let report = SupervisorReport {
         cycles: cfg.cycles,
         rejoins,
+        formation_retries,
         victims,
         deliveries: tracking.deliveries,
         view_changes: tracking.view_changes,

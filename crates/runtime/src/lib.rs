@@ -14,8 +14,9 @@
 //!
 //! The application API is multicast, depart, dynamic group formation, and
 //! a stream of outputs (deliveries, view changes, protocol events). The
-//! same shards also back the multi-process TCP host
-//! ([`Cluster::start_tcp`]).
+//! same shards and the same router also back the multi-process TCP host
+//! ([`Cluster::start_tcp`]): there the router additionally knows which
+//! peer process hosts each remote node and owns one link per peer.
 //!
 //! The host injects no network faults — those belong to the network
 //! underneath it (the simulator's models, or the chaos proxy on real
@@ -60,7 +61,7 @@ mod timer;
 mod transport;
 
 pub use net::TcpConfig;
-pub use transport::{Frame, Route, Transport, WireStats, OCCUPANCY_BUCKETS, OCCUPANCY_LABELS};
+pub use transport::{WireStats, OCCUPANCY_BUCKETS, OCCUPANCY_LABELS};
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -284,73 +285,67 @@ impl Cluster {
     /// Spawns the worker shards and returns the running cluster.
     #[must_use]
     pub fn start(self) -> RunningCluster {
-        let epoch = std::time::Instant::now();
-        let shard_count = self.config.shard_count(self.procs.len());
-        let admission = Arc::new(Admission::new(self.config.inbox_limit()));
-        let layout = Layout::place(self.procs, shard_count, &admission);
-        let transport: Arc<dyn Transport> = Arc::new(Router::new(
-            layout.addrs.clone(),
-            layout.inbox_txs.clone(),
-            admission,
-        ));
-        let threads = spawn_shards(
-            layout.per_shard,
-            layout.inbox_rxs,
-            epoch,
-            &transport,
-            shard_count,
-        );
-        RunningCluster {
-            nodes: layout.nodes,
-            threads,
-            transport,
-            shard_count,
-            net: None,
-        }
+        self.launch(None)
+            .expect("an in-process host binds no socket")
     }
 
     /// Spawns the worker shards **plus the TCP peer links** of `tcp` and
     /// returns the running cluster. The builder's processes are this
-    /// peer's locally hosted nodes; frames for processes owned by other
-    /// peers (per [`TcpConfig::owners`]) travel over per-peer TCP
-    /// connections speaking the exact frame bytes of the in-process path
-    /// inside addressed records (`newtop_types::peer`). Links reconnect
-    /// with exponential backoff and resume retransmission from the
-    /// receiver's cumulative ack, so the engine's reliable-FIFO transport
-    /// assumption holds across connection loss.
+    /// peer's locally hosted nodes. The router is the in-process one,
+    /// with a link attached per remote peer: frames for processes owned
+    /// by other peers (per [`TcpConfig::owners`]) travel over per-peer
+    /// TCP connections speaking the exact frame bytes of the in-process
+    /// path inside addressed records (`newtop_types::peer`). Links
+    /// reconnect with exponential backoff and resume retransmission from
+    /// the receiver's cumulative ack, so the engine's reliable-FIFO
+    /// transport assumption holds across connection loss.
     ///
     /// # Errors
     ///
     /// An [`std::io::Error`] from binding this peer's listen address; the
     /// cluster is consumed either way (rebuild to retry).
     pub fn start_tcp(self, tcp: TcpConfig) -> std::io::Result<RunningCluster> {
+        self.launch(Some(tcp))
+    }
+
+    /// The one construction body of both hosts: place the nodes, build
+    /// the router (attaching peer links when `tcp` is set), spawn the
+    /// shards.
+    fn launch(self, tcp: Option<TcpConfig>) -> std::io::Result<RunningCluster> {
         let epoch = std::time::Instant::now();
         let shard_count = self.config.shard_count(self.procs.len());
         let admission = Arc::new(Admission::new(self.config.inbox_limit()));
         let layout = Layout::place(self.procs, shard_count, &admission);
-        let router = Router::new(layout.addrs.clone(), layout.inbox_txs.clone(), admission);
-        let (tcp_transport, net) = net::start(tcp, router, layout.inbox_txs.clone())?;
-        let transport: Arc<dyn Transport> = tcp_transport;
-        let threads = spawn_shards(
-            layout.per_shard,
-            layout.inbox_rxs,
-            epoch,
-            &transport,
-            shard_count,
-        );
+        let router = Router::new(layout.addrs, layout.inbox_txs, admission);
+        let (router, net) = match tcp {
+            Some(tcp) => net::start(tcp, router).map(|(router, net)| (router, Some(net)))?,
+            None => (Arc::new(router), None),
+        };
+        let shards = layout.per_shard.into_iter().zip(layout.inbox_rxs);
+        let threads = shards
+            .enumerate()
+            .map(|(s, (seeds, rx))| {
+                let router = Arc::clone(&router);
+                #[allow(clippy::cast_possible_truncation)]
+                let s = s as u32;
+                std::thread::Builder::new()
+                    .name(format!("newtop-shard-{s}"))
+                    .spawn(move || shard::shard_main(s, seeds, epoch, &rx, router, shard_count))
+                    .expect("spawn shard thread")
+            })
+            .collect();
         Ok(RunningCluster {
             nodes: layout.nodes,
             threads,
-            transport,
+            router,
             shard_count,
-            net: Some(net),
+            net,
         })
     }
 }
 
-/// Shard placement shared by [`Cluster::start`] and
-/// [`Cluster::start_tcp`]: nodes round-robin onto shards, one MPSC inbox
-/// per shard, one output channel per node.
+/// Shard placement: nodes round-robin onto shards, one MPSC inbox per
+/// shard, one output channel per node.
 struct Layout {
     nodes: BTreeMap<ProcessId, NodeHandle>,
     addrs: Vec<(ProcessId, u32)>,
@@ -403,29 +398,6 @@ impl Layout {
             inbox_rxs,
         }
     }
-}
-
-fn spawn_shards(
-    per_shard: Vec<Vec<NodeSeed>>,
-    mut inbox_rxs: Vec<Receiver<ShardMsg>>,
-    epoch: std::time::Instant,
-    transport: &Arc<dyn Transport>,
-    shard_count: usize,
-) -> Vec<JoinHandle<()>> {
-    let mut threads = Vec::with_capacity(shard_count);
-    for (s, seeds) in per_shard.into_iter().enumerate() {
-        let rx = inbox_rxs.remove(0);
-        let transport = Arc::clone(transport);
-        #[allow(clippy::cast_possible_truncation)]
-        let thread = std::thread::Builder::new()
-            .name(format!("newtop-shard-{s}"))
-            .spawn(move || {
-                shard::shard_main(s as u32, seeds, epoch, &rx, transport, shard_count);
-            })
-            .expect("spawn shard thread");
-        threads.push(thread);
-    }
-    threads
 }
 
 /// Application-side handle to one running protocol participant.
@@ -599,7 +571,7 @@ impl NodeHandle {
 pub struct RunningCluster {
     nodes: BTreeMap<ProcessId, NodeHandle>,
     threads: Vec<JoinHandle<()>>,
-    transport: Arc<dyn Transport>,
+    router: Arc<Router>,
     shard_count: usize,
     /// Peer-link threads of a TCP host (`None` in-process).
     net: Option<net::NetRuntime>,
@@ -628,7 +600,7 @@ impl RunningCluster {
     /// handshake rejects).
     #[must_use]
     pub fn wire_stats(&self) -> WireStats {
-        self.transport.stats()
+        self.router.stats()
     }
 
     /// Kills a node (crash failure): its engine is dropped without

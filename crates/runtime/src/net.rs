@@ -1,14 +1,15 @@
-//! The socket-backed [`Transport`]: real-network peer links for
+//! Real-network peer links for
 //! [`Cluster::start_tcp`](crate::Cluster::start_tcp).
 //!
 //! A TCP cluster is a set of OS processes (*peers*), each hosting a
 //! subset of the protocol participants on its own sharded event loop.
-//! Frames for locally hosted destinations take the exact in-process
-//! path (the channel-backed router); frames for remote destinations are
-//! wrapped in addressed records ([`newtop_types::peer`]) and written to
-//! the owning peer's connection. The frame bytes themselves are
-//! bit-identical to the in-process wire path — batching and byte
-//! accounting happen before the transport split, in the shard's egress.
+//! There is one router either way: [`start`] attaches a link per remote
+//! peer to it, so frames for locally hosted destinations take the exact
+//! in-process path while frames for remote destinations are wrapped in
+//! addressed records ([`newtop_types::peer`]) and written to the owning
+//! peer's connection. The frame bytes themselves are bit-identical to
+//! the in-process wire path — batching and byte accounting happen before
+//! the route split, in the shard's egress.
 //!
 //! # Connection management
 //!
@@ -19,8 +20,8 @@
 //! `DIAL_BACKOFF_MAX`); while a peer is unreachable, up to
 //! [`TcpConfig::dead_cap`] frames buffer on the link and the overflow
 //! is dropped **before sequencing** (counted as
-//! [`WireStats::dropped_dead`]), so a recovered link never faces a
-//! permanent sequence gap.
+//! [`WireStats::dropped_dead`](crate::WireStats::dropped_dead)), so a
+//! recovered link never faces a permanent sequence gap.
 //!
 //! # Reliability
 //!
@@ -43,7 +44,7 @@
 //! ever sent (receive state from a colliding nonce) rather than
 //! letting the link blackhole.
 
-use crate::transport::{Frame, Route, Router, ShardMsg, Transport, WireStats};
+use crate::transport::{Frame, Router};
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use newtop_types::peer::{
@@ -74,7 +75,9 @@ pub struct TcpConfig {
     /// local routing always wins.
     pub owners: Vec<(ProcessId, u32)>,
     /// How many frames may buffer for an unreachable peer before new
-    /// ones are dropped ([`WireStats::dropped_dead`]). Default 8192.
+    /// ones are dropped
+    /// ([`WireStats::dropped_dead`](crate::WireStats::dropped_dead)).
+    /// Default 8192.
     pub dead_cap: u64,
     /// How long to retry binding the listen address before giving up.
     /// A process restarted in place (crash recovery) can find its old
@@ -97,95 +100,40 @@ impl TcpConfig {
     }
 }
 
+/// Link counters of a TCP host, read back through the router's
+/// [`WireStats`](crate::WireStats); all zero in-process.
 #[derive(Default)]
-struct NetCounters {
-    reconnects: AtomicU64,
-    dropped_dead: AtomicU64,
-    handshake_rejects: AtomicU64,
+pub(crate) struct LinkCounters {
+    pub(crate) reconnects: AtomicU64,
+    pub(crate) dropped_dead: AtomicU64,
+    pub(crate) handshake_rejects: AtomicU64,
 }
 
 /// One outbound peer link: the egress side of a connection manager.
 /// `queued` counts frames in the channel plus unacknowledged records at
 /// the writer — together the link's buffered backlog, capped at
 /// `cap` while the peer is unreachable.
-struct PeerLink {
+pub(crate) struct PeerLink {
     tx: Sender<Frame>,
     queued: AtomicU64,
     cap: u64,
 }
 
 impl PeerLink {
-    /// Hands one frame to the writer thread; `false` = backlog full,
-    /// frame dropped *before* it was ever sequenced.
-    fn enqueue(&self, frame: Frame) -> bool {
+    /// Reserves backlog room for one frame; `false` = backlog full, so
+    /// the frame is to be dropped *before* it is ever sequenced.
+    pub(crate) fn reserve(&self) -> bool {
         if self.queued.load(Ordering::Relaxed) >= self.cap {
             return false;
         }
         self.queued.fetch_add(1, Ordering::Relaxed);
-        self.tx.send(frame).is_ok()
-    }
-}
-
-/// The socket-backed transport: local router + one link per remote peer.
-pub(crate) struct TcpTransport {
-    router: Arc<Router>,
-    /// Sorted `(process, owning peer)` for processes hosted elsewhere.
-    remote: Vec<(ProcessId, u32)>,
-    /// Indexed by peer; `None` at our own index.
-    links: Vec<Option<Arc<PeerLink>>>,
-    counters: Arc<NetCounters>,
-}
-
-impl TcpTransport {
-    fn remote_peer(&self, to: ProcessId) -> Option<u32> {
-        self.remote
-            .binary_search_by_key(&to, |&(p, _)| p)
-            .ok()
-            .map(|i| self.remote[i].1)
-    }
-}
-
-impl Transport for TcpTransport {
-    fn route_of(&self, to: ProcessId) -> Option<Route> {
-        if let Some(shard) = self.router.shard_of(to) {
-            return Some(Route::Local(shard));
-        }
-        self.remote_peer(to).map(|_| Route::Remote)
+        true
     }
 
-    fn ship(&self, frame: Frame) {
-        if self.router.shard_of(frame.to).is_some() {
-            self.router.send_frame(frame);
-            return;
-        }
-        let Some(peer) = self.remote_peer(frame.to) else {
-            return; // unknown destination: drop (crash semantics)
-        };
-        let link = self.links[peer as usize]
-            .as_ref()
-            .expect("remote peer has a link");
-        // Count only what the link accepted: a dead-peer drop never
-        // reaches any wire, and was never sequenced.
-        self.router.count_frame(&frame);
-        if !link.enqueue(frame) {
-            self.counters.dropped_dead.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn ship_local_batch(&self, shard: u32, frames: Vec<Frame>) {
-        self.router.send_batch(shard, frames);
-    }
-
-    fn count_frame(&self, frame: &Frame) {
-        self.router.count_frame(frame);
-    }
-
-    fn stats(&self) -> WireStats {
-        let mut s = self.router.stats();
-        s.reconnects = self.counters.reconnects.load(Ordering::Relaxed);
-        s.dropped_dead = self.counters.dropped_dead.load(Ordering::Relaxed);
-        s.handshake_rejects = self.counters.handshake_rejects.load(Ordering::Relaxed);
-        s
+    /// Hands one frame, whose room [`PeerLink::reserve`] took, to the
+    /// writer thread.
+    pub(crate) fn send(&self, frame: Frame) {
+        let _ = self.tx.send(frame);
     }
 }
 
@@ -204,11 +152,17 @@ struct Acceptor {
     stop: Arc<AtomicBool>,
     nonce: u64,
     router: Arc<Router>,
-    inboxes: Vec<Sender<ShardMsg>>,
-    counters: Arc<NetCounters>,
     registry: Mutex<HashMap<(u32, u64), LinkState>>,
     sessions: Mutex<HashMap<u32, PeerSession>>,
     ingress: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Acceptor {
+    /// Counts an inbound connection rejected at the handshake.
+    fn reject(&self) {
+        let counters = self.router.link_counters();
+        counters.handshake_rejects.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Incarnation bookkeeping for one dialing peer index: the nonce of its
@@ -274,12 +228,12 @@ fn session_nonce() -> u64 {
 }
 
 /// Binds this peer's listener, spawns the per-peer writer threads and
-/// the accept loop, and returns the transport plus the thread runtime.
+/// the accept loop, attaches the links to `router`, and returns it
+/// shared, plus the thread runtime.
 pub(crate) fn start(
     cfg: TcpConfig,
-    router: Router,
-    inboxes: Vec<Sender<ShardMsg>>,
-) -> std::io::Result<(Arc<TcpTransport>, NetRuntime)> {
+    mut router: Router,
+) -> std::io::Result<(Arc<Router>, NetRuntime)> {
     if cfg.me >= cfg.peers.len() {
         return Err(std::io::Error::new(
             ErrorKind::InvalidInput,
@@ -292,8 +246,7 @@ pub(crate) fn start(
     }
     #[allow(clippy::cast_possible_truncation)]
     let me = cfg.me as u32;
-    let router = Arc::new(router);
-    let counters = Arc::new(NetCounters::default());
+    let counters = Arc::new(LinkCounters::default());
     let stop = Arc::new(AtomicBool::new(false));
     let nonce = session_nonce();
     let bind_deadline = std::time::Instant::now() + cfg.bind_retry;
@@ -344,14 +297,8 @@ pub(crate) fn start(
                 .expect("spawn link writer"),
         );
     }
-    let mut remote: Vec<(ProcessId, u32)> = cfg
-        .owners
-        .iter()
-        .copied()
-        .filter(|&(p, owner)| owner != me && router.shard_of(p).is_none())
-        .collect();
-    remote.sort_unstable();
-    remote.dedup();
+    router.attach_links(&cfg.owners, links, counters);
+    let router = Arc::new(router);
     #[allow(clippy::cast_possible_truncation)]
     let acceptor = Arc::new(Acceptor {
         me,
@@ -359,8 +306,6 @@ pub(crate) fn start(
         stop: Arc::clone(&stop),
         nonce,
         router: Arc::clone(&router),
-        inboxes,
-        counters: Arc::clone(&counters),
         registry: Mutex::new(HashMap::new()),
         sessions: Mutex::new(HashMap::new()),
         ingress: Mutex::new(Vec::new()),
@@ -374,14 +319,8 @@ pub(crate) fn start(
                 .expect("spawn accept loop"),
         );
     }
-    let transport = Arc::new(TcpTransport {
-        router,
-        remote,
-        links,
-        counters,
-    });
     Ok((
-        transport,
+        router,
         NetRuntime {
             stop,
             threads,
@@ -585,7 +524,7 @@ fn writer_main(
     cfg: &WriterCfg,
     rx: &Receiver<Frame>,
     link: &PeerLink,
-    counters: &NetCounters,
+    counters: &LinkCounters,
     stop: &AtomicBool,
 ) {
     let mut unacked: VecDeque<(u64, Bytes)> = VecDeque::new();
@@ -623,7 +562,7 @@ fn writer_main(
                 io_ok = write_burst(stream, frame, rx, &mut next_seq, &mut unacked, &mut scratch);
             }
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return, // transport gone
+            Err(RecvTimeoutError::Disconnected) => return, // router gone
         }
         if io_ok {
             io_ok = poll_acks(stream, &mut ackpend, &mut unacked, link);
@@ -657,36 +596,19 @@ fn accept_conn(ctx: &Arc<Acceptor>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let mut raw = [0u8; HELLO_LEN];
-    if (&stream).read_exact(&mut raw).is_err() {
-        ctx.counters
-            .handshake_rejects
-            .fetch_add(1, Ordering::Relaxed);
-        return;
-    }
-    let hello = match decode_hello(&raw) {
-        Ok(h) => h,
-        Err(_) => {
-            ctx.counters
-                .handshake_rejects
-                .fetch_add(1, Ordering::Relaxed);
-            return;
-        }
+    let hello = (&stream)
+        .read_exact(&mut raw)
+        .ok()
+        .and_then(|()| decode_hello(&raw).ok());
+    let Some(hello) = hello.filter(|h| h.peer < ctx.npeers && h.peer != ctx.me) else {
+        return ctx.reject();
     };
-    if hello.peer >= ctx.npeers || hello.peer == ctx.me {
-        ctx.counters
-            .handshake_rejects
-            .fetch_add(1, Ordering::Relaxed);
-        return;
-    }
     {
         let mut sessions = ctx.sessions.lock();
         let slot = sessions.entry(hello.peer).or_default();
         if slot.current != Some(hello.nonce) {
             if slot.retired.contains(&hello.nonce) {
-                ctx.counters
-                    .handshake_rejects
-                    .fetch_add(1, Ordering::Relaxed);
-                return;
+                return ctx.reject();
             }
             if let Some(old) = slot.current.replace(hello.nonce) {
                 slot.retired.insert(old);
@@ -762,15 +684,7 @@ fn ingress_main(ctx: &Acceptor, mut stream: &TcpStream, state: &Mutex<u64>) {
                                 if wire::unframe_each(rec.frame.clone(), drop).is_err() {
                                     break 'conn;
                                 }
-                                let _ = ctx.inboxes[shard as usize].send(ShardMsg::Frame(Frame {
-                                    to: rec.dest,
-                                    bytes: rec.frame,
-                                    // Envelope accounting happened at the
-                                    // sending peer; zeros here keep the
-                                    // cluster-wide counters single-count.
-                                    envelopes: 0,
-                                    nulls: 0,
-                                }));
+                                ctx.router.ingress(shard, rec.dest, rec.frame);
                             }
                             *exp += 1;
                         }

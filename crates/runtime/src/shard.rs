@@ -15,7 +15,7 @@
 //! steady-state loop allocates no timer and takes no lock per frame.
 
 use crate::timer::TimerWheel;
-use crate::transport::{BatchPolicy, Egress, Frame, FrameCache, ShardMsg, Transport};
+use crate::transport::{BatchPolicy, Egress, Frame, FrameCache, Router, ShardMsg};
 use crate::{Command, Output};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use newtop_core::{Action, Process};
@@ -58,7 +58,7 @@ pub(crate) struct Shard {
     /// to the node's application channel as one `send_many` (one lock,
     /// one wakeup) instead of one `send` per delivery.
     outbuf: Vec<Output>,
-    transport: Arc<dyn Transport>,
+    router: Arc<Router>,
     epoch: std::time::Instant,
 }
 
@@ -83,19 +83,15 @@ impl Shard {
         for action in actions.drain(..) {
             match action {
                 Action::Send { to, envelope } => {
-                    let Some(route) = self.transport.route_of(to) else {
+                    let Some(route) = self.router.route_of(to) else {
                         continue; // unknown destination: drop
                     };
                     if self
                         .egress
                         .enqueue(now, to, route, &envelope, &mut self.frames)
                     {
-                        self.egress.flush_dest(
-                            to.0,
-                            self.me,
-                            self.transport.as_ref(),
-                            &mut self.local,
-                        );
+                        self.egress
+                            .flush_dest(to.0, self.me, &self.router, &mut self.local);
                     }
                 }
                 other => outs.push(match other {
@@ -245,7 +241,7 @@ impl Shard {
 
     fn flush_egress(&mut self) {
         self.egress
-            .flush_all(self.me, self.transport.as_ref(), &mut self.local);
+            .flush_all(self.me, &self.router, &mut self.local);
     }
 }
 
@@ -255,7 +251,7 @@ pub(crate) fn shard_main(
     nodes: Vec<NodeSeed>,
     epoch: std::time::Instant,
     inbox: &Receiver<ShardMsg>,
-    transport: Arc<dyn Transport>,
+    router: Arc<Router>,
     shard_count: usize,
 ) {
     let mut index: Vec<(ProcessId, usize)> = nodes
@@ -285,7 +281,7 @@ pub(crate) fn shard_main(
         local: VecDeque::new(),
         actions: Vec::new(),
         outbuf: Vec::new(),
-        transport,
+        router,
         epoch,
     };
     for slot_idx in 0..shard.slots.len() {

@@ -1,4 +1,4 @@
-//! Framed wire transport between shards, with batched egress.
+//! The host's one router, and the framed, batched egress that feeds it.
 //!
 //! Every protocol message crossing the host travels inside a
 //! length-prefixed wire frame carrying one **or more** envelopes, so the
@@ -13,9 +13,16 @@
 //! batching never trades latency for throughput at low offered load. The
 //! egress ships every envelope the engine emits, as the simulator does.
 //! The [`FrameCache`] turns multicast fan-out into refcount bumps of one
-//! encoding, and the router counts frames, envelopes and exact bytes —
-//! plus a batch-occupancy histogram and the null-only frames.
+//! encoding.
+//!
+//! The [`Router`] knows where each destination lives: on a shard of this
+//! process ([`Route::Local`]) or, on a TCP host, on another peer process
+//! reached over a peer link ([`Route::Remote`], see `crate::net`). The
+//! egress resolves a destination once and ships by the stored route.
+//! The router counts frames, envelopes and exact bytes — plus a
+//! batch-occupancy histogram, the null-only frames and the link counters.
 
+use crate::net::{LinkCounters, PeerLink};
 use crate::Command;
 use bytes::Bytes;
 use crossbeam::channel::Sender;
@@ -28,59 +35,24 @@ use std::sync::Arc;
 /// length-prefixed batch of `envelopes` encoded envelopes bound for one
 /// destination node. `nulls` of them are ω time-silence nulls (kept for
 /// exact accounting of null-only frames at the counting site).
-pub struct Frame {
+pub(crate) struct Frame {
     /// Destination process.
-    pub to: ProcessId,
+    pub(crate) to: ProcessId,
     /// The complete length-prefixed wire bytes ([`wire::Batch`] output).
-    pub bytes: Bytes,
+    pub(crate) bytes: Bytes,
     /// How many envelopes the frame carries.
-    pub envelopes: u32,
+    pub(crate) envelopes: u32,
     /// How many of them are ω time-silence nulls.
-    pub nulls: u32,
+    pub(crate) nulls: u32,
 }
 
-/// Where a destination process lives, relative to one transport.
+/// Where a destination process lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Route {
-    /// Hosted by a local shard (the index) of this process.
+pub(crate) enum Route {
+    /// Hosted by a shard (the index) of this process.
     Local(u32),
-    /// Hosted by another OS process, reached over a peer link.
-    Remote,
-}
-
-/// The seam between the sharded event loop and whatever moves frames.
-///
-/// Shards are written against this trait only: they ask where a
-/// destination lives ([`route_of`](Transport::route_of)), hand frames
-/// over ([`ship`](Transport::ship) /
-/// [`ship_local_batch`](Transport::ship_local_batch)), and read the
-/// cumulative counters back ([`stats`](Transport::stats)). The
-/// in-process [`Cluster::start`](crate::Cluster::start) path plugs in
-/// the channel-backed `Router`; [`Cluster::start_tcp`](crate::Cluster::start_tcp)
-/// plugs in the socket-backed TCP transport, which routes
-/// [`Route::Local`] destinations through the very same router and
-/// [`Route::Remote`] ones onto per-peer connections. Both carry
-/// identical frame bytes, so the wire format is bit-compatible across
-/// hosts.
-pub trait Transport: Send + Sync {
-    /// Where `to` lives — `None` for unknown destinations (which drop,
-    /// crash semantics).
-    fn route_of(&self, to: ProcessId) -> Option<Route>;
-
-    /// Ships one frame toward its destination, counting it. Unknown
-    /// destinations and exited shards drop the frame silently.
-    fn ship(&self, frame: Frame);
-
-    /// Ships one flush worth of frames to a single **local** shard as
-    /// one inbox message, counting each.
-    fn ship_local_batch(&self, shard: u32, frames: Vec<Frame>);
-
-    /// Books one frame into the counters without moving it — for frames
-    /// committed outside the transport (a shard's same-shard ring).
-    fn count_frame(&self, frame: &Frame);
-
-    /// Cumulative wire counters.
-    fn stats(&self) -> WireStats;
+    /// Hosted by another peer process (the index), reached over its link.
+    Remote(u32),
 }
 
 /// Everything a shard's inbox can receive.
@@ -206,18 +178,32 @@ impl Admission {
     }
 }
 
-/// Routes frames and commands to the shard owning each destination node.
+/// Routes frames to the shard, or the peer link, owning each destination.
 pub(crate) struct Router {
     /// Sorted `(process, shard)` pairs — node placement is fixed at
-    /// [`Cluster::start`](crate::Cluster::start).
+    /// start.
     addrs: Vec<(ProcessId, u32)>,
     inboxes: Vec<Sender<ShardMsg>>,
+    /// Sorted `(process, peer)` pairs for processes hosted by other peer
+    /// processes (empty in-process).
+    remote: Vec<(ProcessId, u32)>,
+    /// Outbound peer links, indexed by peer; `None` at our own index
+    /// (empty in-process).
+    links: Vec<Option<Arc<PeerLink>>>,
+    link_counters: Arc<LinkCounters>,
     frames: AtomicU64,
     envelopes: AtomicU64,
     bytes: AtomicU64,
     null_frames: AtomicU64,
     occupancy: [AtomicU64; OCCUPANCY_BUCKETS],
     admission: Arc<Admission>,
+}
+
+fn lookup(table: &[(ProcessId, u32)], id: ProcessId) -> Option<u32> {
+    table
+        .binary_search_by_key(&id, |&(p, _)| p)
+        .ok()
+        .map(|i| table[i].1)
 }
 
 impl Router {
@@ -230,6 +216,9 @@ impl Router {
         Router {
             addrs,
             inboxes,
+            remote: Vec::new(),
+            links: Vec::new(),
+            link_counters: Arc::default(),
             frames: AtomicU64::new(0),
             envelopes: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
@@ -239,16 +228,45 @@ impl Router {
         }
     }
 
+    /// Attaches a TCP host's peer links: `owners` maps each process to
+    /// its owning peer, and `links[peer]` reaches that peer. Processes
+    /// hosted here keep their local route — local routing always wins.
+    pub(crate) fn attach_links(
+        &mut self,
+        owners: &[(ProcessId, u32)],
+        links: Vec<Option<Arc<PeerLink>>>,
+        counters: Arc<LinkCounters>,
+    ) {
+        self.remote = owners
+            .iter()
+            .copied()
+            .filter(|&(p, peer)| {
+                self.shard_of(p).is_none() && matches!(links.get(peer as usize), Some(Some(_)))
+            })
+            .collect();
+        self.remote.sort_unstable();
+        self.remote.dedup();
+        self.links = links;
+        self.link_counters = counters;
+    }
+
     pub(crate) fn shard_of(&self, id: ProcessId) -> Option<u32> {
-        self.addrs
-            .binary_search_by_key(&id, |&(p, _)| p)
-            .ok()
-            .map(|i| self.addrs[i].1)
+        lookup(&self.addrs, id)
+    }
+
+    /// Where `to` lives — `None` for unknown destinations, which drop
+    /// (crash semantics).
+    pub(crate) fn route_of(&self, to: ProcessId) -> Option<Route> {
+        match self.shard_of(to) {
+            Some(shard) => Some(Route::Local(shard)),
+            None => lookup(&self.remote, to).map(Route::Remote),
+        }
     }
 
     /// Books one frame into the counters. Every frame is counted exactly
     /// once, at the site that commits it to a queue — the channel for
-    /// cross-shard frames, the local ring for same-shard ones.
+    /// cross-shard frames, the local ring for same-shard ones, the link
+    /// for remote ones.
     pub(crate) fn count_frame(&self, frame: &Frame) {
         self.frames.fetch_add(1, Ordering::Relaxed);
         self.envelopes
@@ -261,14 +279,32 @@ impl Router {
         self.occupancy[occupancy_bucket(frame.envelopes)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Ships one frame. Unknown destinations and exited shards drop the
-    /// frame silently — crash semantics, and never a panicking sender.
-    pub(crate) fn send_frame(&self, frame: Frame) {
-        let Some(shard) = self.shard_of(frame.to) else {
-            return;
-        };
-        self.count_frame(&frame);
-        let _ = self.inboxes[shard as usize].send(ShardMsg::Frame(frame));
+    /// Ships one frame by the route its destination resolved to. Exited
+    /// shards drop the frame silently — crash semantics, and never a
+    /// panicking sender. A link whose backlog is full drops it too,
+    /// before sequencing, and counts it as a dead-peer drop.
+    pub(crate) fn ship(&self, route: Route, frame: Frame) {
+        match route {
+            Route::Local(shard) => {
+                self.count_frame(&frame);
+                let _ = self.inboxes[shard as usize].send(ShardMsg::Frame(frame));
+            }
+            Route::Remote(peer) => {
+                let link = self.links[peer as usize]
+                    .as_ref()
+                    .expect("remote peer has a link");
+                // Count only what the link accepts: a dead-peer drop
+                // never reaches any wire, and is never sequenced.
+                if link.reserve() {
+                    self.count_frame(&frame);
+                    link.send(frame);
+                } else {
+                    self.link_counters
+                        .dropped_dead
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
     }
 
     /// Ships one flush worth of frames to a single shard as one inbox
@@ -281,7 +317,25 @@ impl Router {
         let _ = self.inboxes[shard as usize].send(ShardMsg::Batch(frames));
     }
 
+    /// Hands a frame that arrived over a peer link to its shard,
+    /// uncounted: the sending peer counted its envelopes, so zeros here
+    /// keep the cluster-wide counters single-count.
+    pub(crate) fn ingress(&self, shard: u32, to: ProcessId, bytes: Bytes) {
+        let frame = Frame {
+            to,
+            bytes,
+            envelopes: 0,
+            nulls: 0,
+        };
+        let _ = self.inboxes[shard as usize].send(ShardMsg::Frame(frame));
+    }
+
+    pub(crate) fn link_counters(&self) -> &LinkCounters {
+        &self.link_counters
+    }
+
     pub(crate) fn stats(&self) -> WireStats {
+        let links = &self.link_counters;
         WireStats {
             frames: self.frames.load(Ordering::Relaxed),
             envelopes: self.envelopes.load(Ordering::Relaxed),
@@ -289,33 +343,11 @@ impl Router {
             null_frames: self.null_frames.load(Ordering::Relaxed),
             suppressed_nulls: 0,
             occupancy: std::array::from_fn(|i| self.occupancy[i].load(Ordering::Relaxed)),
-            reconnects: 0,
-            dropped_dead: 0,
-            handshake_rejects: 0,
+            reconnects: links.reconnects.load(Ordering::Relaxed),
+            dropped_dead: links.dropped_dead.load(Ordering::Relaxed),
+            handshake_rejects: links.handshake_rejects.load(Ordering::Relaxed),
             shed_multicasts: self.admission.shed_count(),
         }
-    }
-}
-
-impl Transport for Router {
-    fn route_of(&self, to: ProcessId) -> Option<Route> {
-        self.shard_of(to).map(Route::Local)
-    }
-
-    fn ship(&self, frame: Frame) {
-        self.send_frame(frame);
-    }
-
-    fn ship_local_batch(&self, shard: u32, frames: Vec<Frame>) {
-        self.send_batch(shard, frames);
-    }
-
-    fn count_frame(&self, frame: &Frame) {
-        Router::count_frame(self, frame);
-    }
-
-    fn stats(&self) -> WireStats {
-        Router::stats(self)
     }
 }
 
@@ -480,7 +512,7 @@ impl Egress {
             .is_some_and(|t| now.saturating_since(t) >= self.policy.window)
     }
 
-    /// Parks `env` for `to` (which the transport resolved to `route`).
+    /// Parks `env` for `to` (which the router resolved to `route`).
     /// Returns `true` when this destination should be flushed now: it hit
     /// its batch budget, or `env` did not fit the open frame.
     pub(crate) fn enqueue(
@@ -517,12 +549,12 @@ impl Egress {
     }
 
     /// Flushes one destination (budget overflow). Same-shard frames go on
-    /// `local`; everything else ships through the transport.
+    /// `local`; everything else ships through the router.
     pub(crate) fn flush_dest(
         &mut self,
         key: u32,
         me: u32,
-        transport: &dyn Transport,
+        router: &Router,
         local: &mut VecDeque<Frame>,
     ) {
         let Some(entry) = self.dests.get_mut(&key) else {
@@ -531,10 +563,10 @@ impl Egress {
         let route = entry.route;
         for frame in entry.take_frames().into_iter().flatten() {
             if route == Route::Local(me) {
-                transport.count_frame(&frame);
+                router.count_frame(&frame);
                 local.push_back(frame);
             } else {
-                transport.ship(frame);
+                router.ship(route, frame);
             }
         }
         self.dirty.retain(|&k| k != key);
@@ -546,12 +578,7 @@ impl Egress {
     /// Flushes every pending destination: same-shard frames onto `local`,
     /// other local shards as one batch message per destination shard, and
     /// remote destinations frame by frame onto their peer links.
-    pub(crate) fn flush_all(
-        &mut self,
-        me: u32,
-        transport: &dyn Transport,
-        local: &mut VecDeque<Frame>,
-    ) {
+    pub(crate) fn flush_all(&mut self, me: u32, router: &Router, local: &mut VecDeque<Frame>) {
         if self.dirty.is_empty() {
             return;
         }
@@ -562,18 +589,18 @@ impl Egress {
             for frame in entry.take_frames().into_iter().flatten() {
                 match route {
                     Route::Local(shard) if shard == me => {
-                        transport.count_frame(&frame);
+                        router.count_frame(&frame);
                         local.push_back(frame);
                     }
                     Route::Local(shard) => self.by_shard[shard as usize].push(frame),
-                    Route::Remote => transport.ship(frame),
+                    Route::Remote(_) => router.ship(route, frame),
                 }
             }
         }
         #[allow(clippy::cast_possible_truncation)]
         for s in 0..self.by_shard.len() {
             if !self.by_shard[s].is_empty() {
-                transport.ship_local_batch(s as u32, std::mem::take(&mut self.by_shard[s]));
+                router.send_batch(s as u32, std::mem::take(&mut self.by_shard[s]));
             }
         }
     }
@@ -612,7 +639,7 @@ mod tests {
     }
 
     /// A two-node, two-shard router whose inboxes we can inspect.
-    fn test_router() -> (Arc<Router>, crossbeam::channel::Receiver<ShardMsg>) {
+    fn test_router() -> (Router, crossbeam::channel::Receiver<ShardMsg>) {
         let (tx0, rx0) = unbounded();
         let (tx1, _rx1) = unbounded();
         let router = Router::new(
@@ -620,7 +647,7 @@ mod tests {
             vec![tx0, tx1],
             Arc::new(Admission::new(1024)),
         );
-        (Arc::new(router), rx0)
+        (router, rx0)
     }
 
     /// The admission gate sheds at capacity and counts exactly.
@@ -694,7 +721,7 @@ mod tests {
         for e in &envs {
             assert!(!egress.enqueue(now, ProcessId(1), Route::Local(0), e, &mut cache));
         }
-        egress.flush_all(1, router.as_ref(), &mut local); // me=1: dest shard 0 is cross-shard
+        egress.flush_all(1, &router, &mut local); // me=1: dest shard 0 is cross-shard
         assert!(local.is_empty());
         let ShardMsg::Batch(frames) = rx0.try_recv().expect("one batch message") else {
             panic!("expected a batch");
@@ -728,7 +755,7 @@ mod tests {
             &env(b"x"),
             &mut cache,
         );
-        egress.flush_all(0, router.as_ref(), &mut local); // me=0: dest is local
+        egress.flush_all(0, &router, &mut local); // me=0: dest is local
         assert_eq!(local.len(), 1);
         assert!(
             rx0.try_recv().is_err(),
@@ -761,7 +788,7 @@ mod tests {
             &null_from(3, 1),
             &mut cache,
         );
-        egress.flush_all(1, router.as_ref(), &mut local);
+        egress.flush_all(1, &router, &mut local);
         let stats = router.stats();
         assert_eq!(stats.null_frames, 1);
         assert_eq!(stats.envelopes, 2);
@@ -793,7 +820,7 @@ mod tests {
         ));
         let (router, rx0) = test_router();
         let mut local = VecDeque::new();
-        egress.flush_dest(1, 1, router.as_ref(), &mut local);
+        egress.flush_dest(1, 1, &router, &mut local);
         assert!(!egress.has_pending());
         let ShardMsg::Frame(frame) = rx0.try_recv().expect("frame") else {
             panic!("expected a single frame");
@@ -834,7 +861,7 @@ mod tests {
         ));
         let (router, rx0) = test_router();
         let mut local = VecDeque::new();
-        egress.flush_dest(1, 1, router.as_ref(), &mut local);
+        egress.flush_dest(1, 1, &router, &mut local);
         let mut got = Vec::new();
         for want in [&small, &big] {
             let ShardMsg::Frame(frame) = rx0.try_recv().expect("frame") else {

@@ -353,6 +353,16 @@ fn dead_peer_overflow_is_dropped_and_counted() {
         assert!(Instant::now() < deadline, "dead-peer drops never counted");
         std::thread::sleep(Duration::from_millis(20));
     }
+    // Only frames the link accepted are counted. P1's one group peer is
+    // P2, and the engine never sends to itself, so every counted frame
+    // sits in P2's link backlog, which the dead-peer cap bounds.
+    let stats = peer0.wire_stats();
+    assert!(
+        stats.frames <= 4,
+        "frames={} dropped_dead={}",
+        stats.frames,
+        stats.dropped_dead
+    );
     // Ω suspicion eventually removes the unreachable member and the
     // local engine delivers on its own.
     let view = peer0

@@ -11,7 +11,9 @@
 # from, per §3 of the paper). The supervisor asserts each rejoin
 # completes and that the final per-group delivery histories agree as
 # prefixes across all members; any divergence or missed rejoin exits
-# nonzero.
+# nonzero. Act 1 runs twice, each on its own port block: seed 1 kills
+# peer 2 every cycle (victims [2, 2, 2]), seed 2 also kills peer 1
+# (victims [2, 1, 2]).
 #
 # Act 2 — zero false exclusions under latency spikes. A 3-process
 # cluster with the accrual suspicion detector enabled runs behind the
@@ -34,10 +36,12 @@ fi
 source scripts/smoke_cluster.sh
 
 # ---------------------------------------------------------------- act 1
-echo "crash_smoke: act 1 — supervised kill -9 / restart / rejoin"
-"$BIN" load --supervise --nodes 6 --groups 2 --procs 3 --cycles 3 \
-    --seed 1 --port-base "$(port_block)"
-echo "crash_smoke: act 1 OK — 3 kill/restart cycles, rejoins green"
+for seed in 1 2; do
+    echo "crash_smoke: act 1 (seed $seed) — supervised kill -9 / restart / rejoin"
+    "$BIN" load --supervise --nodes 6 --groups 2 --procs 3 --cycles 3 \
+        --seed "$seed" --port-base "$(port_block)"
+done
+echo "crash_smoke: act 1 OK — 2×3 kill/restart cycles, rejoins green"
 
 # ---------------------------------------------------------------- act 2
 echo "crash_smoke: act 2 — accrual stability under latency spikes"
