@@ -23,7 +23,6 @@
 //!                                          # frame-level chaos between peers
 //!
 //! newtop-exp mc --nodes 3 --max-msgs 4 --max-crashes 1    # exhaustive model check
-//! newtop-exp mc --nodes 3 --strategy iddfs --budget-secs 600
 //! ```
 //!
 //! Every command line is read through one flag table per subcommand
@@ -39,7 +38,7 @@
 
 use newtop_harness::chaos::{delivery_count, shrink, ChaosPlan, ChaosScenario};
 use newtop_harness::loadgen::{run_load, HostKind, LoadConfig};
-use newtop_harness::mc::{explore, McConfig, McStrategy, McViolation};
+use newtop_harness::mc::{explore, McConfig, McViolation};
 use newtop_harness::proxy::{run_proxy, ProxyConfig};
 use newtop_harness::remote::{serve, ServeConfig};
 use newtop_harness::supervisor::{run_supervisor, SupervisorConfig};
@@ -494,7 +493,7 @@ fn supervise_main(args: &LoadArgs) -> ExitCode {
         Ok(r) => {
             println!(
                 "supervise [tcp] {} nodes / {} groups / {} procs: {} cycle(s), victims {:?}, \
-                 {} rejoin(s), {} formation retry(s), {} deliveries, {} view change(s), \
+                 {} rejoin(s), {} formation retry(s) {:?}, {} deliveries, {} view change(s), \
                  {} order violation(s) — green",
                 cfg.nodes,
                 cfg.groups,
@@ -502,6 +501,7 @@ fn supervise_main(args: &LoadArgs) -> ExitCode {
                 r.cycles,
                 r.victims,
                 r.rejoins,
+                r.formation_retries.len(),
                 r.formation_retries,
                 r.deliveries,
                 r.view_changes,
@@ -632,18 +632,9 @@ script (see newtop-exp chaos --help).",
         value("--max-crashes", "K", |a, v| num(v).map(|k| a.cfg.max_crashes = k),
             "crash budget (default 1)"),
         value("--max-wakes", "K", |a, v| num(v).map(|k| a.cfg.max_wakes = k),
-            "timer wake-up budget (default 2)"),
+            "timer wake-up budget (default 0)"),
         value("--depth", "D", |a, v| num(v).map(|d| a.cfg.depth = d),
             "schedule-length bound; 0 = auto (default 0)"),
-        value("--strategy", "bfs|iddfs", |a, v| {
-                a.cfg.strategy = match v {
-                    "bfs" => McStrategy::Bfs,
-                    "dfs" | "iddfs" => McStrategy::Iddfs,
-                    _ => return Err("expected bfs or iddfs".into()),
-                };
-                Ok(())
-            },
-            "exploration order (default bfs); both find a shallowest counterexample first"),
         value("--budget-secs", "S",
             |a, v| num(v).map(|s| a.cfg.budget = Some(Duration::from_secs(s))),
             "wall-clock budget; exceeding it exits 3 (inconclusive: the space was not \
@@ -668,13 +659,8 @@ fn mc_main(args: &[String]) -> ExitCode {
         MC.fail("--big-omega-us must exceed --omega-us");
     }
     let cfg = parsed.cfg;
-    let strategy = match cfg.strategy {
-        McStrategy::Bfs => "bfs",
-        McStrategy::Iddfs => "iddfs",
-    };
     eprintln!(
-        "mc: nodes={} nested={} max-msgs={} max-crashes={} max-wakes={} depth={} \
-         strategy={strategy}",
+        "mc: nodes={} nested={} max-msgs={} max-crashes={} max-wakes={} depth={}",
         cfg.nodes,
         cfg.nested,
         cfg.max_msgs,
@@ -688,7 +674,7 @@ fn mc_main(args: &[String]) -> ExitCode {
     let report = explore(&cfg);
     println!(
         "mc {} nodes / {} msgs / {} crashes / {} wakes / depth {}: \
-         {} states explored, {} deduped, frontier peak {} ({:.1}s)",
+         {} states explored, {} deduped ({:.1}s)",
         cfg.nodes,
         cfg.max_msgs,
         cfg.max_crashes,
@@ -696,7 +682,6 @@ fn mc_main(args: &[String]) -> ExitCode {
         cfg.effective_depth(),
         report.explored,
         report.deduped,
-        report.frontier_peak,
         report.elapsed.as_secs_f64(),
     );
     match &report.violation {
@@ -1262,10 +1247,6 @@ mod tests {
         assert!(parse(&LOAD, &["--mode", "lamport"]).is_err());
         assert!(parse(&LOAD, &["--host", "threads"]).is_err());
 
-        assert_eq!(
-            parse(&MC, &["--strategy", "dfs"]).unwrap().cfg.strategy,
-            McStrategy::Iddfs
-        );
         assert!(parse(&MC, &["--nodes", "5"]).is_err());
         assert_eq!(parse(&MC, &[]).unwrap().emit_dir, "target/mc");
 

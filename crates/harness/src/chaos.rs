@@ -745,6 +745,31 @@ pub enum McStep {
     },
 }
 
+impl McStep {
+    /// Fires this step on `cluster`; a delivery or wake advances virtual
+    /// time to the fired event's own timestamp. A step that names nothing
+    /// currently fireable is skipped: ddmin shrink candidates routinely
+    /// remove the step that would have armed a later one.
+    pub(crate) fn apply(self, cluster: &mut SimCluster) {
+        let at = Instant::ZERO;
+        match self {
+            McStep::Deliver { src, dst } => {
+                let (src, dst) = (ProcessId(src), ProcessId(dst));
+                cluster.fire(PendingEvent::Deliver { src, dst, at });
+            }
+            McStep::Wake { p } => {
+                let node = ProcessId(p);
+                cluster.fire(PendingEvent::Wake { node, at });
+            }
+            McStep::Send { from, group, mid } => {
+                let send = Command::Multicast(group, MessageId(mid));
+                cluster.apply(SimInput::Command(from, send));
+            }
+            McStep::Crash { victim } => cluster.apply(FaultOp::Crash { victim }.input()),
+        }
+    }
+}
+
 impl fmt::Display for McStep {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
@@ -896,41 +921,24 @@ impl ChaosPlan {
         cluster
     }
 
-    /// Builds the model-checker fixture and applies the explicit schedule.
-    /// The network is the zero-latency, zero-overhead fixed model (no
-    /// random draws), exactly as `newtop-exp mc` explores, so a shrunk
-    /// counterexample replays the violating interleaving bit-identically.
-    /// Zero latency does not freeze the clock: the FIFO clamp spaces
-    /// messages sent on one link at the same instant 1 µs apart, so three
-    /// multicasts from one process arrive on each link at 1, 2 and 3 µs,
-    /// and firing the third moves the clock to 3 µs. Interleavings of
-    /// independent deliveries therefore converge to one state digest only
-    /// when they also leave the clock and the clamp matrix equal.
+    /// Builds the model-checker fixture and applies the explicit schedule
+    /// step by step ([`McStep::apply`]). The network is the zero-latency,
+    /// zero-overhead fixed model (no random draws), exactly as `newtop-exp
+    /// mc` explores, so a shrunk counterexample replays the violating
+    /// interleaving bit-identically. Zero latency does not freeze the
+    /// clock: the FIFO clamp spaces messages sent on one link at the same
+    /// instant 1 µs apart, so three multicasts from one process arrive on
+    /// each link at 1, 2 and 3 µs, and firing the third moves the clock to
+    /// 3 µs. Interleavings of independent deliveries therefore converge to
+    /// one state digest only when they also leave the clock and the clamp
+    /// matrix equal.
     pub(crate) fn run_mc_schedule(&self) -> SimCluster {
         let net = NetConfig::new(self.seed)
             .with_latency(LatencyModel::Fixed(Span::ZERO))
             .with_send_overhead(Span::ZERO);
         let mut cluster = self.bootstrap(net, None);
         for step in &self.mc_steps {
-            // A step that names nothing currently fireable is skipped: ddmin
-            // shrink candidates routinely remove the step that would have
-            // armed a later one.
-            let at = Instant::ZERO;
-            match *step {
-                McStep::Deliver { src, dst } => {
-                    let (src, dst) = (ProcessId(src), ProcessId(dst));
-                    cluster.fire(PendingEvent::Deliver { src, dst, at });
-                }
-                McStep::Wake { p } => {
-                    let node = ProcessId(p);
-                    cluster.fire(PendingEvent::Wake { node, at });
-                }
-                McStep::Send { from, group, mid } => {
-                    let send = Command::Multicast(group, MessageId(mid));
-                    cluster.apply(SimInput::Command(from, send));
-                }
-                McStep::Crash { victim } => cluster.apply(FaultOp::Crash { victim }.input()),
-            }
+            step.apply(&mut cluster);
         }
         cluster
     }

@@ -64,9 +64,9 @@ pub use checker::{check_all, CheckOptions, Violation};
 pub use cluster::{Command, SimCluster, SimInput};
 pub use history::{History, HistoryEvent, MessageId};
 pub use loadgen::{run_load, HostKind, LoadConfig, LoadReport};
-pub use mc::{explore, McConfig, McReport, McStrategy, McViolation};
+pub use mc::{explore, McConfig, McReport, McViolation};
 pub use proxy::{run_proxy, ProxyConfig, ProxyHandle};
 pub use remote::{peer_of, serve, RemoteCluster, ServeConfig};
-pub use supervisor::{run_supervisor, SupervisorConfig, SupervisorReport};
+pub use supervisor::{run_supervisor, FormationRetry, SupervisorConfig, SupervisorReport};
 pub use sweep::{run_chaos_seed, sweep_seeds, SeedOutcome, SweepConfig, SweepReport};
 pub use table::Table;

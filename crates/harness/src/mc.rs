@@ -36,6 +36,17 @@
 //! check-at-every-state plus dedup loses nothing. Liveness is *not*
 //! checked: a bounded schedule is a prefix, not a run to quiescence.
 //!
+//! # Exploration order
+//!
+//! Depth-first, on an explicit stack of clusters: each step is taken on a
+//! clone of its parent (`McStep::apply`), so no schedule is replayed and
+//! memory is one cluster per level plus the visited set. Every step
+//! consumes exactly one pending event or one unit of budget, so a state's
+//! depth follows from the state itself: the order changes neither which
+//! states are expanded nor how many reaches dedup, and the counts equal
+//! breadth-first's. Only the first counterexample found may be longer, and
+//! shrinking shortens it.
+//!
 //! # Timer reduction
 //!
 //! Among pending wake-ups only those with the *minimal* deadline are
@@ -66,21 +77,8 @@ use crate::checker::{check_all, CheckOptions, Violation};
 use crate::cluster::SimCluster;
 use newtop_sim::PendingEvent;
 use newtop_types::{GroupId, OrderMode};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::time::{Duration, Instant as WallInstant};
-
-/// Exploration order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum McStrategy {
-    /// Breadth-first: finds a shortest counterexample, frontier can grow
-    /// wide.
-    Bfs,
-    /// Iterative-deepening depth-first: depth-limited DFS passes at limits
-    /// `0, 1, …, depth`, each with a fresh visited set. Shallowest-first
-    /// like BFS, frontier stays `O(depth · branching)`.
-    Iddfs,
-}
 
 /// The exploration scope: everything that bounds the state space.
 #[derive(Debug, Clone, Copy)]
@@ -98,10 +96,8 @@ pub struct McConfig {
     /// may emit ω nulls or Ω suspicions).
     pub max_wakes: u32,
     /// Maximum schedule length. `0` = auto:
-    /// `(max_msgs + max_wakes) · nodes + max_crashes`.
+    /// `nodes · max_msgs + max_crashes + 2 · max_wakes`.
     pub depth: usize,
-    /// Exploration order.
-    pub strategy: McStrategy,
     /// Wall-clock budget; exceeded ⇒ `complete = false`.
     pub budget: Option<Duration>,
     /// Ordering variant of the explored group.
@@ -125,7 +121,6 @@ impl McConfig {
             max_crashes: 1,
             max_wakes: 0,
             depth: 0,
-            strategy: McStrategy::Bfs,
             budget: None,
             mode: OrderMode::Symmetric,
             omega_us: 5_000,
@@ -137,13 +132,17 @@ impl McConfig {
     /// The effective depth bound (resolves `depth = 0` auto): every send
     /// plus its `nodes − 1` deliveries, every crash, and two steps per
     /// timer wake (the wake itself plus slack for the ω nulls and
-    /// suspicion traffic it emits).
+    /// suspicion traffic it emits). Saturates rather than overflows.
     #[must_use]
     pub fn effective_depth(&self) -> usize {
         if self.depth != 0 {
             return self.depth;
         }
-        (self.nodes * self.max_msgs + self.max_crashes + 2 * self.max_wakes) as usize
+        let [n, msgs, crashes, wakes] =
+            [self.nodes, self.max_msgs, self.max_crashes, self.max_wakes].map(|b| b as usize);
+        n.saturating_mul(msgs)
+            .saturating_add(crashes)
+            .saturating_add(wakes.saturating_mul(2))
     }
 
     /// The groups of this scope: group 1 over every node, and in the
@@ -199,15 +198,13 @@ pub enum McViolation {
 }
 
 /// Exploration outcome.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct McReport {
     /// States expanded (checked and, below the depth bound, branched).
     pub explored: u64,
-    /// Pops skipped because an equal-or-shallower visit already expanded
-    /// the same digest.
+    /// Reached states skipped because an equal-or-shallower visit already
+    /// expanded the same digest.
     pub deduped: u64,
-    /// Peak frontier length.
-    pub frontier_peak: usize,
     /// `true` iff the bounded space was exhausted violation-free within
     /// the wall-clock budget.
     pub complete: bool,
@@ -304,62 +301,70 @@ fn check_state(cluster: &SimCluster, opts: &CheckOptions) -> Option<McViolation>
     }
 }
 
-/// Runs one bounded exploration pass (shared by BFS and each IDDFS round).
-/// Returns via `report`; `Some(schedule)` = violating schedule.
-#[allow(clippy::too_many_arguments)]
-fn bounded_pass(
+/// A level of the depth-first stack: a state and its untaken steps.
+struct Frame {
+    cluster: SimCluster,
+    untried: std::vec::IntoIter<McStep>,
+}
+
+/// Explores depth-first, taking each step on a fork of its parent's
+/// cluster. `Err(())` = budget exhausted; `Ok(Some(schedule))` = the
+/// schedule to the first violating state.
+fn dfs(
     cfg: &McConfig,
-    depth_limit: usize,
-    bfs: bool,
     opts: &CheckOptions,
     deadline: Option<WallInstant>,
     report: &mut McReport,
 ) -> Result<Option<Vec<McStep>>, ()> {
+    let depth_limit = cfg.effective_depth();
     // digest → shallowest depth expanded at. A revisit at a strictly
     // shallower depth re-expands (its subtree reaches further under the
     // depth bound); at equal or deeper depth it dedups.
     let mut visited: HashMap<u64, usize> = HashMap::new();
-    let mut frontier: VecDeque<Vec<McStep>> = VecDeque::new();
-    frontier.push_back(Vec::new());
-    while let Some(schedule) = if bfs {
-        frontier.pop_front()
-    } else {
-        frontier.pop_back()
-    } {
+    // A heap stack: no depth the budgets allow overflows the thread's.
+    // `path` leads to the newest reached state: one step per frame above
+    // the root, plus the step to `reached` while it is set.
+    let mut stack: Vec<Frame> = Vec::new();
+    let mut path: Vec<McStep> = Vec::new();
+    let mut reached = Some(cfg.plan(&[]).run_mc_schedule());
+    loop {
+        let Some(cluster) = reached.take() else {
+            let Some(frame) = stack.last_mut() else {
+                return Ok(None);
+            };
+            if let Some(step) = frame.untried.next() {
+                let mut child = frame.cluster.clone();
+                step.apply(&mut child);
+                path.push(step);
+                reached = Some(child);
+            } else {
+                stack.pop();
+                path.pop();
+            }
+            continue;
+        };
         if deadline.is_some_and(|d| WallInstant::now() >= d) {
             return Err(()); // budget exhausted
         }
-        let depth = schedule.len();
-        let cluster = cfg.plan(&schedule).run_mc_schedule();
-        match visited.entry(cluster.state_digest()) {
-            Entry::Occupied(mut e) => {
-                if *e.get() <= depth {
-                    report.deduped += 1;
-                    continue;
-                }
-                e.insert(depth);
+        let depth = path.len();
+        let shallowest = visited.entry(cluster.state_digest()).or_insert(usize::MAX);
+        if *shallowest <= depth {
+            report.deduped += 1;
+        } else {
+            *shallowest = depth;
+            report.explored += 1;
+            if let Some(v) = check_state(&cluster, opts) {
+                report.violation = Some(v);
+                return Ok(Some(path));
             }
-            Entry::Vacant(e) => {
-                e.insert(depth);
+            if depth < depth_limit {
+                let untried = enabled_steps(cfg, &cluster, &path).into_iter();
+                stack.push(Frame { cluster, untried });
+                continue;
             }
         }
-        report.explored += 1;
-        if let Some(v) = check_state(&cluster, opts) {
-            report.violation = Some(v);
-            return Ok(Some(schedule));
-        }
-        if depth >= depth_limit {
-            continue;
-        }
-        for step in enabled_steps(cfg, &cluster, &schedule) {
-            let mut child = Vec::with_capacity(depth + 1);
-            child.extend_from_slice(&schedule);
-            child.push(step);
-            frontier.push_back(child);
-        }
-        report.frontier_peak = report.frontier_peak.max(frontier.len());
+        path.pop();
     }
-    Ok(None)
 }
 
 /// Exhaustively explores the bounded scope. Stops at the first violation,
@@ -372,30 +377,8 @@ pub fn explore(cfg: &McConfig) -> McReport {
         liveness: false,
         ..CheckOptions::default()
     };
-    let depth_limit = cfg.effective_depth();
-    let mut report = McReport {
-        explored: 0,
-        deduped: 0,
-        frontier_peak: 0,
-        complete: false,
-        violation: None,
-        counterexample: None,
-        shrink_runs: 0,
-        elapsed: Duration::ZERO,
-    };
-    let outcome = match cfg.strategy {
-        McStrategy::Bfs => bounded_pass(cfg, depth_limit, true, &opts, deadline, &mut report),
-        McStrategy::Iddfs => {
-            let mut out = Ok(None);
-            for limit in 0..=depth_limit {
-                out = bounded_pass(cfg, limit, false, &opts, deadline, &mut report);
-                if !matches!(out, Ok(None)) {
-                    break;
-                }
-            }
-            out
-        }
-    };
+    let mut report = McReport::default();
+    let outcome = dfs(cfg, &opts, deadline, &mut report);
     report.elapsed = start.elapsed();
     match outcome {
         Err(()) => {} // budget exhausted: incomplete, no violation
@@ -433,19 +416,6 @@ mod tests {
         assert!(r.complete, "{r:?}");
         assert!(r.violation.is_none(), "{:?}", r.violation);
         assert!(r.explored > 1);
-    }
-
-    #[test]
-    fn bfs_and_iddfs_agree_on_verdict() {
-        let mut cfg = McConfig::new(3);
-        cfg.max_msgs = 1;
-        cfg.max_crashes = 1;
-        cfg.max_wakes = 0;
-        let bfs = explore(&cfg);
-        cfg.strategy = McStrategy::Iddfs;
-        let iddfs = explore(&cfg);
-        assert!(bfs.complete && iddfs.complete);
-        assert!(bfs.violation.is_none() && iddfs.violation.is_none());
     }
 
     #[test]
@@ -592,9 +562,11 @@ mod tests {
         })]
         /// Random-walk schedules (always through enabled steps, so every
         /// plan is fireable end to end) replay to the same canonical digest
-        /// and observable history — from scratch, and on concurrent workers
-        /// sharing the plan, mirroring the sweep's `--jobs` fan-out. Dedup
-        /// and `expect-hash` replay gating both stand on this.
+        /// and observable history — on a cluster forked and stepped one
+        /// step at a time, as the explorer reaches states; from scratch;
+        /// and on concurrent workers sharing the plan, mirroring the
+        /// sweep's `--jobs` fan-out. Forked exploration, dedup and
+        /// `expect-hash` replay gating all stand on this.
         #[test]
         fn random_schedules_replay_to_identical_digests(
             nodes in 2u32..=4u32,
@@ -604,17 +576,25 @@ mod tests {
             cfg.max_msgs = 2;
             cfg.max_crashes = 1;
             cfg.max_wakes = 1;
+            let fingerprint = |c: &SimCluster| (c.state_digest(), history_hash(&c.history()));
             let mut schedule: Vec<McStep> = Vec::new();
+            let mut walked = cfg.plan(&schedule).run_mc_schedule();
             for &pick in &picks {
-                let cluster = cfg.plan(&schedule).run_mc_schedule();
-                let steps = enabled_steps(&cfg, &cluster, &schedule);
+                let steps = enabled_steps(&cfg, &walked, &schedule);
                 if steps.is_empty() {
                     break;
                 }
-                schedule.push(steps[pick % steps.len()]);
+                let step = steps[pick % steps.len()];
+                let mut fork = walked.clone();
+                step.apply(&mut fork);
+                schedule.push(step);
+                proptest::prop_assert_eq!(
+                    fingerprint(&fork),
+                    fingerprint(&cfg.plan(&schedule).run_mc_schedule())
+                );
+                walked = fork;
             }
             let plan = cfg.plan(&schedule);
-            let fingerprint = |c: &SimCluster| (c.state_digest(), history_hash(&c.history()));
             let baseline = fingerprint(&plan.run_mc_schedule());
             std::thread::scope(|scope| {
                 for _ in 0..3 {

@@ -103,9 +103,9 @@ pub struct SupervisorReport {
     /// Rejoins observed (a restarted node reporting its lineage's new
     /// group active). One per cycle on success.
     pub rejoins: u32,
-    /// Formation attempts that failed and were retried under a fresh
-    /// group id.
-    pub formation_retries: u32,
+    /// Why each formation attempt that was retried under a fresh group
+    /// id failed, in order.
+    pub formation_retries: Vec<FormationRetry>,
     /// Peer index killed in each cycle.
     pub victims: Vec<usize>,
     /// Member deliveries recorded across all phases.
@@ -114,6 +114,15 @@ pub struct SupervisorReport {
     pub view_changes: u64,
     /// Pairwise per-group prefix disagreements (0 on success).
     pub order_violations: u64,
+}
+
+/// Why one supervised formation attempt failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FormationRetry {
+    /// The anchor (the initiator) reported the formation failed (§5.3).
+    Failed(FormationFailure),
+    /// `form_group` refused the request at once.
+    Refused(SendError),
 }
 
 /// Kills every child on drop so a failed run never leaks processes.
@@ -430,7 +439,7 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
     let mut rng = cfg.seed | 1;
     let mut victims = Vec::new();
     let mut rejoins = 0u32;
-    let mut formation_retries = 0u32;
+    let mut formation_retries = Vec::new();
 
     traffic_phase(cfg, &cluster, &mut tracking, &current_gid, &mut next_tag)
         .map_err(|e| format!("warmup: {e}"))?;
@@ -506,14 +515,14 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
                 let gid = GroupId(next_gid);
                 next_gid += 1;
                 let failure = match cluster.form_group(anchor, gid, &members) {
-                    Err(e) => e.to_string(),
+                    Err(e) => FormationRetry::Refused(e),
                     Ok(()) => {
                         let settled = tracking.wait_until(Duration::from_secs(30), |t| {
                             t.failed.contains_key(&(gid.0, anchor.0))
                                 || wanted.iter().all(|n| t.active.contains(&(gid.0, *n)))
                         });
                         match tracking.failed.get(&(gid.0, anchor.0)) {
-                            Some(reason) => reason.to_string(),
+                            Some(&reason) => FormationRetry::Failed(reason),
                             None if settled => break gid,
                             None => {
                                 return Err(format!(
@@ -526,10 +535,10 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
                 };
                 if Instant::now() >= deadline {
                     return Err(format!(
-                        "cycle {cycle}: form group {gid:?} at {anchor}: {failure}"
+                        "cycle {cycle}: form group {gid:?} at {anchor}: {failure:?}"
                     ));
                 }
-                formation_retries += 1;
+                formation_retries.push(failure);
                 tracking.sweep();
                 std::thread::sleep(Duration::from_millis(200));
             };

@@ -28,7 +28,7 @@ fn help_exits_zero_and_lists_the_flags_on_stdout() {
         ),
         (
             &["mc", "--help"],
-            &["--nodes", "--max-msgs", "--strategy", "--big-omega-us"],
+            &["--nodes", "--max-msgs", "--max-wakes", "--big-omega-us"],
         ),
         (
             &["serve", "--help"],
@@ -76,6 +76,19 @@ fn usage_errors_exit_two_without_panicking() {
         assert!(stderr.contains("usage: newtop-exp"), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+}
+
+/// The auto depth bound of the largest budgets saturates instead of
+/// overflowing; a zero wall-clock budget then stops before any state is
+/// checked, which is the inconclusive exit.
+#[test]
+fn mc_largest_budgets_exit_inconclusive_without_panicking() {
+    let out = run(&["mc", "--max-msgs", "4294967295", "--budget-secs", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("inconclusive"), "{stdout}");
 }
 
 /// Every malformed replay script fails in the parser — exit 2, the
