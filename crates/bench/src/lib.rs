@@ -1,12 +1,13 @@
 //! Shared helpers for the Newtop benchmark suite.
 //!
-//! The benches live in `benches/`:
+//! These are microbenchmarks: each prints one ns/iter line per row. The
+//! system's performance record is the benchmark under `perfbench/`
+//! (`python3 perfbench/run.py`). The benches live in `benches/`:
 //!
-//! * `experiments` — runs each of the E1–E10 experiment scenarios (quick
-//!   sweeps) under Criterion, timing a full simulated run per iteration;
-//! * `hot_paths` — microbenchmarks of the protocol's per-message work:
-//!   wire encode/decode, logical-clock and receive-vector updates, the
-//!   symmetric receive path and the delivery pump;
+//! * `hot_paths` — the protocol's per-message work: wire encode/decode,
+//!   multicast fan-out, logical-clock and receive-vector updates, the
+//!   engine's multicast round trip and null receipt, crash-to-view
+//!   membership, the simulator's event loop and one chaos seed;
 //! * `baseline_protocols` — the comparator protocols' per-message work, so
 //!   regressions in the comparison baselines are caught too.
 

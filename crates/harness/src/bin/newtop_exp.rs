@@ -1,5 +1,6 @@
-//! `newtop-exp` — runs the reproduction's experiment suite and prints the
-//! tables recorded in EXPERIMENTS.md, drives the chaos fleet and the model
+//! `newtop-exp` — runs the reproduction's experiment suite and prints its
+//! tables (DESIGN.md §4 maps each experiment to its paper claim;
+//! `newtop-exp --list` names them), drives the chaos fleet and the model
 //! checker, and runs the processes of a real TCP cluster.
 //!
 //! ```text
@@ -27,17 +28,19 @@
 //!
 //! Every command line is read through one flag table per subcommand
 //! ([`Spec`]): each flag is spelled once, in its table entry, which also
-//! holds its help text and how it sets the config. The table rejects
-//! unknown flags, missing values and repeated flags (exit 2, `error: …`
-//! and the usage on stderr), and `--help` prints the usage generated from
-//! it on stdout (exit 0).
+//! holds its help text and how it sets the config. A flag that counts
+//! threads, processes, nodes or budget units states its maximum in its
+//! entry. The table rejects unknown flags, missing values, repeated flags
+//! and counts above their maximum (exit 2, `error: …` and the usage on
+//! stderr) before anything starts, and `--help` prints the usage
+//! generated from it on stdout (exit 0).
 //!
 //! A failing chaos seed is delta-debugged to a minimal fault schedule and
 //! written as a replay script under `--emit-dir` (default `target/chaos`);
 //! the process exits nonzero.
 
 use newtop_harness::chaos::{delivery_count, shrink, ChaosPlan, ChaosScenario};
-use newtop_harness::loadgen::{run_load, HostKind, LoadConfig};
+use newtop_harness::loadgen::{run_load, LoadConfig};
 use newtop_harness::mc::{explore, McConfig, McViolation};
 use newtop_harness::proxy::{run_proxy, ProxyConfig};
 use newtop_harness::remote::{serve, ServeConfig};
@@ -179,9 +182,9 @@ script. A failing seed is delta-debugged and written as a replay script.",
             "write SEED's plan as a replay script (to --out, else stdout)"),
         value("--out", "FILE", |a, v| { a.out = Some(v.into()); Ok(()) },
             "with --pin: where the script goes"),
-        value("--jobs", "N", |a, v| num(v).map(|j: usize| a.jobs = j.max(1)),
+        at_most(64, value("--jobs", "N", |a, v| num(v).map(|j: usize| a.jobs = j.max(1)),
             "sweep (and shrink-probe) worker threads; default: the machine's available \
-             parallelism. Results are bit-identical for every N — only wall-clock changes"),
+             parallelism. Results are bit-identical for every N — only wall-clock changes")),
         value("--budget-secs", "S", |a, v| num(v).map(|s| a.budget_secs = Some(s)),
             "stop sweeping after S wall-clock seconds (still exits 0 if everything that \
              did run was green)"),
@@ -189,15 +192,15 @@ script. A failing seed is delta-debugged and written as a replay script.",
             "where failing-seed replay scripts go (default target/chaos)"),
         switch("--no-shrink", |a| a.no_shrink = true, "skip delta-debugging failing schedules"),
         switch("--dump", |a| a.dump = true, "with --replay: print the per-process event logs"),
-        value("--max-n", "N", |a, v| num(v).map(|n| a.max_n = n),
-            "generation limit: processes (default 7)"),
-        value("--max-faults", "K", |a, v| num(v).map(|k| a.max_faults = Some(k)),
+        at_most(64, value("--max-n", "N", |a, v| num(v).map(|n| a.max_n = n),
+            "generation limit: processes (default 7)")),
+        at_most(64, value("--max-faults", "K", |a, v| num(v).map(|k| a.max_faults = Some(k)),
             "generation limit: fault-schedule entries (default 4; 8 under --churn). A \
              family is a fault mix crossed with a network profile. Classic mix: 0..=K \
              entries, crash/partition/spike/depart equally likely, at most 2 crashes. \
              Churn mix: K/2..=K entries, crash and depart 3x as likely, up to n-2 crashes. \
              LAN profile: omega 5 ms, Omega 60 ms. WAN profile: omega 20 ms, Omega 250 ms, \
-             a drawn region topology and congestion windows"),
+             a drawn region topology and congestion windows")),
         switch("--churn", |a| a.churn = true,
             "use the churn fault mix: crash/depart-heavy fault schedules with the crash \
              budget raised to n-2"),
@@ -410,20 +413,20 @@ spawned TCP cluster instead.",
     init: || LoadArgs { cycles: 3, procs: 3, seed: 1, port_base: 7400, ..LoadArgs::default() },
     operands: None,
     flags: &[
-        value("--nodes", "N", |a, v| num(v).map(|n| a.cfg.nodes = n),
-            "protocol participants (default 8)"),
-        value("--groups", "G", |a, v| num(v).map(|g| a.cfg.groups = g),
-            "groups; node i joins group (i-1) mod G (default 3)"),
-        value("--shards", "S", |a, v| num(v).map(|s| a.cfg.shards = s),
-            "worker shards for the sharded host (default: available parallelism)"),
+        at_most(1024, value("--nodes", "N", |a, v| num(v).map(|n| a.cfg.nodes = n),
+            "protocol participants (default 8)")),
+        at_most(64, value("--groups", "G", |a, v| num(v).map(|g| a.cfg.groups = g),
+            "groups; node i joins group (i-1) mod G (default 3)")),
+        at_most(64, value("--shards", "S", |a, v| num(v).map(|s| a.cfg.shards = s),
+            "worker shards for the sharded host (default: available parallelism)")),
         value("--secs", "T", |a, v| seconds(v).map(|t| a.cfg.secs = t),
             "sending duration in seconds, fractions ok (default 2)"),
         value("--mode", "sym|asym", |a, v| mode(v).map(|m| a.cfg.mode = m),
             "ordering variant for every group (default sym)"),
         value("--payload", "B", |a, v| num(v).map(|b| a.cfg.payload = b),
             "application payload bytes, >= 8 (default 64)"),
-        value("--window", "W", |a, v| num(v).map(|w| a.cfg.window = w),
-            "closed-loop in-flight messages per group (default 16)"),
+        at_most(1024, value("--window", "W", |a, v| num(v).map(|w| a.cfg.window = w),
+            "closed-loop in-flight messages per group (default 16)")),
         value("--host", "sharded|tcp", |a, v| v.parse().map(|h| a.cfg.host = h),
             "host under test: the sharded event-loop host or a real multi-process cluster \
              of `newtop-exp serve` processes (default sharded)"),
@@ -444,19 +447,19 @@ spawned TCP cluster instead.",
         switch("--expect-stable", |a| a.expect_stable = true,
             "fail (exit 1) if any view change occurs mid-run — asserts zero false \
              exclusions under latency spikes"),
-        value("--inbox-cap", "N", |a, v| num(v).map(|n| a.cfg.inbox_cap = Some(n)),
+        at_most(1 << 20, value("--inbox-cap", "N", |a, v| num(v).map(|n| a.cfg.inbox_cap = Some(n)),
             "shard-inbox admission bound; excess client multicasts are shed as explicit \
-             backpressure"),
+             backpressure")),
         value("--churn", "SEED", |a, v| num(v).map(|s| a.cfg.churn = Some(s)),
             "sharded host: seeded mid-run kills of non-driver nodes (exclusions are then \
-             expected, not warnings). With --host tcp this routes to --supervise"),
+             expected, not warnings)"),
         switch("--supervise", |a| a.supervise = true,
             "spawn a real TCP cluster of serve processes and run seeded kill-9 / restart / \
              rejoin cycles against it (ignores --host and --peers)"),
-        value("--cycles", "N", |a, v| num(v).map(|n| a.cycles = n),
-            "supervise: kill/restart cycles (default 3)"),
-        value("--procs", "P", |a, v| num(v).map(|p| a.procs = p),
-            "supervise: serve processes (default 3; peer 0 is never killed)"),
+        at_most(100, value("--cycles", "N", |a, v| num(v).map(|n| a.cycles = n),
+            "supervise: kill/restart cycles (default 3)")),
+        at_most(16, value("--procs", "P", |a, v| num(v).map(|p| a.procs = p),
+            "supervise: serve processes (default 3; peer 0 is never killed)")),
         value("--seed", "S", |a, v| num(v).map(|s| a.seed = s),
             "supervise: victim-schedule seed (default 1)"),
         value("--port-base", "P", |a, v| num(v).map(|p| a.port_base = p),
@@ -464,10 +467,9 @@ spawned TCP cluster instead.",
     ],
 };
 
-/// `load --supervise` (and `load --churn --host tcp`): the supervised
-/// crash-recovery scenario against a real spawned TCP cluster.
-fn supervise_main(args: &LoadArgs) -> ExitCode {
-    let mut cfg = SupervisorConfig::new(args.cfg.churn.unwrap_or(args.seed));
+/// The supervisor's config from `load`'s command line.
+fn supervisor_config(args: &LoadArgs) -> SupervisorConfig {
+    let mut cfg = SupervisorConfig::new(args.seed);
     cfg.nodes = args.cfg.nodes;
     cfg.groups = args.cfg.groups;
     cfg.procs = args.procs;
@@ -480,6 +482,13 @@ fn supervise_main(args: &LoadArgs) -> ExitCode {
     }
     cfg.accrual = args.cfg.suspicion != SuspicionMode::FixedOmega;
     cfg.port_base = args.port_base;
+    cfg
+}
+
+/// `load --supervise`: the supervised crash-recovery scenario against a
+/// real spawned TCP cluster.
+fn supervise_main(args: &LoadArgs) -> ExitCode {
+    let cfg = supervisor_config(args);
     eprintln!(
         "supervise: {} nodes / {} groups over {} procs, {} kill/restart cycle(s), seed {}{}",
         cfg.nodes,
@@ -518,7 +527,7 @@ fn supervise_main(args: &LoadArgs) -> ExitCode {
 
 fn load_main(args: &[String]) -> ExitCode {
     let parsed = LOAD.parse(args);
-    if parsed.supervise || (parsed.cfg.churn.is_some() && parsed.cfg.host == HostKind::Tcp) {
+    if parsed.supervise {
         return supervise_main(&parsed);
     }
     let cfg = parsed.cfg;
@@ -619,22 +628,23 @@ script (see newtop-exp chaos --help).",
     init: || McArgs { cfg: McConfig::new(3), emit_dir: "target/mc".to_string() },
     operands: None,
     flags: &[
-        value("--nodes", "N", |a, v| match num(v)? {
-                n @ 2..=4 => { a.cfg.nodes = n; Ok(()) }
-                _ => Err("must be 2..=4 (small-scope checker)".into()),
+        at_most(4, value("--nodes", "N", |a, v| match num(v)? {
+                n @ 2.. => { a.cfg.nodes = n; Ok(()) }
+                _ => Err("must be at least 2".into()),
             },
-            "processes, all in group 1 (default 3)"),
+            "processes, all in group 1 (default 3)")),
         switch("--nested", |a| a.cfg.nested = true,
             "add group 2 = {P1, P2} inside group 1, whose multicasts stand in for \
              group 2's nulls; odd-numbered sends by P1 and P2 go to group 2"),
-        value("--max-msgs", "K", |a, v| num(v).map(|k| a.cfg.max_msgs = k),
-            "application-multicast budget (default 2)"),
-        value("--max-crashes", "K", |a, v| num(v).map(|k| a.cfg.max_crashes = k),
-            "crash budget (default 1)"),
-        value("--max-wakes", "K", |a, v| num(v).map(|k| a.cfg.max_wakes = k),
-            "timer wake-up budget (default 0)"),
-        value("--depth", "D", |a, v| num(v).map(|d| a.cfg.depth = d),
-            "schedule-length bound; 0 = auto (default 0)"),
+        at_most(u32::MAX as u64, value("--max-msgs", "K", |a, v| num(v).map(|k| a.cfg.max_msgs = k),
+            "application-multicast budget (default 2); the auto depth saturates and \
+             --budget-secs bounds the run")),
+        at_most(4, value("--max-crashes", "K", |a, v| num(v).map(|k| a.cfg.max_crashes = k),
+            "crash budget (default 1)")),
+        at_most(64, value("--max-wakes", "K", |a, v| num(v).map(|k| a.cfg.max_wakes = k),
+            "timer wake-up budget (default 0)")),
+        at_most(1024, value("--depth", "D", |a, v| num(v).map(|d| a.cfg.depth = d),
+            "schedule-length bound; 0 = auto (default 0)")),
         value("--budget-secs", "S",
             |a, v| num(v).map(|s| a.cfg.budget = Some(Duration::from_secs(s))),
             "wall-clock budget; exceeding it exits 3 (inconclusive: the space was not \
@@ -739,18 +749,18 @@ until a client sends shutdown (see newtop-exp load --help).",
     init: || ServeConfig::new(0, 1, Vec::new(), Vec::new(), 0),
     operands: None,
     flags: &[
-        value("--nodes", "N", |c, v| num(v).map(|n| c.nodes = n),
-            "protocol participants cluster-wide (required)"),
-        value("--groups", "G", |c, v| num(v).map(|g| c.groups = g),
-            "groups; node i joins group (i-1) mod G (default 1)"),
+        at_most(1024, value("--nodes", "N", |c, v| num(v).map(|n| c.nodes = n),
+            "protocol participants cluster-wide (required)")),
+        at_most(64, value("--groups", "G", |c, v| num(v).map(|g| c.groups = g),
+            "groups; node i joins group (i-1) mod G (default 1)")),
         value("--peers", "A,B,...", |c, v| addrs(v).map(|p| c.peers = p),
             "every peer's data-plane address, cluster order (required)"),
         value("--ctrl", "X,Y,...", |c, v| addrs(v).map(|p| c.ctrl = p),
             "every peer's control-plane address, same order (required)"),
         value("--me", "I", |c, v| num(v).map(|i| c.me = i),
             "this process's index into both lists (0-based, default 0)"),
-        value("--shards", "S", |c, v| num(v).map(|s| if s > 0 { c.cluster = c.cluster.shards(s) }),
-            "worker shards for the local sharded host (default, or 0: available parallelism)"),
+        at_most(64, value("--shards", "S", |c, v| num(v).map(|s| if s > 0 { c.cluster = c.cluster.shards(s) }),
+            "worker shards for the local sharded host (default, or 0: available parallelism)")),
         value("--mode", "sym|asym", |c, v| mode(v).map(|m| c.mode = m),
             "ordering variant for every group (default sym)"),
         value("--omega-ms", "MS", |c, v| num(v).map(|ms| c.omega = Span::from_millis(ms)),
@@ -759,9 +769,9 @@ until a client sends shutdown (see newtop-exp load --help).",
             "suspicion timeout Omega (default 10000)"),
         switch("--accrual", |c| c.suspicion = SuspicionMode::accrual(),
             "adaptive accrual suspicion instead of fixed Omega"),
-        value("--inbox-cap", "N", |c, v| num(v).map(|n| c.cluster = c.cluster.inbox_cap(n)),
+        at_most(1 << 20, value("--inbox-cap", "N", |c, v| num(v).map(|n| c.cluster = c.cluster.inbox_cap(n)),
             "shard-inbox admission bound (client multicasts beyond it are shed as explicit \
-             backpressure)"),
+             backpressure)")),
         switch("--rejoin", |c| c.bootstrap = false,
             "crash-recovery restart: skip the group bootstrap (the survivors excluded this \
              peer's old nodes; a fresh group arrives via a client's form op) and retry the \
@@ -942,6 +952,28 @@ struct Flag<C> {
     help: &'static str,
     /// May be given more than once (every other flag is rejected on repeat).
     repeat: bool,
+    /// The largest value a count flag takes, checked before the value is
+    /// set and printed in the usage.
+    max: Option<u64>,
+}
+
+impl<C> Flag<C> {
+    /// Refuses a number above the flag's maximum; anything else is left
+    /// to the flag's own parser.
+    fn check_max(&self, v: &str) -> Result<(), String> {
+        match (self.max, v.parse::<u64>()) {
+            (Some(max), Ok(n)) if n > max => Err(format!("must be at most {max}")),
+            _ => Ok(()),
+        }
+    }
+
+    /// The help text, with the maximum of a count flag.
+    fn help(&self) -> String {
+        match self.max {
+            Some(max) => format!("{}; at most {max}", self.help),
+            None => self.help.to_string(),
+        }
+    }
 }
 
 /// What a flag takes, and how it sets the command's config.
@@ -964,6 +996,7 @@ const fn value<C>(
         arg: Arg::Value(placeholder, set),
         help,
         repeat: false,
+        max: None,
     }
 }
 
@@ -974,6 +1007,15 @@ const fn switch<C>(name: &'static str, set: fn(&mut C), help: &'static str) -> F
         arg: Arg::Switch(set),
         help,
         repeat: false,
+        max: None,
+    }
+}
+
+/// Refuses a value of `flag` above `max`.
+const fn at_most<C>(max: u64, flag: Flag<C>) -> Flag<C> {
+    Flag {
+        max: Some(max),
+        ..flag
     }
 }
 
@@ -1037,7 +1079,9 @@ impl<C> Spec<'_, C> {
                     let v = args
                         .next()
                         .ok_or_else(|| format!("{} needs a value ({placeholder})", flag.name))?;
-                    set(cfg, v).map_err(|e| format!("bad {} '{v}': {e}", flag.name))?;
+                    flag.check_max(v)
+                        .and_then(|()| set(cfg, v))
+                        .map_err(|e| format!("bad {} '{v}': {e}", flag.name))?;
                 }
             }
         }
@@ -1059,10 +1103,10 @@ impl<C> Spec<'_, C> {
             self.about.trim_end()
         );
         let rows = self.flags.iter().map(|f| match f.arg {
-            Arg::Switch(_) => (f.name.to_string(), f.help),
-            Arg::Value(placeholder, _) => (format!("{} {placeholder}", f.name), f.help),
+            Arg::Switch(_) => (f.name.to_string(), f.help()),
+            Arg::Value(placeholder, _) => (format!("{} {placeholder}", f.name), f.help()),
         });
-        for (head, help) in rows.chain([("-h, --help".to_string(), "print this help")]) {
+        for (head, help) in rows.chain([("-h, --help".to_string(), "print this help".into())]) {
             let mut line = format!("  {head:<17} ");
             for (i, word) in help.split_whitespace().enumerate() {
                 // Wrap at 78 columns; a head too long for its column puts
@@ -1306,8 +1350,6 @@ mod tests {
         let docs = [
             include_str!("../../../../README.md"),
             include_str!("../../../../.github/workflows/ci.yml"),
-            include_str!("../../../../scripts/bench_check.sh"),
-            include_str!("../../../../scripts/bench_snapshot.sh"),
             include_str!("../../../../scripts/crash_smoke.sh"),
             include_str!("../../../../scripts/smoke_cluster.sh"),
             include_str!("../../../../scripts/tcp_smoke.sh"),
@@ -1348,5 +1390,149 @@ mod tests {
             "flags missing from their tables: {stale:#?}"
         );
         assert!(checked > 60, "only {checked} documented flags found");
+
+        // Every `scripts/…` path the README names exists.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let readme = docs[0];
+        let mut named = 0;
+        for (at, _) in readme.match_indices("scripts/") {
+            let path: String = readme[at..]
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || matches!(c, '/' | '_' | '.' | '-'))
+                .collect();
+            let path = path.trim_end_matches('.');
+            named += 1;
+            assert!(
+                root.join(path).is_file(),
+                "README names {path}, which is missing"
+            );
+        }
+        assert!(named > 3, "only {named} script paths found in the README");
+    }
+
+    /// Every count flag takes 0, 1 and its maximum through parse and
+    /// validation as its row says, and refuses its maximum + 1 and
+    /// `u32::MAX` (when above the maximum) at parse. Nothing here starts
+    /// a run, a thread or a process.
+    #[test]
+    fn count_flags_are_bounded_before_anything_starts() {
+        fn verdict<C>(
+            spec: &Spec<C>,
+            args: &[&str],
+            check: fn(&C) -> Result<(), String>,
+        ) -> Result<(), String> {
+            parse(spec, args).and_then(|c| check(&c))
+        }
+        fn load(a: &LoadArgs) -> Result<(), String> {
+            if a.supervise {
+                supervisor_config(a).validate()
+            } else {
+                a.cfg.validate()
+            }
+        }
+        fn maxima<C>(
+            command: &'static str,
+            spec: &Spec<C>,
+        ) -> Vec<(&'static str, &'static str, u64)> {
+            spec.flags
+                .iter()
+                .filter_map(|f| Some((command, f.name, f.max?)))
+                .collect()
+        }
+        const SERVE_ARGS: [&str; 4] = ["--peers", "127.0.0.1:1", "--ctrl", "127.0.0.1:2"];
+        const SERVE_1024: [&str; 6] = [
+            "--peers",
+            "127.0.0.1:1",
+            "--ctrl",
+            "127.0.0.1:2",
+            "--nodes",
+            "1024",
+        ];
+        // (command, other arguments, flag, its maximum, the least value
+        // that passes parse and validation)
+        let rows: [(&str, &[&str], &str, u64, u64); 19] = [
+            ("chaos", &[], "--jobs", 64, 0),
+            ("chaos", &[], "--max-n", 64, 0),
+            ("chaos", &[], "--max-faults", 64, 0),
+            ("load", &["--groups", "1"], "--nodes", 1024, 1),
+            ("load", &["--nodes", "1024"], "--groups", 64, 1),
+            ("load", &[], "--shards", 64, 0),
+            ("load", &[], "--window", 1024, 1),
+            ("load", &[], "--inbox-cap", 1 << 20, 0),
+            ("load", &["--supervise"], "--cycles", 100, 0),
+            (
+                "load",
+                &["--supervise", "--nodes", "64", "--groups", "2"],
+                "--procs",
+                16,
+                2,
+            ),
+            ("mc", &[], "--nodes", 4, 2),
+            ("mc", &[], "--max-msgs", u32::MAX.into(), 0),
+            ("mc", &[], "--max-crashes", 4, 0),
+            ("mc", &[], "--max-wakes", 64, 0),
+            ("mc", &[], "--depth", 1024, 0),
+            ("serve", &SERVE_ARGS, "--nodes", 1024, 1),
+            ("serve", &SERVE_1024, "--groups", 64, 1),
+            ("serve", &SERVE_1024, "--shards", 64, 0),
+            ("serve", &SERVE_1024, "--inbox-cap", 1 << 20, 0),
+        ];
+        let bounded = [
+            maxima("chaos", &CHAOS),
+            maxima("load", &LOAD),
+            maxima("mc", &MC),
+            maxima("serve", &SERVE),
+            maxima("proxy", &PROXY),
+        ]
+        .concat();
+        let listed: Vec<_> = rows.iter().map(|&(c, _, f, max, _)| (c, f, max)).collect();
+        assert_eq!(
+            bounded, listed,
+            "the rows must list every bounded flag and its maximum"
+        );
+
+        for (command, other, flag, max, least) in rows {
+            let run = |v: u64| {
+                let v = v.to_string();
+                let mut args = other.to_vec();
+                args.extend([flag, v.as_str()]);
+                match command {
+                    "chaos" => verdict(&CHAOS, &args, |_| Ok(())),
+                    "load" => verdict(&LOAD, &args, load),
+                    "mc" => verdict(&MC, &args, |_| Ok(())),
+                    _ => verdict(&SERVE, &args, ServeConfig::validate),
+                }
+            };
+            for v in [0, 1, max] {
+                assert_eq!(
+                    run(v).is_ok(),
+                    v >= least,
+                    "{command} {flag} {v}: {:?}",
+                    run(v)
+                );
+            }
+            for v in [max + 1, u32::MAX.into()].into_iter().filter(|&v| v > max) {
+                let err = run(v).expect_err(&format!("{command} {flag} {v} accepted"));
+                assert!(
+                    err.contains(&format!("at most {max}")),
+                    "{command} {flag} {v}: {err}"
+                );
+            }
+            let usage = match command {
+                "chaos" => CHAOS.usage(),
+                "load" => LOAD.usage(),
+                "mc" => MC.usage(),
+                _ => SERVE.usage(),
+            };
+            let usage = usage.split_whitespace().collect::<Vec<_>>().join(" ");
+            assert!(
+                usage.contains(&format!("at most {max}")),
+                "{command} --help omits {flag}'s maximum"
+            );
+        }
+        // The supervisor's 2 · procs ports must end at or below 65535.
+        let port_base = |p: &'static str| verdict(&LOAD, &["--supervise", "--port-base", p], load);
+        assert!(port_base("65530").is_ok());
+        assert!(port_base("65531").is_err_and(|e| e.contains("run past the last port")));
     }
 }

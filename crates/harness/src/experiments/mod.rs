@@ -1,8 +1,8 @@
 //! The E1–E10 experiment suite (see DESIGN.md §4 for the claim → experiment
-//! map and EXPERIMENTS.md for recorded results).
+//! map; `newtop-exp --list` names the experiments).
 //!
 //! Every experiment returns a [`Table`]; `quick` mode shrinks sweeps for
-//! benches and CI. Experiments that run protocol traffic also pass their
+//! the tests and CI. Experiments that run protocol traffic also pass their
 //! histories through the property [`checker`](crate::checker) — a run that
 //! violates MD/VC properties panics rather than reporting numbers.
 

@@ -35,8 +35,8 @@
 //! * [`proxy`] — a frame-aware chaos proxy (`newtop-exp proxy`) that
 //!   drops, delays, reorders and partitions peer-link records so
 //!   recovery paths can be exercised on real sockets;
-//! * [`experiments`] — E1–E10, one per claim (see DESIGN.md §4), each
-//!   printing the table EXPERIMENTS.md records;
+//! * [`experiments`] — E1–E10, one per claim (see DESIGN.md §4;
+//!   `newtop-exp --list` names them), each printing one table;
 //! * [`table`] — plain-text aligned table rendering.
 //!
 //! Run everything with `cargo run -p newtop-harness --bin newtop-exp all`.

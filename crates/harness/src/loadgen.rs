@@ -100,9 +100,6 @@ pub struct LoadConfig {
     /// host only; the TCP host gets churn from the supervisor). View
     /// changes are then expected, not a warning.
     pub churn: Option<u64>,
-    /// Stop as soon as this many member deliveries were observed (bench
-    /// mode); `None` = run the full `secs`.
-    pub target_deliveries: Option<u64>,
     /// Shard-inbox admission bound for the sharded host (`None` = host
     /// default; `Some(0)` sheds every client multicast).
     pub inbox_cap: Option<usize>,
@@ -129,11 +126,53 @@ impl Default for LoadConfig {
             big_omega: Span::from_secs(10),
             suspicion: SuspicionMode::FixedOmega,
             churn: None,
-            target_deliveries: None,
             inbox_cap: None,
             peers: Vec::new(),
             stop_peers: false,
         }
+    }
+}
+
+impl LoadConfig {
+    /// Checks the counts, the budget and the host choice. [`run_load`]
+    /// runs it before anything starts.
+    ///
+    /// # Errors
+    ///
+    /// What is wrong with the configuration, in words.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.secs.is_finite() && self.secs > 0.0) {
+            return Err(format!(
+                "secs must be a finite number above 0 (got {})",
+                self.secs
+            ));
+        }
+        if self.nodes == 0 || self.groups == 0 {
+            return Err("need at least one node and one group".into());
+        }
+        if self.groups > self.nodes {
+            return Err(format!(
+                "{} groups need at least as many nodes (got {})",
+                self.groups, self.nodes
+            ));
+        }
+        if self.payload < 8 {
+            return Err("payload must be at least 8 bytes (timestamp)".into());
+        }
+        if self.window == 0 {
+            return Err("window must be at least 1".into());
+        }
+        if self.churn.is_some() && self.host != HostKind::Sharded {
+            return Err(
+                "--churn drives the sharded host; for TCP churn use load --supervise (the \
+                 supervisor kill-9s and restarts real serve processes)"
+                    .into(),
+            );
+        }
+        if self.host == HostKind::Tcp && self.peers.is_empty() {
+            return Err("--host tcp needs the serve processes' control addresses".into());
+        }
+        Ok(())
     }
 }
 
@@ -527,21 +566,11 @@ fn run_on<H: Host>(host: &H, cfg: &LoadConfig) -> LoadReport {
             let shared = &shared;
             scope.spawn(move || collector(shared, chunk));
         }
-        // Conductor: watch for the deadline or the delivery target.
-        loop {
-            std::thread::sleep(Duration::from_millis(2));
-            let hit_target = cfg
-                .target_deliveries
-                .is_some_and(|t| shared.delivered.load(Ordering::Relaxed) >= t);
-            if hit_target || Instant::now() >= deadline {
-                break;
-            }
-        }
+        // Conductor: sleep out the sending budget, then a grace period
+        // so in-flight messages drain into the counters.
+        std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
         shared.stop_sending.store(true, Ordering::Relaxed);
-        // Grace period so in-flight messages drain into the counters.
-        if cfg.target_deliveries.is_none() {
-            std::thread::sleep(Duration::from_millis(300));
-        }
+        std::thread::sleep(Duration::from_millis(300));
         // Freeze the measurement window and its counters at the same
         // instant: deliveries the collectors drain while noticing
         // `stop_all` (up to one 20 ms recv timeout later) must not count
@@ -637,34 +666,7 @@ fn run_churn_on(
 ///
 /// A human-readable message if the configuration is unsatisfiable.
 pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, String> {
-    if !(cfg.secs.is_finite() && cfg.secs > 0.0) {
-        return Err(format!(
-            "secs must be a finite number above 0 (got {})",
-            cfg.secs
-        ));
-    }
-    if cfg.nodes == 0 || cfg.groups == 0 {
-        return Err("need at least one node and one group".into());
-    }
-    if cfg.groups > cfg.nodes {
-        return Err(format!(
-            "{} groups need at least as many nodes (got {})",
-            cfg.groups, cfg.nodes
-        ));
-    }
-    if cfg.payload < 8 {
-        return Err("payload must be at least 8 bytes (timestamp)".into());
-    }
-    if cfg.window == 0 {
-        return Err("window must be at least 1".into());
-    }
-    if cfg.churn.is_some() && cfg.host != HostKind::Sharded {
-        return Err(
-            "--churn drives the sharded host; for TCP churn use load --supervise (the \
-             supervisor kill-9s and restarts real serve processes)"
-                .into(),
-        );
-    }
+    cfg.validate()?;
     match cfg.host {
         HostKind::Sharded => {
             let mut knobs = ClusterConfig::new();
@@ -692,9 +694,6 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, String> {
             Ok(report)
         }
         HostKind::Tcp => {
-            if cfg.peers.is_empty() {
-                return Err("--host tcp needs the serve processes' control addresses".into());
-            }
             let remote = crate::remote::RemoteCluster::connect(
                 &cfg.peers,
                 cfg.nodes,

@@ -71,8 +71,8 @@ pub struct SupervisorConfig {
 }
 
 impl SupervisorConfig {
-    /// The ISSUE's reference scenario: 6 nodes / 2 groups over 3
-    /// processes, 3 kill/restart cycles.
+    /// The reference scenario: 6 nodes / 2 groups over 3 processes,
+    /// 3 kill/restart cycles.
     #[must_use]
     pub fn new(seed: u64) -> SupervisorConfig {
         SupervisorConfig {
@@ -91,6 +91,38 @@ impl SupervisorConfig {
             serve_bin: None,
             quiet: false,
         }
+    }
+
+    /// Checks the counts, the payload, the port block and that every
+    /// lineage has an anchor. [`run_supervisor`] runs it before it
+    /// spawns anything.
+    ///
+    /// # Errors
+    ///
+    /// What is wrong with the configuration, in words.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.procs < 2 {
+            return Err("need at least 2 serve processes (peer 0 is never killed)".into());
+        }
+        #[allow(clippy::cast_possible_truncation)]
+        let procs = self.procs as u32;
+        if self.nodes < procs || self.groups == 0 || self.groups > self.nodes {
+            return Err("need nodes >= procs and 0 < groups <= nodes".into());
+        }
+        if self.payload < 8 {
+            return Err("payload must be at least 8 bytes (tag)".into());
+        }
+        let ports = self.procs.saturating_mul(2);
+        if usize::from(self.port_base).saturating_add(ports) > usize::from(u16::MAX) + 1 {
+            return Err(format!(
+                "{ports} ports from {} run past the last port",
+                self.port_base
+            ));
+        }
+        for g in 0..self.groups {
+            anchor_of(self, g)?;
+        }
+        Ok(())
     }
 }
 
@@ -398,20 +430,9 @@ fn order_violations(history: &BTreeMap<(u32, u32), Vec<u64>>) -> u64 {
 /// that never happened, or order disagreement in the final audit.
 #[allow(clippy::too_many_lines)]
 pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String> {
-    if cfg.procs < 2 {
-        return Err("need at least 2 serve processes (peer 0 is never killed)".into());
-    }
+    cfg.validate()?;
     #[allow(clippy::cast_possible_truncation)]
     let procs = cfg.procs as u32;
-    if cfg.nodes < procs || cfg.groups == 0 || cfg.groups > cfg.nodes {
-        return Err("need nodes >= procs and 0 < groups <= nodes".into());
-    }
-    if cfg.payload < 8 {
-        return Err("payload must be at least 8 bytes (tag)".into());
-    }
-    for g in 0..cfg.groups {
-        anchor_of(cfg, g)?; // fail fast on an anchor-less lineage
-    }
     let ctrl = ctrl_addrs(cfg);
     let mut fleet = Fleet {
         children: Vec::new(),

@@ -1,5 +1,5 @@
-//! Plain-text aligned tables — every experiment prints one of these, and
-//! EXPERIMENTS.md records them.
+//! Plain-text aligned tables — every experiment prints one of these
+//! (DESIGN.md §4 maps each experiment to its claim).
 
 use std::fmt;
 

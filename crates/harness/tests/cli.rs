@@ -78,6 +78,23 @@ fn usage_errors_exit_two_without_panicking() {
     }
 }
 
+/// `load --churn` drives the sharded host only; on the TCP host it is
+/// refused before anything connects, not handed to the supervisor (whose
+/// one entry point is `--supervise`). `--procs 1` keeps a regression from
+/// spawning a cluster: the supervisor would refuse it before spawning.
+#[test]
+fn tcp_churn_is_refused_not_routed_to_the_supervisor() {
+    let out = run(&["load", "--churn", "1", "--host", "tcp", "--procs", "1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("for TCP churn use load --supervise"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("supervise:"), "{stderr}");
+    assert!(out.stdout.is_empty(), "{stderr}");
+}
+
 /// The auto depth bound of the largest budgets saturates instead of
 /// overflowing; a zero wall-clock budget then stops before any state is
 /// checked, which is the inconclusive exit.
