@@ -28,7 +28,7 @@ pub struct Delivery {
 }
 
 /// Why a group formation attempt did not produce a group (§5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FormationFailure {
     /// Some intended member voted no — a veto (step 3).
     Vetoed {
@@ -37,14 +37,24 @@ pub enum FormationFailure {
     },
     /// The initiator's vote-collection timer expired before all votes
     /// arrived; the initiator diffuses a veto of its own (step 3).
-    TimedOut,
+    TimedOut {
+        /// The intended members whose vote never arrived.
+        missing: Vec<ProcessId>,
+    },
 }
 
 impl fmt::Display for FormationFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FormationFailure::Vetoed { by } => write!(f, "vetoed by {by}"),
-            FormationFailure::TimedOut => write!(f, "vote collection timed out"),
+            FormationFailure::TimedOut { missing } => {
+                write!(f, "vote collection timed out")?;
+                if !missing.is_empty() {
+                    let missing: Vec<String> = missing.iter().map(ToString::to_string).collect();
+                    write!(f, " (no vote from {})", missing.join(", "))?;
+                }
+                Ok(())
+            }
         }
     }
 }
@@ -226,8 +236,15 @@ mod tests {
             "vetoed by P3"
         );
         assert_eq!(
-            FormationFailure::TimedOut.to_string(),
+            FormationFailure::TimedOut { missing: vec![] }.to_string(),
             "vote collection timed out"
+        );
+        assert_eq!(
+            FormationFailure::TimedOut {
+                missing: vec![ProcessId(2), ProcessId(4)]
+            }
+            .to_string(),
+            "vote collection timed out (no vote from P2, P4)"
         );
     }
 }

@@ -419,9 +419,15 @@ impl Process {
                 let members = f.members.clone();
                 self.diffuse_vote(group, &members, FormationDecision::No, out);
             }
+            let missing = f
+                .members
+                .iter()
+                .filter(|p| **p != me && !f.votes.contains_key(p))
+                .copied()
+                .collect();
             out.push(Action::FormationFailed {
                 group,
-                reason: FormationFailure::TimedOut,
+                reason: FormationFailure::TimedOut { missing },
             });
         }
     }

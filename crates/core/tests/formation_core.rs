@@ -74,7 +74,11 @@ fn initiator_timeout_vetoes_when_member_unreachable() {
     // The step-3 window passes; the initiator diffuses a veto.
     net.advance(Span::from_secs(2));
     let f1 = net.formation_failures(1);
-    assert!(matches!(f1.as_slice(), [(_, FormationFailure::TimedOut)]));
+    // The timeout names the member whose vote never arrived.
+    assert!(matches!(
+        f1.as_slice(),
+        [(_, FormationFailure::TimedOut { missing })] if *missing == [ProcessId(3)]
+    ));
     let f2 = net.formation_failures(2);
     assert!(
         matches!(f2.as_slice(), [(_, FormationFailure::Vetoed { by })] if *by == ProcessId(1)),

@@ -293,9 +293,8 @@ fn chaos_sweep(parsed: &ChaosArgs, lo: u64, hi: u64) -> ExitCode {
             eprintln!("chaos: shrinking seed {seed} ...");
             let r = shrink(&plan, &opts, 400, parsed.jobs);
             eprintln!(
-                "chaos: shrunk to {} faults / {} sends in {} runs",
-                r.plan.faults.len(),
-                r.plan.sends.len(),
+                "chaos: shrunk to {} timed inputs in {} runs",
+                r.plan.inputs.len(),
                 r.runs
             );
             r.plan

@@ -2,35 +2,36 @@
 //!
 //! A [`ChaosScenario`] is a seed plus generation limits; [`ChaosScenario::plan`]
 //! expands it deterministically into a fully materialised [`ChaosPlan`] — an
-//! overlapping-group topology, a traffic script (with optional time-silence
-//! windows past ω), and a timed fault schedule mixing crashes, loss- and
-//! delay-mode partitions, heals, voluntary departures (sender churn) and
-//! latency spikes. Running a plan replays bit-identically: equal plans
-//! produce equal [`history_hash`]es.
+//! overlapping-group topology and one timed list of simulator inputs: a
+//! traffic script (with optional time-silence windows past ω) mixed with
+//! crashes, loss- and delay-mode partitions, heals, voluntary departures
+//! (sender churn) and latency spikes. Running a plan replays
+//! bit-identically: equal plans produce equal [`history_hash`]es.
 //!
 //! The four families are one generator reading two tables: a network
 //! profile (LAN or WAN: timeouts, loss-heal shift, settle time, whether a
 //! bandwidth topology is drawn) and a fault mix (classic or churn: which
 //! fault kinds are drawn, how many, and the crash cap).
 //!
-//! When a seed fails the checker, [`shrink`] delta-debugs the schedule
-//! (faults first, then traffic) down to a minimal failing plan, which
-//! serialises to a line-based replay script ([`ChaosPlan::to_script`] /
-//! [`ChaosPlan::parse_script`]) suitable for committing under
-//! `tests/corpus/`. The parser validates as it reads: every process id,
-//! group id, mid, timeout pair and WAN figure a script names is checked,
-//! so a malformed script fails with its line quoted instead of panicking
-//! the engine or being silently ignored.
+//! When a seed fails the checker, [`shrink`] delta-debugs the timed list
+//! down to a minimal failing plan, which serialises to a line-based replay
+//! script ([`ChaosPlan::to_script`] / [`ChaosPlan::parse_script`])
+//! suitable for committing under `tests/corpus/`. The parser validates as
+//! it reads: every process id, group id, mid, timeout pair and WAN figure
+//! a script names is checked, so a malformed script fails with its line
+//! quoted instead of panicking the engine or being silently ignored.
 
 use crate::checker::{check_all, CheckOptions, Violation};
 use crate::cluster::{partition_spec, Command, SimCluster, SimInput};
 use crate::history::{History, HistoryEvent, MessageId};
 use newtop_sim::{
-    LatencyModel, NetConfig, NetOp, PartitionMode, PendingEvent, WanConfig, WanLinkSpec,
+    LatencyModel, NetConfig, NetOp, PartitionMode, PartitionSpec, PendingEvent, WanConfig,
+    WanLinkSpec,
 };
 use newtop_types::{GroupConfig, GroupId, Instant, OrderMode, ProcessId, Span};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::RangeInclusive;
 
@@ -39,6 +40,14 @@ const fn uniform_us(lo_us: u64, hi_us: u64) -> LatencyModel {
     LatencyModel::Uniform {
         lo: Span::from_micros(lo_us),
         hi: Span::from_micros(hi_us),
+    }
+}
+
+/// The bounds of a latency model, µs (a fixed latency is its own bounds).
+fn bounds_us(model: LatencyModel) -> (u64, u64) {
+    match model {
+        LatencyModel::Fixed(d) => (d.as_micros(), d.as_micros()),
+        LatencyModel::Uniform { lo, hi } => (lo.as_micros(), hi.as_micros()),
     }
 }
 
@@ -61,7 +70,7 @@ struct NetProfile {
     /// Virtual time run after the last scripted event, µs.
     settle_us: u64,
     /// Whether plans draw a multi-region bandwidth topology and its
-    /// congestion windows ([`WanSpec::draw`]).
+    /// congestion windows ([`draw_wan`]).
     wan: bool,
 }
 
@@ -159,8 +168,8 @@ pub struct ChaosScenario {
     /// capped per-node uplinks, asymmetric inter-region trunks, a
     /// reorder-hold knob, and congestion-window faults (link/uplink
     /// capacity slashes that later restore). The wire stays exactly-once
-    /// (see `WanSpec::draw`). Timeouts and the settle horizon are widened
-    /// so congestion manifests as suspicion, not false exclusion. `false`
+    /// (see `draw_wan`). Timeouts and the settle horizon are widened so
+    /// congestion manifests as suspicion, not false exclusion. `false`
     /// selects the LAN profile.
     pub wan: bool,
 }
@@ -251,7 +260,7 @@ impl ChaosScenario {
             None
         };
 
-        let mut plan_sends = Vec::new();
+        let mut traffic = Vec::new();
         for k in 0..sends {
             let gs = &topology[rng.gen_range(0..topology.len())];
             let from = gs.members[rng.gen_range(0..gs.members.len())];
@@ -261,14 +270,13 @@ impl ChaosScenario {
                     at_us = hi + (at_us - lo); // shift past the window
                 }
             }
-            plan_sends.push(SendSpec {
-                at_us,
-                from,
-                group: gs.group,
-                mid: u64::from(k),
-            });
+            traffic.push((at_us, from, gs.group, u64::from(k)));
         }
-        plan_sends.sort_by_key(|s| (s.at_us, s.from, s.mid));
+        traffic.sort_by_key(|&(at_us, from, _, mid)| (at_us, from, mid));
+        let mut inputs: Vec<(u64, SimInput)> = traffic
+            .into_iter()
+            .map(|(at_us, from, g, mid)| (at_us, SimInput::multicast(from, g, MessageId(mid))))
+            .collect();
 
         // Fault schedule. Partition episodes never overlap (`cursor` tracks
         // the earliest instant the network is whole again); loss partitions
@@ -278,7 +286,6 @@ impl ChaosScenario {
         // paper means it (partition ⇒ mutual exclusion). Delay partitions
         // stay shorter than Ω: the transport retransmits, nobody need be
         // excluded.
-        let mut faults: Vec<FaultSpec> = Vec::new();
         let mut cursor: u64 = 5_000;
         let max_crashes = n.saturating_sub(2).min(mix.crash_cap);
         let mut crashed: Vec<u32> = Vec::new();
@@ -297,7 +304,7 @@ impl ChaosScenario {
                     };
                     crashed.push(victim);
                     let at_us = rng.gen_range(5_000..110_000);
-                    faults.push(FaultSpec::at(at_us, FaultOp::Crash { victim }));
+                    inputs.push((at_us, NetOp::Crash(ProcessId(victim)).into()));
                 }
                 FaultKind::Partition => {
                     if cursor >= 100_000 {
@@ -312,7 +319,6 @@ impl ChaosScenario {
                     if b.is_empty() {
                         b.push(a.remove(0));
                     }
-                    let blocks = vec![a, b];
                     // Delay mode: transient, heals within ω..Ω/2. Loss mode:
                     // permanent, or heals long after 2Ω (150–300 ms is
                     // 2.5–5 Ω at the LAN Ω; the profile shifts it for WAN).
@@ -327,8 +333,9 @@ impl ChaosScenario {
                         });
                         (PartitionMode::Loss, heal)
                     };
-                    faults.push(FaultSpec::at(start, FaultOp::Partition { blocks, mode }));
-                    faults.extend(heal.map(|h| FaultSpec::at(h, FaultOp::Heal)));
+                    let cut = NetOp::Partition(partition_spec(&[a, b]), mode);
+                    inputs.push((start, cut.into()));
+                    inputs.extend(heal.map(|h| (h, NetOp::Heal.into())));
                     // A permanent loss cut leaves the network never whole again.
                     cursor = heal.map_or(u64::MAX, |h| h + 5_000);
                 }
@@ -344,7 +351,7 @@ impl ChaosScenario {
                         uniform_us(2_000, 8_000)
                     };
                     for (at_us, model) in [(start, model), (start + dur, BASE_LATENCY)] {
-                        faults.push(FaultSpec::at(at_us, FaultOp::Latency { model }));
+                        inputs.push((at_us, NetOp::Latency(model).into()));
                     }
                 }
                 FaultKind::Depart => {
@@ -352,32 +359,28 @@ impl ChaosScenario {
                     let gs = &topology[rng.gen_range(0..topology.len())];
                     let p = gs.members[rng.gen_range(0..gs.members.len())];
                     let at_us = rng.gen_range(5_000..110_000);
-                    faults.push(FaultSpec::at(at_us, FaultOp::Depart { p, group: gs.group }));
+                    inputs.push((at_us, SimInput::Command(p, Command::Depart(gs.group))));
                 }
             }
         }
         // The WAN topology and its congestion windows draw last, so the LAN
         // profile consumes exactly the draw sequence it always did.
-        let wan = net.wan.then(|| WanSpec::draw(&mut rng, n));
-        if let Some(ws) = &wan {
-            faults.extend(ws.congestion_windows(&mut rng));
+        let wan = net.wan.then(|| draw_wan(&mut rng, n));
+        if let Some(cfg) = &wan {
+            inputs.extend(congestion_windows(cfg, &mut rng));
         }
-        faults.sort_by_key(FaultSpec::sort_key);
+        // Stable: same-instant sends keep their (sender, mid) order ahead
+        // of every fault, and same-kind faults their draw order.
+        inputs.sort_by_key(|(at_us, input)| (*at_us, rank(input)));
 
-        let last_event_us = plan_sends
-            .iter()
-            .map(|s| s.at_us)
-            .chain(faults.iter().map(|f| f.at_us))
-            .max()
-            .unwrap_or(0);
+        let last_event_us = inputs.iter().map(|(at_us, _)| *at_us).max().unwrap_or(0);
         // Generous settle time: Ω-driven membership plus the delivery
         // barrier need several rounds after the last scripted event.
         ChaosPlan {
             seed: self.seed,
             n,
             topology,
-            sends: plan_sends,
-            faults,
+            inputs,
             wan,
             mc_steps: Vec::new(),
             horizon_us: last_event_us + net.settle_us,
@@ -385,179 +388,82 @@ impl ChaosScenario {
     }
 }
 
-/// One node's attachment in a WAN plan: home region and uplink capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WanNodeSpec {
-    /// The process.
-    pub p: u32,
-    /// Its home region.
-    pub region: u32,
-    /// Its uplink capacity, bytes per second.
-    pub uplink_bps: u64,
-}
-
-/// One directed inter-region trunk in a WAN plan — as the topology
-/// declares it (`wan-route`) or as a fault later changes it (`fault …
-/// wan-link`). Both script forms print and parse through this type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WanRouteSpec {
-    /// Source region.
-    pub from: u32,
-    /// Destination region.
-    pub to: u32,
-    /// Propagation latency lower bound, µs.
-    pub lo_us: u64,
-    /// Propagation latency upper bound, µs.
-    pub hi_us: u64,
-    /// Trunk capacity, bytes per second.
-    pub capacity_bps: u64,
-}
-
-impl WanRouteSpec {
-    /// The simulator's link specification for this trunk.
-    fn link(&self) -> WanLinkSpec {
-        WanLinkSpec::new(uniform_us(self.lo_us, self.hi_us), self.capacity_bps)
+/// Where an input goes among the generator's inputs at one instant: sends
+/// first, and heals after partitions so a degenerate schedule stays
+/// meaningful.
+fn rank(input: &SimInput) -> u8 {
+    match input {
+        SimInput::Command(_, Command::Multicast(..)) => 0,
+        SimInput::Net(NetOp::Crash(_)) => 1,
+        SimInput::Net(NetOp::Partition(..)) => 2,
+        SimInput::Net(NetOp::Latency(_)) => 3,
+        SimInput::Command(..) => 4,
+        SimInput::Net(NetOp::Heal) => 5,
+        SimInput::Net(NetOp::WanLink(..)) => 6,
+        SimInput::Net(NetOp::WanUplink(..)) => 7,
     }
+}
 
-    /// Parses `FROM TO LO-US HI-US BPS`.
-    fn parse(toks: &[&str]) -> Result<WanRouteSpec, String> {
-        let [from, to, lo, hi, bps] = toks else {
-            return Err("expected FROM TO LO-US HI-US BPS".into());
+/// Draws a 2–3 region topology for `P1..=Pn`: each node gets a home
+/// region and an uplink, and every directed region pair an independent
+/// trunk — asymmetric latency and capacity by construction.
+///
+/// The engine's transport contract is exactly-once per link — the TCP
+/// plane enforces it by link-sequence dedup below the engine, and the sim
+/// harness binds the engine straight to the wire with no such layer in
+/// between. Drawn plans therefore keep the wire exactly-once; the
+/// duplication knob stays a network-model feature (pinned by the sim's
+/// unit and property tests) for hosts that model their own dedup, and
+/// hand-written scripts may still set `dup-pm`.
+fn draw_wan(rng: &mut StdRng, n: u32) -> WanConfig {
+    const UPLINKS: [u64; 4] = [64_000, 128_000, 256_000, 512_000];
+    let regions = rng.gen_range(2..=3u32);
+    let mut cfg = WanConfig::new();
+    for p in 1..=n {
+        let region = rng.gen_range(0..regions);
+        let bps = UPLINKS[rng.gen_range(0..UPLINKS.len())];
+        cfg = cfg.attach_with_uplink(ProcessId(p), region, bps);
+    }
+    for from in 0..regions {
+        for to in (0..regions).filter(|&to| to != from) {
+            let lo_us = rng.gen_range(5_000u64..20_000);
+            let hi_us = lo_us + rng.gen_range(5_000u64..40_000);
+            let capacity_bps = rng.gen_range(128u64..=1024) * 1_000;
+            let spec = WanLinkSpec::new(uniform_us(lo_us, hi_us), capacity_bps);
+            cfg = cfg.with_route(from, to, spec);
+        }
+    }
+    let permille = rng.gen_range(0..=50);
+    cfg.with_reorder(permille, Span::from_micros(rng.gen_range(500..5_000)))
+}
+
+/// Draws one or two congestion windows: a trunk or an uplink drops to
+/// 1/8th of its capacity (with a latency bump for trunks) and restores
+/// after 15–40 ms — long enough to build a real backlog, short enough to
+/// drain well inside Ω.
+fn congestion_windows(cfg: &WanConfig, rng: &mut StdRng) -> Vec<(u64, SimInput)> {
+    let mut inputs = Vec::new();
+    for _ in 0..rng.gen_range(1..=2u32) {
+        let start = rng.gen_range(5_000u64..80_000);
+        let end = start + rng.gen_range(15_000u64..40_000);
+        let (slash, restore) = if rng.gen_bool(0.6) {
+            let r = cfg.routes[rng.gen_range(0..cfg.routes.len())];
+            let lo_us = bounds_us(r.spec.latency).0 + rng.gen_range(10_000u64..40_000);
+            let hi_us = lo_us + rng.gen_range(5_000u64..30_000);
+            let capacity_bps = (r.spec.capacity_bps / 8).max(1_000);
+            let slashed = WanLinkSpec::new(uniform_us(lo_us, hi_us), capacity_bps);
+            let link = |spec| NetOp::WanLink(r.from, r.to, spec);
+            (link(slashed), link(r.spec))
+        } else {
+            let a = cfg.attachments[rng.gen_range(0..cfg.attachments.len())];
+            let bps = a.uplink_bps.unwrap_or(cfg.default_uplink_bps);
+            let uplink = |bps| NetOp::WanUplink(a.p, bps);
+            (uplink((bps / 8).max(1_000)), uplink(bps))
         };
-        let (lo_us, hi_us) = bounds(lo, hi)?;
-        Ok(WanRouteSpec {
-            from: num(from)?,
-            to: num(to)?,
-            lo_us,
-            hi_us,
-            capacity_bps: capacity(bps)?,
-        })
+        inputs.push((start, slash.into()));
+        inputs.push((end, restore.into()));
     }
-}
-
-impl fmt::Display for WanRouteSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let r = self;
-        write!(
-            f,
-            "{} {} {} {} {}",
-            r.from, r.to, r.lo_us, r.hi_us, r.capacity_bps
-        )
-    }
-}
-
-/// The WAN topology of a plan: attachments, trunks and wire-chaos knobs.
-/// Part of the plan's identity — equal plans (including this spec) replay
-/// equal histories.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WanSpec {
-    /// Per-mille probability a delivery is duplicated.
-    pub dup_permille: u32,
-    /// Per-mille probability a delivery is held back (manifesting as
-    /// reorder-induced queueing delay; per-link FIFO still holds).
-    pub reorder_permille: u32,
-    /// Maximum hold for a reordered delivery, µs.
-    pub reorder_hold_us: u64,
-    /// Node attachments (every process appears exactly once).
-    pub nodes: Vec<WanNodeSpec>,
-    /// Directed inter-region trunks (every ordered region pair).
-    pub routes: Vec<WanRouteSpec>,
-}
-
-impl WanSpec {
-    /// Draws a 2–3 region topology for `P1..=Pn`: each node gets a home
-    /// region and an uplink, and every directed region pair an independent
-    /// trunk — asymmetric latency and capacity by construction.
-    ///
-    /// The engine's transport contract is exactly-once per link — the TCP
-    /// plane enforces it by link-sequence dedup below the engine, and the
-    /// sim harness binds the engine straight to the wire with no such
-    /// layer in between. Drawn plans therefore keep the wire exactly-once;
-    /// the duplication knob stays a network-model feature (pinned by the
-    /// sim's unit and property tests) for hosts that model their own
-    /// dedup, and hand-written scripts may still set `dup-pm`.
-    fn draw(rng: &mut StdRng, n: u32) -> WanSpec {
-        const UPLINKS: [u64; 4] = [64_000, 128_000, 256_000, 512_000];
-        let regions = rng.gen_range(2..=3u32);
-        let nodes = (1..=n)
-            .map(|p| WanNodeSpec {
-                p,
-                region: rng.gen_range(0..regions),
-                uplink_bps: UPLINKS[rng.gen_range(0..UPLINKS.len())],
-            })
-            .collect();
-        let mut routes = Vec::new();
-        for from in 0..regions {
-            for to in (0..regions).filter(|&to| to != from) {
-                let lo_us = rng.gen_range(5_000u64..20_000);
-                routes.push(WanRouteSpec {
-                    from,
-                    to,
-                    lo_us,
-                    hi_us: lo_us + rng.gen_range(5_000u64..40_000),
-                    capacity_bps: rng.gen_range(128u64..=1024) * 1_000,
-                });
-            }
-        }
-        WanSpec {
-            dup_permille: 0,
-            reorder_permille: rng.gen_range(0..=50),
-            reorder_hold_us: rng.gen_range(500..5_000),
-            nodes,
-            routes,
-        }
-    }
-
-    /// Draws one or two congestion windows: a trunk or an uplink drops to
-    /// 1/8th of its capacity (with a latency bump for trunks) and restores
-    /// after 15–40 ms — long enough to build a real backlog, short enough
-    /// to drain well inside Ω.
-    fn congestion_windows(&self, rng: &mut StdRng) -> Vec<FaultSpec> {
-        let mut faults = Vec::new();
-        for _ in 0..rng.gen_range(1..=2u32) {
-            let start = rng.gen_range(5_000u64..80_000);
-            let end = start + rng.gen_range(15_000u64..40_000);
-            let (slash, restore) = if rng.gen_bool(0.6) {
-                let r = self.routes[rng.gen_range(0..self.routes.len())];
-                let lo_us = r.lo_us + rng.gen_range(10_000u64..40_000);
-                let slashed = WanRouteSpec {
-                    lo_us,
-                    hi_us: lo_us + rng.gen_range(5_000u64..30_000),
-                    capacity_bps: (r.capacity_bps / 8).max(1_000),
-                    ..r
-                };
-                (FaultOp::WanLink(slashed), FaultOp::WanLink(r))
-            } else {
-                let ns = self.nodes[rng.gen_range(0..self.nodes.len())];
-                let uplink = |bps| FaultOp::WanUplink { p: ns.p, bps };
-                (
-                    uplink((ns.uplink_bps / 8).max(1_000)),
-                    uplink(ns.uplink_bps),
-                )
-            };
-            faults.push(FaultSpec::at(start, slash));
-            faults.push(FaultSpec::at(end, restore));
-        }
-        faults
-    }
-
-    /// Materialises the simulator configuration.
-    #[must_use]
-    pub fn to_wan_config(&self) -> WanConfig {
-        let mut cfg = WanConfig::new()
-            .with_duplication(self.dup_permille)
-            .with_reorder(
-                self.reorder_permille,
-                Span::from_micros(self.reorder_hold_us),
-            );
-        for ns in &self.nodes {
-            cfg = cfg.attach_with_uplink(ProcessId(ns.p), ns.region, ns.uplink_bps);
-        }
-        for r in &self.routes {
-            cfg = cfg.with_route(r.from, r.to, r.link());
-        }
-        cfg
-    }
+    inputs
 }
 
 /// One group of the generated topology.
@@ -584,138 +490,12 @@ impl GroupSpec {
     }
 }
 
-/// One tagged application send.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SendSpec {
-    /// Virtual-time instant, µs.
-    pub at_us: u64,
-    /// Sending process.
-    pub from: u32,
-    /// Destination group.
-    pub group: GroupId,
-    /// Workload tag.
-    pub mid: u64,
-}
-
-/// A scripted fault operation.
+/// One explicit step of a model-checker schedule. A delivery or wake names
+/// *which* pending event fires next, and virtual time advances to that
+/// event's own timestamp; an input applies at the current instant. Steps
+/// that name nothing currently fireable (after shrinking removed the step
+/// that would have armed them) are skipped.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FaultOp {
-    /// Crash `victim` (messages still in its send pipeline are lost).
-    Crash {
-        /// The process to kill.
-        victim: u32,
-    },
-    /// Install a partition.
-    Partition {
-        /// Connectivity blocks.
-        blocks: Vec<Vec<u32>>,
-        /// Loss (drop crossing messages) or delay (park until heal).
-        mode: PartitionMode,
-    },
-    /// Reconnect everyone (releases delay-parked messages).
-    Heal,
-    /// `p` voluntarily departs `group`.
-    Depart {
-        /// The departing process.
-        p: u32,
-        /// The group it leaves.
-        group: GroupId,
-    },
-    /// Change the link latency model.
-    Latency {
-        /// The model in force from this instant.
-        model: LatencyModel,
-    },
-    /// Replace an inter-region WAN trunk: a congestion window (capacity
-    /// slash plus latency bump) or its later restoration. Only valid in a
-    /// plan with a [`WanSpec`].
-    WanLink(WanRouteSpec),
-    /// Change one node's WAN uplink capacity (asymmetric degradation).
-    WanUplink {
-        /// The affected process.
-        p: u32,
-        /// New uplink capacity, bytes per second.
-        bps: u64,
-    },
-}
-
-impl fmt::Display for FaultOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultOp::Crash { victim } => write!(f, "crash {victim}"),
-            FaultOp::Partition { blocks, mode } => {
-                let blocks: Vec<String> = blocks.iter().map(|b| join_ids(b)).collect();
-                let mode = name_of(&PARTITION_MODES, *mode);
-                write!(f, "partition {mode} {}", blocks.join("|"))
-            }
-            FaultOp::Heal => write!(f, "heal"),
-            FaultOp::Depart { p, group } => write!(f, "depart {p} {}", group.0),
-            FaultOp::Latency {
-                model: LatencyModel::Fixed(d),
-            } => write!(f, "latency fixed {}", d.as_micros()),
-            FaultOp::Latency {
-                model: LatencyModel::Uniform { lo, hi },
-            } => write!(f, "latency uniform {} {}", lo.as_micros(), hi.as_micros()),
-            FaultOp::WanLink(r) => write!(f, "wan-link {r}"),
-            FaultOp::WanUplink { p, bps } => write!(f, "wan-uplink {p} {bps}"),
-        }
-    }
-}
-
-impl FaultOp {
-    /// The simulator input this fault lowers to — scheduled by
-    /// [`ChaosPlan::run`], applied at once by a model-checker crash step.
-    fn input(&self) -> SimInput {
-        match self {
-            FaultOp::Crash { victim } => NetOp::Crash(ProcessId(*victim)).into(),
-            FaultOp::Partition { blocks, mode } => {
-                NetOp::Partition(partition_spec(blocks), *mode).into()
-            }
-            FaultOp::Heal => NetOp::Heal.into(),
-            FaultOp::Depart { p, group } => SimInput::Command(*p, Command::Depart(*group)),
-            FaultOp::Latency { model } => NetOp::Latency(*model).into(),
-            FaultOp::WanLink(r) => NetOp::WanLink(r.from, r.to, r.link()).into(),
-            FaultOp::WanUplink { p, bps } => NetOp::WanUplink(ProcessId(*p), *bps).into(),
-        }
-    }
-}
-
-/// A fault operation bound to a virtual-time instant.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultSpec {
-    /// Virtual-time instant, µs.
-    pub at_us: u64,
-    /// The operation.
-    pub op: FaultOp,
-}
-
-impl FaultSpec {
-    fn at(at_us: u64, op: FaultOp) -> FaultSpec {
-        FaultSpec { at_us, op }
-    }
-
-    fn sort_key(&self) -> (u64, u8) {
-        // Heals sort after same-instant partitions so a degenerate schedule
-        // stays meaningful.
-        let rank = match self.op {
-            FaultOp::Crash { .. } => 0,
-            FaultOp::Partition { .. } => 1,
-            FaultOp::Latency { .. } => 2,
-            FaultOp::Depart { .. } => 3,
-            FaultOp::Heal => 4,
-            FaultOp::WanLink(_) => 5,
-            FaultOp::WanUplink { .. } => 6,
-        };
-        (self.at_us, rank)
-    }
-}
-
-/// One explicit event-order choice in a model-checker schedule. Unlike the
-/// timed [`FaultSpec`]/[`SendSpec`] script, an `McStep` names *which* event
-/// fires next; virtual time advances to the fired event's own timestamp.
-/// Steps that name nothing currently fireable (after shrinking removed the
-/// step that would have armed them) are skipped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum McStep {
     /// Deliver the FIFO-head message of the link `src → dst`.
     Deliver {
@@ -729,20 +509,9 @@ pub enum McStep {
         /// The process whose tick runs.
         p: u32,
     },
-    /// Issue a tagged application multicast at the current virtual time.
-    Send {
-        /// Sending process.
-        from: u32,
-        /// Destination group.
-        group: GroupId,
-        /// Workload tag.
-        mid: u64,
-    },
-    /// Crash `victim` at the current virtual time.
-    Crash {
-        /// The process to kill.
-        victim: u32,
-    },
+    /// Apply an input (a multicast, a crash, any fault) at the current
+    /// virtual time.
+    Input(SimInput),
 }
 
 impl McStep {
@@ -761,27 +530,22 @@ impl McStep {
                 let node = ProcessId(p);
                 cluster.fire(PendingEvent::Wake { node, at });
             }
-            McStep::Send { from, group, mid } => {
-                let send = Command::Multicast(group, MessageId(mid));
-                cluster.apply(SimInput::Command(from, send));
-            }
-            McStep::Crash { victim } => cluster.apply(FaultOp::Crash { victim }.input()),
+            McStep::Input(input) => cluster.apply(input),
         }
     }
 }
 
 impl fmt::Display for McStep {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
+        match self {
             McStep::Deliver { src, dst } => write!(f, "deliver {src} {dst}"),
             McStep::Wake { p } => write!(f, "wake {p}"),
-            McStep::Send { from, group, mid } => write!(f, "send {from} {} {mid}", group.0),
-            McStep::Crash { victim } => write!(f, "crash {victim}"),
+            McStep::Input(input) => f.write_str(&input_text(input)),
         }
     }
 }
 
-/// A fully materialised chaos run: topology + traffic + fault schedule.
+/// A fully materialised chaos run: topology + one timed input list.
 /// Equal plans replay equal histories ([`history_hash`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosPlan {
@@ -791,13 +555,12 @@ pub struct ChaosPlan {
     pub n: u32,
     /// The groups.
     pub topology: Vec<GroupSpec>,
-    /// The traffic script.
-    pub sends: Vec<SendSpec>,
-    /// The fault schedule.
-    pub faults: Vec<FaultSpec>,
-    /// The WAN topology, when the plan runs on the bandwidth model.
-    /// `None` replays on the classic constant-latency transport.
-    pub wan: Option<WanSpec>,
+    /// Traffic and faults: `(µs, input)` pairs in schedule order. Inputs
+    /// at one instant take effect in list order.
+    pub inputs: Vec<(u64, SimInput)>,
+    /// The WAN model, when the plan runs on the bandwidth model. `None`
+    /// replays on the classic constant-latency transport.
+    pub wan: Option<WanConfig>,
     /// Model-checker event-order schedule. When non-empty the plan replays
     /// under external scheduling — the network runs the deterministic
     /// fixed-latency default and the run executes exactly these steps
@@ -869,23 +632,83 @@ fn bounds(lo: &str, hi: &str) -> Result<(u64, u64), String> {
     }
 }
 
+/// Parses the `FROM TO LO-US HI-US BPS` of a trunk, as both `wan-route`
+/// and `wan-link` spell it.
+fn parse_link(toks: &[&str]) -> Result<(u32, u32, WanLinkSpec), String> {
+    let [from, to, lo, hi, bps] = toks else {
+        return Err("expected FROM TO LO-US HI-US BPS".into());
+    };
+    let (lo_us, hi_us) = bounds(lo, hi)?;
+    let spec = WanLinkSpec::new(uniform_us(lo_us, hi_us), capacity(bps)?);
+    Ok((num(from)?, num(to)?, spec))
+}
+
+/// The inverse of [`parse_link`]. A fixed latency prints as equal bounds
+/// (and so parses back as a uniform one); neither the generator nor the
+/// parser makes one.
+fn link_text(from: u32, to: u32, spec: &WanLinkSpec) -> String {
+    let (lo_us, hi_us) = bounds_us(spec.latency);
+    format!("{from} {to} {lo_us} {hi_us} {}", spec.capacity_bps)
+}
+
 /// Why a WAN line without a preceding `wan` line is rejected.
 const NO_WAN: &str = "WAN line before wan";
 
 /// A comma-separated id list.
-fn join_ids(ids: &[u32]) -> String {
-    ids.iter().map(u32::to_string).collect::<Vec<_>>().join(",")
+fn join_ids(ids: impl IntoIterator<Item = u32>) -> String {
+    let ids: Vec<String> = ids.into_iter().map(|p| p.to_string()).collect();
+    ids.join(",")
 }
+
+/// The script text of one input, as a timed line and an `mc-step` line
+/// both spell it (the inverse of [`ChaosPlan::parse_input`]). A formation
+/// input has no v1 spelling: it prints as `initiate P G`, which the parser
+/// refuses.
+fn input_text(input: &SimInput) -> String {
+    let op = match input {
+        SimInput::Command(from, Command::Multicast(g, mid)) => {
+            return format!("send {from} {} {}", g.0, mid.0)
+        }
+        SimInput::Command(p, Command::Depart(g)) => return format!("depart {p} {}", g.0),
+        SimInput::Command(p, Command::Initiate(g, ..)) => return format!("initiate {p} {}", g.0),
+        SimInput::Net(op) => op,
+    };
+    match op {
+        NetOp::Crash(p) => format!("crash {}", p.0),
+        NetOp::Partition(spec, mode) => {
+            let blocks = spec.listed_blocks().iter();
+            let blocks: Vec<String> = blocks.map(|b| join_ids(b.iter().map(|p| p.0))).collect();
+            let mode = name_of(&PARTITION_MODES, *mode);
+            format!("partition {mode} {}", blocks.join("|"))
+        }
+        NetOp::Heal => "heal".into(),
+        NetOp::Latency(LatencyModel::Fixed(d)) => format!("latency fixed {}", d.as_micros()),
+        NetOp::Latency(LatencyModel::Uniform { lo, hi }) => {
+            format!("latency uniform {} {}", lo.as_micros(), hi.as_micros())
+        }
+        NetOp::WanLink(from, to, spec) => format!("wan-link {}", link_text(*from, *to, spec)),
+        NetOp::WanUplink(p, bps) => format!("wan-uplink {} {bps}", p.0),
+    }
+}
+
+/// The tagged mid a multicast input sends.
+fn sent_mid(input: &SimInput) -> Option<u64> {
+    match input {
+        SimInput::Command(_, Command::Multicast(_, mid)) => Some(mid.0),
+        _ => None,
+    }
+}
+
+/// Script directives that may appear at most once.
+const SINGLETONS: [&str; 4] = ["seed", "n", "horizon-us", "wan"];
 
 impl ChaosPlan {
     /// A fresh cluster with every group bootstrapped (and the WAN model
     /// installed first, when given).
-    fn bootstrap(&self, net: NetConfig, wan: Option<&WanSpec>) -> SimCluster {
+    fn bootstrap(&self, net: NetConfig, wan: Option<&WanConfig>) -> SimCluster {
         let mut cluster = SimCluster::new(self.n, net);
-        if let Some(ws) = wan {
-            cluster
-                .set_wan(ws.to_wan_config())
-                .expect("validated WAN config");
+        if let Some(cfg) = wan {
+            cluster.set_wan(cfg.clone()).expect("validated WAN config");
         }
         for gs in &self.topology {
             cluster.bootstrap_group(gs.group, &gs.members, gs.config());
@@ -906,17 +729,13 @@ impl ChaosPlan {
         cluster
     }
 
-    /// The timed plan's cluster at time zero, with every send and fault
-    /// scheduled: sends first, so a fault at a send's instant acts after it.
+    /// The timed plan's cluster at time zero, with every input scheduled
+    /// in list order.
     pub(crate) fn scheduled(&self) -> SimCluster {
         let net = NetConfig::new(self.seed ^ 0x9E37_79B9).with_latency(BASE_LATENCY);
         let mut cluster = self.bootstrap(net, self.wan.as_ref());
-        for s in &self.sends {
-            let at = Instant::from_micros(s.at_us);
-            cluster.schedule_send(at, s.from, s.group, MessageId(s.mid));
-        }
-        for f in &self.faults {
-            cluster.schedule(Instant::from_micros(f.at_us), f.op.input());
+        for (at_us, input) in &self.inputs {
+            cluster.schedule(Instant::from_micros(*at_us), input.clone());
         }
         cluster
     }
@@ -938,7 +757,7 @@ impl ChaosPlan {
             .with_send_overhead(Span::ZERO);
         let mut cluster = self.bootstrap(net, None);
         for step in &self.mc_steps {
-            step.apply(&mut cluster);
+            step.clone().apply(&mut cluster);
         }
         cluster
     }
@@ -952,15 +771,13 @@ impl ChaosPlan {
     /// legitimately leave one side short of the global send set.
     #[must_use]
     pub fn check_options(&self) -> CheckOptions {
-        let healed_loss = self.faults.iter().any(|f| {
-            matches!(
-                f.op,
-                FaultOp::Partition {
-                    mode: PartitionMode::Loss,
-                    ..
-                }
-            )
-        }) && self.faults.iter().any(|f| matches!(f.op, FaultOp::Heal));
+        let has = |f: fn(&NetOp) -> bool| {
+            self.inputs
+                .iter()
+                .any(|(_, i)| matches!(i, SimInput::Net(op) if f(op)))
+        };
+        let healed_loss = has(|op| matches!(op, NetOp::Partition(_, PartitionMode::Loss)))
+            && has(|op| matches!(op, NetOp::Heal));
         // A model-checker schedule is a bounded prefix of a run, not a run
         // to quiescence: liveness (everything sent gets delivered) is
         // meaningless there and only safety is asserted.
@@ -1006,7 +823,9 @@ impl ChaosPlan {
     }
 
     /// Serialises to the v1 replay-script format, optionally recording the
-    /// expected history hash for exact-replay verification.
+    /// expected history hash for exact-replay verification. The timed
+    /// inputs print as one list in schedule order: a multicast as `send AT
+    /// …`, anything else as `fault AT …`.
     #[must_use]
     pub fn to_script(&self, expect_hash: Option<u64>) -> String {
         let mut lines = vec![
@@ -1015,15 +834,19 @@ impl ChaosPlan {
             format!("n {}", self.n),
             format!("horizon-us {}", self.horizon_us),
         ];
-        if let Some(ws) = &self.wan {
+        if let Some(cfg) = &self.wan {
             lines.push(format!(
                 "wan dup-pm {} reorder-pm {} hold-us {}",
-                ws.dup_permille, ws.reorder_permille, ws.reorder_hold_us
+                cfg.dup_permille,
+                cfg.reorder_permille,
+                cfg.reorder_hold.as_micros()
             ));
-            let node =
-                |ns: &WanNodeSpec| format!("wan-node {} {} {}", ns.p, ns.region, ns.uplink_bps);
-            lines.extend(ws.nodes.iter().map(node));
-            lines.extend(ws.routes.iter().map(|r| format!("wan-route {r}")));
+            lines.extend(cfg.attachments.iter().map(|a| {
+                let bps = a.uplink_bps.unwrap_or(cfg.default_uplink_bps);
+                format!("wan-node {} {} {bps}", a.p.0, a.region)
+            }));
+            let route = |r: &newtop_sim::WanRoute| link_text(r.from, r.to, &r.spec);
+            lines.extend(cfg.routes.iter().map(|r| format!("wan-route {}", route(r))));
         }
         lines.extend(self.topology.iter().map(|g| {
             format!(
@@ -1032,23 +855,29 @@ impl ChaosPlan {
                 name_of(&ORDER_MODES, g.mode),
                 g.omega_us,
                 g.big_omega_us,
-                join_ids(&g.members)
+                join_ids(g.members.iter().copied())
             )
         }));
-        let send = |s: &SendSpec| format!("send {} {} {} {}", s.at_us, s.from, s.group.0, s.mid);
-        lines.extend(self.sends.iter().map(send));
-        let fault = |f: &FaultSpec| format!("fault {} {}", f.at_us, f.op);
-        lines.extend(self.faults.iter().map(fault));
+        lines.extend(self.inputs.iter().map(|(at_us, input)| {
+            let text = input_text(input);
+            match text.strip_prefix("send ") {
+                Some(args) => format!("send {at_us} {args}"),
+                None => format!("fault {at_us} {text}"),
+            }
+        }));
         lines.extend(self.mc_steps.iter().map(|s| format!("mc-step {s}")));
         lines.extend(expect_hash.map(|h| format!("expect-hash {h:016x}")));
         lines.iter().map(|l| format!("{l}\n")).collect()
     }
 
     /// Parses the v1 replay-script format, validating every entry against
-    /// what precedes it: processes must lie in `1..=n`, groups must be
-    /// declared (once, with `omega-us` below `big-omega-us`), mids must be
-    /// unique, WAN lines need a preceding `wan` line, and a model-checker
-    /// schedule cannot be mixed with the timed script.
+    /// what precedes it: `seed`, `n`, `horizon-us` and `wan` appear at most
+    /// once, processes must lie in `1..=n` (and in at most one block of a
+    /// partition), groups must be declared (once, with `omega-us` below
+    /// `big-omega-us`), mids must be unique, WAN lines need a preceding
+    /// `wan` line, and a model-checker schedule cannot be mixed with the
+    /// timed script. Timed lines may come in any order; inputs at one
+    /// instant take effect in file order.
     ///
     /// # Errors
     ///
@@ -1069,16 +898,19 @@ impl ChaosPlan {
             seed: 0,
             n: 0,
             topology: Vec::new(),
-            sends: Vec::new(),
-            faults: Vec::new(),
+            inputs: Vec::new(),
             wan: None,
             mc_steps: Vec::new(),
             horizon_us: 0,
         };
         let mut expect_hash = None;
+        let mut seen = BTreeSet::new();
         for (ln, raw) in lines {
             let toks: Vec<&str> = raw.split_whitespace().collect();
             let parsed = match toks.as_slice() {
+                [d, ..] if SINGLETONS.contains(d) && !seen.insert(*d) => {
+                    Err(format!("`{d}` given twice"))
+                }
                 ["expect-hash", h] => u64::from_str_radix(h, 16)
                     .map(|h| expect_hash = Some(h))
                     .map_err(|_| "bad hash".to_string()),
@@ -1098,30 +930,21 @@ impl ChaosPlan {
     fn parse_line(&mut self, toks: &[&str]) -> Result<(), String> {
         match toks {
             ["seed", v] => self.seed = num(v)?,
-            ["n", _] if self.n != 0 => return Err("`n` given twice".into()),
             ["n", v] => self.n = num(v)?,
             ["horizon-us", v] => self.horizon_us = num(v)?,
             ["wan", "dup-pm", d, "reorder-pm", r, "hold-us", h] => {
                 self.no_mix(false)?;
-                self.wan = Some(WanSpec {
-                    dup_permille: permille(d)?,
-                    reorder_permille: permille(r)?,
-                    reorder_hold_us: num(h)?,
-                    nodes: Vec::new(),
-                    routes: Vec::new(),
-                });
+                let cfg = WanConfig::new().with_duplication(permille(d)?);
+                let hold = Span::from_micros(num(h)?);
+                self.wan = Some(cfg.with_reorder(permille(r)?, hold));
             }
             ["wan-node", p, region, bps] => {
-                let node = WanNodeSpec {
-                    p: self.pid(p)?,
-                    region: num(region)?,
-                    uplink_bps: capacity(bps)?,
-                };
-                self.wan_spec()?.nodes.push(node);
+                let (p, region, bps) = (ProcessId(self.pid(p)?), num(region)?, capacity(bps)?);
+                self.extend_wan(|cfg| cfg.attach_with_uplink(p, region, bps))?;
             }
-            ["wan-route", route @ ..] => {
-                let route = WanRouteSpec::parse(route)?;
-                self.wan_spec()?.routes.push(route);
+            ["wan-route", link @ ..] => {
+                let (from, to, spec) = parse_link(link)?;
+                self.extend_wan(|cfg| cfg.with_route(from, to, spec))?;
             }
             ["group", g, mode, "omega-us", o, "big-omega-us", bo, "members", m] => {
                 let gs = GroupSpec {
@@ -1137,20 +960,10 @@ impl ChaosPlan {
                 gs.config().validate().map_err(|e| e.to_string())?;
                 self.topology.push(gs);
             }
-            ["send", at, from, g, mid] => {
-                self.no_mix(false)?;
-                let send = SendSpec {
-                    at_us: num(at)?,
-                    from: self.pid(from)?,
-                    group: self.gid(g)?,
-                    mid: self.fresh_mid(mid)?,
-                };
-                self.sends.push(send);
-            }
-            ["fault", at, op @ ..] => {
-                self.no_mix(false)?;
-                let fault = FaultSpec::at(num(at)?, self.parse_fault(op)?);
-                self.faults.push(fault);
+            ["send", at, args @ ..] => self.push_timed(at, "send", args, "directive")?,
+            // A multicast is a `send` line, never a fault.
+            ["fault", at, verb, args @ ..] if *verb != "send" => {
+                self.push_timed(at, verb, args, "fault")?;
             }
             ["mc-step", step @ ..] => {
                 self.no_mix(true)?;
@@ -1160,15 +973,8 @@ impl ChaosPlan {
                         dst: self.pid(dst)?,
                     },
                     ["wake", p] => McStep::Wake { p: self.pid(p)? },
-                    ["send", from, g, mid] => McStep::Send {
-                        from: self.pid(from)?,
-                        group: self.gid(g)?,
-                        mid: self.fresh_mid(mid)?,
-                    },
-                    ["crash", v] => McStep::Crash {
-                        victim: self.pid(v)?,
-                    },
-                    _ => return Err("unknown mc-step".into()),
+                    [verb, args @ ..] => McStep::Input(self.parse_input(verb, args, "mc-step")?),
+                    [] => return Err("unknown mc-step".into()),
                 };
                 self.mc_steps.push(step);
             }
@@ -1177,40 +983,52 @@ impl ChaosPlan {
         Ok(())
     }
 
-    /// The operation of a `fault AT …` line.
-    fn parse_fault(&self, toks: &[&str]) -> Result<FaultOp, String> {
-        Ok(match toks {
-            ["crash", v] => FaultOp::Crash {
-                victim: self.pid(v)?,
-            },
-            ["partition", mode, blocks] => FaultOp::Partition {
-                mode: named(&PARTITION_MODES, mode)?,
-                blocks: blocks
-                    .split('|')
-                    .map(|b| self.pids(b))
-                    .collect::<Result<_, _>>()?,
-            },
-            ["heal"] => FaultOp::Heal,
-            ["depart", p, g] => FaultOp::Depart {
-                p: self.pid(p)?,
-                group: self.gid(g)?,
-            },
-            ["latency", "fixed", d] => FaultOp::Latency {
-                model: LatencyModel::Fixed(Span::from_micros(num(d)?)),
-            },
-            ["latency", "uniform", lo, hi] => {
-                let (lo_us, hi_us) = bounds(lo, hi)?;
-                FaultOp::Latency {
-                    model: uniform_us(lo_us, hi_us),
-                }
+    /// Appends the timed input of a `send` or `fault` line.
+    fn push_timed(
+        &mut self,
+        at: &str,
+        verb: &str,
+        args: &[&str],
+        what: &str,
+    ) -> Result<(), String> {
+        self.no_mix(false)?;
+        let at_us = num(at)?;
+        let input = self.parse_input(verb, args, what)?;
+        self.inputs.push((at_us, input));
+        Ok(())
+    }
+
+    /// The input `VERB ARGS…` names, as [`input_text`] spells it; `what`
+    /// names the line kind when the verb is unknown.
+    fn parse_input(&self, verb: &str, args: &[&str], what: &str) -> Result<SimInput, String> {
+        Ok(match (verb, args) {
+            ("send", [from, g, mid]) => {
+                let (from, g, mid) = (self.pid(from)?, self.gid(g)?, self.fresh_mid(mid)?);
+                SimInput::multicast(from, g, MessageId(mid))
             }
-            ["wan-link" | "wan-uplink", ..] if self.wan.is_none() => return Err(NO_WAN.into()),
-            ["wan-link", route @ ..] => FaultOp::WanLink(WanRouteSpec::parse(route)?),
-            ["wan-uplink", p, bps] => FaultOp::WanUplink {
-                p: self.pid(p)?,
-                bps: capacity(bps)?,
-            },
-            _ => return Err("unknown fault".into()),
+            ("depart", [p, g]) => SimInput::Command(self.pid(p)?, Command::Depart(self.gid(g)?)),
+            ("crash", [v]) => NetOp::Crash(ProcessId(self.pid(v)?)).into(),
+            ("partition", [mode, blocks]) => {
+                let mode = named(&PARTITION_MODES, mode)?;
+                NetOp::Partition(self.partition(blocks)?, mode).into()
+            }
+            ("heal", []) => NetOp::Heal.into(),
+            ("latency", ["fixed", d]) => {
+                NetOp::Latency(LatencyModel::Fixed(Span::from_micros(num(d)?))).into()
+            }
+            ("latency", ["uniform", lo, hi]) => {
+                let (lo_us, hi_us) = bounds(lo, hi)?;
+                NetOp::Latency(uniform_us(lo_us, hi_us)).into()
+            }
+            ("wan-link" | "wan-uplink", _) if self.wan.is_none() => return Err(NO_WAN.into()),
+            ("wan-link", link) => {
+                let (from, to, spec) = parse_link(link)?;
+                NetOp::WanLink(from, to, spec).into()
+            }
+            ("wan-uplink", [p, bps]) => {
+                NetOp::WanUplink(ProcessId(self.pid(p)?), capacity(bps)?).into()
+            }
+            _ => return Err(format!("unknown {what}")),
         })
     }
 
@@ -1227,6 +1045,20 @@ impl ChaosPlan {
         t.split(',').map(|p| self.pid(p)).collect()
     }
 
+    /// A `|`-separated list of partition blocks, each process in at most
+    /// one of them.
+    fn partition(&self, t: &str) -> Result<PartitionSpec, String> {
+        let blocks: Vec<Vec<u32>> = t
+            .split('|')
+            .map(|b| self.pids(b))
+            .collect::<Result<_, _>>()?;
+        let mut listed = BTreeSet::new();
+        match blocks.iter().flatten().find(|p| !listed.insert(**p)) {
+            Some(p) => Err(format!("process {p} listed twice in one partition")),
+            None => Ok(partition_spec(&blocks)),
+        }
+    }
+
     /// A group-id token naming a declared group.
     fn gid(&self, t: &str) -> Result<GroupId, String> {
         let g = GroupId(num(t)?);
@@ -1240,26 +1072,28 @@ impl ChaosPlan {
     /// A mid token no earlier send (timed or model-checker) used.
     fn fresh_mid(&self, t: &str) -> Result<u64, String> {
         let mid = num(t)?;
-        let timed = self.sends.iter().any(|s| s.mid == mid);
-        let stepped = self
-            .mc_steps
-            .iter()
-            .any(|s| matches!(s, McStep::Send { mid: m, .. } if *m == mid));
-        if timed || stepped {
+        let timed = self.inputs.iter().map(|(_, i)| i);
+        let stepped = self.mc_steps.iter().filter_map(|s| match s {
+            McStep::Input(i) => Some(i),
+            _ => None,
+        });
+        if timed.chain(stepped).any(|i| sent_mid(i) == Some(mid)) {
             return Err(format!("mid {mid} sent twice"));
         }
         Ok(mid)
     }
 
-    /// The WAN spec a WAN line extends.
-    fn wan_spec(&mut self) -> Result<&mut WanSpec, String> {
-        self.wan.as_mut().ok_or_else(|| NO_WAN.into())
+    /// Extends the WAN model a WAN line refines.
+    fn extend_wan(&mut self, f: impl FnOnce(WanConfig) -> WanConfig) -> Result<(), String> {
+        let cfg = self.wan.take().ok_or(NO_WAN)?;
+        self.wan = Some(f(cfg));
+        Ok(())
     }
 
     /// Rejects a model-checker step after the timed script (`mc`), or a
     /// timed line after a model-checker step (`!mc`).
     fn no_mix(&self, mc: bool) -> Result<(), String> {
-        let timed = !self.sends.is_empty() || !self.faults.is_empty() || self.wan.is_some();
+        let timed = !self.inputs.is_empty() || self.wan.is_some();
         if (mc && timed) || (!mc && !self.mc_steps.is_empty()) {
             return Err("mc-step cannot be mixed with send, fault or wan lines".into());
         }
@@ -1309,11 +1143,11 @@ pub struct ShrinkResult {
     pub runs: usize,
 }
 
-/// Delta-debugs a failing plan down to a locally minimal fault schedule and
-/// traffic script: first the fault events, then the sends, by ddmin-style
-/// chunk bisection (any violation counts as "still failing"). The checker
-/// options are fixed for the whole shrink so the failure being chased does
-/// not shift meaning as faults disappear.
+/// Delta-debugs a failing plan down to a locally minimal schedule: one
+/// ddmin-style chunk bisection over the timed inputs, traffic and faults
+/// alike, then one over the model-checker steps (any violation counts as
+/// "still failing"). The checker options are fixed for the whole shrink so
+/// the failure being chased does not shift meaning as faults disappear.
 ///
 /// Independent removal probes run on up to `jobs` threads; the result —
 /// plan, violations and run count — is byte-identical to `jobs = 1`
@@ -1325,29 +1159,20 @@ pub fn shrink(plan: &ChaosPlan, opts: &CheckOptions, max_runs: usize, jobs: usiz
     let fails = |probe: &ChaosPlan| !matches!(probe.try_run_and_check(opts), Ok(v) if v.is_empty());
     assert!(fails(&current), "shrink requires a failing plan");
 
-    // Phase 1: minimise the fault schedule.
-    let faults = ddmin(&current.faults, &mut runs, max_runs, jobs, |cand| {
-        let mut probe = current.clone();
-        probe.faults = cand.to_vec();
-        fails(&probe)
+    current.inputs = ddmin(&current.inputs, &mut runs, max_runs, jobs, |cand| {
+        fails(&ChaosPlan {
+            inputs: cand.to_vec(),
+            ..current.clone()
+        })
     });
-    current.faults = faults;
-    // Phase 2: minimise the traffic.
-    let sends = ddmin(&current.sends, &mut runs, max_runs, jobs, |cand| {
-        let mut probe = current.clone();
-        probe.sends = cand.to_vec();
-        fails(&probe)
+    // Removing a step may make later ones unfireable — they are skipped
+    // on replay, so every candidate is still a valid (if shorter) schedule.
+    current.mc_steps = ddmin(&current.mc_steps, &mut runs, max_runs, jobs, |cand| {
+        fails(&ChaosPlan {
+            mc_steps: cand.to_vec(),
+            ..current.clone()
+        })
     });
-    current.sends = sends;
-    // Phase 3: minimise a model-checker schedule. Removing a step may make
-    // later ones unfireable — they are skipped on replay, so every ddmin
-    // candidate is still a valid (if shorter) schedule.
-    let mc_steps = ddmin(&current.mc_steps, &mut runs, max_runs, jobs, |cand| {
-        let mut probe = current.clone();
-        probe.mc_steps = cand.to_vec();
-        fails(&probe)
-    });
-    current.mc_steps = mc_steps;
     let violations = current.try_run_and_check(opts).unwrap_or_default();
     ShrinkResult {
         plan: current,
@@ -1489,11 +1314,16 @@ mod tests {
         let mut beyond_classic_cap = false;
         for seed in 0..40 {
             let plan = ChaosScenario::churn(seed).plan();
-            assert!(!plan.faults.is_empty(), "seed {seed} scheduled no faults");
-            let crashes = plan
-                .faults
+            let faults: Vec<&SimInput> = plan
+                .inputs
                 .iter()
-                .filter(|f| matches!(f.op, FaultOp::Crash { .. }))
+                .map(|(_, i)| i)
+                .filter(|i| sent_mid(i).is_none())
+                .collect();
+            assert!(!faults.is_empty(), "seed {seed} scheduled no faults");
+            let crashes = faults
+                .iter()
+                .filter(|i| matches!(i, SimInput::Net(NetOp::Crash(_))))
                 .count();
             assert!(
                 (crashes as u32) <= plan.n.saturating_sub(2),
@@ -1502,11 +1332,11 @@ mod tests {
             if crashes > 2 {
                 beyond_classic_cap = true;
             }
-            for f in &plan.faults {
-                match f.op {
-                    FaultOp::Crash { .. } | FaultOp::Depart { .. } => churn_faults += 1,
-                    FaultOp::Partition { .. } | FaultOp::Latency { .. } => other_faults += 1,
-                    FaultOp::Heal | FaultOp::WanLink(_) | FaultOp::WanUplink { .. } => {}
+            for fault in faults {
+                match fault {
+                    SimInput::Net(NetOp::Crash(_)) | SimInput::Command(..) => churn_faults += 1,
+                    SimInput::Net(NetOp::Partition(..) | NetOp::Latency(_)) => other_faults += 1,
+                    SimInput::Net(_) => {}
                 }
             }
         }
@@ -1643,30 +1473,36 @@ mod tests {
         assert_eq!(ChaosScenario::wan(5).plan(), ChaosScenario::wan(5).plan());
         for seed in 0..20u64 {
             let plan = ChaosScenario::wan(seed).plan();
-            let ws = plan.wan.as_ref().expect("wan family always has a spec");
-            let mut attached: Vec<u32> = ws.nodes.iter().map(|ns| ns.p).collect();
+            let cfg = plan
+                .wan
+                .as_ref()
+                .expect("wan family always has a WAN model");
+            let mut attached: Vec<u32> = cfg.attachments.iter().map(|a| a.p.0).collect();
             attached.sort_unstable();
             assert_eq!(attached, (1..=plan.n).collect::<Vec<_>>(), "seed {seed}");
             // The drawn region count is the one with exactly k·(k−1) routes.
             let k = (2..=3u32)
-                .find(|k| ws.routes.len() == (k * (k - 1)) as usize)
-                .unwrap_or_else(|| panic!("seed {seed}: {} routes", ws.routes.len()));
-            let mut pairs: Vec<(u32, u32)> = ws.routes.iter().map(|r| (r.from, r.to)).collect();
+                .find(|k| cfg.routes.len() == (k * (k - 1)) as usize)
+                .unwrap_or_else(|| panic!("seed {seed}: {} routes", cfg.routes.len()));
+            let mut pairs: Vec<(u32, u32)> = cfg.routes.iter().map(|r| (r.from, r.to)).collect();
             pairs.sort_unstable();
             let want: Vec<(u32, u32)> = (0..k)
                 .flat_map(|a| (0..k).filter(move |&b| b != a).map(move |b| (a, b)))
                 .collect();
             assert_eq!(pairs, want, "seed {seed}");
-            assert!(ws.nodes.iter().all(|ns| ns.region < k), "seed {seed}");
-            for r in &ws.routes {
-                assert!(r.lo_us <= r.hi_us);
-                assert!(r.capacity_bps > 0);
+            assert!(cfg.attachments.iter().all(|a| a.region < k), "seed {seed}");
+            for r in &cfg.routes {
+                let (lo_us, hi_us) = bounds_us(r.spec.latency);
+                assert!(lo_us <= hi_us);
+                assert!(r.spec.capacity_bps > 0);
             }
             // A congestion window always restores what it degraded.
             let wan_faults = plan
-                .faults
+                .inputs
                 .iter()
-                .filter(|f| matches!(f.op, FaultOp::WanLink(_) | FaultOp::WanUplink { .. }))
+                .filter(|(_, i)| {
+                    matches!(i, SimInput::Net(NetOp::WanLink(..) | NetOp::WanUplink(..)))
+                })
                 .count();
             assert!(wan_faults >= 2 && wan_faults % 2 == 0, "seed {seed}");
         }
@@ -1708,8 +1544,14 @@ mod tests {
             // Fork just after the middle send: messages are in flight, and
             // later sends and faults are still queued.
             let end = Instant::from_micros(plan.horizon_us);
+            let sends: Vec<u64> = plan
+                .inputs
+                .iter()
+                .filter(|(_, i)| sent_mid(i).is_some())
+                .map(|(at_us, _)| *at_us)
+                .collect();
             let mut original = plan.scheduled();
-            original.run_until(Instant::from_micros(plan.sends[plan.sends.len() / 2].at_us));
+            original.run_until(Instant::from_micros(sends[sends.len() / 2]));
             assert!(!original.pending_events().is_empty(), "forked mid-run");
             let mut fork = original.clone();
             fork.run_until(end);
@@ -1847,19 +1689,14 @@ mod tests {
                 big_omega_us: 10_000,
                 members: vec![1, 2, 3],
             }],
-            sends: Vec::new(),
-            faults: Vec::new(),
+            inputs: Vec::new(),
             wan: None,
             mc_steps: vec![
-                McStep::Send {
-                    from: 1,
-                    group: GroupId(1),
-                    mid: 7,
-                },
+                McStep::Input(SimInput::multicast(1, GroupId(1), MessageId(7))),
                 McStep::Deliver { src: 1, dst: 2 },
                 McStep::Deliver { src: 1, dst: 3 },
                 McStep::Wake { p: 2 },
-                McStep::Crash { victim: 3 },
+                McStep::Input(NetOp::Crash(ProcessId(3)).into()),
             ],
             horizon_us: 1,
         }
@@ -1884,11 +1721,8 @@ mod tests {
         // A link with nothing in flight and an already-crashed sender: both
         // must be no-ops, as ddmin shrink candidates rely on.
         plan.mc_steps.push(McStep::Deliver { src: 2, dst: 1 });
-        plan.mc_steps.push(McStep::Send {
-            from: 3,
-            group: GroupId(1),
-            mid: 8,
-        });
+        let send = SimInput::multicast(3, GroupId(1), MessageId(8));
+        plan.mc_steps.push(McStep::Input(send));
         let v = plan.run_and_check(&plan.check_options());
         assert!(v.is_empty(), "{v:?}");
     }
@@ -1907,17 +1741,48 @@ mod tests {
         // A plan whose "failure" is simply delivering anything at all —
         // shrink must strip it to a minimal core while runs stay bounded.
         let plan = ChaosScenario::new(2).plan();
-        let opts = CheckOptions::default();
         let h = plan.run().history();
         assert!(delivery_count(&h) > 0);
         let mut runs = 0usize;
-        let shrunk = ddmin(&plan.sends, &mut runs, 500, 1, |cand| {
-            let mut probe = plan.clone();
-            probe.sends = cand.to_vec();
+        let shrunk = ddmin(&plan.inputs, &mut runs, 500, 1, |cand| {
+            let probe = ChaosPlan {
+                inputs: cand.to_vec(),
+                ..plan.clone()
+            };
             delivery_count(&probe.run().history()) > 0
         });
         assert_eq!(shrunk.len(), 1, "one send suffices to deliver something");
-        let _ = opts;
+        assert!(sent_mid(&shrunk[0].1).is_some(), "{shrunk:?}");
+    }
+
+    /// The timed inputs print as one list in schedule order, and inputs
+    /// at one instant take effect in that order: the send goes out before
+    /// the loss cut, which drops its two copies in flight to P2 and P3.
+    #[test]
+    fn same_instant_inputs_print_and_run_in_list_order() {
+        let (plan, _) = ChaosPlan::parse_script(
+            "newtop-chaos v1\nseed 1\nn 3\nhorizon-us 100000\n\
+             group 1 symmetric omega-us 5000 big-omega-us 60000 members 1,2,3\n\
+             send 5000 1 1 0\nfault 5000 partition loss 1|2,3\nfault 5000 heal\n",
+        )
+        .expect("parses");
+        assert_eq!(
+            plan.to_script(None),
+            "newtop-chaos v1\nseed 1\nn 3\nhorizon-us 100000\n\
+             group 1 symmetric omega-us 5000 big-omega-us 60000 members 1,2,3\n\
+             send 5000 1 1 0\nfault 5000 partition loss 1|2,3\nfault 5000 heal\n"
+        );
+        let dropped_at_the_cut = |plan: &ChaosPlan| {
+            let mut cluster = plan.scheduled();
+            cluster.run_until(Instant::from_micros(5_000));
+            cluster.net_stats().dropped_partition
+        };
+        let mut send_last = plan.clone();
+        send_last.inputs.rotate_left(1);
+        assert_eq!(
+            dropped_at_the_cut(&plan),
+            dropped_at_the_cut(&send_last) + 2
+        );
     }
 
     #[test]

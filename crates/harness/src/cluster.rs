@@ -186,6 +186,14 @@ pub enum SimInput {
     Command(u32, Command),
 }
 
+impl SimInput {
+    /// A tagged application multicast from `P<from>`.
+    #[must_use]
+    pub fn multicast(from: u32, group: GroupId, mid: MessageId) -> SimInput {
+        SimInput::Command(from, Command::Multicast(group, mid))
+    }
+}
+
 impl From<NetOp> for SimInput {
     fn from(op: NetOp) -> SimInput {
         SimInput::Net(op)
@@ -282,7 +290,7 @@ impl SimCluster {
 
     /// Schedules a tagged application multicast.
     pub fn schedule_send(&mut self, at: Instant, from: u32, group: GroupId, mid: MessageId) {
-        self.schedule(at, SimInput::Command(from, Command::Multicast(group, mid)));
+        self.schedule(at, SimInput::multicast(from, group, mid));
     }
 
     /// Schedules a crash.

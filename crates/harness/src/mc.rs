@@ -7,7 +7,8 @@
 //! in-flight message, every parked link, the virtual clock — identified by
 //! its canonical digest ([`SimCluster::state_digest`]). A *transition* is
 //! one [`McStep`]: deliver the FIFO head of a named link, fire a node's
-//! timer wake-up, issue the next application multicast, or crash a node.
+//! timer wake-up, or apply an input — the next application multicast, or a
+//! crash.
 //! Firing by link/node identity (rather than by event handle) makes it
 //! impossible for a schedule to violate the reliable-FIFO transport
 //! assumption: the explorer chooses *which* link speaks next, never message
@@ -69,14 +70,15 @@
 //! # Counterexamples
 //!
 //! A violating schedule is wrapped in a [`ChaosPlan`] (`mc_steps`),
-//! ddmin-shrunk with the PR 3 shrinker, and serialised to the v1 replay
+//! ddmin-shrunk by [`shrink`], and serialised to the v1 replay
 //! script format — `newtop-exp chaos --replay` re-executes it unchanged.
 
 use crate::chaos::{shrink, ChaosPlan, GroupSpec, McStep};
 use crate::checker::{check_all, CheckOptions, Violation};
-use crate::cluster::SimCluster;
-use newtop_sim::PendingEvent;
-use newtop_types::{GroupId, OrderMode};
+use crate::cluster::{Command, SimCluster, SimInput};
+use crate::history::MessageId;
+use newtop_sim::{NetOp, PendingEvent};
+use newtop_types::{GroupId, OrderMode, ProcessId};
 use std::collections::HashMap;
 use std::time::{Duration, Instant as WallInstant};
 
@@ -178,8 +180,7 @@ impl McConfig {
             seed: self.seed,
             n: self.nodes,
             topology: self.topology(),
-            sends: Vec::new(),
-            faults: Vec::new(),
+            inputs: Vec::new(),
             wan: None,
             mc_steps: schedule.to_vec(),
             horizon_us: 1,
@@ -227,10 +228,10 @@ fn used(schedule: &[McStep]) -> (u32, u32, u32) {
     let mut wakes = 0;
     for s in schedule {
         match s {
-            McStep::Send { .. } => msgs += 1,
-            McStep::Crash { .. } => crashes += 1,
+            McStep::Input(SimInput::Command(_, Command::Multicast(..))) => msgs += 1,
+            McStep::Input(SimInput::Net(NetOp::Crash(_))) => crashes += 1,
             McStep::Wake { .. } => wakes += 1,
-            McStep::Deliver { .. } => {}
+            McStep::Deliver { .. } | McStep::Input(_) => {}
         }
     }
     (msgs, crashes, wakes)
@@ -243,11 +244,9 @@ fn enabled_steps(cfg: &McConfig, cluster: &SimCluster, schedule: &[McStep]) -> V
     if msgs < cfg.max_msgs {
         let from = (msgs % cfg.nodes) + 1;
         if !cluster.is_crashed(from) {
-            steps.push(McStep::Send {
-                from,
-                group: cfg.send_group(msgs, from),
-                mid: u64::from(msgs),
-            });
+            let mid = MessageId(u64::from(msgs));
+            let send = SimInput::multicast(from, cfg.send_group(msgs, from), mid);
+            steps.push(McStep::Input(send));
         }
     }
     let pending = cluster.pending_events();
@@ -281,7 +280,7 @@ fn enabled_steps(cfg: &McConfig, cluster: &SimCluster, schedule: &[McStep]) -> V
     if crashes < cfg.max_crashes {
         for p in 1..=cfg.nodes {
             if !cluster.is_crashed(p) {
-                steps.push(McStep::Crash { victim: p });
+                steps.push(McStep::Input(NetOp::Crash(ProcessId(p)).into()));
             }
         }
     }
@@ -334,8 +333,8 @@ fn dfs(
             };
             if let Some(step) = frame.untried.next() {
                 let mut child = frame.cluster.clone();
+                path.push(step.clone());
                 step.apply(&mut child);
-                path.push(step);
                 reached = Some(child);
             } else {
                 stack.pop();
@@ -439,11 +438,7 @@ mod tests {
         // same observable history, run twice from scratch.
         let cfg = McConfig::new(3);
         let schedule = vec![
-            McStep::Send {
-                from: 1,
-                group: GroupId(1),
-                mid: 0,
-            },
+            McStep::Input(SimInput::multicast(1, GroupId(1), MessageId(0))),
             McStep::Deliver { src: 1, dst: 2 },
             McStep::Deliver { src: 1, dst: 3 },
         ];
@@ -584,10 +579,10 @@ mod tests {
                 if steps.is_empty() {
                     break;
                 }
-                let step = steps[pick % steps.len()];
+                let step = steps[pick % steps.len()].clone();
                 let mut fork = walked.clone();
+                schedule.push(step.clone());
                 step.apply(&mut fork);
-                schedule.push(step);
                 proptest::prop_assert_eq!(
                     fingerprint(&fork),
                     fingerprint(&cfg.plan(&schedule).run_mc_schedule())

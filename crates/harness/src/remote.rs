@@ -188,6 +188,9 @@ const REC_STATS: u8 = 0x84;
 const REC_BYE: u8 = 0x85;
 const REC_ACTIVE: u8 = 0x86;
 const REC_FAILED: u8 = 0x87;
+/// The kinds of a [`REC_FAILED`] record's reason.
+const FAILED_VETOED: u8 = 0;
+const FAILED_TIMED_OUT: u8 = 1;
 
 /// Control records may carry an application payload but never a frame
 /// batch; 16 MiB is far above any legitimate record.
@@ -1027,10 +1030,14 @@ fn encode_output(node: ProcessId, out: &Output, rec: &mut Vec<u8>) -> bool {
             rec.push(REC_FAILED);
             put_u32(rec, node.0);
             put_u32(rec, group.0);
-            // The vetoing process; nothing for a timed-out collection.
-            if let FormationFailure::Vetoed { by } = reason {
-                put_u32(rec, by.0);
-            }
+            // A veto names its voter; a timed-out collection, the members
+            // whose vote never arrived.
+            let (kind, pids) = match reason {
+                FormationFailure::Vetoed { by } => (FAILED_VETOED, std::slice::from_ref(by)),
+                FormationFailure::TimedOut { missing } => (FAILED_TIMED_OUT, &missing[..]),
+            };
+            rec.push(kind);
+            pids.iter().for_each(|p| put_u32(rec, p.0));
             return true;
         }
         // Trace events stay local; the control plane forwards what the
@@ -1470,11 +1477,19 @@ fn dispatch_record(record: &[u8], writer: &CtrlWriter, txs: &[Sender<Output>]) -
             let mut c = Cursor::new(&record[1..]);
             let node = c.u32().ok()?;
             let group = GroupId(c.u32().ok()?);
-            let reason = match c.rest() {
-                [] => FormationFailure::TimedOut,
-                by => FormationFailure::Vetoed {
-                    by: ProcessId(u32::from_le_bytes(by.try_into().ok()?)),
+            let (kind, pids) = c.rest().split_first()?;
+            if pids.len() % 4 != 0 {
+                return None;
+            }
+            let mut pids = pids
+                .chunks_exact(4)
+                .map(|b| ProcessId(u32::from_le_bytes(b.try_into().expect("4 bytes"))));
+            let reason = match (*kind, pids.len()) {
+                (FAILED_VETOED, 1) => FormationFailure::Vetoed { by: pids.next()? },
+                (FAILED_TIMED_OUT, _) => FormationFailure::TimedOut {
+                    missing: pids.collect(),
                 },
+                _ => return None,
             };
             let tx = txs.get(node.checked_sub(1)? as usize)?;
             let _ = tx.send(Output::FormationFailed { group, reason });
@@ -1575,12 +1590,15 @@ mod tests {
         let txs = vec![unbounded().0, tx];
         let writer = CtrlWriter::new(loopback_pair().0);
         for reason in [
-            FormationFailure::TimedOut,
+            FormationFailure::TimedOut { missing: vec![] },
+            FormationFailure::TimedOut {
+                missing: vec![ProcessId(1), ProcessId(3)],
+            },
             FormationFailure::Vetoed { by: ProcessId(3) },
         ] {
             let out = Output::FormationFailed {
                 group: GroupId(7),
-                reason,
+                reason: reason.clone(),
             };
             let mut rec = Vec::new();
             assert!(encode_output(ProcessId(2), &out, &mut rec));

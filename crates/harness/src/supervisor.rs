@@ -149,7 +149,7 @@ pub struct SupervisorReport {
 }
 
 /// Why one supervised formation attempt failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FormationRetry {
     /// The anchor (the initiator) reported the formation failed (§5.3).
     Failed(FormationFailure),
@@ -543,7 +543,7 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
                                 || wanted.iter().all(|n| t.active.contains(&(gid.0, *n)))
                         });
                         match tracking.failed.get(&(gid.0, anchor.0)) {
-                            Some(&reason) => FormationRetry::Failed(reason),
+                            Some(reason) => FormationRetry::Failed(reason.clone()),
                             None if settled => break gid,
                             None => {
                                 return Err(format!(

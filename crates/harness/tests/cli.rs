@@ -117,7 +117,7 @@ fn malformed_replay_scripts_exit_two_quoting_the_line() {
                         group 1 symmetric omega-us 5000 big-omega-us 60000 members 1,2,3\n";
     const WAN: &str = "wan dup-pm 0 reorder-pm 0 hold-us 500\n";
     // (extra lines after HEAD, the line that must be quoted, the reason)
-    let cases: [(&str, &str, &str); 25] = [
+    let cases: [(&str, &str, &str); 29] = [
         (
             "",
             "group 2 symmetric omega-us 5000 big-omega-us 60000 members 1,4",
@@ -149,6 +149,14 @@ fn malformed_replay_scripts_exit_two_quoting_the_line() {
         ("", "mc-step send 1 3 0", "undeclared group 3"),
         (WAN, "wan-node 4 0 64000", "process 4 outside 1..=3"),
         ("", "n 2", "`n` given twice"),
+        ("", "seed 2", "`seed` given twice"),
+        ("", "horizon-us 5", "`horizon-us` given twice"),
+        (WAN, WAN.trim_end(), "`wan` given twice"),
+        (
+            "",
+            "fault 5000 partition delay 1,2|2,3",
+            "process 2 listed twice",
+        ),
         ("", "fault 5000 wan-link 0 1 5000 9000 64000", "before wan"),
         ("", "fault 5000 wan-uplink 1 64000", "before wan"),
         ("send 5000 1 1 0\n", "mc-step wake 1", "cannot be mixed"),
@@ -174,5 +182,22 @@ fn malformed_replay_scripts_exit_two_quoting_the_line() {
         assert!(out.stdout.is_empty(), "{line} replayed: {stderr}");
         assert!(stderr.contains(&format!("`{line}`")), "{line}: {stderr}");
         assert!(stderr.contains(reason), "{line}: {stderr}");
+    }
+}
+
+/// A pinned script replays green through the CLI in every family: `chaos
+/// --pin SEED --out F` then `chaos --replay F`.
+#[test]
+fn pinned_scripts_replay_green_in_every_family() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for family in [&[][..], &["--churn"], &["--wan"]] {
+        let path = dir.join(format!("pinned{}.chaos", family.join("")));
+        let path = path.to_str().expect("utf-8 path");
+        let pin = run(&[&["chaos", "--pin", "7", "--out", path], family].concat());
+        assert_eq!(pin.status.code(), Some(0), "{family:?}: {pin:?}");
+        let replay = run(&["chaos", "--replay", path]);
+        let stdout = String::from_utf8_lossy(&replay.stdout);
+        assert_eq!(replay.status.code(), Some(0), "{family:?}: {replay:?}");
+        assert!(stdout.contains("green"), "{family:?}: {stdout}");
     }
 }

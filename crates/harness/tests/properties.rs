@@ -45,7 +45,8 @@ proptest! {
             ..ChaosScenario::new(seed)
         }
         .plan();
-        prop_assert!(plan.faults.is_empty());
+        let multicast = |i: &SimInput| matches!(i, SimInput::Command(_, Command::Multicast(..)));
+        prop_assert!(plan.inputs.iter().all(|(_, i)| multicast(i)));
         let v = plan.run_and_check(&plan.check_options());
         prop_assert!(plan.check_options().liveness);
         prop_assert!(v.is_empty(), "seed {}: {:?}", seed, v);

@@ -128,6 +128,13 @@ impl PartitionSpec {
         PartitionSpec { blocks }
     }
 
+    /// The listed blocks, in the order given; the residual block is
+    /// implicit.
+    #[must_use]
+    pub fn listed_blocks(&self) -> &[BTreeSet<ProcessId>] {
+        &self.blocks
+    }
+
     /// The index of the block containing `p`, or `None` for the implicit
     /// residual block. The engine caches this per node so the per-send
     /// connectivity test is one integer compare.

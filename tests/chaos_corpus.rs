@@ -79,3 +79,31 @@ fn every_corpus_entry_replays_exactly_and_passes_the_checker() {
     }
     assert!(checked >= 10, "only {checked} corpus entries ran");
 }
+
+/// Each script re-emitted by the one-list writer parses back to the same
+/// plan and replays to the file's `expect-hash`: the writer keeps file
+/// order, so same-instant inputs keep taking effect as the file ordered
+/// them.
+#[test]
+fn every_corpus_entry_roundtrips_through_the_writer() {
+    let mut checked = 0usize;
+    for entry in std::fs::read_dir(corpus_dir()).expect("tests/corpus exists") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().is_none_or(|x| x != "chaos") {
+            continue;
+        }
+        let name = path.display();
+        let text = std::fs::read_to_string(&path).expect("corpus file readable");
+        let (plan, expect_hash) =
+            ChaosPlan::parse_script(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let script = plan.to_script(expect_hash);
+        let (again, again_hash) =
+            ChaosPlan::parse_script(&script).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(again, plan, "{name}");
+        assert_eq!(again_hash, expect_hash, "{name}");
+        let got = history_hash(&again.run().history());
+        assert_eq!(Some(got), expect_hash, "{name}: re-emitted plan diverged");
+        checked += 1;
+    }
+    assert!(checked >= 10, "only {checked} corpus entries ran");
+}
