@@ -575,6 +575,25 @@ impl GroupState {
         }
     }
 
+    /// Applies "the member at `slot` (see [`crate::MsnVector::slot`]) has
+    /// sent everything it numbered up to `c` here, reporting `ldn`": its
+    /// `RV` entry rises to `c`, its `SV` entry to `ldn` (`Msn::ZERO`
+    /// reports nothing), and when it sequences an asymmetric group its
+    /// stream position `d_asym` rises to `c` too. Receivers count every
+    /// message from the sequencer, nulls included, so the sequencer counts
+    /// its own the same way, or its own D would lag its members' and its
+    /// deliveries wedge.
+    #[inline]
+    pub(crate) fn advance_stream(&mut self, slot: usize, c: Msn, ldn: Msn) {
+        self.rv.advance_at(slot, c);
+        self.sv.advance_at(slot, ldn);
+        if self.cfg.mode == OrderMode::Asymmetric
+            && self.sequencer() == Some(self.rv.members()[slot])
+        {
+            self.d_asym = self.d_asym.max(c);
+        }
+    }
+
     /// Prunes stability-dependent state after `SV` advanced. O(1) when the
     /// stability bound has not moved since the last call (message numbers
     /// start at 1, so the initial bound of 0 never has anything to prune);

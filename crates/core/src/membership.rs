@@ -169,9 +169,8 @@ impl Process {
         // members would re-raise and withdraw it every Ω.) Adopting before
         // the integration would drop the piggyback as duplicates.
         if !upto.is_infinite() {
-            gs.rv.advance(pair.suspect, upto);
-            if gs.cfg.mode == OrderMode::Asymmetric && gs.sequencer() == Some(pair.suspect) {
-                gs.d_asym = gs.d_asym.max(upto);
+            if let Some(slot) = gs.rv.slot(pair.suspect) {
+                gs.advance_stream(slot, upto, Msn::ZERO);
             }
         }
         gs.supporters.remove(&(pair.suspect, pair.ln));
@@ -758,25 +757,25 @@ impl Process {
             return;
         };
         let pk = rm.sender;
+        // `rv` tracks exactly the view's members: the slot lookup is also
+        // the membership test.
+        let Some(slot) = gs.rv.slot(pk) else {
+            return;
+        };
         if rm.group != group
-            || !gs.view.contains(pk)
             || gs.is_failed(pk)
             || matches!(rm.body, MessageBody::SeqRequest { .. })
         {
             return;
         }
-        let have = gs.rv.get(pk);
+        let have = gs.rv.get_at(slot);
         if have.is_infinite() || rm.c <= have {
             return; // duplicate of something already received
         }
         let rm = std::sync::Arc::new(rm);
         self.lc.observe(rm.c);
-        gs.rv.advance(pk, rm.c);
-        gs.sv.advance(pk, rm.ldn);
+        gs.advance_stream(slot, rm.c, rm.ldn);
         gs.on_stability_advance();
-        if gs.cfg.mode == OrderMode::Asymmetric && gs.sequencer() == Some(pk) {
-            gs.d_asym = gs.d_asym.max(rm.c);
-        }
         gs.retain_unstable(&rm);
         self.stats_mut().recovered += 1;
         match &rm.body {
@@ -788,7 +787,7 @@ impl Process {
             } => {
                 let (origin, origin_c) = (*origin, *origin_c);
                 if origin == me {
-                    self.clear_outstanding_recovered(group, origin_c, rm.c);
+                    self.clear_outstanding(group, origin_c, rm.c);
                 }
                 self.deliver_or_buffer(group, rm, out);
             }
@@ -797,16 +796,6 @@ impl Process {
             _ => {}
         }
         self.maybe_self_refute(group, pk, out);
-    }
-
-    fn clear_outstanding_recovered(&mut self, group: GroupId, origin_c: Msn, relay_c: Msn) {
-        let Some(gs) = self.groups.get_mut(&group) else {
-            return;
-        };
-        if let Some(pos) = gs.outstanding.iter().position(|(c, _)| *c == origin_c) {
-            gs.outstanding.remove(pos);
-            gs.own_unstable.insert(relay_c);
-        }
     }
 }
 

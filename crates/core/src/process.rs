@@ -645,18 +645,12 @@ impl Process {
             ldn,
             body,
         });
-        gs.rv.advance(me, c);
-        gs.sv.advance(me, ldn);
+        if let Some(slot) = gs.rv.slot(me) {
+            gs.advance_stream(slot, c, ldn);
+        }
         gs.last_send = now;
         gs.touch_timers();
         gs.retain_unstable(&m);
-        if gs.cfg.mode == OrderMode::Asymmetric && gs.is_sequencer() {
-            // The sequencer's own stream position advances with *every* of
-            // its numbered multicasts. Receivers count any message from the
-            // sequencer — including nulls — so the sequencer must too, or
-            // its own D would lag its members' and its deliveries wedge.
-            gs.d_asym = gs.d_asym.max(c);
-        }
         for dst in gs.view.iter() {
             if dst != me {
                 out.push(Action::Send {
@@ -703,13 +697,11 @@ impl Process {
             let Some(cg) = self.groups.get_mut(&g) else {
                 continue;
             };
-            cg.rv.advance(me, c);
-            cg.sv.advance(me, ldn);
+            if let Some(slot) = cg.rv.slot(me) {
+                cg.advance_stream(slot, c, ldn);
+            }
             cg.last_send = now;
             cg.touch_timers();
-            if cg.cfg.mode == OrderMode::Asymmetric && cg.is_sequencer() {
-                cg.d_asym = cg.d_asym.max(c);
-            }
             self.stats.nulls_covered += 1;
         }
     }
@@ -745,12 +737,8 @@ impl Process {
             if cg.is_suspected(from) || cg.is_failed(from) {
                 continue;
             }
-            cg.rv.advance_at(slot, c);
-            cg.sv.advance_at(slot, ldn);
+            cg.advance_stream(slot, c, ldn);
             cg.on_stability_advance();
-            if cg.cfg.mode == OrderMode::Asymmetric && cg.sequencer() == Some(from) {
-                cg.d_asym = cg.d_asym.max(c);
-            }
             cg.note_heard(from, now);
             self.refute_scan(g, from, out);
         }
@@ -840,12 +828,8 @@ impl Process {
             // Sequencer unicast requests are point-to-point: they advance the
             // logical clock but not the receive vector, so suspicion `ln`
             // values stay comparable across members (only multicasts count).
-            gs.rv.advance_at(slot, m.c);
-            gs.sv.advance_at(slot, m.ldn);
+            gs.advance_stream(slot, m.c, m.ldn);
             gs.on_stability_advance();
-            if gs.cfg.mode == OrderMode::Asymmetric && gs.sequencer() == Some(from) {
-                gs.d_asym = gs.d_asym.max(m.c);
-            }
         }
         gs.retain_unstable(&m);
         // Dispatch by reference: the hot arms (App, Null) move the shared
@@ -944,7 +928,7 @@ impl Process {
 
     /// Removes a now-sequenced request from the outstanding queue and marks
     /// its relayed number as our own unstable message.
-    fn clear_outstanding(&mut self, group: GroupId, origin_c: Msn, relay_c: Msn) {
+    pub(crate) fn clear_outstanding(&mut self, group: GroupId, origin_c: Msn, relay_c: Msn) {
         let Some(gs) = self.groups.get_mut(&group) else {
             return;
         };

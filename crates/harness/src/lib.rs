@@ -14,8 +14,8 @@
 //!   liveness/atomicity) over a recorded history; used by the property
 //!   tests and by every experiment as a built-in sanity gate;
 //! * [`testnet`] — `TestNet`, the synchronous facade over the same
-//!   simulator that the engine's own tests, doc examples and benches
-//!   drive: zero latency, test-driven timers, immediate faults;
+//!   simulator that the engine's own tests and doc examples drive: zero
+//!   latency, test-driven timers, immediate faults;
 //! * [`workload`] — scripted traffic helpers for hand-built scenarios;
 //! * [`chaos`] — the seeded fault-schedule explorer: seed → deterministic
 //!   topology + traffic + timed fault schedule, replay scripts, ddmin

@@ -10,8 +10,10 @@
 //! * **drop** — a record vanishes. The upstream sees a sequence gap,
 //!   severs the connection, and the runtime's reconnect/resume path
 //!   retransmits from the last cumulative ack;
-//! * **delay** — a record (and everything behind it) is held for a
-//!   bounded random time, stressing ω-null timers and batching;
+//! * **delay** — a record is held for a bounded random time from its own
+//!   arrival (never released before the record ahead of it, so order
+//!   holds) while the proxy keeps reading behind it: added latency,
+//!   stressing ω-null timers and batching;
 //! * **reorder** — a record is held back and re-emitted after its
 //!   successor. The upstream sees the successor's higher sequence
 //!   first — a gap — so this too resolves through sever + resume;
@@ -24,6 +26,7 @@
 //! to *delivery-exact* behavior by construction — the protocol checker
 //! must stay green under any proxy schedule.
 
+use crossbeam::channel::{bounded, Receiver, Sender};
 use newtop_types::peer::{addressed_frame_into, PeerRecordDecoder, HELLO_LEN};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -45,7 +48,10 @@ pub struct ProxyConfig {
     pub seed: u64,
     /// Percent of data records dropped outright (0–100).
     pub drop_pct: u8,
-    /// Upper bound on the random per-record hold, in milliseconds.
+    /// Upper bound on the random per-record hold, in milliseconds. A
+    /// record leaves at `max(previous release, arrival + hold)`: each
+    /// hold counts from the record's own arrival, not from the release of
+    /// the records queued ahead of it.
     pub delay_ms: u64,
     /// Percent of data records held back past their successor (0–100).
     pub reorder_pct: u8,
@@ -340,52 +346,81 @@ fn raw_pump(mut rd: &TcpStream, mut wr: &TcpStream, stop: &AtomicBool) {
     }
 }
 
+/// The most records one tunnel holds for release, each with the instant
+/// it may leave; a full queue stalls the reads, so a slow upstream pushes
+/// back on the dialer.
+const MAX_PENDING: usize = 4096;
+
 /// The data direction: parse addressed records, apply the seeded
-/// schedule, re-encode survivors in emission order.
+/// schedule, and re-encode survivors in emission order. A release thread
+/// forwards each at its release time while this one reads on.
 fn chaos_pump(
-    mut client: &TcpStream,
-    mut server: &TcpStream,
+    client: &TcpStream,
+    server: &TcpStream,
     cfg: &ProxyConfig,
     conn_seed: u64,
     started: Instant,
     stop: &AtomicBool,
     tallies: &Tallies,
 ) {
+    std::thread::scope(|s| {
+        let (tx, rx) = bounded(MAX_PENDING);
+        s.spawn(move || release_pump(&rx, server, tallies));
+        // Anything but a clean close severs the upstream at once, and
+        // with it whatever is still waiting for release.
+        if !schedule_records(client, &tx, cfg, conn_seed, started, stop, tallies) {
+            let _ = server.shutdown(Shutdown::Both);
+        }
+    });
+}
+
+/// Reads records off the dialer and queues each survivor of the seeded
+/// schedule at `max(previous release, arrival + hold)`, so a hold counts
+/// from the record's own arrival and FIFO order holds. `true` on the
+/// dialer's clean close, with the hold-back straggler queued too.
+fn schedule_records(
+    mut client: &TcpStream,
+    tx: &Sender<(Instant, BytesMut)>,
+    cfg: &ProxyConfig,
+    conn_seed: u64,
+    started: Instant,
+    stop: &AtomicBool,
+    tallies: &Tallies,
+) -> bool {
     let mut rng = StdRng::seed_from_u64(conn_seed);
     let mut dec = PeerRecordDecoder::new();
     let mut buf = [0u8; 16 * 1024];
-    let mut out = BytesMut::new();
     let mut shaper = cfg.rate_kbps.map(Shaper::new);
     // At most one record rides in the hold-back slot; emitting it after
     // the next record is exactly one reordering.
     let mut held: Option<newtop_types::peer::PeerFrame> = None;
-    'pump: loop {
+    let mut last_release = started;
+    loop {
         if stop.load(Ordering::Relaxed) || partitioned(cfg, started) {
-            return;
+            return false;
         }
         let n = match client.read(&mut buf) {
-            Ok(0) => break 'pump,
+            Ok(0) => break,
             Ok(n) => n,
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(_) => return,
+            Err(_) => return false,
         };
+        let arrival = Instant::now();
         dec.push(&buf[..n]);
         loop {
             let rec = match dec.next_record() {
                 Ok(Some(rec)) => rec,
                 Ok(None) => break,
                 // A malformed stream cannot be re-framed; sever it.
-                Err(_) => return,
+                Err(_) => return false,
             };
             if cfg.drop_pct > 0 && rng.gen_range(0u32..100) < u32::from(cfg.drop_pct) {
                 tallies.dropped.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             if cfg.delay_ms > 0 {
-                let hold = rng.gen_range(0..=cfg.delay_ms);
-                if hold > 0 {
-                    std::thread::sleep(Duration::from_millis(hold));
-                }
+                let hold = Duration::from_millis(rng.gen_range(0..=cfg.delay_ms));
+                last_release = last_release.max(arrival + hold);
             }
             let mut emit = Vec::with_capacity(2);
             if cfg.reorder_pct > 0
@@ -400,8 +435,6 @@ fn chaos_pump(
                 }
             }
             for rec in emit {
-                out.clear();
-                addressed_frame_into(rec.dest, rec.seq, &rec.frame, &mut out);
                 // Duplication: the same encoded record twice back to
                 // back. The upstream's per-link sequence dedup must
                 // swallow the echo, so this is correctness-neutral by
@@ -413,25 +446,39 @@ fn chaos_pump(
                 } else {
                     1
                 };
+                let mut bytes = BytesMut::new();
                 for _ in 0..copies {
-                    if let Some(shaper) = &mut shaper {
-                        shaper.pace(out.len());
-                    }
-                    if server.write_all(&out).is_err() {
-                        return;
-                    }
+                    addressed_frame_into(rec.dest, rec.seq, &rec.frame, &mut bytes);
                 }
-                tallies.forwarded.fetch_add(1, Ordering::Relaxed);
+                // Shaping here stalls the reads, so an over-budget tunnel
+                // pushes back on the dialer like a saturated uplink.
+                if let Some(shaper) = &mut shaper {
+                    shaper.pace(bytes.len());
+                }
+                if tx.send((last_release, bytes)).is_err() {
+                    return false;
+                }
             }
         }
     }
     // Client EOF: flush a straggler so a clean close loses nothing.
-    if let Some(rec) = held.take() {
-        out.clear();
-        addressed_frame_into(rec.dest, rec.seq, &rec.frame, &mut out);
-        if server.write_all(&out).is_ok() {
-            tallies.forwarded.fetch_add(1, Ordering::Relaxed);
+    let Some(rec) = held else {
+        return true;
+    };
+    let mut bytes = BytesMut::new();
+    addressed_frame_into(rec.dest, rec.seq, &rec.frame, &mut bytes);
+    tx.send((last_release, bytes)).is_ok()
+}
+
+/// Forwards each queued record at its release time, until the queue
+/// closes or the upstream is gone.
+fn release_pump(rx: &Receiver<(Instant, BytesMut)>, mut server: &TcpStream, tallies: &Tallies) {
+    while let Ok((release, bytes)) = rx.recv() {
+        std::thread::sleep(release.saturating_duration_since(Instant::now()));
+        if server.write_all(&bytes).is_err() {
+            return;
         }
+        tallies.forwarded.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -475,24 +522,23 @@ mod tests {
         assert!(start.elapsed() >= Duration::from_millis(140));
     }
 
-    /// A shaped tunnel delivers a multi-record stream intact but no
-    /// faster than the configured rate (the satellite's acceptance:
-    /// shaping changes timing, never bytes).
-    #[test]
-    fn rate_limited_tunnel_shapes_but_preserves_the_stream() {
-        use newtop_types::peer::encode_hello;
-        use newtop_types::peer::Hello;
-        use newtop_types::ProcessId;
+    /// A proxy over one loopback route, configured by `tweak`: returns
+    /// it, the dialer's connection (hello already sent), the upstream's
+    /// accepted end, and the hello bytes the upstream sees first.
+    fn open_tunnel(
+        tweak: impl FnOnce(&mut ProxyConfig),
+    ) -> (ProxyHandle, TcpStream, TcpStream, Vec<u8>) {
+        use newtop_types::peer::{encode_hello, Hello};
         let upstream = TcpListener::bind("127.0.0.1:0").expect("bind upstream");
         let up_addr = upstream.local_addr().expect("addr");
         let listen = TcpListener::bind("127.0.0.1:0").expect("probe listen");
         let listen_addr = listen.local_addr().expect("addr");
-        drop(listen);
+        drop(listen); // free the port for the proxy
         let mut cfg = ProxyConfig::new(vec![(listen_addr, up_addr)]);
-        cfg.rate_kbps = Some(50); // 50 KB/s, burst 8 KiB
+        tweak(&mut cfg);
         let handle = run_proxy(&cfg).expect("proxy starts");
         let mut client = TcpStream::connect(listen_addr).expect("dial proxy");
-        let (mut server, _) = upstream.accept().expect("accept tunnel");
+        let (server, _) = upstream.accept().expect("accept tunnel");
         server
             .set_read_timeout(Some(Duration::from_secs(10)))
             .expect("timeout");
@@ -502,21 +548,39 @@ mod tests {
             resume: 0,
         });
         client.write_all(&hello).expect("hello");
-        // ~18 KiB of records through an 8 KiB burst at 50 KB/s: the tail
-        // ~10 KiB costs ≥ 200 ms of shaping.
-        let body = [0x55u8; 2048];
-        let mut frame = vec![0x80u8, 0x10]; // varint 2048
-        frame.extend_from_slice(&body);
-        let mut want = hello.to_vec();
+        (handle, client, server, hello.to_vec())
+    }
+
+    /// Writes one addressed record per frame (sequence 1, 2, …) back to
+    /// back, and returns the encoded records in order.
+    fn write_records(client: &mut TcpStream, frames: usize, frame: &[u8]) -> Vec<u8> {
+        use newtop_types::ProcessId;
+        let mut sent = Vec::new();
         let mut rec = BytesMut::new();
-        let t0 = Instant::now();
-        for seq in 1..=9u64 {
+        for seq in 1..=frames as u64 {
             rec.clear();
-            addressed_frame_into(ProcessId(2), seq, &frame, &mut rec);
+            addressed_frame_into(ProcessId(2), seq, frame, &mut rec);
             client.write_all(&rec).expect("record");
-            want.extend_from_slice(&rec);
+            sent.extend_from_slice(&rec);
         }
         client.flush().expect("flush");
+        sent
+    }
+
+    /// A shaped tunnel delivers a multi-record stream intact but no
+    /// faster than the configured rate: shaping changes timing, never
+    /// bytes.
+    #[test]
+    fn rate_limited_tunnel_shapes_but_preserves_the_stream() {
+        // 50 KB/s, burst 8 KiB.
+        let (handle, mut client, mut server, mut want) =
+            open_tunnel(|cfg| cfg.rate_kbps = Some(50));
+        // ~18 KiB of records through an 8 KiB burst at 50 KB/s: the tail
+        // ~10 KiB costs ≥ 200 ms of shaping.
+        let mut frame = vec![0x80u8, 0x10]; // varint 2048
+        frame.extend_from_slice(&[0x55u8; 2048]);
+        let t0 = Instant::now();
+        want.extend(write_records(&mut client, 9, &frame));
         let mut got = vec![0u8; want.len()];
         server.read_exact(&mut got).expect("shaped stream");
         assert!(
@@ -531,41 +595,42 @@ mod tests {
         handle.stop();
     }
 
+    /// Each record's hold counts from its own arrival: 20 records written
+    /// back to back under holds of up to 50 ms all arrive, in order and
+    /// byte-identical, about one maximal hold after the first. The bound
+    /// is half the ~500 ms that 20 holds averaging 25 ms add up to when
+    /// each hold also delays the records queued behind it.
+    #[test]
+    fn delay_holds_each_record_from_its_own_arrival() {
+        let (handle, mut client, mut server, mut want) = open_tunnel(|cfg| cfg.delay_ms = 50);
+        // Let the proxy take the hello before the clock starts.
+        let mut got = vec![0u8; want.len()];
+        server.read_exact(&mut got).expect("hello");
+        assert_eq!(got, want, "hello passes verbatim");
+        let t0 = Instant::now();
+        want = write_records(&mut client, 20, &[3u8, b'x', b'y', b'z']);
+        let mut got = vec![0u8; want.len()];
+        server.read_exact(&mut got).expect("delayed stream");
+        let took = t0.elapsed();
+        assert_eq!(got, want, "delay must keep the stream's bytes and order");
+        assert!(
+            took < Duration::from_millis(250),
+            "20 records under ≤ 50 ms holds took {took:?}"
+        );
+        drop(client);
+        drop(server);
+        handle.stop();
+    }
+
     /// A dup-100 proxy emits every data record twice: the upstream
     /// byte stream is exactly two copies of each encoded record, and
     /// the duplicated counter matches the forwarded one.
     #[test]
     fn dup_mode_doubles_records_on_the_wire() {
-        use newtop_types::peer::encode_hello;
-        use newtop_types::peer::Hello;
-        use newtop_types::ProcessId;
-        let upstream = TcpListener::bind("127.0.0.1:0").expect("bind upstream");
-        let up_addr = upstream.local_addr().expect("addr");
-        let listen = TcpListener::bind("127.0.0.1:0").expect("probe listen");
-        let listen_addr = listen.local_addr().expect("addr");
-        drop(listen); // free the port for the proxy
-        let mut cfg = ProxyConfig::new(vec![(listen_addr, up_addr)]);
-        cfg.dup_pct = 100;
-        let handle = run_proxy(&cfg).expect("proxy starts");
-        let mut client = TcpStream::connect(listen_addr).expect("dial proxy");
-        let (mut server, _) = upstream.accept().expect("accept tunnel");
-        server
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .expect("timeout");
-        let hello = encode_hello(&Hello {
-            peer: 0,
-            nonce: 7,
-            resume: 0,
-        });
-        client.write_all(&hello).expect("hello");
+        let (handle, mut client, mut server, mut want) = open_tunnel(|cfg| cfg.dup_pct = 100);
         // A minimal valid wire frame: varint body length, then body.
-        let frame = [3u8, b'x', b'y', b'z'];
-        let mut rec = BytesMut::new();
-        addressed_frame_into(ProcessId(2), 1, &frame, &mut rec);
-        client.write_all(&rec).expect("record");
-        client.flush().expect("flush");
+        let rec = write_records(&mut client, 1, &[3u8, b'x', b'y', b'z']);
         // Expect hello + two copies of the record at the upstream.
-        let mut want = hello.to_vec();
         want.extend_from_slice(&rec);
         want.extend_from_slice(&rec);
         let mut got = vec![0u8; want.len()];

@@ -1328,15 +1328,8 @@ impl RemoteCluster {
     pub fn wire_stats(&self) -> Option<WireStats> {
         let mut sum = WireStats::default();
         let mut shards_total = 0u64;
-        for peer in &self.peers {
-            let (tx, rx) = unbounded();
-            if !peer
-                .writer
-                .send_record(&[OP_STATS], |owed| owed.stats.push_back(tx))
-            {
-                return None;
-            }
-            let (stats, shards) = rx.recv_timeout(Duration::from_secs(10)).ok()?;
+        for peer in 0..self.peers.len() {
+            let (stats, shards) = self.peer_stats(peer)?;
             sum.frames += stats.frames;
             sum.envelopes += stats.envelopes;
             sum.bytes += stats.bytes;
@@ -1352,6 +1345,21 @@ impl RemoteCluster {
         }
         self.shards.store(shards_total, Ordering::Relaxed);
         Some(sum)
+    }
+
+    /// Peer `peer`'s own wire statistics and shard count; `None` when
+    /// its control connection is down or it does not answer.
+    pub(crate) fn peer_stats(&self, peer: usize) -> Option<(WireStats, u64)> {
+        let (tx, rx) = unbounded();
+        if !self
+            .peers
+            .get(peer)?
+            .writer
+            .send_record(&[OP_STATS], |owed| owed.stats.push_back(tx))
+        {
+            return None;
+        }
+        rx.recv_timeout(Duration::from_secs(10)).ok()
     }
 
     /// Total shards across all peers, as of the last

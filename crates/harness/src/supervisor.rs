@@ -470,6 +470,16 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
         #[allow(clippy::cast_possible_truncation)]
         let victim = 1 + (xorshift(&mut rng) as usize) % (cfg.procs - 1);
         victims.push(victim);
+        // Every survivor counts one reconnect when its data link to the
+        // victim comes back up after the restart.
+        let survivors: Vec<usize> = (0..cfg.procs).filter(|&p| p != victim).collect();
+        let redials = |cluster: &RemoteCluster| -> u64 {
+            survivors
+                .iter()
+                .map(|&p| cluster.peer_stats(p).map_or(0, |(s, _)| s.reconnects))
+                .sum()
+        };
+        let redialed = redials(&cluster) + survivors.len() as u64;
         if let Some(mut child) = fleet.children[victim].take() {
             let _ = child.kill(); // SIGKILL on unix
             let _ = child.wait();
@@ -510,6 +520,12 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
         cluster
             .reconnect_peer(victim, ctrl[victim], Duration::from_secs(15))
             .map_err(|e| format!("cycle {cycle}: reconnect peer {victim}: {e}"))?;
+        // Survivors redial a lost peer with a backoff that grows to 1 s,
+        // the formation timeout: a `form` sent before their links to the
+        // restarted peer are back races them, and the restarted members'
+        // votes miss the timeout. So wait (bounded) for every redial
+        // first; the retries below are for genuine failures.
+        tracking.wait_until(Duration::from_secs(5), |_| redials(&cluster) >= redialed);
 
         // ---- re-enter through §5.3 formation, one fresh id per lineage
         for g in 0..cfg.groups {

@@ -21,12 +21,11 @@
 # to 10 ms, no drops, no partitions). Latency spikes must raise
 # suspicion levels, not trigger exclusions: `load --expect-stable`
 # exits nonzero if any view change occurs during the run. The proxy
-# holds records one after another, so each hold delays everything
-# queued behind it, ω-null traffic included: delivery latency reaches
-# about 1.6 s at p99 with 10 ms holds (about 3.3 s with 120 ms holds).
-# The paper assumes Ω exceeds the transport's delay, so Ω is 4 s, at
-# least twice that p99, and half the 8 s run, so a false exclusion
-# still has time to show.
+# holds each record from its own arrival and reads on meanwhile, so a
+# hold adds latency without delaying the records behind it: delivery
+# p99 reads about 11 ms with 10 ms holds. The paper assumes Ω exceeds
+# the transport's delay; Ω is 4 s, far above that, and half the 8 s
+# run, so a false exclusion still has time to show.
 #
 # Usage: scripts/crash_smoke.sh [path-to-newtop-exp]
 set -euo pipefail
