@@ -5,9 +5,9 @@
 //! buffer and the retention store, so buffering a message never copies its
 //! payload (see DESIGN.md §7, "Performance model").
 
-use newtop_types::digest::{DigestHasher, StateDigest};
 use newtop_types::{Message, MessageBody, Msn, ProcessId};
 use std::collections::{BTreeMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Received-but-undelivered messages of one group, ordered by the fixed
@@ -103,13 +103,13 @@ impl DeliveryBuffer {
     }
 }
 
-impl StateDigest for DeliveryBuffer {
-    fn digest_into(&self, h: &mut DigestHasher) {
-        // `first` is derived (head cache) — digest only the map.
-        h.write_u64(self.map.len() as u64);
-        for m in self.map.values() {
-            m.digest_into(h);
-        }
+impl Hash for DeliveryBuffer {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        // `first` is derived (head cache), and so are the map's keys: each
+        // is its message's `(c, sender)`. Digest only the messages.
+        let DeliveryBuffer { map, first: _ } = self;
+        h.write_usize(map.len());
+        map.values().for_each(|m| m.hash(h));
     }
 }
 
@@ -256,18 +256,13 @@ impl RetentionStore {
     }
 }
 
-impl StateDigest for RetentionStore {
-    fn digest_into(&self, h: &mut DigestHasher) {
+impl Hash for RetentionStore {
+    fn hash<H: Hasher>(&self, h: &mut H) {
         // Empty runs are absent senders: they hash as if never created.
-        let live = || self.runs.iter().filter(|(_, run)| !run.is_empty());
-        h.write_u64(live().count() as u64);
-        for (sender, run) in live() {
-            sender.digest_into(h);
-            h.write_u64(run.len() as u64);
-            for m in run {
-                m.digest_into(h);
-            }
-        }
+        let RetentionStore { runs } = self;
+        let live = || runs.iter().filter(|(_, run)| !run.is_empty());
+        h.write_usize(live().count());
+        live().for_each(|run| run.hash(h));
     }
 }
 

@@ -4,7 +4,6 @@
 //! groups it belongs to — this is what makes Newtop's multi-group total
 //! order (MD4') fall out of the single message-number ordering.
 
-use newtop_types::digest::{DigestHasher, StateDigest};
 use newtop_types::Msn;
 
 /// A process-wide Lamport counter.
@@ -20,7 +19,7 @@ use newtop_types::Msn;
 /// lc.observe(Msn(10));                       // CA2
 /// assert_eq!(lc.advance_for_send(), Msn(11));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct LogicalClock {
     value: Msn,
 }
@@ -58,12 +57,6 @@ impl LogicalClock {
     /// which sets `LCk` to the agreed start-number-max if larger).
     pub fn raise_to(&mut self, floor: Msn) {
         self.observe(floor);
-    }
-}
-
-impl StateDigest for LogicalClock {
-    fn digest_into(&self, h: &mut DigestHasher) {
-        self.value.digest_into(h);
     }
 }
 

@@ -9,7 +9,6 @@
 use crate::action::{Action, FormationFailure};
 use crate::group::{GroupPhase, GroupState};
 use crate::process::{DeferredSend, Process};
-use newtop_types::digest::{DigestHasher, StateDigest};
 use newtop_types::{
     ControlMessage, Envelope, FormationDecision, GroupConfig, GroupId, Instant, Message, Msn,
     ProcessId,
@@ -21,7 +20,7 @@ use std::collections::{BTreeMap, BTreeSet};
 const ORPHAN_VOTE_CAP: usize = 64;
 
 /// State of one in-flight formation attempt (before the group exists).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub(crate) struct Forming {
     pub initiator: ProcessId,
     pub members: BTreeSet<ProcessId>,
@@ -34,25 +33,6 @@ pub(crate) struct Forming {
     /// Group messages that arrived before local activation (other members
     /// may activate first); replayed once the group state exists.
     pub early: Vec<(ProcessId, std::sync::Arc<Message>)>,
-}
-
-impl StateDigest for Forming {
-    fn digest_into(&self, h: &mut DigestHasher) {
-        self.initiator.digest_into(h);
-        h.write_u64(self.members.len() as u64);
-        for p in &self.members {
-            p.digest_into(h);
-        }
-        self.config.digest_into(h);
-        h.write_u64(self.votes.len() as u64);
-        for (p, d) in &self.votes {
-            p.digest_into(h);
-            d.digest_into(h);
-        }
-        h.write_bool(self.my_vote_cast);
-        self.deadline.digest_into(h);
-        self.early.digest_into(h);
-    }
 }
 
 impl Process {

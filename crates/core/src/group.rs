@@ -3,13 +3,13 @@
 use crate::buffer::{DeliveryBuffer, RetentionStore};
 use crate::vectors::MsnVector;
 use bytes::Bytes;
-use newtop_types::digest::{DigestHasher, StateDigest};
 use newtop_types::{
     GroupConfig, GroupId, Instant, Message, Msn, OrderMode, ProcessId, SignedView, Span, Suspicion,
     SuspicionMode, View,
 };
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Sorted-vector map from [`GroupId`] to [`GroupState`].
@@ -125,6 +125,17 @@ impl GroupMap {
     }
 }
 
+impl Hash for GroupMap {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        // `tick_order` is derived from the views.
+        let GroupMap {
+            entries,
+            tick_order: _,
+        } = self;
+        entries.hash(h);
+    }
+}
+
 impl<'a> IntoIterator for &'a GroupMap {
     type Item = (&'a GroupId, &'a GroupState);
     type IntoIter = std::iter::Map<
@@ -140,7 +151,7 @@ impl<'a> IntoIterator for &'a GroupMap {
 ///
 /// (The two-phase vote of §5.3 happens *before* a `GroupState` exists; see
 /// `formation.rs`.)
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum GroupPhase {
     /// Formation step 5: waiting for a `start-group` message from every
     /// member of the current view before application sends may flow.
@@ -162,7 +173,7 @@ pub(crate) enum GroupPhase {
 /// An adopted detection whose view `V − F` is not installed yet: one
 /// entry of [`GroupState::install_queue`] (see `membership.rs` for the
 /// transitions over it).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct PendingInstall {
     /// `F`: the processes agreed failed. Their messages are discarded on
     /// receipt from adoption on.
@@ -172,7 +183,7 @@ pub(crate) struct PendingInstall {
 }
 
 /// What a [`PendingInstall`] waits for.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum Gate {
     /// Step (viii)'s `update_view(F, N)`: install once every message with
     /// `c <= N` has been delivered and none can still arrive.
@@ -215,14 +226,11 @@ impl ArrivalWindow {
     }
 }
 
-impl StateDigest for ArrivalWindow {
-    fn digest_into(&self, h: &mut DigestHasher) {
-        // `sum` is derived from `samples`; digesting it too would be
-        // redundant, not wrong.
-        h.write_u64(self.samples.len() as u64);
-        for s in &self.samples {
-            h.write_u64(*s);
-        }
+impl Hash for ArrivalWindow {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        // `sum` is derived from `samples`.
+        let ArrivalWindow { samples, sum: _ } = self;
+        samples.hash(h);
     }
 }
 
@@ -611,119 +619,66 @@ impl GroupState {
     }
 }
 
-impl StateDigest for GroupPhase {
-    fn digest_into(&self, h: &mut DigestHasher) {
-        match self {
-            GroupPhase::AwaitStart {
-                starters,
-                start_number_max,
-            } => {
-                h.write_u8(0);
-                h.write_u64(starters.len() as u64);
-                for p in starters {
-                    p.digest_into(h);
-                }
-                start_number_max.digest_into(h);
-            }
-            GroupPhase::Active => h.write_u8(1),
-        }
-    }
-}
-
-impl StateDigest for PendingInstall {
-    fn digest_into(&self, h: &mut DigestHasher) {
-        h.write_u64(self.failed.len() as u64);
-        for p in &self.failed {
-            p.digest_into(h);
-        }
-        match &self.gate {
-            Gate::Barrier(bound) => {
-                h.write_u8(0);
-                bound.digest_into(h);
-            }
-            Gate::AwaitCut(detection) => {
-                h.write_u8(1);
-                detection.digest_into(h);
-            }
-        }
-    }
-}
-
-impl StateDigest for GroupState {
-    fn digest_into(&self, h: &mut DigestHasher) {
-        // Every field in declaration order, except `covers` (derived from
-        // the views of all groups), `me_slot` (derived from the member
-        // tables) and `timer_cache` (memoised derived
-        // state — two states must not hash apart just because one has
-        // read its deadline since the last mutation). `last_stable` IS
-        // digested: it gates the O(1) fast path of `on_stability_advance`,
-        // so it influences future garbage collection.
-        self.cfg.digest_into(h);
-        self.me.digest_into(h);
-        self.view.digest_into(h);
-        h.write_u32(self.excluded_count);
-        self.rv.digest_into(h);
-        self.sv.digest_into(h);
-        self.d_asym.digest_into(h);
-        self.phase.digest_into(h);
-        self.buffer.digest_into(h);
-        self.retention.digest_into(h);
-        self.last_send.digest_into(h);
-        h.write_u64(self.last_heard.len() as u64);
-        for (p, t) in &self.last_heard {
-            p.digest_into(h);
-            t.digest_into(h);
-        }
-        h.write_u64(self.arrivals.len() as u64);
-        for (p, w) in &self.arrivals {
-            p.digest_into(h);
-            w.digest_into(h);
-        }
-        h.write_u64(self.suspicions.len() as u64);
-        for (p, ln) in &self.suspicions {
-            p.digest_into(h);
-            ln.digest_into(h);
-        }
-        h.write_u64(self.supporters.len() as u64);
-        for ((suspect, ln), sup) in &self.supporters {
-            suspect.digest_into(h);
-            ln.digest_into(h);
-            h.write_u64(sup.len() as u64);
-            for p in sup {
-                p.digest_into(h);
-            }
-        }
-        h.write_u64(self.pending_from.len() as u64);
-        for (p, held) in &self.pending_from {
-            p.digest_into(h);
-            held.digest_into(h);
-        }
-        h.write_u64(self.pending_confirms.len() as u64);
-        for (p, det) in &self.pending_confirms {
-            p.digest_into(h);
-            det.digest_into(h);
-        }
-        h.write_u64(self.install_queue.len() as u64);
-        for pi in &self.install_queue {
-            pi.digest_into(h);
-        }
-        h.write_u64(self.outstanding.len() as u64);
-        for (c, payload) in &self.outstanding {
-            c.digest_into(h);
-            payload.digest_into(h);
-        }
-        h.write_u64(self.parked_requests.len() as u64);
-        for (origin, c, payload) in &self.parked_requests {
-            origin.digest_into(h);
-            c.digest_into(h);
-            payload.digest_into(h);
-        }
-        h.write_u64(self.own_unstable.len() as u64);
-        for c in &self.own_unstable {
-            c.digest_into(h);
-        }
-        h.write_bool(self.departing);
-        self.last_stable.digest_into(h);
+impl Hash for GroupState {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        // Every field except `covers` (derived from the views of all
+        // groups), `me_slot` (derived from the member tables) and
+        // `timer_cache` (memoised derived state — two states must not hash
+        // apart just because one has read its deadline since the last
+        // mutation). `last_stable` IS digested: it gates the O(1) fast path
+        // of `on_stability_advance`, so it influences future garbage
+        // collection.
+        let GroupState {
+            cfg,
+            me,
+            view,
+            excluded_count,
+            rv,
+            sv,
+            d_asym,
+            phase,
+            buffer,
+            retention,
+            last_send,
+            last_heard,
+            arrivals,
+            suspicions,
+            supporters,
+            pending_from,
+            pending_confirms,
+            install_queue,
+            outstanding,
+            parked_requests,
+            own_unstable,
+            departing,
+            covers: _,
+            last_stable,
+            me_slot: _,
+            timer_cache: _,
+        } = self;
+        cfg.hash(h);
+        me.hash(h);
+        view.hash(h);
+        excluded_count.hash(h);
+        rv.hash(h);
+        sv.hash(h);
+        d_asym.hash(h);
+        phase.hash(h);
+        buffer.hash(h);
+        retention.hash(h);
+        last_send.hash(h);
+        last_heard.hash(h);
+        arrivals.hash(h);
+        suspicions.hash(h);
+        supporters.hash(h);
+        pending_from.hash(h);
+        pending_confirms.hash(h);
+        install_queue.hash(h);
+        outstanding.hash(h);
+        parked_requests.hash(h);
+        own_unstable.hash(h);
+        departing.hash(h);
+        last_stable.hash(h);
     }
 }
 

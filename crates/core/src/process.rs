@@ -20,6 +20,7 @@ use newtop_types::{
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::error::Error;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Why a group could not be created or joined into formation.
@@ -87,7 +88,7 @@ impl From<ConfigError> for GroupError {
 /// blocked head blocks everything behind it, because letting a later send
 /// overtake would assign it a smaller logical-clock number and break the
 /// causal delivery order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub(crate) enum DeferredSend {
     /// An application multicast (§4.1 symmetric / §4.2 asymmetric).
     App { group: GroupId, payload: Bytes },
@@ -1326,60 +1327,34 @@ impl Process {
     }
 }
 
-impl newtop_types::digest::StateDigest for DeferredSend {
-    fn digest_into(&self, h: &mut newtop_types::digest::DigestHasher) {
-        match self {
-            DeferredSend::App { group, payload } => {
-                h.write_u8(0);
-                group.digest_into(h);
-                payload.digest_into(h);
-            }
-            DeferredSend::StartGroup { group } => {
-                h.write_u8(1);
-                group.digest_into(h);
-            }
-            DeferredSend::Depart { group } => {
-                h.write_u8(2);
-                group.digest_into(h);
-            }
-        }
-    }
-}
-
-impl newtop_types::digest::StateDigest for Process {
+impl Hash for Process {
     /// Folds the complete protocol state: identity, configuration, logical
     /// clock, local time, every group state, in-flight formations, orphan
     /// votes, vote policies and the deferred-send queue. Excluded:
     /// statistics counters and the `scratch_gids` reuse buffer — neither
     /// influences future protocol behaviour.
-    fn digest_into(&self, h: &mut newtop_types::digest::DigestHasher) {
-        self.id.digest_into(h);
-        self.cfg.digest_into(h);
-        self.lc.digest_into(h);
-        self.now.digest_into(h);
-        h.write_u64(self.groups.keys().count() as u64);
-        for (g, gs) in &self.groups {
-            g.digest_into(h);
-            gs.digest_into(h);
-        }
-        h.write_u64(self.forming.len() as u64);
-        for (g, f) in &self.forming {
-            g.digest_into(h);
-            f.digest_into(h);
-        }
-        h.write_u64(self.orphan_votes.len() as u64);
-        for (g, votes) in &self.orphan_votes {
-            g.digest_into(h);
-            votes.digest_into(h);
-        }
-        h.write_u64(self.vote_policy.len() as u64);
-        for (g, d) in &self.vote_policy {
-            g.digest_into(h);
-            d.digest_into(h);
-        }
-        h.write_u64(self.deferred.len() as u64);
-        for d in &self.deferred {
-            d.digest_into(h);
-        }
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let Process {
+            id,
+            cfg,
+            lc,
+            now,
+            groups,
+            forming,
+            orphan_votes,
+            vote_policy,
+            deferred,
+            stats: _,
+            scratch_gids: _,
+        } = self;
+        id.hash(h);
+        cfg.hash(h);
+        lc.hash(h);
+        now.hash(h);
+        groups.hash(h);
+        forming.hash(h);
+        orphan_votes.hash(h);
+        vote_policy.hash(h);
+        deferred.hash(h);
     }
 }

@@ -40,8 +40,8 @@
 //! it recombines O(log n) cached sibling minima. Nothing on these paths
 //! allocates.
 
-use newtop_types::digest::{DigestHasher, StateDigest};
 use newtop_types::{Msn, ProcessId};
+use std::hash::{Hash, Hasher};
 
 /// A per-member vector of message numbers with an ∞-aware minimum.
 ///
@@ -312,15 +312,19 @@ impl MsnVector {
     }
 }
 
-impl StateDigest for MsnVector {
-    fn digest_into(&self, h: &mut DigestHasher) {
+impl Hash for MsnVector {
+    fn hash<H: Hasher>(&self, h: &mut H) {
         // The cache tree is derived state — digest only the observable map,
         // mirroring `PartialEq`.
-        h.write_u64(self.ids.len() as u64);
-        for (p, c) in self.iter() {
-            p.digest_into(h);
-            c.digest_into(h);
-        }
+        let MsnVector {
+            ids,
+            entries,
+            tree: _,
+            leaf_base: _,
+        } = self;
+        ids.hash(h);
+        // As long as `ids`, so no second length prefix.
+        Hash::hash_slice(entries, h);
     }
 }
 

@@ -11,10 +11,11 @@
 
 use bytes::Bytes;
 use newtop_core::RetentionStore;
-use newtop_types::digest::{digest_of, DigestHasher, StateDigest};
+use newtop_types::digest::digest_of;
 use newtop_types::{GroupId, Message, MessageBody, Msn, ProcessId, Suspicion};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// The previous representation, kept as the executable specification.
@@ -89,15 +90,14 @@ impl NaiveRetention {
     }
 }
 
-impl StateDigest for NaiveRetention {
-    fn digest_into(&self, h: &mut DigestHasher) {
-        h.write_u64(self.map.len() as u64);
+/// Hashes as the runs do: each sender with its messages in number order.
+impl Hash for NaiveRetention {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        h.write_usize(self.map.len());
         for (sender, msgs) in &self.map {
-            sender.digest_into(h);
-            h.write_u64(msgs.len() as u64);
-            for m in msgs.values() {
-                m.digest_into(h);
-            }
+            sender.hash(h);
+            h.write_usize(msgs.len());
+            msgs.values().for_each(|m| m.hash(h));
         }
     }
 }

@@ -642,8 +642,6 @@ script (see newtop-exp chaos --help).",
             "crash budget (default 1)")),
         at_most(64, value("--max-wakes", "K", |a, v| num(v).map(|k| a.cfg.max_wakes = k),
             "timer wake-up budget (default 0)")),
-        at_most(1024, value("--depth", "D", |a, v| num(v).map(|d| a.cfg.depth = d),
-            "schedule-length bound; 0 = auto (default 0)")),
         value("--budget-secs", "S",
             |a, v| num(v).map(|s| a.cfg.budget = Some(Duration::from_secs(s))),
             "wall-clock budget; exceeding it exits 3 (inconclusive: the space was not \
@@ -655,8 +653,6 @@ script (see newtop-exp chaos --help).",
         value("--big-omega-us", "US", |a, v| num(v).map(|us| a.cfg.big_omega_us = us),
             "suspicion timeout Omega, must exceed omega (default 10000); short timers make \
              suspicion reachable within a small --max-wakes budget"),
-        value("--seed", "S", |a, v| num(v).map(|s| a.cfg.seed = s),
-            "plan label (the fixed-latency net draws nothing)"),
         value("--emit-dir", "DIR", |a, v| { a.emit_dir = v.into(); Ok(()) },
             "where counterexample scripts go (default target/mc)"),
     ],
@@ -1449,7 +1445,7 @@ mod tests {
         ];
         // (command, other arguments, flag, its maximum, the least value
         // that passes parse and validation)
-        let rows: [(&str, &[&str], &str, u64, u64); 19] = [
+        let rows: [(&str, &[&str], &str, u64, u64); 18] = [
             ("chaos", &[], "--jobs", 64, 0),
             ("chaos", &[], "--max-n", 64, 0),
             ("chaos", &[], "--max-faults", 64, 0),
@@ -1470,7 +1466,6 @@ mod tests {
             ("mc", &[], "--max-msgs", u32::MAX.into(), 0),
             ("mc", &[], "--max-crashes", 4, 0),
             ("mc", &[], "--max-wakes", 64, 0),
-            ("mc", &[], "--depth", 1024, 0),
             ("serve", &SERVE_ARGS, "--nodes", 1024, 1),
             ("serve", &SERVE_1024, "--groups", 64, 1),
             ("serve", &SERVE_1024, "--shards", 64, 0),

@@ -28,11 +28,14 @@ use newtop_sim::{
     LatencyModel, NetConfig, NetOp, PartitionMode, PartitionSpec, PendingEvent, WanConfig,
     WanLinkSpec,
 };
+use newtop_types::digest::DigestHasher;
 use newtop_types::{GroupConfig, GroupId, Instant, OrderMode, ProcessId, Span};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::fmt::Write as _;
+use std::hash::Hasher;
 use std::ops::RangeInclusive;
 
 /// Uniform one-way latency over `[lo_us, hi_us]`.
@@ -1109,27 +1112,19 @@ pub fn history_hash(h: &History) -> u64 {
     // FNV-1a over a canonical rendering. The Debug formatting of history
     // events is deterministic (integers, BTree-ordered sets) and covers
     // every field, including payload bytes and timestamps.
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut acc = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for b in bytes {
-            acc ^= u64::from(*b);
-            acc = acc.wrapping_mul(PRIME);
-        }
-    };
+    let mut acc = DigestHasher::new();
     for (p, events) in &h.events {
-        eat(&p.0.to_be_bytes());
+        acc.write(&p.0.to_be_bytes());
         for e in events {
-            eat(format!("{e:?}").as_bytes());
+            write!(acc, "{e:?}").expect("hashing cannot fail");
         }
     }
     let mut crashed = h.crashed.clone();
     crashed.sort_unstable();
     for p in crashed {
-        eat(&p.0.to_be_bytes());
+        acc.write(&p.0.to_be_bytes());
     }
-    acc
+    acc.finish()
 }
 
 /// Outcome of shrinking a failing plan.

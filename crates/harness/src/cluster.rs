@@ -7,9 +7,9 @@ use newtop_core::{Action, FormationFailure, Process};
 use newtop_sim::{
     NetConfig, NetOp, NodeInput, Outbox, PartitionMode, PartitionSpec, PendingEvent, Sim, SimNode,
 };
-use newtop_types::digest::{DigestHasher, StateDigest};
 use newtop_types::{wire, Envelope, GroupConfig, GroupId, Instant, ProcessConfig, ProcessId, Span};
 use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
 
 /// One simulated protocol participant: the engine plus its observable log.
 #[derive(Debug, Clone)]
@@ -165,14 +165,19 @@ impl SimNode for NewtopNode {
     }
 }
 
-impl StateDigest for NewtopNode {
+impl Hash for NewtopNode {
     /// Only the protocol engine: the history log is an observation trace,
     /// not state the protocol can branch on — two runs reaching the same
     /// engine state by different routes *should* dedup in the model checker
     /// even though their logs differ. (The checker inspects terminal-state
     /// histories separately; see `harness::mc`.)
-    fn digest_into(&self, h: &mut DigestHasher) {
-        self.process.digest_into(h);
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let NewtopNode {
+            process,
+            log: _,
+            failures: _,
+        } = self;
+        process.hash(h);
     }
 }
 

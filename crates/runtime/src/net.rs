@@ -152,7 +152,6 @@ struct Acceptor {
     stop: Arc<AtomicBool>,
     nonce: u64,
     router: Arc<Router>,
-    registry: Mutex<HashMap<(u32, u64), LinkState>>,
     sessions: Mutex<HashMap<u32, PeerSession>>,
     ingress: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -166,14 +165,15 @@ impl Acceptor {
 }
 
 /// Incarnation bookkeeping for one dialing peer index: the nonce of its
-/// newest incarnation and every nonce that incarnation superseded. A
-/// hello bearing a retired nonce is a connection from a dead
-/// incarnation (e.g. a delayed dial that raced a crash-restart) — its
-/// records belong to engine state that no longer exists, so it is
-/// rejected at the handshake instead of being resumed.
+/// newest incarnation with that session's receive state, and every nonce
+/// that incarnation superseded. A hello bearing a retired nonce is a
+/// connection from a dead incarnation (e.g. a delayed dial that raced a
+/// crash-restart) — its records belong to engine state that no longer
+/// exists, so it is rejected at the handshake instead of being resumed,
+/// and its receive state is dropped when it is retired.
 #[derive(Default)]
 struct PeerSession {
-    current: Option<u64>,
+    current: Option<(u64, LinkState)>,
     retired: std::collections::HashSet<u64>,
 }
 
@@ -306,7 +306,6 @@ pub(crate) fn start(
         stop: Arc::clone(&stop),
         nonce,
         router: Arc::clone(&router),
-        registry: Mutex::new(HashMap::new()),
         sessions: Mutex::new(HashMap::new()),
         ingress: Mutex::new(Vec::new()),
     });
@@ -603,24 +602,21 @@ fn accept_conn(ctx: &Arc<Acceptor>, stream: TcpStream) {
     let Some(hello) = hello.filter(|h| h.peer < ctx.npeers && h.peer != ctx.me) else {
         return ctx.reject();
     };
-    {
+    let state = {
         let mut sessions = ctx.sessions.lock();
         let slot = sessions.entry(hello.peer).or_default();
-        if slot.current != Some(hello.nonce) {
-            if slot.retired.contains(&hello.nonce) {
-                return ctx.reject();
-            }
-            if let Some(old) = slot.current.replace(hello.nonce) {
-                slot.retired.insert(old);
+        match &slot.current {
+            Some((nonce, state)) if *nonce == hello.nonce => Arc::clone(state),
+            _ if slot.retired.contains(&hello.nonce) => return ctx.reject(),
+            _ => {
+                let state: LinkState = Arc::new(Mutex::new(1));
+                if let Some((old, _)) = slot.current.replace((hello.nonce, Arc::clone(&state))) {
+                    slot.retired.insert(old);
+                }
+                state
             }
         }
-    }
-    let state = Arc::clone(
-        ctx.registry
-            .lock()
-            .entry((hello.peer, hello.nonce))
-            .or_insert_with(|| Arc::new(Mutex::new(1))),
-    );
+    };
     let resume = *state.lock();
     let reply = encode_hello(&Hello {
         peer: ctx.me,

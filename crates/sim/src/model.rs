@@ -72,7 +72,7 @@ impl Default for LatencyModel {
 }
 
 /// What happens to messages that would cross a partition cut.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PartitionMode {
     /// Crossing messages are dropped — models a long-lived partition (or a
     /// datagram transport). This is the behaviour of the paper's scenarios:

@@ -9,13 +9,14 @@
 
 use crate::model::{LatencyModel, NetConfig, NetStats, PartitionMode, PartitionSpec};
 use crate::wan::{DoneOutcome, Sched, WanConfig, WanLinkSpec, WanState};
-use newtop_types::digest::{DigestHasher, StateDigest};
+use newtop_types::digest::DigestHasher;
 use newtop_types::{ConfigError, Instant, ProcessId, Span};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::hash::{Hash, Hasher};
 
 /// Behaviour of one simulated node.
 ///
@@ -1169,12 +1170,12 @@ where
 
 impl<N, I> Sim<N, I>
 where
-    N: SimNode + StateDigest,
-    N::Msg: StateDigest,
+    N: SimNode + Hash,
+    N::Msg: Hash,
 {
     /// Canonical hash of the full observable system state, for the model
     /// checker's visited-state dedup: virtual time, every node's protocol
-    /// state (via the node's own [`StateDigest`]), crash flags, pending
+    /// state (via the node's own [`Hash`]), crash flags, pending
     /// wake-ups, in-flight messages in canonical link-then-arrival order,
     /// parked (partitioned-away) messages, partition blocks, the per-link
     /// FIFO clamp matrix, and the cut links while any is cut.
@@ -1193,20 +1194,13 @@ where
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         let mut h = DigestHasher::new();
-        h.write_u64(self.now.as_micros());
-        h.write_u64(self.nodes.len() as u64);
+        self.now.hash(&mut h);
+        self.nodes.len().hash(&mut h);
         for (id, idx) in &self.lookup {
             let entry = &self.nodes[*idx as usize];
-            id.digest_into(&mut h);
-            h.write_bool(entry.crashed);
-            entry.wake_at.digest_into(&mut h);
-            h.write_u32(entry.block);
-            entry.node.digest_into(&mut h);
+            (id, entry.crashed, entry.wake_at, entry.block, &entry.node).hash(&mut h);
         }
-        h.write_u8(match self.partition_mode {
-            PartitionMode::Loss => 0,
-            PartitionMode::Delay => 1,
-        });
+        self.partition_mode.hash(&mut h);
         // In-flight messages in canonical order. (src, dst, at) is unique
         // per message: the FIFO clamp spaces same-link arrivals apart.
         let mut inflight: Vec<(ProcessId, ProcessId, Instant, Instant, &N::Msg)> = Vec::new();
@@ -1234,37 +1228,11 @@ where
             }
         }
         inflight.sort_by_key(|(src, dst, at, ..)| (*src, *dst, *at));
-        h.write_u64(inflight.len() as u64);
-        for (src, dst, at, departed, msg) in inflight {
-            src.digest_into(&mut h);
-            dst.digest_into(&mut h);
-            at.digest_into(&mut h);
-            departed.digest_into(&mut h);
-            msg.digest_into(&mut h);
-        }
-        h.write_u64(scripted);
-        h.write_u64(self.parked.len() as u64);
-        for ((src, dst), q) in &self.parked {
-            src.digest_into(&mut h);
-            dst.digest_into(&mut h);
-            h.write_u64(q.len() as u64);
-            for (departed, msg) in q {
-                departed.digest_into(&mut h);
-                msg.digest_into(&mut h);
-            }
-        }
-        for cell in &self.last_arrival {
-            cell.digest_into(&mut h);
-        }
-        // Only a live cut is digested, so runs without one keep the digest
-        // they had before links could be cut.
-        if !self.cut.is_empty() {
-            h.write_u64(self.cut.len() as u64);
-            for (src, dst) in &self.cut {
-                src.digest_into(&mut h);
-                dst.digest_into(&mut h);
-            }
-        }
+        inflight.hash(&mut h);
+        scripted.hash(&mut h);
+        self.parked.hash(&mut h);
+        self.last_arrival.hash(&mut h);
+        self.cut.hash(&mut h);
         h.finish()
     }
 }
@@ -1294,6 +1262,7 @@ mod tests {
     use crate::model::LatencyModel;
 
     /// Records every message it receives, tagged with arrival time.
+    #[derive(Hash)]
     struct Recorder {
         seen: Vec<(Instant, ProcessId, u64)>,
         ticks: u32,
@@ -1613,19 +1582,6 @@ mod tests {
         );
     }
 
-    impl StateDigest for Recorder {
-        fn digest_into(&self, h: &mut DigestHasher) {
-            h.write_u64(self.seen.len() as u64);
-            for (at, from, msg) in &self.seen {
-                at.digest_into(h);
-                from.digest_into(h);
-                msg.digest_into(h);
-            }
-            h.write_u32(self.ticks);
-            self.deadline.digest_into(h);
-        }
-    }
-
     /// A controllable fixture: fixed latency so the digest is sound, and a
     /// helper to resolve a frontier entry by kind.
     fn controlled_sim() -> Sim<Recorder> {
@@ -1859,7 +1815,7 @@ mod tests {
         // reverse direction is unaffected.
         assert_eq!((got(&sim, 2), got(&sim, 1)), (vec![(2, 4)], vec![(1, 3)]));
         assert_eq!(sim.stats().dropped_partition, 2);
-        // With no cut live, the digest is computed as it was before cuts.
+        // A restored link leaves no trace in the digest.
         let mut twin = zero_time_sim();
         twin.cut_link(p(1), p(2));
         assert_ne!(twin.state_digest(), uncut);

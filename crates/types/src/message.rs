@@ -45,7 +45,7 @@ impl fmt::Display for Suspicion {
 /// `c`, `ldn`) is the entirety of Newtop's per-message ordering overhead —
 /// the paper's central efficiency claim against vector-clock protocols
 /// (§6). The wire codec in [`crate::wire`] makes this measurable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Message {
     /// The destination group (`m.g`).
     pub group: GroupId,
@@ -126,7 +126,7 @@ impl fmt::Display for Message {
 }
 
 /// The payload variants a numbered group message can carry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MessageBody {
     /// An application multicast (symmetric protocol, §4.1).
     App(Bytes),
@@ -240,7 +240,7 @@ pub enum FormationDecision {
 /// Un-numbered control messages: the two-phase group-formation exchange of
 /// §5.3 happens before the group (and hence its logical-clock numbering)
 /// exists.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ControlMessage {
     /// Step 1: the initiator invites `members` to form group `group`.
     /// The shared `config` guarantees all members run the group with
@@ -287,7 +287,7 @@ impl ControlMessage {
 /// across all destinations (and with the sender's own retention/delivery
 /// buffers). This deviates from the seed's by-value envelopes; see
 /// DESIGN.md §5 and §7.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Envelope {
     /// A numbered group message (shared across fan-out destinations).
     Group(Arc<Message>),
