@@ -411,13 +411,10 @@ fn rank(input: &SimInput) -> u8 {
 /// region and an uplink, and every directed region pair an independent
 /// trunk — asymmetric latency and capacity by construction.
 ///
-/// The engine's transport contract is exactly-once per link — the TCP
-/// plane enforces it by link-sequence dedup below the engine, and the sim
-/// harness binds the engine straight to the wire with no such layer in
-/// between. Drawn plans therefore keep the wire exactly-once; the
-/// duplication knob stays a network-model feature (pinned by the sim's
-/// unit and property tests) for hosts that model their own dedup, and
-/// hand-written scripts may still set `dup-pm`.
+/// The engine's transport contract is exactly-once per link: the TCP
+/// plane enforces it by link-sequence dedup below the engine (which
+/// `proxy --dup-pct` exercises), and the WAN model never duplicates, so
+/// the only drawn wire knob is the reorder hold.
 fn draw_wan(rng: &mut StdRng, n: u32) -> WanConfig {
     const UPLINKS: [u64; 4] = [64_000, 128_000, 256_000, 512_000];
     let regions = rng.gen_range(2..=3u32);
@@ -839,8 +836,7 @@ impl ChaosPlan {
         ];
         if let Some(cfg) = &self.wan {
             lines.push(format!(
-                "wan dup-pm {} reorder-pm {} hold-us {}",
-                cfg.dup_permille,
+                "wan reorder-pm {} hold-us {}",
                 cfg.reorder_permille,
                 cfg.reorder_hold.as_micros()
             ));
@@ -935,11 +931,10 @@ impl ChaosPlan {
             ["seed", v] => self.seed = num(v)?,
             ["n", v] => self.n = num(v)?,
             ["horizon-us", v] => self.horizon_us = num(v)?,
-            ["wan", "dup-pm", d, "reorder-pm", r, "hold-us", h] => {
+            ["wan", "reorder-pm", r, "hold-us", h] => {
                 self.no_mix(false)?;
-                let cfg = WanConfig::new().with_duplication(permille(d)?);
                 let hold = Span::from_micros(num(h)?);
-                self.wan = Some(cfg.with_reorder(permille(r)?, hold));
+                self.wan = Some(WanConfig::new().with_reorder(permille(r)?, hold));
             }
             ["wan-node", p, region, bps] => {
                 let (p, region, bps) = (ProcessId(self.pid(p)?), num(region)?, capacity(bps)?);
@@ -1570,12 +1565,11 @@ mod tests {
     fn parse_rejects_invalid_wan_directives() {
         let base = "newtop-chaos v1\nseed 1\nn 3\nhorizon-us 10\n\
                     group 1 symmetric omega-us 5 big-omega-us 9 members 1,2,3\n";
-        let inverted =
-            format!("{base}wan dup-pm 0 reorder-pm 0 hold-us 1\nwan-route 0 1 500 100 1000\n");
+        let inverted = format!("{base}wan reorder-pm 0 hold-us 1\nwan-route 0 1 500 100 1000\n");
         assert!(ChaosPlan::parse_script(&inverted)
             .unwrap_err()
             .contains("inverted latency bounds"));
-        let zero_cap = format!("{base}wan dup-pm 0 reorder-pm 0 hold-us 1\nwan-node 1 0 0\n");
+        let zero_cap = format!("{base}wan reorder-pm 0 hold-us 1\nwan-node 1 0 0\n");
         assert!(ChaosPlan::parse_script(&zero_cap)
             .unwrap_err()
             .contains("nonzero"));
@@ -1587,10 +1581,15 @@ mod tests {
         assert!(ChaosPlan::parse_script(&inverted_fault)
             .unwrap_err()
             .contains("inverted latency bounds"));
-        let bad_pm = format!("{base}wan dup-pm 1001 reorder-pm 0 hold-us 1\n");
+        let bad_pm = format!("{base}wan reorder-pm 1001 hold-us 1\n");
         assert!(ChaosPlan::parse_script(&bad_pm)
             .unwrap_err()
             .contains("per-mille"));
+        let retired = format!("{base}wan dup-pm 0 reorder-pm 0 hold-us 1\n");
+        assert_eq!(
+            ChaosPlan::parse_script(&retired).unwrap_err(),
+            "line 6: unknown directive: `wan dup-pm 0 reorder-pm 0 hold-us 1`"
+        );
     }
 
     #[test]

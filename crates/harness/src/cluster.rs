@@ -312,16 +312,15 @@ impl SimCluster {
     }
 
     /// Swaps the constant-latency transport for the topology-aware WAN
-    /// model (regions, capped uplinks, fair-share trunks). Also installs
-    /// the wire codec as the byte sizer so transfer times reflect real
-    /// encoded frame sizes.
+    /// model (regions, capped uplinks, fair-share trunks), sized by the
+    /// wire codec so transfer times reflect real encoded frame sizes (and
+    /// `bytes_sent` counts, as after [`SimCluster::measure_wire_bytes`]).
     ///
     /// # Errors
     ///
     /// Propagates [`newtop_sim::WanConfig::validate`] failures.
     pub fn set_wan(&mut self, cfg: newtop_sim::WanConfig) -> Result<(), newtop_types::ConfigError> {
-        self.measure_wire_bytes();
-        self.sim.set_wan(cfg)
+        self.sim.set_wan(cfg, wire::encoded_len)
     }
 
     /// Runs the simulation until `t`.

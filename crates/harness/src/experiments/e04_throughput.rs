@@ -113,7 +113,6 @@ pub fn run_wan(quick: bool) -> Table {
     for &cap in caps_kbps {
         let net = NetConfig::new(41).with_latency(LatencyModel::Fixed(Span::from_millis(1)));
         let mut cluster = SimCluster::new(n, net);
-        cluster.measure_wire_bytes();
         let mut wan = WanConfig::new()
             .with_default_route(WanLinkSpec::new(
                 LatencyModel::Fixed(Span::from_millis(1)),

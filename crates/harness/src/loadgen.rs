@@ -572,9 +572,10 @@ fn run_on<H: Host>(host: &H, cfg: &LoadConfig) -> LoadReport {
         shared.stop_sending.store(true, Ordering::Relaxed);
         std::thread::sleep(Duration::from_millis(300));
         // Freeze the measurement window and its counters at the same
-        // instant: deliveries the collectors drain while noticing
-        // `stop_all` (up to one 20 ms recv timeout later) must not count
-        // against an elapsed time that excludes them.
+        // instant: deliveries the collectors and drivers drain while
+        // noticing `stop_all` (up to one 10 ms driver recv timeout later;
+        // a collector waits 1 ms) must not count against an elapsed time
+        // that excludes them.
         elapsed = shared.epoch.elapsed();
         sent_at_cut = shared.sent.load(Ordering::Relaxed);
         delivered_at_cut = shared.delivered.load(Ordering::Relaxed);

@@ -115,7 +115,7 @@ fn mc_largest_budgets_exit_inconclusive_without_panicking() {
 fn malformed_replay_scripts_exit_two_quoting_the_line() {
     const HEAD: &str = "newtop-chaos v1\nseed 1\nn 3\nhorizon-us 100000\n\
                         group 1 symmetric omega-us 5000 big-omega-us 60000 members 1,2,3\n";
-    const WAN: &str = "wan dup-pm 0 reorder-pm 0 hold-us 500\n";
+    const WAN: &str = "wan reorder-pm 0 hold-us 500\n";
     // (extra lines after HEAD, the line that must be quoted, the reason)
     let cases: [(&str, &str, &str); 29] = [
         (

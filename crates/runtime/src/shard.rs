@@ -196,41 +196,19 @@ impl Shard {
                         group,
                         payload,
                         reply,
-                    } => match slot.process.multicast(now, group, payload) {
-                        Ok(actions) => {
-                            let _ = reply.send(Ok(()));
-                            actions
-                        }
-                        Err(e) => {
-                            let _ = reply.send(Err(e));
-                            Vec::new()
-                        }
-                    },
-                    Command::Depart { group, reply } => match slot.process.depart(now, group) {
-                        Ok(actions) => {
-                            let _ = reply.send(Ok(()));
-                            actions
-                        }
-                        Err(e) => {
-                            let _ = reply.send(Err(e));
-                            Vec::new()
-                        }
-                    },
+                    } => answer(slot.process.multicast(now, group, payload), &reply),
+                    Command::Depart { group, reply } => {
+                        answer(slot.process.depart(now, group), &reply)
+                    }
                     Command::Initiate {
                         group,
                         members,
                         config,
                         reply,
-                    } => match slot.process.initiate_group(now, group, &members, config) {
-                        Ok(actions) => {
-                            let _ = reply.send(Ok(()));
-                            actions
-                        }
-                        Err(e) => {
-                            let _ = reply.send(Err(e));
-                            Vec::new()
-                        }
-                    },
+                    } => answer(
+                        slot.process.initiate_group(now, group, &members, config),
+                        &reply,
+                    ),
                     Command::Die => unreachable!("handled above"),
                 };
                 self.route(slot_idx, &mut actions, now);
@@ -242,6 +220,21 @@ impl Shard {
     fn flush_egress(&mut self) {
         self.egress
             .flush_all(self.me, &self.router, &mut self.local);
+    }
+}
+
+/// Replies with a command's verdict and returns the actions it produced
+/// (none when it was refused).
+fn answer<E>(verdict: Result<Vec<Action>, E>, reply: &Sender<Result<(), E>>) -> Vec<Action> {
+    match verdict {
+        Ok(actions) => {
+            let _ = reply.send(Ok(()));
+            actions
+        }
+        Err(e) => {
+            let _ = reply.send(Err(e));
+            Vec::new()
+        }
     }
 }
 

@@ -30,14 +30,12 @@
 //! * **Pluggable WAN realism** — [`Sim::set_wan`] swaps the default
 //!   constant-latency transport (preserved bit-identical when off) for a
 //!   topology-aware model: regions, finite-capacity uplinks and asymmetric
-//!   inter-region trunks with fair-share bandwidth, plus seeded
-//!   duplication/reorder knobs (see [`WanConfig`] and the `wan` module
-//!   docs).
+//!   inter-region trunks with fair-share bandwidth, plus a seeded reorder
+//!   knob (see [`WanConfig`] and the `wan` module docs).
 //!
 //! The simulator is generic over the node behaviour ([`SimNode`]) and the
-//! message type, so the baseline protocols (vector-clock causal multicast,
-//! sequencer ABCAST, Lamport total order) run on the very same network
-//! model as Newtop itself.
+//! message type, so the Lamport all-ack baseline of experiment E3 runs on
+//! the very same network model as Newtop itself.
 //!
 //! # Examples
 //!

@@ -224,8 +224,6 @@ pub struct NetStats {
     pub parked: u64,
     /// Total bytes handed to the transport, when a sizer is installed.
     pub bytes_sent: u64,
-    /// Extra copies injected by the WAN duplication knob.
-    pub wan_duplicated: u64,
     /// Transfers currently in flight through WAN pipes.
     pub wan_inflight: u64,
     /// Peak of `wan_inflight` over the run.

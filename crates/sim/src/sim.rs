@@ -261,13 +261,9 @@ const BLOCK_RESIDUAL: u32 = u32::MAX;
 /// so heal-time release order is independent of node insertion order.
 type ParkedLinks<M> = BTreeMap<(ProcessId, ProcessId), VecDeque<(Instant, M)>>;
 
-/// Reports the wire size of a message for the `bytes_sent` counter.
+/// Reports the wire size of a message for the `bytes_sent` counter and
+/// the WAN model's transfer sizes.
 type MsgSizer<M> = fn(&M) -> usize;
-
-/// Clones a message for the WAN duplication knob (installed by
-/// [`Sim::set_wan`], which is where the `Clone` bound lives — the engine
-/// itself never requires `M: Clone`).
-type MsgCloner<M> = fn(&M) -> M;
 
 /// The deterministic discrete-event simulator, generic over the node
 /// behaviour `N` and the [`NodeInput`] type `I` its scheduled node inputs
@@ -305,7 +301,6 @@ pub struct Sim<N: SimNode, I = Call<N>> {
     /// The WAN model, when enabled via [`Sim::set_wan`]; `None` keeps the
     /// default constant-latency transport bit-identical.
     wan: Option<WanState<N::Msg>>,
-    cloner: Option<MsgCloner<N::Msg>>,
     /// Recycled scratch buffer for WAN completion schedules.
     wan_sched: Sched,
 }
@@ -337,7 +332,6 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
             stats: NetStats::default(),
             sizer: None,
             wan: None,
-            cloner: None,
             wan_sched: Sched::new(),
         })
     }
@@ -360,6 +354,28 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
     /// the `bytes_sent` counter.
     pub fn set_sizer(&mut self, sizer: fn(&N::Msg) -> usize) {
         self.sizer = Some(sizer);
+    }
+
+    /// Enables the topology-aware WAN model (see [`WanConfig`]): every send
+    /// issued after this call transmits through fair-shared uplink and
+    /// trunk pipes instead of taking one latency draw. `sizer` sizes every
+    /// transfer and is installed as by [`Sim::set_sizer`]. Nodes already
+    /// added are attached per the config; nodes added later attach on
+    /// insertion.
+    ///
+    /// # Errors
+    ///
+    /// Any [`ConfigError`] from [`WanConfig::validate`].
+    pub fn set_wan(
+        &mut self,
+        cfg: WanConfig,
+        sizer: fn(&N::Msg) -> usize,
+    ) -> Result<(), ConfigError> {
+        cfg.validate()?;
+        let ids: Vec<ProcessId> = self.nodes.iter().map(|e| e.id).collect();
+        self.wan = Some(WanState::new(cfg, &ids));
+        self.sizer = Some(sizer);
+        Ok(())
     }
 
     fn idx_of(&self, id: ProcessId) -> Option<NodeIdx> {
@@ -828,17 +844,8 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
     /// Admits one send into the WAN model (uplink stage), maintaining the
     /// in-flight and backlog counters.
     fn wan_admit(&mut self, src: NodeIdx, dst: NodeIdx, departed: Instant, msg: N::Msg) {
-        let size = match &self.sizer {
-            Some(sizer) => (sizer(&msg) as u64).max(1),
-            None => u64::from(
-                self.wan
-                    .as_ref()
-                    .expect("WAN model present")
-                    .cfg()
-                    .fallback_msg_bytes
-                    .max(1),
-            ),
-        };
+        let sizer = self.sizer.expect("set_wan installs the sizer");
+        let size = (sizer(&msg) as u64).max(1);
         self.stats.wan_inflight += 1;
         self.stats.wan_inflight_peak = self.stats.wan_inflight_peak.max(self.stats.wan_inflight);
         self.stats.wan_backlog_bytes += size;
@@ -851,7 +858,7 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
     }
 
     /// Resolves a fired `TransferDone` event: advance the transfer to its
-    /// trunk stage, or apply latency/reorder/duplication and deliver.
+    /// trunk stage, or apply latency and the reorder hold, then deliver.
     fn wan_transfer_done(&mut self, id: u32, epoch: u64) {
         let outcome = self
             .with_wan(|wan, now, sched| wan.on_done(id, epoch, now, sched))
@@ -879,8 +886,8 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
         }
     }
 
-    /// Applies propagation latency and the seeded reorder/duplication knobs
-    /// to a transfer that cleared its last pipe, then schedules delivery.
+    /// Applies propagation latency and the seeded reorder knob to a
+    /// transfer that cleared its last pipe, then schedules delivery.
     fn wan_deliver(
         &mut self,
         src: NodeIdx,
@@ -889,7 +896,7 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
         msg: N::Msg,
         route: Option<(u32, u32)>,
     ) {
-        let (latency, dup_pm, reorder_pm, hold_us) = {
+        let (latency, reorder_pm, hold_us) = {
             let wan = self.wan.as_ref().expect("WAN model present");
             let latency = match route {
                 Some((from, to)) => wan.route_latency(from, to),
@@ -900,7 +907,6 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
             let cfg = wan.cfg();
             (
                 latency,
-                cfg.dup_permille,
                 cfg.reorder_permille,
                 cfg.reorder_hold.as_micros().max(1),
             )
@@ -912,12 +918,6 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
             // resequencing transport would impose (see `crate::wan` docs).
             arrival += Span::from_micros(self.rng.gen_range(1..=hold_us));
         }
-        let copy = if dup_pm > 0 && self.rng.gen_range(0..1000u32) < dup_pm {
-            let cloner = self.cloner.as_ref().expect("set_wan installs the cloner");
-            Some(cloner(&msg))
-        } else {
-            None
-        };
         let arrival = self.clamp_fifo(src, dst, arrival);
         self.push(
             arrival,
@@ -928,19 +928,6 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
                 msg,
             },
         );
-        if let Some(msg) = copy {
-            self.stats.wan_duplicated += 1;
-            let dup_arrival = self.clamp_fifo(src, dst, arrival);
-            self.push(
-                dup_arrival,
-                EventKind::Deliver {
-                    src,
-                    dst,
-                    departed,
-                    msg,
-                },
-            );
-        }
     }
 
     fn refresh_wake(&mut self, idx: NodeIdx) {
@@ -1140,31 +1127,6 @@ impl<N: SimNode> Sim<N> {
         f: impl FnOnce(&mut N, &mut Outbox<N::Msg>) + 'static,
     ) {
         self.schedule_input(at, p, Box::new(f));
-    }
-}
-
-impl<N, I> Sim<N, I>
-where
-    N: SimNode,
-    N::Msg: Clone,
-{
-    /// Enables the topology-aware WAN model (see [`WanConfig`]): every send
-    /// issued after this call transmits through fair-shared uplink and
-    /// trunk pipes instead of taking one latency draw. Nodes already added
-    /// are attached per the config; nodes added later attach on insertion.
-    ///
-    /// The `Clone` bound exists solely so the duplication knob can copy
-    /// deliveries — the engine's default path never clones.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ConfigError`] from [`WanConfig::validate`].
-    pub fn set_wan(&mut self, cfg: WanConfig) -> Result<(), ConfigError> {
-        cfg.validate()?;
-        let ids: Vec<ProcessId> = self.nodes.iter().map(|e| e.id).collect();
-        self.wan = Some(WanState::new(cfg, &ids));
-        self.cloner = Some(N::Msg::clone);
-        Ok(())
     }
 }
 
@@ -1874,8 +1836,7 @@ mod tests {
     #[test]
     fn wan_capped_uplink_serializes_a_flow_at_capacity() {
         let mut sim = two_node_sim(20, LatencyModel::Fixed(Span::from_millis(1)));
-        sim.set_sizer(|_m| 100);
-        sim.set_wan(WanConfig::new().with_default_uplink(1_000))
+        sim.set_wan(WanConfig::new().with_default_uplink(1_000), |_m| 100)
             .unwrap();
         sim.schedule_call(Instant::ZERO, p(1), |_, out| {
             for k in 0..10u64 {
@@ -1907,7 +1868,6 @@ mod tests {
             .attach(p(1), 0)
             .attach(p(2), 1)
             .with_default_uplink(1_000_000)
-            .with_fallback_msg_bytes(256)
             .with_route(
                 0,
                 1,
@@ -1918,7 +1878,7 @@ mod tests {
                 0,
                 WanLinkSpec::new(LatencyModel::Fixed(Span::from_millis(5)), 1_000_000),
             );
-        sim.set_wan(cfg).unwrap();
+        sim.set_wan(cfg, |_m| 256).unwrap();
         sim.schedule_call(Instant::ZERO, p(1), |_, out| out.send(p(2), 1));
         sim.schedule_call(Instant::ZERO, p(2), |_, out| out.send(p(1), 2));
         sim.run_until(Instant::from_micros(1_000_000));
@@ -1935,8 +1895,7 @@ mod tests {
     #[test]
     fn wan_crash_drops_transmitting_uplink_transfers() {
         let mut sim = two_node_sim(22, LatencyModel::Fixed(Span::from_millis(1)));
-        sim.set_sizer(|_m| 500);
-        sim.set_wan(WanConfig::new().with_default_uplink(1_000))
+        sim.set_wan(WanConfig::new().with_default_uplink(1_000), |_m| 500)
             .unwrap();
         // 500 B at 1000 B/s: still transmitting at 100 ms.
         sim.schedule_call(Instant::ZERO, p(1), |_, out| out.send(p(2), 7));
@@ -1951,8 +1910,7 @@ mod tests {
     #[test]
     fn wan_delay_partition_parks_and_retransmits_on_heal() {
         let mut sim = two_node_sim(23, LatencyModel::Fixed(Span::from_millis(1)));
-        sim.set_sizer(|_m| 500);
-        sim.set_wan(WanConfig::new().with_default_uplink(1_000))
+        sim.set_wan(WanConfig::new().with_default_uplink(1_000), |_m| 500)
             .unwrap();
         sim.schedule_call(Instant::ZERO, p(1), |_, out| out.send(p(2), 9));
         sim.schedule(
@@ -1973,8 +1931,7 @@ mod tests {
     #[test]
     fn wan_loss_partition_drops_transfers_midflight() {
         let mut sim = two_node_sim(24, LatencyModel::Fixed(Span::from_millis(1)));
-        sim.set_sizer(|_m| 500);
-        sim.set_wan(WanConfig::new().with_default_uplink(1_000))
+        sim.set_wan(WanConfig::new().with_default_uplink(1_000), |_m| 500)
             .unwrap();
         sim.schedule_call(Instant::ZERO, p(1), |_, out| out.send(p(2), 9));
         sim.schedule(
@@ -1988,34 +1945,13 @@ mod tests {
     }
 
     #[test]
-    fn wan_duplication_keeps_fifo_and_counts_copies() {
-        let mut sim = two_node_sim(25, LatencyModel::Fixed(Span::from_millis(1)));
-        sim.set_wan(
-            WanConfig::new()
-                .with_default_uplink(1_000_000)
-                .with_duplication(1_000),
-        )
-        .unwrap();
-        sim.schedule_call(Instant::ZERO, p(1), |_, out| {
-            for k in 0..3u64 {
-                out.send(p(2), k);
-            }
-        });
-        sim.run_until(Instant::from_micros(1_000_000));
-        let seen: Vec<u64> = sim.node(p(2)).unwrap().seen.iter().map(|s| s.2).collect();
-        assert_eq!(seen, vec![0, 0, 1, 1, 2, 2], "copies arrive adjacent");
-        assert_eq!(sim.stats().wan_duplicated, 3);
-        assert_eq!(sim.stats().delivered, 6);
-        assert_eq!(sim.stats().sent, 3, "duplication is a wire artifact");
-    }
-
-    #[test]
     fn wan_reorder_knob_never_breaks_link_fifo() {
         let mut sim = two_node_sim(26, LatencyModel::Fixed(Span::from_micros(200)));
         sim.set_wan(
             WanConfig::new()
                 .with_default_uplink(1_000_000)
                 .with_reorder(1_000, Span::from_millis(5)),
+            |_m| 256,
         )
         .unwrap();
         sim.schedule_call(Instant::ZERO, p(1), |_, out| {
@@ -2031,8 +1967,7 @@ mod tests {
     #[test]
     fn wan_uplink_capacity_change_reshares_inflight() {
         let mut sim = two_node_sim(27, LatencyModel::Fixed(Span::from_millis(1)));
-        sim.set_sizer(|_m| 1_000);
-        sim.set_wan(WanConfig::new().with_default_uplink(1_000_000))
+        sim.set_wan(WanConfig::new().with_default_uplink(1_000_000), |_m| 1_000)
             .unwrap();
         sim.schedule_call(Instant::ZERO, p(1), |_, out| out.send(p(2), 1));
         // Halfway through the 1 ms transmission, throttle to 1000 B/s:
@@ -2053,8 +1988,8 @@ mod tests {
                 .attach(p(1), 0)
                 .attach(p(2), 1)
                 .with_default_uplink(1_000_000)
-                .with_fallback_msg_bytes(1_000)
                 .with_route(0, 1, fast),
+            |_m| 1_000,
         )
         .unwrap();
         // Degrade the trunk before the transfer reaches it.
@@ -2078,7 +2013,6 @@ mod tests {
                     hi: Span::from_micros(2_000),
                 },
             );
-            sim.set_sizer(|m| 64 + (*m as usize % 128));
             sim.set_wan(
                 WanConfig::new()
                     .attach(p(1), 0)
@@ -2095,8 +2029,8 @@ mod tests {
                             16_000,
                         ),
                     )
-                    .with_duplication(200)
                     .with_reorder(300, Span::from_millis(4)),
+                |m| 64 + (*m as usize % 128),
             )
             .unwrap();
             sim.schedule_call(Instant::ZERO, p(1), |_, out| {
@@ -2114,7 +2048,7 @@ mod tests {
     #[test]
     fn wan_send_to_unknown_destination_is_dropped_quietly() {
         let mut sim = two_node_sim(29, LatencyModel::default());
-        sim.set_wan(WanConfig::new()).unwrap();
+        sim.set_wan(WanConfig::new(), |_m| 256).unwrap();
         sim.schedule_call(Instant::ZERO, p(1), |_, out| {
             out.send(p(99), 1);
             out.send(p(2), 2);

@@ -1,5 +1,5 @@
 //! Topology-aware WAN model: finite-capacity uplinks and inter-region
-//! trunks with fair-share bandwidth, plus seeded duplication/reorder knobs.
+//! trunks with fair-share bandwidth, plus a seeded reorder knob.
 //!
 //! # Model
 //!
@@ -35,13 +35,15 @@
 //! the reorder knob consequently manifests as *reorder-induced queueing
 //! delay* (head-of-line blocking at a resequencing receiver) rather than
 //! actual out-of-order delivery — the sequenced-transport contract the
-//! protocol is built on is never violated.
+//! protocol is built on is never violated. For the same reason the model
+//! never duplicates: a transfer is delivered exactly once or lost to a
+//! crash or partition.
 //!
 //! # Determinism
 //!
 //! All state lives in `Vec`s and `BTreeMap`s iterated in deterministic
 //! order; transfer ids are allocated from a deterministic free list; the
-//! only randomness (latency, duplication, reorder holds) is drawn from the
+//! only randomness (latency, reorder holds) is drawn from the
 //! engine's single seeded RNG at well-defined points. Equal seeds replay
 //! bit-identical histories.
 
@@ -137,10 +139,6 @@ pub struct WanConfig {
     pub routes: Vec<WanRoute>,
     /// Spec of every directed region pair without an explicit route.
     pub default_route: WanLinkSpec,
-    /// Transfer size assumed when the engine has no byte sizer installed.
-    pub fallback_msg_bytes: u32,
-    /// Per-mille probability that a delivery is duplicated.
-    pub dup_permille: u32,
     /// Per-mille probability that a delivery suffers an extra reorder hold.
     pub reorder_permille: u32,
     /// Maximum extra hold for a reordered delivery (drawn uniformly from
@@ -156,7 +154,7 @@ impl Default for WanConfig {
 
 impl WanConfig {
     /// A single-region config: 1 MB/s uplinks, default trunks, no
-    /// duplication or reordering.
+    /// reordering.
     #[must_use]
     pub fn new() -> WanConfig {
         WanConfig {
@@ -164,8 +162,6 @@ impl WanConfig {
             default_uplink_bps: 1_000_000,
             routes: Vec::new(),
             default_route: WanLinkSpec::default(),
-            fallback_msg_bytes: 256,
-            dup_permille: 0,
             reorder_permille: 0,
             reorder_hold: Span::from_millis(1),
         }
@@ -216,20 +212,6 @@ impl WanConfig {
         self
     }
 
-    /// Sets the transfer size assumed when no byte sizer is installed.
-    #[must_use]
-    pub fn with_fallback_msg_bytes(mut self, bytes: u32) -> WanConfig {
-        self.fallback_msg_bytes = bytes;
-        self
-    }
-
-    /// Sets the per-mille delivery-duplication probability.
-    #[must_use]
-    pub fn with_duplication(mut self, permille: u32) -> WanConfig {
-        self.dup_permille = permille;
-        self
-    }
-
     /// Sets the per-mille reorder probability and the maximum extra hold.
     #[must_use]
     pub fn with_reorder(mut self, permille: u32, hold: Span) -> WanConfig {
@@ -238,13 +220,13 @@ impl WanConfig {
         self
     }
 
-    /// Checks every capacity, latency model and probability knob.
+    /// Checks every capacity, latency model and the reorder probability.
     ///
     /// # Errors
     ///
     /// [`ConfigError::ZeroCapacity`] for a zero-capacity uplink or trunk,
     /// [`ConfigError::LatencyBoundsInverted`] for an inverted uniform
-    /// latency, [`ConfigError::BadPermille`] for a probability knob above
+    /// latency, [`ConfigError::BadPermille`] for a reorder probability above
     /// 1000.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.default_uplink_bps == 0 {
@@ -266,10 +248,10 @@ impl WanConfig {
             }
             spec.latency.validate()?;
         }
-        for &value in &[self.dup_permille, self.reorder_permille] {
-            if value > 1000 {
-                return Err(ConfigError::BadPermille { value });
-            }
+        if self.reorder_permille > 1000 {
+            return Err(ConfigError::BadPermille {
+                value: self.reorder_permille,
+            });
         }
         Ok(())
     }
@@ -341,7 +323,7 @@ pub(crate) enum DoneOutcome<M> {
         size_bytes: u64,
     },
     /// The transfer cleared its last pipe; the engine now applies
-    /// propagation latency, reorder and duplication, then delivers.
+    /// propagation latency and reorder, then delivers.
     Final {
         /// Sender node index.
         src: u32,
@@ -784,7 +766,9 @@ mod tests {
             Err(ConfigError::ZeroCapacity)
         );
         assert_eq!(
-            WanConfig::new().with_duplication(1001).validate(),
+            WanConfig::new()
+                .with_reorder(1001, Span::from_millis(1))
+                .validate(),
             Err(ConfigError::BadPermille { value: 1001 })
         );
         let inverted = LatencyModel::Uniform {

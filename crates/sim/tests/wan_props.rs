@@ -1,7 +1,7 @@
-//! Property fleet for the WAN model: per-link FIFO must survive every
-//! seeded combination of fair-share bandwidth, high-variance latency,
-//! duplication and the reorder knob, and the transfer counters must
-//! balance exactly at quiescence.
+//! Property fleet for the WAN model: per-link FIFO and exactly-once
+//! delivery must survive every seeded combination of fair-share
+//! bandwidth, high-variance latency and the reorder knob, and the transfer
+//! counters must balance exactly at quiescence.
 //!
 //! The clamp under test is the same `last_arrival` FIFO clamp the classic
 //! path uses — the WAN path feeds it scheduled arrivals that already went
@@ -35,8 +35,8 @@ fn msg_bytes(m: u64) -> usize {
     1 + ((m.wrapping_mul(37) % 256) as usize)
 }
 
-/// Asserts `seen` is FIFO per sender and returns, per sender, how many
-/// messages arrived (duplicates included).
+/// Asserts `seen` is FIFO per sender: each link's payloads count up from 0
+/// with no gap and no repeat.
 fn assert_per_link_fifo(seen: &[(Instant, ProcessId, u64)]) {
     let mut last_at = Instant::ZERO;
     let mut last_msg: std::collections::BTreeMap<ProcessId, u64> = Default::default();
@@ -44,10 +44,7 @@ fn assert_per_link_fifo(seen: &[(Instant, ProcessId, u64)]) {
         assert!(at >= last_at, "arrival times must be non-decreasing");
         last_at = at;
         if let Some(&prev) = last_msg.get(&from) {
-            assert!(
-                msg == prev || msg == prev + 1,
-                "link {from} reordered: {msg} after {prev}"
-            );
+            assert_eq!(msg, prev + 1, "link {from} reordered: {msg} after {prev}");
         } else {
             assert_eq!(msg, 0, "link {from} must start at message 0");
         }
@@ -62,15 +59,15 @@ proptest! {
     })]
 
     /// One congested flow through a capped uplink and (optionally) a
-    /// cross-region trunk, under high-variance latency plus duplication
-    /// and reorder knobs: deliveries stay FIFO and every counter balances.
+    /// cross-region trunk, under high-variance latency plus the reorder
+    /// knob: every message arrives once, in order, and every counter
+    /// balances.
     #[test]
     fn wan_fifo_holds_for_every_seeded_model(
         seed in 0u64..100_000,
         msgs in 1u64..60,
         uplink_bps in 2_000u64..200_000,
         hi_ms in 1u64..50,
-        dup_pm in 0u32..=1000,
         reorder_pm in 0u32..=1000,
         cross_region in any::<bool>(),
     ) {
@@ -81,10 +78,8 @@ proptest! {
         let mut sim: Sim<Recorder> = Sim::new(NetConfig::new(seed).with_latency(latency));
         sim.add_node(p(1), Recorder { seen: Vec::new() });
         sim.add_node(p(2), Recorder { seen: Vec::new() });
-        sim.set_sizer(|m| msg_bytes(*m));
         let mut cfg = WanConfig::new()
             .with_default_uplink(uplink_bps)
-            .with_duplication(dup_pm)
             .with_reorder(reorder_pm, Span::from_millis(10));
         if cross_region {
             cfg = cfg
@@ -92,7 +87,7 @@ proptest! {
                 .attach(p(2), 1)
                 .with_route(0, 1, WanLinkSpec::new(latency, uplink_bps));
         }
-        sim.set_wan(cfg).unwrap();
+        sim.set_wan(cfg, |m| msg_bytes(*m)).unwrap();
         sim.schedule_call(Instant::ZERO, p(1), move |_, out| {
             for k in 0..msgs {
                 out.send(p(2), k);
@@ -105,15 +100,12 @@ proptest! {
         let seen = &sim.node(p(2)).unwrap().seen;
         assert_per_link_fifo(seen);
         let payloads: Vec<u64> = seen.iter().map(|s| s.2).collect();
-        let mut deduped = payloads.clone();
-        deduped.dedup();
-        prop_assert_eq!(deduped, (0..msgs).collect::<Vec<_>>(),
-            "every message delivered exactly once after dedup");
+        prop_assert_eq!(payloads, (0..msgs).collect::<Vec<_>>(),
+            "every message delivered exactly once, in send order");
 
         let stats = sim.stats();
         prop_assert_eq!(stats.sent, msgs);
-        prop_assert_eq!(stats.delivered, msgs + stats.wan_duplicated,
-            "every delivery is an original or a counted duplicate");
+        prop_assert_eq!(stats.delivered, msgs, "exactly once: no copies");
         prop_assert_eq!(stats.wan_inflight, 0, "quiescent: nothing in flight");
         prop_assert_eq!(stats.wan_backlog_bytes, 0, "quiescent: no backlog");
         let total: u64 = (0..msgs).map(|k| msg_bytes(k) as u64).sum();
@@ -140,7 +132,6 @@ proptest! {
         for i in 1..=3 {
             sim.add_node(p(i), Recorder { seen: Vec::new() });
         }
-        sim.set_sizer(|m| msg_bytes(*m));
         sim.set_wan(
             WanConfig::new()
                 .attach(p(1), 0)
@@ -148,6 +139,7 @@ proptest! {
                 .attach(p(3), 1)
                 .with_default_uplink(uplink_bps)
                 .with_route(0, 1, WanLinkSpec::new(latency, uplink_bps)),
+            |m| msg_bytes(*m),
         )
         .unwrap();
         for src in [1u32, 2] {

@@ -4,7 +4,7 @@
 # Act 1 — the WAN/geo chaos family. A short seeded sweep of
 # `chaos --wan`: every seed expands into a multi-region topology with
 # finite-capacity uplinks and trunks, asymmetric inter-region latency,
-# duplication/reorder knobs and 1–2 mid-run congestion windows that
+# a reorder knob and 1–2 mid-run congestion windows that
 # slash a link to ~1/8 capacity and restore it. Every run's history
 # goes through the full property checker (including liveness): a plan
 # whose congestion causes a false exclusion, a lost delivery or an

@@ -18,8 +18,9 @@
 //!   by tests and experiments;
 //! * [`runtime`] (`newtop-runtime`) — a sharded event-loop real-time host
 //!   with a framed, batched wire transport, in-process or over TCP;
-//! * [`baselines`] (`newtop-baselines`) — vector-clock causal multicast,
-//!   Lamport all-ack total order and bare-sequencer comparators;
+//! * [`baselines`] (`newtop-baselines`) — comparator cost models: header
+//!   sizes of vector-clock and bare-sequencer protocols, and the Lamport
+//!   all-ack total order;
 //! * [`harness`] (`newtop-harness`) — the E1–E10 experiment suite and the
 //!   MD/VC property checker.
 //!
