@@ -26,6 +26,13 @@
 //! newtop-exp mc --nodes 3 --max-msgs 4 --max-crashes 1    # exhaustive model check
 //! ```
 //!
+//! `serve`, `load` and `load --supervise` read one cluster shape
+//! (`remote::ClusterShape`) from `--nodes`, `--groups` and the group
+//! flags `--mode`, `--omega-ms`, `--big-omega-ms` and `--accrual`. The
+//! supervisor hands its shape to the serve processes it spawns; with
+//! `--host tcp` the serve processes own the group flags, so `load`
+//! refuses them there.
+//!
 //! Every command line is read through one flag table per subcommand
 //! ([`Spec`]): each flag is spelled once, in its table entry, which also
 //! holds its help text and how it sets the config. A flag that counts
@@ -40,10 +47,10 @@
 //! the process exits nonzero.
 
 use newtop_harness::chaos::{delivery_count, shrink, ChaosPlan, ChaosScenario};
-use newtop_harness::loadgen::{run_load, LoadConfig};
+use newtop_harness::loadgen::{run_load, HostKind, LoadConfig};
 use newtop_harness::mc::{explore, McConfig, McViolation};
 use newtop_harness::proxy::{run_proxy, ProxyConfig};
-use newtop_harness::remote::{serve, ServeConfig};
+use newtop_harness::remote::{serve, ClusterShape, ServeConfig};
 use newtop_harness::supervisor::{run_supervisor, SupervisorConfig};
 use newtop_harness::sweep::{run_chaos_seed, sweep_seeds, SweepConfig};
 use newtop_harness::{experiments, history_hash};
@@ -408,22 +415,21 @@ const LOAD: Spec<LoadArgs> = Spec {
     about: "Closed-loop runtime load test: every group keeps a window of multicasts in
 flight and the run reports delivered throughput and latency. The options
 marked supervise run seeded kill -9 / restart / rejoin cycles against a
-spawned TCP cluster instead.",
+spawned TCP cluster instead, whose serve processes get the nodes, groups
+and group config given here.",
     init: || LoadArgs { cycles: 3, procs: 3, seed: 1, port_base: 7400, ..LoadArgs::default() },
     operands: None,
     flags: &[
-        at_most(1024, value("--nodes", "N", |a, v| num(v).map(|n| a.cfg.nodes = n),
+        at_most(1024, value("--nodes", "N", |a, v| num(v).map(|n| a.cfg.shape.nodes = n),
             "protocol participants (default 8)")),
-        at_most(64, value("--groups", "G", |a, v| num(v).map(|g| a.cfg.groups = g),
+        at_most(64, value("--groups", "G", |a, v| num(v).map(|g| a.cfg.shape.groups = g),
             "groups; node i joins group (i-1) mod G (default 3)")),
         at_most(64, value("--shards", "S", |a, v| num(v).map(|s| a.cfg.shards = s),
-            "worker shards for the sharded host (default: available parallelism)")),
+            "sharded host: worker shards (default: available parallelism)")),
         value("--secs", "T", |a, v| seconds(v).map(|t| a.cfg.secs = t),
             "sending duration in seconds, fractions ok (default 2)"),
-        value("--mode", "sym|asym", |a, v| mode(v).map(|m| a.cfg.mode = m),
-            "ordering variant for every group (default sym)"),
-        value("--payload", "B", |a, v| num(v).map(|b| a.cfg.payload = b),
-            "application payload bytes, >= 8 (default 64)"),
+        value("--mode", "sym|asym", |a, v| mode(v).map(|m| a.cfg.shape.group.mode = m),
+            "sharded host and supervise: ordering variant for every group (default sym)"),
         at_most(1024, value("--window", "W", |a, v| num(v).map(|w| a.cfg.window = w),
             "closed-loop in-flight messages per group (default 16)")),
         value("--host", "sharded|tcp", |a, v| v.parse().map(|h| a.cfg.host = h),
@@ -431,27 +437,29 @@ spawned TCP cluster instead.",
              of `newtop-exp serve` processes (default sharded)"),
         value("--peers", "A,B,...", |a, v| addrs(v).map(|p| a.cfg.peers = p),
             "tcp host: the serve processes' control addresses, cluster order (required \
-             with --host tcp)"),
+             with --host tcp). The serve processes decide the group config, shards and \
+             inbox bound, so --host tcp refuses those flags; --nodes and --groups must \
+             match theirs"),
         switch("--stop-peers", |a| a.cfg.stop_peers = true,
             "tcp host: ask every serve process to shut down after the run"),
-        value("--omega-ms", "MS", |a, v| num(v).map(|ms| a.cfg.omega = Span::from_millis(ms)),
-            "time-silence interval omega (default 25)"),
+        value("--omega-ms", "MS",
+            |a, v| num(v).map(|ms| a.cfg.shape.group.omega = Span::from_millis(ms)),
+            "sharded host and supervise: time-silence interval omega (default 25)"),
         value("--big-omega-ms", "MS", |a, v| num(v).map(|ms| {
-                a.cfg.big_omega = Span::from_millis(ms);
+                a.cfg.shape.group.big_omega = Span::from_millis(ms);
                 a.big_omega_set = true;
             }),
-            "suspicion timeout Omega (default 10000; 1500 under --supervise)"),
-        switch("--accrual", |a| a.cfg.suspicion = SuspicionMode::accrual(),
-            "run the adaptive accrual suspicion detector instead of the fixed Omega timeout"),
+            "sharded host and supervise: suspicion timeout Omega (default 10000; 1500 \
+             under --supervise)"),
+        switch("--accrual", |a| a.cfg.shape.group.suspicion = SuspicionMode::accrual(),
+            "sharded host and supervise: the adaptive accrual suspicion detector instead \
+             of the fixed Omega timeout"),
         switch("--expect-stable", |a| a.expect_stable = true,
             "fail (exit 1) if any view change occurs mid-run — asserts zero false \
              exclusions under latency spikes"),
         at_most(1 << 20, value("--inbox-cap", "N", |a, v| num(v).map(|n| a.cfg.inbox_cap = Some(n)),
-            "shard-inbox admission bound; excess client multicasts are shed as explicit \
-             backpressure")),
-        value("--churn", "SEED", |a, v| num(v).map(|s| a.cfg.churn = Some(s)),
-            "sharded host: seeded mid-run kills of non-driver nodes (exclusions are then \
-             expected, not warnings)"),
+            "sharded host: shard-inbox admission bound; excess client multicasts are shed \
+             as explicit backpressure")),
         switch("--supervise", |a| a.supervise = true,
             "spawn a real TCP cluster of serve processes and run seeded kill-9 / restart / \
              rejoin cycles against it (ignores --host and --peers)"),
@@ -468,20 +476,17 @@ spawned TCP cluster instead.",
 
 /// The supervisor's config from `load`'s command line.
 fn supervisor_config(args: &LoadArgs) -> SupervisorConfig {
-    let mut cfg = SupervisorConfig::new(args.seed);
-    cfg.nodes = args.cfg.nodes;
-    cfg.groups = args.cfg.groups;
-    cfg.procs = args.procs;
-    cfg.cycles = args.cycles;
-    cfg.payload = args.cfg.payload;
-    cfg.mode = args.cfg.mode;
-    cfg.omega = args.cfg.omega;
-    if args.big_omega_set {
-        cfg.big_omega = args.cfg.big_omega;
+    let mut shape = args.cfg.shape;
+    if !args.big_omega_set {
+        shape.group.big_omega = SupervisorConfig::BIG_OMEGA;
     }
-    cfg.accrual = args.cfg.suspicion != SuspicionMode::FixedOmega;
-    cfg.port_base = args.port_base;
-    cfg
+    SupervisorConfig {
+        shape,
+        procs: args.procs,
+        cycles: args.cycles,
+        seed: args.seed,
+        port_base: args.port_base,
+    }
 }
 
 /// `load --supervise`: the supervised crash-recovery scenario against a
@@ -490,12 +495,16 @@ fn supervise_main(args: &LoadArgs) -> ExitCode {
     let cfg = supervisor_config(args);
     eprintln!(
         "supervise: {} nodes / {} groups over {} procs, {} kill/restart cycle(s), seed {}{}",
-        cfg.nodes,
-        cfg.groups,
+        cfg.shape.nodes,
+        cfg.shape.groups,
         cfg.procs,
         cfg.cycles,
         cfg.seed,
-        if cfg.accrual { ", accrual" } else { "" },
+        if cfg.shape.group.suspicion == SuspicionMode::FixedOmega {
+            ""
+        } else {
+            ", accrual"
+        },
     );
     match run_supervisor(&cfg) {
         Ok(r) => {
@@ -503,8 +512,8 @@ fn supervise_main(args: &LoadArgs) -> ExitCode {
                 "supervise [tcp] {} nodes / {} groups / {} procs: {} cycle(s), victims {:?}, \
                  {} rejoin(s), {} formation retry(s) {:?}, {} deliveries, {} view change(s), \
                  {} order violation(s) — green",
-                cfg.nodes,
-                cfg.groups,
+                cfg.shape.nodes,
+                cfg.shape.groups,
                 cfg.procs,
                 r.cycles,
                 r.victims,
@@ -531,13 +540,15 @@ fn load_main(args: &[String]) -> ExitCode {
     }
     let cfg = parsed.cfg;
     let host_name = cfg.host.as_str();
-    let mode_name = match cfg.mode {
-        OrderMode::Symmetric => "sym",
-        OrderMode::Asymmetric => "asym",
+    // On the TCP host the serve processes decide the mode.
+    let mode = match (cfg.host, cfg.shape.group.mode) {
+        (HostKind::Tcp, _) => "",
+        (HostKind::Sharded, OrderMode::Symmetric) => ", sym",
+        (HostKind::Sharded, OrderMode::Asymmetric) => ", asym",
     };
     eprintln!(
-        "load: host={host_name} nodes={} groups={} mode={mode_name} payload={}B window={}/group secs={}",
-        cfg.nodes, cfg.groups, cfg.payload, cfg.window, cfg.secs
+        "load: host={host_name} nodes={} groups={}{mode} window={}/group secs={}",
+        cfg.shape.nodes, cfg.shape.groups, cfg.window, cfg.secs
     );
     let report = match run_load(&cfg) {
         Ok(r) => r,
@@ -547,10 +558,10 @@ fn load_main(args: &[String]) -> ExitCode {
         }
     };
     println!(
-        "load [{host_name}] {} nodes / {} groups / {} shard(s), {mode_name}: \
+        "load [{host_name}] {} nodes / {} groups / {} shard(s){mode}: \
          {} sent, {} delivered in {:.2}s => {:.0} msgs/sec delivered",
-        cfg.nodes,
-        cfg.groups,
+        cfg.shape.nodes,
+        cfg.shape.groups,
         report.shards_used,
         report.sent,
         report.delivered,
@@ -585,12 +596,7 @@ fn load_main(args: &[String]) -> ExitCode {
         println!("load wire: occupancy histogram [{}]", hist.join(" "));
         println!("load wire: {} null-only frames", wire.null_frames);
     }
-    if cfg.churn.is_some() {
-        println!(
-            "load churn: {} node(s) killed, {} view change(s) (expected exclusions), {} shed",
-            report.killed, report.view_changes, report.shed
-        );
-    } else if report.view_changes > 0 {
+    if report.view_changes > 0 {
         if parsed.expect_stable {
             eprintln!(
                 "load: FAILED: {} view change(s) under --expect-stable — false exclusion(s)",
@@ -741,12 +747,12 @@ const SERVE: Spec<ServeConfig> = Spec {
 of the N nodes on the sharded runtime, speaks the batched frame protocol
 to the other peers, and serves the load generator's control connections
 until a client sends shutdown (see newtop-exp load --help).",
-    init: || ServeConfig::new(0, 1, Vec::new(), Vec::new(), 0),
+    init: || ServeConfig::new(ClusterShape::default(), Vec::new(), Vec::new(), 0),
     operands: None,
     flags: &[
-        at_most(1024, value("--nodes", "N", |c, v| num(v).map(|n| c.nodes = n),
+        at_most(1024, value("--nodes", "N", |c, v| num(v).map(|n| c.shape.nodes = n),
             "protocol participants cluster-wide (required)")),
-        at_most(64, value("--groups", "G", |c, v| num(v).map(|g| c.groups = g),
+        at_most(64, value("--groups", "G", |c, v| num(v).map(|g| c.shape.groups = g),
             "groups; node i joins group (i-1) mod G (default 1)")),
         value("--peers", "A,B,...", |c, v| addrs(v).map(|p| c.peers = p),
             "every peer's data-plane address, cluster order (required)"),
@@ -756,13 +762,15 @@ until a client sends shutdown (see newtop-exp load --help).",
             "this process's index into both lists (0-based, default 0)"),
         at_most(64, value("--shards", "S", |c, v| num(v).map(|s| if s > 0 { c.cluster = c.cluster.shards(s) }),
             "worker shards for the local sharded host (default, or 0: available parallelism)")),
-        value("--mode", "sym|asym", |c, v| mode(v).map(|m| c.mode = m),
+        value("--mode", "sym|asym", |c, v| mode(v).map(|m| c.shape.group.mode = m),
             "ordering variant for every group (default sym)"),
-        value("--omega-ms", "MS", |c, v| num(v).map(|ms| c.omega = Span::from_millis(ms)),
+        value("--omega-ms", "MS",
+            |c, v| num(v).map(|ms| c.shape.group.omega = Span::from_millis(ms)),
             "time-silence interval omega (default 25)"),
-        value("--big-omega-ms", "MS", |c, v| num(v).map(|ms| c.big_omega = Span::from_millis(ms)),
+        value("--big-omega-ms", "MS",
+            |c, v| num(v).map(|ms| c.shape.group.big_omega = Span::from_millis(ms)),
             "suspicion timeout Omega (default 10000)"),
-        switch("--accrual", |c| c.suspicion = SuspicionMode::accrual(),
+        switch("--accrual", |c| c.shape.group.suspicion = SuspicionMode::accrual(),
             "adaptive accrual suspicion instead of fixed Omega"),
         at_most(1 << 20, value("--inbox-cap", "N", |c, v| num(v).map(|n| c.cluster = c.cluster.inbox_cap(n)),
             "shard-inbox admission bound (client multicasts beyond it are shed as explicit \
@@ -776,7 +784,7 @@ until a client sends shutdown (see newtop-exp load --help).",
 
 fn serve_main(args: &[String]) -> ExitCode {
     let cfg = SERVE.parse(args);
-    if cfg.nodes == 0 {
+    if cfg.shape.nodes == 0 {
         SERVE.fail("--nodes is required");
     }
     if let Err(msg) = cfg.validate() {
@@ -788,7 +796,7 @@ fn serve_main(args: &[String]) -> ExitCode {
         cfg.peers.len(),
         cfg.peers[cfg.me],
         cfg.ctrl[cfg.me],
-        cfg.nodes,
+        cfg.shape.nodes,
     );
     match serve(&cfg) {
         Ok(()) => {
@@ -1276,8 +1284,8 @@ mod tests {
 
         let load = parse(&LOAD, &["--big-omega-ms", "700", "--mode", "asym"]).unwrap();
         assert!(load.big_omega_set);
-        assert_eq!(load.cfg.big_omega, Span::from_millis(700));
-        assert_eq!(load.cfg.mode, OrderMode::Asymmetric);
+        assert_eq!(load.cfg.shape.group.big_omega, Span::from_millis(700));
+        assert_eq!(load.cfg.shape.group.mode, OrderMode::Asymmetric);
         assert_eq!(
             (load.cycles, load.procs, load.seed, load.port_base),
             (3, 3, 1, 7400)
@@ -1289,7 +1297,7 @@ mod tests {
         assert!(parse(&MC, &["--nodes", "5"]).is_err());
         assert_eq!(parse(&MC, &[]).unwrap().emit_dir, "target/mc");
 
-        let default_cluster = ServeConfig::new(0, 1, Vec::new(), Vec::new(), 0).cluster;
+        let default_cluster = (SERVE.init)().cluster;
         let serve = parse(&SERVE, &["--shards", "0"]).unwrap();
         assert_eq!(serve.cluster, default_cluster);
         assert_eq!(
@@ -1303,6 +1311,73 @@ mod tests {
         assert!(parse(&PROXY, &["--drop-pct", "300"]).is_err());
         assert!(parse(&PROXY, &["--rate-kbps", "0"]).is_err());
         assert!(parse(&PROXY, &["--route", "127.0.0.1:1"]).is_err());
+    }
+
+    /// A shape's `serve_args`, plus addresses, parse through the serve
+    /// table back to the same shape, so a spawned serve runs the cluster
+    /// its spawner holds; a shape the flags cannot say is refused, never
+    /// rounded. The serve defaults are what perfbench, the scripts and
+    /// the README rely on.
+    #[test]
+    fn serve_args_round_trip_through_the_serve_table() {
+        let serve_default = parse(&SERVE, &[]).unwrap().shape;
+        assert_eq!(serve_default, ClusterShape::default());
+        let g = serve_default.group;
+        assert_eq!(
+            (g.mode, g.omega, g.big_omega, g.suspicion),
+            (
+                OrderMode::Symmetric,
+                Span::from_millis(25),
+                Span::from_secs(10),
+                SuspicionMode::FixedOmega
+            )
+        );
+        let base = ClusterShape {
+            nodes: 6,
+            groups: 2,
+            ..ClusterShape::default()
+        };
+        let mut shapes = vec![base];
+        for mode in [OrderMode::Symmetric, OrderMode::Asymmetric] {
+            for suspicion in [SuspicionMode::FixedOmega, SuspicionMode::accrual()] {
+                let mut s = base;
+                s.nodes = 9;
+                s.groups = 3;
+                s.group.mode = mode;
+                s.group.suspicion = suspicion;
+                s.group.omega = Span::from_millis(7);
+                s.group.big_omega = Span::from_millis(1500);
+                shapes.push(s);
+            }
+        }
+        for shape in shapes {
+            let mut args = shape.serve_args().expect("expressible");
+            args.extend(["--peers", "127.0.0.1:1", "--ctrl", "127.0.0.1:2"].map(String::from));
+            let args: Vec<&str> = args.iter().map(String::as_str).collect();
+            let cfg = parse(&SERVE, &args).expect("serve parses its own argv");
+            assert_eq!(cfg.shape, shape, "{args:?}");
+            assert_eq!(cfg.validate(), Ok(()));
+        }
+        let refused = |tweak: fn(&mut ClusterShape)| {
+            let mut s = base;
+            tweak(&mut s);
+            s.serve_args().unwrap_err()
+        };
+        assert!(refused(|s| s.group.omega = Span::from_micros(1500)).contains("--omega-ms"));
+        assert!(
+            refused(|s| s.group.big_omega = Span::from_micros(2_000_500))
+                .contains("--big-omega-ms")
+        );
+        assert!(refused(|s| {
+            s.group.suspicion = SuspicionMode::Accrual {
+                window: 4,
+                factor: 6,
+                cap: 8,
+            }
+        })
+        .contains("--accrual"));
+        assert!(refused(|s| s.group = s.group.with_flow_window(8)).contains("flow window"));
+        assert!(refused(|s| s.groups = 7).contains("groups <= nodes"));
     }
 
     /// `--help` and `-h` stop parsing wherever they stand; the generated

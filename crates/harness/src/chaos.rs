@@ -783,7 +783,6 @@ impl ChaosPlan {
         // meaningless there and only safety is asserted.
         CheckOptions {
             liveness: !healed_loss && self.mc_steps.is_empty(),
-            ..CheckOptions::default()
         }
     }
 

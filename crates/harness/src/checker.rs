@@ -38,27 +38,17 @@ use newtop_types::{GroupId, ProcessId, ViewSeq};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// What to check (all on by default).
+/// What to check beyond the safety properties, which are always checked.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckOptions {
-    /// MD4/MD4' pairwise total order.
-    pub total_order: bool,
-    /// MD5/MD5' causal prefixes (disable for atomic-mode runs).
-    pub causality: bool,
-    /// VC1/VC3 view consistency.
-    pub views: bool,
-    /// Quiescent liveness/atomicity (enable for runs that end settled).
+    /// Quiescent liveness/atomicity (on by default; only for runs that
+    /// end settled).
     pub liveness: bool,
 }
 
 impl Default for CheckOptions {
     fn default() -> CheckOptions {
-        CheckOptions {
-            total_order: true,
-            causality: true,
-            views: true,
-            liveness: true,
-        }
+        CheckOptions { liveness: true }
     }
 }
 
@@ -527,27 +517,21 @@ impl Index {
     }
 }
 
-/// Runs every enabled check and returns the violations found (empty = all
-/// properties hold on this history).
+/// Runs every safety check, and liveness when enabled, and returns the
+/// violations found (empty = all properties hold on this history).
 #[must_use]
 pub fn check_all(h: &History, opts: &CheckOptions) -> Vec<Violation> {
     let ix = Index::build(h);
     let mut violations = Vec::new();
     check_duplicates(&ix, &mut violations);
-    if opts.total_order {
-        check_total_order(&ix, &mut violations);
-    }
-    if opts.causality {
-        check_causality(&ix, &mut violations);
-    }
+    check_total_order(&ix, &mut violations);
+    check_causality(&ix, &mut violations);
     check_md1(&ix, &mut violations);
     for d in &ix.digests {
         violations.extend(d.exclusion.iter().cloned());
     }
-    if opts.views {
-        check_vc1(h, &ix, &mut violations);
-        check_vc3(&ix, &mut violations);
-    }
+    check_vc1(h, &ix, &mut violations);
+    check_vc3(&ix, &mut violations);
     if opts.liveness {
         check_liveness(h, &ix, &mut violations);
     }

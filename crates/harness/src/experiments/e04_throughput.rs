@@ -144,13 +144,7 @@ pub fn run_wan(quick: bool) -> Table {
         let h = cluster.history();
         // The run ends mid-flight by design (the backlog is the point),
         // so check safety only; liveness needs a settled run.
-        assert_correct(
-            &h,
-            &CheckOptions {
-                liveness: false,
-                ..CheckOptions::default()
-            },
-        );
+        assert_correct(&h, &CheckOptions { liveness: false });
         let secs = window as f64 / 1_000_000.0;
         let offered = stats.bytes_sent as f64 / secs / 1000.0;
         let goodput = stats.wan_uplink_bytes as f64 / secs / 1000.0;

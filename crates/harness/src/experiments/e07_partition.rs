@@ -28,11 +28,8 @@ fn one_run(n: u32) -> (f64, bool, bool) {
     cluster.schedule_partition(cut_at, &[&half, &rest]);
     cluster.run_for(Span::from_millis(1_200));
     let h = cluster.history();
-    // Views only; liveness/causality expectations differ under partition.
-    let opts = CheckOptions {
-        liveness: false,
-        ..CheckOptions::default()
-    };
+    // Safety only: liveness is unattainable across the partition.
+    let opts = CheckOptions { liveness: false };
     let v = check_all(&h, &opts);
     assert!(
         v.is_empty(),

@@ -30,8 +30,11 @@
 //!   end-to-end latency percentiles, for the sharded host and a real
 //!   multi-process TCP cluster;
 //! * [`remote`] — the control plane for real multi-process clusters:
-//!   the `newtop-exp serve` node process and the client handle the load
-//!   generator drives it with;
+//!   the `newtop-exp serve` node process, the client handle the load
+//!   generator drives it with, and the [`ClusterShape`] (nodes, groups,
+//!   group config) that serve, load and the supervisor all hold;
+//! * [`supervisor`] — seeded kill -9 / restart / rejoin cycles against a
+//!   spawned serve fleet (`newtop-exp load --supervise`);
 //! * [`proxy`] — a frame-aware chaos proxy (`newtop-exp proxy`) that
 //!   drops, delays, reorders and partitions peer-link records so
 //!   recovery paths can be exercised on real sockets;
@@ -66,7 +69,7 @@ pub use history::{History, HistoryEvent, MessageId};
 pub use loadgen::{run_load, HostKind, LoadConfig, LoadReport};
 pub use mc::{explore, McConfig, McReport, McViolation};
 pub use proxy::{run_proxy, ProxyConfig, ProxyHandle};
-pub use remote::{peer_of, serve, RemoteCluster, ServeConfig};
+pub use remote::{peer_of, serve, ClusterShape, RemoteCluster, ServeConfig};
 pub use supervisor::{run_supervisor, FormationRetry, SupervisorConfig, SupervisorReport};
 pub use sweep::{run_chaos_seed, sweep_seeds, SeedOutcome, SweepConfig, SweepReport};
 pub use table::Table;

@@ -20,10 +20,11 @@
 //! in-process path against the wire: `newtop-exp load --host sharded`
 //! vs `--host tcp --peers …`.
 
+use crate::remote::ClusterShape;
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use newtop_runtime::{Cluster, ClusterConfig, Output, WireStats};
-use newtop_types::{GroupConfig, GroupId, OrderMode, ProcessId, SendError, Span, SuspicionMode};
+use newtop_types::{GroupId, ProcessId, SendError};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -69,37 +70,25 @@ impl std::str::FromStr for HostKind {
     }
 }
 
+/// Application payload bytes of every multicast the load generator and
+/// the supervisor send: an 8-byte timestamp or tag, zero-padded.
+pub(crate) const PAYLOAD: usize = 64;
+
 /// Parameters of one load run.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
-    /// Protocol participants (numbered 1..=nodes).
-    pub nodes: u32,
-    /// Groups; node `i` joins group `(i-1) % groups`.
-    pub groups: u32,
+    /// The nodes, groups and group configuration. The sharded host
+    /// builds this shape; on the TCP host the serve processes own the
+    /// group configuration, so it must stay the default there.
+    pub shape: ClusterShape,
     /// Worker shards for the sharded host (`0` = available parallelism).
     pub shards: usize,
     /// Wall-clock sending budget.
     pub secs: f64,
-    /// Ordering variant every group runs.
-    pub mode: OrderMode,
-    /// Application payload size in bytes (≥ 8; carries the timestamp).
-    pub payload: usize,
     /// Closed-loop window: messages kept in flight per group.
     pub window: u32,
     /// Host under test.
     pub host: HostKind,
-    /// Time-silence interval ω for every group.
-    pub omega: Span,
-    /// Suspicion timeout Ω (generous: a suspicion mid-run means the
-    /// scheduler starved a node, which the report surfaces).
-    pub big_omega: Span,
-    /// Failure-suspicion mode every group runs: the fixed Ω timeout or
-    /// the adaptive accrual detector.
-    pub suspicion: SuspicionMode,
-    /// Churn mode: seeded mid-run kills of non-driver nodes (sharded
-    /// host only; the TCP host gets churn from the supervisor). View
-    /// changes are then expected, not a warning.
-    pub churn: Option<u64>,
     /// Shard-inbox admission bound for the sharded host (`None` = host
     /// default; `Some(0)` sheds every client multicast).
     pub inbox_cap: Option<usize>,
@@ -114,18 +103,15 @@ pub struct LoadConfig {
 impl Default for LoadConfig {
     fn default() -> LoadConfig {
         LoadConfig {
-            nodes: 8,
-            groups: 3,
+            shape: ClusterShape {
+                nodes: 8,
+                groups: 3,
+                ..ClusterShape::default()
+            },
             shards: 0,
             secs: 2.0,
-            mode: OrderMode::Symmetric,
-            payload: 64,
             window: 16,
             host: HostKind::Sharded,
-            omega: Span::from_millis(25),
-            big_omega: Span::from_secs(10),
-            suspicion: SuspicionMode::FixedOmega,
-            churn: None,
             inbox_cap: None,
             peers: Vec::new(),
             stop_peers: false,
@@ -134,7 +120,9 @@ impl Default for LoadConfig {
 }
 
 impl LoadConfig {
-    /// Checks the counts, the budget and the host choice. [`run_load`]
+    /// Checks the shape, the budget and the host choice. On the TCP host
+    /// it refuses what the serve processes decide: a group configuration
+    /// other than the default, shards and an inbox bound. [`run_load`]
     /// runs it before anything starts.
     ///
     /// # Errors
@@ -147,30 +135,29 @@ impl LoadConfig {
                 self.secs
             ));
         }
-        if self.nodes == 0 || self.groups == 0 {
-            return Err("need at least one node and one group".into());
-        }
-        if self.groups > self.nodes {
-            return Err(format!(
-                "{} groups need at least as many nodes (got {})",
-                self.groups, self.nodes
-            ));
-        }
-        if self.payload < 8 {
-            return Err("payload must be at least 8 bytes (timestamp)".into());
-        }
+        self.shape.validate()?;
         if self.window == 0 {
             return Err("window must be at least 1".into());
         }
-        if self.churn.is_some() && self.host != HostKind::Sharded {
-            return Err(
-                "--churn drives the sharded host; for TCP churn use load --supervise (the \
-                 supervisor kill-9s and restarts real serve processes)"
-                    .into(),
-            );
-        }
-        if self.host == HostKind::Tcp && self.peers.is_empty() {
-            return Err("--host tcp needs the serve processes' control addresses".into());
+        if self.host == HostKind::Tcp {
+            let (g, serve) = (self.shape.group, ClusterShape::default().group);
+            let serve_owned = [
+                ("--mode", g.mode != serve.mode),
+                ("--omega-ms", g.omega != serve.omega),
+                ("--big-omega-ms", g.big_omega != serve.big_omega),
+                ("--accrual", g.suspicion != serve.suspicion),
+                ("the group config", g != serve),
+                ("--shards", self.shards != 0),
+                ("--inbox-cap", self.inbox_cap.is_some()),
+            ];
+            if let Some((what, _)) = serve_owned.iter().find(|(_, set)| *set) {
+                return Err(format!(
+                    "with --host tcp the serve processes decide {what}; give it to serve"
+                ));
+            }
+            if self.peers.is_empty() {
+                return Err("--host tcp needs the serve processes' control addresses".into());
+            }
         }
         Ok(())
     }
@@ -196,8 +183,6 @@ pub struct LoadReport {
     /// Multicasts the host shed at its admission boundary (explicit
     /// backpressure; the closed loop drops the token and continues).
     pub shed: u64,
-    /// Nodes killed mid-run by churn mode (0 outside `--churn`).
-    pub killed: u64,
     /// Exact wire accounting (`None` when a remote host did not report
     /// it).
     pub wire: Option<WireStats>,
@@ -291,26 +276,12 @@ impl Host for crate::remote::RemoteCluster {
     }
 }
 
-fn group_members(cfg: &LoadConfig, g: u32) -> Vec<ProcessId> {
-    (1..=cfg.nodes)
-        .filter(|i| (i - 1) % cfg.groups == g)
-        .map(ProcessId)
-        .collect()
-}
-
-fn group_config(cfg: &LoadConfig) -> GroupConfig {
-    GroupConfig::new(cfg.mode)
-        .with_omega(cfg.omega)
-        .with_big_omega(cfg.big_omega)
-        .with_suspicion(cfg.suspicion)
-}
-
 /// Builds the payload: 8-byte little-endian send timestamp (µs since the
-/// run epoch), padded to the configured size.
-fn make_payload(epoch: Instant, size: usize) -> Bytes {
+/// run epoch), padded to [`PAYLOAD`] bytes.
+fn make_payload(epoch: Instant) -> Bytes {
     #[allow(clippy::cast_possible_truncation)]
     let t = epoch.elapsed().as_micros() as u64;
-    let mut buf = vec![0u8; size.max(8)];
+    let mut buf = vec![0u8; PAYLOAD];
     buf[..8].copy_from_slice(&t.to_le_bytes());
     Bytes::from(buf)
 }
@@ -394,6 +365,16 @@ fn collector(shared: &Shared, rxs: &[Receiver<Output>]) {
         .extend(local);
 }
 
+/// Counts one engine verdict: an accepted send, or a shed one (explicit
+/// backpressure). Any other refusal is only a dropped token.
+fn tally(shared: &Shared, verdict: &Result<(), SendError>) {
+    match verdict {
+        Ok(()) => shared.sent.fetch_add(1, Ordering::Relaxed),
+        Err(SendError::Overloaded { .. }) => shared.shed.fetch_add(1, Ordering::Relaxed),
+        Err(_) => 0,
+    };
+}
+
 /// One group's closed-loop driver, fused with the collector of the
 /// group's **ack node** (its first member): primes `window` messages,
 /// then sends one more per own-group delivery drained from the ack
@@ -422,52 +403,17 @@ fn driver<H: Host>(
     let mut issued = 0u64;
     let mut received = 0u64;
     let (verdict_tx, verdict_rx) = unbounded::<Result<(), SendError>>();
-    let send_one = |next: &mut usize, issued: &mut u64| -> bool {
+    // A send the host refuses, at once or by its verdict, drops its
+    // token, so offered load decays to what the host admits.
+    let send_one = |next: &mut usize, issued: &mut u64| {
         let sender = members[*next % members.len()];
         *next += 1;
-        let accepted = host.multicast_pipelined(
-            sender,
-            group,
-            make_payload(shared.epoch, cfg.payload),
-            &verdict_tx,
-        );
-        if accepted {
+        if host.multicast_pipelined(sender, group, make_payload(shared.epoch), &verdict_tx) {
             *issued += 1;
         }
-        accepted
     };
-    // Counts accepted sends; false the moment any verdict is a
-    // *membership* error (churn: stop driving this group). A shed
-    // verdict is backpressure, not churn — the loop drops the token so
-    // offered load decays to what the host admits, and keeps driving.
-    let drain_verdicts = |received: &mut u64| -> bool {
-        loop {
-            match verdict_rx.try_recv() {
-                Ok(Ok(())) => {
-                    *received += 1;
-                    shared.sent.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(Err(SendError::Overloaded { .. })) => {
-                    *received += 1;
-                    shared.shed.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(Err(_)) => {
-                    *received += 1;
-                    return false;
-                }
-                Err(_) => return true,
-            }
-        }
-    };
-    // `false` once the engine refuses a send: the group is churning, so
-    // stop driving it but keep draining the ack node's outputs (this
-    // thread is also its collector).
-    let mut driving = true;
     for _ in 0..cfg.window {
-        if !send_one(&mut next, &mut issued) {
-            driving = false;
-            break;
-        }
+        send_one(&mut next, &mut issued);
     }
     loop {
         let mut refills = 0u32;
@@ -478,15 +424,13 @@ fn driver<H: Host>(
             }
             out = ack_rx.try_recv().ok();
         }
-        if driving && !shared.stop_sending.load(Ordering::Relaxed) {
+        if !shared.stop_sending.load(Ordering::Relaxed) {
             for _ in 0..refills {
-                if !send_one(&mut next, &mut issued) {
-                    driving = false;
-                    break;
-                }
+                send_one(&mut next, &mut issued);
             }
-            if !drain_verdicts(&mut received) {
-                driving = false;
+            while let Ok(v) = verdict_rx.try_recv() {
+                received += 1;
+                tally(shared, &v);
             }
         }
         // The drain ran dry (timeout or disconnect): end of run?
@@ -498,21 +442,11 @@ fn driver<H: Host>(
     // exact, with a timeout failsafe in case the host died mid-command;
     // when nothing is outstanding this costs nothing.
     while received < issued {
-        match verdict_rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(v) => {
-                received += 1;
-                match v {
-                    Ok(()) => {
-                        shared.sent.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(SendError::Overloaded { .. }) => {
-                        shared.shed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => {}
-                }
-            }
-            Err(_) => break,
-        }
+        let Ok(v) = verdict_rx.recv_timeout(Duration::from_millis(50)) else {
+            break;
+        };
+        received += 1;
+        tally(shared, &v);
     }
     shared
         .latencies
@@ -540,18 +474,19 @@ fn run_on<H: Host>(host: &H, cfg: &LoadConfig) -> LoadReport {
     // Each group's closed loop is acked at its first member; that node's
     // output channel is drained by the group's driver thread directly.
     // Every other node gets a plain collector.
-    let ack_nodes: Vec<ProcessId> = (0..cfg.groups)
-        .map(|g| *group_members(cfg, g).first().expect("validated nonempty"))
+    let shape = &cfg.shape;
+    let ack_nodes: Vec<ProcessId> = (0..shape.groups)
+        .map(|g| *shape.members(g).first().expect("validated nonempty"))
         .collect();
     let mut driver_seats: Vec<(GroupId, Vec<ProcessId>, Receiver<Output>)> = Vec::new();
     let mut plain_rxs: Vec<Receiver<Output>> = Vec::new();
-    for i in 1..=cfg.nodes {
+    for i in 1..=shape.nodes {
         let node = ProcessId(i);
         let rx = host.output_rx(node);
         if let Some(g) = ack_nodes.iter().position(|&n| n == node) {
             #[allow(clippy::cast_possible_truncation)]
             let gid = GroupId(g as u32 + 1);
-            driver_seats.push((gid, group_members(cfg, g as u32), rx));
+            driver_seats.push((gid, shape.members(g as u32), rx));
         } else {
             plain_rxs.push(rx);
         }
@@ -599,66 +534,9 @@ fn run_on<H: Host>(host: &H, cfg: &LoadConfig) -> LoadReport {
         p99_us: pct(99),
         view_changes: shared.view_changes.load(Ordering::Relaxed),
         shed: shared.shed.load(Ordering::Relaxed),
-        killed: 0,
         wire: wire_at_cut,
         shards_used: host.shards_used(),
     }
-}
-
-/// Churn mode on the sharded host: the ordinary closed loop plus a
-/// seeded killer thread that hard-kills non-driver nodes spread across
-/// the run. Ack nodes (one per group, fused with the drivers) are
-/// spared so every group keeps a live closed loop; everything else is
-/// fair game, and the drivers absorb the resulting membership errors
-/// as churn rather than failure.
-fn run_churn_on(
-    running: &newtop_runtime::RunningCluster,
-    cfg: &LoadConfig,
-    seed: u64,
-) -> LoadReport {
-    let ack_nodes: Vec<u32> = (0..cfg.groups)
-        .map(|g| group_members(cfg, g).first().expect("nonempty group").0)
-        .collect();
-    let mut pool: Vec<u32> = (1..=cfg.nodes).filter(|i| !ack_nodes.contains(i)).collect();
-    // Seeded Fisher–Yates: the victim order is a pure function of the
-    // seed, so a churn run is nameable and repeatable.
-    let mut rng = seed | 1;
-    let mut next = || {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        rng
-    };
-    for i in (1..pool.len()).rev() {
-        #[allow(clippy::cast_possible_truncation)]
-        let j = (next() as usize) % (i + 1);
-        pool.swap(i, j);
-    }
-    let kills = pool.len().min(3);
-    let stop = AtomicBool::new(false);
-    let killed = AtomicU64::new(0);
-    let mut report = std::thread::scope(|scope| {
-        scope.spawn(|| {
-            let start = Instant::now();
-            let total = Duration::from_secs_f64(cfg.secs);
-            for (k, &victim) in pool[..kills].iter().enumerate() {
-                let at = total.mul_f64((k as f64 + 1.0) / (kills as f64 + 1.0));
-                while start.elapsed() < at {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                running.kill(ProcessId(victim));
-                killed.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        let r = run_on(running, cfg);
-        stop.store(true, Ordering::Relaxed);
-        r
-    });
-    report.killed = killed.load(Ordering::Relaxed);
-    report
 }
 
 /// Runs one closed-loop load experiment and returns the aggregate.
@@ -678,26 +556,23 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, String> {
                 knobs = knobs.inbox_cap(cap);
             }
             let mut cluster = Cluster::with_config(knobs);
-            for i in 1..=cfg.nodes {
+            for i in 1..=cfg.shape.nodes {
                 cluster.add_process(ProcessId(i));
             }
-            for g in 0..cfg.groups {
+            for g in 0..cfg.shape.groups {
                 cluster
-                    .bootstrap_group(GroupId(g + 1), group_members(cfg, g), group_config(cfg))
+                    .bootstrap_group(GroupId(g + 1), cfg.shape.members(g), cfg.shape.group)
                     .map_err(|e| format!("bootstrap group {}: {e}", g + 1))?;
             }
             let running = cluster.start();
-            let report = match cfg.churn {
-                Some(seed) => run_churn_on(&running, cfg, seed),
-                None => run_on(&running, cfg),
-            };
+            let report = run_on(&running, cfg);
             running.shutdown();
             Ok(report)
         }
         HostKind::Tcp => {
             let remote = crate::remote::RemoteCluster::connect(
                 &cfg.peers,
-                cfg.nodes,
+                cfg.shape.nodes,
                 Duration::from_secs(10),
             )
             .map_err(|e| format!("connect to serve processes: {e}"))?;
@@ -713,13 +588,21 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use newtop_types::{OrderMode, SuspicionMode};
+
+    fn shape(nodes: u32, groups: u32) -> ClusterShape {
+        ClusterShape {
+            nodes,
+            groups,
+            ..ClusterShape::default()
+        }
+    }
 
     /// A short symmetric run delivers traffic and reports sane numbers.
     #[test]
     fn short_symmetric_run_reports_throughput() {
         let cfg = LoadConfig {
-            nodes: 4,
-            groups: 2,
+            shape: shape(4, 2),
             secs: 0.5,
             window: 4,
             ..LoadConfig::default()
@@ -740,14 +623,13 @@ mod tests {
     /// Asymmetric (sequencer) groups also sustain the closed loop.
     #[test]
     fn asymmetric_mode_runs() {
-        let cfg = LoadConfig {
-            nodes: 4,
-            groups: 1,
+        let mut cfg = LoadConfig {
+            shape: shape(4, 1),
             secs: 0.4,
             window: 4,
-            mode: OrderMode::Asymmetric,
             ..LoadConfig::default()
         };
+        cfg.shape.group.mode = OrderMode::Asymmetric;
         let report = run_load(&cfg).expect("asym load runs");
         assert!(report.delivered > 0);
     }
@@ -757,8 +639,7 @@ mod tests {
     #[test]
     fn saturating_load_coalesces_frames() {
         let cfg = LoadConfig {
-            nodes: 8,
-            groups: 1,
+            shape: shape(8, 1),
             shards: 1,
             secs: 0.5,
             window: 32,
@@ -778,8 +659,7 @@ mod tests {
     #[test]
     fn closed_inbox_valve_reports_shed() {
         let cfg = LoadConfig {
-            nodes: 3,
-            groups: 1,
+            shape: shape(3, 1),
             secs: 0.3,
             window: 4,
             inbox_cap: Some(0),
@@ -792,41 +672,35 @@ mod tests {
         assert_eq!(wire.shed_multicasts, 4);
     }
 
-    /// Churn mode kills non-driver nodes mid-run: the run survives,
-    /// exclusions land (view changes), and deliveries keep flowing
-    /// among the survivors.
+    /// On the TCP host the serve processes decide the group
+    /// configuration, the shards and the inbox bound; setting any of them
+    /// on the load run is refused, naming the flag, before anything
+    /// connects.
     #[test]
-    fn churn_mode_kills_and_survives() {
-        let cfg = LoadConfig {
-            nodes: 6,
-            groups: 2,
-            secs: 1.2,
-            window: 4,
-            omega: Span::from_millis(5),
-            big_omega: Span::from_millis(150),
-            churn: Some(7),
-            ..LoadConfig::default()
-        };
-        let report = run_load(&cfg).expect("churn run completes");
-        assert!(report.killed > 0, "the killer never fired");
-        assert!(
-            report.view_changes > 0,
-            "kills must surface as exclusions ({} killed)",
-            report.killed
-        );
-        assert!(report.delivered > 0, "survivors stopped delivering");
-    }
-
-    /// Churn is a sharded-host feature; other hosts reject it up front.
-    #[test]
-    fn churn_rejects_non_sharded_hosts() {
-        assert!(run_load(&LoadConfig {
-            churn: Some(1),
+    fn tcp_host_refuses_what_the_serves_decide() {
+        let tcp = LoadConfig {
             host: HostKind::Tcp,
             peers: vec!["127.0.0.1:1".parse().unwrap()],
             ..LoadConfig::default()
-        })
-        .is_err());
+        };
+        assert_eq!(tcp.validate(), Ok(()));
+        let mut cases = vec![tcp.clone(); 5];
+        cases[0].shape.group.mode = OrderMode::Asymmetric;
+        cases[1].shape.group.suspicion = SuspicionMode::accrual();
+        cases[2].shards = 2;
+        cases[3].inbox_cap = Some(8);
+        cases[4].shape.group = cases[4].shape.group.with_flow_window(4);
+        let refused = [
+            "--mode",
+            "--accrual",
+            "--shards",
+            "--inbox-cap",
+            "group config",
+        ];
+        for (cfg, flag) in cases.iter().zip(refused) {
+            let err = run_load(cfg).expect_err(flag);
+            assert!(err.contains(flag) && err.contains("serve"), "{err}");
+        }
     }
 
     /// Every host kind round-trips through its CLI spelling.
@@ -845,13 +719,7 @@ mod tests {
     #[test]
     fn config_validation_rejects_nonsense() {
         assert!(run_load(&LoadConfig {
-            nodes: 2,
-            groups: 3,
-            ..LoadConfig::default()
-        })
-        .is_err());
-        assert!(run_load(&LoadConfig {
-            payload: 4,
+            shape: shape(2, 3),
             ..LoadConfig::default()
         })
         .is_err());

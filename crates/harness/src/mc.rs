@@ -366,10 +366,7 @@ fn dfs(
 pub fn explore(cfg: &McConfig) -> McReport {
     let start = WallInstant::now();
     let deadline = cfg.budget.map(|b| start + b);
-    let opts = CheckOptions {
-        liveness: false,
-        ..CheckOptions::default()
-    };
+    let opts = CheckOptions { liveness: false };
     let mut report = McReport::default();
     let outcome = dfs(cfg, &opts, deadline, &mut report);
     report.elapsed = start.elapsed();

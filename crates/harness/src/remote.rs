@@ -21,13 +21,16 @@
 //!
 //! # Topology
 //!
-//! All processes agree on the cluster shape by construction: node `i`
-//! of `N` lives on peer [`peer_of`]`(i, N, P)` — contiguous blocks, so
-//! peers own cache-friendly ranges — while group `g` takes every node
-//! with `(i-1) % groups == g`, exactly like the in-process load
-//! generator. Round-robin groups over block-assigned nodes guarantee
-//! that every group spans every peer: all application traffic crosses
-//! real sockets.
+//! Every process of a cluster holds the same [`ClusterShape`]: the node
+//! and group counts and the one [`GroupConfig`] all groups run. A serve
+//! process gets it from its flags, and a spawner renders those flags with
+//! [`ClusterShape::serve_args`], which refuses a shape they cannot say
+//! rather than rounding it. Node `i` of `N` lives on peer
+//! [`peer_of`]`(i, N, P)` — contiguous blocks, so peers own
+//! cache-friendly ranges — while group `g` takes every node with
+//! `(i-1) % groups == g` ([`members_of`]), on the sharded host too.
+//! Round-robin groups over block-assigned nodes guarantee that every
+//! group spans every peer: all application traffic crosses real sockets.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender, TryRecvError};
@@ -35,8 +38,8 @@ use newtop_core::{Delivery, FormationFailure};
 use newtop_runtime::{Cluster, ClusterConfig, Output, RunningCluster, TcpConfig, WireStats};
 use newtop_types::wire::{peek_varint, put_varint};
 use newtop_types::{
-    GroupConfig, GroupId, Msn, OrderMode, ProcessId, SendError, SignedView, Span, SuspicionMode,
-    View, ViewSeq,
+    DeliveryMode, GroupConfig, GroupId, Msn, OrderMode, ProcessId, SendError, SignedView, Span,
+    SuspicionMode, View, ViewSeq,
 };
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -54,8 +57,7 @@ pub fn peer_of(i: u32, nodes: u32, peers: u32) -> u32 {
     ((i - 1) * peers) / nodes
 }
 
-/// Members of group `g` (0-based): every node with `(i-1) % groups == g`,
-/// the same round-robin assignment the in-process load generator uses.
+/// Members of group `g` (0-based): every node with `(i-1) % groups == g`.
 #[must_use]
 pub fn members_of(g: u32, nodes: u32, groups: u32) -> Vec<ProcessId> {
     (1..=nodes)
@@ -64,28 +66,109 @@ pub fn members_of(g: u32, nodes: u32, groups: u32) -> Vec<ProcessId> {
         .collect()
 }
 
-/// Everything one `serve` process needs to know about the cluster.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
+/// The cluster every member must agree on before the first message
+/// (§3–§4): the nodes, their round-robin groups, and the one
+/// configuration every group runs. `serve`, `load` and the supervisor
+/// each hold one, and the supervisor hands its own to the processes it
+/// spawns through [`ClusterShape::serve_args`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClusterShape {
     /// Protocol participants cluster-wide (numbered 1..=nodes).
     pub nodes: u32,
     /// Groups; node `i` joins group `(i-1) % groups`.
     pub groups: u32,
+    /// What every group runs.
+    pub group: GroupConfig,
+}
+
+impl Default for ClusterShape {
+    /// `serve`'s defaults: no nodes yet, one group, symmetric order,
+    /// ω 25 ms, Ω 10 s, fixed-Ω suspicion.
+    fn default() -> ClusterShape {
+        ClusterShape {
+            nodes: 0,
+            groups: 1,
+            group: GroupConfig::new(OrderMode::Symmetric)
+                .with_omega(Span::from_millis(25))
+                .with_big_omega(Span::from_secs(10)),
+        }
+    }
+}
+
+impl ClusterShape {
+    /// Members of group `g` (0-based).
+    #[must_use]
+    pub fn members(&self, g: u32) -> Vec<ProcessId> {
+        members_of(g, self.nodes, self.groups)
+    }
+
+    /// Checks `1 <= groups <= nodes` and the group configuration.
+    ///
+    /// # Errors
+    ///
+    /// What is wrong with the shape, in words.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.nodes == 0 || self.groups == 0 || self.groups > self.nodes {
+            return Err("need 1 <= groups <= nodes".into());
+        }
+        self.group.validate().map_err(|e| e.to_string())
+    }
+
+    /// The `serve` flags that reproduce this shape.
+    ///
+    /// # Errors
+    ///
+    /// The shape is invalid, or the flags cannot say it: a timeout that
+    /// is not a whole number of milliseconds, accrual parameters other
+    /// than [`SuspicionMode::accrual`], a flow window, or atomic
+    /// delivery.
+    pub fn serve_args(&self) -> Result<Vec<String>, String> {
+        self.validate()?;
+        let g = &self.group;
+        let ms = |flag: &str, span: Span| match span.as_micros() % 1000 {
+            0 => Ok((span.as_micros() / 1000).to_string()),
+            _ => Err(format!("{flag} cannot express {} µs", span.as_micros())),
+        };
+        if g.flow_window.is_some() || g.delivery != DeliveryMode::Total {
+            return Err("serve has no flags for a flow window or atomic delivery".into());
+        }
+        let mut args: Vec<String> = [
+            "--nodes",
+            &self.nodes.to_string(),
+            "--groups",
+            &self.groups.to_string(),
+            "--mode",
+            match g.mode {
+                OrderMode::Symmetric => "sym",
+                OrderMode::Asymmetric => "asym",
+            },
+            "--omega-ms",
+            &ms("--omega-ms", g.omega)?,
+            "--big-omega-ms",
+            &ms("--big-omega-ms", g.big_omega)?,
+        ]
+        .map(String::from)
+        .into();
+        match g.suspicion {
+            SuspicionMode::FixedOmega => {}
+            s if s == SuspicionMode::accrual() => args.push("--accrual".into()),
+            s => return Err(format!("--accrual cannot express {s:?}")),
+        }
+        Ok(args)
+    }
+}
+
+/// Everything one `serve` process needs to know about the cluster.
+#[derive(Debug, Clone)]
+pub struct ServeConfig {
+    /// The nodes, groups and group configuration every peer agrees on.
+    pub shape: ClusterShape,
     /// Data-plane addresses of every peer, cluster order.
     pub peers: Vec<SocketAddr>,
     /// Control-plane addresses of every peer, same order.
     pub ctrl: Vec<SocketAddr>,
     /// This process's index into both address lists.
     pub me: usize,
-    /// Ordering variant every group runs.
-    pub mode: OrderMode,
-    /// Time-silence interval ω.
-    pub omega: Span,
-    /// Suspicion timeout Ω.
-    pub big_omega: Span,
-    /// Failure-suspicion mode every group runs: fixed Ω silence or the
-    /// accrual detector.
-    pub suspicion: SuspicionMode,
     /// Whether to bootstrap the initial groups at startup. A process
     /// restarted after a crash starts with `false`: the survivors
     /// excluded its old incarnation's nodes, so it comes up with no
@@ -97,37 +180,22 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A config with load-generator-friendly protocol defaults.
+    /// A bootstrapping peer of `shape` with the default host knobs.
     #[must_use]
     pub fn new(
-        nodes: u32,
-        groups: u32,
+        shape: ClusterShape,
         peers: Vec<SocketAddr>,
         ctrl: Vec<SocketAddr>,
         me: usize,
     ) -> ServeConfig {
         ServeConfig {
-            nodes,
-            groups,
+            shape,
             peers,
             ctrl,
             me,
-            mode: OrderMode::Symmetric,
-            omega: Span::from_millis(25),
-            big_omega: Span::from_secs(10),
-            suspicion: SuspicionMode::FixedOmega,
             bootstrap: true,
             cluster: ClusterConfig::new(),
         }
-    }
-
-    /// The group configuration every group of this cluster runs.
-    #[must_use]
-    pub fn group_config(&self) -> GroupConfig {
-        GroupConfig::new(self.mode)
-            .with_omega(self.omega)
-            .with_big_omega(self.big_omega)
-            .with_suspicion(self.suspicion)
     }
 
     #[allow(clippy::cast_possible_truncation)]
@@ -138,20 +206,20 @@ impl ServeConfig {
     fn hosted(&self) -> Vec<ProcessId> {
         #[allow(clippy::cast_possible_truncation)]
         let me = self.me as u32;
-        (1..=self.nodes)
-            .filter(|&i| peer_of(i, self.nodes, self.npeers()) == me)
+        (1..=self.shape.nodes)
+            .filter(|&i| peer_of(i, self.shape.nodes, self.npeers()) == me)
             .map(ProcessId)
             .collect()
     }
 
     fn owners(&self) -> Vec<(ProcessId, u32)> {
-        (1..=self.nodes)
-            .map(|i| (ProcessId(i), peer_of(i, self.nodes, self.npeers())))
+        (1..=self.shape.nodes)
+            .map(|i| (ProcessId(i), peer_of(i, self.shape.nodes, self.npeers())))
             .collect()
     }
 
-    /// Checks the address lists, the peer index and the node and group
-    /// counts. [`serve`] runs it before anything else.
+    /// Checks the address lists, the peer index and the shape. [`serve`]
+    /// runs it before anything else.
     ///
     /// # Errors
     ///
@@ -167,10 +235,7 @@ impl ServeConfig {
                 self.peers.len()
             ));
         }
-        if self.nodes == 0 || self.groups == 0 || self.groups > self.nodes {
-            return Err("need 1 <= groups <= nodes".into());
-        }
-        Ok(())
+        self.shape.validate()
     }
 }
 
@@ -604,15 +669,11 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), String> {
     for &node in &hosted {
         cluster.add_process(node);
     }
-    let group_cfg = cfg.group_config();
+    let group_cfg = cfg.shape.group;
     if cfg.bootstrap {
-        for g in 0..cfg.groups {
+        for g in 0..cfg.shape.groups {
             cluster
-                .bootstrap_group_local(
-                    GroupId(g + 1),
-                    members_of(g, cfg.nodes, cfg.groups),
-                    group_cfg,
-                )
+                .bootstrap_group_local(GroupId(g + 1), cfg.shape.members(g), group_cfg)
                 .map_err(|e| format!("bootstrap group {}: {e}", g + 1))?;
         }
     }

@@ -20,82 +20,67 @@
 //! rejoiners must both meet — and the run fails on any violation, any
 //! missed rejoin, or any phase that times out.
 
-use crate::remote::{members_of, peer_of, RemoteCluster};
+use crate::loadgen::PAYLOAD;
+use crate::remote::{peer_of, ClusterShape, RemoteCluster};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
 use newtop_core::FormationFailure;
 use newtop_runtime::Output;
-use newtop_types::{GroupId, OrderMode, ProcessId, SendError, Span};
+use newtop_types::{GroupId, ProcessId, SendError, Span};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// Parameters of one supervised crash-recovery run.
+/// Tagged messages sent per group per traffic phase.
+const MSGS_PER_PHASE: u32 = 24;
+
+/// Parameters of one supervised crash-recovery run. The children are the
+/// current executable's `serve` command, and their stderr is inherited.
 #[derive(Debug, Clone)]
 pub struct SupervisorConfig {
-    /// Protocol participants cluster-wide (numbered 1..=nodes).
-    pub nodes: u32,
-    /// Groups; node `i` joins group `(i-1) % groups`. Every lineage
-    /// must have a member hosted on peer 0 (its anchor), which the
-    /// block layout gives whenever `groups <= nodes / procs`.
-    pub groups: u32,
+    /// The cluster the children run. Every lineage must have a member
+    /// hosted on peer 0 (its anchor), which the block layout gives
+    /// whenever `groups <= nodes / procs`. Exclusion of a killed peer
+    /// takes about Ω, so the cycle time scales with it.
+    pub shape: ClusterShape,
     /// Serve processes. Peer 0 hosts every anchor and is never killed.
     pub procs: usize,
     /// Kill/restart cycles to run.
     pub cycles: u32,
     /// Seed for the victim schedule.
     pub seed: u64,
-    /// Tagged messages sent per group per traffic phase.
-    pub msgs_per_phase: u32,
-    /// Application payload bytes (>= 8; carries the tag).
-    pub payload: usize,
-    /// Ordering variant every group runs.
-    pub mode: OrderMode,
-    /// Time-silence interval ω.
-    pub omega: Span,
-    /// Suspicion timeout Ω. Exclusion of a killed peer takes about
-    /// this long, so the cycle time scales with it.
-    pub big_omega: Span,
-    /// Run the children with the accrual suspicion detector.
-    pub accrual: bool,
     /// First port of the range used for data and control listeners:
     /// data on `port_base + i`, control on `port_base + procs + i`.
     pub port_base: u16,
-    /// Path of the `newtop-exp` binary to spawn; `None` uses the
-    /// current executable (correct when the caller *is* `newtop-exp`).
-    pub serve_bin: Option<PathBuf>,
-    /// Silence the children's stderr (tests); `false` inherits it.
-    pub quiet: bool,
 }
 
 impl SupervisorConfig {
+    /// Ω of the reference scenario: short, so a cycle takes seconds.
+    pub const BIG_OMEGA: Span = Span::from_millis(1500);
+
     /// The reference scenario: 6 nodes / 2 groups over 3 processes,
-    /// 3 kill/restart cycles.
+    /// Ω [`SupervisorConfig::BIG_OMEGA`], 3 kill/restart cycles.
     #[must_use]
     pub fn new(seed: u64) -> SupervisorConfig {
-        SupervisorConfig {
+        let mut shape = ClusterShape {
             nodes: 6,
             groups: 2,
+            ..ClusterShape::default()
+        };
+        shape.group.big_omega = SupervisorConfig::BIG_OMEGA;
+        SupervisorConfig {
+            shape,
             procs: 3,
             cycles: 3,
             seed,
-            msgs_per_phase: 24,
-            payload: 32,
-            mode: OrderMode::Symmetric,
-            omega: Span::from_millis(25),
-            big_omega: Span::from_millis(1500),
-            accrual: false,
             port_base: 7400,
-            serve_bin: None,
-            quiet: false,
         }
     }
 
-    /// Checks the counts, the payload, the port block and that every
-    /// lineage has an anchor. [`run_supervisor`] runs it before it
-    /// spawns anything.
+    /// Checks the counts, that the serve flags can express the shape,
+    /// the port block and that every lineage has an anchor.
+    /// [`run_supervisor`] runs it before it spawns anything.
     ///
     /// # Errors
     ///
@@ -104,13 +89,9 @@ impl SupervisorConfig {
         if self.procs < 2 {
             return Err("need at least 2 serve processes (peer 0 is never killed)".into());
         }
-        #[allow(clippy::cast_possible_truncation)]
-        let procs = self.procs as u32;
-        if self.nodes < procs || self.groups == 0 || self.groups > self.nodes {
-            return Err("need nodes >= procs and 0 < groups <= nodes".into());
-        }
-        if self.payload < 8 {
-            return Err("payload must be at least 8 bytes (tag)".into());
+        self.shape.serve_args()?;
+        if (self.shape.nodes as usize) < self.procs {
+            return Err("need nodes >= procs".into());
         }
         let ports = self.procs.saturating_mul(2);
         if usize::from(self.port_base).saturating_add(ports) > usize::from(u16::MAX) + 1 {
@@ -119,7 +100,7 @@ impl SupervisorConfig {
                 self.port_base
             ));
         }
-        for g in 0..self.groups {
+        for g in 0..self.shape.groups {
             anchor_of(self, g)?;
         }
         Ok(())
@@ -251,10 +232,7 @@ fn xorshift(x: &mut u64) -> u64 {
 }
 
 fn spawn_serve(cfg: &SupervisorConfig, me: usize, rejoin: bool) -> Result<Child, String> {
-    let bin = match &cfg.serve_bin {
-        Some(p) => p.clone(),
-        None => std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?,
-    };
+    let bin = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let join = |addrs: Vec<SocketAddr>| {
         addrs
             .iter()
@@ -264,35 +242,13 @@ fn spawn_serve(cfg: &SupervisorConfig, me: usize, rejoin: bool) -> Result<Child,
     };
     let mut cmd = Command::new(bin);
     cmd.arg("serve")
-        .args(["--nodes", &cfg.nodes.to_string()])
-        .args(["--groups", &cfg.groups.to_string()])
+        .args(cfg.shape.serve_args()?)
         .args(["--peers", &join(data_addrs(cfg))])
         .args(["--ctrl", &join(ctrl_addrs(cfg))])
         .args(["--me", &me.to_string()])
-        .args([
-            "--mode",
-            match cfg.mode {
-                OrderMode::Symmetric => "sym",
-                OrderMode::Asymmetric => "asym",
-            },
-        ])
-        .args([
-            "--omega-ms",
-            &cfg.omega.as_micros().div_ceil(1000).to_string(),
-        ])
-        .args([
-            "--big-omega-ms",
-            &cfg.big_omega.as_micros().div_ceil(1000).to_string(),
-        ])
         .stdout(Stdio::null());
-    if cfg.accrual {
-        cmd.arg("--accrual");
-    }
     if rejoin {
         cmd.arg("--rejoin");
-    }
-    if cfg.quiet {
-        cmd.stderr(Stdio::null());
     }
     cmd.spawn().map_err(|e| format!("spawn serve {me}: {e}"))
 }
@@ -322,9 +278,10 @@ fn ctrl_addrs(cfg: &SupervisorConfig) -> Vec<SocketAddr> {
 fn anchor_of(cfg: &SupervisorConfig, g: u32) -> Result<ProcessId, String> {
     #[allow(clippy::cast_possible_truncation)]
     let procs = cfg.procs as u32;
-    members_of(g, cfg.nodes, cfg.groups)
+    cfg.shape
+        .members(g)
         .into_iter()
-        .find(|m| peer_of(m.0, cfg.nodes, procs) == 0)
+        .find(|m| peer_of(m.0, cfg.shape.nodes, procs) == 0)
         .ok_or_else(|| {
             format!(
                 "group {} has no member on peer 0; use groups <= nodes/procs",
@@ -333,7 +290,7 @@ fn anchor_of(cfg: &SupervisorConfig, g: u32) -> Result<ProcessId, String> {
         })
 }
 
-/// Sends `msgs_per_phase` tagged multicasts from each lineage's anchor
+/// Sends [`MSGS_PER_PHASE`] tagged multicasts from each lineage's anchor
 /// into its current group id and waits until every member delivered
 /// them all.
 fn traffic_phase(
@@ -349,17 +306,16 @@ fn traffic_phase(
     let mut expect: Vec<(u32, ProcessId, usize)> = Vec::new();
     for (g, &gid) in gids.iter().enumerate() {
         #[allow(clippy::cast_possible_truncation)]
-        let members = members_of(g as u32, cfg.nodes, cfg.groups);
-        for m in &members {
+        for m in cfg.shape.members(g as u32) {
             let have = tracking.history.get(&(gid, m.0)).map_or(0, Vec::len);
-            expect.push((gid, *m, have + cfg.msgs_per_phase as usize));
+            expect.push((gid, m, have + MSGS_PER_PHASE as usize));
         }
     }
     for (g, &gid) in gids.iter().enumerate() {
         #[allow(clippy::cast_possible_truncation)]
         let anchor = anchor_of(cfg, g as u32)?;
-        for _ in 0..cfg.msgs_per_phase {
-            let mut buf = vec![0u8; cfg.payload.max(8)];
+        for _ in 0..MSGS_PER_PHASE {
+            let mut buf = vec![0u8; PAYLOAD];
             buf[..8].copy_from_slice(&next_tag.to_le_bytes());
             *next_tag += 1;
             // Shed verdicts are backpressure, not failure: retry.
@@ -440,10 +396,11 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
     for i in 0..cfg.procs {
         fleet.children.push(Some(spawn_serve(cfg, i, false)?));
     }
-    let mut cluster = RemoteCluster::connect(&ctrl, cfg.nodes, Duration::from_secs(15))
+    let shape = &cfg.shape;
+    let mut cluster = RemoteCluster::connect(&ctrl, shape.nodes, Duration::from_secs(15))
         .map_err(|e| format!("connect to serve fleet: {e}"))?;
     let mut tracking = Tracking {
-        rxs: (1..=cfg.nodes)
+        rxs: (1..=shape.nodes)
             .map(|i| {
                 cluster
                     .outputs(ProcessId(i))
@@ -454,8 +411,8 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
     };
     // Lineage g starts life as the bootstrapped GroupId(g+1); each
     // rejoin advances it to a fresh id.
-    let mut current_gid: Vec<u32> = (1..=cfg.groups).collect();
-    let mut next_gid: u32 = cfg.groups + 1;
+    let mut current_gid: Vec<u32> = (1..=shape.groups).collect();
+    let mut next_gid: u32 = shape.groups + 1;
     let mut next_tag: u64 = 1;
     let mut rng = cfg.seed | 1;
     let mut victims = Vec::new();
@@ -484,8 +441,8 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
             let _ = child.kill(); // SIGKILL on unix
             let _ = child.wait();
         }
-        let victim_nodes: Vec<ProcessId> = (1..=cfg.nodes)
-            .filter(|&i| peer_of(i, cfg.nodes, procs) as usize == victim)
+        let victim_nodes: Vec<ProcessId> = (1..=shape.nodes)
+            .filter(|&i| peer_of(i, shape.nodes, procs) as usize == victim)
             .map(ProcessId)
             .collect();
 
@@ -494,13 +451,14 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
         // so wait for the exclusion at every surviving member, not just
         // the anchor.
         let excluded = tracking.wait_until(
-            cfg.big_omega.to_duration() * 8 + Duration::from_secs(10),
+            shape.group.big_omega.to_duration() * 8 + Duration::from_secs(10),
             |t| {
-                (0..cfg.groups).all(|g| {
+                (0..shape.groups).all(|g| {
                     let gid = current_gid[g as usize];
-                    members_of(g, cfg.nodes, cfg.groups)
+                    shape
+                        .members(g)
                         .iter()
-                        .filter(|m| peer_of(m.0, cfg.nodes, procs) as usize != victim)
+                        .filter(|m| peer_of(m.0, shape.nodes, procs) as usize != victim)
                         .all(|m| {
                             t.views
                                 .get(&(gid, m.0))
@@ -528,15 +486,15 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
         tracking.wait_until(Duration::from_secs(5), |_| redials(&cluster) >= redialed);
 
         // ---- re-enter through §5.3 formation, one fresh id per lineage
-        for g in 0..cfg.groups {
+        for g in 0..shape.groups {
             let anchor = anchor_of(cfg, g)?;
-            let members = members_of(g, cfg.nodes, cfg.groups);
+            let members = shape.members(g);
             // Rejoin is proven when a *restarted* member reports the
             // new group active (the anchor's activation alone would
             // not show the victim came back).
             let rejoined = members
                 .iter()
-                .find(|m| peer_of(m.0, cfg.nodes, procs) as usize == victim)
+                .find(|m| peer_of(m.0, shape.nodes, procs) as usize == victim)
                 .copied();
             let wanted: Vec<u32> = rejoined
                 .iter()
@@ -628,7 +586,7 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
             tracking.history.len()
         ));
     }
-    let expected_rejoins = cfg.cycles.saturating_mul(cfg.groups);
+    let expected_rejoins = cfg.cycles.saturating_mul(shape.groups);
     if rejoins < expected_rejoins {
         return Err(format!(
             "only {rejoins}/{expected_rejoins} lineage rejoins were observed"
@@ -653,18 +611,16 @@ mod tests {
     #[test]
     fn anchors_require_a_member_on_peer_zero() {
         let cfg = SupervisorConfig::new(0);
-        for g in 0..cfg.groups {
+        for g in 0..cfg.shape.groups {
             let a = anchor_of(&cfg, g).expect("reference layout has anchors");
             #[allow(clippy::cast_possible_truncation)]
             let procs = cfg.procs as u32;
-            assert_eq!(peer_of(a.0, cfg.nodes, procs), 0);
+            assert_eq!(peer_of(a.0, cfg.shape.nodes, procs), 0);
         }
         // 6 nodes / 6 groups over 3 procs: groups 3..5's first members
         // live on peers 1 and 2 — no anchor.
-        let dense = SupervisorConfig {
-            groups: 6,
-            ..SupervisorConfig::new(0)
-        };
+        let mut dense = SupervisorConfig::new(0);
+        dense.shape.groups = 6;
         assert!(anchor_of(&dense, 5).is_err());
     }
 

@@ -78,21 +78,20 @@ fn usage_errors_exit_two_without_panicking() {
     }
 }
 
-/// `load --churn` drives the sharded host only; on the TCP host it is
-/// refused before anything connects, not handed to the supervisor (whose
-/// one entry point is `--supervise`). `--procs 1` keeps a regression from
-/// spawning a cluster: the supervisor would refuse it before spawning.
+/// With `--host tcp` the serve processes decide the group config and the
+/// shards, so `load` refuses those flags (exit 2, naming the flag) before
+/// it tries to connect, instead of ignoring them.
 #[test]
-fn tcp_churn_is_refused_not_routed_to_the_supervisor() {
-    let out = run(&["load", "--churn", "1", "--host", "tcp", "--procs", "1"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(
-        stderr.contains("for TCP churn use load --supervise"),
-        "{stderr}"
-    );
-    assert!(!stderr.contains("supervise:"), "{stderr}");
-    assert!(out.stdout.is_empty(), "{stderr}");
+fn tcp_load_refuses_the_flags_the_serves_decide() {
+    for flag in [&["--accrual"][..], &["--mode", "asym"], &["--shards", "2"]] {
+        let args = [&["load", "--host", "tcp", "--peers", "127.0.0.1:1"], flag].concat();
+        let out = run(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag[0]), "{args:?}: {stderr}");
+        assert!(!stderr.contains("connect"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: {stderr}");
+    }
 }
 
 /// The auto depth bound of the largest budgets saturates instead of

@@ -14,10 +14,7 @@ use newtop_types::{GroupConfig, GroupId, Instant, OrderMode, ProcessId, Span};
 use proptest::prelude::*;
 
 fn opts_no_liveness() -> CheckOptions {
-    CheckOptions {
-        liveness: false,
-        ..CheckOptions::default()
-    }
+    CheckOptions { liveness: false }
 }
 
 proptest! {

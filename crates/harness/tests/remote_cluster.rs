@@ -5,7 +5,7 @@
 
 use crossbeam::channel::unbounded;
 use newtop_harness::proxy::{run_proxy, ProxyConfig, ProxyHandle};
-use newtop_harness::remote::{members_of, serve, RemoteCluster, ServeConfig};
+use newtop_harness::remote::{members_of, serve, ClusterShape, RemoteCluster, ServeConfig};
 use newtop_harness::{run_load, HostKind, LoadConfig};
 use newtop_runtime::{ClusterConfig, Output};
 use newtop_types::{GroupId, ProcessId, SendError, Span, SuspicionMode};
@@ -28,10 +28,17 @@ fn free_addrs(n: usize) -> Vec<SocketAddr> {
         .collect()
 }
 
-fn fast(mut cfg: ServeConfig) -> ServeConfig {
-    cfg.omega = Span::from_millis(5);
-    cfg.big_omega = Span::from_secs(30);
-    cfg
+/// `nodes` in `groups` with short nulls and a suspicion timeout no run
+/// here reaches.
+fn fast(nodes: u32, groups: u32) -> ClusterShape {
+    let mut shape = ClusterShape {
+        nodes,
+        groups,
+        ..ClusterShape::default()
+    };
+    shape.group.omega = Span::from_millis(5);
+    shape.group.big_omega = Span::from_secs(30);
+    shape
 }
 
 /// Drains every node's outputs until each group member has `expect`
@@ -84,13 +91,7 @@ fn three_peer_cluster_agrees_and_shuts_down() {
     let (nodes, groups) = (6u32, 2u32);
     let mut servers = Vec::new();
     for me in 0..3usize {
-        let cfg = fast(ServeConfig::new(
-            nodes,
-            groups,
-            peers.clone(),
-            ctrl.clone(),
-            me,
-        ));
+        let cfg = ServeConfig::new(fast(nodes, groups), peers.clone(), ctrl.clone(), me);
         servers.push(std::thread::spawn(move || serve(&cfg)));
     }
     let remote =
@@ -160,13 +161,7 @@ fn chaos_proxy_drop_delay_roundtrip_stays_exact() {
         } else {
             data.clone()
         };
-        let cfg = fast(ServeConfig::new(
-            nodes,
-            groups,
-            peers_view,
-            ctrl.clone(),
-            me,
-        ));
+        let cfg = ServeConfig::new(fast(nodes, groups), peers_view, ctrl.clone(), me);
         servers.push(std::thread::spawn(move || serve(&cfg)));
     }
     let remote =
@@ -240,7 +235,11 @@ fn proxied_pair(
         .into_iter()
         .enumerate()
         .map(|(me, view)| {
-            let mut cfg = ServeConfig::new(4, 1, view, ctrl.clone(), me);
+            let shape = ClusterShape {
+                nodes: 4,
+                ..ClusterShape::default()
+            };
+            let mut cfg = ServeConfig::new(shape, view, ctrl.clone(), me);
             tune(&mut cfg);
             std::thread::spawn(move || serve(&cfg))
         })
@@ -289,8 +288,8 @@ fn proxy_partition_splits_views_both_ways() {
             p.partition_for = Duration::from_secs(3);
         },
         |s| {
-            s.omega = Span::from_millis(5);
-            s.big_omega = Span::from_millis(500);
+            s.shape.group.omega = Span::from_millis(5);
+            s.shape.group.big_omega = Span::from_millis(500);
         },
     );
     let remote =
@@ -319,11 +318,13 @@ fn proxy_partition_splits_views_both_ways() {
 fn capped_links_deliver_without_view_changes() {
     let pair = proxied_pair(
         |p| p.rate_kbps = Some(200),
-        |s| s.suspicion = SuspicionMode::accrual(),
+        |s| s.shape.group.suspicion = SuspicionMode::accrual(),
     );
     let report = run_load(&LoadConfig {
-        nodes: 4,
-        groups: 1,
+        shape: ClusterShape {
+            nodes: 4,
+            ..ClusterShape::default()
+        },
         secs: 1.0,
         window: 32,
         host: HostKind::Tcp,
@@ -353,13 +354,7 @@ fn pipelined_verdicts_keep_their_slots() {
     let (nodes, groups) = (8u32, 2u32);
     let mut servers = Vec::new();
     for me in 0..2usize {
-        let mut cfg = fast(ServeConfig::new(
-            nodes,
-            groups,
-            peers.clone(),
-            ctrl.clone(),
-            me,
-        ));
+        let mut cfg = ServeConfig::new(fast(nodes, groups), peers.clone(), ctrl.clone(), me);
         // Serve 0 puts nodes 1 and 3 on shard 0, nodes 2 and 4 on shard 1.
         cfg.cluster = ClusterConfig::new().shards(2);
         servers.push(std::thread::spawn(move || serve(&cfg)));
@@ -442,13 +437,7 @@ fn pipelined_verdicts_keep_their_slots() {
 fn concurrent_submitters_keep_their_slots() {
     let addrs = free_addrs(2);
     let (nodes, groups) = (4u32, 2u32);
-    let cfg = fast(ServeConfig::new(
-        nodes,
-        groups,
-        vec![addrs[0]],
-        vec![addrs[1]],
-        0,
-    ));
+    let cfg = ServeConfig::new(fast(nodes, groups), vec![addrs[0]], vec![addrs[1]], 0);
     let server = std::thread::spawn(move || serve(&cfg));
     let remote = RemoteCluster::connect(&[addrs[1]], nodes, Duration::from_secs(15))
         .expect("client connects");

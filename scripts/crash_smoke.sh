@@ -18,14 +18,15 @@
 # Act 2 — zero false exclusions under latency spikes. A 3-process
 # cluster with the accrual suspicion detector enabled runs behind the
 # chaos proxy configured for *delay only* (random per-record holds up
-# to 10 ms, no drops, no partitions). Latency spikes must raise
+# to 120 ms, no drops, no partitions). Latency spikes must raise
 # suspicion levels, not trigger exclusions: `load --expect-stable`
 # exits nonzero if any view change occurs during the run. The proxy
 # holds each record from its own arrival and reads on meanwhile, so a
 # hold adds latency without delaying the records behind it: delivery
-# p99 reads about 11 ms with 10 ms holds. The paper assumes Ω exceeds
-# the transport's delay; Ω is 4 s, far above that, and half the 8 s
-# run, so a false exclusion still has time to show.
+# p99 reads about 100–110 ms with 120 ms holds, about Ω/14 at Ω 1.5 s.
+# The paper assumes Ω exceeds the transport's delay, and this is the
+# margin it gets here. A run whose p99 stays under half the longest
+# hold (60 ms) never felt the holds, and fails as a broken check.
 #
 # Usage: scripts/crash_smoke.sh [path-to-newtop-exp]
 set -euo pipefail
@@ -53,9 +54,19 @@ echo "crash_smoke: act 2 — accrual stability under latency spikes"
 # Delay-only proxy on the links into peer 2: spikes, never loss. Any
 # exclusion during the run is a false one: the only interference is
 # delay, and every process stays up.
+report="$(mktemp)"
 run_cluster crash_smoke "$(port_block)" \
-    "--seed 11 --delay-ms 10 --secs 60" \
-    "--omega-ms 10 --big-omega-ms 4000 --accrual" \
-    "--secs 8 --window 8 --expect-stable"
+    "--seed 11 --delay-ms 120 --secs 60" \
+    "--omega-ms 10 --big-omega-ms 1500 --accrual" \
+    "--secs 8 --window 8 --expect-stable" \
+    "$report"
+p99_ms="$(sed -n 's/^load latency.* p99 \([0-9.]*\) ms$/\1/p' "$report")"
+rm -f "$report"
+if ! awk -v p99="$p99_ms" 'BEGIN { exit !(p99 != "" && p99 >= 60) }'; then
+    echo "crash_smoke: act 2 p99 '${p99_ms}' ms is under half the 120 ms hold:" \
+        "the proxy's holds never reached the run" >&2
+    exit 1
+fi
+echo "crash_smoke: act 2 p99 ${p99_ms} ms (holds reached the run)"
 
 echo "crash_smoke: OK — rejoins green, zero false exclusions under latency spikes"

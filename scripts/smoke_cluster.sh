@@ -12,6 +12,10 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# The cluster run_cluster starts, given once to every serve process and
+# once to the load run that drives them.
+SHAPE=(--nodes 6 --groups 2)
+
 # Ports one block spans: run_cluster takes 7, `load --supervise` takes
 # 2·procs (6 for the three serve processes crash_smoke.sh runs).
 PORT_BLOCK=16
@@ -26,19 +30,21 @@ port_block() {
     echo $((10000 + RANDOM % ((32768 - 10000) / PORT_BLOCK) * PORT_BLOCK))
 }
 
-# run_cluster NAME BASE PROXY_ARGS SERVE_ARGS LOAD_ARGS
+# run_cluster NAME BASE PROXY_ARGS SERVE_ARGS LOAD_ARGS [REPORT]
 #
-# Starts three `serve` processes of a 6-node / 2-group cluster (every
-# group spans all three) on the seven loopback ports from BASE, with the
-# chaos proxy in front of peer 2's data port: peers 0 and 1 reach peer 2
-# only through it, peer 2 dials direct. Then drives the cluster with
+# Starts three `serve` processes of the SHAPE cluster (every group spans
+# all three) on the seven loopback ports from BASE, with the chaos proxy
+# in front of peer 2's data port: peers 0 and 1 reach peer 2 only
+# through it, peer 2 dials direct. Then drives the cluster with
 # `load --host tcp … --stop-peers` and waits for every serve process.
 # PROXY_ARGS, SERVE_ARGS and LOAD_ARGS are word-split and passed to the
-# proxy, to each serve process and to the load run. Returns nonzero if a
+# proxy, to each serve process and to the load run; the group config
+# goes in SERVE_ARGS, since the serve processes own it. The load report
+# is printed and, given REPORT, also written there. Returns nonzero if a
 # serve process exits nonzero; a failing load run fails the caller's
 # `set -e` script directly.
 run_cluster() {
-    local name="$1" base="$2" proxy_args serve_args load_args
+    local name="$1" base="$2" report="${6:-/dev/null}" proxy_args serve_args load_args
     read -ra proxy_args <<<"$3"
     read -ra serve_args <<<"$4"
     read -ra load_args <<<"$5"
@@ -57,14 +63,14 @@ run_cluster() {
         else
             view="$d0,$d1,$px"
         fi
-        "$BIN" serve --nodes 6 --groups 2 --peers "$view" --ctrl "$c0,$c1,$c2" \
+        "$BIN" serve "${SHAPE[@]}" --peers "$view" --ctrl "$c0,$c1,$c2" \
             --me "$me" "${serve_args[@]}" &
         serve_pids+=("$!")
         PIDS+=("$!")
     done
 
-    "$BIN" load --host tcp --peers "$c0,$c1,$c2" --nodes 6 --groups 2 \
-        "${load_args[@]}" --stop-peers
+    "$BIN" load --host tcp --peers "$c0,$c1,$c2" "${SHAPE[@]}" \
+        "${load_args[@]}" --stop-peers | tee "$report"
 
     local status=0 pid
     for pid in "${serve_pids[@]}"; do

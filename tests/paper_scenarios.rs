@@ -108,7 +108,6 @@ fn fig2_causal_chain_exclusion_precedes_dependent_delivery() {
     let h = cluster.history();
     let opts = CheckOptions {
         liveness: false, // the partition makes global liveness unattainable
-        ..CheckOptions::default()
     };
     let v = check_all(&h, &opts);
     assert!(v.is_empty(), "violations: {v:?}");
@@ -183,10 +182,7 @@ fn example3_partition_signed_views() {
     cluster.schedule_partition(Instant::from_micros(130_000), &[&[1, 2], &[3, 4]]);
     cluster.run_for(Span::from_millis(1_500));
     let h = cluster.history();
-    let opts = CheckOptions {
-        liveness: false,
-        ..CheckOptions::default()
-    };
+    let opts = CheckOptions { liveness: false };
     let v = check_all(&h, &opts);
     assert!(v.is_empty(), "violations: {v:?}");
     let view = |p: u32| cluster.proc(p).view(g).expect("member").clone();
