@@ -462,7 +462,8 @@ and group config given here.",
              as explicit backpressure")),
         switch("--supervise", |a| a.supervise = true,
             "spawn a real TCP cluster of serve processes and run seeded kill-9 / restart / \
-             rejoin cycles against it (ignores --host and --peers)"),
+             rejoin cycles against it; takes the shape, group and supervise flags and \
+             refuses the rest"),
         at_most(100, value("--cycles", "N", |a, v| num(v).map(|n| a.cycles = n),
             "supervise: kill/restart cycles (default 3)")),
         at_most(16, value("--procs", "P", |a, v| num(v).map(|p| a.procs = p),
@@ -474,25 +475,51 @@ and group config given here.",
     ],
 };
 
-/// The supervisor's config from `load`'s command line.
-fn supervisor_config(args: &LoadArgs) -> SupervisorConfig {
-    let mut shape = args.cfg.shape;
+/// The supervisor's config from `load`'s command line, validated. The
+/// supervised run spawns its own serves, which pick their shards and inbox
+/// bound, and drives its own traffic phases, which kill peers on purpose,
+/// so it refuses the `load` flags it would otherwise ignore, naming the
+/// flag.
+fn supervisor_config(args: &LoadArgs) -> Result<SupervisorConfig, String> {
+    let (cfg, unset) = (&args.cfg, LoadConfig::default());
+    let ignored = [
+        ("--host", cfg.host != unset.host),
+        ("--peers", !cfg.peers.is_empty()),
+        ("--shards", cfg.shards != unset.shards),
+        ("--inbox-cap", cfg.inbox_cap.is_some()),
+        ("--secs", cfg.secs != unset.secs),
+        ("--window", cfg.window != unset.window),
+        ("--stop-peers", cfg.stop_peers),
+        ("--expect-stable", args.expect_stable),
+    ];
+    if let Some((flag, _)) = ignored.iter().find(|(_, set)| *set) {
+        return Err(format!("--supervise does not take {flag}"));
+    }
+    let mut shape = cfg.shape;
     if !args.big_omega_set {
         shape.group.big_omega = SupervisorConfig::BIG_OMEGA;
     }
-    SupervisorConfig {
+    let cfg = SupervisorConfig {
         shape,
         procs: args.procs,
         cycles: args.cycles,
         seed: args.seed,
         port_base: args.port_base,
-    }
+    };
+    cfg.validate()?;
+    Ok(cfg)
 }
 
 /// `load --supervise`: the supervised crash-recovery scenario against a
 /// real spawned TCP cluster.
 fn supervise_main(args: &LoadArgs) -> ExitCode {
-    let cfg = supervisor_config(args);
+    let cfg = match supervisor_config(args) {
+        Ok(cfg) => cfg,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            return ExitCode::from(2);
+        }
+    };
     eprintln!(
         "supervise: {} nodes / {} groups over {} procs, {} kill/restart cycle(s), seed {}{}",
         cfg.shape.nodes,
@@ -1495,7 +1522,7 @@ mod tests {
         }
         fn load(a: &LoadArgs) -> Result<(), String> {
             if a.supervise {
-                supervisor_config(a).validate()
+                supervisor_config(a).map(drop)
             } else {
                 a.cfg.validate()
             }

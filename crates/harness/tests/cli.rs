@@ -94,6 +94,45 @@ fn tcp_load_refuses_the_flags_the_serves_decide() {
     }
 }
 
+/// `load --supervise` spawns its own serves and drives its own traffic
+/// phases, so it refuses the `load` flags it would ignore (exit 2, naming
+/// the flag), and an invalid shape, before it spawns anything.
+#[test]
+fn supervised_load_refuses_the_flags_it_ignores() {
+    let flags: [&[&str]; 8] = [
+        &["--shards", "2"],
+        &["--inbox-cap", "0"],
+        &["--window", "3"],
+        &["--secs", "99"],
+        &["--stop-peers"],
+        &["--expect-stable"],
+        &["--host", "tcp"],
+        &["--peers", "127.0.0.1:1"],
+    ];
+    for flag in flags {
+        let supervise = [
+            "load",
+            "--supervise",
+            "--cycles",
+            "0",
+            "--port-base",
+            "23456",
+        ];
+        let args = [&supervise[..], flag].concat();
+        let out = run(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag[0]), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: {stderr}");
+    }
+    // An invalid shape is a usage error too, not a failed run.
+    let out = run(&["load", "--supervise", "--procs", "1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("error: need at least 2 serve processes"));
+}
+
 /// The auto depth bound of the largest budgets saturates instead of
 /// overflowing; a zero wall-clock budget then stops before any state is
 /// checked, which is the inconclusive exit.

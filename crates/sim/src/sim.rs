@@ -1,10 +1,14 @@
 //! The discrete-event engine.
 //!
-//! Internally the engine addresses nodes by a dense compact index (assigned
-//! at [`Sim::add_node`] time): hot-path events (`Deliver`, `Wake`) carry the
-//! index, node state lives in an index-parallel `Vec`, and per-link FIFO
-//! clamping state is a dense `n × n` matrix — no map lookups or allocation
-//! on the per-event path. One scratch [`Outbox`] is reused across
+//! Nodes are addressed internally by a dense compact index (assigned at
+//! [`Sim::add_node`] time) into an index-parallel node table. Each
+//! directed link `src → dst` is one entry of a dense `n × n` link table:
+//! its FIFO clamp and its in-flight messages in send order. A frontier
+//! heap orders the link heads and the nodes' wake-ups by `(at, seq)`;
+//! scripted inputs, network changes and WAN completions wait in a second
+//! heap, and the run loop fires the earlier of the two tops. Entries left
+//! stale by [`Sim::fire`], crashes, partitions or cancelled timers are
+//! skipped when they surface. One scratch [`Outbox`] is reused across
 //! dispatches. The public API stays [`ProcessId`]-keyed.
 
 use crate::model::{LatencyModel, NetConfig, NetStats, PartitionMode, PartitionSpec};
@@ -13,7 +17,7 @@ use newtop_types::digest::DigestHasher;
 use newtop_types::{ConfigError, Instant, ProcessId, Span};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -191,20 +195,9 @@ pub enum PendingEvent {
 /// Compact per-`Sim` node index (position in the dense node table).
 type NodeIdx = u32;
 
-/// A queued event carrying messages of type `M` and node inputs of type
-/// `I`.
+/// A scripted event carrying node inputs of type `I`.
 #[derive(Clone)]
-enum EventKind<M, I> {
-    Deliver {
-        src: NodeIdx,
-        dst: NodeIdx,
-        departed: Instant,
-        msg: M,
-    },
-    Wake {
-        node: NodeIdx,
-        epoch: u64,
-    },
+enum EventKind<I> {
     /// A WAN transfer's scheduled completion. Stale when the transfer was
     /// re-shared or dropped since (epoch mismatch / freed slot).
     TransferDone {
@@ -216,28 +209,76 @@ enum EventKind<M, I> {
 }
 
 #[derive(Clone)]
-struct Event<M, I> {
+struct Event<I> {
     at: Instant,
     seq: u64,
-    kind: EventKind<M, I>,
+    kind: EventKind<I>,
 }
 
-impl<M, I> PartialEq for Event<M, I> {
+impl<I> PartialEq for Event<I> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<M, I> Eq for Event<M, I> {}
-impl<M, I> PartialOrd for Event<M, I> {
+impl<I> Eq for Event<I> {}
+impl<I> PartialOrd for Event<I> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<M, I> Ord for Event<M, I> {
+impl<I> Ord for Event<I> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest event.
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
+}
+
+/// A message on the wire: its arrival instant and event sequence number
+/// (its place in the global `(at, seq)` dispatch order), the instant it
+/// left the sender, and the payload.
+#[derive(Clone)]
+struct InFlight<M> {
+    at: Instant,
+    seq: u64,
+    departed: Instant,
+    msg: M,
+}
+
+/// One directed link `src → dst`. The clamp is the latest arrival ever
+/// scheduled on it; every new arrival lands strictly after it, so both
+/// `at` and `seq` strictly increase along `inflight`.
+#[derive(Clone)]
+struct Link<M> {
+    clamp: Instant,
+    inflight: VecDeque<InFlight<M>>,
+}
+
+impl<M> Link<M> {
+    /// The frontier entry for this link's head message, if it has one.
+    fn head(&self, src: NodeIdx, dst: NodeIdx) -> Option<Reverse<Head>> {
+        let m = self.inflight.front()?;
+        let (at, seq, slot) = (m.at, m.seq, Slot::Link(src, dst));
+        Some(Reverse(Head { at, seq, slot }))
+    }
+}
+
+/// What a frontier entry fires: the head of the link `src → dst`, or a
+/// node's wake-up.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Slot {
+    Link(NodeIdx, NodeIdx),
+    Wake(NodeIdx),
+}
+
+/// A frontier heap entry. It is live while it names its link's current
+/// head or its node's current wake-up (the same `(at, seq)`); otherwise it
+/// is stale and skipped when it reaches the top. Every non-empty link has
+/// exactly one live entry.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Head {
+    at: Instant,
+    seq: u64,
+    slot: Slot,
 }
 
 #[derive(Clone)]
@@ -245,8 +286,8 @@ struct NodeEntry<N> {
     id: ProcessId,
     node: N,
     crashed: bool,
-    wake_epoch: u64,
-    wake_at: Option<Instant>,
+    /// The live wake-up: its instant and its event sequence number.
+    wake: Option<(Instant, u64)>,
     /// Connectivity block under the current partition (`BLOCK_RESIDUAL` for
     /// nodes in the implicit residual block). Recomputed on every partition
     /// change so the per-send connectivity test is one integer compare.
@@ -276,7 +317,14 @@ type MsgSizer<M> = fn(&M) -> usize;
 pub struct Sim<N: SimNode, I = Call<N>> {
     now: Instant,
     seq: u64,
-    queue: BinaryHeap<Event<N::Msg, I>>,
+    /// Scripted inputs, network changes and WAN transfer completions.
+    queue: BinaryHeap<Event<I>>,
+    /// The link heads and wake-ups, earliest first (stale entries
+    /// included, see [`Head`]).
+    frontier: BinaryHeap<Reverse<Head>>,
+    /// The link table: `links[src * n + dst]` for node indices. Exactly
+    /// `n²` entries, however many partition or heal cycles a run sees.
+    links: Vec<Link<N::Msg>>,
     /// Dense node table, indexed by [`NodeIdx`] in insertion order.
     nodes: Vec<NodeEntry<N>>,
     /// `(id, idx)` sorted by id — the public-API translation table.
@@ -288,11 +336,6 @@ pub struct Sim<N: SimNode, I = Call<N>> {
     parked: ParkedLinks<N::Msg>,
     /// Directed links cut by [`Sim::cut_link`], by `(src, dst)` id.
     cut: BTreeSet<(ProcessId, ProcessId)>,
-    /// Dense per-link FIFO clamp state: `last_arrival[src * n + dst]` is the
-    /// latest arrival scheduled on that link. Bounded at `n²` by
-    /// construction (the `HashMap` it replaces grew an entry per ever-used
-    /// link and was never pruned across heal/partition cycles).
-    last_arrival: Vec<Instant>,
     /// The scratch outbox every callback writes into; flush drains it and
     /// keeps its capacity, so the hot path allocates nothing after warm-up.
     outbox: Outbox<N::Msg>,
@@ -319,6 +362,8 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
             now: Instant::ZERO,
             seq: 0,
             queue: BinaryHeap::new(),
+            frontier: BinaryHeap::new(),
+            links: Vec::new(),
             nodes: Vec::new(),
             lookup: Vec::new(),
             rng: StdRng::seed_from_u64(config.seed),
@@ -327,7 +372,6 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
             partition_mode: PartitionMode::Loss,
             parked: BTreeMap::new(),
             cut: BTreeSet::new(),
-            last_arrival: Vec::new(),
             outbox: Outbox::new(),
             stats: NetStats::default(),
             sizer: None,
@@ -402,12 +446,11 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
             id,
             node,
             crashed: false,
-            wake_epoch: 0,
-            wake_at: None,
+            wake: None,
             block,
         });
         self.lookup.insert(pos, (id, idx));
-        self.grow_fifo_matrix();
+        self.grow_links();
         if let Some(wan) = &mut self.wan {
             wan.attach_node(id);
         }
@@ -416,17 +459,27 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
         }
     }
 
-    /// Re-dimensions the FIFO clamp matrix after a node was added,
-    /// preserving existing per-link state.
-    fn grow_fifo_matrix(&mut self) {
+    /// Re-dimensions the link table after a node was added, keeping every
+    /// existing link. Frontier entries name links by node index, so they
+    /// stay valid.
+    fn grow_links(&mut self) {
         let n = self.nodes.len();
-        let old_n = n - 1;
-        let mut next = vec![Instant::ZERO; n * n];
-        for src in 0..old_n {
-            next[src * n..src * n + old_n]
-                .copy_from_slice(&self.last_arrival[src * old_n..(src + 1) * old_n]);
-        }
-        self.last_arrival = next;
+        let mut old = std::mem::take(&mut self.links).into_iter();
+        self.links = (0..n * n)
+            .map(|l| {
+                if l / n < n - 1 && l % n < n - 1 {
+                    old.next().expect("the old table is (n-1)²")
+                } else {
+                    let (clamp, inflight) = (Instant::ZERO, VecDeque::new());
+                    Link { clamp, inflight }
+                }
+            })
+            .collect();
+    }
+
+    /// Position of the link `src → dst` in the link table.
+    fn link_index(&self, src: NodeIdx, dst: NodeIdx) -> usize {
+        src as usize * self.nodes.len() + dst as usize
     }
 
     /// Immutable access to a node's behaviour.
@@ -477,15 +530,34 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
         self.stats
     }
 
-    /// Size of the per-link FIFO clamp state, in entries — a memory proxy
-    /// for tests: it must stay exactly `n²` no matter how many partition,
-    /// heal or latency episodes a long run goes through.
+    /// Size of the link table, in entries — a memory proxy for tests: it
+    /// must stay exactly `n²` no matter how many partition, heal or
+    /// latency episodes a long run goes through.
     #[must_use]
     pub fn fifo_state_entries(&self) -> usize {
-        self.last_arrival.len()
+        self.links.len()
     }
 
-    fn push(&mut self, at: Instant, kind: EventKind<N::Msg, I>) {
+    /// Whether every non-empty link has exactly one live frontier entry,
+    /// keyed by its head, and every link's queue strictly increases in
+    /// arrival and send order with no arrival past the link's clamp.
+    /// Audit hook; O(links × frontier).
+    #[must_use]
+    pub fn links_coherent(&self) -> bool {
+        let n = self.nodes.len();
+        self.links.iter().enumerate().all(|(l, link)| {
+            let q = &link.inflight;
+            let head = link.head((l / n) as NodeIdx, (l % n) as NodeIdx);
+            let live = self.frontier.iter().filter(|h| Some(**h) == head).count();
+            live == usize::from(head.is_some())
+                && q.iter()
+                    .zip(q.iter().skip(1))
+                    .all(|(a, b)| a.at < b.at && a.seq < b.seq)
+                && q.iter().all(|m| m.at <= link.clamp)
+        })
+    }
+
+    fn push(&mut self, at: Instant, kind: EventKind<I>) {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Event { at, seq, kind });
@@ -494,7 +566,7 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
     /// Queues an outside input at `at` — the one path every scheduled
     /// input takes. An instant already passed means now: the clock never
     /// runs backwards.
-    fn schedule_event(&mut self, at: Instant, kind: EventKind<N::Msg, I>) {
+    fn schedule_event(&mut self, at: Instant, kind: EventKind<I>) {
         self.push(at.max(self.now), kind);
     }
 
@@ -525,18 +597,7 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
     /// advances the clock to `until` (an `until` already passed leaves the
     /// clock where it is).
     pub fn run_until(&mut self, until: Instant) {
-        loop {
-            let Some(top) = self.queue.peek_mut() else {
-                break;
-            };
-            if top.at > until {
-                break;
-            }
-            let ev = PeekMut::pop(top);
-            debug_assert!(ev.at >= self.now, "event time went backwards");
-            self.now = ev.at;
-            self.dispatch(ev);
-        }
+        while self.step_until(until) {}
         self.now = self.now.max(until);
     }
 
@@ -545,17 +606,62 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
         self.run_until(self.now + span);
     }
 
-    /// Processes exactly one event, returning `false` when the queue is
-    /// empty.
+    /// Processes exactly one event, returning `false` when none is left.
     pub fn step(&mut self) -> bool {
-        match self.queue.pop() {
-            None => false,
-            Some(ev) => {
-                self.now = ev.at;
-                self.dispatch(ev);
-                true
+        self.step_until(Instant::FAR_FUTURE)
+    }
+
+    /// Dispatches the earliest live event due at or before `until`: the
+    /// smaller `(at, seq)` of the two heap tops, skipping stale frontier
+    /// entries. Returns `false` when no event is due.
+    fn step_until(&mut self, until: Instant) -> bool {
+        loop {
+            let scripted = self.queue.peek().map(|e| (e.at, e.seq));
+            let head = self.frontier.peek().map(|h| (h.0.at, h.0.seq));
+            let next = head.into_iter().chain(scripted).min();
+            if next.is_none_or(|(at, _)| at > until) {
+                return false;
+            }
+            if next == scripted {
+                let ev = self.queue.pop().expect("peeked");
+                self.now = self.now.max(ev.at);
+                self.dispatch(ev.kind);
+                return true;
+            }
+            if self.fire_frontier_top() {
+                return true;
             }
         }
+    }
+
+    /// Fires the frontier's top entry: delivers its link's head, re-keying
+    /// the entry in place to the link's next message, or runs its wake-up.
+    /// Returns `false` (popping the entry) if it is stale.
+    fn fire_frontier_top(&mut self) -> bool {
+        let n = self.nodes.len();
+        let mut top = self.frontier.peek_mut().expect("caller peeked");
+        let Reverse(head) = *top;
+        let (src, dst) = match head.slot {
+            Slot::Link(src, dst) => (src, dst),
+            Slot::Wake(node) => {
+                PeekMut::pop(top);
+                return self.wake(node, (head.at, head.seq));
+            }
+        };
+        let link = &mut self.links[src as usize * n + dst as usize];
+        if link.inflight.front().map(|m| m.seq) != Some(head.seq) {
+            PeekMut::pop(top);
+            return false;
+        }
+        let m = link.inflight.pop_front().expect("live head");
+        if let Some(next) = link.head(src, dst) {
+            *top = next; // re-keyed in place: one sift instead of a pop and a push
+            drop(top);
+        } else {
+            PeekMut::pop(top);
+        }
+        self.deliver(src, dst, m);
+        true
     }
 
     /// Runs one callback on node `idx`, puts the sends it queued on the
@@ -569,35 +675,42 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
         self.refresh_wake(idx);
     }
 
-    fn dispatch(&mut self, ev: Event<N::Msg, I>) {
-        match ev.kind {
-            EventKind::Deliver { src, dst, msg, .. } => {
-                if self.nodes[dst as usize].crashed {
-                    self.stats.dropped_crash_dst += 1;
-                    return;
-                }
-                self.stats.delivered += 1;
-                let from = self.nodes[src as usize].id;
-                let now = self.now;
-                self.run_node(dst, |n, out| n.on_message(now, from, msg, out));
-            }
-            EventKind::Wake { node, epoch } => {
-                {
-                    let entry = &mut self.nodes[node as usize];
-                    if entry.crashed || entry.wake_epoch != epoch {
-                        return; // stale or dead
-                    }
-                    entry.wake_at = None;
-                }
-                let now = self.now;
-                self.run_node(node, |n, out| n.on_tick(now, out));
-            }
+    fn dispatch(&mut self, kind: EventKind<I>) {
+        match kind {
             EventKind::TransferDone { id, epoch } => self.wan_transfer_done(id, epoch),
             EventKind::Net(op) => self.apply(op),
             EventKind::Input(p, input) => {
                 self.apply_input(p, input);
             }
         }
+    }
+
+    /// Delivers `m`, just taken off the link `src → dst`, at its arrival
+    /// instant (or now, if that is later).
+    fn deliver(&mut self, src: NodeIdx, dst: NodeIdx, m: InFlight<N::Msg>) {
+        self.now = self.now.max(m.at); // under `fire` an event may run late
+        if self.nodes[dst as usize].crashed {
+            self.stats.dropped_crash_dst += 1;
+            return;
+        }
+        self.stats.delivered += 1;
+        let from = self.nodes[src as usize].id;
+        let now = self.now;
+        self.run_node(dst, |n, out| n.on_message(now, from, m.msg, out));
+    }
+
+    /// Runs `node`'s wake-up if `key` is still its live one; `false` for a
+    /// stale or dead wake-up.
+    fn wake(&mut self, node: NodeIdx, key: (Instant, u64)) -> bool {
+        let entry = &mut self.nodes[node as usize];
+        if entry.crashed || entry.wake != Some(key) {
+            return false;
+        }
+        entry.wake = None;
+        self.now = self.now.max(key.0);
+        let now = self.now;
+        self.run_node(node, |n, out| n.on_tick(now, out));
+        true
     }
 
     /// Applies an input to node `p` at the current instant (the
@@ -674,35 +787,22 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
     }
 
     /// Removes the in-flight messages of every link `severed` selects:
-    /// queued deliveries in (arrival, send) order, then WAN transfers in
-    /// per-flow send order, flows by id.
+    /// link by link, each in send order, then WAN transfers in per-flow
+    /// send order, flows by id. The links' frontier entries go stale.
     fn take_inflight(
         &mut self,
         severed: impl Fn(NodeIdx, NodeIdx) -> bool,
     ) -> Vec<((ProcessId, ProcessId), Instant, N::Msg)> {
-        let mut kept: Vec<Event<N::Msg, I>> = Vec::with_capacity(self.queue.len());
-        let mut crossing: Vec<(Instant, u64, NodeIdx, NodeIdx, Instant, N::Msg)> = Vec::new();
-        for ev in self.queue.drain() {
-            match ev.kind {
-                EventKind::Deliver {
-                    src,
-                    dst,
-                    departed,
-                    msg,
-                } if severed(src, dst) => {
-                    crossing.push((ev.at, ev.seq, src, dst, departed, msg));
-                }
-                kind => kept.push(Event { kind, ..ev }),
+        let n = self.nodes.len();
+        let mut taken = Vec::new();
+        for (l, link) in self.links.iter_mut().enumerate() {
+            if !link.inflight.is_empty() && severed((l / n) as NodeIdx, (l % n) as NodeIdx) {
+                let key = (self.nodes[l / n].id, self.nodes[l % n].id);
+                taken.extend(link.inflight.drain(..).map(|m| (key, m.departed, m.msg)));
             }
         }
-        self.queue = kept.into_iter().collect();
-        crossing.sort_by_key(|(at, seq, ..)| (*at, *seq));
         let flows = self.with_wan(|wan, now, sched| wan.take_crossing(now, sched, &severed));
         let ids = |s: NodeIdx, d: NodeIdx| (self.nodes[s as usize].id, self.nodes[d as usize].id);
-        let mut taken: Vec<_> = crossing
-            .into_iter()
-            .map(|(_, _, s, d, departed, msg)| (ids(s, d), departed, msg))
-            .collect();
         let Some(flows) = flows else {
             return taken;
         };
@@ -711,7 +811,7 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
             .map(|(s, d, departed, msg, size)| (ids(s, d), departed, msg, size))
             .collect();
         // Canonical order: per-flow send order, flows by id — the same
-        // discipline the queue scan imposes via (at, seq).
+        // discipline the link walk follows.
         flows.sort_by_key(|t| (t.0, t.1));
         for (key, departed, msg, size) in flows {
             self.stats.wan_inflight = self.stats.wan_inflight.saturating_sub(1);
@@ -743,16 +843,32 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
         }
     }
 
-    fn clamp_fifo(&mut self, src: NodeIdx, dst: NodeIdx, arrival: Instant) -> Instant {
-        let n = self.nodes.len();
-        let cell = &mut self.last_arrival[src as usize * n + dst as usize];
-        let clamped = if arrival <= *cell {
-            *cell + Span::from_micros(1)
-        } else {
-            arrival
-        };
-        *cell = clamped;
-        clamped
+    /// Puts `msg` on the link `src → dst` to arrive at `arrival`, clamped
+    /// past the link's latest arrival so the link stays FIFO. A message
+    /// that becomes the link's head enters the frontier.
+    fn enqueue(
+        &mut self,
+        src: NodeIdx,
+        dst: NodeIdx,
+        arrival: Instant,
+        departed: Instant,
+        msg: N::Msg,
+    ) {
+        let seq = self.seq;
+        self.seq += 1;
+        let l = self.link_index(src, dst);
+        let link = &mut self.links[l];
+        let at = arrival.max(link.clamp + Span::from_micros(1));
+        link.clamp = at;
+        link.inflight.push_back(InFlight {
+            at,
+            seq,
+            departed,
+            msg,
+        });
+        if link.inflight.len() == 1 {
+            self.frontier.extend(link.head(src, dst));
+        }
     }
 
     fn flush_outbox(&mut self, src: NodeIdx) {
@@ -820,16 +936,7 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
             self.wan_admit(src, dst, departed, msg);
             return;
         };
-        let arrival = self.clamp_fifo(src, dst, arrival);
-        self.push(
-            arrival,
-            EventKind::Deliver {
-                src,
-                dst,
-                departed,
-                msg,
-            },
-        );
+        self.enqueue(src, dst, arrival, departed, msg);
     }
 
     /// Pushes a WAN completion schedule as `TransferDone` events, returning
@@ -918,16 +1025,7 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
             // resequencing transport would impose (see `crate::wan` docs).
             arrival += Span::from_micros(self.rng.gen_range(1..=hold_us));
         }
-        let arrival = self.clamp_fifo(src, dst, arrival);
-        self.push(
-            arrival,
-            EventKind::Deliver {
-                src,
-                dst,
-                departed,
-                msg,
-            },
-        );
+        self.enqueue(src, dst, arrival, departed, msg);
     }
 
     fn refresh_wake(&mut self, idx: NodeIdx) {
@@ -935,29 +1033,19 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
         if entry.crashed {
             return;
         }
-        let want = entry.node.next_deadline();
-        match want {
-            None => {
-                if entry.wake_at.is_some() {
-                    entry.wake_epoch += 1; // cancel outstanding wake
-                    entry.wake_at = None;
-                }
-            }
-            Some(d) => {
-                let d = if d <= self.now {
-                    self.now + Span::from_micros(1)
-                } else {
-                    d
-                };
-                if entry.wake_at == Some(d) {
-                    return;
-                }
-                entry.wake_epoch += 1;
-                entry.wake_at = Some(d);
-                let epoch = entry.wake_epoch;
-                self.push(d, EventKind::Wake { node: idx, epoch });
-            }
+        let Some(d) = entry.node.next_deadline() else {
+            entry.wake = None; // its frontier entry goes stale
+            return;
+        };
+        let d = d.max(self.now + Span::from_micros(1));
+        if entry.wake.is_some_and(|(at, _)| at == d) {
+            return;
         }
+        let seq = self.seq;
+        self.seq += 1;
+        entry.wake = Some((d, seq));
+        let slot = Slot::Wake(idx);
+        self.frontier.push(Reverse(Head { at: d, seq, slot }));
     }
 
     /// Cuts the directed link `src → dst`: its in-flight and parked
@@ -991,17 +1079,16 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
         // Messages still in p's send pipeline (departure after the crash
         // instant) never make it onto the wire.
         let now = self.now;
-        let before = self.queue.len();
-        let kept: Vec<Event<N::Msg, I>> = self
-            .queue
-            .drain()
-            .filter(|ev| match &ev.kind {
-                EventKind::Deliver { src, departed, .. } => !(*src == idx && *departed > now),
-                _ => true,
-            })
-            .collect();
-        self.stats.dropped_crash_src += (before - kept.len()) as u64;
-        self.queue = kept.into_iter().collect();
+        for dst in 0..self.nodes.len() as NodeIdx {
+            let l = self.link_index(idx, dst);
+            let link = &mut self.links[l];
+            let (head, before) = (link.inflight.front().map(|m| m.seq), link.inflight.len());
+            link.inflight.retain(|m| m.departed <= now);
+            self.stats.dropped_crash_src += (before - link.inflight.len()) as u64;
+            if link.inflight.front().map(|m| m.seq) != head {
+                self.frontier.extend(link.head(idx, dst));
+            }
+        }
         // Uplink-stage transfers of the crashed sender were still
         // transmitting out of the host — they never fully departed,
         // whatever their nominal departure instant. Trunk-stage transfers
@@ -1030,36 +1117,33 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
 
     /// The frontier of schedulable events: the FIFO head of every link with
     /// a live (non-crashed) destination, plus every live node's pending
-    /// timer wake-up. Returned in deterministic order (delivers by link,
-    /// then wakes by node id). An external strategy picks one and hands it
-    /// to [`Sim::fire`]; repeatedly firing the earliest frontier event is
-    /// equivalent to [`Sim::run_until`]'s fixed priority-queue order.
+    /// timer wake-up. Returned in deterministic order (delivers by link
+    /// `(src id, dst id)`, then wakes by node id). An external strategy
+    /// picks one and hands it to [`Sim::fire`].
+    ///
+    /// Repeatedly firing the earliest entry replays [`Sim::run_until`]
+    /// exactly as long as no two entries share an instant: at a tie
+    /// `run_until` fires the event scheduled first, while this list orders
+    /// tied entries by link and node id. Scheduled inputs and network
+    /// changes are not on the frontier, nor are messages to a crashed
+    /// destination, which `run_until` drops on arrival.
     #[must_use]
     pub fn pending_events(&self) -> Vec<PendingEvent> {
-        let mut heads: BTreeMap<(ProcessId, ProcessId), (Instant, u64)> = BTreeMap::new();
-        for ev in self.queue.iter() {
-            if let EventKind::Deliver { src, dst, .. } = &ev.kind {
-                if self.nodes[*dst as usize].crashed {
-                    continue;
-                }
-                let key = (self.nodes[*src as usize].id, self.nodes[*dst as usize].id);
-                let cand = (ev.at, ev.seq);
-                let slot = heads.entry(key).or_insert(cand);
-                if cand < *slot {
-                    *slot = cand;
+        let mut out = Vec::new();
+        for &(src, s) in &self.lookup {
+            for &(dst, d) in &self.lookup {
+                let head = self.links[self.link_index(s, d)].inflight.front();
+                if let (Some(m), false) = (head, self.nodes[d as usize].crashed) {
+                    out.push(PendingEvent::Deliver { src, dst, at: m.at });
                 }
             }
         }
-        let mut out: Vec<PendingEvent> = heads
-            .into_iter()
-            .map(|((src, dst), (at, _))| PendingEvent::Deliver { src, dst, at })
-            .collect();
         for (id, idx) in &self.lookup {
             let entry = &self.nodes[*idx as usize];
             if entry.crashed {
                 continue;
             }
-            if let Some(at) = entry.wake_at {
+            if let Some((at, _)) = entry.wake {
                 out.push(PendingEvent::Wake { node: *id, at });
             }
         }
@@ -1076,44 +1160,31 @@ impl<N: SimNode, I: NodeInput<N>> Sim<N, I> {
     /// unchanged) if no matching event is pending — e.g. a stale choice
     /// replayed against a shrunk schedule.
     pub fn fire(&mut self, ev: PendingEvent) -> bool {
-        // A delivery on `src → dst` is keyed `(src, dst, None)`, the live
-        // wake of `node` `(node, node, Some(epoch))`.
-        let key = match ev {
-            PendingEvent::Deliver { src, dst, .. } => match (self.idx_of(src), self.idx_of(dst)) {
-                (Some(s), Some(d)) => (s, d, None),
-                _ => return false,
-            },
+        match ev {
+            PendingEvent::Deliver { src, dst, .. } => {
+                let (Some(s), Some(d)) = (self.idx_of(src), self.idx_of(dst)) else {
+                    return false;
+                };
+                let l = self.link_index(s, d);
+                let link = &mut self.links[l];
+                let Some(m) = link.inflight.pop_front() else {
+                    return false;
+                };
+                // The popped head's entry goes stale; the new head's enters.
+                self.frontier.extend(link.head(s, d));
+                self.deliver(s, d, m);
+                true
+            }
             PendingEvent::Wake { node, .. } => {
                 let Some(idx) = self.idx_of(node) else {
                     return false;
                 };
-                let entry = &self.nodes[idx as usize];
-                if entry.crashed || entry.wake_at.is_none() {
-                    return false;
+                match self.nodes[idx as usize].wake {
+                    Some(key) => self.wake(idx, key),
+                    None => false,
                 }
-                (idx, idx, Some(entry.wake_epoch))
             }
-        };
-        let head = self.queue.iter().filter(|e| match e.kind {
-            EventKind::Deliver { src, dst, .. } => key == (src, dst, None),
-            EventKind::Wake { node, epoch } => key == (node, node, Some(epoch)),
-            _ => false,
-        });
-        let Some((_, seq)) = head.map(|e| (e.at, e.seq)).min() else {
-            return false;
-        };
-        let mut events = std::mem::take(&mut self.queue).into_vec();
-        let pos = events
-            .iter()
-            .position(|e| e.seq == seq)
-            .expect("selected frontier event is in the queue");
-        let event = events.swap_remove(pos);
-        self.queue = events.into();
-        if event.at > self.now {
-            self.now = event.at;
         }
-        self.dispatch(event);
-        true
     }
 }
 
@@ -1160,40 +1231,32 @@ where
         self.nodes.len().hash(&mut h);
         for (id, idx) in &self.lookup {
             let entry = &self.nodes[*idx as usize];
-            (id, entry.crashed, entry.wake_at, entry.block, &entry.node).hash(&mut h);
+            let wake_at = entry.wake.map(|(at, _)| at);
+            (id, entry.crashed, wake_at, entry.block, &entry.node).hash(&mut h);
         }
         self.partition_mode.hash(&mut h);
-        // In-flight messages in canonical order. (src, dst, at) is unique
-        // per message: the FIFO clamp spaces same-link arrivals apart.
-        let mut inflight: Vec<(ProcessId, ProcessId, Instant, Instant, &N::Msg)> = Vec::new();
-        let mut scripted = 0u64;
-        for ev in self.queue.iter() {
-            match &ev.kind {
-                EventKind::Deliver {
-                    src,
-                    dst,
-                    departed,
-                    msg,
-                } => {
-                    inflight.push((
-                        self.nodes[*src as usize].id,
-                        self.nodes[*dst as usize].id,
-                        ev.at,
-                        *departed,
-                        msg,
-                    ));
+        // In-flight messages link by link in `(src id, dst id)` order, each
+        // link in arrival order, hashed as one length-prefixed sequence.
+        let (n, inflight) = (
+            self.nodes.len(),
+            self.links.iter().map(|l| l.inflight.len()),
+        );
+        inflight.sum::<usize>().hash(&mut h);
+        for &(src, s) in &self.lookup {
+            for &(dst, d) in &self.lookup {
+                for m in &self.links[s as usize * n + d as usize].inflight {
+                    (src, dst, m.at, m.departed, &m.msg).hash(&mut h);
                 }
-                // Only the current-epoch wake is live, and it is already
-                // digested through `wake_at` above; stale epochs are inert.
-                EventKind::Wake { .. } => {}
-                _ => scripted += 1,
             }
         }
-        inflight.sort_by_key(|(src, dst, at, ..)| (*src, *dst, *at));
-        inflight.hash(&mut h);
-        scripted.hash(&mut h);
+        // Only each node's live wake-up is pending, digested above.
+        (self.queue.len() as u64).hash(&mut h);
         self.parked.hash(&mut h);
-        self.last_arrival.hash(&mut h);
+        // The clamps in link-table order, as one length-prefixed sequence.
+        self.links.len().hash(&mut h);
+        for link in &self.links {
+            link.clamp.hash(&mut h);
+        }
         self.cut.hash(&mut h);
         h.finish()
     }
@@ -1213,6 +1276,7 @@ impl<N: SimNode, I> std::fmt::Debug for Sim<N, I> {
             .field("now", &self.now)
             .field("nodes", &self.nodes.len())
             .field("queued", &self.queue.len())
+            .field("frontier", &self.frontier.len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -1514,9 +1578,10 @@ mod tests {
 
     #[test]
     fn fifo_state_stays_bounded_across_heal_partition_cycles() {
-        // Regression: `last_arrival` was an unbounded `HashMap` that grew an
-        // entry per ever-used link and was never pruned across heal/depart
-        // cycles. The dense matrix must hold exactly n² entries forever.
+        // Regression: the FIFO clamps once lived in an unbounded `HashMap`
+        // that grew an entry per ever-used link and was never pruned across
+        // heal/depart cycles. The link table must hold exactly n² entries
+        // forever.
         let mut sim = two_node_sim(13, LatencyModel::Fixed(Span::from_micros(200)));
         let n2 = sim.fifo_state_entries();
         assert_eq!(n2, 4);
@@ -1678,6 +1743,27 @@ mod tests {
     }
 
     #[test]
+    fn crash_keeps_released_messages_behind_an_undeparted_head() {
+        let mut sim = controlled_sim();
+        let split = |ids: &[u32]| PartitionSpec::split(ids.iter().map(|&i| p(i)));
+        sim.apply(NetOp::Partition(split(&[1]), PartitionMode::Delay));
+        sim.invoke(p(1), |_, out| out.send(p(2), 1)); // parked, departs at 10
+        sim.run_until(Instant::from_micros(100));
+        // P1 and P2 share a block now, but 1 stays parked until the heal.
+        sim.apply(NetOp::Partition(split(&[1, 2]), PartitionMode::Delay));
+        sim.invoke(p(1), |_, out| out.send(p(2), 2)); // departs at 110
+        sim.apply(NetOp::Heal); // 1 queues behind 2 on the link
+        sim.apply(NetOp::Crash(p(1))); // 2 never left P1; 1 did
+        assert!(
+            sim.links_coherent(),
+            "the link's new head is on the frontier"
+        );
+        sim.run_until(Instant::from_micros(1_000));
+        assert_eq!(got(&sim, 2), vec![(211, 1)]);
+        assert_eq!(sim.stats().dropped_crash_src, 1);
+    }
+
+    #[test]
     fn frontier_hides_crashed_destinations() {
         let mut sim = controlled_sim();
         assert!(sim.invoke(p(1), |_, out| {
@@ -1821,6 +1907,134 @@ mod tests {
         // The crossing message in flight (1) and the crossing send (2) are lost.
         assert_eq!(got(&sim, 3), vec![(1, 3), (2, 4)]);
         assert_eq!(sim.stats().dropped_partition, 2);
+    }
+
+    /// Sends `k - 1` on to two neighbours and arms a timer on some
+    /// arrivals; a tick sends once more. Drives multi-hop schedules.
+    #[derive(Hash)]
+    struct Relay {
+        me: u32,
+        seen: Vec<(Instant, ProcessId, u64)>,
+        deadline: Option<Instant>,
+    }
+
+    impl SimNode for Relay {
+        type Msg = u64;
+        fn on_message(&mut self, now: Instant, from: ProcessId, k: u64, out: &mut Outbox<u64>) {
+            self.seen.push((now, from, k));
+            if k > 0 {
+                out.send(p(self.me % 4 + 1), k - 1);
+                out.send(p((self.me + 1) % 4 + 1), k - 1);
+            }
+            if k > 0 && k.is_multiple_of(3) && self.deadline.is_none() {
+                self.deadline = Some(now + Span::from_micros(50 + k * 7));
+            }
+        }
+        fn on_tick(&mut self, _now: Instant, out: &mut Outbox<u64>) {
+            self.deadline = None;
+            out.send(p(self.me % 4 + 1), 0);
+        }
+        fn next_deadline(&self) -> Option<Instant> {
+            self.deadline
+        }
+    }
+
+    #[test]
+    fn firing_the_earliest_frontier_entry_replays_run_until_when_tie_free() {
+        let relays = || {
+            let (lo, hi) = (Span::from_micros(1), Span::from_secs(1));
+            let mut sim: Sim<Relay> =
+                Sim::new(NetConfig::new(5).with_latency(LatencyModel::Uniform { lo, hi }));
+            for me in 1..=4 {
+                let (seen, deadline) = (Vec::new(), None);
+                sim.add_node(p(me), Relay { me, seen, deadline });
+            }
+            for me in 1..=4 {
+                sim.invoke(p(me), |_, out| out.send(p(me % 4 + 1), 6));
+            }
+            sim
+        };
+        let at = |e: &PendingEvent| match *e {
+            PendingEvent::Deliver { at, .. } | PendingEvent::Wake { at, .. } => at,
+        };
+        let mut fired = relays();
+        let mut steps = 0;
+        while let Some(first) = fired.pending_events().into_iter().min_by_key(at) {
+            let frontier = fired.pending_events();
+            let ties = frontier.iter().filter(|e| at(e) == at(&first)).count();
+            assert_eq!(ties, 1, "the schedule must be tie-free: {frontier:?}");
+            assert!(fired.fire(first));
+            assert!(fired.links_coherent());
+            steps += 1;
+        }
+        assert!(steps > 500, "a multi-hop schedule ({steps} events)");
+        let mut ran = relays();
+        ran.run_until(fired.now());
+        let logs =
+            |sim: &Sim<Relay>| -> Vec<_> { sim.nodes().map(|(_, n)| n.seen.clone()).collect() };
+        assert_eq!(logs(&fired), logs(&ran));
+        assert_eq!(fired.state_digest(), ran.state_digest());
+        assert_eq!(fired.stats(), ran.stats());
+    }
+
+    /// Messages on the wire or parked; with every send addressed to a known
+    /// node, `sent` is this plus what was delivered or dropped.
+    fn unsettled(sim: &Sim<Recorder>) -> u64 {
+        let inflight: usize = sim.links.iter().map(|l| l.inflight.len()).sum();
+        let parked: usize = sim.parked.values().map(VecDeque::len).sum();
+        (inflight + parked) as u64
+    }
+
+    proptest::proptest! {
+        /// The link table stays coherent after every operation of a random
+        /// mix of sends under random latency, out-of-order fires, runs,
+        /// crashes, Loss and Delay partitions with heal, and link cuts; and
+        /// every message sent is delivered, dropped, parked or in flight.
+        #[test]
+        fn link_table_stays_coherent_and_stats_balance(
+            ops in proptest::collection::vec((0u32..12, 1u32..=4, 1u32..=4, 0u64..6), 1..120),
+        ) {
+            let (lo, hi) = (Span::from_micros(1), Span::from_micros(400));
+            let net = NetConfig::new(ops.len() as u64).with_latency(LatencyModel::Uniform { lo, hi });
+            let mut sim: Sim<Recorder> = Sim::new(net.with_send_overhead(Span::from_micros(3)));
+            for i in 1..=4 {
+                sim.add_node(p(i), Recorder::new());
+            }
+            for (kind, a, b, k) in ops {
+                match kind {
+                    0..=3 => {
+                        sim.invoke(p(a), |n, out| {
+                            (0..k).for_each(|m| out.send(p(1 + (b + m as u32) % 4), m));
+                            n.deadline = Some(Instant::from_micros(k * 90));
+                        });
+                    }
+                    4 | 5 => {
+                        let frontier = sim.pending_events();
+                        if let Some(ev) = frontier.get(((a * b) as usize) % frontier.len().max(1)) {
+                            proptest::prop_assert!(sim.fire(*ev));
+                        }
+                    }
+                    6 => sim.run_for(Span::from_micros(k * 40)),
+                    7 if k == 0 => sim.apply(NetOp::Crash(p(a))),
+                    7 => {}
+                    8 => {
+                        let mode = [PartitionMode::Loss, PartitionMode::Delay][(k % 2) as usize];
+                        sim.apply(NetOp::Partition(PartitionSpec::split([p(a), p(b)]), mode));
+                    }
+                    9 => sim.apply(NetOp::Heal),
+                    10 => {
+                        sim.cut_link(p(a), p(b));
+                    }
+                    _ => {
+                        sim.restore_link(p(a), p(b));
+                    }
+                }
+                proptest::prop_assert!(sim.links_coherent());
+                let s = sim.stats();
+                let settled = s.delivered + s.dropped_crash_src + s.dropped_crash_dst;
+                proptest::prop_assert_eq!(s.sent, settled + s.dropped_partition + unsettled(&sim));
+            }
+        }
     }
 
     // ------------------------------------------------------------------

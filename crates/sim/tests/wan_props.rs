@@ -3,8 +3,8 @@
 //! bandwidth, high-variance latency and the reorder knob, and the transfer
 //! counters must balance exactly at quiescence.
 //!
-//! The clamp under test is the same `last_arrival` FIFO clamp the classic
-//! path uses — the WAN path feeds it scheduled arrivals that already went
+//! The clamp under test is the same per-link FIFO clamp the classic path
+//! uses — the WAN path feeds it scheduled arrivals that already went
 //! through two bandwidth stages and a reorder hold, so these runs exercise
 //! far wilder candidate arrival times than the constant-latency model
 //! ever produces. Failures reproduce exactly from the printed inputs.
@@ -94,8 +94,12 @@ proptest! {
             }
         });
         // Generous horizon: worst case ~60 msgs * 257 B over two 2 kB/s
-        // stages is ~15 s of virtual time.
-        sim.run_until(Instant::from_micros(300_000_000));
+        // stages is ~15 s of virtual time. The link table is audited
+        // every 100 ms on the way.
+        for t in 1..=3_000 {
+            sim.run_until(Instant::from_micros(t * 100_000));
+            prop_assert!(sim.links_coherent());
+        }
 
         let seen = &sim.node(p(2)).unwrap().seen;
         assert_per_link_fifo(seen);
