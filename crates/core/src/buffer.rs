@@ -119,54 +119,48 @@ impl Hash for DeliveryBuffer {
 /// any missing m is unstable, so would not have been discarded").
 ///
 /// Each sender's messages arrive in number order over its FIFO link, so
-/// they are kept as one run per sender (senders sorted by id, each run
-/// strictly increasing in `c`): retaining a message is a `push_back`,
-/// stability garbage collection pops only the stable fronts, and the
-/// step-(viii) discard pops from the back. None of these allocates once a
-/// run has grown to its working size. A run can be empty; the digest and
-/// the size queries treat an empty run as an absent sender.
+/// they are kept as one run per group member, indexed by the member's
+/// slot: its position among the group's members in ascending id order,
+/// the index the receive path has already looked up for the receive
+/// vector. Each run is strictly increasing in `c`: retaining a message is
+/// a `push_back`, stability garbage collection pops only the stable
+/// fronts, and the step-(viii) discard pops from the back. None of these
+/// searches or allocates once a run has grown to its working size. The
+/// digest and the size queries treat an empty run as an absent sender.
+/// A method given a `slot` out of range panics.
 #[derive(Debug, Clone, Default)]
 pub struct RetentionStore {
-    runs: Vec<(ProcessId, VecDeque<Arc<Message>>)>,
+    runs: Vec<VecDeque<Arc<Message>>>,
 }
 
 impl RetentionStore {
-    /// An empty store.
+    /// A store with one empty run for each of `members` slots.
     #[must_use]
-    pub fn new() -> RetentionStore {
-        RetentionStore::default()
+    pub fn new(members: usize) -> RetentionStore {
+        RetentionStore {
+            runs: vec![VecDeque::new(); members],
+        }
     }
 
-    /// Position of `sender`'s run (`Err`: where it would be inserted).
-    fn find(&self, sender: ProcessId) -> Result<usize, usize> {
-        self.runs.binary_search_by_key(&sender, |(s, _)| *s)
-    }
-
-    /// Retains `m` under its transport sender. The common case shares the
-    /// caller's reference; only a refute carrying a recovery piggyback is
-    /// copied, with the piggyback stripped (the inner messages are retained
-    /// individually by every receiver, so re-carrying them nested inside
-    /// retained refutes would only compound memory).
+    /// Retains `m` in the run at `slot`, its sender's. The common case
+    /// shares the caller's reference; only a refute carrying a recovery
+    /// piggyback is copied, with the piggyback stripped (the inner
+    /// messages are retained individually by every receiver, so
+    /// re-carrying them nested inside retained refutes would only compound
+    /// memory).
     ///
     /// Amortised O(1): a message numbered above the sender's newest
     /// retained one is appended. A copy that a refutation piggyback
     /// overtook is numbered at or below it and replaces (or, if it was
     /// collected meanwhile, re-enters) its place in the run.
-    pub fn store(&mut self, m: &Arc<Message>) {
+    pub fn store(&mut self, slot: usize, m: &Arc<Message>) {
         let keep = match &m.body {
             MessageBody::Refute { recovered, .. } if !recovered.is_empty() => {
                 Arc::new(m.for_retention())
             }
             _ => Arc::clone(m),
         };
-        let i = match self.find(m.sender) {
-            Ok(i) => i,
-            Err(i) => {
-                self.runs.insert(i, (m.sender, VecDeque::new()));
-                i
-            }
-        };
-        let run = &mut self.runs[i].1;
+        let run = &mut self.runs[slot];
         if run.back().is_none_or(|b| b.c < m.c) {
             run.push_back(keep);
             return;
@@ -177,14 +171,11 @@ impl RetentionStore {
         }
     }
 
-    /// All retained messages of `sender` with number above `ln`, in number
-    /// order — the refute piggyback.
+    /// All retained messages of the member at `slot` with number above
+    /// `ln`, in number order — the refute piggyback.
     #[must_use]
-    pub fn above(&self, sender: ProcessId, ln: Msn) -> Vec<Message> {
-        let Ok(i) = self.find(sender) else {
-            return Vec::new();
-        };
-        let run = &self.runs[i].1;
+    pub fn above(&self, slot: usize, ln: Msn) -> Vec<Message> {
+        let run = &self.runs[slot];
         let from = run.partition_point(|m| m.c <= ln);
         run.range(from..).map(|m| (**m).clone()).collect()
     }
@@ -194,7 +185,7 @@ impl RetentionStore {
     /// recovery copy (§5.1: "A process can safely discard stable messages").
     /// Pops only the stable front of each run; allocates nothing.
     pub fn gc_stable(&mut self, stable_min: Msn) {
-        for (_, run) in &mut self.runs {
+        for run in &mut self.runs {
             // An all-∞ stability vector (sole survivor) stabilises
             // everything: `Msn::INFINITY` is above every number.
             while run.front().is_some_and(|m| m.c <= stable_min) {
@@ -203,54 +194,58 @@ impl RetentionStore {
         }
     }
 
-    /// Discards retained messages of `sender` above `n` (they were agreed
-    /// out of existence by step (viii) and must not be re-supplied).
-    pub fn discard_from_above(&mut self, sender: ProcessId, n: Msn) {
-        if let Ok(i) = self.find(sender) {
-            let run = &mut self.runs[i].1;
-            while run.back().is_some_and(|m| m.c > n) {
-                run.pop_back();
-            }
+    /// Discards retained messages of the member at `slot` above `n` (they
+    /// were agreed out of existence by step (viii) and must not be
+    /// re-supplied).
+    pub fn discard_from_above(&mut self, slot: usize, n: Msn) {
+        let run = &mut self.runs[slot];
+        while run.back().is_some_and(|m| m.c > n) {
+            run.pop_back();
         }
     }
 
-    /// Drops everything retained for `sender`.
-    pub fn remove_sender(&mut self, sender: ProcessId) {
-        if let Ok(i) = self.find(sender) {
-            self.runs.remove(i);
-        }
+    /// Drops the run at `slot` and everything in it; later slots move down
+    /// by one, as the member's removal moves them in the group's other
+    /// member tables.
+    pub fn remove_slot(&mut self, slot: usize) {
+        self.runs.remove(slot);
     }
 
     /// Total number of retained messages (buffer-occupancy metric for the
     /// flow-control experiment E9).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.runs.iter().map(|(_, run)| run.len()).sum()
+        self.runs.iter().map(VecDeque::len).sum()
     }
 
     /// Whether nothing is retained.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.runs.iter().all(|(_, run)| run.is_empty())
+        self.runs.iter().all(VecDeque::is_empty)
     }
 
     /// Number of retained *application* messages (multicasts and relays).
     #[must_use]
     pub fn app_len(&self) -> usize {
-        self.runs
-            .iter()
-            .flat_map(|(_, run)| run.iter())
-            .filter(|m| m.is_app())
-            .count()
+        self.runs.iter().flatten().filter(|m| m.is_app()).count()
     }
 
-    /// Whether every sender's run is strictly increasing in `c` and
-    /// nothing at or below `stable` is retained — the order `store` keeps
-    /// and the prefix `gc_stable(stable)` last dropped. Audit hook; O(n).
+    /// Whether there is one run per member of `members` (ascending ids,
+    /// `members[slot]` the member at `slot`) and every retained message
+    /// was sent by the member at its run's slot. Audit hook; O(n).
+    #[must_use]
+    pub fn runs_belong_to(&self, members: &[ProcessId]) -> bool {
+        let mut runs = self.runs.iter().zip(members);
+        self.runs.len() == members.len() && runs.all(|(r, id)| r.iter().all(|m| m.sender == *id))
+    }
+
+    /// Whether every run is strictly increasing in `c` and nothing at or
+    /// below `stable` is retained — the order `store` keeps and the prefix
+    /// `gc_stable(stable)` last dropped. Audit hook; O(n).
     #[must_use]
     pub fn runs_coherent(&self, stable: Msn) -> bool {
-        self.runs.iter().all(|(sender, run)| {
-            run.iter().all(|m| m.sender == *sender && m.c > stable)
+        self.runs.iter().all(|run| {
+            run.iter().all(|m| m.c > stable)
                 && run.iter().zip(run.iter().skip(1)).all(|(a, b)| a.c < b.c)
         })
     }
@@ -258,11 +253,12 @@ impl RetentionStore {
 
 impl Hash for RetentionStore {
     fn hash<H: Hasher>(&self, h: &mut H) {
-        // Empty runs are absent senders: they hash as if never created.
+        // As a sender-keyed map of the non-empty runs: an empty run is an
+        // absent sender, and a run's key is its messages' sender.
         let RetentionStore { runs } = self;
-        let live = || runs.iter().filter(|(_, run)| !run.is_empty());
+        let live = || runs.iter().filter_map(|r| Some((r.front()?.sender, r)));
         h.write_usize(live().count());
-        live().for_each(|run| run.hash(h));
+        live().for_each(|entry| entry.hash(h));
     }
 }
 
@@ -369,46 +365,46 @@ mod tests {
 
     #[test]
     fn retention_supplies_messages_above_ln() {
-        let mut r = RetentionStore::new();
+        let mut r = RetentionStore::new(2);
         for c in 1..=5 {
-            r.store(&msg(1, c));
+            r.store(0, &msg(1, c));
         }
-        let rec = r.above(p(1), Msn(2));
+        let rec = r.above(0, Msn(2));
         let nums: Vec<u64> = rec.iter().map(|m| m.c.0).collect();
         assert_eq!(nums, vec![3, 4, 5]);
-        assert!(r.above(p(9), Msn(0)).is_empty());
+        assert!(r.above(1, Msn(0)).is_empty());
     }
 
     #[test]
     fn retention_gc_drops_stable_prefix() {
-        let mut r = RetentionStore::new();
+        let mut r = RetentionStore::new(1);
         for c in 1..=5 {
-            r.store(&msg(1, c));
+            r.store(0, &msg(1, c));
         }
         r.gc_stable(Msn(3));
         assert_eq!(r.len(), 2);
-        assert_eq!(r.above(p(1), Msn(0)).len(), 2);
+        assert_eq!(r.above(0, Msn(0)).len(), 2);
         r.gc_stable(Msn::INFINITY);
         assert!(r.is_empty());
     }
 
     #[test]
     fn retention_discard_above() {
-        let mut r = RetentionStore::new();
-        r.store(&msg(1, 4));
-        r.store(&msg(1, 8));
-        r.discard_from_above(p(1), Msn(5));
-        assert_eq!(r.above(p(1), Msn(0)).len(), 1);
+        let mut r = RetentionStore::new(1);
+        r.store(0, &msg(1, 4));
+        r.store(0, &msg(1, 8));
+        r.discard_from_above(0, Msn(5));
+        assert_eq!(r.above(0, Msn(0)).len(), 1);
     }
 
     #[test]
     fn retention_overtaken_copy_keeps_number_order() {
-        let mut r = RetentionStore::new();
-        r.store(&msg(1, 1));
-        r.store(&msg(1, 3));
-        r.store(&msg(1, 2)); // fills the gap
-        r.store(&msg(1, 3)); // duplicate: replaces in place
-        let nums: Vec<u64> = r.above(p(1), Msn(0)).iter().map(|m| m.c.0).collect();
+        let mut r = RetentionStore::new(1);
+        r.store(0, &msg(1, 1));
+        r.store(0, &msg(1, 3));
+        r.store(0, &msg(1, 2)); // fills the gap
+        r.store(0, &msg(1, 3)); // duplicate: replaces in place
+        let nums: Vec<u64> = r.above(0, Msn(0)).iter().map(|m| m.c.0).collect();
         assert_eq!(nums, vec![1, 2, 3]);
         assert!(r.runs_coherent(Msn(0)));
         assert!(
@@ -420,32 +416,37 @@ mod tests {
     #[test]
     fn retention_digest_treats_an_emptied_run_as_absent() {
         use newtop_types::digest::digest_of;
-        let mut r = RetentionStore::new();
-        r.store(&msg(2, 1));
+        let mut r = RetentionStore::new(2);
+        r.store(1, &msg(2, 1));
         let only_p2 = digest_of(&r);
-        r.store(&msg(1, 4));
-        r.discard_from_above(p(1), Msn(0));
+        r.store(0, &msg(1, 4));
+        r.discard_from_above(0, Msn(0));
         assert_eq!(digest_of(&r), only_p2);
         r.gc_stable(Msn(1));
         assert!(r.is_empty());
-        assert_eq!(digest_of(&r), digest_of(&RetentionStore::new()));
+        assert_eq!(digest_of(&r), digest_of(&RetentionStore::new(0)));
     }
 
     #[test]
     fn retention_remove_sender() {
-        let mut r = RetentionStore::new();
-        r.store(&msg(1, 1));
-        r.store(&msg(2, 1));
-        r.remove_sender(p(1));
-        assert_eq!(r.len(), 1);
+        let mut r = RetentionStore::new(3);
+        r.store(0, &msg(1, 1));
+        r.store(1, &msg(2, 1));
+        r.store(2, &msg(3, 1));
+        assert!(r.runs_belong_to(&[p(1), p(2), p(3)]));
+        r.remove_slot(1);
+        assert_eq!(r.len(), 2);
+        assert!(r.runs_belong_to(&[p(1), p(3)]));
+        assert!(!r.runs_belong_to(&[p(1), p(2)]), "P3's run sits at slot 1");
+        assert!(!r.runs_belong_to(&[p(1)]), "one run per member");
     }
 
     #[test]
     fn retention_shares_the_stored_reference() {
-        let mut r = RetentionStore::new();
+        let mut r = RetentionStore::new(1);
         let m = msg(1, 1);
-        r.store(&m);
-        let kept = r.above(p(1), Msn(0));
+        r.store(0, &m);
+        let kept = r.above(0, Msn(0));
         // Payload bytes are shared, not copied: same backing buffer.
         match (&kept[0].body, &m.body) {
             (MessageBody::App(a), MessageBody::App(b)) => {
@@ -457,7 +458,7 @@ mod tests {
 
     #[test]
     fn retention_strips_refute_piggyback() {
-        let mut r = RetentionStore::new();
+        let mut r = RetentionStore::new(1);
         let inner = (*msg(9, 1)).clone();
         let refute = Arc::new(Message {
             group: GroupId(1),
@@ -473,8 +474,8 @@ mod tests {
                 recovered: vec![inner],
             },
         });
-        r.store(&refute);
-        let kept = r.above(p(2), Msn(0));
+        r.store(0, &refute);
+        let kept = r.above(0, Msn(0));
         match &kept[0].body {
             MessageBody::Refute { recovered, .. } => assert!(recovered.is_empty()),
             other => panic!("unexpected body {other:?}"),

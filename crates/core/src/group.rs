@@ -252,15 +252,17 @@ pub(crate) struct GroupState {
     pub d_asym: Msn,
     pub phase: GroupPhase,
     pub buffer: DeliveryBuffer,
+    /// One retention run per member, by slot (see [`MsnVector::slot`]).
     pub retention: RetentionStore,
     /// When this member last sent anything in the group (time-silence).
     pub last_send: Instant,
-    /// When each co-member was last heard from (failure suspector).
-    pub last_heard: BTreeMap<ProcessId, Instant>,
-    /// Per-co-member inter-arrival sample windows feeding the accrual
-    /// suspector ([`SuspicionMode::Accrual`]); empty under the fixed-Ω
-    /// mode.
-    pub arrivals: BTreeMap<ProcessId, ArrivalWindow>,
+    /// When each member was last heard from (failure suspector), by slot
+    /// (see [`MsnVector::slot`]); the local member's entry is unused.
+    last_heard: Vec<Instant>,
+    /// Per-member inter-arrival sample windows feeding the accrual
+    /// suspector ([`SuspicionMode::Accrual`]), by slot; all empty under
+    /// the fixed-Ω mode, and the local member's always.
+    arrivals: Vec<ArrivalWindow>,
     /// Own live suspicions: suspect → `ln`.
     pub suspicions: BTreeMap<ProcessId, Msn>,
     /// Which processes have multicast a `suspect` for each exact pair
@@ -304,8 +306,9 @@ pub(crate) struct GroupState {
     /// garbage-collection pass entirely (the common case — most receives
     /// leave the minimum where it was).
     last_stable: Msn,
-    /// The local member's slot in `rv`/`sv` (see [`MsnVector::slot`]), so
-    /// [`GroupState::d_x`] excludes it without a member-table search.
+    /// The local member's slot in the member tables (see
+    /// [`MsnVector::slot`]), so [`GroupState::d_x`] excludes it without a
+    /// member-table search.
     /// Derived from the member tables, so not digested; refreshed by
     /// [`GroupState::remove_members`].
     me_slot: Option<usize>,
@@ -329,12 +332,7 @@ impl GroupState {
         let rv = MsnVector::new(members.iter().copied());
         let sv = MsnVector::new(members.iter().copied());
         let me_slot = rv.slot(me);
-        let last_heard = members
-            .iter()
-            .copied()
-            .filter(|p| *p != me)
-            .map(|p| (p, now))
-            .collect();
+        let n = rv.len();
         GroupState {
             cfg,
             me,
@@ -345,10 +343,10 @@ impl GroupState {
             d_asym: Msn::ZERO,
             phase,
             buffer: DeliveryBuffer::new(),
-            retention: RetentionStore::new(),
+            retention: RetentionStore::new(n),
             last_send: now,
-            last_heard,
-            arrivals: BTreeMap::new(),
+            last_heard: vec![now; n],
+            arrivals: vec![ArrivalWindow::default(); n],
             suspicions: BTreeMap::new(),
             supporters: BTreeMap::new(),
             pending_from: BTreeMap::new(),
@@ -365,24 +363,35 @@ impl GroupState {
         }
     }
 
-    /// Drops `failed` from the member tables of `rv` and `sv` — which
-    /// stay equal to the view's member set, the invariant the receive
-    /// path's one slot lookup per message relies on — and refreshes the
-    /// local member's cached slot.
+    /// Drops `failed` from every member table — `rv`, `sv`, `last_heard`,
+    /// `arrivals` and the retention runs, which stay aligned by slot and
+    /// equal to the view's member set, the invariant the receive path's
+    /// one slot lookup per message relies on — and refreshes the local
+    /// member's cached slot.
     pub(crate) fn remove_members(&mut self, failed: &BTreeSet<ProcessId>) {
         for pk in failed {
+            let Some(slot) = self.rv.slot(*pk) else {
+                continue;
+            };
             self.rv.remove(*pk);
             self.sv.remove(*pk);
+            self.last_heard.remove(slot);
+            self.arrivals.remove(slot);
+            self.retention.remove_slot(slot);
         }
         self.me_slot = self.rv.slot(self.me);
     }
 
-    /// Whether `rv` and `sv` track exactly the view's members and the
-    /// cached local slot is current. Audit hook; O(n).
+    /// Whether `rv` and `sv` track exactly the view's members, the other
+    /// member tables have one entry per slot, each retention run holds only
+    /// its member's messages and the cached local slot is current. O(n).
     pub(crate) fn member_tables_coherent(&self) -> bool {
-        let view = self.view.members();
+        let (view, n) = (self.view.members(), self.rv.len());
         self.rv.members().iter().eq(view.iter())
             && self.sv.members().iter().eq(view.iter())
+            && self.last_heard.len() == n
+            && self.arrivals.len() == n
+            && self.retention.runs_belong_to(self.rv.members())
             && self.me_slot == self.rv.slot(self.me)
     }
 
@@ -391,10 +400,10 @@ impl GroupState {
     /// holds a stable message, so no refute ever needs to carry it (§5.1).
     /// Only a late original of a copy a refutation piggyback overtook can
     /// be stable on arrival; retaining it would re-add a message the last
-    /// collection dropped.
-    pub(crate) fn retain_unstable(&mut self, m: &Arc<Message>) {
+    /// collection dropped. `slot` is the sender's (see [`MsnVector::slot`]).
+    pub(crate) fn retain_unstable(&mut self, slot: usize, m: &Arc<Message>) {
         if m.is_retained() && m.c > self.last_stable {
-            self.retention.store(m);
+            self.retention.store(slot, m);
         }
     }
 
@@ -414,54 +423,62 @@ impl GroupState {
         self.timer_cache.set(None);
     }
 
-    /// Records hearing from `from` at `now` — feeding the accrual
-    /// detector's inter-arrival window when enabled — and invalidates the
-    /// timer cache only when necessary: raising a `last_heard` entry whose
-    /// silence deadline was strictly later than the cached minimum cannot
-    /// change that minimum provided the member's *new* deadline also stays
-    /// above it. The adaptive span never drops below Ω, so `now + Ω` is a
-    /// safe lower bound on the new deadline even though the fresh sample
-    /// may have shrunk the member's span. This keeps the cache on the
-    /// overwhelmingly common receive — the earliest deadline is usually the
-    /// ω null-send deadline, untouched here.
-    pub(crate) fn note_heard(&mut self, from: ProcessId, now: Instant) {
-        let old_span = self.suspicion_span(from);
-        let prev = self.last_heard.insert(from, now);
-        if let (SuspicionMode::Accrual { window, .. }, Some(prev)) = (self.cfg.suspicion, prev) {
-            self.arrivals
-                .entry(from)
-                .or_default()
-                .push(now.saturating_since(prev).as_micros(), window);
+    /// Records hearing from the member at `slot` (see [`MsnVector::slot`])
+    /// at `now` — feeding the accrual detector's inter-arrival window when
+    /// enabled — and invalidates the timer cache only when necessary:
+    /// raising a `last_heard` entry whose silence deadline was strictly
+    /// later than the cached minimum cannot change that minimum provided
+    /// the member's *new* deadline also stays above it. The adaptive span
+    /// never drops below Ω, so `now + Ω` is a safe lower bound on the new
+    /// deadline even though the fresh sample may have shrunk the member's
+    /// span. This keeps the cache on the overwhelmingly common receive —
+    /// the earliest deadline is usually the ω null-send deadline, untouched
+    /// here.
+    pub(crate) fn note_heard(&mut self, slot: usize, now: Instant) {
+        let old_span = self.suspicion_span(slot);
+        let prev = std::mem::replace(&mut self.last_heard[slot], now);
+        if let SuspicionMode::Accrual { window, .. } = self.cfg.suspicion {
+            self.arrivals[slot].push(now.saturating_since(prev).as_micros(), window);
         }
-        match (self.timer_cache.get(), prev) {
-            (Some(Some(cached)), Some(prev))
-                if prev + old_span > cached && now + self.cfg.big_omega > cached => {}
-            (None, _) => {}
-            _ => self.timer_cache.set(None),
+        let keep = |t: Instant| prev + old_span > t && now + self.cfg.big_omega > t;
+        if self.timer_cache.get().is_some_and(|c| !c.is_some_and(keep)) {
+            self.timer_cache.set(None);
         }
     }
 
-    /// The silence timeout after which the suspector suspects `j`: the
-    /// fixed Ω (§5.2), or the accrual detector's adaptive timeout derived
-    /// from `j`'s observed inter-arrival times.
-    pub(crate) fn suspicion_span(&self, j: ProcessId) -> Span {
+    /// Restarts `p`'s silence timer at `now` without an inter-arrival
+    /// sample: a withdrawn suspicion (§5.2 step (iv)). Only ever called
+    /// while `p` is in the view (a live suspicion names a member); a
+    /// non-member is not recorded.
+    pub(crate) fn restart_silence(&mut self, p: ProcessId, now: Instant) {
+        if let Some(slot) = self.rv.slot(p) {
+            self.last_heard[slot] = now;
+        }
+        self.touch_timers();
+    }
+
+    /// The silence timeout after which the suspector suspects the member
+    /// at `slot`: the fixed Ω (§5.2), or the accrual detector's adaptive
+    /// timeout derived from its observed inter-arrival times.
+    fn suspicion_span(&self, slot: usize) -> Span {
         match self.cfg.suspicion {
             SuspicionMode::FixedOmega => self.cfg.big_omega,
-            SuspicionMode::Accrual { factor, cap, .. } => match self.arrivals.get(&j) {
-                None => self.cfg.big_omega,
-                Some(w) => w.adaptive_span(self.cfg.big_omega, factor, cap),
-            },
+            SuspicionMode::Accrual { factor, cap, .. } => {
+                self.arrivals[slot].adaptive_span(self.cfg.big_omega, factor, cap)
+            }
         }
     }
 
     /// `j`'s silence as a fraction of its suspicion timeout, in permille
     /// (1000 = at the exclusion threshold) — the accrual detector's
     /// "suspicion level". Also meaningful (silence/Ω) under the fixed mode.
+    /// `None` for the local member and for a non-member (one never in the
+    /// view, or excluded): the suspector watches neither.
     pub(crate) fn suspicion_level_permille(&self, j: ProcessId, now: Instant) -> Option<u64> {
-        let heard = self.last_heard.get(&j)?;
-        let span = self.suspicion_span(j).as_micros().max(1);
+        let slot = self.rv.slot(j).filter(|s| Some(*s) != self.me_slot)?;
+        let span = self.suspicion_span(slot).as_micros().max(1);
         Some(
-            now.saturating_since(*heard)
+            now.saturating_since(self.last_heard[slot])
                 .as_micros()
                 .saturating_mul(1000)
                 / span,
@@ -484,23 +501,33 @@ impl GroupState {
 
     /// The uncached ω/Ω argmin scan behind [`GroupState::timer_deadline`].
     fn compute_timer_deadline(&self) -> Option<Instant> {
-        let mut next: Option<Instant> = None;
-        let mut fold = |t: Instant| {
-            next = Some(match next {
-                None => t,
-                Some(n) => n.min(t),
-            });
-        };
-        if self.view.len() > 1 {
-            fold(self.last_send + self.cfg.omega);
-        }
-        for (j, heard) in &self.last_heard {
-            if self.suspicions.contains_key(j) || self.is_failed(*j) {
-                continue;
-            }
-            fold(*heard + self.suspicion_span(*j));
-        }
-        next
+        let null = (self.view.len() > 1).then(|| self.last_send + self.cfg.omega);
+        null.into_iter()
+            .chain(self.silence_deadlines().map(|(_, t)| t))
+            .min()
+    }
+
+    /// Each co-member the suspector watches — unsuspected and not failed —
+    /// with its silence deadline (last receipt plus suspicion span), in
+    /// id order: one walk over the member tables.
+    fn silence_deadlines(&self) -> impl Iterator<Item = (ProcessId, Instant)> + '_ {
+        let members = self.rv.members().iter().zip(&self.last_heard);
+        members
+            .enumerate()
+            .filter(|(slot, (j, _))| {
+                Some(*slot) != self.me_slot && !self.is_suspected(**j) && !self.is_failed(**j)
+            })
+            .map(|(slot, (j, heard))| (*j, *heard + self.suspicion_span(slot)))
+    }
+
+    /// The co-members whose silence has reached their suspicion timeout at
+    /// `now`, unsuspected and not failed — what the suspector `S_i` (§5.2)
+    /// reports on a tick — in id order.
+    pub(crate) fn silent(&self, now: Instant) -> Vec<ProcessId> {
+        self.silence_deadlines()
+            .filter(|(_, t)| *t <= now)
+            .map(|(j, _)| j)
+            .collect()
     }
 
     /// Whether the memoised timer deadline (if any) matches a recomputed
@@ -667,8 +694,11 @@ impl Hash for GroupState {
         buffer.hash(h);
         retention.hash(h);
         last_send.hash(h);
-        last_heard.hash(h);
-        arrivals.hash(h);
+        // `last_heard` and `arrivals` as the id-keyed maps they stand for:
+        // no local entry, no empty window.
+        hash_by_member(rv.members(), last_heard, |id, _| id != me, h);
+        let sampled = |id: &ProcessId, w: &ArrivalWindow| id != me && !w.samples.is_empty();
+        hash_by_member(rv.members(), arrivals, sampled, h);
         suspicions.hash(h);
         supporters.hash(h);
         pending_from.hash(h);
@@ -682,10 +712,26 @@ impl Hash for GroupState {
     }
 }
 
+/// Feeds `h` the bytes of an id-keyed map of the member table `entries`
+/// (aligned with `members`) restricted to the entries `keep` selects: their
+/// count, then each `(member, entry)` in id order.
+fn hash_by_member<T: Hash, H: Hasher>(
+    members: &[ProcessId],
+    entries: &[T],
+    keep: impl Fn(&ProcessId, &T) -> bool,
+    h: &mut H,
+) {
+    let kept = || members.iter().zip(entries).filter(|(id, e)| keep(id, e));
+    h.write_usize(kept().count());
+    kept().for_each(|entry| entry.hash(h));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use newtop_types::digest::{digest_of, DigestHasher};
     use newtop_types::{DeliveryMode, MessageBody};
+    use proptest::prelude::*;
 
     fn p(i: u32) -> ProcessId {
         ProcessId(i)
@@ -789,14 +835,14 @@ mod tests {
                 body: MessageBody::Null,
             })
         };
-        gs.retain_unstable(&null(1));
-        gs.retain_unstable(&null(2));
+        gs.retain_unstable(0, &null(1));
+        gs.retain_unstable(0, &null(2));
         for q in 1..=3 {
             gs.sv.advance(p(q), Msn(1));
         }
         gs.on_stability_advance();
         assert_eq!(gs.retention.len(), 1);
-        gs.retain_unstable(&null(1)); // the original of a collected copy
+        gs.retain_unstable(0, &null(1)); // the original of a collected copy
         assert_eq!(gs.retention.len(), 1);
         assert!(gs.retention_coherent());
     }
@@ -817,6 +863,25 @@ mod tests {
         // A view change without the table update is what the audit catches.
         gs.view = gs.view.excluding([p(3)].into());
         assert!(!gs.member_tables_coherent());
+    }
+
+    #[test]
+    fn restarting_silence_records_only_members() {
+        let mut gs = state(OrderMode::Symmetric); // we are P2
+        let before = digest_of(&gs);
+        let t = Instant::from_micros(5_000);
+        gs.restart_silence(p(9), t);
+        assert_eq!(digest_of(&gs), before, "a non-member is not recorded");
+        let failed: BTreeSet<ProcessId> = [p(3)].into();
+        gs.view = gs.view.excluding(failed.clone());
+        gs.remove_members(&failed);
+        let excluded = digest_of(&gs);
+        gs.restart_silence(p(3), t);
+        assert_eq!(digest_of(&gs), excluded, "nor an excluded member");
+        assert_eq!(gs.suspicion_level_permille(p(3), t), None);
+        gs.restart_silence(p(1), t);
+        assert_eq!(gs.suspicion_level_permille(p(1), t), Some(0));
+        assert!(gs.member_tables_coherent() && gs.timer_cache_coherent());
     }
 
     #[test]
@@ -878,7 +943,7 @@ mod tests {
             now += Span::from_millis(*gap);
             let from = if i % 3 == 0 { p(1) } else { p(3) };
             let _ = gs.timer_deadline(); // populate the memoized deadline
-            gs.note_heard(from, now);
+            gs.note_heard(gs.rv.slot(from).expect("member"), now);
             assert!(
                 gs.timer_cache_coherent(),
                 "cache incoherent after sample {i}"
@@ -921,7 +986,7 @@ mod tests {
         );
         // note_heard's conditional invalidation keeps the audit green both
         // when it preserves and when it drops the cache.
-        gs.note_heard(p(3), Instant::from_micros(1));
+        gs.note_heard(2, Instant::from_micros(1)); // P3's slot
         assert!(gs.timer_cache_coherent());
         assert_ne!(digest_of(&gs), before, "last_heard is observable state");
         // A stale memo is corruption the audit must catch.
@@ -941,5 +1006,275 @@ mod tests {
         let sv = gs.signed_view();
         assert_eq!(sv.excluded_count(), 1);
         assert_eq!(sv.members().len(), 2);
+    }
+
+    /// The id-keyed maps the member tables replaced, kept as the
+    /// executable specification: each query is the map-based code the
+    /// slot tables took over, and `digest` hashes a `GroupState` as it did
+    /// with the maps in place of the tables.
+    #[derive(Default)]
+    struct MapModel {
+        last_heard: BTreeMap<ProcessId, Instant>,
+        arrivals: BTreeMap<ProcessId, ArrivalWindow>,
+        retention: BTreeMap<ProcessId, BTreeMap<Msn, Arc<Message>>>,
+    }
+
+    impl MapModel {
+        fn new(gs: &GroupState, now: Instant) -> MapModel {
+            let co = gs.view.iter().filter(|q| *q != gs.me);
+            MapModel {
+                last_heard: co.map(|q| (q, now)).collect(),
+                ..MapModel::default()
+            }
+        }
+
+        fn note_heard(&mut self, gs: &GroupState, from: ProcessId, now: Instant) {
+            let prev = self.last_heard.insert(from, now);
+            if let (SuspicionMode::Accrual { window, .. }, Some(prev)) = (gs.cfg.suspicion, prev) {
+                self.arrivals
+                    .entry(from)
+                    .or_default()
+                    .push(now.saturating_since(prev).as_micros(), window);
+            }
+        }
+
+        fn span(&self, gs: &GroupState, j: ProcessId) -> Span {
+            match gs.cfg.suspicion {
+                SuspicionMode::FixedOmega => gs.cfg.big_omega,
+                SuspicionMode::Accrual { factor, cap, .. } => {
+                    self.arrivals.get(&j).map_or(gs.cfg.big_omega, |w| {
+                        w.adaptive_span(gs.cfg.big_omega, factor, cap)
+                    })
+                }
+            }
+        }
+
+        fn level(&self, gs: &GroupState, j: ProcessId, now: Instant) -> Option<u64> {
+            let heard = self.last_heard.get(&j)?;
+            let span = self.span(gs, j).as_micros().max(1);
+            Some(
+                now.saturating_since(*heard)
+                    .as_micros()
+                    .saturating_mul(1000)
+                    / span,
+            )
+        }
+
+        fn deadline(&self, gs: &GroupState) -> Option<Instant> {
+            let mut next = (gs.view.len() > 1).then(|| gs.last_send + gs.cfg.omega);
+            for (j, heard) in &self.last_heard {
+                if !gs.suspicions.contains_key(j) && !gs.is_failed(*j) {
+                    let t = *heard + self.span(gs, *j);
+                    next = Some(next.map_or(t, |n| n.min(t)));
+                }
+            }
+            next
+        }
+
+        fn silent(&self, gs: &GroupState, now: Instant) -> Vec<ProcessId> {
+            self.last_heard
+                .iter()
+                .filter(|(j, heard)| {
+                    now.saturating_since(**heard) >= self.span(gs, **j)
+                        && **j != gs.me
+                        && gs.view.contains(**j)
+                        && !gs.is_suspected(**j)
+                        && !gs.is_failed(**j)
+                })
+                .map(|(j, _)| *j)
+                .collect()
+        }
+
+        fn retain(&mut self, gs: &GroupState, m: &Arc<Message>) {
+            if m.c > gs.last_stable {
+                let run = self.retention.entry(m.sender).or_default();
+                run.insert(m.c, Arc::clone(m));
+            }
+        }
+
+        fn gc(&mut self, stable: Msn) {
+            for run in self.retention.values_mut() {
+                run.retain(|c, _| *c > stable);
+            }
+        }
+
+        fn remove(&mut self, pk: ProcessId) {
+            self.last_heard.remove(&pk);
+            self.arrivals.remove(&pk);
+            self.retention.remove(&pk);
+        }
+
+        fn digest(&self, gs: &GroupState) -> u64 {
+            let mut h = DigestHasher::new();
+            gs.cfg.hash(&mut h);
+            gs.me.hash(&mut h);
+            gs.view.hash(&mut h);
+            gs.excluded_count.hash(&mut h);
+            gs.rv.hash(&mut h);
+            gs.sv.hash(&mut h);
+            gs.d_asym.hash(&mut h);
+            gs.phase.hash(&mut h);
+            gs.buffer.hash(&mut h);
+            let live: Vec<_> = self
+                .retention
+                .iter()
+                .filter(|(_, r)| !r.is_empty())
+                .collect();
+            h.write_usize(live.len());
+            for (sender, run) in live {
+                sender.hash(&mut h);
+                h.write_usize(run.len());
+                run.values().for_each(|m| m.hash(&mut h));
+            }
+            gs.last_send.hash(&mut h);
+            self.last_heard.hash(&mut h);
+            self.arrivals.hash(&mut h);
+            gs.suspicions.hash(&mut h);
+            gs.supporters.hash(&mut h);
+            gs.pending_from.hash(&mut h);
+            gs.pending_confirms.hash(&mut h);
+            gs.install_queue.hash(&mut h);
+            gs.outstanding.hash(&mut h);
+            gs.parked_requests.hash(&mut h);
+            gs.own_unstable.hash(&mut h);
+            gs.departing.hash(&mut h);
+            gs.last_stable.hash(&mut h);
+            h.finish()
+        }
+    }
+
+    /// `(suspector mode, members — the first is the local one, ops)`; an
+    /// op is `(selector, process, value)`, processes drawn wider than the
+    /// members so non-members are queried too.
+    type Case = (u8, Vec<u32>, Vec<(u8, u32, u64)>);
+
+    fn arb_case() -> impl Strategy<Value = Case> {
+        (
+            0u8..4,
+            proptest::collection::vec(1u32..10, 2..8),
+            proptest::collection::vec((0u8..10, 0u32..12, 0u64..300), 0..200),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// Receipts, own sends, suspicions, refutes, adopted failures
+        /// with their discards, and exclusions, under the fixed and the
+        /// accrual suspector: after every step the slot tables answer as
+        /// the id-keyed maps and hash to the same bytes.
+        #[test]
+        fn member_tables_answer_as_the_id_keyed_maps((mode, ids, ops) in arb_case()) {
+            let suspicion = match mode {
+                0 => SuspicionMode::FixedOmega,
+                w => SuspicionMode::Accrual { window: w + 1, factor: 3, cap: 4 },
+            };
+            let cfg = GroupConfig::new(OrderMode::Symmetric)
+                .with_omega(Span::from_millis(10))
+                .with_big_omega(Span::from_millis(100))
+                .with_suspicion(suspicion);
+            let me = p(ids[0]);
+            let members = ids.iter().copied().map(p).collect();
+            let mut gs =
+                GroupState::new(GroupId(1), me, cfg, members, Instant::ZERO, GroupPhase::Active);
+            let mut model = MapModel::new(&gs, Instant::ZERO);
+            let (mut now, mut c) = (Instant::ZERO, 0u64);
+            let msg = |from: ProcessId, c: u64, v: u64| {
+                Arc::new(Message {
+                    group: GroupId(1),
+                    sender: from,
+                    c: Msn(c),
+                    ldn: Msn(c.saturating_sub(v % 8)),
+                    body: MessageBody::Null,
+                })
+            };
+            for (step, (sel, who, v)) in ops.into_iter().enumerate() {
+                let j = p(who);
+                let slot = gs.rv.slot(j);
+                let co = slot.is_some() && j != me && !gs.is_failed(j);
+                match (sel, slot) {
+                    // A receipt, in the receive path's order.
+                    (0..=3, Some(slot)) if co && !gs.is_suspected(j) => {
+                        now += Span::from_micros(v * 300);
+                        c += 1 + v % 3;
+                        let m = msg(j, c, v);
+                        gs.note_heard(slot, now);
+                        model.note_heard(&gs, j, now);
+                        gs.advance_stream(slot, m.c, m.ldn);
+                        gs.on_stability_advance();
+                        model.gc(gs.last_stable);
+                        gs.retain_unstable(slot, &m);
+                        model.retain(&gs, &m);
+                    }
+                    (4, _) => {
+                        c += 1;
+                        let (m, mine) = (msg(me, c, v), gs.me_slot.expect("member"));
+                        gs.advance_stream(mine, m.c, m.ldn);
+                        gs.retain_unstable(mine, &m);
+                        model.retain(&gs, &m);
+                        gs.last_send = now;
+                        gs.touch_timers();
+                    }
+                    (5, _) if co && !gs.is_suspected(j) => {
+                        gs.suspicions.insert(j, gs.rv.get(j));
+                        gs.touch_timers();
+                    }
+                    // A refute withdraws the suspicion (`withdraw_suspicion`).
+                    (6, _) if gs.is_suspected(j) => {
+                        gs.suspicions.remove(&j);
+                        gs.restart_silence(j, now);
+                        model.last_heard.insert(j, now);
+                    }
+                    // Adoption: release, discard above the bound, queue.
+                    (7, Some(slot)) if co => {
+                        let bound = Msn(v % (c + 1));
+                        gs.suspicions.remove(&j);
+                        gs.rv.set_infinite(j);
+                        gs.sv.set_infinite(j);
+                        gs.on_stability_advance();
+                        model.gc(gs.last_stable);
+                        gs.retention.discard_from_above(slot, bound);
+                        if let Some(run) = model.retention.get_mut(&j) {
+                            run.retain(|c, _| *c <= bound);
+                        }
+                        gs.install_queue.push_back(PendingInstall {
+                            failed: [j].into(),
+                            gate: Gate::Barrier(bound),
+                        });
+                        gs.touch_timers();
+                    }
+                    // Exclusion: the head adoption installs.
+                    (8, _) if !gs.install_queue.is_empty() => {
+                        let failed = gs.install_queue.pop_front().expect("nonempty").failed;
+                        gs.view = gs.view.excluding(failed.clone());
+                        gs.excluded_count += failed.len() as u32;
+                        gs.remove_members(&failed);
+                        for pk in &failed {
+                            gs.suspicions.remove(pk);
+                            model.remove(*pk);
+                        }
+                        gs.touch_timers();
+                        gs.on_stability_advance();
+                        model.gc(gs.last_stable);
+                    }
+                    _ => now += Span::from_micros(v * 997),
+                }
+                prop_assert!(gs.member_tables_coherent(), "tables after step {}", step);
+                prop_assert!(gs.retention_coherent() && gs.timer_cache_coherent());
+                let deadline = model.deadline(&gs);
+                prop_assert_eq!(gs.timer_deadline(), deadline, "deadline, step {}", step);
+                let ahead = [now + Span::from_millis(60), now + Span::from_millis(250)];
+                for later in [now].into_iter().chain(deadline).chain(ahead) {
+                    prop_assert_eq!(gs.silent(later), model.silent(&gs, later), "step {}", step);
+                    for q in (0..12).map(p) {
+                        prop_assert_eq!(
+                            gs.suspicion_level_permille(q, later),
+                            model.level(&gs, q, later)
+                        );
+                    }
+                }
+                prop_assert_eq!(digest_of(&gs), model.digest(&gs), "digest after step {}", step);
+            }
+        }
     }
 }

@@ -110,7 +110,10 @@ impl Process {
         let Some(gs) = self.groups.get(&group) else {
             return;
         };
-        let recovered = gs.retention.above(pair.suspect, Msn::ZERO);
+        let recovered = gs
+            .rv
+            .slot(pair.suspect)
+            .map_or_else(Vec::new, |slot| gs.retention.above(slot, Msn::ZERO));
         let upto = gs.rv.get(pair.suspect);
         self.send_numbered(
             group,
@@ -190,7 +193,9 @@ impl Process {
 
     /// Removes our suspicion `pair`, drains the suspect's pending messages,
     /// re-multicasts the refutation (step (iv) propagation) and restarts the
-    /// suspect's silence timer.
+    /// suspect's silence timer. Runs only while the suspect is in the view
+    /// (a live suspicion names a member; its exclusion drops it), so the
+    /// restart never records a non-member.
     fn withdraw_suspicion(
         &mut self,
         group: GroupId,
@@ -204,8 +209,7 @@ impl Process {
             return;
         };
         gs.suspicions.remove(&pair.suspect);
-        gs.last_heard.insert(pair.suspect, now);
-        gs.touch_timers();
+        gs.restart_silence(pair.suspect, now);
         let pending = gs.pending_from.remove(&pair.suspect).unwrap_or_default();
         for m in pending {
             // "The pending messages will be assumed to have been just
@@ -536,7 +540,9 @@ impl Process {
         };
         for pk in failed {
             let dropped = gs.buffer.discard_from_above(*pk, bound);
-            gs.retention.discard_from_above(*pk, bound);
+            if let Some(slot) = gs.rv.slot(*pk) {
+                gs.retention.discard_from_above(slot, bound);
+            }
             gs.pending_from.remove(pk);
             if dropped > 0 {
                 out.push(Action::Event(ProtocolEvent::Discarded {
@@ -636,10 +642,7 @@ impl Process {
         gs.excluded_count += failed.len() as u32;
         gs.remove_members(&failed);
         for pk in &failed {
-            gs.last_heard.remove(pk);
-            gs.arrivals.remove(pk);
             gs.pending_from.remove(pk);
-            gs.retention.remove_sender(*pk);
             gs.suspicions.remove(pk);
         }
         let members: BTreeSet<ProcessId> = gs.view.members().clone();
@@ -776,7 +779,7 @@ impl Process {
         self.lc.observe(rm.c);
         gs.advance_stream(slot, rm.c, rm.ldn);
         gs.on_stability_advance();
-        gs.retain_unstable(&rm);
+        gs.retain_unstable(slot, &rm);
         self.stats_mut().recovered += 1;
         match &rm.body {
             MessageBody::App(_) | MessageBody::ViewCut { .. } => {

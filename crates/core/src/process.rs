@@ -487,7 +487,9 @@ impl Process {
     /// `member`'s current suspicion level in `group`, in permille of its
     /// silence timeout (1000 = at the exclusion threshold) — under
     /// [`newtop_types::SuspicionMode::Accrual`] the timeout is the
-    /// per-member adaptive one. `None` for an unknown group or member.
+    /// per-member adaptive one. `None` for an unknown group, for a process
+    /// not in the group's view (never a member, or excluded) and for this
+    /// process itself: the suspector watches only co-members.
     #[must_use]
     pub fn suspicion_level(&self, group: GroupId, member: ProcessId, now: Instant) -> Option<u64> {
         self.groups
@@ -536,8 +538,9 @@ impl Process {
             }
             if !gs.member_tables_coherent() {
                 return Err(format!(
-                    "{}: group {g}: RV/SV member tables differ from the view's members \
-                     (or the cached own slot is stale)",
+                    "{}: group {g}: a member table (RV, SV, last-heard, arrivals or the \
+                     retention runs) differs from the view's members (or the cached own \
+                     slot is stale)",
                     self.id
                 ));
             }
@@ -648,10 +651,10 @@ impl Process {
         });
         if let Some(slot) = gs.rv.slot(me) {
             gs.advance_stream(slot, c, ldn);
+            gs.retain_unstable(slot, &m);
         }
         gs.last_send = now;
         gs.touch_timers();
-        gs.retain_unstable(&m);
         for dst in gs.view.iter() {
             if dst != me {
                 out.push(Action::Send {
@@ -740,7 +743,7 @@ impl Process {
             }
             cg.advance_stream(slot, c, ldn);
             cg.on_stability_advance();
-            cg.note_heard(from, now);
+            cg.note_heard(slot, now);
             self.refute_scan(g, from, out);
         }
     }
@@ -804,7 +807,7 @@ impl Process {
         self.stats.received += 1;
         self.lc.observe(m.c);
         if from != me {
-            gs.note_heard(from, now);
+            gs.note_heard(slot, now);
         }
         let is_request = matches!(m.body, MessageBody::SeqRequest { .. });
         // Per sender and group, message numbers arrive strictly increasing
@@ -832,7 +835,7 @@ impl Process {
             gs.advance_stream(slot, m.c, m.ldn);
             gs.on_stability_advance();
         }
-        gs.retain_unstable(&m);
+        gs.retain_unstable(slot, &m);
         // Dispatch by reference: the hot arms (App, Null) move the shared
         // handle on without touching the body; only the cold membership
         // arms copy the small structured fields they consume.
@@ -1285,7 +1288,6 @@ impl Process {
 
     fn group_tick(&mut self, group: GroupId, out: &mut Vec<Action>) {
         let now = self.now;
-        let me = self.id;
         let Some(gs) = self.groups.get(&group) else {
             return;
         };
@@ -1307,21 +1309,7 @@ impl Process {
         let Some(gs) = self.groups.get(&group) else {
             return;
         };
-        let silent: Vec<ProcessId> = gs
-            .last_heard
-            .iter()
-            .filter(|(j, heard)| {
-                // Elapsed silence first: it is the cheap test and almost
-                // always false.
-                now.saturating_since(**heard) >= gs.suspicion_span(**j)
-                    && **j != me
-                    && gs.view.contains(**j)
-                    && !gs.is_suspected(**j)
-                    && !gs.is_failed(**j)
-            })
-            .map(|(j, _)| *j)
-            .collect();
-        for j in silent {
+        for j in gs.silent(now) {
             self.suspector_notify(group, j, out);
         }
     }

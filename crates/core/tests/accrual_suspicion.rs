@@ -114,6 +114,30 @@ fn suspicion_level_rises_with_silence() {
     );
 }
 
+/// The suspector watches co-members only: the level a process reports for
+/// itself, for a process never in the group and for a member once it is
+/// excluded is `None`, under either suspector mode.
+#[test]
+fn suspicion_level_is_none_for_self_and_for_an_excluded_member() {
+    for mode in [SuspicionMode::FixedOmega, SuspicionMode::accrual()] {
+        let mut net = TestNet::new([1, 2, 3]);
+        net.bootstrap_group(G1, &[1, 2, 3], cfg(mode));
+        warm_up(&mut net);
+        let level = |net: &TestNet, q| net.proc(1).suspicion_level(G1, ProcessId(q), net.now());
+        assert_eq!(level(&net, 1), None, "no level for oneself ({mode:?})");
+        assert_eq!(level(&net, 9), None, "nor for a non-member");
+        assert!(level(&net, 3).is_some());
+        net.crash(3);
+        net.advance_steps(Span::from_millis(1200), OMEGA);
+        assert_eq!(net.view_history(1, G1).len(), 1, "P3 excluded ({mode:?})");
+        assert_eq!(level(&net, 3), None, "no level for an excluded member");
+        assert!(level(&net, 2).is_some());
+        net.proc(1)
+            .check_invariants()
+            .expect("member tables pruned");
+    }
+}
+
 #[test]
 fn invariants_hold_throughout_accrual_run() {
     let mut net = TestNet::new([1, 2, 3]);

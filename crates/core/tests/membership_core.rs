@@ -64,6 +64,35 @@ fn suspicion_of_slow_process_is_refuted_not_fatal() {
     assert!(net.proc(1).suspicions_of(G1).is_empty());
 }
 
+/// Withdrawing a refuted suspicion restarts the suspect's silence timer:
+/// the suspect is still in the view, so its entry is there to restart (the
+/// refute path never records a non-member), and the member tables stay
+/// coherent.
+#[test]
+fn a_refuted_suspicion_restarts_the_suspects_silence() {
+    let mut net = TestNet::new([1, 2, 3]);
+    net.bootstrap_group(G1, &[1, 2, 3], sym());
+    net.advance_past_omega(G1);
+    net.block_link(3, 1);
+    net.advance_past_big_omega(G1);
+    net.unblock_link(3, 1);
+    net.advance_past_omega(G1);
+    let withdrawn = net
+        .events(1)
+        .iter()
+        .any(|e| matches!(e, ProtocolEvent::Refuted { pair, .. } if pair.suspect == ProcessId(3)));
+    assert!(withdrawn, "P1 suspected P3 and withdrew it");
+    assert!(net.proc(1).suspicions_of(G1).is_empty());
+    let level = net.proc(1).suspicion_level(G1, ProcessId(3), net.now());
+    assert!(
+        level.is_some_and(|l| l < 1000),
+        "P3's silence restarted: {level:?}"
+    );
+    net.proc(1)
+        .check_invariants()
+        .expect("member tables coherent");
+}
+
 /// Missing messages are recovered from the refute piggyback: P1 misses a
 /// multicast during a transient one-way outage and still delivers it.
 #[test]

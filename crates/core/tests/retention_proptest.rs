@@ -1,9 +1,10 @@
-//! Model-based property test: the per-sender-run [`RetentionStore`] must be
-//! observationally identical to the obvious nested-`BTreeMap` reference
-//! implementation (its previous representation) under arbitrary
+//! Model-based property test: the slot-aligned [`RetentionStore`] — one
+//! run per group member, indexed by the member's slot — must be
+//! observationally identical to the obvious sender-keyed nested-`BTreeMap`
+//! reference implementation (its earlier representation) under arbitrary
 //! interleavings of in-order, overtaken and duplicate stores, stability
-//! garbage collection (finite and ∞), step-(viii) discards and sender
-//! removal.
+//! garbage collection (finite and ∞), step-(viii) discards and member
+//! removal, which shifts every later slot down by one.
 //!
 //! Observational identity includes the state digest: the model checker
 //! deduplicates states by it, so the two representations must hash every
@@ -128,11 +129,11 @@ fn msg(sender: u32, c: u64, kind: u8, tag: u64) -> Arc<Message> {
     })
 }
 
-/// One scripted operation: `(selector, sender, value, body kind)`.
+/// One scripted operation: `(selector, member pick, value, body kind)`.
 type Op = (u8, u32, u64, u8);
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec((0u8..10, 1u32..6, 0u64..40, 0u8..3), 0..300)
+    proptest::collection::vec((0u8..20, 0u32..64, 0u64..40, 0u8..3), 0..300)
 }
 
 proptest! {
@@ -140,49 +141,59 @@ proptest! {
 
     #[test]
     fn runs_match_nested_btreemap_model(ops in arb_ops()) {
-        let mut runs = RetentionStore::new();
+        // `members[slot]` is the member whose run sits at `slot`, as the
+        // group's member tables would say.
+        let mut members: Vec<ProcessId> = (1..=8).map(ProcessId).collect();
+        let mut runs = RetentionStore::new(members.len());
         let mut naive = NaiveRetention::default();
-        for (step, (sel, sender, v, kind)) in ops.into_iter().enumerate() {
-            let p = ProcessId(sender);
+        for (step, (sel, pick, v, kind)) in ops.into_iter().enumerate() {
+            if members.is_empty() {
+                break;
+            }
+            let slot = pick as usize % members.len();
+            let p = members[slot];
             match sel {
                 // In-order stores dominate, as over a FIFO link; gaps are
                 // allowed (numbers are shared by every group a sender is in).
-                0..=3 => {
-                    let m = msg(sender, naive.newest(p) + 1 + v % 3, kind, v);
-                    runs.store(&m);
+                0..=7 => {
+                    let m = msg(p.0, naive.newest(p) + 1 + v % 3, kind, v);
+                    runs.store(slot, &m);
                     naive.store(&m);
                 }
                 // A copy a refutation piggyback overtook: numbered at or
                 // below the newest retained one (a duplicate, or a gap
                 // filler), or anywhere once its run was collected.
-                4 => {
-                    let m = msg(sender, 1 + v % (naive.newest(p) + 1), kind, v + 1000);
-                    runs.store(&m);
+                8 | 9 => {
+                    let m = msg(p.0, 1 + v % (naive.newest(p) + 1), kind, v + 1000);
+                    runs.store(slot, &m);
                     naive.store(&m);
                 }
-                5 | 6 => {
+                10..=13 => {
                     let stable = if v % 8 == 0 { Msn::INFINITY } else { Msn(v) };
                     runs.gc_stable(stable);
                     naive.gc_stable(stable);
                 }
-                7 | 8 => {
-                    runs.discard_from_above(p, Msn(v));
+                14..=17 => {
+                    runs.discard_from_above(slot, Msn(v));
                     naive.discard_from_above(p, Msn(v));
                 }
-                _ => {
-                    runs.remove_sender(p);
+                // A view installation excluding the member.
+                18 if v % 2 == 0 => {
+                    members.remove(slot);
+                    runs.remove_slot(slot);
                     naive.remove_sender(p);
                 }
+                _ => {}
             }
             prop_assert_eq!(runs.len(), naive.len(), "len after step {}", step);
             prop_assert_eq!(runs.app_len(), naive.app_len(), "app_len after step {}", step);
             prop_assert_eq!(runs.is_empty(), naive.len() == 0);
             prop_assert!(runs.runs_coherent(Msn::ZERO), "run order after step {}", step);
+            prop_assert!(runs.runs_belong_to(&members), "run ownership after step {}", step);
             prop_assert_eq!(digest_of(&runs), digest_of(&naive), "digest after step {}", step);
-            for s in 1..6 {
-                let s = ProcessId(s);
-                prop_assert_eq!(runs.above(s, Msn::ZERO), naive.above(s, Msn::ZERO));
-                prop_assert_eq!(runs.above(s, Msn(v)), naive.above(s, Msn(v)));
+            for (slot, s) in members.iter().enumerate() {
+                prop_assert_eq!(runs.above(slot, Msn::ZERO), naive.above(*s, Msn::ZERO));
+                prop_assert_eq!(runs.above(slot, Msn(v)), naive.above(*s, Msn(v)));
             }
         }
     }
